@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import delaunay, solver, transition
 from .errors import (
+    BadParameters,
     DDCEError,
     Infeasible,
     LineSearchStalled,
@@ -226,7 +226,7 @@ def cmd_validate(args) -> int:
 
 def cmd_delaunay(args) -> int:
     metric, extras = _load_valid(args.path)
-    flipped, log = delaunay.flip_to_delaunay(metric, threads=args.threads)
+    flipped, log = delaunay.flip_to_delaunay(metric)
     print(f"flips: {log.flip_count}")
     if log.initial_support_min is not None:
         print(f"support-min initial {format(log.initial_support_min, '.17g')}")
@@ -253,7 +253,7 @@ def _inverse_map(vertex_map):
 
 def cmd_invariant(args) -> int:
     metric, _ = _load_valid(args.path)
-    flipped, _log = delaunay.flip_to_delaunay(metric, threads=args.threads)
+    flipped, _log = delaunay.flip_to_delaunay(metric)
     from .metric import lambda_lengths
 
     inv = lambda_lengths(flipped)
@@ -298,10 +298,10 @@ def _parse_theta(args, metric, extras):
 def cmd_solve(args) -> int:
     metric, extras = _load_valid(args.path)
     theta = _parse_theta(args, metric, extras)
+    if not np.all(np.isfinite(theta) & (theta > 0)):
+        raise CliError(EXIT_PARSE_ERROR, "target angles must be positive and finite")
     try:
-        solved, report = solver.newton_solve(
-            metric, theta, tol=args.tol, max_iter=args.max_iter, threads=args.threads
-        )
+        solved, report = solver.newton_solve(metric, theta, tol=args.tol, max_iter=args.max_iter)
     except Infeasible as ex:
         print(f"infeasible: {ex}")
         return EXIT_INFEASIBLE
@@ -330,8 +330,8 @@ def cmd_transition(args) -> int:
     except ValueError:
         raise CliError(EXIT_PARSE_ERROR, f"--t-list: cannot parse {args.t_list!r}")
     try:
-        path = transition.build_transition(metric, ts, threads=args.threads)
-    except ValueError as ex:
+        path = transition.build_transition(metric, ts)
+    except BadParameters as ex:
         raise CliError(EXIT_PARSE_ERROR, f"--t-list: {ex}")
     lines = ["t,max_angle_defect,max_weight_deviation"]
     for row in path.rows:
@@ -354,12 +354,6 @@ def cmd_transition(args) -> int:
 
 def _add_common(sub):
     sub.add_argument("path", help="surface file (JSON)")
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads for per-face geometry (DDCE_THREADS overrides)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,12 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    env = os.environ.get("DDCE_THREADS")
-    if env:  # the environment variable overrides the flag
-        try:
-            args.threads = int(env)
-        except ValueError:
-            print(f"ignoring DDCE_THREADS={env!r}", file=sys.stderr)
     try:
         code = args.func(args)
     except CliError as ex:

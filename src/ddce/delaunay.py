@@ -29,22 +29,16 @@ import numpy as np
 from . import trig
 from .errors import NotDelaunay
 from .metric import DecoratedMetric, check_valid
+from .surface import _UnionFind
 from .trig import Background
 
 #: relative tolerance of the flip strictness test
 FLIP_TOL = 1e-12
 
 
-def face_geometries(m: DecoratedMetric, threads: int | None = None) -> list:
-    """TriangleGeometry per face.  ``threads > 1`` fans the per-face work
-    out to a thread pool; results are identical either way."""
-    faces = range(m.triangulation.face_count)
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda f: trig.face_circle(m.face_triangle(f)), faces))
-    return [trig.face_circle(m.face_triangle(f)) for f in faces]
+def face_geometries(m: DecoratedMetric) -> list:
+    """TriangleGeometry per face."""
+    return [trig.face_circle(m.face_triangle(f)) for f in range(m.triangulation.face_count)]
 
 
 def _edge_slot_data(m: DecoratedMetric, e: int, geoms):
@@ -62,14 +56,7 @@ def edge_weight(m: DecoratedMetric, e: int, geoms=None) -> float:
     if geoms is None:
         geoms = face_geometries(m)
     gf, s, gg, t = _edge_slot_data(m, e, geoms)
-    length = m.lengths[e]
-    rho = gf.r_section[s]
-    if m.background is Background.SPHERICAL:
-        denom = math.cos(rho) * math.sin(length)
-    elif m.background is Background.HYPERBOLIC:
-        denom = math.cosh(rho) * math.sinh(length)
-    else:
-        denom = length
+    denom = trig.cfac(m.background, gf.r_section[s]) * trig.sfac(m.background, m.lengths[e])
     return (gf.d_tangent[s] + gg.d_tangent[t]) / denom
 
 
@@ -143,13 +130,12 @@ class FlipRecord:
 
 @dataclass
 class FlipLog:
-    """Flip trace plus the composed relabeling maps (old orbit index of
-    the input metric -> orbit index of the output)."""
+    """Flip trace plus the composed vertex relabeling map (vertex orbit
+    index of the input metric -> vertex orbit index of the output)."""
 
     records: list = field(default_factory=list)
     initial_support_min: float | None = None
     sweeps: int = 0
-    edge_map: list = field(default_factory=list)
     vertex_map: list = field(default_factory=list)
 
     @property
@@ -157,7 +143,7 @@ class FlipLog:
         return len(self.records)
 
 
-def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None, threads=None):
+def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
     """Flip until every edge is local Delaunay (FIFO queue over the
     violating edges, re-enqueueing the four quad boundary edges after
     each flip).  The decorated surface is unchanged; only the
@@ -170,11 +156,8 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None, thre
     check_valid(m, "input of flip_to_delaunay")
     if track_support is None:
         track_support = m.background is Background.SPHERICAL
-    geoms = face_geometries(m, threads)
-    log = FlipLog(
-        edge_map=list(range(m.triangulation.edge_count)),
-        vertex_map=list(range(m.triangulation.vertex_count)),
-    )
+    geoms = face_geometries(m)
+    log = FlipLog(vertex_map=list(range(m.triangulation.vertex_count)))
     if track_support:
         log.initial_support_min = support_minimum(m, geoms)
     max_flips = max(200, 40 * m.triangulation.edge_count)
@@ -194,7 +177,6 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None, thre
             m, fr, new_len = flip_edge(m, e)
             queue = deque(fr.edge_map[x] for x in queue)
             queued = set(queue)
-            log.edge_map = [fr.edge_map[x] for x in log.edge_map]
             log.vertex_map = [fr.vertex_map[x] for x in log.vertex_map]
             for f in set(h[0] for h in fr.triangulation.edges[fr.new_edge]):
                 geoms[f] = trig.face_circle(m.face_triangle(f))
@@ -245,22 +227,13 @@ def extract_tessellation(m: DecoratedMetric, tol: float = 1e-9, geoms=None) -> T
         raise NotDelaunay(f"negative edge weights at {offending}")
     kept = tuple(e for e in range(tri.edge_count) if weights[e] > tol)
     removed = tuple(e for e in range(tri.edge_count) if weights[e] <= tol)
-    parent = list(range(tri.face_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(range(tri.face_count))
     for e in removed:
         (f, _), (g, _) = tri.edge_sides(e)
-        rf, rg = find(f), find(g)
-        if rf != rg:
-            parent[max(rf, rg)] = min(rf, rg)
+        uf.union(f, g)
     groups: dict = {}
     for f in range(tri.face_count):
-        groups.setdefault(find(f), []).append(f)
+        groups.setdefault(uf.find(f), []).append(f)
     face_groups = tuple(tuple(sorted(g)) for g in sorted(groups.values()))
     return Tessellation(tri, kept, removed, face_groups)
 

@@ -95,3 +95,9 @@ class MaxIterations(SolverError):
 
 class LineSearchStalled(SolverError):
     """Backtracking line search underflowed without making progress."""
+
+
+# -- transitions -------------------------------------------------------------
+
+class BadParameters(DDCEError, ValueError):
+    """Transition parameters are not finite, >= 1 and strictly increasing."""

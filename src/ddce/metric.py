@@ -51,10 +51,6 @@ def tau(y: int, x: float) -> float:
     return (math.exp(x) + y * math.exp(-x)) / 2.0
 
 
-def tau_prime(y: int, x: float) -> float:
-    return (math.exp(x) - y * math.exp(-x)) / 2.0
-
-
 def stable_acosh(x: float) -> float:
     """acosh via log1p, accurate for arguments just above 1."""
     t = x - 1.0
@@ -150,6 +146,16 @@ def validate(m: DecoratedMetric) -> list:
     valid.  Hyperideality is reported per edge orbit (loop edges read
     2 r_i < l_ii); triangle-level conditions per face."""
     tri = m.triangulation
+    finite_l, finite_r = np.isfinite(m.lengths), np.isfinite(m.radii)
+    if not (finite_l.all() and finite_r.all()):
+        # every other condition is meaningless on NaN or infinite data
+        return [
+            f"edge {tri.edge_label(e)}: length {m.lengths[e]} not finite"
+            for e in np.flatnonzero(~finite_l)
+        ] + [
+            f"vertex {tri.vertex_label(v)}: radius {m.radii[v]} not finite"
+            for v in np.flatnonzero(~finite_r)
+        ]
     out = []
     if m.background is Background.SPHERICAL:
         for v in range(tri.vertex_count):
@@ -483,14 +489,8 @@ def scale_factors(m: DecoratedMetric, m_new: DecoratedMetric) -> np.ndarray:
     u = np.zeros(tri.vertex_count)
     bg = m.background
     for v in range(tri.vertex_count):
-        if eps[v] == 0:
-            continue
-        if bg is Background.SPHERICAL:
-            u[v] = math.log(math.sin(m_new.radii[v]) / math.sin(m.radii[v]))
-        elif bg is Background.HYPERBOLIC:
-            u[v] = math.log(math.sinh(m_new.radii[v]) / math.sinh(m.radii[v]))
-        else:
-            u[v] = math.log(m_new.radii[v] / m.radii[v])
+        if eps[v] == 1:
+            u[v] = math.log(trig.sfac(bg, m_new.radii[v]) / trig.sfac(bg, m.radii[v]))
 
     ideal = np.where(eps == 0)[0]
     if ideal.size:

@@ -87,28 +87,13 @@ def gradient(m: DecoratedMetric, theta_target) -> np.ndarray:
     return np.asarray(theta_target, dtype=float) - cone_angles(m)
 
 
-def _edge_factor(background: Background, r_sec: float, length: float) -> float:
-    if background is Background.SPHERICAL:
-        return math.tan(r_sec) / math.sin(length)
-    if background is Background.HYPERBOLIC:
-        return math.tanh(r_sec) / math.sinh(length)
-    return r_sec / length
-
-
-def _length_coupling(background: Background, length: float) -> float:
-    if background is Background.SPHERICAL:
-        return math.cos(length)
-    if background is Background.HYPERBOLIC:
-        return math.cosh(length)
-    return 1.0
-
-
 def angle_jacobian(m: DecoratedMetric, geoms=None) -> np.ndarray:
     """d(theta)/d(heights), assembled corner by corner so self-gluings
     and loop edges fall out correctly."""
     tri = m.triangulation
     if geoms is None:
         geoms = delaunay.face_geometries(m)
+    bg = m.background
     n = tri.vertex_count
     jac = np.zeros((n, n))
     for f in range(tri.face_count):
@@ -117,15 +102,16 @@ def angle_jacobian(m: DecoratedMetric, geoms=None) -> np.ndarray:
         for s in range(3):
             i = verts[s]
             for slot, other in ((s, verts[(s + 1) % 3]), ((s + 2) % 3, verts[(s + 2) % 3])):
-                q = geom.cot_alpha[slot] * _edge_factor(
-                    m.background, geom.r_section[slot], geom.lengths[slot]
+                length = geom.lengths[slot]
+                q = geom.cot_alpha[slot] * (
+                    trig.tfac(bg, geom.r_section[slot]) / trig.sfac(bg, length)
                 )
                 # d theta_i = sum_edges q * (K(l) dh_i - dh_other); per edge
                 # this sums to the Laplacian of the cotan weights plus the
                 # diagonal (K - 1) form, which is what finite differences
                 # of the cone angles reproduce.
                 jac[i, other] -= q
-                jac[i, i] += q * _length_coupling(m.background, geom.lengths[slot])
+                jac[i, i] += q * trig.cfac(bg, length)
     return jac
 
 
@@ -248,7 +234,6 @@ def newton_solve(
     theta_target,
     tol: float = 1e-10,
     max_iter: int = 50,
-    threads: int | None = None,
 ):
     """Maximize the Hilbert-Einstein functional until every cone angle
     matches its target within ``tol`` (sup norm).
@@ -275,7 +260,7 @@ def newton_solve(
             "target angles violate the Gauss-Bonnet feasibility condition", report
         )
 
-    m, flog = delaunay.flip_to_delaunay(m0, threads=threads)
+    m, flog = delaunay.flip_to_delaunay(m0)
     report.flips_initial = flog.flip_count
     vmap = list(flog.vertex_map)
     theta_cur = np.empty_like(theta_target)
@@ -297,7 +282,7 @@ def newton_solve(
         if res <= tol:
             converged = True
             break
-        geoms = delaunay.face_geometries(m, threads)
+        geoms = delaunay.face_geometries(m)
         step = _solve_step(angle_jacobian(m, geoms), theta_cur - theta, pin)
 
         chart = (m.triangulation, Invariant(m.triangulation, lam, eps), bg, ref_r, eps)
@@ -326,7 +311,7 @@ def newton_solve(
         m, h = m_trial, h_trial
         report.functional_increases.append(gain)
 
-        m, flog = delaunay.flip_to_delaunay(m, threads=threads)
+        m, flog = delaunay.flip_to_delaunay(m)
         report.flips_per_iteration.append(flog.flip_count)
         if flog.flip_count:
             new_h = np.empty_like(h)
@@ -362,16 +347,12 @@ def newton_solve(
 def _finalize(report: SolveReport, m0, m, vmap, h, h_start_orig) -> None:
     report.vertex_map = list(vmap)
     report.final_heights = h[vmap]
+    bg = m0.background
     eps0 = m0.eps
     u = np.zeros(m0.triangulation.vertex_count)
     for v in range(m0.triangulation.vertex_count):
-        r_old, r_new = m0.radii[v], m.radii[vmap[v]]
         if eps0[v] == 0:
             u[v] = report.final_heights[v] - h_start_orig[v]
-        elif m0.background is Background.SPHERICAL:
-            u[v] = math.log(math.sin(r_new) / math.sin(r_old))
-        elif m0.background is Background.HYPERBOLIC:
-            u[v] = math.log(math.sinh(r_new) / math.sinh(r_old))
         else:
-            u[v] = math.log(r_new / r_old)
+            u[v] = math.log(trig.sfac(bg, m.radii[vmap[v]]) / trig.sfac(bg, m0.radii[v]))
     report.scale_factors = u

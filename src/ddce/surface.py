@@ -68,9 +68,11 @@ class _UnionFind:
 class FlipResult:
     """Outcome of a combinatorial edge flip.
 
-    ``edge_map``/``vertex_map`` send old orbit indices to new ones,
-    ``half_edge_map`` sends every old half-edge to its new identity.
-    The flipped diagonal itself maps to ``new_edge``.
+    ``edge_map``/``vertex_map`` send old orbit indices to new ones.
+    ``half_edge_map`` holds only the six half-edges of the flipped quad,
+    which change identity; every other half-edge keeps its own, so look
+    up with ``half_edge_map.get(h, h)``.  The flipped diagonal itself
+    maps to ``new_edge``.
     """
 
     triangulation: "Triangulation"
@@ -224,9 +226,6 @@ class Triangulation:
         """Vertex indices at the corners of face ``f`` in slot order."""
         return tuple(self.vertex_index[(f, s)] for s in range(3))
 
-    def corners_of_vertex(self, v: int) -> tuple:
-        return self.vertices[v]
-
     def quad_corners(self, e: int):
         """Corners ``(a, b, c, d)`` of the quadrilateral around edge ``e``:
         the edge runs a -> b, ``c`` is the apex on the side of the canonical
@@ -286,41 +285,27 @@ class Triangulation:
             pairs.append((relabel.get(old1, old1), relabel.get(old2, old2)))
         new_tri = Triangulation.build_from_gluing(self.face_count, pairs)
 
-        half_edge_map = {
-            h: relabel.get(h, h) for f2 in range(self.face_count) for s2 in range(3)
-            for h in [(f2, s2)]
+        edge_map = [new_tri.edge_index[relabel.get(h, h)] for h, _ in self.edges]
+        # where the corners of the quad sit after the flip; others stay put
+        corners = {
+            h1: (f, 0),          # a
+            _next(h1): (g, 1),   # b
+            _prev(h1): (f, 2),   # c (also (g, 2))
+            h2: (g, 1),          # b again, seen from face g
+            _next(h2): (f, 0),   # a
+            _prev(h2): (f, 1),   # d (also (g, 0))
         }
-        edge_map = [None] * len(self.edges)
-        for old_idx, (eh1, _eh2) in enumerate(self.edges):
-            edge_map[old_idx] = new_tri.edge_index[half_edge_map[eh1]]
-        vertex_map = [None] * len(self.vertices)
-        corner_map = self._corner_map(relabel, h1, h2)
-        for old_idx, orbit in enumerate(self.vertices):
-            vertex_map[old_idx] = new_tri.vertex_index[corner_map[orbit[0]]]
+        vertex_map = [
+            new_tri.vertex_index[corners.get(orbit[0], orbit[0])] for orbit in self.vertices
+        ]
         boundary = tuple(
             edge_map[self.edge_index[h]] for h in (_next(h1), _prev(h1), _next(h2), _prev(h2))
         )
         return FlipResult(
             triangulation=new_tri,
-            half_edge_map=half_edge_map,
+            half_edge_map=relabel,
             edge_map=edge_map,
             vertex_map=vertex_map,
             new_edge=new_tri.edge_index[(f, 1)],
             quad_boundary_edges=boundary,
         )
-
-    def _corner_map(self, relabel, h1, h2):
-        """Where each corner of the old surface sits after the flip."""
-        f, s = h1
-        g, t = h2
-        corner_map = {}
-        for f2 in range(self.face_count):
-            for s2 in range(3):
-                corner_map[(f2, s2)] = (f2, s2)
-        corner_map[h1] = (f, 0)          # a
-        corner_map[_next(h1)] = (g, 1)   # b
-        corner_map[_prev(h1)] = (f, 2)   # c (also (g, 2))
-        corner_map[h2] = (g, 1)          # b again, seen from face g
-        corner_map[_next(h2)] = (f, 0)   # a
-        corner_map[_prev(h2)] = (f, 1)   # d (also (g, 0))
-        return corner_map

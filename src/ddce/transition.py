@@ -26,12 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import delaunay
+from .errors import BadParameters
 from .metric import (
     DecoratedMetric,
     Heights,
     Invariant,
     decoration_from_heights,
-    default_reference_radius,
     heights_from_decoration,
     lambda_lengths,
     omega_inverse,
@@ -101,7 +101,7 @@ class TransitionPath:
     rows: list = field(default_factory=list)
 
 
-def build_transition(m: DecoratedMetric, ts, threads: int | None = None) -> TransitionPath:
+def build_transition(m: DecoratedMetric, ts) -> TransitionPath:
     """Evaluate the scale family of a curved decorated metric at the
     given parameters (each >= 1, strictly increasing) and compare
     against the Euclidean limit.
@@ -117,10 +117,10 @@ def build_transition(m: DecoratedMetric, ts, threads: int | None = None) -> Tran
     if bg is Background.EUCLIDEAN:
         raise ValueError("transition families start from a curved background")
     ts = [float(t) for t in ts]
-    if any(t < 1.0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("parameters must be >= 1 and strictly increasing")
+    if not all(1.0 <= t < math.inf for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
+        raise BadParameters("parameters must be finite, >= 1 and strictly increasing")
 
-    m_del, _ = delaunay.flip_to_delaunay(m, threads=threads)
+    m_del, _ = delaunay.flip_to_delaunay(m)
     tri = m_del.triangulation
     h1 = heights_from_decoration(m_del)
     inv = lambda_lengths(m_del)
@@ -133,7 +133,7 @@ def build_transition(m: DecoratedMetric, ts, threads: int | None = None) -> Tran
     for t in ts:
         ht = scale_family(h1, t)
         mt = decoration_from_heights(tri, inv, ht)
-        geoms = delaunay.face_geometries(mt, threads)
+        geoms = delaunay.face_geometries(mt)
         defect = max(abs(g.angle_sum - math.pi) for g in geoms)
         wdev = float(np.max(np.abs(delaunay.edge_weights(mt, geoms) - w_euc)))
         path.ts.append(t)
@@ -142,7 +142,3 @@ def build_transition(m: DecoratedMetric, ts, threads: int | None = None) -> Tran
         path.rows.append(DiagnosticsRow(t, defect, wdev))
     return path
 
-
-def transition_diagnostics(m: DecoratedMetric, ts, threads: int | None = None) -> list:
-    """DiagnosticsRow per parameter; see build_transition."""
-    return build_transition(m, ts, threads=threads).rows

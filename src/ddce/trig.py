@@ -84,6 +84,8 @@ class DecoratedTriangle:
         out = []
         a, b, c = self.lengths
         scale = max(1.0, a, b, c)
+        if not all(map(math.isfinite, (*self.lengths, *self.radii))):
+            out.append(f"lengths {tuple(self.lengths)} / radii {tuple(self.radii)} not all finite")
         for s in range(3):
             if self.lengths[s] <= 0:
                 out.append(f"slot {s}: length {self.lengths[s]} not positive")
@@ -213,10 +215,6 @@ def circle_lift(background: Background, center, radius: float):
     )
 
 
-def point_lift(background: Background, p):
-    return circle_lift(background, p, 0.0)
-
-
 def geodesic_lift(background: Background, p, q, side_point):
     """Unit lift of the geodesic through ``p`` and ``q``, oriented so the
     inner product is positive on the side of ``side_point``."""
@@ -303,7 +301,8 @@ def section_foot_radius(background: Background, length: float, r_a: float, r_b: 
     return x, rho
 
 
-def _sfac(background: Background, t: float) -> float:
+def sfac(background: Background, t: float) -> float:
+    """sin / identity / sinh of ``t`` by background."""
     if background is Background.SPHERICAL:
         return math.sin(t)
     if background is Background.HYPERBOLIC:
@@ -311,12 +310,22 @@ def _sfac(background: Background, t: float) -> float:
     return t
 
 
-def _tfac(background: Background, t: float) -> float:
+def tfac(background: Background, t: float) -> float:
+    """tan / identity / tanh of ``t`` by background."""
     if background is Background.SPHERICAL:
         return math.tan(t)
     if background is Background.HYPERBOLIC:
         return math.tanh(t)
     return t
+
+
+def cfac(background: Background, t: float) -> float:
+    """cos / 1 / cosh of ``t`` by background."""
+    if background is Background.SPHERICAL:
+        return math.cos(t)
+    if background is Background.HYPERBOLIC:
+        return math.cosh(t)
+    return 1.0
 
 
 # -- face circle --------------------------------------------------------------
@@ -433,7 +442,7 @@ def face_circle(tri: DecoratedTriangle) -> TriangleGeometry:
             cot_alpha.append(side * math.inf)
             r_section.append(0.0)
             d_center.append(side * radius)
-            d_tangent.append(side * (1.0 if math.isinf(radius) else _tfac(bg, radius)))
+            d_tangent.append(side * (1.0 if math.isinf(radius) else tfac(bg, radius)))
             d_foot.append(feet)
             continue
         if bg is Background.SPHERICAL and rho > math.pi / 2:
@@ -442,13 +451,13 @@ def face_circle(tri: DecoratedTriangle) -> TriangleGeometry:
             foot = -walk(bg, a, b, x)
         else:
             foot = walk(bg, a, b, x)
-        o_lift = circle_lift(bg, foot, rho) / _sfac(bg, rho)  # analytic unit norm
+        o_lift = circle_lift(bg, foot, rho) / sfac(bg, rho)  # analytic unit norm
         sin_part = mdot(lift, o_lift)
         ang = math.atan2(abs(sin_part), math.copysign(1.0, sin_part) * cos_part)
         alpha.append(ang)
         cot = math.copysign(1.0, sin_part) * cos_part / abs(sin_part)
         cot_alpha.append(cot)
-        dtan = cot * _sfac(bg, rho)
+        dtan = cot * sfac(bg, rho)
         d_tangent.append(dtan)
         if bg is Background.SPHERICAL:
             d_center.append(math.atan(dtan))

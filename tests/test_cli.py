@@ -49,6 +49,18 @@ def test_validate_names_violations(tmp_path, capsys):
     assert "0:0" in out and "circles intersect" in out
 
 
+@pytest.mark.parametrize("command", [["validate"], ["invariant"], ["solve", "--theta", "2pi"]])
+@pytest.mark.parametrize("key", ["lengths", "radii"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_metric_is_invalid(tmp_path, genus2_file, capsys, command, key, value):
+    doc = json.load(open(genus2_file))
+    doc[key]["0:0"] = value  # json writes the NaN / Infinity tokens it also reads
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(doc))
+    assert run(command[0], str(path), *command[1:]) == 1
+    assert "not finite" in capsys.readouterr().out
+
+
 def test_truncated_file_is_parse_error(tmp_path, genus2_file):
     text = open(genus2_file).read()[:-40]
     broken = tmp_path / "broken.json"
@@ -200,6 +212,16 @@ def test_solve_theta_file(tmp_path, rng, capsys):
     assert np.max(np.abs(so.cone_angles(solved) - theta)) < 1e-10
 
 
+@pytest.mark.parametrize("theta", ["-1", "0", "nan", "inf", "-2pi", "file"])
+def test_solve_rejects_bad_theta(tmp_path, genus2_file, capsys, theta):
+    if theta == "file":
+        path = tmp_path / "theta.json"
+        path.write_text('{"0:0": NaN}')
+        theta = str(path)
+    assert run("solve", genus2_file, f"--theta={theta}") == 2
+    assert "positive and finite" in capsys.readouterr().err
+
+
 # -- transition ---------------------------------------------------------------------
 
 
@@ -226,6 +248,21 @@ def test_transition_rejects_euclidean(tmp_path, rng, capsys):
     path = write(tmp_path, "euc.json", m)
     assert run("transition", path) == 1
     assert "already Euclidean" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # t = 1e300 overflows to inf heights
+@pytest.mark.parametrize(
+    "t_list, code, message",
+    [
+        ("1,nan", 2, "finite"),
+        ("1,inf", 2, "finite"),
+        ("1,0.5", 2, "finite"),
+        ("1,1e300", 1, "not finite"),  # heights out of domain, not a parse error
+    ],
+)
+def test_transition_t_list_errors(genus2_file, capsys, t_list, code, message):
+    assert run("transition", genus2_file, "--t-list", t_list) == code
+    assert message in capsys.readouterr().err
 
 
 # -- determinism ---------------------------------------------------------------------

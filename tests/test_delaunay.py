@@ -140,6 +140,17 @@ def test_flip_preserves_cone_angles_and_surface(rng):
         assert np.max(np.abs(np.sort(current.lengths) - np.sort(flipped.lengths))) < 1e-12
 
 
+def test_flip_log_vertex_map(rng):
+    for bg in ALL_BACKGROUNDS:
+        m = scrambled_metric(grid_torus(4), bg, rng, flips=6)
+        flipped, log = dl.flip_to_delaunay(m)
+        assert log.flip_count >= 3
+        # input vertex v sits at log.vertex_map[v] in the output
+        assert np.array_equal(flipped.radii[log.vertex_map], m.radii)
+        theta = so.cone_angles(flipped)[log.vertex_map]
+        assert np.max(np.abs(theta - so.cone_angles(m))) <= 1e-10
+
+
 def test_spherical_support_monotone_and_length_bound(rng):
     checked = 0
     for _ in range(6):

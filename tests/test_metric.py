@@ -38,6 +38,9 @@ def test_validate_examples(double_triangle):
         double_triangle, Background.SPHERICAL, np.full(3, math.pi / 2), np.full(3, 0.3)
     )
     assert me.validate(m_sph) == []
+    for lengths, radii in (([1.0, np.nan, 1.0], [0.2] * 3), ([1.0] * 3, [0.2, np.inf, 0.2])):
+        bad = me.validate(DecoratedMetric(double_triangle, Background.EUCLIDEAN, lengths, radii))
+        assert len(bad) == 1 and "not finite" in bad[0]
 
 
 def test_validate_names_edges(square_torus):

@@ -76,6 +76,9 @@ def test_degenerate_triangle_rejected():
         trig.interior_angles(Background.EUCLIDEAN, (1.0, 1.0, 2.0 - 1e-14))
     with pytest.raises(DegenerateTriangle):
         trig.interior_angles(Background.SPHERICAL, (2.5, 2.5, 2.0))  # perimeter >= 2 pi
+    for lengths, radii in (((1.0, 1.0, math.nan), (0.0,) * 3), ((1.0,) * 3, (0.1, math.nan, 0.1))):
+        with pytest.raises(DegenerateTriangle):
+            DecoratedTriangle(Background.HYPERBOLIC, lengths, radii).check()
 
 
 def test_euclidean_limit_of_hyperbolic_angles():
