@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trig
-from .errors import NotDelaunay
+from .errors import FlipBoundExceeded, NotDelaunay
 from .metric import DecoratedMetric, check_valid
 from .surface import _UnionFind
 from .trig import Background
@@ -172,7 +172,9 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
             if is_local_delaunay(m, e, strict=False, geoms=geoms):
                 continue
             if log.flip_count >= max_flips:
-                raise RuntimeError("flip algorithm exceeded the safety bound; geometry inconsistent")
+                raise FlipBoundExceeded(
+                    "flip algorithm exceeded the safety bound; geometry inconsistent"
+                )
             label = m.triangulation.edge_label(e)
             m, fr, new_len = flip_edge(m, e)
             queue = deque(fr.edge_map[x] for x in queue)

@@ -77,6 +77,10 @@ class NotDelaunay(DDCEError):
     """Operation requires a weighted Delaunay triangulation."""
 
 
+class FlipBoundExceeded(DDCEError, RuntimeError):
+    """The flip algorithm exceeded its safety bound on the flip count."""
+
+
 class SolverError(DDCEError):
     """Base class for failures of the cone-angle solver, carries the report."""
 

@@ -41,7 +41,7 @@ from .errors import (
     WeightOutOfRange,
 )
 from .surface import Triangulation
-from .trig import Background
+from .trig import DEGENERACY_TOL, Background
 
 
 def tau(y: int, x: float) -> float:
@@ -103,9 +103,12 @@ class DecoratedMetric:
 
     def face_triangle(self, f: int) -> trig.DecoratedTriangle:
         tri = self.triangulation
-        lengths = tuple(self.lengths[e] for e in tri.face_edges(f))
-        radii = tuple(self.radii[v] for v in tri.face_vertices(f))
-        return trig.DecoratedTriangle(self.background, lengths, radii)
+        l, r = self.lengths, self.radii
+        ea, eb, ec = tri.face_edge_ids[f]
+        va, vb, vc = tri.face_vertex_ids[f]
+        return trig.DecoratedTriangle(
+            self.background, (l[ea], l[eb], l[ec]), (r[va], r[vb], r[vc])
+        )
 
 
 @dataclass(frozen=True)
@@ -156,25 +159,39 @@ def validate(m: DecoratedMetric) -> list:
             f"vertex {tri.vertex_label(v)}: radius {m.radii[v]} not finite"
             for v in np.flatnonzero(~finite_r)
         ]
-    out = []
-    if m.background is Background.SPHERICAL:
-        for v in range(tri.vertex_count):
-            if not (0 <= m.radii[v] < math.pi / 2):
-                out.append(f"vertex {tri.vertex_label(v)}: spherical radius {m.radii[v]} outside [0, pi/2)")
-    else:
-        for v in range(tri.vertex_count):
-            if m.radii[v] < 0:
-                out.append(f"vertex {tri.vertex_label(v)}: negative radius {m.radii[v]}")
-    for e in range(tri.edge_count):
+    # one vectorised gate per constraint group; messages are built only
+    # for the flagged vertices, edges and faces, in index order
+    r, l = m.radii, m.lengths
+    spherical = m.background is Background.SPHERICAL
+    bad_radius = ~((0 <= r) & (r < math.pi / 2)) if spherical else r < 0
+    ends = tri.edge_endpoint_array
+    out = [
+        f"vertex {tri.vertex_label(v)}: spherical radius {r[v]} outside [0, pi/2)"
+        if spherical
+        else f"vertex {tri.vertex_label(v)}: negative radius {r[v]}"
+        for v in np.flatnonzero(bad_radius)
+    ]
+    for e in np.flatnonzero(r[ends[:, 0]] + r[ends[:, 1]] > l):
         i, j = tri.edge_endpoints(e)
-        if m.radii[i] + m.radii[j] > m.lengths[e]:
-            out.append(
-                f"edge {tri.edge_label(e)}: vertex circles intersect "
-                f"(r_i + r_j = {m.radii[i] + m.radii[j]} > l = {m.lengths[e]})"
-            )
-    for f in range(tri.face_count):
-        t = m.face_triangle(f)
-        for msg in t.violations():
+        out.append(
+            f"edge {tri.edge_label(e)}: vertex circles intersect "
+            f"(r_i + r_j = {r[i] + r[j]} > l = {l[e]})"
+        )
+    # faces whose DecoratedTriangle.violations() reports more than circle
+    # intersections (already reported per edge), with the same arithmetic
+    a, b, c = l[tri.face_edge_array].T
+    longest = np.maximum(np.maximum(a, b), c)
+    tol = DEGENERACY_TOL * np.maximum(longest, 1.0)
+    flagged = (  # gap of slot s: l_s + l_{s+1} - l_{s+2}
+        (a + b - c <= tol) | (b + c - a <= tol) | (c + a - b <= tol)
+        | (np.minimum(np.minimum(a, b), c) <= 0)
+    )
+    if spherical:
+        flagged |= (longest >= math.pi) | (a + b + c >= 2 * math.pi)
+    if bad_radius.any():
+        flagged |= bad_radius[tri.face_vertex_array].any(axis=1)
+    for f in np.flatnonzero(flagged):
+        for msg in m.face_triangle(f).violations():
             if "circles intersect" in msg:
                 continue  # already reported per edge
             out.append(f"face {f}: {msg}")
@@ -345,13 +362,13 @@ def decoration_from_heights(
     condition.
     """
     bg = heights.background
-    eps = invariant.eps
-    h = heights.h
     tri = triangulation
-    if h.shape != (tri.vertex_count,):
+    if heights.h.shape != (tri.vertex_count,):
         raise ValueError("height array does not match vertex orbits")
     if invariant.lam.shape != (tri.edge_count,):
         raise ValueError("lambda array does not match edge orbits")
+    eps = invariant.eps.tolist()
+    h = heights.h.tolist()
 
     if bg is not Background.EUCLIDEAN:
         for v in range(tri.vertex_count):
@@ -360,43 +377,54 @@ def decoration_from_heights(
                     f"vertex {tri.vertex_label(v)}: hyperideal height {h[v]} <= 0"
                 )
 
-    lengths = np.zeros(tri.edge_count)
-    for e in range(tri.edge_count):
-        i, j = tri.edge_endpoints(e)
-        lam = invariant.lam[e]
+    # per-vertex exponentials, computed when an edge first needs them so
+    # that an overflow surfaces at the same edge as edge-by-edge evaluation
+    terms = [None] * tri.vertex_count
+
+    def vertex_terms(v):
+        if bg is Background.EUCLIDEAN:
+            terms[v] = (math.exp(-h[v]),)
+        else:
+            terms[v] = (tau(-eps[v], h[v]), tau(eps[v], h[v]))
+        return terms[v]
+
+    lengths = []
+    for e, ((i, j), lam) in enumerate(zip(tri.edge_endpoint_ids, invariant.lam.tolist())):
         ee = eps[i] * eps[j]
         if bg is Background.SPHERICAL:
             if lam >= h[i] + h[j]:
                 raise HeightsOutOfDomain(
                     f"edge {tri.edge_label(e)}: lambda = {lam} >= h_i + h_j = {h[i] + h[j]}"
                 )
-            c = (tau(-eps[i], h[i]) * tau(-eps[j], h[j]) - tau(ee, lam)) / (
-                tau(eps[i], h[i]) * tau(eps[j], h[j])
+            (minus_i, plus_i), (minus_j, plus_j) = (
+                terms[i] or vertex_terms(i), terms[j] or vertex_terms(j)
             )
+            c = (minus_i * minus_j - tau(ee, lam)) / (plus_i * plus_j)
             if not (-1.0 < c < 1.0):
                 raise HeightsOutOfDomain(
                     f"edge {tri.edge_label(e)}: cosine of induced length is {c}"
                 )
-            lengths[e] = math.acos(c)
+            lengths.append(math.acos(c))
         elif bg is Background.HYPERBOLIC:
-            ch = (tau(ee, lam) + tau(eps[i], h[i]) * tau(eps[j], h[j])) / (
-                tau(-eps[i], h[i]) * tau(-eps[j], h[j])
+            (minus_i, plus_i), (minus_j, plus_j) = (
+                terms[i] or vertex_terms(i), terms[j] or vertex_terms(j)
             )
+            ch = (tau(ee, lam) + plus_i * plus_j) / (minus_i * minus_j)
             if ch <= 1.0:
                 raise HeightsOutOfDomain(
                     f"edge {tri.edge_label(e)}: cosh of induced length is {ch}"
                 )
-            lengths[e] = stable_acosh(ch)
+            lengths.append(stable_acosh(ch))
         else:
-            rho_i, rho_j = math.exp(-h[i]), math.exp(-h[j])
+            (rho_i,), (rho_j,) = terms[i] or vertex_terms(i), terms[j] or vertex_terms(j)
             sq = eps[i] * rho_i**2 + eps[j] * rho_j**2 + 2.0 * rho_i * rho_j * tau(ee, lam)
             if sq <= 0.0:
                 raise HeightsOutOfDomain(
                     f"edge {tri.edge_label(e)}: squared induced length is {sq}"
                 )
-            lengths[e] = math.sqrt(sq)
+            lengths.append(math.sqrt(sq))
 
-    radii = np.zeros(tri.vertex_count)
+    radii = [0.0] * tri.vertex_count
     for v in range(tri.vertex_count):
         if eps[v] == 0:
             continue
@@ -437,6 +465,15 @@ def omega_map(background: Background, reference_radius: float, heights: Heights)
     return omega
 
 
+def _check_squared_weight(v: int, omega_v, t: float) -> None:
+    # t is a Python float, so t * t overflows to inf without a numpy warning
+    if not math.isfinite(t * t):
+        raise WeightOutOfRange(
+            f"vertex {v}: weight {omega_v} outside the image of the height map "
+            "(squared weight not finite)"
+        )
+
+
 def omega_inverse(
     background: Background, reference_radius: float, omega, eps
 ) -> Heights:
@@ -447,18 +484,20 @@ def omega_inverse(
     if background is Background.HYPERBOLIC:
         s = math.sinh(reference_radius)
         for v in range(omega.size):
-            t = omega[v] * s
+            t = float(omega[v]) * s
             if omega[v] <= 0 or (eps[v] == 1 and t <= 1.0):
                 raise WeightOutOfRange(
                     f"vertex {v}: weight {omega[v]} outside the image of the height map"
                 )
+            _check_squared_weight(v, omega[v], t)
             h[v] = math.log(t + math.sqrt(t * t - eps[v]))
     elif background is Background.SPHERICAL:
         c = math.cosh(reference_radius)
         for v in range(omega.size):
             if omega[v] <= 0:
                 raise WeightOutOfRange(f"vertex {v}: weight {omega[v]} not positive")
-            t = omega[v] * c
+            t = float(omega[v]) * c
+            _check_squared_weight(v, omega[v], t)
             h[v] = math.log(t + math.sqrt(t * t + eps[v]))
     else:
         raise ValueError("omega maps are defined for curved backgrounds only")

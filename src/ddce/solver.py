@@ -57,14 +57,14 @@ MIN_STEP = 2.0**-40
 def cone_angles(m: DecoratedMetric) -> np.ndarray:
     """Total corner angle around each vertex orbit."""
     tri = m.triangulation
-    theta = np.zeros(tri.vertex_count)
-    for f in range(tri.face_count):
-        angles = trig.interior_angles(
-            m.background, [m.lengths[e] for e in tri.face_edges(f)]
-        )
-        for s, v in enumerate(tri.face_vertices(f)):
-            theta[v] += angles[s]
-    return theta
+    bg, l = m.background, m.lengths
+    theta = [0.0] * tri.vertex_count
+    for (ea, eb, ec), (va, vb, vc) in zip(tri.face_edge_ids, tri.face_vertex_ids):
+        aa, ab, ac = trig.interior_angles(bg, (l[ea], l[eb], l[ec]))
+        theta[va] += aa
+        theta[vb] += ab
+        theta[vc] += ac
+    return np.array(theta)
 
 
 def gauss_bonnet_check(
@@ -96,9 +96,7 @@ def angle_jacobian(m: DecoratedMetric, geoms=None) -> np.ndarray:
     bg = m.background
     n = tri.vertex_count
     jac = np.zeros((n, n))
-    for f in range(tri.face_count):
-        geom = geoms[f]
-        verts = tri.face_vertices(f)
+    for geom, verts in zip(geoms, tri.face_vertex_ids):
         for s in range(3):
             i = verts[s]
             for slot, other in ((s, verts[(s + 1) % 3]), ((s + 2) % 3, verts[(s + 2) % 3])):

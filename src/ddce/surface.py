@@ -22,6 +22,9 @@ gluing list always reproduces identical labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .errors import DisconnectedSurface, NonInvolution, NonOrientable, UnflippableSelfGluing
 
@@ -85,7 +88,18 @@ class FlipResult:
 
 @dataclass(frozen=True, eq=False)
 class Triangulation:
-    """Closed oriented triangulated surface, immutable after construction."""
+    """Closed oriented triangulated surface, immutable after construction.
+
+    Index tables for the per-face and per-edge loops are derived from
+    the edge and vertex orbits when first read and cached on the
+    instance (one O(F) pass each; a flip builds a new instance with
+    empty caches).  ``face_edge_ids[f]`` and ``face_vertex_ids[f]``
+    hold the edge and vertex indices of face ``f`` in slot order and
+    ``edge_endpoint_ids[e]`` the endpoint vertex indices of edge ``e``,
+    as tuples of ints; ``face_edge_array``, ``face_vertex_array``
+    (``F x 3``) and ``edge_endpoint_array`` (``E x 2``) hold the same
+    data as int arrays for numpy gathers.
+    """
 
     face_count: int
     gluing: dict = field(repr=False)  # involution on half-edges, both directions
@@ -212,19 +226,50 @@ class Triangulation:
         """The two half-edges bounding edge ``e`` (may share a face)."""
         return self.edges[e]
 
+    @cached_property
+    def face_edge_ids(self) -> tuple:
+        slots = [0] * (3 * self.face_count)
+        for idx, ((f, s), (g, t)) in enumerate(self.edges):
+            slots[3 * f + s] = slots[3 * g + t] = idx
+        return tuple(zip(slots[0::3], slots[1::3], slots[2::3]))
+
+    @cached_property
+    def face_vertex_ids(self) -> tuple:
+        slots = [0] * (3 * self.face_count)
+        for idx, orbit in enumerate(self.vertices):
+            for f, s in orbit:
+                slots[3 * f + s] = idx
+        return tuple(zip(slots[0::3], slots[1::3], slots[2::3]))
+
+    @cached_property
+    def edge_endpoint_ids(self) -> tuple:
+        corners = self.face_vertex_ids
+        return tuple((corners[f][s], corners[f][(s + 1) % 3]) for (f, s), _ in self.edges)
+
+    @cached_property
+    def face_edge_array(self) -> np.ndarray:
+        return np.array(self.face_edge_ids, dtype=np.intp).reshape(self.face_count, 3)
+
+    @cached_property
+    def face_vertex_array(self) -> np.ndarray:
+        return np.array(self.face_vertex_ids, dtype=np.intp).reshape(self.face_count, 3)
+
+    @cached_property
+    def edge_endpoint_array(self) -> np.ndarray:
+        return np.array(self.edge_endpoint_ids, dtype=np.intp).reshape(self.edge_count, 2)
+
     def edge_endpoints(self, e: int) -> tuple:
         """Vertex indices of the two endpoints (equal for a loop edge)."""
-        h = self.edges[e][0]
-        return (self.vertex_index[h], self.vertex_index[_next(h)])
+        return self.edge_endpoint_ids[e]
 
     def face_edges(self, f: int) -> tuple:
         """Edge indices of face ``f`` in slot order; slot ``s`` spans
         corners ``s`` and ``s + 1``."""
-        return tuple(self.edge_index[(f, s)] for s in range(3))
+        return self.face_edge_ids[f]
 
     def face_vertices(self, f: int) -> tuple:
         """Vertex indices at the corners of face ``f`` in slot order."""
-        return tuple(self.vertex_index[(f, s)] for s in range(3))
+        return self.face_vertex_ids[f]
 
     def quad_corners(self, e: int):
         """Corners ``(a, b, c, d)`` of the quadrilateral around edge ``e``:

@@ -123,39 +123,36 @@ class DecoratedTriangle:
 
 # -- interior angles ----------------------------------------------------------
 
-def _half_angle(num1, num2, den1, den2):
-    if min(num1, num2, den1, den2) <= 0:
-        raise DegenerateTriangle("triangle inequality violated beyond tolerance")
-    return 2.0 * math.atan(math.sqrt((num1 * num2) / (den1 * den2)))
-
-
 def interior_angles(background: Background, lengths) -> tuple:
     """Angles at corners 0, 1, 2.  Corner ``s`` lies between the edges of
     slots ``s`` and ``s + 2``; the half-angle form of the law of cosines
     stays accurate near degenerate triangles."""
     a, b, c = lengths
-    scale = max(1.0, a, b, c)
-    for s in range(3):
-        gap = lengths[s] + lengths[(s + 1) % 3] - lengths[(s + 2) % 3]
-        if gap <= DEGENERACY_TOL * scale or lengths[s] <= 0:
-            raise DegenerateTriangle(f"lengths {tuple(lengths)} degenerate")
+    tol = DEGENERACY_TOL * max(1.0, a, b, c)
+    # slot s has gap l_s + l_{s+1} - l_{s+2}
+    if a + b - c <= tol or a <= 0 or b + c - a <= tol or b <= 0 or c + a - b <= tol or c <= 0:
+        raise DegenerateTriangle(f"lengths {tuple(lengths)} degenerate")
     bg = background
+    sp = (a + b + c) / 2.0
     if bg is Background.SPHERICAL:
         if max(lengths) >= math.pi or a + b + c >= 2 * math.pi:
             raise DegenerateTriangle(f"spherical lengths {tuple(lengths)} out of range")
-        fn = math.sin
+        fa, fb, fc, fs = math.sin(sp - a), math.sin(sp - b), math.sin(sp - c), math.sin(sp)
     elif bg is Background.HYPERBOLIC:
-        fn = math.sinh
+        fa, fb, fc, fs = math.sinh(sp - a), math.sinh(sp - b), math.sinh(sp - c), math.sinh(sp)
     else:
-        fn = lambda t: t
-    sp = (a + b + c) / 2.0
-    angles = []
-    for s in range(3):
-        adj1 = lengths[s]
-        adj2 = lengths[(s + 2) % 3]
-        opp = lengths[(s + 1) % 3]
-        angles.append(_half_angle(fn(sp - adj1), fn(sp - adj2), fn(sp), fn(sp - opp)))
-    return tuple(angles)
+        fa, fb, fc, fs = sp - a, sp - b, sp - c, sp
+    # one check serves all three corners, which use the same four values
+    # (either all NaN, from NaN lengths, or all numbers)
+    if fa <= 0 or fb <= 0 or fc <= 0 or fs <= 0:
+        raise DegenerateTriangle("triangle inequality violated beyond tolerance")
+    # corner s: tan^2 of its half angle is f(sp - l_s) f(sp - l_{s+2}) over
+    # f(sp) f(sp - l_{s+1}), the slots adjacent to s over the opposite one
+    return (
+        2.0 * math.atan(math.sqrt((fa * fc) / (fs * fb))),
+        2.0 * math.atan(math.sqrt((fb * fa) / (fs * fc))),
+        2.0 * math.atan(math.sqrt((fc * fb) / (fs * fa))),
+    )
 
 
 # -- inversive distance -------------------------------------------------------

@@ -109,6 +109,38 @@ def scrambled_metric(triangulation, background, rng, flips=4, **kw):
     return m
 
 
+def oracle_corpus(rng):
+    """(name, metric) pairs for exact-equality tests of the kernels: every
+    background on a sphere, a torus and the genus-2 octagon (loop edges,
+    one vertex), with ideal vertices and with one exactly tangent edge."""
+    corpus = []
+    for bg in ALL_BACKGROUNDS:
+        for name, tri in (
+            ("octahedron", octahedron()),
+            ("torus", grid_torus(3)),
+            ("genus2", Triangulation.genus_two_octagon()),
+        ):
+            corpus.append((f"{bg.name_lower}-{name}", random_metric(tri, bg, rng)))
+            if bg is not Background.EUCLIDEAN:
+                m = random_metric(tri, bg, rng, ideal_fraction=0.4)
+                corpus.append((f"{bg.name_lower}-{name}-ideal", m))
+        m = random_metric(octahedron(), bg, rng)
+        i, j = m.triangulation.edge_endpoints(0)
+        lengths = m.lengths.copy()
+        lengths[0] = m.radii[i] + m.radii[j]
+        tangent = DecoratedMetric(m.triangulation, bg, lengths, m.radii)
+        corpus.append((f"{bg.name_lower}-tangent", tangent))
+    return corpus
+
+
+def outcome(fn, *args):
+    """Result of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as ex:  # noqa: BLE001 - the oracle compares any failure
+        return (type(ex), str(ex))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -250,14 +250,13 @@ def test_transition_rejects_euclidean(tmp_path, rng, capsys):
     assert "already Euclidean" in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # t = 1e300 overflows to inf heights
 @pytest.mark.parametrize(
     "t_list, code, message",
     [
         ("1,nan", 2, "finite"),
         ("1,inf", 2, "finite"),
         ("1,0.5", 2, "finite"),
-        ("1,1e300", 1, "not finite"),  # heights out of domain, not a parse error
+        ("1,1e300", 1, "squared weight not finite"),  # weight out of range, not a parse error
     ],
 )
 def test_transition_t_list_errors(genus2_file, capsys, t_list, code, message):

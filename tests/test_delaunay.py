@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from ddce import Background, DecoratedMetric, Triangulation
+from ddce import Background, DecoratedMetric, Triangulation, cli
 from ddce import delaunay as dl
 from ddce import metric as me
 from ddce import solver as so
-from ddce.errors import NotDelaunay
+from ddce.errors import DDCEError, FlipBoundExceeded, NotDelaunay
 
 from conftest import (
     ALL_BACKGROUNDS,
@@ -193,6 +193,22 @@ def test_flip_termination_bound(rng):
             m = scrambled_metric(grid_torus(3), bg, rng, flips=6)
             _, log = dl.flip_to_delaunay(m)
             assert log.flip_count <= 10 * m.triangulation.edge_count
+
+
+def test_flip_bound_is_a_ddce_error(monkeypatch, tmp_path, capsys):
+    # both diagonals of the square torus have length sqrt 2, so a predicate
+    # that rejects every diagonal keeps flipping valid quads forever
+    m = square_with_radii()
+    monkeypatch.setattr(
+        dl, "is_local_delaunay", lambda m, e, strict=False, geoms=None: m.lengths[e] < 1.2
+    )
+    with pytest.raises(FlipBoundExceeded, match="safety bound") as err:
+        dl.flip_to_delaunay(m)
+    assert isinstance(err.value, DDCEError)
+    path = tmp_path / "square.json"
+    cli.write_surface_file(path, m)
+    assert cli.main(["delaunay", str(path)]) == 1
+    assert "safety bound" in capsys.readouterr().err
 
 
 # -- tessellation -------------------------------------------------------------------

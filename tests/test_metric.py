@@ -17,7 +17,7 @@ from ddce.errors import (
     WeightOutOfRange,
 )
 
-from conftest import ALL_BACKGROUNDS, octahedron, random_metric
+from conftest import ALL_BACKGROUNDS, grid_torus, octahedron, oracle_corpus, outcome, random_metric
 
 # frozen oracle values
 HYP_LAMBDA_R05_L2 = 2.9063528387891410972  # acosh((cosh 2 - cosh^2 0.5)/sinh^2 0.5)
@@ -41,6 +41,111 @@ def test_validate_examples(double_triangle):
     for lengths, radii in (([1.0, np.nan, 1.0], [0.2] * 3), ([1.0] * 3, [0.2, np.inf, 0.2])):
         bad = me.validate(DecoratedMetric(double_triangle, Background.EUCLIDEAN, lengths, radii))
         assert len(bad) == 1 and "not finite" in bad[0]
+
+
+def _endpoints(tri, e):
+    h = tri.edges[e][0]
+    return tri.vertex_index[h], tri.vertex_index[(h[0], (h[1] + 1) % 3)]
+
+
+def _triangle(m, f):
+    tri = m.triangulation
+    lengths = tuple(m.lengths[tri.edge_index[(f, s)]] for s in range(3))
+    radii = tuple(m.radii[tri.vertex_index[(f, s)]] for s in range(3))
+    return trig.DecoratedTriangle(m.background, lengths, radii)
+
+
+def reference_validate(m):
+    """Vertex-, edge- and face-by-face validation loop: the exact oracle."""
+    tri = m.triangulation
+    finite_l, finite_r = np.isfinite(m.lengths), np.isfinite(m.radii)
+    if not (finite_l.all() and finite_r.all()):
+        return [
+            f"edge {tri.edge_label(e)}: length {m.lengths[e]} not finite"
+            for e in np.flatnonzero(~finite_l)
+        ] + [
+            f"vertex {tri.vertex_label(v)}: radius {m.radii[v]} not finite"
+            for v in np.flatnonzero(~finite_r)
+        ]
+    out = []
+    if m.background is Background.SPHERICAL:
+        for v in range(tri.vertex_count):
+            if not (0 <= m.radii[v] < math.pi / 2):
+                out.append(f"vertex {tri.vertex_label(v)}: spherical radius {m.radii[v]} outside [0, pi/2)")
+    else:
+        for v in range(tri.vertex_count):
+            if m.radii[v] < 0:
+                out.append(f"vertex {tri.vertex_label(v)}: negative radius {m.radii[v]}")
+    for e in range(tri.edge_count):
+        i, j = _endpoints(tri, e)
+        if m.radii[i] + m.radii[j] > m.lengths[e]:
+            out.append(
+                f"edge {tri.edge_label(e)}: vertex circles intersect "
+                f"(r_i + r_j = {m.radii[i] + m.radii[j]} > l = {m.lengths[e]})"
+            )
+    for f in range(tri.face_count):
+        for msg in _triangle(m, f).violations():
+            if "circles intersect" in msg:
+                continue
+            out.append(f"face {f}: {msg}")
+    return out
+
+
+def _perturbed(m):
+    """The metric itself and copies breaking each validity condition."""
+    tri, bg = m.triangulation, m.background
+    (ea, eb, ec), out = tri.face_edges(0), [m]
+
+    def variant(lengths=None, radii=None):
+        out.append(DecoratedMetric(
+            tri, bg, m.lengths if lengths is None else lengths, m.radii if radii is None else radii
+        ))
+
+    radii = m.radii.copy()
+    radii[-1] = -0.1
+    variant(radii=radii)  # negative radius
+    variant(radii=4.0 * m.radii + 0.05)  # intersecting circles
+    variant(radii=np.full(tri.vertex_count, 1.6))  # spherical radius >= pi/2
+    lengths = m.lengths.copy()
+    lengths[ec] = lengths[ea] + lengths[eb]
+    variant(lengths)  # zero gap
+    lengths = m.lengths.copy()
+    lengths[ec] = 3.0 * (lengths[ea] + lengths[eb])
+    variant(lengths)  # triangle inequality violated
+    lengths = m.lengths.copy()
+    lengths[eb] = 0.0
+    variant(lengths)
+    variant(np.full(tri.edge_count, 2.2))  # spherical perimeter >= 2 pi
+    variant(np.full(tri.edge_count, 3.3))  # spherical lengths >= pi
+    lengths = m.lengths.copy()
+    lengths[0] = np.nan
+    variant(lengths)
+    radii = m.radii.copy()
+    radii[0] = np.inf
+    variant(radii=radii)
+    return out
+
+
+def test_validate_matches_loop_oracle(rng):
+    flagged = 0
+    for name, m in oracle_corpus(rng):
+        for k, pm in enumerate(_perturbed(m)):
+            want = reference_validate(pm)
+            assert me.validate(pm) == want, (name, k)
+            flagged += bool(want)
+    assert flagged >= 150  # most perturbations break the metric
+
+
+def test_validate_skips_triangle_checks_on_valid_metrics(rng, monkeypatch):
+    valid = [m for _, m in oracle_corpus(rng) if not reference_validate(m)]
+    assert len(valid) >= 15
+
+    def fail(self):
+        raise AssertionError("violations() called on a valid metric")
+
+    monkeypatch.setattr(trig.DecoratedTriangle, "violations", fail)
+    for m in valid:
+        assert me.validate(m) == []
 
 
 def test_validate_names_edges(square_torus):
@@ -279,6 +384,112 @@ def test_heights_out_of_domain_errors(double_triangle):
             me.Invariant(double_triangle, np.array([3.5, 0.1, 0.1]), eps),
             me.Heights(np.full(3, 2.0), Background.HYPERBOLIC, R, eps),
         )
+
+
+def reference_decoration_from_heights(tri, invariant, heights):
+    """Edge-by-edge inversion of the heights/lambda relation, evaluating
+    tau afresh for every edge: the exact oracle."""
+    bg, eps, h = heights.background, invariant.eps, heights.h
+    tau = me.tau
+    if bg is not Background.EUCLIDEAN:
+        for v in range(tri.vertex_count):
+            if eps[v] == 1 and h[v] <= 0:
+                raise HeightsOutOfDomain(f"vertex {tri.vertex_label(v)}: hyperideal height {h[v]} <= 0")
+    lengths = np.zeros(tri.edge_count)
+    for e in range(tri.edge_count):
+        i, j = _endpoints(tri, e)
+        lam = invariant.lam[e]
+        ee = eps[i] * eps[j]
+        if bg is Background.SPHERICAL:
+            if lam >= h[i] + h[j]:
+                raise HeightsOutOfDomain(
+                    f"edge {tri.edge_label(e)}: lambda = {lam} >= h_i + h_j = {h[i] + h[j]}"
+                )
+            c = (tau(-eps[i], h[i]) * tau(-eps[j], h[j]) - tau(ee, lam)) / (
+                tau(eps[i], h[i]) * tau(eps[j], h[j])
+            )
+            if not (-1.0 < c < 1.0):
+                raise HeightsOutOfDomain(f"edge {tri.edge_label(e)}: cosine of induced length is {c}")
+            lengths[e] = math.acos(c)
+        elif bg is Background.HYPERBOLIC:
+            ch = (tau(ee, lam) + tau(eps[i], h[i]) * tau(eps[j], h[j])) / (
+                tau(-eps[i], h[i]) * tau(-eps[j], h[j])
+            )
+            if ch <= 1.0:
+                raise HeightsOutOfDomain(f"edge {tri.edge_label(e)}: cosh of induced length is {ch}")
+            lengths[e] = me.stable_acosh(ch)
+        else:
+            rho_i, rho_j = math.exp(-h[i]), math.exp(-h[j])
+            sq = eps[i] * rho_i**2 + eps[j] * rho_j**2 + 2.0 * rho_i * rho_j * tau(ee, lam)
+            if sq <= 0.0:
+                raise HeightsOutOfDomain(f"edge {tri.edge_label(e)}: squared induced length is {sq}")
+            lengths[e] = math.sqrt(sq)
+    radii = np.zeros(tri.vertex_count)
+    for v in range(tri.vertex_count):
+        if eps[v] == 0:
+            continue
+        if bg is Background.SPHERICAL:
+            radii[v] = math.asin(1.0 / math.cosh(h[v]))
+        elif bg is Background.HYPERBOLIC:
+            radii[v] = math.asinh(1.0 / math.sinh(h[v]))
+        else:
+            radii[v] = math.exp(-h[v])
+    result = DecoratedMetric(tri, bg, lengths, radii)
+    bad = reference_validate(result)
+    if bad:
+        raise HeightsOutOfDomain("resulting lengths invalid: " + "; ".join(bad))
+    return result
+
+
+def test_decoration_from_heights_matches_per_edge_oracle(rng):
+    outcomes = set()
+    for bg in ALL_BACKGROUNDS:
+        ref = me.default_reference_radius(bg) if bg is not Background.EUCLIDEAN else 0.0
+        for tri in (octahedron(), grid_torus(3), Triangulation.genus_two_octagon()):
+            n_v, n_e = tri.vertex_count, tri.edge_count
+            for k in range(40):
+                eps = np.ones(n_v, dtype=int)
+                if bg is not Background.EUCLIDEAN and k % 2:
+                    eps = (rng.random(n_v) >= 0.4).astype(int)  # ideal vertices
+                lam = rng.uniform(0.1, 1.0 if k % 3 else 2.5, size=n_e)
+                if k % 4 == 0:
+                    lam[rng.integers(n_e)] = 0.0  # tangent vertex circles
+                if bg is Background.SPHERICAL:
+                    h = rng.uniform(0.9, 1.6, size=n_v)
+                elif bg is Background.HYPERBOLIC:
+                    h = np.where(eps == 1, rng.uniform(0.6, 1.5, n_v), rng.uniform(-0.3, 0.4, n_v))
+                    if k % 10 == 3:
+                        h[rng.integers(n_v)] = -0.1  # hyperideal height <= 0
+                else:
+                    h = rng.uniform(-0.4, 0.4, size=n_v)
+                if k % 10 == 7:
+                    h[-1] = 800.0 if bg is not Background.EUCLIDEAN else -800.0  # exp overflows
+                inv = me.Invariant(tri, lam, eps)
+                heights = me.Heights(h, bg, ref, eps)
+                want = outcome(reference_decoration_from_heights, tri, inv, heights)
+                got = outcome(me.decoration_from_heights, tri, inv, heights)
+                if isinstance(want, tuple):
+                    assert got == want, (bg, k)
+                    outcomes.add(want[0])
+                else:
+                    assert np.array_equal(got.lengths, want.lengths), (bg, k)
+                    assert np.array_equal(got.radii, want.radii), (bg, k)
+                    outcomes.add(DecoratedMetric)
+    assert outcomes == {DecoratedMetric, HeightsOutOfDomain, OverflowError}
+    # edge 0 is out of domain and comes before every edge at the vertex
+    # whose exponentials overflow: the domain error wins, as edge by edge
+    tri = octahedron()
+    v = next(v for v in range(tri.vertex_count) if v not in tri.edge_endpoints(0))
+    eps = np.ones(tri.vertex_count, dtype=int)
+    lam = np.full(tri.edge_count, 0.5)
+    lam[0] = 100.0
+    h = np.full(tri.vertex_count, 1.2)
+    h[v] = 800.0
+    ref = me.default_reference_radius(Background.SPHERICAL)
+    args = (tri, me.Invariant(tri, lam, eps), me.Heights(h, Background.SPHERICAL, ref, eps))
+    want = outcome(reference_decoration_from_heights, *args)
+    assert want[0] is HeightsOutOfDomain
+    assert outcome(me.decoration_from_heights, *args) == want
 
 
 # -- omega maps -----------------------------------------------------------------------

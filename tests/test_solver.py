@@ -10,9 +10,10 @@ from ddce import Background, DecoratedMetric, Triangulation
 from ddce import delaunay as dl
 from ddce import metric as me
 from ddce import solver as so
+from ddce import trig
 from ddce.errors import Infeasible, PathLeavesDomain
 
-from conftest import ALL_BACKGROUNDS, grid_torus, octahedron, random_metric
+from conftest import ALL_BACKGROUNDS, grid_torus, octahedron, oracle_corpus, outcome, random_metric
 
 # frozen oracle value: acosh of the root of cos(pi/9) = (x^2 - x)/(x^2 - 1)
 UNIFORMIZATION_LENGTH = 3.4382142412301030919
@@ -31,6 +32,26 @@ def test_cone_angle_examples(double_triangle, genus2):
     assert np.allclose(so.cone_angles(m_oct), math.pi, atol=1e-14)
     m_g2 = DecoratedMetric(genus2, Background.HYPERBOLIC, np.ones(9), np.zeros(1))
     assert so.cone_angles(m_g2)[0] == pytest.approx(18.0 * HYP_EQUILATERAL_ANGLE, abs=1e-12)
+
+
+def reference_cone_angles(m):
+    """Corner angles accumulated face by face, slot by slot."""
+    tri = m.triangulation
+    theta = np.zeros(tri.vertex_count)
+    for f in range(tri.face_count):
+        angles = trig.interior_angles(m.background, [m.lengths[e] for e in tri.face_edges(f)])
+        for s, v in enumerate(tri.face_vertices(f)):
+            theta[v] += angles[s]
+    return theta
+
+
+def test_cone_angles_match_per_face_oracle(rng):
+    for name, m in oracle_corpus(rng):
+        got, want = outcome(so.cone_angles, m), outcome(reference_cone_angles, m)
+        if isinstance(want, tuple):
+            assert got == want, name
+        else:
+            assert np.array_equal(got, want), name
 
 
 # -- Gauss-Bonnet gate --------------------------------------------------------------

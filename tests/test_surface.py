@@ -166,3 +166,19 @@ def test_flip_maps_are_consistent():
             continue
         old = sorted(fr.vertex_map[v] for v in t.edge_endpoints(e))
         assert old == sorted(s.edge_endpoints(fr.edge_map[e]))
+
+
+def test_index_tables_match_orbit_maps():
+    for t in (Triangulation.square_torus(), Triangulation.genus_two_octagon(), octahedron()):
+        for f in range(t.face_count):
+            assert t.face_edges(f) == tuple(t.edge_index[(f, s)] for s in range(3))
+            assert t.face_vertices(f) == tuple(t.vertex_index[(f, s)] for s in range(3))
+        for e, (h, _) in enumerate(t.edges):
+            assert t.edge_endpoints(e) == (t.vertex_index[h], t.vertex_index[(h[0], (h[1] + 1) % 3)])
+        assert t.face_edge_array.tolist() == [list(x) for x in t.face_edge_ids]
+        assert t.face_vertex_array.tolist() == [list(x) for x in t.face_vertex_ids]
+        assert t.edge_endpoint_array.tolist() == [list(x) for x in t.edge_endpoint_ids]
+        # built once per surface; a flipped surface builds its own
+        assert t.face_edge_ids is t.face_edge_ids
+        flipped = t.flip(next(e for e in range(t.edge_count) if not t.is_self_glued_quad(e)))
+        assert "face_edge_ids" not in vars(flipped.triangulation)

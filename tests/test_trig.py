@@ -9,7 +9,7 @@ from ddce import Background, DecoratedTriangle
 from ddce import trig
 from ddce.errors import DegenerateTriangle, FlipGeometryInvalid, ZeroRadius
 
-from conftest import ALL_BACKGROUNDS
+from conftest import ALL_BACKGROUNDS, outcome
 
 # frozen oracle values (50-digit evaluation of the stated closed forms)
 HYP_EQUILATERAL_ANGLE = 0.91879787217802736904  # acos((cosh^2 1 - cosh 1)/sinh^2 1)
@@ -79,6 +79,54 @@ def test_degenerate_triangle_rejected():
     for lengths, radii in (((1.0, 1.0, math.nan), (0.0,) * 3), ((1.0,) * 3, (0.1, math.nan, 0.1))):
         with pytest.raises(DegenerateTriangle):
             DecoratedTriangle(Background.HYPERBOLIC, lengths, radii).check()
+
+
+def reference_interior_angles(bg, lengths):
+    """Half-angle law of cosines with one sin/sinh call per factor of
+    every corner, as the kernel was first written: the exact oracle."""
+    a, b, c = lengths
+    scale = max(1.0, a, b, c)
+    for s in range(3):
+        gap = lengths[s] + lengths[(s + 1) % 3] - lengths[(s + 2) % 3]
+        if gap <= trig.DEGENERACY_TOL * scale or lengths[s] <= 0:
+            raise DegenerateTriangle(f"lengths {tuple(lengths)} degenerate")
+    if bg is Background.SPHERICAL:
+        if max(lengths) >= math.pi or a + b + c >= 2 * math.pi:
+            raise DegenerateTriangle(f"spherical lengths {tuple(lengths)} out of range")
+        fn = math.sin
+    elif bg is Background.HYPERBOLIC:
+        fn = math.sinh
+    else:
+        fn = lambda t: t
+    sp = (a + b + c) / 2.0
+    angles = []
+    for s in range(3):
+        num1, num2 = fn(sp - lengths[s]), fn(sp - lengths[(s + 2) % 3])
+        den1, den2 = fn(sp), fn(sp - lengths[(s + 1) % 3])
+        if min(num1, num2, den1, den2) <= 0:
+            raise DegenerateTriangle("triangle inequality violated beyond tolerance")
+        angles.append(2.0 * math.atan(math.sqrt((num1 * num2) / (den1 * den2))))
+    return tuple(angles)
+
+
+def test_interior_angles_match_reference_exactly(rng):
+    cases = []
+    for bg in ALL_BACKGROUNDS:
+        cases += [(bg, random_triangle(bg, rng).lengths) for _ in range(200)]
+        cases += [
+            (bg, (np.float64(0.3), np.float64(0.5), np.float64(0.8))),  # gap 0
+            (bg, (0.3, 0.5, 0.8 - 1e-9)),  # gap just above the tolerance
+            (bg, (1e-7, 1.3e-7, 2e-7)),  # tiny triangle
+            (bg, (1.0, 1.0, math.nan)),
+            (bg, (1.0, -1.0, 1.0)),
+            (bg, (3.0, 3.1, 3.05)),  # spherical lengths >= pi
+            (bg, (2.2, 2.1, 2.05)),  # spherical perimeter >= 2 pi
+            (bg, (800.0, 800.5, 801.0)),  # sinh overflows
+        ]
+    for bg, lengths in cases:
+        # repr tells floats apart bit for bit, NaN and -0.0 included
+        got = repr(outcome(trig.interior_angles, bg, lengths))
+        assert got == repr(outcome(reference_interior_angles, bg, lengths)), (bg, lengths)
 
 
 def test_euclidean_limit_of_hyperbolic_angles():
