@@ -253,11 +253,11 @@ def _inverse_map(vertex_map):
 
 def cmd_invariant(args) -> int:
     metric, _ = _load_valid(args.path)
-    flipped, _log = delaunay.flip_to_delaunay(metric)
+    flipped, log = delaunay.flip_to_delaunay(metric)
     from .metric import lambda_lengths
 
     inv = lambda_lengths(flipped)
-    tess = delaunay.extract_tessellation(flipped, tol=args.tol)
+    tess = delaunay.extract_tessellation(flipped, tol=args.tol, geoms=log.geoms)
     tri = flipped.triangulation
     for e in tess.kept_edges:
         print(f"edge {tri.edge_label(e)} lambda {format(float(inv.lam[e]), '.17g')}")

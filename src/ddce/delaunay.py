@@ -131,12 +131,20 @@ class FlipRecord:
 @dataclass
 class FlipLog:
     """Flip trace plus the composed vertex relabeling map (vertex orbit
-    index of the input metric -> vertex orbit index of the output)."""
+    index of the input metric -> vertex orbit index of the output).
+
+    ``geoms`` is the TriangleGeometry of every face of the output
+    metric, indexed by its face ids: field for field what
+    ``face_geometries`` computes on that metric.  It describes the
+    returned metric only; any later change of lengths, radii or
+    triangulation makes it stale.
+    """
 
     records: list = field(default_factory=list)
     initial_support_min: float | None = None
     sweeps: int = 0
     vertex_map: list = field(default_factory=list)
+    geoms: list = field(default_factory=list)
 
     @property
     def flip_count(self) -> int:
@@ -151,13 +159,16 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
 
     Returns ``(metric, FlipLog)``.  For spherical metrics the log
     records the support-function minimum after every flip, the
-    monotone quantity behind the termination proof.
+    monotone quantity behind the termination proof.  Faces outside a
+    flipped quad keep their ids and slots, so only the two rebuilt
+    faces get a new geometry and a new support value per flip.
     """
     check_valid(m, "input of flip_to_delaunay")
     if track_support is None:
         track_support = m.background is Background.SPHERICAL
     geoms = face_geometries(m)
     log = FlipLog(vertex_map=list(range(m.triangulation.vertex_count)))
+    supports = None  # per-face 1 / _face_support_max, built at the first flip
     if track_support:
         log.initial_support_min = support_minimum(m, geoms)
     max_flips = max(200, 40 * m.triangulation.edge_count)
@@ -180,13 +191,21 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
             queue = deque(fr.edge_map[x] for x in queue)
             queued = set(queue)
             log.vertex_map = [fr.vertex_map[x] for x in log.vertex_map]
-            for f in set(h[0] for h in fr.triangulation.edges[fr.new_edge]):
+            rebuilt = set(h[0] for h in fr.triangulation.edges[fr.new_edge])
+            for f in rebuilt:
                 geoms[f] = trig.face_circle(m.face_triangle(f))
             for b in fr.quad_boundary_edges:
                 if b not in queued:
                     queue.append(b)
                     queued.add(b)
-            support = support_minimum(m, geoms) if track_support else None
+            support = None
+            if track_support:
+                if supports is None:
+                    supports = [1.0 / _face_support_max(g) for g in geoms]
+                else:
+                    for f in rebuilt:
+                        supports[f] = 1.0 / _face_support_max(geoms[f])
+                support = min(supports)
             log.records.append(FlipRecord(label, new_len, support))
         # re-verify: a drained queue can in principle miss a new diagonal
         stale = [
@@ -195,6 +214,7 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
             if not is_local_delaunay(m, e, strict=False, geoms=geoms)
         ]
         if not stale:
+            log.geoms = geoms
             return m, log
         queue = deque(stale)
         queued = set(queue)
@@ -266,7 +286,7 @@ def _face_support_max(geom) -> float:
     for s in range(3):
         a, b = geom.positions[s], geom.positions[(s + 1) % 3]
         apex = geom.positions[(s + 2) % 3]
-        n = np.cross(a, b)
+        n = np.array(trig._cross(a, b))
         if float(np.dot(apex, n)) < 0:
             n = -n
         if float(np.dot(center, n)) < 0:

@@ -217,24 +217,29 @@ def conformal_change(m: DecoratedMetric, u) -> DecoratedMetric:
     if u.shape != (tri.vertex_count,):
         raise ValueError("scale factor array does not match vertex orbits")
     bg = m.background
-    scale = np.exp(u)
+    # scalar math.* per vertex, like every other transcendental of the
+    # package (README "Numerics")
+    scale = [math.exp(x) for x in u.tolist()]
+    radii = m.radii.tolist()
 
     new_radii = m.radii.copy()
     if bg is Background.SPHERICAL:
-        sin_new = scale * np.sin(m.radii)
-        if np.any(sin_new > 1.0):
-            worst = int(np.argmax(sin_new))
+        sin_new = [s * math.sin(r) for s, r in zip(scale, radii)]
+        over = [v for v, x in enumerate(sin_new) if x > 1.0]
+        if over:
+            worst = max(over, key=sin_new.__getitem__)
             raise ScaleOutOfDomain(
                 f"vertex {tri.vertex_label(worst)}: e^u sin r = {sin_new[worst]} > 1"
             )
-        moved = u != 0.0
-        new_radii[moved] = np.arcsin(sin_new[moved])
-    elif bg is Background.HYPERBOLIC:
-        moved = u != 0.0
-        new_radii[moved] = np.arcsinh(scale[moved] * np.sinh(m.radii[moved]))
-    else:
-        moved = u != 0.0
-        new_radii[moved] = scale[moved] * m.radii[moved]
+    for v, (uv, s, r) in enumerate(zip(u.tolist(), scale, radii)):
+        if uv == 0.0:
+            continue
+        if bg is Background.SPHERICAL:
+            new_radii[v] = math.asin(sin_new[v])
+        elif bg is Background.HYPERBOLIC:
+            new_radii[v] = math.asinh(s * math.sinh(r))
+        else:
+            new_radii[v] = s * r
 
     new_lengths = m.lengths.copy()
     bad = []
@@ -377,9 +382,11 @@ def decoration_from_heights(
                     f"vertex {tri.vertex_label(v)}: hyperideal height {h[v]} <= 0"
                 )
 
-    # per-vertex exponentials, computed when an edge first needs them so
-    # that an overflow surfaces at the same edge as edge-by-edge evaluation
+    # per-vertex exponentials and radii, computed when an edge first needs
+    # them so that an overflow surfaces at the same edge as edge-by-edge
+    # evaluation
     terms = [None] * tri.vertex_count
+    radii = [None if eps[v] else 0.0 for v in range(tri.vertex_count)]
 
     def vertex_terms(v):
         if bg is Background.EUCLIDEAN:
@@ -388,14 +395,30 @@ def decoration_from_heights(
             terms[v] = (tau(-eps[v], h[v]), tau(eps[v], h[v]))
         return terms[v]
 
+    def vertex_radius(v):
+        if bg is Background.SPHERICAL:
+            radii[v] = math.asin(1.0 / math.cosh(h[v]))
+        elif bg is Background.HYPERBOLIC:
+            radii[v] = math.asinh(1.0 / math.sinh(h[v]))
+        else:
+            radii[v] = math.exp(-h[v])
+        return radii[v]
+
     lengths = []
     for e, ((i, j), lam) in enumerate(zip(tri.edge_endpoint_ids, invariant.lam.tolist())):
         ee = eps[i] * eps[j]
-        if bg is Background.SPHERICAL:
-            if lam >= h[i] + h[j]:
-                raise HeightsOutOfDomain(
-                    f"edge {tri.edge_label(e)}: lambda = {lam} >= h_i + h_j = {h[i] + h[j]}"
-                )
+        if bg is Background.SPHERICAL and lam >= h[i] + h[j]:
+            raise HeightsOutOfDomain(
+                f"edge {tri.edge_label(e)}: lambda = {lam} >= h_i + h_j = {h[i] + h[j]}"
+            )
+        if ee == 1 and lam == 0.0:
+            # tangent vertex circles (inversive distance tau(1, 0) = 1 in
+            # every background): the length is exactly r_i + r_j, which
+            # the inversion below can miss by an ulp
+            r_i = vertex_radius(i) if radii[i] is None else radii[i]
+            r_j = vertex_radius(j) if radii[j] is None else radii[j]
+            lengths.append(r_i + r_j)
+        elif bg is Background.SPHERICAL:
             (minus_i, plus_i), (minus_j, plus_j) = (
                 terms[i] or vertex_terms(i), terms[j] or vertex_terms(j)
             )
@@ -424,16 +447,9 @@ def decoration_from_heights(
                 )
             lengths.append(math.sqrt(sq))
 
-    radii = [0.0] * tri.vertex_count
     for v in range(tri.vertex_count):
-        if eps[v] == 0:
-            continue
-        if bg is Background.SPHERICAL:
-            radii[v] = math.asin(1.0 / math.cosh(h[v]))
-        elif bg is Background.HYPERBOLIC:
-            radii[v] = math.asinh(1.0 / math.sinh(h[v]))
-        else:
-            radii[v] = math.exp(-h[v])
+        if radii[v] is None:
+            vertex_radius(v)
 
     result = DecoratedMetric(tri, bg, lengths, radii)
     bad = validate(result)

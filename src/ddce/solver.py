@@ -280,8 +280,8 @@ def newton_solve(
         if res <= tol:
             converged = True
             break
-        geoms = delaunay.face_geometries(m)
-        step = _solve_step(angle_jacobian(m, geoms), theta_cur - theta, pin)
+        # m is the output of the last re-flip, whose log holds its geometries
+        step = _solve_step(angle_jacobian(m, flog.geoms), theta_cur - theta, pin)
 
         chart = (m.triangulation, Invariant(m.triangulation, lam, eps), bg, ref_r, eps)
         s = 1.0

@@ -173,12 +173,11 @@ def inversive_distance(background: Background, length: float, r_i: float, r_j: f
 
 # -- model realizations and lifts ---------------------------------------------
 
-def realize_triangle(background: Background, lengths) -> tuple:
+def realize_triangle(background: Background, lengths, th0: float) -> tuple:
     """Place corners 0, 1, 2 counterclockwise in the model surface:
     the unit sphere in R^3, the plane R^2, or the hyperboloid
-    {x^2 + y^2 - z^2 = -1, z > 0} in R^{2,1}."""
-    angles = interior_angles(background, lengths)
-    th0 = angles[0]
+    {x^2 + y^2 - z^2 = -1, z > 0} in R^{2,1}.  ``th0`` is the interior
+    angle at corner 0 (``interior_angles(background, lengths)[0]``)."""
     l01, _, l20 = lengths
     if background is Background.SPHERICAL:
         p0 = np.array([0.0, 0.0, 1.0])
@@ -212,22 +211,34 @@ def circle_lift(background: Background, center, radius: float):
     )
 
 
+def _cross(p, q) -> tuple:
+    """Cross product of two 3-vectors as a tuple of floats.  Each
+    component is one rounded difference of two rounded products, the
+    arithmetic of ``np.cross``, so the result is the same bit for bit
+    without its per-call overhead."""
+    p0, p1, p2 = p.tolist()
+    q0, q1, q2 = q.tolist()
+    return (p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0)
+
+
 def geodesic_lift(background: Background, p, q, side_point):
     """Unit lift of the geodesic through ``p`` and ``q``, oriented so the
     inner product is positive on the side of ``side_point``."""
     if background is Background.SPHERICAL:
-        n = np.cross(p, q)
+        n = np.array(_cross(p, q))
         n = n / np.linalg.norm(n)
         if np.dot(n, side_point) < 0:
             n = -n
         return np.array([n[0], n[1], n[2], 0.0])
     if background is Background.HYPERBOLIC:
-        m = np.cross(p, q)
-        m[2] = -m[2]
-        m = m / math.sqrt(m[0] * m[0] + m[1] * m[1] - m[2] * m[2])
-        if m[0] * side_point[0] + m[1] * side_point[1] - m[2] * side_point[2] < 0:
-            m = -m
-        return np.array([0.0, m[0], m[1], m[2]])
+        m0, m1, m2 = _cross(p, q)
+        m2 = -m2
+        norm = math.sqrt(m0 * m0 + m1 * m1 - m2 * m2)
+        m0, m1, m2 = m0 / norm, m1 / norm, m2 / norm
+        s0, s1, s2 = side_point.tolist()
+        if m0 * s0 + m1 * s1 - m2 * s2 < 0:
+            m0, m1, m2 = -m0, -m1, -m2
+        return np.array([0.0, m0, m1, m2])
     u = q - p
     u = u / np.linalg.norm(u)
     n = np.array([-u[1], u[0]])
@@ -412,7 +423,7 @@ def face_circle(tri: DecoratedTriangle) -> TriangleGeometry:
     bg = tri.background
     scale = max(1.0, *tri.lengths)
     angles = interior_angles(bg, tri.lengths)
-    positions = realize_triangle(bg, tri.lengths)
+    positions = realize_triangle(bg, tri.lengths, angles[0])
     lift = _face_circle_lift(bg, positions, tri.radii)
 
     alpha = []

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +124,21 @@ def test_invariant_tangency_prints_zero(tmp_path, capsys):
     lams = [float(line.split()[-1]) for line in out.splitlines() if line.startswith("edge")]
     assert lams == [0.0, 0.0, 0.0]
     assert "eps 1" in out
+
+
+def test_invariant_reuses_flip_geometries(tmp_path, rng, capsys, monkeypatch):
+    from ddce import delaunay
+
+    m = random_metric(octahedron(), Background.HYPERBOLIC, rng)
+    path = write(tmp_path, "m.json", m)
+    assert run("invariant", path) == 0
+    want = capsys.readouterr().out
+    passes = []
+    real = delaunay.face_geometries
+    monkeypatch.setattr(delaunay, "face_geometries", lambda m: passes.append(m) or real(m))
+    assert run("invariant", path) == 0
+    assert capsys.readouterr().out == want
+    assert len(passes) == 1  # the flip pass; the tessellation reuses its geometries
 
 
 def test_invariant_stable_under_conformal_change(tmp_path, rng, capsys):
@@ -248,6 +264,21 @@ def test_transition_rejects_euclidean(tmp_path, rng, capsys):
     path = write(tmp_path, "euc.json", m)
     assert run("transition", path) == 1
     assert "already Euclidean" in capsys.readouterr().out
+
+
+def test_transition_keeps_exact_tangency(tmp_path, capsys):
+    # every edge of the fixture has tangent vertex circles (lambda 0 between
+    # hyperideal vertices); the heights round trip must keep l = r_i + r_j
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "double_tangent_hyperbolic.json"
+    prefix = str(tmp_path / "tangent")
+    assert run("transition", str(fixture), "--t-list", "1,10,100,1000", "--out-prefix", prefix) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["1", "10", "100", "1000"]
+    for t in (1, 10, 100, 1000):
+        m, _ = cli.load_surface_file(f"{prefix}_t{t}.json")
+        for e in range(m.triangulation.edge_count):
+            i, j = m.triangulation.edge_endpoints(e)
+            assert m.lengths[e] == m.radii[i] + m.radii[j]
 
 
 @pytest.mark.parametrize(

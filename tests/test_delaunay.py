@@ -1,5 +1,6 @@
 """Weighted Delaunay predicate, flip algorithm, and tessellation tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -185,6 +186,58 @@ def test_support_minimum_against_sampling(rng):
             worst = min(worst, 1.0 / float(np.dot(p, c_aff)))
     assert worst >= fast - 1e-12
     assert worst <= fast + 2e-3  # sampling reaches the true minimum closely
+
+
+def geometry_fields(geom):
+    """Every field of a TriangleGeometry as text that tells floats apart
+    bit for bit (-0.0 and NaN included)."""
+    out = {}
+    for f in dataclasses.fields(geom):
+        value = getattr(geom, f.name)
+        if f.name not in ("background", "circle_kind"):
+            value = np.asarray(value, dtype=float).tolist()
+        out[f.name] = repr(value)
+    return out
+
+
+def test_flip_log_geoms_match_recomputation(rng):
+    cases = []
+    for bg in ALL_BACKGROUNDS:
+        for tri in (octahedron(), grid_torus(4), Triangulation.genus_two_octagon()):
+            cases.append(random_metric(tri, bg, rng))  # typically few or no flips
+            cases.append(scrambled_metric(tri, bg, rng, flips=6))
+            cases.append(dl.flip_to_delaunay(cases[-1])[0])  # already Delaunay
+        cases.append(scrambled_metric(grid_torus(6), bg, rng, flips=24))  # many flips
+    flips = []
+    for m in cases:
+        out, log = dl.flip_to_delaunay(m)
+        flips.append(log.flip_count)
+        want = dl.face_geometries(out)
+        assert len(log.geoms) == len(want) == out.triangulation.face_count
+        for got_g, want_g in zip(log.geoms, want):
+            assert geometry_fields(got_g) == geometry_fields(want_g)
+    assert flips.count(0) >= 9 and max(flips) >= 10
+
+
+def test_support_min_records_match_replay(rng):
+    checked = 0
+    for tri in (octahedron(), grid_torus(4)):
+        for _ in range(4):
+            m = scrambled_metric(tri, Background.SPHERICAL, rng, flips=6)
+            _, log = dl.flip_to_delaunay(m)
+            assert repr(log.initial_support_min) == repr(dl.support_minimum(m))
+            current = m
+            for rec in log.records:
+                e = next(
+                    e
+                    for e in range(current.triangulation.edge_count)
+                    if current.triangulation.edge_label(e) == rec.edge_label
+                )
+                current, _, _ = dl.flip_edge(current, e)
+                # recomputed from scratch on the replayed metric
+                assert repr(rec.support_min) == repr(dl.support_minimum(current))
+                checked += 1
+    assert checked >= 10
 
 
 def test_flip_termination_bound(rng):

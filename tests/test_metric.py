@@ -213,6 +213,91 @@ def test_conformal_result_invalid_diagnostics(double_triangle):
     assert err.value.diagnostics
 
 
+def reference_conformal_change(m, u):
+    """conformal_change evaluated vertex by vertex and edge by edge with
+    scalar math.*: the exact oracle."""
+    tri, bg = m.triangulation, m.background
+    r, u = m.radii.tolist(), [float(x) for x in u]
+    scale = [math.exp(x) for x in u]
+    if bg is Background.SPHERICAL:
+        sin_new = [scale[v] * math.sin(r[v]) for v in range(tri.vertex_count)]
+        worst = max(range(tri.vertex_count), key=lambda v: sin_new[v])
+        if sin_new[worst] > 1.0:
+            raise ScaleOutOfDomain(
+                f"vertex {tri.vertex_label(worst)}: e^u sin r = {sin_new[worst]} > 1"
+            )
+    radii = []
+    for v in range(tri.vertex_count):
+        if u[v] == 0.0:
+            radii.append(r[v])  # bit for bit unchanged
+        elif bg is Background.SPHERICAL:
+            radii.append(math.asin(scale[v] * math.sin(r[v])))
+        elif bg is Background.HYPERBOLIC:
+            radii.append(math.asinh(scale[v] * math.sinh(r[v])))
+        else:
+            radii.append(scale[v] * r[v])
+    lengths, bad = m.lengths.tolist(), []
+    for e in range(tri.edge_count):
+        i, j = tri.edge_endpoints(e)
+        if u[i] == 0.0 and u[j] == 0.0:
+            continue
+        l, k = lengths[e], math.exp(u[i] + u[j])
+        if bg is Background.SPHERICAL:
+            c = k * (math.cos(l) - math.cos(r[i]) * math.cos(r[j])) + math.sqrt(
+                (1.0 - scale[i] ** 2 * math.sin(r[i]) ** 2) * (1.0 - scale[j] ** 2 * math.sin(r[j]) ** 2)
+            )
+            if not (-1.0 < c < 1.0):
+                bad.append(f"edge {tri.edge_label(e)}: cos of new length = {c}")
+                continue
+            lengths[e] = math.acos(c)
+        elif bg is Background.HYPERBOLIC:
+            c = k * (math.cosh(l) - math.cosh(r[i]) * math.cosh(r[j])) + math.sqrt(
+                (1.0 + scale[i] ** 2 * math.sinh(r[i]) ** 2) * (1.0 + scale[j] ** 2 * math.sinh(r[j]) ** 2)
+            )
+            if c < 1.0:
+                bad.append(f"edge {tri.edge_label(e)}: cosh of new length = {c}")
+                continue
+            lengths[e] = me.stable_acosh(c)
+        else:
+            sq = scale[i] ** 2 * r[i] ** 2 + scale[j] ** 2 * r[j] ** 2 + k * (l * l - r[i] ** 2 - r[j] ** 2)
+            if sq <= 0.0:
+                bad.append(f"edge {tri.edge_label(e)}: squared new length = {sq}")
+                continue
+            lengths[e] = math.sqrt(sq)
+    if bad:
+        raise ResultInvalid("conformal change leaves the metric space", bad)
+    result = DecoratedMetric(tri, bg, lengths, radii)
+    if me.validate(result):
+        raise ResultInvalid("conformally changed metric is invalid", me.validate(result))
+    return result
+
+
+def conformal_outcome(fn, m, u):
+    """Lengths and radii as text that tells floats apart bit for bit, or
+    the type, message and diagnostics of what was raised."""
+    try:
+        out = fn(m, u)
+    except (ScaleOutOfDomain, ResultInvalid) as ex:
+        return type(ex), repr((str(ex), getattr(ex, "diagnostics", None)))
+    return DecoratedMetric, repr((out.lengths.tolist(), out.radii.tolist()))
+
+
+def test_conformal_change_matches_scalar_oracle_exactly(rng):
+    outcomes = set()
+    for name, m in oracle_corpus(rng):
+        n = m.triangulation.vertex_count
+        for k in range(6):
+            u = rng.uniform(-0.3, 0.3, size=n)
+            if k % 2:
+                u[rng.random(n) < 0.4] = 0.0  # untouched vertices
+            if k == 5:
+                u *= 8.0  # out of the domain of spherical scalings or lengths
+            want = conformal_outcome(reference_conformal_change, m, u)
+            assert conformal_outcome(me.conformal_change, m, u) == want, (name, k)
+            outcomes.add(want[0])
+    assert outcomes == {DecoratedMetric, ScaleOutOfDomain, ResultInvalid}
+
+
 def test_dce_invariance_all_backgrounds(rng):
     octa = octahedron()
     for bg in ALL_BACKGROUNDS:
@@ -388,9 +473,18 @@ def test_heights_out_of_domain_errors(double_triangle):
 
 def reference_decoration_from_heights(tri, invariant, heights):
     """Edge-by-edge inversion of the heights/lambda relation, evaluating
-    tau afresh for every edge: the exact oracle."""
+    tau afresh for every edge: the exact oracle.  Tangent vertex circles
+    (two hyperideal ends, lambda exactly 0) get length r_i + r_j."""
     bg, eps, h = heights.background, invariant.eps, heights.h
     tau = me.tau
+
+    def radius(v):
+        if bg is Background.SPHERICAL:
+            return math.asin(1.0 / math.cosh(h[v]))
+        if bg is Background.HYPERBOLIC:
+            return math.asinh(1.0 / math.sinh(h[v]))
+        return math.exp(-h[v])
+
     if bg is not Background.EUCLIDEAN:
         for v in range(tri.vertex_count):
             if eps[v] == 1 and h[v] <= 0:
@@ -405,6 +499,9 @@ def reference_decoration_from_heights(tri, invariant, heights):
                 raise HeightsOutOfDomain(
                     f"edge {tri.edge_label(e)}: lambda = {lam} >= h_i + h_j = {h[i] + h[j]}"
                 )
+        if ee == 1 and lam == 0.0:
+            lengths[e] = radius(i) + radius(j)
+        elif bg is Background.SPHERICAL:
             c = (tau(-eps[i], h[i]) * tau(-eps[j], h[j]) - tau(ee, lam)) / (
                 tau(eps[i], h[i]) * tau(eps[j], h[j])
             )
@@ -424,16 +521,7 @@ def reference_decoration_from_heights(tri, invariant, heights):
             if sq <= 0.0:
                 raise HeightsOutOfDomain(f"edge {tri.edge_label(e)}: squared induced length is {sq}")
             lengths[e] = math.sqrt(sq)
-    radii = np.zeros(tri.vertex_count)
-    for v in range(tri.vertex_count):
-        if eps[v] == 0:
-            continue
-        if bg is Background.SPHERICAL:
-            radii[v] = math.asin(1.0 / math.cosh(h[v]))
-        elif bg is Background.HYPERBOLIC:
-            radii[v] = math.asinh(1.0 / math.sinh(h[v]))
-        else:
-            radii[v] = math.exp(-h[v])
+    radii = np.array([radius(v) if eps[v] else 0.0 for v in range(tri.vertex_count)])
     result = DecoratedMetric(tri, bg, lengths, radii)
     bad = reference_validate(result)
     if bad:
@@ -443,6 +531,7 @@ def reference_decoration_from_heights(tri, invariant, heights):
 
 def test_decoration_from_heights_matches_per_edge_oracle(rng):
     outcomes = set()
+    tangent_kept = 0
     for bg in ALL_BACKGROUNDS:
         ref = me.default_reference_radius(bg) if bg is not Background.EUCLIDEAN else 0.0
         for tri in (octahedron(), grid_torus(3), Triangulation.genus_two_octagon()):
@@ -475,7 +564,13 @@ def test_decoration_from_heights_matches_per_edge_oracle(rng):
                     assert np.array_equal(got.lengths, want.lengths), (bg, k)
                     assert np.array_equal(got.radii, want.radii), (bg, k)
                     outcomes.add(DecoratedMetric)
+                    for e in np.flatnonzero(lam == 0.0):
+                        i, j = _endpoints(tri, e)
+                        if eps[i] and eps[j]:  # tangency survives exactly
+                            assert got.lengths[e] == got.radii[i] + got.radii[j], (bg, k)
+                            tangent_kept += 1
     assert outcomes == {DecoratedMetric, HeightsOutOfDomain, OverflowError}
+    assert tangent_kept > 0
     # edge 0 is out of domain and comes before every edge at the vertex
     # whose exponentials overflow: the domain error wins, as edge by edge
     tri = octahedron()

@@ -13,7 +13,15 @@ from ddce import solver as so
 from ddce import trig
 from ddce.errors import Infeasible, PathLeavesDomain
 
-from conftest import ALL_BACKGROUNDS, grid_torus, octahedron, oracle_corpus, outcome, random_metric
+from conftest import (
+    ALL_BACKGROUNDS,
+    grid_torus,
+    octahedron,
+    oracle_corpus,
+    outcome,
+    random_metric,
+    scrambled_metric,
+)
 
 # frozen oracle value: acosh of the root of cos(pi/9) = (x^2 - x)/(x^2 - 1)
 UNIFORMIZATION_LENGTH = 3.4382142412301030919
@@ -289,3 +297,72 @@ def test_bookkeeping_gauss_bonnet_identity(rng):
                 face_defect += math.pi - sum(angles)
             lhs = float(np.sum(2.0 * math.pi - theta)) - face_defect
             assert lhs == pytest.approx(2.0 * math.pi * tri.euler_characteristic, abs=1e-9)
+
+
+
+def solve_outcome(m, theta):
+    """The solved metric and everything its report holds."""
+    out, report = so.newton_solve(m, theta, tol=1e-10, max_iter=30)
+    return (
+        out.lengths.tolist(), out.radii.tolist(), report.converged, report.iterations,
+        report.residuals, report.flips_initial, report.flips_per_iteration,
+        report.functional_increases, report.final_heights.tolist(),
+        report.scale_factors.tolist(), report.vertex_map,
+    )
+
+
+def sheared_torus(n, background, rng, scale):
+    """n x n grid torus with the lengths of the lattice (1, 0), (0.35, 0.9):
+    every built-in diagonal is the long one, so the first flip pass flips
+    them all and the solve then re-flips near-cocircular quads."""
+    tri = grid_torus(n)
+    norms = {"a": 1.0, "b": math.hypot(0.35, 0.9), "d": math.hypot(1.35, 0.9)}
+    lengths = np.zeros(tri.edge_count)
+    for f in range(tri.face_count):
+        # grid_torus faces run a, b, diagonal (even) or diagonal, a, b (odd)
+        for slot, kind in enumerate("abd" if f % 2 == 0 else "dab"):
+            lengths[tri.edge_index[(f, slot)]] = norms[kind] * scale
+    lengths *= 1.0 + rng.uniform(-0.02, 0.02, size=lengths.size)
+    radii = rng.uniform(0.1, 0.25, size=tri.vertex_count) * scale
+    return DecoratedMetric(tri, background, lengths, radii)
+
+
+def test_newton_solve_reuses_flip_geometries_exactly(rng, monkeypatch):
+    cases = [
+        (random_metric(Triangulation.genus_two_octagon(), Background.HYPERBOLIC, rng),
+         np.array([2.0 * math.pi])),
+        (scrambled_metric(octahedron(), Background.HYPERBOLIC, rng), np.full(6, 2.0)),
+    ]
+    for n in (3, 4):
+        # alternating targets pull neighbouring vertices apart
+        sign = np.array([(-1.0) ** (i + j) for i in range(n) for j in range(n)])
+        for bg, scale, base in ((Background.HYPERBOLIC, 0.6, 0.55), (Background.EUCLIDEAN, 1.0, 1.0)):
+            d = 0.3 * sign + rng.uniform(-0.03, 0.03, size=n * n)
+            if bg is Background.EUCLIDEAN:
+                d -= d.mean()  # Gauss-Bonnet equality
+            cases.append((sheared_torus(n, bg, rng, scale), 2.0 * math.pi * (base + d)))
+    passes = []
+    real_face_geometries = dl.face_geometries
+
+    def counted(m):
+        passes.append(m)
+        return real_face_geometries(m)
+
+    got = []
+    for m, theta in cases:
+        passes.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(dl, "face_geometries", counted)
+            got.append(solve_outcome(m, theta))
+        # one pass per flip_to_delaunay (the initial one and one per
+        # accepted step), none for the Jacobian
+        assert len(passes) == 1 + len(got[-1][6])
+    # reference: the Jacobian recomputes every face geometry of its metric
+    real_jacobian = so.angle_jacobian
+    with monkeypatch.context() as mp:
+        mp.setattr(so, "angle_jacobian", lambda m, geoms=None: real_jacobian(m, dl.face_geometries(m)))
+        want = [solve_outcome(m, theta) for m, theta in cases]
+    # repr tells floats apart bit for bit
+    assert repr(got) == repr(want)
+    assert sum(sum(w[6]) for w in want) >= 10  # re-flips happen during the solves
+    assert all(w[2] for w in want)  # every solve converges

@@ -383,3 +383,53 @@ def test_diagonal_shared_edge_mismatch_rejected():
     t2 = DecoratedTriangle(Background.EUCLIDEAN, (1.0 + 1e-12, 1.0, 1.0), (0.1, 0.1, 0.1))
     with pytest.raises(FlipGeometryInvalid):
         trig.diagonal_length(Background.EUCLIDEAN, t1, t2)
+
+
+# -- scalar cross product and geodesic lifts ---------------------------------------
+
+
+def test_cross_matches_np_cross_exactly(rng):
+    n = 100_000
+    p = rng.standard_normal((n, 3))
+    q = rng.standard_normal((n, 3))
+    # components across the whole exponent range, so products overflow,
+    # underflow to subnormals and cancel
+    p[: n // 2] *= 10.0 ** rng.integers(-320, 308, size=(n // 2, 3))
+    q[: n // 2] *= 10.0 ** rng.integers(-320, 308, size=(n // 2, 3))
+    special = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -1e-300, 1e-160, 1e300, -1e308, math.inf])
+    p[-2000:] = rng.choice(special, size=(2000, 3))
+    q[-2000:] = rng.choice(special, size=(2000, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.cross(p, q).tolist()
+    for k in range(n):
+        # repr tells floats apart bit for bit, NaN and -0.0 included
+        assert repr(trig._cross(p[k], q[k])) == repr(tuple(want[k])), (p[k], q[k])
+
+
+def reference_geodesic_lift(bg, p, q, side_point):
+    """The curved branches of geodesic_lift with np.cross: the exact oracle."""
+    if bg is Background.SPHERICAL:
+        n = np.cross(p, q)
+        n = n / np.linalg.norm(n)
+        if np.dot(n, side_point) < 0:
+            n = -n
+        return np.array([n[0], n[1], n[2], 0.0])
+    m = np.cross(p, q)
+    m[2] = -m[2]
+    m = m / math.sqrt(m[0] * m[0] + m[1] * m[1] - m[2] * m[2])
+    if m[0] * side_point[0] + m[1] * side_point[1] - m[2] * side_point[2] < 0:
+        m = -m
+    return np.array([0.0, m[0], m[1], m[2]])
+
+
+def test_geodesic_lift_matches_np_cross_reference_exactly(rng):
+    for bg in (Background.SPHERICAL, Background.HYPERBOLIC):
+        for _ in range(300):
+            tri = random_triangle(bg, rng)
+            th0 = trig.interior_angles(bg, tri.lengths)[0]
+            pos = trig.realize_triangle(bg, tri.lengths, th0)
+            for s in range(3):
+                a, b, c = pos[s], pos[(s + 1) % 3], pos[(s + 2) % 3]
+                for args in ((a, b, c), (b, a, c)):  # both orientations
+                    got = trig.geodesic_lift(bg, *args).tolist()
+                    assert repr(got) == repr(reference_geodesic_lift(bg, *args).tolist())
