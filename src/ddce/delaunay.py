@@ -92,7 +92,8 @@ def is_local_delaunay(m: DecoratedMetric, e: int, strict: bool = False, geoms=No
 
 def flip_edge(m: DecoratedMetric, e: int):
     """Geometric edge flip: new diagonal length from the quad, then the
-    combinatorial surgery.  Returns (metric, FlipResult, new_length)."""
+    combinatorial surgery.  Returns (metric, FlipResult, new_length);
+    every edge and vertex keeps its id, so only ``lengths[e]`` moves."""
     tri = m.triangulation
     h1, h2 = tri.edge_sides(e)
     f, s = h1
@@ -101,15 +102,9 @@ def flip_edge(m: DecoratedMetric, e: int):
     t2 = _rotated_triangle(m, g, t)
     new_len = trig.diagonal_length(m.background, t1, t2)
     fr = tri.flip(e)
-    new_tri = fr.triangulation
-    lengths = np.zeros(new_tri.edge_count)
-    for old_e in range(tri.edge_count):
-        lengths[fr.edge_map[old_e]] = m.lengths[old_e]
-    lengths[fr.new_edge] = new_len
-    radii = np.zeros(new_tri.vertex_count)
-    for old_v in range(tri.vertex_count):
-        radii[fr.vertex_map[old_v]] = m.radii[old_v]
-    return DecoratedMetric(new_tri, m.background, lengths, radii), fr, new_len
+    lengths = m.lengths.copy()
+    lengths[e] = new_len
+    return DecoratedMetric(fr.triangulation, m.background, lengths, m.radii), fr, new_len
 
 
 def _rotated_triangle(m: DecoratedMetric, f: int, s: int) -> trig.DecoratedTriangle:
@@ -130,8 +125,9 @@ class FlipRecord:
 
 @dataclass
 class FlipLog:
-    """Flip trace plus the composed vertex relabeling map (vertex orbit
-    index of the input metric -> vertex orbit index of the output).
+    """Flip trace plus the vertex relabeling map (vertex orbit index of
+    the input metric -> vertex orbit index of the output): flips keep
+    ids, so this is the one canonical relabeling after the last flip.
 
     ``geoms`` is the TriangleGeometry of every face of the output
     metric, indexed by its face ids: field for field what
@@ -162,6 +158,10 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
     monotone quantity behind the termination proof.  Faces outside a
     flipped quad keep their ids and slots, so only the two rebuilt
     faces get a new geometry and a new support value per flip.
+
+    Flips keep every edge and vertex id and the queue visits edges in
+    canonical order; after flips the output is relabeled canonically
+    once, and without any the input is returned as it is.
     """
     check_valid(m, "input of flip_to_delaunay")
     if track_support is None:
@@ -173,7 +173,7 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
         log.initial_support_min = support_minimum(m, geoms)
     max_flips = max(200, 40 * m.triangulation.edge_count)
 
-    queue = deque(range(m.triangulation.edge_count))
+    queue = deque(_canonical_order(m.triangulation))
     queued = set(queue)
     while True:
         log.sweeps += 1
@@ -188,10 +188,7 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
                 )
             label = m.triangulation.edge_label(e)
             m, fr, new_len = flip_edge(m, e)
-            queue = deque(fr.edge_map[x] for x in queue)
-            queued = set(queue)
-            log.vertex_map = [fr.vertex_map[x] for x in log.vertex_map]
-            rebuilt = set(h[0] for h in fr.triangulation.edges[fr.new_edge])
+            rebuilt = set(h[0] for h in m.triangulation.edges[e])
             for f in rebuilt:
                 geoms[f] = trig.face_circle(m.face_triangle(f))
             for b in fr.quad_boundary_edges:
@@ -210,14 +207,32 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
         # re-verify: a drained queue can in principle miss a new diagonal
         stale = [
             e
-            for e in range(m.triangulation.edge_count)
+            for e in _canonical_order(m.triangulation)
             if not is_local_delaunay(m, e, strict=False, geoms=geoms)
         ]
         if not stale:
-            log.geoms = geoms
-            return m, log
+            break
         queue = deque(stale)
         queued = set(queue)
+    log.geoms = geoms  # indexed by face, which relabeling leaves alone
+    if log.records:
+        m, log.vertex_map = _canonical_metric(m)
+    return m, log
+
+
+def _canonical_metric(m: DecoratedMetric):
+    """``m`` on canonical labels, and the map of its vertex ids to them."""
+    tri, edge_map, vertex_map = m.triangulation.canonical()
+    lengths = np.empty(tri.edge_count)
+    lengths[edge_map] = m.lengths
+    radii = np.empty(tri.vertex_count)
+    radii[vertex_map] = m.radii
+    return DecoratedMetric(tri, m.background, lengths, radii), vertex_map
+
+
+def _canonical_order(tri) -> list:
+    """Edge ids sorted by canonical label."""
+    return sorted(range(tri.edge_count), key=tri.edges.__getitem__)
 
 
 @dataclass(frozen=True)

@@ -58,9 +58,15 @@ def cone_angles(m: DecoratedMetric) -> np.ndarray:
     """Total corner angle around each vertex orbit."""
     tri = m.triangulation
     bg, l = m.background, m.lengths
+    angles = (trig.interior_angles(bg, (l[ea], l[eb], l[ec])) for ea, eb, ec in tri.face_edge_ids)
+    return _vertex_angle_sums(tri, angles)
+
+
+def _vertex_angle_sums(tri, face_angles) -> np.ndarray:
+    """Sum per-face corner angles (slot order, one triple per face in
+    face order) at the vertex orbits."""
     theta = [0.0] * tri.vertex_count
-    for (ea, eb, ec), (va, vb, vc) in zip(tri.face_edge_ids, tri.face_vertex_ids):
-        aa, ab, ac = trig.interior_angles(bg, (l[ea], l[eb], l[ec]))
+    for (va, vb, vc), (aa, ab, ac) in zip(tri.face_vertex_ids, face_angles):
         theta[va] += aa
         theta[vb] += ab
         theta[vc] += ac
@@ -274,13 +280,14 @@ def newton_solve(
 
     converged = False
     for _ in range(max_iter):
-        theta = cone_angles(m)
+        # m is the output of the last re-flip, whose log holds its
+        # geometries: their angles are what cone_angles(m) would sum
+        theta = _vertex_angle_sums(m.triangulation, (g.angles for g in flog.geoms))
         res = float(np.max(np.abs(theta_cur - theta)))
         report.residuals.append(res)
         if res <= tol:
             converged = True
             break
-        # m is the output of the last re-flip, whose log holds its geometries
         step = _solve_step(angle_jacobian(m, flog.geoms), theta_cur - theta, pin)
 
         chart = (m.triangulation, Invariant(m.triangulation, lam, eps), bg, ref_r, eps)

@@ -14,9 +14,12 @@ single face and multiple edges between the same pair of faces are
 allowed; vertex triples therefore do not determine edges, which is why
 edges are stored as explicit half-edge pairs.
 
-Vertices and edges are derived orbits.  Both are labeled by their
-lexicographically least member, so rebuilding a surface from the same
-gluing list always reproduces identical labels.
+Vertices and edges are derived orbits, each named by its
+lexicographically least member.  ``build_from_gluing`` numbers them in
+that order (canonical labels), so rebuilding a surface from the same
+gluing list always reproduces identical labels.  A flip keeps every
+edge and vertex id instead; ``canonical()`` renumbers a flipped
+surface, which ``flip_to_delaunay`` does once after its last flip.
 """
 
 from __future__ import annotations
@@ -71,17 +74,16 @@ class _UnionFind:
 class FlipResult:
     """Outcome of a combinatorial edge flip.
 
-    ``edge_map``/``vertex_map`` send old orbit indices to new ones.
-    ``half_edge_map`` holds only the six half-edges of the flipped quad,
-    which change identity; every other half-edge keeps its own, so look
-    up with ``half_edge_map.get(h, h)``.  The flipped diagonal itself
-    maps to ``new_edge``.
+    Every edge and vertex keeps its id: the new diagonal is edge
+    ``new_edge``, the id of the flipped edge, and ``quad_boundary_edges``
+    holds the ids of the four quad sides.  ``half_edge_map`` holds only
+    the six half-edges of the flipped quad, which change identity; every
+    other half-edge keeps its own, so look up with
+    ``half_edge_map.get(h, h)``.
     """
 
     triangulation: "Triangulation"
     half_edge_map: dict
-    edge_map: list
-    vertex_map: list
     new_edge: int
     quad_boundary_edges: tuple
 
@@ -90,10 +92,13 @@ class FlipResult:
 class Triangulation:
     """Closed oriented triangulated surface, immutable after construction.
 
+    ``build_from_gluing`` numbers edges and vertices canonically;
+    ``flip`` keeps the ids of its parent.
+
     Index tables for the per-face and per-edge loops are derived from
     the edge and vertex orbits when first read and cached on the
-    instance (one O(F) pass each; a flip builds a new instance with
-    empty caches).  ``face_edge_ids[f]`` and ``face_vertex_ids[f]``
+    instance (one O(F) pass each); ``flip`` patches its parent's tables
+    instead.  ``face_edge_ids[f]`` and ``face_vertex_ids[f]``
     hold the edge and vertex indices of face ``f`` in slot order and
     ``edge_endpoint_ids[e]`` the endpoint vertex indices of edge ``e``,
     as tuples of ints; ``face_edge_array``, ``face_vertex_array``
@@ -103,7 +108,7 @@ class Triangulation:
 
     face_count: int
     gluing: dict = field(repr=False)  # involution on half-edges, both directions
-    edges: tuple = field(repr=False)  # canonical half-edge pairs, sorted
+    edges: tuple = field(repr=False)  # half-edge pairs, each sorted
     vertices: tuple = field(repr=False)  # corner orbits as sorted tuples
     edge_index: dict = field(repr=False)  # half-edge -> edge position
     vertex_index: dict = field(repr=False)  # corner -> vertex position
@@ -170,6 +175,15 @@ class Triangulation:
             vertex_index=vertex_index,
             genus=(2 - chi) // 2,
         )
+
+    def canonical(self) -> tuple:
+        """``(triangulation, edge_map, vertex_map)``: this surface with
+        canonical labels, where edge ``k`` is ``edge_map[k]`` and vertex
+        ``v`` is ``vertex_map[v]``; faces and half-edges keep their names."""
+        canon = Triangulation.build_from_gluing(self.face_count, self.edges)
+        edge_map = [canon.edge_index[h] for h, _ in self.edges]
+        vertex_map = [canon.vertex_index[orbit[0]] for orbit in self.vertices]
+        return canon, edge_map, vertex_map
 
     # -- stock gluings used throughout the test suite and docs ---------------
 
@@ -301,6 +315,11 @@ class Triangulation:
     def flip(self, e: int) -> FlipResult:
         """Replace edge ``e`` by the opposite diagonal of its quadrilateral.
 
+        Only the entries of the quad's two faces change, and every edge
+        and vertex keeps its id.  A flip keeps the gluing an involution,
+        the surface connected and its Euler characteristic, so nothing
+        is validated again.
+
         Refuses self-glued quads: their diagonal is not a well-defined
         combinatorial quadrilateral side swap.
         """
@@ -321,36 +340,59 @@ class Triangulation:
             _next(h2): (f, 0),   # a -> d side
             _prev(h2): (g, 0),   # d -> b side
         }
-        pairs = []
-        seen = set()
-        for old1, old2 in self.gluing.items():
-            if old1 in seen or old2 in seen:
-                continue
-            seen.update((old1, old2))
-            pairs.append((relabel.get(old1, old1), relabel.get(old2, old2)))
-        new_tri = Triangulation.build_from_gluing(self.face_count, pairs)
+        gluing = dict(self.gluing)
+        edge_index = dict(self.edge_index)
+        for old, new in relabel.items():
+            partner = self.gluing[old]
+            gluing[new] = relabel.get(partner, partner)
+            if partner not in relabel:
+                gluing[partner] = new
+            edge_index[new] = self.edge_index[old]
+        edges = list(self.edges)
+        touched = {self.edge_index[h] for h in relabel}  # the diagonal and the quad sides
+        for k in touched:
+            edges[k] = tuple(sorted(relabel.get(h, h) for h in self.edges[k]))
 
-        edge_map = [new_tri.edge_index[relabel.get(h, h)] for h, _ in self.edges]
-        # where the corners of the quad sit after the flip; others stay put
-        corners = {
-            h1: (f, 0),          # a
-            _next(h1): (g, 1),   # b
-            _prev(h1): (f, 2),   # c (also (g, 2))
-            h2: (g, 1),          # b again, seen from face g
-            _next(h2): (f, 0),   # a
-            _prev(h2): (f, 1),   # d (also (g, 0))
-        }
-        vertex_map = [
-            new_tri.vertex_index[corners.get(orbit[0], orbit[0])] for orbit in self.vertices
-        ]
-        boundary = tuple(
-            edge_map[self.edge_index[h]] for h in (_next(h1), _prev(h1), _next(h2), _prev(h2))
+        # quad corners a, b, c, d as vertex ids, and where they sit after the flip
+        vi = self.vertex_index
+        a, b, c, d = vi[h1], vi[_next(h1)], vi[_prev(h1)], vi[_prev(h2)]
+        corners = {(f, 0): a, (f, 1): d, (f, 2): c, (g, 0): d, (g, 1): b, (g, 2): c}
+        vertex_index = dict(vi)
+        vertex_index.update(corners)
+        vertices = list(self.vertices)
+        for v in {a, b, c, d}:
+            outside = [x for x in self.vertices[v] if x[0] != f and x[0] != g]
+            vertices[v] = tuple(sorted(outside + [x for x, w in corners.items() if w == v]))
+
+        face_edges = list(self.face_edge_ids)
+        face_vertices = list(self.face_vertex_ids)
+        for x in (f, g):
+            face_edges[x] = (edge_index[(x, 0)], edge_index[(x, 1)], edge_index[(x, 2)])
+            face_vertices[x] = (corners[(x, 0)], corners[(x, 1)], corners[(x, 2)])
+        endpoints = list(self.edge_endpoint_ids)
+        for k in touched:
+            h = edges[k][0]
+            endpoints[k] = (vertex_index[h], vertex_index[_next(h)])
+
+        new_tri = Triangulation(
+            face_count=self.face_count,
+            gluing=gluing,
+            edges=tuple(edges),
+            vertices=tuple(vertices),
+            edge_index=edge_index,
+            vertex_index=vertex_index,
+            genus=self.genus,
+        )
+        vars(new_tri).update(
+            face_edge_ids=tuple(face_edges),
+            face_vertex_ids=tuple(face_vertices),
+            edge_endpoint_ids=tuple(endpoints),
         )
         return FlipResult(
             triangulation=new_tri,
             half_edge_map=relabel,
-            edge_map=edge_map,
-            vertex_map=vertex_map,
-            new_edge=new_tri.edge_index[(f, 1)],
-            quad_boundary_edges=boundary,
+            new_edge=e,
+            quad_boundary_edges=tuple(
+                self.edge_index[h] for h in (_next(h1), _prev(h1), _next(h2), _prev(h2))
+            ),
         )

@@ -1,5 +1,6 @@
 """Shared fixtures: stock triangulations and random decorated metrics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -87,6 +88,42 @@ def random_metric(triangulation, background, rng, ideal_fraction=0.0, max_tries=
     raise RuntimeError("could not sample a valid metric")
 
 
+def reference_flip(tri, e):
+    """Edge flip that rebuilds the whole surface through
+    ``build_from_gluing`` (canonical labels), with maps from the old
+    ids: ``(triangulation, edge_map, vertex_map, new_edge,
+    quad_boundary_edges)``.  Reference for the id-keeping
+    ``Triangulation.flip``."""
+    nxt = lambda h: (h[0], (h[1] + 1) % 3)  # noqa: E731
+    prv = lambda h: (h[0], (h[1] + 2) % 3)  # noqa: E731
+    h1, h2 = tri.edges[e]
+    f, s = h1
+    g, t = h2
+    relabel = {
+        h1: (f, 1), h2: (g, 2), nxt(h1): (g, 1), prv(h1): (f, 2), nxt(h2): (f, 0), prv(h2): (g, 0),
+    }
+    pairs = [(relabel.get(a, a), relabel.get(b, b)) for a, b in tri.edges]
+    new_tri = Triangulation.build_from_gluing(tri.face_count, pairs)
+    edge_map = [new_tri.edge_index[relabel.get(h, h)] for h, _ in tri.edges]
+    # where the corners of the quad sit after the flip; others stay put
+    corners = {
+        h1: (f, 0), nxt(h1): (g, 1), prv(h1): (f, 2), h2: (g, 1), nxt(h2): (f, 0), prv(h2): (f, 1),
+    }
+    vertex_map = [new_tri.vertex_index[corners.get(o[0], o[0])] for o in tri.vertices]
+    boundary = tuple(edge_map[tri.edge_index[h]] for h in (nxt(h1), prv(h1), nxt(h2), prv(h2)))
+    return new_tri, edge_map, vertex_map, new_tri.edge_index[(f, 1)], boundary
+
+
+def surface_fields(tri):
+    """Every field of a Triangulation, comparable with ``==``."""
+    return {f.name: getattr(tri, f.name) for f in dataclasses.fields(tri)}
+
+
+def fresh_copy(tri):
+    """The same surface with its index tables not yet derived."""
+    return Triangulation(**surface_fields(tri))
+
+
 def scrambled_metric(triangulation, background, rng, flips=4, **kw):
     """Valid metric that is typically not weighted Delaunay: sample one,
     flip to Delaunay, then undo random legal flips."""
@@ -106,6 +143,8 @@ def scrambled_metric(triangulation, background, rng, flips=4, **kw):
             m, _, _ = delaunay.flip_edge(m, e)
         except Exception:
             continue
+        # a flip keeps ids; draw the next edge in canonical order
+        m, _ = delaunay._canonical_metric(m)
     return m
 
 

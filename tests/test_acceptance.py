@@ -193,10 +193,10 @@ def test_criterion_4_flip_algorithm():
                     if current.triangulation.edge_label(e) == rec.edge_label
                 )
                 theta_before = so.cone_angles(current)
-                current, fr, _ = dl.flip_edge(current, e)
-                theta_after = so.cone_angles(current)
+                current, _, _ = dl.flip_edge(current, e)
+                theta_after = so.cone_angles(current)  # a flip keeps vertex ids
                 dev = max(
-                    abs(theta_after[fr.vertex_map[v]] - theta_before[v])
+                    abs(theta_after[v] - theta_before[v])
                     for v in range(len(theta_before))
                 )
                 worst_theta = max(worst_theta, dev)
@@ -285,6 +285,21 @@ def test_criterion_7_transition_limit():
         f"angle defect at t=1e4: {worst_defect:.2e} (monotone {monotone}), "
         f"weight deviation {worst_wdev:.2e}",
     )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="decorated cotan weights lose accuracy beyond t = 1e3 (ROADMAP items 3 and 6)",
+)
+def test_criterion_7_weights_on_a_fresh_draw():
+    # criterion 7's bounds on the second metric of a fresh draw: the
+    # angle defect keeps falling like 1/t^2, the weight deviation turns
+    # up after t = 1e3 (1.6e-7) and reaches 1.4e-5 at t = 1e4
+    rng = np.random.default_rng(14)
+    metrics = [random_metric(TRIANGULATIONS[k], Background.HYPERBOLIC, rng) for k in range(2)]
+    path = tr.build_transition(metrics[1], [1.0, 10.0, 100.0, 1000.0, 10000.0])
+    assert path.rows[-1].max_angle_defect < 1e-8
+    assert path.rows[-1].max_weight_deviation < 1e-5
 
 
 def test_criterion_8_gauss_bonnet_bookkeeping():

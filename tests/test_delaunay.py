@@ -10,7 +10,8 @@ from ddce import Background, DecoratedMetric, Triangulation, cli
 from ddce import delaunay as dl
 from ddce import metric as me
 from ddce import solver as so
-from ddce.errors import DDCEError, FlipBoundExceeded, NotDelaunay
+from ddce import trig
+from ddce.errors import DDCEError, FlipBoundExceeded, FlipGeometryInvalid, NotDelaunay
 
 from conftest import (
     ALL_BACKGROUNDS,
@@ -18,7 +19,9 @@ from conftest import (
     isosceles_sphere,
     octahedron,
     random_metric,
+    reference_flip,
     scrambled_metric,
+    surface_fields,
 )
 
 
@@ -217,6 +220,149 @@ def test_flip_log_geoms_match_recomputation(rng):
         for got_g, want_g in zip(log.geoms, want):
             assert geometry_fields(got_g) == geometry_fields(want_g)
     assert flips.count(0) >= 9 and max(flips) >= 10
+
+
+def reference_flip_edge(m, e):
+    """``flip_edge`` on a surface rebuilt with canonical labels, with
+    the maps from the old ids."""
+    (f, s), (g, t) = m.triangulation.edge_sides(e)
+    t1, t2 = dl._rotated_triangle(m, f, s), dl._rotated_triangle(m, g, t)
+    new_len = trig.diagonal_length(m.background, t1, t2)
+    new_tri, edge_map, vertex_map, new_edge, boundary = reference_flip(m.triangulation, e)
+    lengths = np.zeros(new_tri.edge_count)
+    lengths[edge_map] = m.lengths
+    lengths[new_edge] = new_len
+    radii = np.zeros(new_tri.vertex_count)
+    radii[vertex_map] = m.radii
+    out = DecoratedMetric(new_tri, m.background, lengths, radii)
+    return out, edge_map, vertex_map, new_edge, boundary, new_len
+
+
+def reference_flip_to_delaunay(m):
+    """The flip loop on surfaces rebuilt per flip: the queue and the
+    vertex map are carried through every flip's relabeling."""
+    geoms = dl.face_geometries(m)
+    log = dl.FlipLog(vertex_map=list(range(m.triangulation.vertex_count)))
+    spherical = m.background is Background.SPHERICAL
+    if spherical:
+        log.initial_support_min = dl.support_minimum(m, geoms)
+    queue = list(range(m.triangulation.edge_count))
+    while True:
+        log.sweeps += 1
+        while queue:
+            e = queue.pop(0)
+            if dl.is_local_delaunay(m, e, geoms=geoms):
+                continue
+            label = m.triangulation.edge_label(e)
+            m, edge_map, vertex_map, new_edge, boundary, new_len = reference_flip_edge(m, e)
+            queue = [edge_map[x] for x in queue]
+            log.vertex_map = [vertex_map[x] for x in log.vertex_map]
+            for f in {h[0] for h in m.triangulation.edges[new_edge]}:
+                geoms[f] = trig.face_circle(m.face_triangle(f))
+            for b in boundary:
+                if b not in queue:
+                    queue.append(b)
+            support = dl.support_minimum(m, geoms) if spherical else None
+            log.records.append(dl.FlipRecord(label, new_len, support))
+        queue = [
+            e for e in range(m.triangulation.edge_count)
+            if not dl.is_local_delaunay(m, e, geoms=geoms)
+        ]
+        if not queue:
+            log.geoms = geoms
+            return m, log
+
+
+def flip_outcome(m, log, vertex_map=True):
+    """The output metric and everything its FlipLog holds, as values
+    that tell floats apart bit for bit."""
+    return (
+        surface_fields(m.triangulation), m.background, repr(m.lengths.tolist()),
+        repr(m.radii.tolist()), repr(log.records), log.sweeps, repr(log.initial_support_min),
+        [geometry_fields(g) for g in log.geoms], log.vertex_map if vertex_map else None,
+    )
+
+
+def test_flip_to_delaunay_matches_rebuild_reference(rng, monkeypatch):
+    cases = []
+    for bg in ALL_BACKGROUNDS:
+        for tri in (octahedron(), grid_torus(5), Triangulation.genus_two_octagon()):
+            cases.append(random_metric(tri, bg, rng))
+            cases.append(scrambled_metric(tri, bg, rng, flips=8))
+        cases.append(scrambled_metric(grid_torus(6), bg, rng, flips=24))  # many flips
+        cases.append(dl.flip_to_delaunay(cases[-1])[0])  # zero flips
+    flips = []
+    for m in cases:
+        got = dl.flip_to_delaunay(m)
+        flips.append(got[1].flip_count)
+        assert flip_outcome(*got) == flip_outcome(*reference_flip_to_delaunay(m))
+    assert flips.count(0) >= 3 and max(flips) >= 20
+    # an input numbered by flip history: the same flips as on its
+    # canonical relabeling, and a vertex map that composes with it
+    checked = 0
+    for m in cases:
+        kept = m
+        for _ in range(6):  # undo Delaunay edges, keeping ids: flips follow
+            weights = dl.edge_weights(kept)
+            for e in sorted(range(len(weights)), key=lambda e: -weights[e]):
+                if weights[e] > 1e-6 and not kept.triangulation.is_self_glued_quad(e):
+                    try:
+                        kept, _, _ = dl.flip_edge(kept, e)
+                        break
+                    except FlipGeometryInvalid:
+                        continue
+        canon, canon_map = dl._canonical_metric(kept)
+        if canon.triangulation.edges == kept.triangulation.edges:
+            continue
+        got, want = dl.flip_to_delaunay(kept), reference_flip_to_delaunay(canon)
+        assert got[1].flip_count > 0
+        assert flip_outcome(*got, vertex_map=False) == flip_outcome(*want, vertex_map=False)
+        assert got[1].vertex_map == [want[1].vertex_map[w] for w in canon_map]
+        # the re-verify pass too visits edges in canonical order: hide
+        # every violation from the first pass, so the second finds them all
+        with monkeypatch.context() as mp:
+            mp.setattr(dl, "is_local_delaunay", blind_first(kept.triangulation.edge_count))
+            got = dl.flip_to_delaunay(kept)
+            mp.setattr(dl, "is_local_delaunay", blind_first(kept.triangulation.edge_count))
+            want = reference_flip_to_delaunay(canon)
+        assert got[1].sweeps >= 2 and got[1].flip_count > 0
+        assert flip_outcome(*got, vertex_map=False) == flip_outcome(*want, vertex_map=False)
+        checked += 1
+    assert checked >= 10
+
+
+IS_LOCAL_DELAUNAY = dl.is_local_delaunay
+
+
+def blind_first(calls):
+    """``is_local_delaunay`` that answers True to its first ``calls`` calls."""
+    left = [calls]
+
+    def predicate(m, e, strict=False, geoms=None):
+        if left[0] > 0:
+            left[0] -= 1
+            return True
+        return IS_LOCAL_DELAUNAY(m, e, strict=strict, geoms=geoms)
+
+    return predicate
+
+
+def test_flip_to_delaunay_builds_the_surface_once(rng, monkeypatch):
+    real = Triangulation.build_from_gluing.__func__
+    calls = []
+
+    def counted(cls, face_count, pairs):
+        calls.append(face_count)
+        return real(cls, face_count, pairs)
+
+    m = scrambled_metric(grid_torus(5), Background.HYPERBOLIC, rng, flips=12)
+    monkeypatch.setattr(Triangulation, "build_from_gluing", classmethod(counted))
+    out, log = dl.flip_to_delaunay(m)
+    assert log.flip_count >= 5
+    assert calls == [m.triangulation.face_count]  # the one canonical relabeling
+    calls.clear()
+    _, log = dl.flip_to_delaunay(out)
+    assert log.flip_count == 0 and calls == []
 
 
 def test_support_min_records_match_replay(rng):

@@ -1,11 +1,25 @@
 """Combinatorial surface tests: orbits, genus, flips."""
 
+import numpy as np
 import pytest
 
 from ddce import Triangulation
 from ddce.errors import DisconnectedSurface, NonInvolution, UnflippableSelfGluing
 
-from conftest import from_face_vertices, grid_torus, isosceles_sphere, octahedron
+from conftest import (
+    fresh_copy,
+    from_face_vertices,
+    grid_torus,
+    isosceles_sphere,
+    octahedron,
+    reference_flip,
+    surface_fields,
+)
+
+TABLES = (
+    "face_edge_ids", "face_vertex_ids", "edge_endpoint_ids",
+    "face_edge_array", "face_vertex_array", "edge_endpoint_array",
+)
 
 
 def brute_force_orbits(face_count, pairs):
@@ -157,15 +171,60 @@ def test_flip_maps_are_consistent():
     t = octahedron()
     fr = t.flip(0)
     s = fr.triangulation
-    # edge map is a bijection, vertex map is a bijection
-    assert sorted(fr.edge_map) == list(range(t.edge_count))
-    assert sorted(fr.vertex_map) == list(range(t.vertex_count))
-    # endpoints of unflipped edges map to endpoints
+    assert fr.new_edge == 0
+    # ids are stable: every unflipped edge keeps its endpoints
+    for e in range(1, t.edge_count):
+        assert sorted(s.edge_endpoints(e)) == sorted(t.edge_endpoints(e))
+    # the canonical relabeling is a bijection on edges and on vertices
+    # and carries endpoints to endpoints
+    canon, edge_map, vertex_map = s.canonical()
+    assert sorted(edge_map) == list(range(t.edge_count))
+    assert sorted(vertex_map) == list(range(t.vertex_count))
     for e in range(t.edge_count):
-        if e == 0:
-            continue
-        old = sorted(fr.vertex_map[v] for v in t.edge_endpoints(e))
-        assert old == sorted(s.edge_endpoints(fr.edge_map[e]))
+        old = sorted(vertex_map[v] for v in s.edge_endpoints(e))
+        assert old == sorted(canon.edge_endpoints(edge_map[e]))
+
+
+def test_flip_in_place_matches_rebuild():
+    rng = np.random.default_rng(7)
+    stock = (
+        Triangulation.square_torus(),
+        octahedron(),
+        Triangulation.genus_two_octagon(),  # loop edges, one vertex
+        grid_torus(3),
+        grid_torus(4),
+    )
+    for t in stock:
+        # a built surface is already canonical
+        canon, edge_map, vertex_map = t.canonical()
+        assert surface_fields(canon) == surface_fields(t)
+        assert edge_map == list(range(t.edge_count))
+        assert vertex_map == list(range(t.vertex_count))
+        cur = t
+        for _ in range(40):
+            flippable = [e for e in range(cur.edge_count) if not cur.is_self_glued_quad(e)]
+            e = flippable[rng.integers(len(flippable))]
+            fr = cur.flip(e)
+            new = fr.triangulation
+            ref, ref_edges, ref_vertices, ref_new_edge, ref_boundary = reference_flip(cur, e)
+            canon, edge_map, vertex_map = new.canonical()
+            assert surface_fields(canon) == surface_fields(ref)
+            assert (edge_map, vertex_map) == (ref_edges, ref_vertices)
+            assert fr.new_edge == e and edge_map[e] == ref_new_edge
+            assert tuple(edge_map[b] for b in fr.quad_boundary_edges) == ref_boundary
+            assert new.genus == t.genus
+            # edges stay sorted pairs and orbits sorted tuples (canonical names)
+            assert all(list(pair) == sorted(pair) for pair in new.edges)
+            assert all(list(orbit) == sorted(orbit) for orbit in new.vertices)
+            touched = {e, *fr.quad_boundary_edges}
+            for k in range(cur.edge_count):
+                if k not in touched:
+                    assert new.edges[k] == cur.edges[k]
+            # patched index tables equal tables derived fresh
+            fresh = fresh_copy(new)
+            for name in TABLES:
+                assert np.array_equal(getattr(new, name), getattr(fresh, name)), name
+            cur = new
 
 
 def test_index_tables_match_orbit_maps():
@@ -178,7 +237,12 @@ def test_index_tables_match_orbit_maps():
         assert t.face_edge_array.tolist() == [list(x) for x in t.face_edge_ids]
         assert t.face_vertex_array.tolist() == [list(x) for x in t.face_vertex_ids]
         assert t.edge_endpoint_array.tolist() == [list(x) for x in t.edge_endpoint_ids]
-        # built once per surface; a flipped surface builds its own
+        # built once per surface; a flip patches its parent's tuples, which
+        # equal tables derived fresh
         assert t.face_edge_ids is t.face_edge_ids
         flipped = t.flip(next(e for e in range(t.edge_count) if not t.is_self_glued_quad(e)))
-        assert "face_edge_ids" not in vars(flipped.triangulation)
+        s = flipped.triangulation
+        fresh = fresh_copy(s)
+        for name in ("face_edge_ids", "face_vertex_ids", "edge_endpoint_ids"):
+            assert name in vars(s)
+            assert getattr(s, name) == getattr(fresh, name)
