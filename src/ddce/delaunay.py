@@ -49,10 +49,11 @@ def _edge_slot_data(m: DecoratedMetric, e: int, geoms):
 def edge_weight(m: DecoratedMetric, e: int, geoms=None) -> float:
     """Decorated cotan weight of edge ``e``:
     (cot alpha^k + cot alpha^l) * tan/tanh/id(r_sec) / sin/sinh/id(l),
+    with alpha the angle at which a face-circle meets the edge,
     evaluated in the equivalent product form
-    (T(d^k) + T(d^l)) / (cos/cosh/id(r_sec) * sin/sinh/id(l))
+    (T(d^k) + T(d^l)) / (cos/cosh/1(r_sec) * sin/sinh/id(l))
     which stays finite when the vertex circles of the edge are tangent
-    (cot alpha diverges but T(d) = T(r_sec) cot alpha does not)."""
+    (cot alpha diverges but T(d) = sin/sinh/id(r_sec) cot alpha does not)."""
     if geoms is None:
         geoms = face_geometries(m)
     gf, s, gg, t = _edge_slot_data(m, e, geoms)
@@ -247,10 +248,6 @@ class Tessellation:
     removed_edges: tuple
     face_groups: tuple
 
-    @property
-    def kept_labels(self) -> tuple:
-        return tuple(self.triangulation.edge_label(e) for e in self.kept_edges)
-
 
 def extract_tessellation(m: DecoratedMetric, tol: float = 1e-9, geoms=None) -> Tessellation:
     """Drop all edges with |weight| <= tol and group faces across them.
@@ -283,13 +280,14 @@ def _face_support_max(geom) -> float:
     the support function.  Candidates: the vertices, critical points on
     the edge arcs, and the direction of C itself when it lies inside
     the face (there 1/<x, C> equals the face-circle radius cosine)."""
-    lift = geom.face_lift
+    positions = trig.realize_triangle(geom.background, geom.lengths, geom.angles[0])
+    lift = trig._face_circle_lift(geom.background, positions, geom.radii)
     if abs(lift[3]) < 1e-14:
         return math.inf  # great-circle face circle: support minimum 0
     c_aff = lift[:3] / lift[3]
-    best = max(float(np.dot(p, c_aff)) for p in geom.positions)
+    best = max(float(np.dot(p, c_aff)) for p in positions)
     for s in range(3):
-        a, b = geom.positions[s], geom.positions[(s + 1) % 3]
+        a, b = positions[s], positions[(s + 1) % 3]
         l = geom.lengths[s]
         fa, fb = float(np.dot(a, c_aff)), float(np.dot(b, c_aff))
         t = math.atan2(fb - fa * math.cos(l), fa * math.sin(l)) / l
@@ -299,8 +297,8 @@ def _face_support_max(geom) -> float:
     center = c_aff / np.linalg.norm(c_aff)
     inside = True
     for s in range(3):
-        a, b = geom.positions[s], geom.positions[(s + 1) % 3]
-        apex = geom.positions[(s + 2) % 3]
+        a, b = positions[s], positions[(s + 1) % 3]
+        apex = positions[(s + 2) % 3]
         n = np.array(trig._cross(a, b))
         if float(np.dot(apex, n)) < 0:
             n = -n

@@ -107,8 +107,10 @@ def angle_jacobian(m: DecoratedMetric, geoms=None) -> np.ndarray:
             i = verts[s]
             for slot, other in ((s, verts[(s + 1) % 3]), ((s + 2) % 3, verts[(s + 2) % 3])):
                 length = geom.lengths[slot]
-                q = geom.cot_alpha[slot] * (
-                    trig.tfac(bg, geom.r_section[slot]) / trig.sfac(bg, length)
+                # this face's half of the edge weight, in the product
+                # form of delaunay.edge_weight (finite at tangency)
+                q = geom.d_tangent[slot] / (
+                    trig.cfac(bg, geom.r_section[slot]) * trig.sfac(bg, length)
                 )
                 # d theta_i = sum_edges q * (K(l) dh_i - dh_other); per edge
                 # this sums to the Laplacian of the cotan weights plus the
@@ -272,7 +274,6 @@ def newton_solve(
 
     ref_r = default_reference_radius(bg) if bg is not Background.EUCLIDEAN else 0.0
     h = heights_from_decoration(m).h
-    h_start = h.copy()  # in the running vertex labeling of this moment
     h_start_orig = h[vmap]
     eps = m.eps
     lam = lambda_lengths(m).lam
@@ -309,7 +310,9 @@ def newton_solve(
             s /= 2.0
         if not accepted:
             report.iterations = len(report.residuals) - 1
-            report.message = "line search stalled (expected for spherical targets)"
+            report.message = "line search stalled"
+            if bg is Background.SPHERICAL:
+                report.message += " (expected for spherical targets)"
             _finalize(report, m0, m, vmap, h, h_start_orig)
             raise LineSearchStalled(report.message, report)
 

@@ -285,13 +285,6 @@ class Triangulation:
         """Vertex indices at the corners of face ``f`` in slot order."""
         return self.face_vertex_ids[f]
 
-    def quad_corners(self, e: int):
-        """Corners ``(a, b, c, d)`` of the quadrilateral around edge ``e``:
-        the edge runs a -> b, ``c`` is the apex on the side of the canonical
-        half-edge and ``d`` the apex on the other side."""
-        h1, h2 = self.edges[e]
-        return (h1, _next(h1), _prev(h1), _prev(h2))
-
     def is_self_glued_face_edge(self, e: int) -> bool:
         """Edge whose two sides belong to a single face."""
         h1, h2 = self.edges[e]

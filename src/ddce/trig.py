@@ -8,20 +8,19 @@ This module computes, for a single triangle:
 * interior angles (law of cosines, in half-angle form),
 * inversive distances of vertex-circle pairs,
 * the face-circle, the unique circle orthogonal to all three
-  vertex circles, together with the per-edge quantities derived
-  from it: the interior intersection angle ``alpha`` with each edge,
-  the orthogonal-section radius ``r_sec``, and the signed distance
-  ``d`` from the face-circle center to the edge (positive when the
-  center lies on the triangle's side),
+  vertex circles, through the per-edge quantities derived from it:
+  the orthogonal-section radius ``r_sec`` and the tangent (tan /
+  identity / tanh) of the signed distance from the face-circle center
+  to the edge, positive when the center lies on the triangle's side,
 * the geodesic diagonal swap used by edge flips.
 
-Everything is computed through Minkowski lifts: circles of all three
-geometries embed into R^{3,1} so that Minkowski inner products encode
-radii, inversive distances, and intersection angles uniformly.  The
-face-circle is the orthogonal complement of the three vertex lifts.
-In the hyperbolic plane this complement may represent a horocycle or a
-hypercycle instead of a compact circle; angles and cotangents remain
-well defined, while the center distance ``d`` degenerates to +-inf.
+Every quantity is a closed form in the side lengths and radii.  The
+face-circle data come from the right-angled triangles that the
+face-circle center, a corner and the feet of its perpendiculars form.
+In the hyperbolic plane the face-circle may be a horocycle or a
+hypercycle instead of a compact circle; the tangents stay finite.
+Minkowski lifts of circles into R^{3,1} are kept only for the
+spherical support function.
 """
 
 from __future__ import annotations
@@ -172,6 +171,8 @@ def inversive_distance(background: Background, length: float, r_i: float, r_j: f
 
 
 # -- model realizations and lifts ---------------------------------------------
+# The kernel needs none of these; they serve the spherical support
+# function (delaunay._face_support_max) and the tests.
 
 def realize_triangle(background: Background, lengths, th0: float) -> tuple:
     """Place corners 0, 1, 2 counterclockwise in the model surface:
@@ -221,47 +222,30 @@ def _cross(p, q) -> tuple:
     return (p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0)
 
 
-def geodesic_lift(background: Background, p, q, side_point):
-    """Unit lift of the geodesic through ``p`` and ``q``, oriented so the
-    inner product is positive on the side of ``side_point``."""
-    if background is Background.SPHERICAL:
-        n = np.array(_cross(p, q))
-        n = n / np.linalg.norm(n)
-        if np.dot(n, side_point) < 0:
-            n = -n
-        return np.array([n[0], n[1], n[2], 0.0])
-    if background is Background.HYPERBOLIC:
-        m0, m1, m2 = _cross(p, q)
-        m2 = -m2
-        norm = math.sqrt(m0 * m0 + m1 * m1 - m2 * m2)
-        m0, m1, m2 = m0 / norm, m1 / norm, m2 / norm
-        s0, s1, s2 = side_point.tolist()
-        if m0 * s0 + m1 * s1 - m2 * s2 < 0:
-            m0, m1, m2 = -m0, -m1, -m2
-        return np.array([0.0, m0, m1, m2])
-    u = q - p
-    u = u / np.linalg.norm(u)
-    n = np.array([-u[1], u[0]])
-    s = float(np.dot(n, p))
-    if np.dot(n, side_point) - s < 0:
-        n, s = -n, -s
-    return np.array([n[0], n[1], s, s])
-
-
-def walk(background: Background, p, q, distance: float):
-    """Point at the given distance from ``p`` along the geodesic to ``q``."""
-    if background is Background.SPHERICAL:
-        cl = max(-1.0, min(1.0, float(np.dot(p, q))))
-        l = math.acos(cl)
-        e = (q - cl * p) / math.sin(l)
-        return math.cos(distance) * p + math.sin(distance) * e
-    if background is Background.HYPERBOLIC:
-        ch = max(1.0, -(p[0] * q[0] + p[1] * q[1] - p[2] * q[2]))
-        l = math.acosh(ch)
-        e = (q - ch * p) / math.sinh(l)
-        return math.cosh(distance) * p + math.sinh(distance) * e
-    u = (q - p) / np.linalg.norm(q - p)
-    return p + distance * u
+def _face_circle_lift(background: Background, positions, radii):
+    """Unit Minkowski lift of the circle orthogonal to the three vertex
+    circles of a realized triangle.  Raises NoRealFaceCircle when the
+    orthogonal complement is not spacelike."""
+    rows = []
+    for s in range(3):
+        lift = circle_lift(background, positions[s], radii[s])
+        rows.append(lift * _MET / np.linalg.norm(lift))
+    # difference the rows: for small triangles all three lifts nearly
+    # coincide and the raw 3x4 system is badly conditioned, while row
+    # differences keep the (identical) null space well separated
+    mat = np.array([rows[0], rows[1] - rows[0], rows[2] - rows[0]])
+    for k in (1, 2):
+        norm = np.linalg.norm(mat[k])
+        if norm > 0:
+            mat[k] /= norm
+    _, _, vt = np.linalg.svd(mat)
+    lift = vt[-1]
+    norm2 = mdot(lift, lift)
+    if norm2 <= 1e-14:
+        raise NoRealFaceCircle(
+            f"orthogonal complement has Minkowski norm^2 {norm2:.3e}; input not hyperideal"
+        )
+    return lift / math.sqrt(norm2)
 
 
 # -- orthogonal sections ------------------------------------------------------
@@ -269,34 +253,42 @@ def walk(background: Background, p, q, distance: float):
 def section_foot_radius(background: Background, length: float, r_a: float, r_b: float) -> tuple:
     """Foot distance ``x`` from the first endpoint and radius ``rho`` of
     the circle centered on the edge that meets both vertex circles
-    orthogonally.  On the sphere the raw solution may represent the
-    antipodal center; the caller canonicalizes to ``rho <= pi/2``.
+    orthogonally.  On the sphere, valid radii (below pi/2, with
+    ``r_a + r_b <= length``) put the foot within pi/2 of the first
+    endpoint and make ``rho <= pi/2``.
 
     The radius is evaluated in a Heron-like product of half-gap terms:
     rho is second-order small near tangency and for small triangles,
-    where the naive arc-cosine route loses all relative accuracy.
+    where the naive arc-cosine route loses all relative accuracy.  Each
+    gap is rounded once (``math.fsum``), so a closing gap keeps its
+    relative accuracy too.
     """
     gaps = (
-        (length - r_a - r_b) / 2.0,
-        (length - r_a + r_b) / 2.0,
-        (length + r_a - r_b) / 2.0,
-        (length + r_a + r_b) / 2.0,
+        math.fsum((length, -r_a, -r_b)) / 2.0,
+        math.fsum((length, -r_a, r_b)) / 2.0,
+        math.fsum((length, r_a, -r_b)) / 2.0,
+        math.fsum((length, r_a, r_b)) / 2.0,
     )
     if background is Background.SPHERICAL:
-        num = math.cos(r_b) - math.cos(r_a) * math.cos(length)
+        # cos r_b - cos r_a cos l, summed from terms that do not cancel
+        # on small triangles
+        num = 2.0 * (
+            math.cos(r_a) * math.sin(length / 2.0) ** 2
+            - math.sin((r_b + r_a) / 2.0) * math.sin((r_b - r_a) / 2.0)
+        )
         den = math.cos(r_a) * math.sin(length)
         x = math.atan2(num, den)
-        if x <= 0:
-            x += math.pi
         sin2 = (
             4.0 * math.prod(math.sin(g) for g in gaps) / (den * den + num * num)
         )
         rho = math.asin(min(1.0, math.sqrt(max(0.0, sin2))))
-        if math.cos(x) / math.cos(r_a) < 0:
-            rho = math.pi - rho
         return x, rho
     if background is Background.HYPERBOLIC:
-        num = math.cosh(r_a) * math.cosh(length) - math.cosh(r_b)
+        # cosh r_a cosh l - cosh r_b, likewise
+        num = 2.0 * (
+            math.cosh(r_a) * math.sinh(length / 2.0) ** 2
+            + math.sinh((r_a + r_b) / 2.0) * math.sinh((r_a - r_b) / 2.0)
+        )
         den = math.cosh(r_a) * math.sinh(length)
         x = math.atanh(max(-1.0 + 1e-16, min(1.0 - 1e-16, num / den)))
         lower = math.cosh(r_b) - math.cosh(r_a) * math.exp(-length)
@@ -340,157 +332,70 @@ def cfac(background: Background, t: float) -> float:
 
 @dataclass(frozen=True)
 class TriangleGeometry:
-    """Derived per-face cache: interior angles, the face-circle, and for
-    each edge slot the quantities feeding cotan weights and Delaunay
-    predicates.
+    """Derived per-face cache: interior angles and, for each edge slot,
+    the quantities feeding cotan weights and Delaunay predicates.
 
-    ``d_tangent[s]`` is tan/tanh/identity (by background) of the signed
-    distance ``d_center[s]`` from the face-circle center to the edge;
-    ``d_center[s]`` is +-inf when the face-circle is a horocycle or
-    hypercycle and has no center in the plane.  ``d_foot[s]`` holds the
-    distances from the edge's two endpoints to the foot of the center
-    perpendicular.  Sign convention: positive means the center lies on
-    the same side of the edge as the triangle.
+    ``r_section[s]`` is the radius of the circle centered on edge ``s``
+    that meets both of its vertex circles orthogonally (zero when they
+    are tangent).  ``d_tangent[s]`` is tan/identity/tanh (by
+    background) of the signed distance from the face-circle center to
+    the edge; positive means the center lies on the same side of the
+    edge as the triangle.  In the hyperbolic plane a face-circle that
+    is a horocycle or hypercycle has no center, and ``|d_tangent[s]|``
+    is 1 or above 1 on every edge.  On the sphere the center is the
+    one whose face-circle radius is at most pi/2.
     """
 
     background: Background
     lengths: tuple
     radii: tuple
     angles: tuple
-    alpha: tuple
-    cot_alpha: tuple
     r_section: tuple
     d_tangent: tuple
-    d_center: tuple
-    d_foot: tuple
-    circle_kind: str
-    circumradius: float
-    face_lift: np.ndarray
-    positions: tuple
 
     @property
     def angle_sum(self) -> float:
         return self.angles[0] + self.angles[1] + self.angles[2]
 
 
-def _face_circle_lift(background: Background, positions, radii):
-    rows = []
-    for s in range(3):
-        lift = circle_lift(background, positions[s], radii[s])
-        rows.append(lift * _MET / np.linalg.norm(lift))
-    # difference the rows: for small triangles all three lifts nearly
-    # coincide and the raw 3x4 system is badly conditioned, while row
-    # differences keep the (identical) null space well separated
-    mat = np.array([rows[0], rows[1] - rows[0], rows[2] - rows[0]])
-    for k in (1, 2):
-        norm = np.linalg.norm(mat[k])
-        if norm > 0:
-            mat[k] /= norm
-    _, _, vt = np.linalg.svd(mat)
-    lift = vt[-1]
-    norm2 = mdot(lift, lift)
-    if norm2 <= 1e-14:
-        raise NoRealFaceCircle(
-            f"orthogonal complement has Minkowski norm^2 {norm2:.3e}; input not hyperideal"
-        )
-    return lift / math.sqrt(norm2)
-
-
-def _classify_face_lift(background: Background, lift) -> tuple:
-    if background is Background.SPHERICAL:
-        return "circle", math.atan2(1.0, abs(lift[3]))
-    if background is Background.HYPERBOLIC:
-        q = lift[1] * lift[1] + lift[2] * lift[2] - lift[3] * lift[3]
-        if q < -1e-12:
-            return "circle", math.atanh(1.0 / abs(lift[0]))
-        if q > 1e-12:
-            return "hypercycle", math.inf
-        return "horocycle", math.inf
-    gap = lift[3] - lift[2]
-    if abs(gap) < 1e-14:
-        return "line", math.inf
-    return "circle", 1.0 / abs(gap)
-
-
 def face_circle(tri: DecoratedTriangle) -> TriangleGeometry:
-    """Full geometric cache of a decorated triangle.
+    """Angles and per-edge face-circle data of a decorated triangle.
 
-    Raises DegenerateTriangle for invalid side/radius data and
-    NoRealFaceCircle when no circle is orthogonal to all three vertex
-    circles (which signals a non-hyperideal decoration).
+    The face-circle center projects onto edge ``s = (i -> j)`` at the
+    center of its orthogonal section, at distance ``x_ij`` from ``i``,
+    and onto the edge to the third corner ``k`` at distance ``x_ik``.
+    The right-angled triangles at ``i`` then give, with T = tan/id/tanh
+    and C = cos/1/cosh by background (Glickenstein 2011;
+    Glickenstein-Thomas 2017),
+
+        T(d_ij) = C(x_ij) * (T(x_ik) - T(x_ij) * cos theta_i) / sin theta_i,
+
+    which stays finite when vertex circles are tangent.  Raises
+    DegenerateTriangle for invalid side/radius data.
     """
     tri.check()
     bg = tri.background
-    scale = max(1.0, *tri.lengths)
-    angles = interior_angles(bg, tri.lengths)
-    positions = realize_triangle(bg, tri.lengths, angles[0])
-    lift = _face_circle_lift(bg, positions, tri.radii)
-
-    alpha = []
-    cot_alpha = []
-    r_section = []
+    lengths = tri.lengths
+    angles = interior_angles(bg, lengths)
+    feet, r_section = zip(
+        *(section_foot_radius(bg, lengths[s], tri.radii[s], tri.radii[(s + 1) % 3]) for s in range(3))
+    )
     d_tangent = []
-    d_center = []
-    d_foot = []
-    kind, radius = _classify_face_lift(bg, lift)
     for s in range(3):
-        a, b, c = positions[s], positions[(s + 1) % 3], positions[(s + 2) % 3]
-        l = tri.lengths[s]
-        x, rho = section_foot_radius(bg, l, tri.radii[s], tri.radii[(s + 1) % 3])
-        feet = (x, l - x)
-        g_lift = geodesic_lift(bg, a, b, c)
-        cos_part = mdot(lift, g_lift)
-        if rho <= 1e-5 * max(tri.lengths):
-            # (near-)tangent vertex circles: the two crossing points merge
-            # and the face-circle touches the edge, so |d| equals its
-            # radius up to O(rho^2).  The smooth branch loses all relative
-            # accuracy here (its inner products cancel like rho^2).
-            side = math.copysign(1.0, cos_part)
-            alpha.append(0.0 if side > 0 else math.pi)
-            cot_alpha.append(side * math.inf)
-            r_section.append(0.0)
-            d_center.append(side * radius)
-            d_tangent.append(side * (1.0 if math.isinf(radius) else tfac(bg, radius)))
-            d_foot.append(feet)
-            continue
-        if bg is Background.SPHERICAL and rho > math.pi / 2:
-            rho = math.pi - rho
-            feet = (math.pi - x, math.pi - (l - x))
-            foot = -walk(bg, a, b, x)
-        else:
-            foot = walk(bg, a, b, x)
-        o_lift = circle_lift(bg, foot, rho) / sfac(bg, rho)  # analytic unit norm
-        sin_part = mdot(lift, o_lift)
-        ang = math.atan2(abs(sin_part), math.copysign(1.0, sin_part) * cos_part)
-        alpha.append(ang)
-        cot = math.copysign(1.0, sin_part) * cos_part / abs(sin_part)
-        cot_alpha.append(cot)
-        dtan = cot * sfac(bg, rho)
-        d_tangent.append(dtan)
-        if bg is Background.SPHERICAL:
-            d_center.append(math.atan(dtan))
-        elif bg is Background.HYPERBOLIC:
-            d_center.append(math.atanh(dtan) if abs(dtan) < 1.0 else math.copysign(math.inf, dtan))
-        else:
-            d_center.append(dtan)
-        r_section.append(rho)
-        d_foot.append(feet)
-
+        x_ij = feet[s]
+        x_ik = lengths[(s + 2) % 3] - feet[(s + 2) % 3]
+        d_tangent.append(
+            cfac(bg, x_ij)
+            * (tfac(bg, x_ik) - tfac(bg, x_ij) * math.cos(angles[s]))
+            / math.sin(angles[s])
+        )
     return TriangleGeometry(
         background=bg,
-        lengths=tuple(tri.lengths),
+        lengths=tuple(lengths),
         radii=tuple(tri.radii),
         angles=angles,
-        alpha=tuple(alpha),
-        cot_alpha=tuple(cot_alpha),
-        r_section=tuple(r_section),
+        r_section=r_section,
         d_tangent=tuple(d_tangent),
-        d_center=tuple(d_center),
-        d_foot=tuple(d_foot),
-        circle_kind=kind,
-        circumradius=radius,
-        face_lift=lift,
-        positions=positions,
     )
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ddce import Background, DecoratedMetric, Triangulation
+from ddce import Background, DecoratedMetric, DecoratedTriangle, Triangulation
 from ddce import delaunay, metric as me
 
 
@@ -86,6 +86,28 @@ def random_metric(triangulation, background, rng, ideal_fraction=0.0, max_tries=
         if not me.validate(m):
             return m
     raise RuntimeError("could not sample a valid metric")
+
+
+def random_triangle(bg, rng, ideal=False):
+    """Random valid decorated triangle; with ``ideal``, one radius is 0."""
+    while True:
+        if bg is Background.SPHERICAL:
+            lengths = rng.uniform(0.4, 1.6, size=3)
+            if lengths.sum() >= 2 * math.pi - 0.2:
+                continue
+        else:
+            lengths = rng.uniform(0.4, 2.0, size=3)
+        ok = all(
+            lengths[s] + lengths[(s + 1) % 3] > lengths[(s + 2) % 3] + 1e-3 for s in range(3)
+        )
+        if not ok:
+            continue
+        radii = rng.uniform(0.03, 0.18, size=3)
+        if ideal:
+            radii[rng.integers(3)] = 0.0
+        tri = DecoratedTriangle(bg, tuple(lengths), tuple(radii))
+        if not tri.violations():
+            return tri
 
 
 def reference_flip(tri, e):

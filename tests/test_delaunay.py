@@ -95,7 +95,9 @@ def test_predicate_equivalence(rng):
                 w = dl.edge_weight(m, e, geoms)
                 gf, s, gg, t = dl._edge_slot_data(m, e, geoms)
                 dsum = gf.d_tangent[s] + gg.d_tangent[t]
-                asum = gf.alpha[s] + gg.alpha[t]
+                # face-circle angles at the edge, from cot alpha * sfac(rho) = d_tangent
+                srho = trig.sfac(bg, gf.r_section[s])
+                asum = math.atan2(srho, gf.d_tangent[s]) + math.atan2(srho, gg.d_tangent[t])
                 if abs(w) > 1e-9:
                     assert (w > 0) == (dsum > 0)
                     assert (w > 0) == (asum < math.pi)
@@ -180,8 +182,9 @@ def test_support_minimum_against_sampling(rng):
     fast = dl.support_minimum(m, geoms)
     worst = math.inf
     for geom in geoms:
-        c_aff = geom.face_lift[:3] / geom.face_lift[3]
-        a, b, c = geom.positions
+        a, b, c = trig.realize_triangle(geom.background, geom.lengths, geom.angles[0])
+        lift = trig._face_circle_lift(geom.background, (a, b, c), geom.radii)
+        c_aff = lift[:3] / lift[3]
         for _ in range(4000):
             wts = rng.dirichlet((1.0, 1.0, 1.0))
             p = wts[0] * a + wts[1] * b + wts[2] * c
@@ -197,7 +200,7 @@ def geometry_fields(geom):
     out = {}
     for f in dataclasses.fields(geom):
         value = getattr(geom, f.name)
-        if f.name not in ("background", "circle_kind"):
+        if f.name != "background":
             value = np.asarray(value, dtype=float).tolist()
         out[f.name] = repr(value)
     return out

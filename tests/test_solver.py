@@ -2,16 +2,17 @@
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ddce import Background, DecoratedMetric, Triangulation
+from ddce import Background, DecoratedMetric, Triangulation, cli
 from ddce import delaunay as dl
 from ddce import metric as me
 from ddce import solver as so
 from ddce import trig
-from ddce.errors import Infeasible, PathLeavesDomain
+from ddce.errors import Infeasible, LineSearchStalled, PathLeavesDomain
 
 from conftest import (
     ALL_BACKGROUNDS,
@@ -293,6 +294,30 @@ def test_hyperbolic_random_targets(rng):
     assert np.max(np.abs(so.cone_angles(solved) - theta)) < 1e-10
     assert dl.edge_weights(solved).min() >= -1e-12
     assert all(g > 0 for g in report.functional_increases)
+
+
+def test_solve_with_tangent_vertex_circles():
+    # every edge of this surface has tangent vertex circles: the cotan
+    # weights' product form keeps the Jacobian finite there
+    path = Path(__file__).resolve().parent.parent / "fixtures" / "double_tangent_hyperbolic.json"
+    m, _ = cli.load_surface_file(path)
+    assert np.all(np.isfinite(so.angle_jacobian(m)))
+    theta = 0.98 * so.cone_angles(m)
+    solved, report = so.newton_solve(m, theta)
+    assert report.converged
+    assert np.max(np.abs(so.cone_angles(solved) - theta)) < 1e-10
+
+
+@pytest.mark.parametrize("background", [Background.HYPERBOLIC, Background.SPHERICAL])
+def test_stalled_line_search_names_spherical_targets_only_on_the_sphere(
+    background, rng, monkeypatch
+):
+    m = random_metric(octahedron(), background, rng)
+    monkeypatch.setattr(so, "_segment_integral", lambda *args, **kw: -1.0)
+    with pytest.raises(LineSearchStalled) as info:
+        so.newton_solve(m, 0.95 * so.cone_angles(m))
+    expected = background is Background.SPHERICAL
+    assert ("expected for spherical targets" in str(info.value)) == expected
 
 
 def test_bookkeeping_gauss_bonnet_identity(rng):

@@ -9,33 +9,12 @@ from ddce import Background, DecoratedTriangle
 from ddce import trig
 from ddce.errors import DegenerateTriangle, FlipGeometryInvalid, ZeroRadius
 
-from conftest import ALL_BACKGROUNDS, outcome
+from conftest import ALL_BACKGROUNDS, outcome, random_triangle
 
 # frozen oracle values (50-digit evaluation of the stated closed forms)
 HYP_EQUILATERAL_ANGLE = 0.91879787217802736904  # acos((cosh^2 1 - cosh 1)/sinh^2 1)
 SPH_INVERSIVE_03_03_10 = 4.2637828128973559125  # (cos^2 0.3 - cos 1)/sin^2 0.3
 KITE_DIAGONAL = 1.3721074625609179056  # hyperboloid embedding, sides (1.6, 1.2, 1.0) twice
-
-
-def random_triangle(bg, rng, ideal=False):
-    while True:
-        if bg is Background.SPHERICAL:
-            lengths = rng.uniform(0.4, 1.6, size=3)
-            if lengths.sum() >= 2 * math.pi - 0.2:
-                continue
-        else:
-            lengths = rng.uniform(0.4, 2.0, size=3)
-        ok = all(
-            lengths[s] + lengths[(s + 1) % 3] > lengths[(s + 2) % 3] + 1e-3 for s in range(3)
-        )
-        if not ok:
-            continue
-        radii = rng.uniform(0.03, 0.18, size=3)
-        if ideal:
-            radii[rng.integers(3)] = 0.0
-        tri = DecoratedTriangle(bg, tuple(lengths), tuple(radii))
-        if not tri.violations():
-            return tri
 
 
 # -- interior angles ---------------------------------------------------------
@@ -191,15 +170,28 @@ def test_hyperideal_inputs_give_inversive_above_one(rng):
 # -- face circle ----------------------------------------------------------------
 
 
+def alpha(geom, s):
+    """Angle at which the face-circle meets edge ``s``: its cotangent
+    times sin/identity/sinh of the section radius is ``d_tangent``."""
+    return math.atan2(trig.sfac(geom.background, geom.r_section[s]), geom.d_tangent[s])
+
+
+def center_distance(geom, s):
+    """Signed distance from the face-circle center to edge ``s``
+    (spherical and Euclidean faces)."""
+    if geom.background is Background.SPHERICAL:
+        return math.atan(geom.d_tangent[s])
+    return geom.d_tangent[s]
+
+
 def test_euclidean_equilateral_face_circle():
     tri = DecoratedTriangle(Background.EUCLIDEAN, (2.0, 2.0, 2.0), (0.5, 0.5, 0.5))
     geom = trig.face_circle(tri)
     for s in range(3):
         assert geom.r_section[s] == pytest.approx(math.sqrt(0.75), abs=1e-12)
-        assert geom.d_center[s] == pytest.approx(2.0 / (2.0 * math.sqrt(3.0)), abs=1e-12)
+        assert center_distance(geom, s) == pytest.approx(2.0 / (2.0 * math.sqrt(3.0)), abs=1e-12)
     # radical-center brute-force oracle: equal power to all three circles
-    a, b, c = geom.positions
-    centers = np.array([a, b, c])
+    centers = np.array(trig.realize_triangle(Background.EUCLIDEAN, tri.lengths, geom.angles[0]))
     mat = 2.0 * (centers[1:] - centers[0])
     rhs = np.array(
         [
@@ -209,81 +201,94 @@ def test_euclidean_equilateral_face_circle():
     )  # equal radii cancel
     rc = np.linalg.solve(mat, rhs)
     power = float(np.dot(rc - centers[0], rc - centers[0])) - 0.25
-    assert geom.circle_kind == "circle"
-    assert geom.circumradius == pytest.approx(math.sqrt(power), abs=1e-10)
+    for s in range(3):
+        # face-circle radius from the right triangle at the foot on edge s
+        assert math.hypot(geom.d_tangent[s], geom.r_section[s]) == pytest.approx(
+            math.sqrt(power), abs=1e-10
+        )
 
 
 def test_spherical_octant_circumcircle():
     tri = DecoratedTriangle(Background.SPHERICAL, (math.pi / 2,) * 3, (0.0, 0.0, 0.0))
     geom = trig.face_circle(tri)
+    positions = trig.realize_triangle(Background.SPHERICAL, tri.lengths, geom.angles[0])
     # independent oracle: solve the 3x3 orthogonality system in the explicit
     # embedding; for points, orthogonality means the circle passes through them
-    lifts = np.array([trig.circle_lift(Background.SPHERICAL, p, 0.0) for p in geom.positions])
+    lifts = np.array([trig.circle_lift(Background.SPHERICAL, p, 0.0) for p in positions])
     met = np.array([1.0, 1.0, 1.0, -1.0])
     _, _, vt = np.linalg.svd(lifts * met)
     lift = vt[-1]
     lift /= math.sqrt(trig.mdot(lift, lift))
     center = lift[:3] / np.linalg.norm(lift[:3])
     cos_rf = abs(lift[3]) / np.linalg.norm(lift[:3])
-    for p in geom.positions:
+    for p in positions:
         assert float(np.dot(center, p)) == pytest.approx(cos_rf, abs=1e-12)
-    assert geom.circumradius == pytest.approx(math.acos(cos_rf), abs=1e-12)
     for s in range(3):
-        assert geom.alpha[s] == pytest.approx(math.pi / 4, abs=1e-12)
+        d = center_distance(geom, s)
+        # face-circle radius from the right triangle at the foot on edge s
+        assert math.cos(d) * math.cos(geom.r_section[s]) == pytest.approx(cos_rf, abs=1e-12)
+        assert alpha(geom, s) == pytest.approx(math.pi / 4, abs=1e-12)
         assert geom.r_section[s] == pytest.approx(math.pi / 4, abs=1e-12)
-        assert geom.d_center[s] == pytest.approx(math.acos(math.sqrt(2.0 / 3.0)), abs=1e-12)
+        assert d == pytest.approx(math.acos(math.sqrt(2.0 / 3.0)), abs=1e-12)
 
 
 def test_face_circle_orthogonality_lift_oracle(rng):
+    # the support function's lift is orthogonal to every vertex circle,
+    # and on the sphere its center lies at the kernel's distance from
+    # each edge
     for bg in ALL_BACKGROUNDS:
         for k in range(15):
             tri = random_triangle(bg, rng, ideal=(k % 3 == 0))
             geom = trig.face_circle(tri)
+            positions = trig.realize_triangle(bg, tri.lengths, geom.angles[0])
+            face_lift = trig._face_circle_lift(bg, positions, tri.radii)
             for s in range(3):
-                lift = trig.circle_lift(bg, geom.positions[s], tri.radii[s])
+                lift = trig.circle_lift(bg, positions[s], tri.radii[s])
                 norm = np.linalg.norm(lift)
-                assert abs(trig.mdot(geom.face_lift, lift)) / norm < 1e-10
+                assert abs(trig.mdot(face_lift, lift)) / norm < 1e-10
+            if bg is not Background.SPHERICAL:
+                continue
+            # the center whose face-circle radius is at most pi/2
+            center = math.copysign(1.0, face_lift[3]) * face_lift[:3]
+            center /= np.linalg.norm(center)
+            for s in range(3):
+                a, b, apex = positions[s], positions[(s + 1) % 3], positions[(s + 2) % 3]
+                n = np.cross(a, b)
+                n = math.copysign(1.0, float(np.dot(n, apex))) * n / np.linalg.norm(n)
+                assert math.asin(float(np.dot(center, n))) == pytest.approx(
+                    center_distance(geom, s), abs=1e-10
+                )
 
 
 def test_face_circle_identities(rng):
-    # right-angle relation, cot relation, and foot identity per background
+    # foot identity per edge, and one face-circle radius seen from all
+    # three edges through the right triangle at each foot
     for bg in ALL_BACKGROUNDS:
         for k in range(15):
             tri = random_triangle(bg, rng, ideal=(k % 4 == 0))
             geom = trig.face_circle(tri)
+            radius_terms = []
             for s in range(3):
-                rho, d, dt = geom.r_section[s], geom.d_center[s], geom.d_tangent[s]
-                dfoot = geom.d_foot[s][0]
+                rho, t = geom.r_section[s], geom.d_tangent[s]
                 r_i = tri.radii[s]
+                foot, _ = trig.section_foot_radius(bg, tri.lengths[s], r_i, tri.radii[(s + 1) % 3])
                 if bg is Background.SPHERICAL:
-                    assert math.tan(d) == pytest.approx(
-                        1.0 / math.tan(geom.alpha[s]) * math.sin(rho), abs=1e-10
-                    )
-                    assert math.cos(dfoot) == pytest.approx(
-                        math.cos(r_i) * math.cos(rho), abs=1e-10
-                    )
-                    if geom.circle_kind == "circle":
-                        assert math.cos(geom.circumradius) == pytest.approx(
-                            abs(math.cos(d)) * math.cos(rho), abs=1e-10
-                        )
+                    assert math.cos(foot) == pytest.approx(math.cos(r_i) * math.cos(rho), abs=1e-10)
+                    # cos^2 of the radius: cos^2 d cos^2 rho
+                    radius_terms.append(math.cos(rho) ** 2 / (1.0 + t * t))
                 elif bg is Background.HYPERBOLIC:
-                    assert dt == pytest.approx(
-                        1.0 / math.tan(geom.alpha[s]) * math.sinh(rho), abs=1e-10
-                    )
-                    assert math.cosh(dfoot) == pytest.approx(
+                    assert math.cosh(foot) == pytest.approx(
                         math.cosh(r_i) * math.cosh(rho), abs=1e-10
                     )
-                    if geom.circle_kind == "circle" and math.isfinite(d):
-                        assert math.cosh(geom.circumradius) == pytest.approx(
-                            math.cosh(d) * math.cosh(rho), abs=1e-10
-                        )
+                    # 1 / cosh^2 of the radius: 1 / (cosh^2 d cosh^2 rho),
+                    # zero for a horocycle and negative for a hypercycle
+                    radius_terms.append((1.0 - t * t) / math.cosh(rho) ** 2)
                 else:
-                    assert d == pytest.approx(
-                        1.0 / math.tan(geom.alpha[s]) * rho, abs=1e-10
-                    )
-                    assert dfoot**2 == pytest.approx(r_i**2 + rho**2, abs=1e-10)
-                    assert geom.circumradius**2 == pytest.approx(d**2 + rho**2, abs=1e-8)
-                assert 0.0 < geom.alpha[s] < math.pi
+                    assert foot**2 == pytest.approx(r_i**2 + rho**2, abs=1e-10)
+                    # squared radius: d^2 + rho^2
+                    radius_terms.append(t * t + rho * rho)
+                assert 0.0 < alpha(geom, s) < math.pi
+            assert radius_terms == pytest.approx([radius_terms[0]] * 3, rel=1e-10, abs=1e-10)
 
 
 def test_face_circle_relabeling_invariance(rng):
@@ -298,34 +303,34 @@ def test_face_circle_relabeling_invariance(rng):
         )
         geom_rot = trig.face_circle(rot)
         for s in range(3):
-            assert geom_rot.alpha[s] == pytest.approx(geom.alpha[(s + 1) % 3], abs=1e-10)
+            assert geom_rot.angles[s] == pytest.approx(geom.angles[(s + 1) % 3], abs=1e-10)
             assert geom_rot.r_section[s] == pytest.approx(geom.r_section[(s + 1) % 3], abs=1e-10)
             assert geom_rot.d_tangent[s] == pytest.approx(geom.d_tangent[(s + 1) % 3], abs=1e-10)
-        # reflection (swap the last two corners): edge s=0 reverses, others swap
+        # reflection (swap the first two corners): edge s=0 reverses, the
+        # others swap
         ref = DecoratedTriangle(
             bg,
             (tri.lengths[0], tri.lengths[2], tri.lengths[1]),
             (tri.radii[1], tri.radii[0], tri.radii[2]),
         )
         geom_ref = trig.face_circle(ref)
-        mapping = {0: 0, 1: 2, 2: 1}
+        edges = {0: 0, 1: 2, 2: 1}
+        corners = {0: 1, 1: 0, 2: 2}
         for s in range(3):
-            assert geom_ref.alpha[s] == pytest.approx(geom.alpha[mapping[s]], abs=1e-10)
-            assert geom_ref.r_section[s] == pytest.approx(geom.r_section[mapping[s]], abs=1e-10)
-            assert geom_ref.d_tangent[s] == pytest.approx(geom.d_tangent[mapping[s]], abs=1e-10)
+            assert geom_ref.angles[s] == pytest.approx(geom.angles[corners[s]], abs=1e-10)
+            assert geom_ref.r_section[s] == pytest.approx(geom.r_section[edges[s]], abs=1e-10)
+            assert geom_ref.d_tangent[s] == pytest.approx(geom.d_tangent[edges[s]], abs=1e-10)
 
 
 def test_hyperbolic_hypercycle_face_circle():
     # a long thin triangle has no circumcenter: the orthogonal "circle" is
-    # a hypercycle, but the angles and tangent data stay finite
+    # a hypercycle, which no edge sees at a finite center distance, but
+    # the tangent data stay finite
     tri = DecoratedTriangle(Background.HYPERBOLIC, (6.0, 3.2, 3.2), (0.05, 0.05, 0.05))
     geom = trig.face_circle(tri)
-    assert geom.circle_kind == "hypercycle"
-    assert math.isinf(geom.circumradius)
     for s in range(3):
-        assert math.isinf(geom.d_center[s])
-        assert math.isfinite(geom.d_tangent[s])
-        assert 0.0 < geom.alpha[s] < math.pi
+        assert 1.0 < abs(geom.d_tangent[s]) < math.inf
+        assert 0.0 < alpha(geom, s) < math.pi
 
 
 # -- diagonal length ---------------------------------------------------------------
@@ -385,7 +390,7 @@ def test_diagonal_shared_edge_mismatch_rejected():
         trig.diagonal_length(Background.EUCLIDEAN, t1, t2)
 
 
-# -- scalar cross product and geodesic lifts ---------------------------------------
+# -- scalar cross product ----------------------------------------------------------
 
 
 def test_cross_matches_np_cross_exactly(rng):
@@ -404,32 +409,3 @@ def test_cross_matches_np_cross_exactly(rng):
     for k in range(n):
         # repr tells floats apart bit for bit, NaN and -0.0 included
         assert repr(trig._cross(p[k], q[k])) == repr(tuple(want[k])), (p[k], q[k])
-
-
-def reference_geodesic_lift(bg, p, q, side_point):
-    """The curved branches of geodesic_lift with np.cross: the exact oracle."""
-    if bg is Background.SPHERICAL:
-        n = np.cross(p, q)
-        n = n / np.linalg.norm(n)
-        if np.dot(n, side_point) < 0:
-            n = -n
-        return np.array([n[0], n[1], n[2], 0.0])
-    m = np.cross(p, q)
-    m[2] = -m[2]
-    m = m / math.sqrt(m[0] * m[0] + m[1] * m[1] - m[2] * m[2])
-    if m[0] * side_point[0] + m[1] * side_point[1] - m[2] * side_point[2] < 0:
-        m = -m
-    return np.array([0.0, m[0], m[1], m[2]])
-
-
-def test_geodesic_lift_matches_np_cross_reference_exactly(rng):
-    for bg in (Background.SPHERICAL, Background.HYPERBOLIC):
-        for _ in range(300):
-            tri = random_triangle(bg, rng)
-            th0 = trig.interior_angles(bg, tri.lengths)[0]
-            pos = trig.realize_triangle(bg, tri.lengths, th0)
-            for s in range(3):
-                a, b, c = pos[s], pos[(s + 1) % 3], pos[(s + 2) % 3]
-                for args in ((a, b, c), (b, a, c)):  # both orientations
-                    got = trig.geodesic_lift(bg, *args).tolist()
-                    assert repr(got) == repr(reference_geodesic_lift(bg, *args).tolist())
