@@ -257,7 +257,10 @@ def cmd_invariant(args) -> int:
     from .metric import lambda_lengths
 
     inv = lambda_lengths(flipped)
-    tess = delaunay.extract_tessellation(flipped, tol=args.tol, geoms=log.geoms)
+    try:
+        tess = delaunay.extract_tessellation(flipped, tol=args.tol, geoms=log.geoms)
+    except BadParameters as ex:
+        raise CliError(EXIT_PARSE_ERROR, f"--tol: {ex}")
     tri = flipped.triangulation
     for e in tess.kept_edges:
         print(f"edge {tri.edge_label(e)} lambda {format(float(inv.lam[e]), '.17g')}")
@@ -302,6 +305,8 @@ def cmd_solve(args) -> int:
         raise CliError(EXIT_PARSE_ERROR, "target angles must be positive and finite")
     try:
         solved, report = solver.newton_solve(metric, theta, tol=args.tol, max_iter=args.max_iter)
+    except BadParameters as ex:
+        raise CliError(EXIT_PARSE_ERROR, str(ex))
     except Infeasible as ex:
         print(f"infeasible: {ex}")
         return EXIT_INFEASIBLE
@@ -313,8 +318,8 @@ def cmd_solve(args) -> int:
     print(f"converged in {report.iterations} iterations ({report.flips_initial} initial flips)")
     for k, res in enumerate(report.residuals):
         print(f"iteration {k} residual {format(res, '.17g')}")
-    for k, (flips, gain) in enumerate(zip(report.flips_per_iteration, report.functional_increases)):
-        print(f"step {k} flips {flips} functional-increase {format(gain, '.17g')}")
+    for k, (flips, gain) in enumerate(zip(report.flips_per_iteration, report.functional_increase_bounds)):
+        print(f"step {k} flips {flips} functional-increase-at-least {format(gain, '.17g')}")
     if args.out:
         write_surface_file(args.out, solved)
     return EXIT_OK

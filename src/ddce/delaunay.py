@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trig
-from .errors import FlipBoundExceeded, NotDelaunay
+from .errors import BadParameters, FlipBoundExceeded, NotDelaunay
 from .metric import DecoratedMetric, check_valid
 from .surface import _UnionFind
 from .trig import Background
@@ -251,7 +251,10 @@ class Tessellation:
 
 def extract_tessellation(m: DecoratedMetric, tol: float = 1e-9, geoms=None) -> Tessellation:
     """Drop all edges with |weight| <= tol and group faces across them.
-    Raises NotDelaunay if any weight is below -tol."""
+    Raises NotDelaunay if any weight is below -tol, and BadParameters
+    if ``tol`` is not finite and non-negative."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise BadParameters(f"tol must be finite and non-negative, got {tol!r}")
     if geoms is None:
         geoms = face_geometries(m)
     tri = m.triangulation

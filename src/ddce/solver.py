@@ -16,7 +16,14 @@ hidden.
 
 The functional itself is evaluated as a line integral of its exact
 gradient from the initial heights (the closed form via hyperbolic
-volumes is not needed for optimization).  The triangulation is
+volumes is not needed for optimization).  The line search needs only
+the sign of the increase along a trial step: on the concave
+backgrounds the gradient slope along the step does not increase, so a
+few slopes at nested dyadic nodes bound the increase from both sides
+(Riemann sums) and decide the trial, usually with one slope at the end
+point.  Spherical trials, and trials whose sampled slopes increase
+somewhere or stay undecided after eight, fall back to the sign of an
+8-panel Gauss-Legendre quadrature.  The triangulation is
 re-flipped to weighted Delaunay after every accepted step, since the
 functional is twice continuously differentiable only across Delaunay
 charts; lambda-lengths are transported in the running horocycle gauge
@@ -32,6 +39,7 @@ import numpy as np
 
 from . import delaunay, trig
 from .errors import (
+    BadParameters,
     HeightsOutOfDomain,
     Infeasible,
     LineSearchStalled,
@@ -134,6 +142,18 @@ def hessian(m: DecoratedMetric, geoms=None) -> np.ndarray:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
+def _slope(chart, theta_target, h_from, direction, s: float) -> float:
+    """Derivative of the functional along ``direction`` at
+    ``h_from + s * direction``; PathLeavesDomain if that point is not
+    valid heights."""
+    h = h_from + s * direction
+    try:
+        m = decoration_from_heights(chart[0], chart[1], Heights(h, *chart[2:]))
+    except HeightsOutOfDomain as ex:
+        raise PathLeavesDomain(f"at parameter {s:.6f}: {ex}") from ex
+    return float(np.dot(theta_target - cone_angles(m), direction))
+
+
 def _segment_integral(chart, theta_target, h_from, h_to, panels: int) -> float:
     direction = h_to - h_from
     total = 0.0
@@ -144,14 +164,53 @@ def _segment_integral(chart, theta_target, h_from, h_to, panels: int) -> float:
         half = (b - a) / 2.0
         for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
             s = mid + half * node
-            h = h_from + s * direction
-            try:
-                m = decoration_from_heights(chart[0], chart[1], Heights(h, *chart[2:]))
-            except HeightsOutOfDomain as ex:
-                raise PathLeavesDomain(f"at parameter {s:.6f}: {ex}") from ex
-            g = theta_target - cone_angles(m)
-            total += weight * half * float(np.dot(g, direction))
+            total += weight * half * _slope(chart, theta_target, h_from, direction, s)
     return total
+
+
+def _trial_gain(chart, theta_target, h_from, h_to, grad_from, m_to) -> float:
+    """A number whose sign decides a line-search trial ``h_from ->
+    h_to``: positive accepts it.  ``grad_from`` is the gradient at
+    ``h_from`` and ``m_to`` the metric at ``h_to``.
+
+    On hyperbolic and Euclidean backgrounds the functional is concave,
+    so the slope phi'(s) of phi(s) = F(h_from + s (h_to - h_from)) does
+    not increase and on k equal panels the gain phi(1) - phi(0) lies
+    between the lower Riemann sum L_k = (1/k) sum_{j=1..k} phi'(j/k)
+    and the upper one U_k = (1/k) sum_{j=0..k-1} phi'(j/k).  For k = 1,
+    2, 4, 8 on nested nodes this returns L_k once L_k > 0 (a certified
+    lower bound on the gain) or U_k once U_k <= 0.  phi'(0) and phi'(1)
+    come from ``grad_from`` and ``m_to``; every other node costs one
+    metric rebuild and one cone-angle sum.  The spherical functional is
+    not concave, so there, when the sampled slopes increase somewhere,
+    or when k = 8 decides neither way, this returns the 8-panel
+    Gauss-Legendre quadrature of the gain instead.  Raises
+    PathLeavesDomain if a node is not valid heights.
+    """
+    if chart[2] is not Background.SPHERICAL:
+        direction = h_to - h_from
+        slopes = [
+            float(np.dot(grad_from, direction)),
+            float(np.dot(theta_target - cone_angles(m_to), direction)),
+        ]
+        k = 1
+        while all(a >= b for a, b in zip(slopes, slopes[1:])):
+            lower = sum(slopes[1:]) / k
+            if lower > 0.0:
+                return lower
+            upper = sum(slopes[:-1]) / k
+            if upper <= 0.0:
+                return upper
+            if k == 8:
+                break
+            k *= 2
+            refined = [0.0] * (k + 1)
+            refined[0::2] = slopes
+            refined[1::2] = [
+                _slope(chart, theta_target, h_from, direction, j / k) for j in range(1, k, 2)
+            ]
+            slopes = refined
+    return _segment_integral(chart, theta_target, h_from, h_to, panels=8)
 
 
 def functional_value(
@@ -200,7 +259,13 @@ def functional_value(
 class SolveReport:
     """Trace of one Newton solve.  Residuals are recomputable cone-angle
     defects of the reported metric; heights and scale factors are
-    indexed by the vertex orbits of the input metric."""
+    indexed by the vertex orbits of the input metric.
+
+    ``functional_increase_bounds`` holds one positive number per
+    accepted step: a certified lower bound on the functional's increase
+    (hyperbolic and Euclidean), or the 8-panel quadrature of the
+    increase where the slopes cannot certify it (spherical, and the
+    rare fallback of ``_trial_gain``)."""
 
     background: str = ""
     converged: bool = False
@@ -208,7 +273,7 @@ class SolveReport:
     residuals: list = field(default_factory=list)
     flips_initial: int = 0
     flips_per_iteration: list = field(default_factory=list)
-    functional_increases: list = field(default_factory=list)
+    functional_increase_bounds: list = field(default_factory=list)
     final_heights: np.ndarray | None = None
     scale_factors: np.ndarray | None = None
     vertex_map: list | None = None
@@ -244,13 +309,27 @@ def newton_solve(
     """Maximize the Hilbert-Einstein functional until every cone angle
     matches its target within ``tol`` (sup norm).
 
+    Each iteration takes a Newton step and halves it until the
+    functional increases along it.  On hyperbolic and Euclidean
+    backgrounds a trial is decided from a few gradient slopes along the
+    step, which bound the increase from both sides because the
+    functional is concave (usually one slope at the end point, at most
+    eight); on the sphere, and wherever the slopes cannot decide, by
+    the sign of an 8-panel Gauss-Legendre quadrature of the increase.
+    See ``_trial_gain``.
+
     The result is discretely conformally equivalent to ``m0``, weighted
     Delaunay, and (Euclidean case) gauge-fixed by zero height at the
     first vertex orbit of the input.  Raises Infeasible before
     iterating when the Gauss-Bonnet check rejects the targets, and
     MaxIterations / LineSearchStalled with the partial report attached
-    otherwise.
+    otherwise.  Raises BadParameters for a ``tol`` that is not finite
+    and non-negative or a negative ``max_iter``.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise BadParameters(f"tol must be finite and non-negative, got {tol!r}")
+    if max_iter < 0:
+        raise BadParameters(f"max_iter must be non-negative, got {max_iter!r}")
     check_valid(m0, "input of newton_solve")
     tri0 = m0.triangulation
     theta_target = np.asarray(theta_target, dtype=float)
@@ -289,7 +368,8 @@ def newton_solve(
         if res <= tol:
             converged = True
             break
-        step = _solve_step(angle_jacobian(m, flog.geoms), theta_cur - theta, pin)
+        grad = theta_cur - theta
+        step = _solve_step(angle_jacobian(m, flog.geoms), grad, pin)
 
         chart = (m.triangulation, Invariant(m.triangulation, lam, eps), bg, ref_r, eps)
         s = 1.0
@@ -300,7 +380,7 @@ def newton_solve(
                 m_trial = decoration_from_heights(
                     m.triangulation, chart[1], Heights(h_trial, bg, ref_r, eps)
                 )
-                gain = _segment_integral(chart, theta_cur, h, h_trial, panels=8)
+                gain = _trial_gain(chart, theta_cur, h, h_trial, grad, m_trial)
             except (HeightsOutOfDomain, PathLeavesDomain):
                 s /= 2.0
                 continue
@@ -317,7 +397,7 @@ def newton_solve(
             raise LineSearchStalled(report.message, report)
 
         m, h = m_trial, h_trial
-        report.functional_increases.append(gain)
+        report.functional_increase_bounds.append(gain)
 
         m, flog = delaunay.flip_to_delaunay(m)
         report.flips_per_iteration.append(flog.flip_count)

@@ -238,6 +238,25 @@ def test_solve_rejects_bad_theta(tmp_path, genus2_file, capsys, theta):
     assert "positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--theta", "2pi", "--tol", "nan"], "tol must be finite and non-negative"),
+        (["solve", "--theta", "2pi", "--tol", "inf"], "tol must be finite and non-negative"),
+        (["solve", "--theta", "2pi", "--tol", "-1"], "tol must be finite and non-negative"),
+        (["solve", "--theta", "2pi", "--max-iter", "-3"], "max_iter must be non-negative"),
+        (["invariant", "--tol", "nan"], "--tol: tol must be finite and non-negative"),
+        (["invariant", "--tol", "inf"], "--tol: tol must be finite and non-negative"),
+        (["invariant", "--tol", "-1"], "--tol: tol must be finite and non-negative"),
+    ],
+)
+def test_bad_tolerance_or_iteration_cap_is_parse_error(genus2_file, capsys, argv, message):
+    assert run(argv[0], genus2_file, *argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 # -- transition ---------------------------------------------------------------------
 
 

@@ -248,7 +248,7 @@ def test_decorated_genus2_solve(genus2):
     solved, report = so.newton_solve(m0, np.array([2.0 * math.pi]), tol=1e-10, max_iter=25)
     assert report.converged
     assert abs(so.cone_angles(solved)[0] - 2.0 * math.pi) < 1e-10
-    assert all(g > 0 for g in report.functional_increases)
+    assert all(g > 0 for g in report.functional_increase_bounds)
     # invariant preserved: lambda tables agree after flips
     lam0 = np.sort(me.lambda_lengths(m0).lam)
     lam1 = np.sort(me.lambda_lengths(solved).lam)
@@ -268,7 +268,7 @@ def test_euclidean_torus_solve(rng):
     assert abs(np.sum(final) - 2.0 * math.pi * tri.vertex_count) < 1e-10
     # gauge: first vertex height is zero
     assert abs(report.final_heights[0]) < 1e-12
-    assert all(g > 0 for g in report.functional_increases)
+    assert all(g > 0 for g in report.functional_increase_bounds)
 
 
 def test_euclidean_uneven_targets(rng):
@@ -293,7 +293,7 @@ def test_hyperbolic_random_targets(rng):
     assert report.converged
     assert np.max(np.abs(so.cone_angles(solved) - theta)) < 1e-10
     assert dl.edge_weights(solved).min() >= -1e-12
-    assert all(g > 0 for g in report.functional_increases)
+    assert all(g > 0 for g in report.functional_increase_bounds)
 
 
 def test_solve_with_tangent_vertex_circles():
@@ -313,7 +313,8 @@ def test_stalled_line_search_names_spherical_targets_only_on_the_sphere(
     background, rng, monkeypatch
 ):
     m = random_metric(octahedron(), background, rng)
-    monkeypatch.setattr(so, "_segment_integral", lambda *args, **kw: -1.0)
+    # every trial is rejected, on both backgrounds
+    monkeypatch.setattr(so, "_trial_gain", lambda *args, **kw: -1.0)
     with pytest.raises(LineSearchStalled) as info:
         so.newton_solve(m, 0.95 * so.cone_angles(m))
     expected = background is Background.SPHERICAL
@@ -345,7 +346,7 @@ def solve_outcome(m, theta):
     return (
         out.lengths.tolist(), out.radii.tolist(), report.converged, report.iterations,
         report.residuals, report.flips_initial, report.flips_per_iteration,
-        report.functional_increases, report.final_heights.tolist(),
+        report.functional_increase_bounds, report.final_heights.tolist(),
         report.scale_factors.tolist(), report.vertex_map,
     )
 
@@ -366,7 +367,10 @@ def sheared_torus(n, background, rng, scale):
     return DecoratedMetric(tri, background, lengths, radii)
 
 
-def test_newton_solve_reuses_flip_geometries_exactly(rng, monkeypatch):
+def newton_cases(rng):
+    """(metric, targets) pairs whose solves re-flip: a random genus-2
+    octagon, a scrambled octahedron and sheared hyperbolic and Euclidean
+    3x3 and 4x4 tori."""
     cases = [
         (random_metric(Triangulation.genus_two_octagon(), Background.HYPERBOLIC, rng),
          np.array([2.0 * math.pi])),
@@ -380,6 +384,11 @@ def test_newton_solve_reuses_flip_geometries_exactly(rng, monkeypatch):
             if bg is Background.EUCLIDEAN:
                 d -= d.mean()  # Gauss-Bonnet equality
             cases.append((sheared_torus(n, bg, rng, scale), 2.0 * math.pi * (base + d)))
+    return cases
+
+
+def test_newton_solve_reuses_flip_geometries_exactly(rng, monkeypatch):
+    cases = newton_cases(rng)
     passes = []
     real_face_geometries = dl.face_geometries
 
@@ -405,3 +414,66 @@ def test_newton_solve_reuses_flip_geometries_exactly(rng, monkeypatch):
     assert repr(got) == repr(want)
     assert sum(sum(w[6]) for w in want) >= 10  # re-flips happen during the solves
     assert all(w[2] for w in want)  # every solve converges
+
+
+def test_slope_bounds_decide_every_trial_as_the_quadrature_does(rng, monkeypatch):
+    # the acceptance-suite genus-2 solves (criteria 5 and 10) besides the
+    # re-flipping cases: undecorated (one ideal vertex), decorated, and
+    # decorated after a conformal change
+    genus2 = Triangulation.genus_two_octagon()
+    g2 = [
+        DecoratedMetric(genus2, Background.HYPERBOLIC, np.full(9, 2.0), np.zeros(1)),
+        DecoratedMetric(genus2, Background.HYPERBOLIC, np.full(9, 2.4), np.array([0.25])),
+        me.conformal_change(
+            DecoratedMetric(genus2, Background.HYPERBOLIC, np.full(9, 2.4), np.array([0.25])),
+            np.array([0.1]),
+        ),
+        DecoratedMetric(genus2, Background.HYPERBOLIC, np.full(9, 2.5), np.array([0.3])),
+    ]
+    cases = newton_cases(rng) + [(m, np.array([2.0 * math.pi])) for m in g2]
+    real_trial_gain, real_cone_angles = so._trial_gain, so.cone_angles
+    evaluations = []
+    trials = []
+
+    def counted_cone_angles(m):
+        evaluations[-1] += 1
+        return real_cone_angles(m)
+
+    def checked(chart, theta, h_from, h_to, grad_from, m_to):
+        evaluations.append(0)
+        with monkeypatch.context() as mp:
+            mp.setattr(so, "cone_angles", counted_cone_angles)
+            try:
+                gain = real_trial_gain(chart, theta, h_from, h_to, grad_from, m_to)
+            except PathLeavesDomain:
+                gain = None
+        try:
+            quadrature = so._segment_integral(chart, theta, h_from, h_to, panels=8)
+        except PathLeavesDomain:
+            quadrature = None
+        end_slope = float(np.dot(theta - real_cone_angles(m_to), h_to - h_from))
+        trials.append((chart, theta, h_from, h_to, gain, quadrature, end_slope))
+        if gain is None:
+            raise PathLeavesDomain("slope node outside the domain")
+        return gain
+
+    monkeypatch.setattr(so, "_trial_gain", checked)
+    for m, theta in cases:
+        assert so.newton_solve(m, theta, tol=1e-10, max_iter=30)[1].converged
+    monkeypatch.undo()
+
+    def accepts(value):
+        return value is not None and value > 0.0
+
+    assert [accepts(t[4]) for t in trials] == [accepts(t[5]) for t in trials]
+    assert max(evaluations) <= 8
+    refined = [t for t in trials if t[6] <= 0.0 and accepts(t[4])]
+    assert refined
+    for chart, theta, h_from, h_to, bound, _, _ in refined:
+        # the functional's increase over the step, measured from the
+        # canonical heights of the trial's base point (ideal vertices
+        # at height zero)
+        m_from = me.decoration_from_heights(chart[0], chart[1], me.Heights(h_from, *chart[2:]))
+        base = me.heights_from_decoration(m_from)
+        to = me.Heights(base.h + (h_to - h_from), base.background, base.reference_radius, base.eps)
+        assert 0.0 < bound <= so.functional_value(m_from, to, theta)
