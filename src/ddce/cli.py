@@ -253,7 +253,7 @@ def _inverse_map(vertex_map):
 
 def cmd_invariant(args) -> int:
     metric, _ = _load_valid(args.path)
-    flipped, log = delaunay.flip_to_delaunay(metric)
+    flipped, log = delaunay.flip_to_delaunay(metric, track_support=False)
     from .metric import lambda_lengths
 
     inv = lambda_lengths(flipped)

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trig
-from .errors import BadParameters, FlipBoundExceeded, NotDelaunay
-from .metric import DecoratedMetric, check_valid
+from .errors import BadParameters, DegenerateTriangle, FlipBoundExceeded, NotDelaunay
+from .metric import DecoratedMetric, check_valid, validate
 from .surface import _UnionFind
 from .trig import Background
 
@@ -37,8 +37,42 @@ FLIP_TOL = 1e-12
 
 
 def face_geometries(m: DecoratedMetric) -> list:
-    """TriangleGeometry per face."""
-    return [trig.face_circle(m.face_triangle(f)) for f in range(m.triangulation.face_count)]
+    """TriangleGeometry per face.
+
+    The metric is checked once as a whole: any diagnostic of
+    ``metric.validate`` raises DegenerateTriangle naming them all.  Each
+    edge's orthogonal section is then evaluated once
+    (``trig.edge_section``) and read by both faces at the edge."""
+    bad = validate(m)
+    if bad:
+        raise DegenerateTriangle("; ".join(bad))
+    bg, tri = m.background, m.triangulation
+    lengths, radii = m.lengths.tolist(), m.radii.tolist()
+    sections = [
+        trig.edge_section(bg, length, radii[i], radii[j])
+        for length, (i, j) in zip(lengths, tri.edge_endpoint_ids)
+    ]
+    return [
+        _face_geometry(
+            trig.DecoratedTriangle(
+                bg, (lengths[a], lengths[b], lengths[c]), (radii[u], radii[v], radii[w])
+            ),
+            (sections[a], sections[b], sections[c]),
+        )
+        for (a, b, c), (u, v, w) in zip(tri.face_edge_ids, tri.face_vertex_ids)
+    ]
+
+
+def _face_geometry(t: trig.DecoratedTriangle, sections) -> trig.TriangleGeometry:
+    """``trig.face_circle`` of one face from the ``trig.edge_section``
+    of the edge at each of its slots: slot ``s`` reads its section from
+    corner ``s`` (``trig.side_section``)."""
+    l, r = t.lengths, t.radii
+    return trig.face_circle(t, (
+        trig.side_section(sections[0], l[0], r[0], r[1]),
+        trig.side_section(sections[1], l[1], r[1], r[2]),
+        trig.side_section(sections[2], l[2], r[2], r[0]),
+    ))
 
 
 def _edge_slot_data(m: DecoratedMetric, e: int, geoms):
@@ -112,8 +146,8 @@ def _rotated_triangle(m: DecoratedMetric, f: int, s: int) -> trig.DecoratedTrian
     tri = m.triangulation
     edges = tri.face_edges(f)
     verts = tri.face_vertices(f)
-    lengths = tuple(m.lengths[edges[(s + k) % 3]] for k in range(3))
-    radii = tuple(m.radii[verts[(s + k) % 3]] for k in range(3))
+    lengths = tuple(float(m.lengths[edges[(s + k) % 3]]) for k in range(3))
+    radii = tuple(float(m.radii[verts[(s + k) % 3]]) for k in range(3))
     return trig.DecoratedTriangle(m.background, lengths, radii)
 
 
@@ -132,9 +166,11 @@ class FlipLog:
 
     ``geoms`` is the TriangleGeometry of every face of the output
     metric, indexed by its face ids: field for field what
-    ``face_geometries`` computes on that metric.  It describes the
-    returned metric only; any later change of lengths, radii or
-    triangulation makes it stale.
+    ``face_geometries`` computes on that metric.  That holds bit for
+    bit because an edge's section, and which side reads the
+    complemented foot, depend only on its length and endpoint radii,
+    not on labels.  It describes the returned metric only; any later
+    change of lengths, radii or triangulation makes it stale.
     """
 
     records: list = field(default_factory=list)
@@ -158,7 +194,9 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
     records the support-function minimum after every flip, the
     monotone quantity behind the termination proof.  Faces outside a
     flipped quad keep their ids and slots, so only the two rebuilt
-    faces get a new geometry and a new support value per flip.
+    faces get a new geometry and a new support value per flip; their
+    five edges get their sections evaluated afresh, and their triangles
+    were checked by ``trig.diagonal_length``.
 
     Flips keep every edge and vertex id and the queue visits edges in
     canonical order; after flips the output is relabeled canonically
@@ -190,8 +228,12 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
             label = m.triangulation.edge_label(e)
             m, fr, new_len = flip_edge(m, e)
             rebuilt = set(h[0] for h in m.triangulation.edges[e])
+            face_edges = m.triangulation.face_edge_ids
+            sections = _edge_sections(m, {b for f in rebuilt for b in face_edges[f]})
             for f in rebuilt:
-                geoms[f] = trig.face_circle(m.face_triangle(f))
+                geoms[f] = _face_geometry(
+                    m.face_triangle(f), [sections[b] for b in face_edges[f]]
+                )
             for b in fr.quad_boundary_edges:
                 if b not in queued:
                     queue.append(b)
@@ -219,6 +261,18 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
     if log.records:
         m, log.vertex_map = _canonical_metric(m)
     return m, log
+
+
+def _edge_sections(m: DecoratedMetric, edges) -> dict:
+    """``trig.edge_section`` of each of the given edges, by edge id."""
+    ends = m.triangulation.edge_endpoint_ids
+    l, r = m.lengths, m.radii
+    return {
+        e: trig.edge_section(
+            m.background, float(l[e]), float(r[ends[e][0]]), float(r[ends[e][1]])
+        )
+        for e in edges
+    }
 
 
 def _canonical_metric(m: DecoratedMetric):

@@ -107,7 +107,9 @@ class DecoratedMetric:
         ea, eb, ec = tri.face_edge_ids[f]
         va, vb, vc = tri.face_vertex_ids[f]
         return trig.DecoratedTriangle(
-            self.background, (l[ea], l[eb], l[ec]), (r[va], r[vb], r[vc])
+            self.background,
+            (float(l[ea]), float(l[eb]), float(l[ec])),
+            (float(r[va]), float(r[vb]), float(r[vc])),
         )
 
 

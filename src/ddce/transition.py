@@ -120,7 +120,8 @@ def build_transition(m: DecoratedMetric, ts) -> TransitionPath:
     if not all(1.0 <= t < math.inf for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
         raise BadParameters("parameters must be finite, >= 1 and strictly increasing")
 
-    m_del, _ = delaunay.flip_to_delaunay(m)
+    # the flip log and its support values go unused here
+    m_del, _ = delaunay.flip_to_delaunay(m, track_support=False)
     tri = m_del.triangulation
     h1 = heights_from_decoration(m_del)
     inv = lambda_lengths(m_del)

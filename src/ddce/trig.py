@@ -7,6 +7,8 @@ This module computes, for a single triangle:
 
 * interior angles (law of cosines, in half-angle form),
 * inversive distances of vertex-circle pairs,
+* the orthogonal section of an edge, the circle centered on the edge
+  that meets both of its vertex circles at right angles,
 * the face-circle, the unique circle orthogonal to all three
   vertex circles, through the per-edge quantities derived from it:
   the orthogonal-section radius ``r_sec`` and the tangent (tan /
@@ -21,6 +23,16 @@ In the hyperbolic plane the face-circle may be a horocycle or a
 hypercycle instead of a compact circle; the tangents stay finite.
 Minkowski lifts of circles into R^{3,1} are kept only for the
 spherical support function.
+
+A section depends on its edge alone, so it is evaluated once per edge
+(``edge_section``, from the endpoint with the smaller radius) and the
+two faces at the edge read it (``side_section``): a side that runs
+from the smaller circle reads the foot ``x`` as it is, the other side
+reads the complemented foot ``l - x``, and both read the same radius.
+``face_circle`` takes the three sections of its sides and does not
+check its triangle: ``delaunay.face_geometries`` gates the whole
+metric once with ``metric.validate``, and the two faces a flip rebuilds
+are checked by ``diagonal_length``.
 """
 
 from __future__ import annotations
@@ -113,11 +125,6 @@ class DecoratedTriangle:
                     f"(r+r = {self.radii[s] + self.radii[(s + 1) % 3]} > l = {self.lengths[s]})"
                 )
         return out
-
-    def check(self) -> None:
-        bad = self.violations()
-        if bad:
-            raise DegenerateTriangle("; ".join(bad))
 
 
 # -- interior angles ----------------------------------------------------------
@@ -301,6 +308,28 @@ def section_foot_radius(background: Background, length: float, r_a: float, r_b: 
     return x, rho
 
 
+def edge_section(background: Background, length: float, r_i: float, r_j: float) -> tuple:
+    """Orthogonal section ``(x, rho)`` of an edge with endpoint radii
+    ``r_i`` and ``r_j``, in either order: ``section_foot_radius``
+    evaluated from the endpoint with the smaller radius, whose foot is
+    at most half the length away.  It depends on the edge alone, so one
+    evaluation serves both faces at the edge (``side_section``)."""
+    if r_j < r_i:
+        r_i, r_j = r_j, r_i
+    return section_foot_radius(background, length, r_i, r_j)
+
+
+def side_section(section: tuple, length: float, r_tail: float, r_head: float) -> tuple:
+    """The ``(x, rho)`` that a face side from a corner of radius
+    ``r_tail`` to one of radius ``r_head`` reads off its edge's
+    ``edge_section``: the foot as it is when ``r_tail <= r_head``, else
+    the complemented foot ``length - x``, well conditioned because
+    ``x <= length / 2``.  Both sides read the same radius."""
+    if r_tail <= r_head:
+        return section
+    return length - section[0], section[1]
+
+
 def sfac(background: Background, t: float) -> float:
     """sin / identity / sinh of ``t`` by background."""
     if background is Background.SPHERICAL:
@@ -337,13 +366,15 @@ class TriangleGeometry:
 
     ``r_section[s]`` is the radius of the circle centered on edge ``s``
     that meets both of its vertex circles orthogonally (zero when they
-    are tangent).  ``d_tangent[s]`` is tan/identity/tanh (by
-    background) of the signed distance from the face-circle center to
-    the edge; positive means the center lies on the same side of the
-    edge as the triangle.  In the hyperbolic plane a face-circle that
-    is a horocycle or hypercycle has no center, and ``|d_tangent[s]|``
-    is 1 or above 1 on every edge.  On the sphere the center is the
-    one whose face-circle radius is at most pi/2.
+    are tangent).  It comes from the edge's one ``edge_section``, so
+    the two faces at an edge hold the same value bit for bit.
+    ``d_tangent[s]`` is tan/identity/tanh (by background) of the signed
+    distance from the face-circle center to the edge; positive means the
+    center lies on the same side of the edge as the triangle.  In the
+    hyperbolic plane a face-circle that is a horocycle or hypercycle has
+    no center, and ``|d_tangent[s]|`` is 1 or above 1 on every edge.
+    On the sphere the center is the one whose face-circle radius is at
+    most pi/2.
     """
 
     background: Background
@@ -358,32 +389,33 @@ class TriangleGeometry:
         return self.angles[0] + self.angles[1] + self.angles[2]
 
 
-def face_circle(tri: DecoratedTriangle) -> TriangleGeometry:
+def face_circle(tri: DecoratedTriangle, sections) -> TriangleGeometry:
     """Angles and per-edge face-circle data of a decorated triangle.
 
-    The face-circle center projects onto edge ``s = (i -> j)`` at the
-    center of its orthogonal section, at distance ``x_ij`` from ``i``,
-    and onto the edge to the third corner ``k`` at distance ``x_ik``.
-    The right-angled triangles at ``i`` then give, with T = tan/id/tanh
-    and C = cos/1/cosh by background (Glickenstein 2011;
+    ``sections[s]`` is the ``(x, rho)`` that slot ``s`` reads off its
+    edge's section (``side_section``): the section of edge
+    ``s = (i -> j)`` is centered at distance ``x_ij`` from ``i``, where
+    the face-circle center projects onto the edge; on the edge to the
+    third corner ``k`` it projects at ``x_ik = l_ki - x_ki`` from ``i``.
+    The right-angled triangles at ``i`` then give, with T =
+    tan/id/tanh and C = cos/1/cosh by background (Glickenstein 2011;
     Glickenstein-Thomas 2017),
 
         T(d_ij) = C(x_ij) * (T(x_ik) - T(x_ij) * cos theta_i) / sin theta_i,
 
-    which stays finite when vertex circles are tangent.  Raises
-    DegenerateTriangle for invalid side/radius data.
+    which stays finite when vertex circles are tangent.  The triangle
+    is not checked here: callers pass validated data
+    (``delaunay.face_geometries`` gates the whole metric), and only
+    ``interior_angles`` still raises DegenerateTriangle, on degenerate
+    side lengths.
     """
-    tri.check()
     bg = tri.background
     lengths = tri.lengths
     angles = interior_angles(bg, lengths)
-    feet, r_section = zip(
-        *(section_foot_radius(bg, lengths[s], tri.radii[s], tri.radii[(s + 1) % 3]) for s in range(3))
-    )
     d_tangent = []
     for s in range(3):
-        x_ij = feet[s]
-        x_ik = lengths[(s + 2) % 3] - feet[(s + 2) % 3]
+        x_ij = sections[s][0]
+        x_ik = lengths[(s + 2) % 3] - sections[(s + 2) % 3][0]
         d_tangent.append(
             cfac(bg, x_ij)
             * (tfac(bg, x_ik) - tfac(bg, x_ij) * math.cos(angles[s]))
@@ -394,7 +426,7 @@ def face_circle(tri: DecoratedTriangle) -> TriangleGeometry:
         lengths=tuple(lengths),
         radii=tuple(tri.radii),
         angles=angles,
-        r_section=r_section,
+        r_section=(sections[0][1], sections[1][1], sections[2][1]),
         d_tangent=tuple(d_tangent),
     )
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ddce import Background, DecoratedMetric, DecoratedTriangle, Triangulation
-from ddce import delaunay, metric as me
+from ddce import delaunay, metric as me, trig
 
 
 def from_face_vertices(faces):
@@ -108,6 +108,28 @@ def random_triangle(bg, rng, ideal=False):
         tri = DecoratedTriangle(bg, tuple(lengths), tuple(radii))
         if not tri.violations():
             return tri
+
+
+def lone_face_circle(tri):
+    """``trig.face_circle`` of a lone triangle, each side reading the
+    section of its edge as ``delaunay.face_geometries`` reads it on a
+    surface: through the same per-face helper and ``trig.edge_section``."""
+    bg, l, r = tri.background, tri.lengths, tri.radii
+    return delaunay._face_geometry(
+        tri, [trig.edge_section(bg, l[s], r[s], r[(s + 1) % 3]) for s in range(3)]
+    )
+
+
+def geometry_fields(geom):
+    """Every field of a TriangleGeometry as text that tells floats apart
+    bit for bit (-0.0 and NaN included)."""
+    out = {}
+    for f in dataclasses.fields(geom):
+        value = getattr(geom, f.name)
+        if f.name != "background":
+            value = np.asarray(value, dtype=float).tolist()
+        out[f.name] = repr(value)
+    return out
 
 
 def reference_flip(tri, e):

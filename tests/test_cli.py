@@ -141,6 +141,36 @@ def test_invariant_reuses_flip_geometries(tmp_path, rng, capsys, monkeypatch):
     assert len(passes) == 1  # the flip pass; the tessellation reuses its geometries
 
 
+def test_invariant_and_transition_skip_the_support_function(tmp_path, capsys, monkeypatch):
+    # both discard the flip log's support values, so a spherical input
+    # must not realize a face for the support function
+    from ddce import delaunay
+
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "octahedron_spherical.json"
+    fixture = str(fixture)
+    m, _ = cli.load_surface_file(fixture)
+    assert m.background is Background.SPHERICAL
+    assert run("invariant", fixture) == 0
+    want_out = capsys.readouterr().out
+    want_path = tr.build_transition(m, [1.0, 10.0, 100.0])
+
+    def refuse(geom):
+        raise AssertionError("support function evaluated")
+
+    monkeypatch.setattr(delaunay, "_face_support_max", refuse)
+    with pytest.raises(AssertionError):
+        delaunay.flip_to_delaunay(m)  # the default tracks support on the sphere
+    assert run("invariant", fixture) == 0
+    assert capsys.readouterr().out == want_out
+    got_path = tr.build_transition(m, [1.0, 10.0, 100.0])
+    assert repr(got_path.rows) == repr(want_path.rows)
+    assert [x.lengths.tolist() for x in got_path.metrics] == [
+        x.lengths.tolist() for x in want_path.metrics
+    ]
+    prefix = str(tmp_path / "octahedron")
+    assert run("transition", fixture, "--t-list", "1,10", "--out-prefix", prefix) == 0
+
+
 def test_invariant_stable_under_conformal_change(tmp_path, rng, capsys):
     m = random_metric(octahedron(), Background.HYPERBOLIC, rng)
     u = rng.uniform(-0.1, 0.1, size=6)

@@ -1,6 +1,5 @@
 """Weighted Delaunay predicate, flip algorithm, and tessellation tests."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -11,12 +10,20 @@ from ddce import delaunay as dl
 from ddce import metric as me
 from ddce import solver as so
 from ddce import trig
-from ddce.errors import DDCEError, FlipBoundExceeded, FlipGeometryInvalid, NotDelaunay
+from ddce.errors import (
+    DDCEError,
+    DegenerateTriangle,
+    FlipBoundExceeded,
+    FlipGeometryInvalid,
+    NotDelaunay,
+)
 
 from conftest import (
     ALL_BACKGROUNDS,
+    geometry_fields,
     grid_torus,
     isosceles_sphere,
+    lone_face_circle,
     octahedron,
     random_metric,
     reference_flip,
@@ -52,6 +59,28 @@ def test_self_glued_isosceles_edge_nonnegative():
     for e in self_glued:
         assert w[e] >= 0
         assert dl.is_local_delaunay(m, e)
+
+
+@pytest.mark.parametrize(
+    "background, lengths, radii, diagnostic",
+    [
+        (Background.EUCLIDEAN, [1.0, 1.0, 1.0], [0.6, 0.6, 0.6], "vertex circles intersect"),
+        (Background.HYPERBOLIC, [1.0, 1.0, 2.5], [0.1, 0.1, 0.1], "triangle inequality violated"),
+        (Background.EUCLIDEAN, [1.0, math.nan, 1.0], [0.1, 0.1, 0.1], "not finite"),
+        (Background.SPHERICAL, [2.0, 2.0, 2.0], [1.6, 0.0, 0.0], "spherical radius"),
+        (Background.SPHERICAL, [2.2, 2.2, 2.2], [0.1, 0.1, 0.1], "not below 2*pi"),
+    ],
+)
+def test_face_geometries_gate_the_metric(background, lengths, radii, diagnostic):
+    # the kernel no longer checks its triangle: face_geometries refuses
+    # the metric as a whole, where the per-face check refused a face
+    m = DecoratedMetric(Triangulation.double_triangle(), background, lengths, radii)
+    assert any(m.face_triangle(f).violations() for f in range(2))
+    bad = me.validate(m)
+    assert any(diagnostic in msg for msg in bad)
+    with pytest.raises(DegenerateTriangle) as raised:
+        dl.face_geometries(m)
+    assert str(raised.value) == "; ".join(bad)
 
 
 def test_concave_quad_is_delaunay_without_flip():
@@ -194,18 +223,6 @@ def test_support_minimum_against_sampling(rng):
     assert worst <= fast + 2e-3  # sampling reaches the true minimum closely
 
 
-def geometry_fields(geom):
-    """Every field of a TriangleGeometry as text that tells floats apart
-    bit for bit (-0.0 and NaN included)."""
-    out = {}
-    for f in dataclasses.fields(geom):
-        value = getattr(geom, f.name)
-        if f.name != "background":
-            value = np.asarray(value, dtype=float).tolist()
-        out[f.name] = repr(value)
-    return out
-
-
 def test_flip_log_geoms_match_recomputation(rng):
     cases = []
     for bg in ALL_BACKGROUNDS:
@@ -261,7 +278,7 @@ def reference_flip_to_delaunay(m):
             queue = [edge_map[x] for x in queue]
             log.vertex_map = [vertex_map[x] for x in log.vertex_map]
             for f in {h[0] for h in m.triangulation.edges[new_edge]}:
-                geoms[f] = trig.face_circle(m.face_triangle(f))
+                geoms[f] = lone_face_circle(m.face_triangle(f))
             for b in boundary:
                 if b not in queue:
                     queue.append(b)

@@ -6,7 +6,9 @@ face-circle: in the plane its center is the power center of the three
 vertex circles; on the sphere and in the hyperbolic plane it is the
 null vector (by cofactors) of the three vertex-circle lifts to R^{3,1}.
 The orthogonal sections are constructed the same way, from the two
-vertex circles of an edge and the edge itself.
+vertex circles of an edge and the edge itself.  Each triangle is also
+checked as a face of its double, where the mirror face reads every
+edge's section from the other end.
 """
 
 import math
@@ -14,10 +16,10 @@ import math
 import pytest
 from mpmath import mp, mpf
 
-from ddce import Background, DecoratedTriangle
-from ddce import trig
+from ddce import Background, DecoratedMetric, DecoratedTriangle, Triangulation
+from ddce import delaunay, trig
 
-from conftest import ALL_BACKGROUNDS, random_triangle
+from conftest import ALL_BACKGROUNDS, geometry_fields, lone_face_circle, random_triangle
 
 TOL = 1e-12
 DIGITS = 50
@@ -158,11 +160,38 @@ def _error(got, want) -> float:
         return float(abs(mpf(got) - want) / max(1, abs(want)))
 
 
-def kernel_errors(tri: DecoratedTriangle) -> list:
-    """Errors of every ``d_tangent`` and ``r_section`` of ``face_circle``."""
-    geom = trig.face_circle(tri)
-    want_d, want_r = oracle(tri)
+def kernel_errors(geom) -> list:
+    """Errors of every ``d_tangent`` and ``r_section`` of a face geometry."""
+    want_d, want_r = oracle(DecoratedTriangle(geom.background, geom.lengths, geom.radii))
     return [_error(*pair) for pair in zip(geom.d_tangent + geom.r_section, want_d + want_r)]
+
+
+def _reversed_labels(tri):
+    """The same surface with its edge and vertex ids in reverse order
+    (faces and half-edges keep their names): labels that ``canonical``
+    changes."""
+    edges, vertices = tri.edges[::-1], tri.vertices[::-1]
+    return Triangulation(
+        face_count=tri.face_count,
+        gluing=tri.gluing,
+        edges=edges,
+        vertices=vertices,
+        edge_index={h: k for k, pair in enumerate(edges) for h in pair},
+        vertex_index={c: v for v, orbit in enumerate(vertices) for c in orbit},
+        genus=tri.genus,
+    )
+
+
+def doubled(tri: DecoratedTriangle) -> DecoratedMetric:
+    """The double of a triangle on non-canonical labels: face 0 is
+    ``tri`` slot for slot and face 1 its mirror image, whose sides run
+    the other way along every edge."""
+    surface = _reversed_labels(Triangulation.double_triangle())
+    lengths, radii = [0.0] * 3, [0.0] * 3
+    for s in range(3):
+        lengths[surface.edge_index[(0, s)]] = tri.lengths[s]
+        radii[surface.vertex_index[(0, s)]] = tri.radii[s]
+    return DecoratedMetric(surface, tri.background, lengths, radii)
 
 
 # -- corpus ----------------------------------------------------------------------
@@ -249,7 +278,21 @@ def test_face_circle_matches_oracle(case, rng):
     triangles = CASES[case](rng)
     assert triangles
     for tri in triangles:
-        assert all(err <= TOL for err in kernel_errors(tri)), tri
+        geom = lone_face_circle(tri)
+        assert all(err <= TOL for err in kernel_errors(geom)), tri
+        # on a surface: face 0 is the lone triangle, and its mirror reads
+        # the complemented foot on every side the lone one reads as is
+        m = doubled(tri)
+        geoms = delaunay.face_geometries(m)
+        assert geometry_fields(geoms[0]) == geometry_fields(geom)
+        assert all(err <= TOL for err in kernel_errors(geoms[1])), tri
+        for (f, s), (g, t) in m.triangulation.edges:
+            assert geoms[f].r_section[s] == geoms[g].r_section[t], tri
+        canon, _ = delaunay._canonical_metric(m)
+        assert canon.triangulation.edges != m.triangulation.edges
+        assert list(map(geometry_fields, delaunay.face_geometries(canon))) == list(
+            map(geometry_fields, geoms)
+        )
 
 
 def _near_concave_quads(rng):
@@ -280,10 +323,10 @@ def test_near_concave_quad_weights_match_oracle(rng):
         bg = t1.background
         corner = trig.interior_angles(bg, t1.lengths)[0] + trig.interior_angles(bg, t2.lengths)[1]
         assert math.pi - 2e-3 < corner < math.pi
-        for tri in (t1, t2):
-            assert all(err <= TOL for err in kernel_errors(tri)), tri
+        g1, g2 = lone_face_circle(t1), lone_face_circle(t2)
+        for geom in (g1, g2):
+            assert all(err <= TOL for err in kernel_errors(geom)), geom
         # the shared edge's weight, in the product form of edge_weight
-        g1, g2 = trig.face_circle(t1), trig.face_circle(t2)
         got = (g1.d_tangent[0] + g2.d_tangent[0]) / (
             trig.cfac(bg, g1.r_section[0]) * trig.sfac(bg, t1.lengths[0])
         )
