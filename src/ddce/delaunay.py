@@ -207,9 +207,9 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
         track_support = m.background is Background.SPHERICAL
     geoms = face_geometries(m)
     log = FlipLog(vertex_map=list(range(m.triangulation.vertex_count)))
-    supports = None  # per-face 1 / _face_support_max, built at the first flip
+    supports = []  # per-face support minima, refreshed on rebuilt faces
     if track_support:
-        log.initial_support_min = support_minimum(m, geoms)
+        log.initial_support_min = support_minimum(m, geoms, per_face=supports)
     max_flips = max(200, 40 * m.triangulation.edge_count)
 
     queue = deque(_canonical_order(m.triangulation))
@@ -240,11 +240,8 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
                     queued.add(b)
             support = None
             if track_support:
-                if supports is None:
-                    supports = [1.0 / _face_support_max(g) for g in geoms]
-                else:
-                    for f in rebuilt:
-                        supports[f] = 1.0 / _face_support_max(geoms[f])
+                for f in rebuilt:
+                    supports[f] = 1.0 / _face_support_max(geoms[f])
                 support = min(supports)
             log.records.append(FlipRecord(label, new_len, support))
         # re-verify: a drained queue can in principle miss a new diagonal
@@ -332,48 +329,51 @@ def extract_tessellation(m: DecoratedMetric, tol: float = 1e-9, geoms=None) -> T
 # -- spherical support function -------------------------------------------------
 
 def _face_support_max(geom) -> float:
-    """Maximum of <x, C> over the realized face, where C is the affine
-    representative of the face-circle.  1/max is the face minimum of
-    the support function.  Candidates: the vertices, critical points on
-    the edge arcs, and the direction of C itself when it lies inside
-    the face (there 1/<x, C> equals the face-circle radius cosine)."""
-    positions = trig.realize_triangle(geom.background, geom.lengths, geom.angles[0])
-    lift = trig._face_circle_lift(geom.background, positions, geom.radii)
-    if abs(lift[3]) < 1e-14:
-        return math.inf  # great-circle face circle: support minimum 0
-    c_aff = lift[:3] / lift[3]
-    best = max(float(np.dot(p, c_aff)) for p in positions)
-    for s in range(3):
-        a, b = positions[s], positions[(s + 1) % 3]
-        l = geom.lengths[s]
-        fa, fb = float(np.dot(a, c_aff)), float(np.dot(b, c_aff))
-        t = math.atan2(fb - fa * math.cos(l), fa * math.sin(l)) / l
-        if 0.0 < t < 1.0:
-            x = (math.sin((1.0 - t) * l) * a + math.sin(t * l) * b) / math.sin(l)
-            best = max(best, float(np.dot(x, c_aff)))
-    center = c_aff / np.linalg.norm(c_aff)
-    inside = True
-    for s in range(3):
-        a, b = positions[s], positions[(s + 1) % 3]
-        apex = positions[(s + 2) % 3]
-        n = np.array(trig._cross(a, b))
-        if float(np.dot(apex, n)) < 0:
-            n = -n
-        if float(np.dot(center, n)) < 0:
-            inside = False
-            break
-    if inside:
-        best = max(best, float(np.linalg.norm(c_aff)))
-    return best
+    """Maximum of <x, C> over the face, where C = c / cos R_f is the
+    affine representative of the face-circle with center c and radius
+    R_f <= pi/2, so that <x, C> = cos |x c| / cos R_f.  1/max is the
+    face minimum of the support function.
+
+    Closed form in the face kernel's data.  For side s let d_s be the
+    signed distance from c to the side (``d_tangent[s]`` is tan d_s)
+    and x_s the distance from corner s to the foot of c, which is the
+    center of the side's orthogonal section (``x_section[s]``).  Two
+    right-angled triangles have their hypotenuse from c to corner P_s:
+    one with legs d_s and x_s, through the foot, and one with legs R_f
+    and r_s, through a point where the face-circle crosses vertex
+    circle s at right angles.  So cos |c P_s| = cos x_s cos d_s =
+    cos R_f cos r_s, and
+
+        cos R_f = cos x_s cos d_s / cos r_s   (taken at corner 0),
+
+    while at the foot on side s, <x, C> = cos d_s / cos R_f =
+    cos r_s / cos x_s.  A foot never leaves its side
+    (0 <= x_s <= l_s, as r_s + r_{s+1} <= l_s), so all three feet are
+    points of the face.  The maximum is 1 / cos R_f when c lies in the
+    face (every d_s >= 0).  Otherwise the face point nearest c is the
+    foot on a side that separates c from the face, and the maximum is
+    the largest of the three foot values.  A great-circle face-circle
+    (cos R_f about 0) gives inf."""
+    x, r, t = geom.x_section, geom.radii, geom.d_tangent
+    cos_rf = math.cos(x[0]) / (math.cos(r[0]) * math.hypot(1.0, t[0]))
+    if cos_rf < 1e-14:
+        return math.inf  # support minimum 0
+    if t[0] >= 0.0 and t[1] >= 0.0 and t[2] >= 0.0:
+        return 1.0 / cos_rf
+    return max(math.cos(r[s]) / math.cos(x[s]) for s in range(3))
 
 
-def support_minimum(m: DecoratedMetric, geoms=None) -> float:
+def support_minimum(m: DecoratedMetric, geoms=None, per_face=None) -> float:
     """Minimum over the surface of the piecewise support function of the
     lifted face-circles (spherical background only).  Each flip of a
     strictly non-Delaunay edge increases this quantity, which bounds
-    the number of flips."""
+    the number of flips.  A list passed as ``per_face`` receives the
+    minimum on each face, in face order."""
     if m.background is not Background.SPHERICAL:
         raise ValueError("the support function is defined for spherical metrics")
     if geoms is None:
         geoms = face_geometries(m)
-    return min(1.0 / _face_support_max(g) for g in geoms)
+    values = [1.0 / _face_support_max(g) for g in geoms]
+    if per_face is not None:
+        per_face[:] = values
+    return min(values)

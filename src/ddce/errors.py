@@ -33,10 +33,6 @@ class ZeroRadius(DDCEError):
     """Inversive distance is undefined for a vanishing radius."""
 
 
-class NoRealFaceCircle(DDCEError):
-    """No real circle is orthogonal to all three vertex circles."""
-
-
 class FlipGeometryInvalid(DDCEError):
     """The triangles produced by a flip violate metric constraints."""
 

@@ -345,7 +345,7 @@ def newton_solve(
             "target angles violate the Gauss-Bonnet feasibility condition", report
         )
 
-    m, flog = delaunay.flip_to_delaunay(m0)
+    m, flog = delaunay.flip_to_delaunay(m0, track_support=False)
     report.flips_initial = flog.flip_count
     vmap = list(flog.vertex_map)
     theta_cur = np.empty_like(theta_target)
@@ -399,7 +399,7 @@ def newton_solve(
         m, h = m_trial, h_trial
         report.functional_increase_bounds.append(gain)
 
-        m, flog = delaunay.flip_to_delaunay(m)
+        m, flog = delaunay.flip_to_delaunay(m, track_support=False)
         report.flips_per_iteration.append(flog.flip_count)
         if flog.flip_count:
             new_h = np.empty_like(h)

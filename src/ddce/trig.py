@@ -21,8 +21,6 @@ face-circle data come from the right-angled triangles that the
 face-circle center, a corner and the feet of its perpendiculars form.
 In the hyperbolic plane the face-circle may be a horocycle or a
 hypercycle instead of a compact circle; the tangents stay finite.
-Minkowski lifts of circles into R^{3,1} are kept only for the
-spherical support function.
 
 A section depends on its edge alone, so it is evaluated once per edge
 (``edge_section``, from the endpoint with the smaller radius) and the
@@ -41,14 +39,10 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DegenerateTriangle, FlipGeometryInvalid, NoRealFaceCircle, ZeroRadius
+from .errors import DegenerateTriangle, FlipGeometryInvalid, ZeroRadius
 
 #: tolerance for triangle-inequality degeneracy checks
 DEGENERACY_TOL = 1e-12
-
-_MET = np.array([1.0, 1.0, 1.0, -1.0])
 
 
 class Background(enum.Enum):
@@ -72,11 +66,6 @@ class Background(enum.Enum):
     @property
     def name_lower(self) -> str:
         return self.name.lower()
-
-
-def mdot(x, y) -> float:
-    """Minkowski inner product of signature (3, 1) on lift vectors."""
-    return float(np.dot(x * _MET, y))
 
 
 @dataclass(frozen=True)
@@ -177,84 +166,6 @@ def inversive_distance(background: Background, length: float, r_i: float, r_j: f
     return (length * length - r_i * r_i - r_j * r_j) / (2.0 * r_i * r_j)
 
 
-# -- model realizations and lifts ---------------------------------------------
-# The kernel needs none of these; they serve the spherical support
-# function (delaunay._face_support_max) and the tests.
-
-def realize_triangle(background: Background, lengths, th0: float) -> tuple:
-    """Place corners 0, 1, 2 counterclockwise in the model surface:
-    the unit sphere in R^3, the plane R^2, or the hyperboloid
-    {x^2 + y^2 - z^2 = -1, z > 0} in R^{2,1}.  ``th0`` is the interior
-    angle at corner 0 (``interior_angles(background, lengths)[0]``)."""
-    l01, _, l20 = lengths
-    if background is Background.SPHERICAL:
-        p0 = np.array([0.0, 0.0, 1.0])
-        p1 = np.array([math.sin(l01), 0.0, math.cos(l01)])
-        p2 = math.cos(l20) * p0 + math.sin(l20) * np.array(
-            [math.cos(th0), math.sin(th0), 0.0]
-        )
-    elif background is Background.HYPERBOLIC:
-        p0 = np.array([0.0, 0.0, 1.0])
-        p1 = math.cosh(l01) * p0 + math.sinh(l01) * np.array([1.0, 0.0, 0.0])
-        p2 = math.cosh(l20) * p0 + math.sinh(l20) * np.array(
-            [math.cos(th0), math.sin(th0), 0.0]
-        )
-    else:
-        p0 = np.zeros(2)
-        p1 = np.array([l01, 0.0])
-        p2 = l20 * np.array([math.cos(th0), math.sin(th0)])
-    return p0, p1, p2
-
-
-def circle_lift(background: Background, center, radius: float):
-    """Unnormalized Minkowski lift; isotropic for radius zero (a point),
-    Minkowski norm equal to sin/sinh/identity of the radius otherwise."""
-    if background is Background.SPHERICAL:
-        return np.array([center[0], center[1], center[2], math.cos(radius)])
-    if background is Background.HYPERBOLIC:
-        return np.array([math.cosh(radius), center[0], center[1], center[2]])
-    n2 = center[0] * center[0] + center[1] * center[1]
-    return np.array(
-        [center[0], center[1], (n2 - radius * radius - 1.0) / 2.0, (n2 - radius * radius + 1.0) / 2.0]
-    )
-
-
-def _cross(p, q) -> tuple:
-    """Cross product of two 3-vectors as a tuple of floats.  Each
-    component is one rounded difference of two rounded products, the
-    arithmetic of ``np.cross``, so the result is the same bit for bit
-    without its per-call overhead."""
-    p0, p1, p2 = p.tolist()
-    q0, q1, q2 = q.tolist()
-    return (p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0)
-
-
-def _face_circle_lift(background: Background, positions, radii):
-    """Unit Minkowski lift of the circle orthogonal to the three vertex
-    circles of a realized triangle.  Raises NoRealFaceCircle when the
-    orthogonal complement is not spacelike."""
-    rows = []
-    for s in range(3):
-        lift = circle_lift(background, positions[s], radii[s])
-        rows.append(lift * _MET / np.linalg.norm(lift))
-    # difference the rows: for small triangles all three lifts nearly
-    # coincide and the raw 3x4 system is badly conditioned, while row
-    # differences keep the (identical) null space well separated
-    mat = np.array([rows[0], rows[1] - rows[0], rows[2] - rows[0]])
-    for k in (1, 2):
-        norm = np.linalg.norm(mat[k])
-        if norm > 0:
-            mat[k] /= norm
-    _, _, vt = np.linalg.svd(mat)
-    lift = vt[-1]
-    norm2 = mdot(lift, lift)
-    if norm2 <= 1e-14:
-        raise NoRealFaceCircle(
-            f"orthogonal complement has Minkowski norm^2 {norm2:.3e}; input not hyperideal"
-        )
-    return lift / math.sqrt(norm2)
-
-
 # -- orthogonal sections ------------------------------------------------------
 
 def section_foot_radius(background: Background, length: float, r_a: float, r_b: float) -> tuple:
@@ -339,15 +250,6 @@ def sfac(background: Background, t: float) -> float:
     return t
 
 
-def tfac(background: Background, t: float) -> float:
-    """tan / identity / tanh of ``t`` by background."""
-    if background is Background.SPHERICAL:
-        return math.tan(t)
-    if background is Background.HYPERBOLIC:
-        return math.tanh(t)
-    return t
-
-
 def cfac(background: Background, t: float) -> float:
     """cos / 1 / cosh of ``t`` by background."""
     if background is Background.SPHERICAL:
@@ -359,6 +261,13 @@ def cfac(background: Background, t: float) -> float:
 
 # -- face circle --------------------------------------------------------------
 
+#: T = tan/id/tanh and C = cos/1/cosh of ``face_circle``, by background
+_T_C = {
+    Background.SPHERICAL: (math.tan, math.cos),
+    Background.EUCLIDEAN: (lambda t: t, lambda t: 1.0),
+    Background.HYPERBOLIC: (math.tanh, math.cosh),
+}
+
 @dataclass(frozen=True)
 class TriangleGeometry:
     """Derived per-face cache: interior angles and, for each edge slot,
@@ -366,8 +275,10 @@ class TriangleGeometry:
 
     ``r_section[s]`` is the radius of the circle centered on edge ``s``
     that meets both of its vertex circles orthogonally (zero when they
-    are tangent).  It comes from the edge's one ``edge_section``, so
-    the two faces at an edge hold the same value bit for bit.
+    are tangent), and ``x_section[s]`` the distance from corner ``s``
+    along the edge to its center, where the face-circle center projects
+    onto the edge.  Both come from the edge's one ``edge_section``, so
+    the two faces at an edge hold the same radius bit for bit.
     ``d_tangent[s]`` is tan/identity/tanh (by background) of the signed
     distance from the face-circle center to the edge; positive means the
     center lies on the same side of the edge as the triangle.  In the
@@ -382,6 +293,7 @@ class TriangleGeometry:
     radii: tuple
     angles: tuple
     r_section: tuple
+    x_section: tuple
     d_tangent: tuple
 
     @property
@@ -412,14 +324,13 @@ def face_circle(tri: DecoratedTriangle, sections) -> TriangleGeometry:
     bg = tri.background
     lengths = tri.lengths
     angles = interior_angles(bg, lengths)
+    T, C = _T_C[bg]
+    x = (sections[0][0], sections[1][0], sections[2][0])
     d_tangent = []
     for s in range(3):
-        x_ij = sections[s][0]
-        x_ik = lengths[(s + 2) % 3] - sections[(s + 2) % 3][0]
+        x_ik = lengths[s - 1] - x[s - 1]  # slot s - 1 runs from k to i
         d_tangent.append(
-            cfac(bg, x_ij)
-            * (tfac(bg, x_ik) - tfac(bg, x_ij) * math.cos(angles[s]))
-            / math.sin(angles[s])
+            C(x[s]) * (T(x_ik) - T(x[s]) * math.cos(angles[s])) / math.sin(angles[s])
         )
     return TriangleGeometry(
         background=bg,
@@ -427,6 +338,7 @@ def face_circle(tri: DecoratedTriangle, sections) -> TriangleGeometry:
         radii=tuple(tri.radii),
         angles=angles,
         r_section=(sections[0][1], sections[1][1], sections[2][1]),
+        x_section=x,
         d_tangent=tuple(d_tangent),
     )
 

@@ -120,6 +120,127 @@ def lone_face_circle(tri):
     )
 
 
+# -- lift oracle ----------------------------------------------------------------
+# Model realizations and Minkowski lifts of circles into R^{3,1}: an
+# independent construction of the face-circle and of the spherical
+# support function, which the package computes in closed form.
+
+MET = np.array([1.0, 1.0, 1.0, -1.0])
+
+
+def mdot(x, y) -> float:
+    """Minkowski inner product of signature (3, 1) on lift vectors."""
+    return float(np.dot(x * MET, y))
+
+
+def realize_triangle(background, lengths, th0):
+    """Place corners 0, 1, 2 counterclockwise in the model surface:
+    the unit sphere in R^3, the plane R^2, or the hyperboloid
+    {x^2 + y^2 - z^2 = -1, z > 0} in R^{2,1}.  ``th0`` is the interior
+    angle at corner 0 (``trig.interior_angles(background, lengths)[0]``)."""
+    l01, _, l20 = lengths
+    if background is Background.SPHERICAL:
+        p0 = np.array([0.0, 0.0, 1.0])
+        p1 = np.array([math.sin(l01), 0.0, math.cos(l01)])
+        p2 = math.cos(l20) * p0 + math.sin(l20) * np.array(
+            [math.cos(th0), math.sin(th0), 0.0]
+        )
+    elif background is Background.HYPERBOLIC:
+        p0 = np.array([0.0, 0.0, 1.0])
+        p1 = math.cosh(l01) * p0 + math.sinh(l01) * np.array([1.0, 0.0, 0.0])
+        p2 = math.cosh(l20) * p0 + math.sinh(l20) * np.array(
+            [math.cos(th0), math.sin(th0), 0.0]
+        )
+    else:
+        p0 = np.zeros(2)
+        p1 = np.array([l01, 0.0])
+        p2 = l20 * np.array([math.cos(th0), math.sin(th0)])
+    return p0, p1, p2
+
+
+def circle_lift(background, center, radius):
+    """Unnormalized Minkowski lift; isotropic for radius zero (a point),
+    Minkowski norm equal to sin/sinh/identity of the radius otherwise."""
+    if background is Background.SPHERICAL:
+        return np.array([center[0], center[1], center[2], math.cos(radius)])
+    if background is Background.HYPERBOLIC:
+        return np.array([math.cosh(radius), center[0], center[1], center[2]])
+    n2 = center[0] * center[0] + center[1] * center[1]
+    return np.array(
+        [center[0], center[1], (n2 - radius * radius - 1.0) / 2.0, (n2 - radius * radius + 1.0) / 2.0]
+    )
+
+
+def cross(p, q):
+    """Cross product of two 3-vectors as a tuple of floats.  Each
+    component is one rounded difference of two rounded products, the
+    arithmetic of ``np.cross``, so the result is the same bit for bit."""
+    p0, p1, p2 = p.tolist()
+    q0, q1, q2 = q.tolist()
+    return (p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0)
+
+
+def face_circle_lift(background, positions, radii):
+    """Unit Minkowski lift of the circle orthogonal to the three vertex
+    circles of a realized triangle.  Raises ValueError when the
+    orthogonal complement is not spacelike."""
+    rows = []
+    for s in range(3):
+        lift = circle_lift(background, positions[s], radii[s])
+        rows.append(lift * MET / np.linalg.norm(lift))
+    # difference the rows: for small triangles all three lifts nearly
+    # coincide and the raw 3x4 system is badly conditioned, while row
+    # differences keep the (identical) null space well separated
+    mat = np.array([rows[0], rows[1] - rows[0], rows[2] - rows[0]])
+    for k in (1, 2):
+        norm = np.linalg.norm(mat[k])
+        if norm > 0:
+            mat[k] /= norm
+    _, _, vt = np.linalg.svd(mat)
+    lift = vt[-1]
+    norm2 = mdot(lift, lift)
+    if norm2 <= 1e-14:
+        raise ValueError(f"orthogonal complement has Minkowski norm^2 {norm2:.3e}")
+    return lift / math.sqrt(norm2)
+
+
+def lift_support_max(geom):
+    """Maximum of <x, C> over the realized spherical face, where C is
+    the affine representative of the lifted face-circle: the oracle for
+    ``delaunay._face_support_max``.  Candidates: the vertices, critical
+    points on the edge arcs, and the direction of C itself when it lies
+    inside the face (there 1/<x, C> equals the face-circle radius
+    cosine)."""
+    positions = realize_triangle(geom.background, geom.lengths, geom.angles[0])
+    lift = face_circle_lift(geom.background, positions, geom.radii)
+    if abs(lift[3]) < 1e-14:
+        return math.inf  # great-circle face circle: support minimum 0
+    c_aff = lift[:3] / lift[3]
+    best = max(float(np.dot(p, c_aff)) for p in positions)
+    for s in range(3):
+        a, b = positions[s], positions[(s + 1) % 3]
+        l = geom.lengths[s]
+        fa, fb = float(np.dot(a, c_aff)), float(np.dot(b, c_aff))
+        t = math.atan2(fb - fa * math.cos(l), fa * math.sin(l)) / l
+        if 0.0 < t < 1.0:
+            x = (math.sin((1.0 - t) * l) * a + math.sin(t * l) * b) / math.sin(l)
+            best = max(best, float(np.dot(x, c_aff)))
+    center = c_aff / np.linalg.norm(c_aff)
+    inside = True
+    for s in range(3):
+        a, b = positions[s], positions[(s + 1) % 3]
+        apex = positions[(s + 2) % 3]
+        n = np.array(cross(a, b))
+        if float(np.dot(apex, n)) < 0:
+            n = -n
+        if float(np.dot(center, n)) < 0:
+            inside = False
+            break
+    if inside:
+        best = max(best, float(np.linalg.norm(c_aff)))
+    return best
+
+
 def geometry_fields(geom):
     """Every field of a TriangleGeometry as text that tells floats apart
     bit for bit (-0.0 and NaN included)."""

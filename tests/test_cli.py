@@ -171,6 +171,25 @@ def test_invariant_and_transition_skip_the_support_function(tmp_path, capsys, mo
     assert run("transition", fixture, "--t-list", "1,10", "--out-prefix", prefix) == 0
 
 
+def test_spherical_solve_skips_the_support_function(capsys, monkeypatch):
+    # newton_solve reads no support value from its flip logs, so a
+    # spherical solve must not evaluate the support function either
+    from ddce import delaunay
+
+    fixture = str(Path(__file__).resolve().parent.parent / "fixtures" / "octahedron_spherical.json")
+    assert run("solve", fixture, "--theta", "2pi") == 3
+    want = capsys.readouterr()
+
+    def refuse(geom):
+        raise AssertionError("support function evaluated")
+
+    monkeypatch.setattr(delaunay, "_face_support_max", refuse)
+    assert run("solve", fixture, "--theta", "2pi") == 3
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (want.out, want.err)
+    assert "line search stalled (expected for spherical targets)" in want.out + want.err
+
+
 def test_invariant_stable_under_conformal_change(tmp_path, rng, capsys):
     m = random_metric(octahedron(), Background.HYPERBOLIC, rng)
     u = rng.uniform(-0.1, 0.1, size=6)

@@ -1,6 +1,7 @@
 """Weighted Delaunay predicate, flip algorithm, and tessellation tests."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +21,16 @@ from ddce.errors import (
 
 from conftest import (
     ALL_BACKGROUNDS,
+    face_circle_lift,
     geometry_fields,
     grid_torus,
     isosceles_sphere,
+    lift_support_max,
     lone_face_circle,
     octahedron,
+    oracle_corpus,
     random_metric,
+    realize_triangle,
     reference_flip,
     scrambled_metric,
     surface_fields,
@@ -211,8 +216,8 @@ def test_support_minimum_against_sampling(rng):
     fast = dl.support_minimum(m, geoms)
     worst = math.inf
     for geom in geoms:
-        a, b, c = trig.realize_triangle(geom.background, geom.lengths, geom.angles[0])
-        lift = trig._face_circle_lift(geom.background, (a, b, c), geom.radii)
+        a, b, c = realize_triangle(geom.background, geom.lengths, geom.angles[0])
+        lift = face_circle_lift(geom.background, (a, b, c), geom.radii)
         c_aff = lift[:3] / lift[3]
         for _ in range(4000):
             wts = rng.dirichlet((1.0, 1.0, 1.0))
@@ -221,6 +226,58 @@ def test_support_minimum_against_sampling(rng):
             worst = min(worst, 1.0 / float(np.dot(p, c_aff)))
     assert worst >= fast - 1e-12
     assert worst <= fast + 2e-3  # sampling reaches the true minimum closely
+
+
+def sheared_torus(n, rng):
+    """Spherical n x n grid torus on the sheared lattice a = (1, 0),
+    b = (s, h), scaled by 0.3: the long diagonal a + b makes every
+    face obtuse, with its face-circle center outside, until flipped."""
+    tri = grid_torus(n)
+    s, h = rng.uniform(0.25, 0.35), rng.uniform(0.85, 0.95)
+    norms = {"a": 1.0, "b": math.hypot(s, h), "d": math.hypot(1.0 + s, h)}
+    lengths = np.zeros(tri.edge_count)
+    for f in range(tri.face_count):
+        for slot, kind in enumerate("abd" if f % 2 == 0 else "dab"):
+            lengths[tri.edge_index[(f, slot)]] = 0.3 * norms[kind]
+    lengths *= 1.0 + rng.uniform(-0.01, 0.01, size=lengths.size)
+    radii = 0.3 * rng.uniform(0.12, 0.16, size=tri.vertex_count)
+    return DecoratedMetric(tri, Background.SPHERICAL, lengths, radii)
+
+
+def test_face_support_closed_form_matches_lift_oracle(rng):
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    metrics = [
+        cli.load_surface_file(str(fixtures / f"{name}.json"))[0]
+        for name in ("octahedron_spherical", "double_octant_spherical")
+    ]
+    metrics += [m for name, m in oracle_corpus(rng) if name.startswith("spherical")]
+    for n in (5, 6):
+        m = sheared_torus(n, rng)
+        metrics += [m, dl.flip_to_delaunay(m)[0]]
+    metrics.append(random_metric(grid_torus(4), Background.SPHERICAL, rng))
+    cases = {"inside": 0, "outside": 0}
+    for m in metrics:
+        for g in dl.face_geometries(m):
+            # every foot lies on its side, so the face point nearest an
+            # outside center is a foot, never a corner alone
+            assert all(0.0 <= g.x_section[s] <= g.lengths[s] for s in range(3))
+            cases["inside" if min(g.d_tangent) >= 0.0 else "outside"] += 1
+            want = lift_support_max(g)
+            assert dl._face_support_max(g) == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert min(cases.values()) >= 100, cases
+    # the limit of a great-circle face-circle: three point corners evenly
+    # spread on the equator (a hemisphere, which the kernel refuses)
+    third = 2.0 * math.pi / 3.0
+    hemisphere = trig.TriangleGeometry(
+        background=Background.SPHERICAL,
+        lengths=(third,) * 3,
+        radii=(0.0,) * 3,
+        angles=(math.pi,) * 3,
+        r_section=(third / 2.0,) * 3,
+        x_section=(third / 2.0,) * 3,
+        d_tangent=(math.tan(math.pi / 2.0),) * 3,
+    )
+    assert lift_support_max(hemisphere) == dl._face_support_max(hemisphere) == math.inf
 
 
 def test_flip_log_geoms_match_recomputation(rng):

@@ -9,7 +9,17 @@ from ddce import Background, DecoratedTriangle
 from ddce import trig
 from ddce.errors import DegenerateTriangle, FlipGeometryInvalid, ZeroRadius
 
-from conftest import ALL_BACKGROUNDS, lone_face_circle, outcome, random_triangle
+from conftest import (
+    ALL_BACKGROUNDS,
+    circle_lift,
+    cross,
+    face_circle_lift,
+    lone_face_circle,
+    mdot,
+    outcome,
+    random_triangle,
+    realize_triangle,
+)
 
 # frozen oracle values (50-digit evaluation of the stated closed forms)
 HYP_EQUILATERAL_ANGLE = 0.91879787217802736904  # acos((cosh^2 1 - cosh 1)/sinh^2 1)
@@ -142,9 +152,9 @@ def test_spherical_inversive_frozen_and_lift_oracle():
     # lift oracle: -<C_i, C_j> / (|C_i| |C_j|) on an explicit realization
     p = np.array([0.0, 0.0, 1.0])
     q = np.array([math.sin(1.0), 0.0, math.cos(1.0)])
-    ci = trig.circle_lift(Background.SPHERICAL, p, 0.3)
-    cj = trig.circle_lift(Background.SPHERICAL, q, 0.3)
-    lift_value = -trig.mdot(ci, cj) / math.sqrt(trig.mdot(ci, ci) * trig.mdot(cj, cj))
+    ci = circle_lift(Background.SPHERICAL, p, 0.3)
+    cj = circle_lift(Background.SPHERICAL, q, 0.3)
+    lift_value = -mdot(ci, cj) / math.sqrt(mdot(ci, ci) * mdot(cj, cj))
     assert value == pytest.approx(lift_value, abs=1e-12)
 
 
@@ -191,7 +201,7 @@ def test_euclidean_equilateral_face_circle():
         assert geom.r_section[s] == pytest.approx(math.sqrt(0.75), abs=1e-12)
         assert center_distance(geom, s) == pytest.approx(2.0 / (2.0 * math.sqrt(3.0)), abs=1e-12)
     # radical-center brute-force oracle: equal power to all three circles
-    centers = np.array(trig.realize_triangle(Background.EUCLIDEAN, tri.lengths, geom.angles[0]))
+    centers = np.array(realize_triangle(Background.EUCLIDEAN, tri.lengths, geom.angles[0]))
     mat = 2.0 * (centers[1:] - centers[0])
     rhs = np.array(
         [
@@ -211,14 +221,14 @@ def test_euclidean_equilateral_face_circle():
 def test_spherical_octant_circumcircle():
     tri = DecoratedTriangle(Background.SPHERICAL, (math.pi / 2,) * 3, (0.0, 0.0, 0.0))
     geom = lone_face_circle(tri)
-    positions = trig.realize_triangle(Background.SPHERICAL, tri.lengths, geom.angles[0])
+    positions = realize_triangle(Background.SPHERICAL, tri.lengths, geom.angles[0])
     # independent oracle: solve the 3x3 orthogonality system in the explicit
     # embedding; for points, orthogonality means the circle passes through them
-    lifts = np.array([trig.circle_lift(Background.SPHERICAL, p, 0.0) for p in positions])
+    lifts = np.array([circle_lift(Background.SPHERICAL, p, 0.0) for p in positions])
     met = np.array([1.0, 1.0, 1.0, -1.0])
     _, _, vt = np.linalg.svd(lifts * met)
     lift = vt[-1]
-    lift /= math.sqrt(trig.mdot(lift, lift))
+    lift /= math.sqrt(mdot(lift, lift))
     center = lift[:3] / np.linalg.norm(lift[:3])
     cos_rf = abs(lift[3]) / np.linalg.norm(lift[:3])
     for p in positions:
@@ -233,19 +243,19 @@ def test_spherical_octant_circumcircle():
 
 
 def test_face_circle_orthogonality_lift_oracle(rng):
-    # the support function's lift is orthogonal to every vertex circle,
+    # the oracle's lift is orthogonal to every vertex circle,
     # and on the sphere its center lies at the kernel's distance from
     # each edge
     for bg in ALL_BACKGROUNDS:
         for k in range(15):
             tri = random_triangle(bg, rng, ideal=(k % 3 == 0))
             geom = lone_face_circle(tri)
-            positions = trig.realize_triangle(bg, tri.lengths, geom.angles[0])
-            face_lift = trig._face_circle_lift(bg, positions, tri.radii)
+            positions = realize_triangle(bg, tri.lengths, geom.angles[0])
+            face_lift = face_circle_lift(bg, positions, tri.radii)
             for s in range(3):
-                lift = trig.circle_lift(bg, positions[s], tri.radii[s])
+                lift = circle_lift(bg, positions[s], tri.radii[s])
                 norm = np.linalg.norm(lift)
-                assert abs(trig.mdot(face_lift, lift)) / norm < 1e-10
+                assert abs(mdot(face_lift, lift)) / norm < 1e-10
             if bg is not Background.SPHERICAL:
                 continue
             # the center whose face-circle radius is at most pi/2
@@ -390,7 +400,7 @@ def test_diagonal_shared_edge_mismatch_rejected():
         trig.diagonal_length(Background.EUCLIDEAN, t1, t2)
 
 
-# -- scalar cross product ----------------------------------------------------------
+# -- the lift oracle's scalar cross product ------------------------------------------
 
 
 def test_cross_matches_np_cross_exactly(rng):
@@ -408,4 +418,4 @@ def test_cross_matches_np_cross_exactly(rng):
         want = np.cross(p, q).tolist()
     for k in range(n):
         # repr tells floats apart bit for bit, NaN and -0.0 included
-        assert repr(trig._cross(p[k], q[k])) == repr(tuple(want[k])), (p[k], q[k])
+        assert repr(cross(p[k], q[k])) == repr(tuple(want[k])), (p[k], q[k])

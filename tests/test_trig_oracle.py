@@ -8,7 +8,9 @@ null vector (by cofactors) of the three vertex-circle lifts to R^{3,1}.
 The orthogonal sections are constructed the same way, from the two
 vertex circles of an edge and the edge itself.  Each triangle is also
 checked as a face of its double, where the mirror face reads every
-edge's section from the other end.
+edge's section from the other end.  The spherical support function is
+checked against the same construction: the face-circle's lift, and the
+largest value of its affine representative over the realized face.
 """
 
 import math
@@ -158,6 +160,36 @@ def _error(got, want) -> float:
     """Error relative to ``max(1, |want|)``; NaN when ``got`` is NaN."""
     with mp.workdps(DIGITS):
         return float(abs(mpf(got) - want) / max(1, abs(want)))
+
+
+def support_oracle(tri: DecoratedTriangle):
+    """Maximum of <x, C> over a realized spherical face at 50 digits, C
+    the affine representative of the face-circle's lift: taken at the
+    corners, at the critical points of the side arcs, and at C's own
+    direction when that lies in the face."""
+    with mp.workdps(DIGITS):
+        lengths = [mpf(x) for x in tri.lengths]
+        p = _positions(Background.SPHERICAL, *lengths)
+        face = _null([[*p[s], mp.cos(mpf(tri.radii[s]))] for s in range(3)])
+        c_aff = [x / face[3] for x in face[:3]]
+        dot = lambda a, b: sum(x * y for x, y in zip(a, b))  # noqa: E731
+        best = max(dot(q, c_aff) for q in p)
+        inside = True
+        for s in range(3):
+            a, b, apex, l = p[s], p[(s + 1) % 3], p[(s + 2) % 3], lengths[s]
+            fa, fb = dot(a, c_aff), dot(b, c_aff)
+            t = mp.atan2(fb - fa * mp.cos(l), fa * mp.sin(l)) / l
+            if 0 < t < 1:
+                x = [
+                    (mp.sin((1 - t) * l) * u + mp.sin(t * l) * v) / mp.sin(l) for u, v in zip(a, b)
+                ]
+                best = max(best, dot(x, c_aff))
+            n = _cross(a, b)
+            if dot(n, apex) * dot(n, c_aff) < 0:
+                inside = False
+        if inside:
+            best = max(best, mp.sqrt(dot(c_aff, c_aff)))
+        return best
 
 
 def kernel_errors(geom) -> list:
@@ -341,3 +373,33 @@ def test_near_concave_quad_weights_match_oracle(rng):
                 den = length
             want = (d1[0] + d2[0]) / den
         assert _error(got, want) <= TOL
+
+
+def _near_flat_spherical_triangles(rng):
+    """Spherical triangles whose longest side falls short of the sum of
+    the other two by 1e-8 to 1e-3: a corner angle near pi, where the
+    realized lift loses up to about 1e-12 of the support value."""
+    out = []
+    while len(out) < 30:
+        a, b = rng.uniform(0.3, 1.2, size=2)
+        tri = DecoratedTriangle(
+            Background.SPHERICAL,
+            (a, b, a + b - 10.0 ** rng.uniform(-8, -3)),
+            tuple(rng.uniform(0.03, 0.18, size=3)),
+        )
+        if not tri.violations():
+            out.append(tri)
+    return out
+
+
+def test_face_support_matches_oracle(rng):
+    triangles = _near_flat_spherical_triangles(rng)
+    for case in ("tangent", "near-tangent", "tiny", "ideal", "spherical-ideal-on-circle", "random"):
+        triangles += [t for t in CASES[case](rng) if t.background is Background.SPHERICAL]
+    inside = 0
+    for tri in triangles:
+        geom = lone_face_circle(tri)
+        inside += min(geom.d_tangent) >= 0
+        assert _error(delaunay._face_support_max(geom) / support_oracle(tri), mpf(1)) <= 1e-14, tri
+    # both branches: the center in the face, and outside it
+    assert inside >= 10 and len(triangles) - inside >= 30
