@@ -27,8 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trig
-from .errors import BadParameters, DegenerateTriangle, FlipBoundExceeded, NotDelaunay
-from .metric import DecoratedMetric, check_valid, validate
+from .errors import (
+    BadParameters,
+    DegenerateTriangle,
+    FlipBoundExceeded,
+    NotDelaunay,
+    ResultInvalid,
+)
+from .metric import DecoratedMetric, validate
 from .surface import _UnionFind
 from .trig import Background
 
@@ -40,12 +46,42 @@ def face_geometries(m: DecoratedMetric) -> list:
     """TriangleGeometry per face.
 
     The metric is checked once as a whole: any diagnostic of
-    ``metric.validate`` raises DegenerateTriangle naming them all.  Each
-    edge's orthogonal section is then evaluated once
-    (``trig.edge_section``) and read by both faces at the edge."""
+    ``metric.validate`` raises DegenerateTriangle naming them all, with
+    the list as its ``diagnostics``.  Each edge's orthogonal section is
+    then evaluated once (``trig.edge_section``) and read by both faces
+    at the edge.  Surfaces of ``trig.ARRAY_MIN_FACES`` faces or more go
+    through the array kernel ``trig.face_circles``, which gives the
+    same floats."""
+    _gate(m)
+    if m.triangulation.face_count < trig.ARRAY_MIN_FACES:
+        return _scalar_geometries(m)
+    return face_arrays(m).geometries()
+
+
+def face_arrays(m: DecoratedMetric) -> trig.FaceArrays:
+    """What ``face_geometries`` computes, as ``F x 3`` arrays, without
+    checking the metric: for metrics that ``metric.validate`` has just
+    accepted, such as the outputs of ``decoration_from_heights``.
+    Surfaces below ``trig.ARRAY_MIN_FACES`` faces run the scalar
+    kernel face by face, the others ``trig.face_circles``."""
+    tri = m.triangulation
+    if tri.face_count < trig.ARRAY_MIN_FACES:
+        return trig.FaceArrays.stack(m.background, _scalar_geometries(m))
+    return trig.face_circles(
+        m.background, m.lengths, m.radii,
+        tri.face_edge_array, tri.face_vertex_array, tri.edge_endpoint_array,
+    )
+
+
+def _gate(m: DecoratedMetric) -> None:
     bad = validate(m)
     if bad:
-        raise DegenerateTriangle("; ".join(bad))
+        raise DegenerateTriangle("; ".join(bad), bad)
+
+
+def _scalar_geometries(m: DecoratedMetric) -> list:
+    """``_face_geometry`` of every face, after one ``trig.edge_section``
+    per edge."""
     bg, tri = m.background, m.triangulation
     lengths, radii = m.lengths.tolist(), m.radii.tolist()
     sections = [
@@ -80,25 +116,33 @@ def _edge_slot_data(m: DecoratedMetric, e: int, geoms):
     return geoms[f], s, geoms[g], t
 
 
-def edge_weight(m: DecoratedMetric, e: int, geoms=None) -> float:
-    """Decorated cotan weight of edge ``e``:
+def edge_weights(m: DecoratedMetric, geoms=None) -> np.ndarray:
+    """Decorated cotan weight of every edge:
     (cot alpha^k + cot alpha^l) * tan/tanh/id(r_sec) / sin/sinh/id(l),
     with alpha the angle at which a face-circle meets the edge,
     evaluated in the equivalent product form
     (T(d^k) + T(d^l)) / (cos/cosh/1(r_sec) * sin/sinh/id(l))
     which stays finite when the vertex circles of the edge are tangent
-    (cot alpha diverges but T(d) = sin/sinh/id(r_sec) cot alpha does not)."""
-    if geoms is None:
-        geoms = face_geometries(m)
-    gf, s, gg, t = _edge_slot_data(m, e, geoms)
-    denom = trig.cfac(m.background, gf.r_section[s]) * trig.sfac(m.background, m.lengths[e])
-    return (gf.d_tangent[s] + gg.d_tangent[t]) / denom
+    (cot alpha diverges but T(d) = sin/sinh/id(r_sec) cot alpha does not).
 
-
-def edge_weights(m: DecoratedMetric, geoms=None) -> np.ndarray:
+    ``geoms`` holds the face geometries of ``m``, as a list or as
+    ``trig.FaceArrays``; without them ``m`` is checked and evaluated as
+    ``face_geometries`` does."""
     if geoms is None:
-        geoms = face_geometries(m)
-    return np.array([edge_weight(m, e, geoms) for e in range(m.triangulation.edge_count)])
+        _gate(m)
+        geoms = face_arrays(m)
+    elif not isinstance(geoms, trig.FaceArrays):
+        geoms = trig.FaceArrays.stack(m.background, geoms)
+    sides = m.triangulation.edge_side_array
+    d = geoms.d_tangent.ravel()
+    bg = m.background
+    if bg is Background.EUCLIDEAN:
+        denom = m.lengths  # 1 * l
+    else:
+        sin, cos = trig.SIN_COS[bg]
+        rho = geoms.r_section.ravel()[sides[:, 0]]
+        denom = trig.each(cos, rho) * trig.each(sin, m.lengths)
+    return (d[sides[:, 0]] + d[sides[:, 1]]) / denom
 
 
 def _d_sum(m: DecoratedMetric, e: int, geoms) -> tuple:
@@ -169,7 +213,10 @@ class FlipLog:
     ``face_geometries`` computes on that metric.  That holds bit for
     bit because an edge's section, and which side reads the
     complemented foot, depend only on its length and endpoint radii,
-    not on labels.  It describes the returned metric only; any later
+    not on labels, and because the array kernel that
+    ``face_geometries`` runs on larger surfaces gives the scalar
+    kernel's floats, with which flips rebuild their two faces.  It
+    describes the returned metric only; any later
     change of lengths, radii or triangulation makes it stale.
     """
 
@@ -200,12 +247,20 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
 
     Flips keep every edge and vertex id and the queue visits edges in
     canonical order; after flips the output is relabeled canonically
-    once, and without any the input is returned as it is.
+    once, and without any the input is returned as it is.  The input
+    is validated once, by ``face_geometries``; an invalid one raises
+    ResultInvalid with the diagnostics of ``metric.validate``.  The
+    first sweep checks every edge, so when it flips nothing no
+    re-verify pass follows.
     """
-    check_valid(m, "input of flip_to_delaunay")
+    try:
+        geoms = face_geometries(m)
+    except DegenerateTriangle as ex:
+        raise ResultInvalid(
+            "input of flip_to_delaunay is not a valid decorated metric", ex.diagnostics
+        ) from None
     if track_support is None:
         track_support = m.background is Background.SPHERICAL
-    geoms = face_geometries(m)
     log = FlipLog(vertex_map=list(range(m.triangulation.vertex_count)))
     supports = []  # per-face support minima, refreshed on rebuilt faces
     if track_support:
@@ -244,6 +299,8 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
                     supports[f] = 1.0 / _face_support_max(geoms[f])
                 support = min(supports)
             log.records.append(FlipRecord(label, new_len, support))
+        if not log.records:
+            break  # the first sweep checked every edge and flipped none
         # re-verify: a drained queue can in principle miss a new diagonal
         stale = [
             e
@@ -306,8 +363,6 @@ def extract_tessellation(m: DecoratedMetric, tol: float = 1e-9, geoms=None) -> T
     if ``tol`` is not finite and non-negative."""
     if not (math.isfinite(tol) and tol >= 0):
         raise BadParameters(f"tol must be finite and non-negative, got {tol!r}")
-    if geoms is None:
-        geoms = face_geometries(m)
     tri = m.triangulation
     weights = edge_weights(m, geoms)
     offending = [tri.edge_label(e) for e in range(tri.edge_count) if weights[e] < -tol]

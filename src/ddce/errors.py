@@ -26,7 +26,13 @@ class UnflippableSelfGluing(DDCEError):
 # -- per-triangle geometry ---------------------------------------------------
 
 class DegenerateTriangle(DDCEError):
-    """Triangle inequality (or spherical range condition) violated."""
+    """Triangle inequality (or spherical range condition) violated.  A
+    whole metric rejected by ``delaunay.face_geometries`` attaches the
+    diagnostics of ``metric.validate``."""
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or []
 
 
 class ZeroRadius(DDCEError):

@@ -63,16 +63,23 @@ MIN_STEP = 2.0**-40
 
 
 def cone_angles(m: DecoratedMetric) -> np.ndarray:
-    """Total corner angle around each vertex orbit."""
+    """Total corner angle around each vertex orbit.  Surfaces of
+    ``trig.ARRAY_MIN_FACES`` faces or more take their corner angles from
+    ``trig.angle_array`` and sum them with ``np.bincount``, which adds
+    in the same order as ``_vertex_angle_sums``: the same floats."""
     tri = m.triangulation
-    bg, l = m.background, m.lengths
+    bg = m.background
+    if tri.face_count >= trig.ARRAY_MIN_FACES:
+        angles = trig.angle_array(bg, m.lengths[tri.face_edge_array])
+        return np.bincount(tri.face_vertex_array.ravel(), angles.ravel(), tri.vertex_count)
+    l = m.lengths.tolist()
     angles = (trig.interior_angles(bg, (l[ea], l[eb], l[ec])) for ea, eb, ec in tri.face_edge_ids)
     return _vertex_angle_sums(tri, angles)
 
 
 def _vertex_angle_sums(tri, face_angles) -> np.ndarray:
     """Sum per-face corner angles (slot order, one triple per face in
-    face order) at the vertex orbits."""
+    face order) at the vertex orbits, each sum from 0.0 in that order."""
     theta = [0.0] * tri.vertex_count
     for (va, vb, vc), (aa, ab, ac) in zip(tri.face_vertex_ids, face_angles):
         theta[va] += aa
@@ -111,21 +118,22 @@ def angle_jacobian(m: DecoratedMetric, geoms=None) -> np.ndarray:
     n = tri.vertex_count
     jac = np.zeros((n, n))
     for geom, verts in zip(geoms, tri.face_vertex_ids):
+        # per slot: this face's half q of the edge weight, in the product
+        # form of delaunay.edge_weights (finite at tangency), and K(l)
+        q, k = [], []
+        for d, rho, length in zip(geom.d_tangent, geom.r_section, geom.lengths):
+            q.append(d / (trig.cfac(bg, rho) * trig.sfac(bg, length)))
+            k.append(trig.cfac(bg, length))
         for s in range(3):
             i = verts[s]
+            # corner s sits on slots s and s + 2, towards corners s + 1, s + 2
             for slot, other in ((s, verts[(s + 1) % 3]), ((s + 2) % 3, verts[(s + 2) % 3])):
-                length = geom.lengths[slot]
-                # this face's half of the edge weight, in the product
-                # form of delaunay.edge_weight (finite at tangency)
-                q = geom.d_tangent[slot] / (
-                    trig.cfac(bg, geom.r_section[slot]) * trig.sfac(bg, length)
-                )
                 # d theta_i = sum_edges q * (K(l) dh_i - dh_other); per edge
                 # this sums to the Laplacian of the cotan weights plus the
                 # diagonal (K - 1) form, which is what finite differences
                 # of the cone angles reproduce.
-                jac[i, other] -= q
-                jac[i, i] += q * trig.cfac(bg, length)
+                jac[i, other] -= q[slot]
+                jac[i, i] += q[slot] * k[slot]
     return jac
 
 

@@ -103,7 +103,8 @@ class Triangulation:
     ``edge_endpoint_ids[e]`` the endpoint vertex indices of edge ``e``,
     as tuples of ints; ``face_edge_array``, ``face_vertex_array``
     (``F x 3``) and ``edge_endpoint_array`` (``E x 2``) hold the same
-    data as int arrays for numpy gathers.
+    data as int arrays for numpy gathers, and ``edge_side_array`` the
+    flat slots of ``edges``.
     """
 
     face_count: int
@@ -271,6 +272,13 @@ class Triangulation:
     @cached_property
     def edge_endpoint_array(self) -> np.ndarray:
         return np.array(self.edge_endpoint_ids, dtype=np.intp).reshape(self.edge_count, 2)
+
+    @cached_property
+    def edge_side_array(self) -> np.ndarray:
+        """``E x 2``: the two half-edges ``(f, s)`` of each edge as flat
+        slot indices ``3 f + s``, in ``edge_sides`` order."""
+        flat = [3 * f + s for sides in self.edges for f, s in sides]
+        return np.array(flat, dtype=np.intp).reshape(self.edge_count, 2)
 
     def edge_endpoints(self, e: int) -> tuple:
         """Vertex indices of the two endpoints (equal for a loop edge)."""

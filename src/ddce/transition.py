@@ -133,10 +133,11 @@ def build_transition(m: DecoratedMetric, ts) -> TransitionPath:
 
     for t in ts:
         ht = scale_family(h1, t)
-        mt = decoration_from_heights(tri, inv, ht)
-        geoms = delaunay.face_geometries(mt)
-        defect = max(abs(g.angle_sum - math.pi) for g in geoms)
-        wdev = float(np.max(np.abs(delaunay.edge_weights(mt, geoms) - w_euc)))
+        mt = decoration_from_heights(tri, inv, ht)  # validated there
+        faces = delaunay.face_arrays(mt)
+        angle_sums = faces.angles[:, 0] + faces.angles[:, 1] + faces.angles[:, 2]
+        defect = max(np.abs(angle_sums - math.pi).tolist())
+        wdev = float(np.max(np.abs(delaunay.edge_weights(mt, faces) - w_euc)))
         path.ts.append(t)
         path.heights.append(ht)
         path.metrics.append(mt)

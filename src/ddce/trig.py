@@ -1,4 +1,4 @@
-"""Per-triangle kernel for the three constant-curvature backgrounds.
+"""Face kernel for the three constant-curvature backgrounds.
 
 A decorated triangle is a spherical, Euclidean, or hyperbolic triangle
 together with a circle of radius ``r >= 0`` about each vertex such that
@@ -31,6 +31,22 @@ reads the complemented foot ``l - x``, and both read the same radius.
 check its triangle: ``delaunay.face_geometries`` gates the whole
 metric once with ``metric.validate``, and the two faces a flip rebuilds
 are checked by ``diagonal_length``.
+
+The array kernel (``face_circles``, and ``angle_array`` for the angles
+alone) computes the same floats for every edge and face of a surface
+at once.  There numpy does only gathers, ``+ - * /``, ``sqrt`` and
+comparisons, which IEEE 754 rounds exactly as Python's float
+operations do.  Every transcendental, ``**``, ``math.fsum`` and clamp
+stays the scalar ``math`` or builtin call, mapped over the values
+(``each``) in the scalar kernel's order of operations, and the clamps
+keep the NaN behaviour of the builtin ``min`` and ``max``.  So its
+floats equal the scalar kernel's bit for bit; numpy's transcendental
+ufuncs would not (README "Numerics").  Surfaces below
+``ARRAY_MIN_FACES`` = 24 faces keep the scalar kernel, where the
+array kernel's fixed cost is not yet paid back: the summed cost of
+``face_geometries``, ``cone_angles`` and a transition row breaks even
+at 20-24 faces.  The scalar kernel also serves the two faces a flip
+rebuilds, and the tests compare the array kernel against it.
 """
 
 from __future__ import annotations
@@ -38,6 +54,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from .errors import DegenerateTriangle, FlipGeometryInvalid, ZeroRadius
 
@@ -268,6 +287,12 @@ _T_C = {
     Background.HYPERBOLIC: (math.tanh, math.cosh),
 }
 
+#: sin/sinh and cos/cosh (``sfac``, ``cfac``) of the curved backgrounds
+SIN_COS = {
+    Background.SPHERICAL: (math.sin, math.cos),
+    Background.HYPERBOLIC: (math.sinh, math.cosh),
+}
+
 @dataclass(frozen=True)
 class TriangleGeometry:
     """Derived per-face cache: interior angles and, for each edge slot,
@@ -341,6 +366,190 @@ def face_circle(tri: DecoratedTriangle, sections) -> TriangleGeometry:
         x_section=x,
         d_tangent=tuple(d_tangent),
     )
+
+
+# -- array kernel -------------------------------------------------------------
+
+#: surfaces with fewer faces run the scalar kernel face by face.  The
+#: array kernel costs a fixed 30-130 us of numpy calls and saves about
+#: 2.5 (angles) to 8 (face data) us per face: alone, a transition row
+#: breaks even at 8-12 faces, ``face_geometries`` (which also builds
+#: the per-face objects) and ``cone_angles`` at 16-28; their summed
+#: cost breaks even at 20-24 faces in every background (README
+#: "Numerics")
+ARRAY_MIN_FACES = 24
+
+_PREV = np.array([2, 0, 1])  # slot s - 1 of slots 0, 1, 2
+_NEXT = np.array([1, 2, 0])
+
+
+def _max(a, b):
+    """Builtin ``max(a, b)`` value by value: ``b`` where ``b > a``, else
+    ``a``, so a NaN ``b`` loses and a NaN ``a`` wins, as in Python."""
+    return np.where(b > a, b, a)
+
+
+def _min(a, b):
+    """Builtin ``min(a, b)`` value by value, NaN handling as ``_max``."""
+    return np.where(b < a, b, a)
+
+
+def each(fn, a, *more) -> np.ndarray:
+    """The scalar ``fn`` mapped over the values of equal-shape arrays, in
+    array order: ``fn(a[k], more[0][k], ...)`` for every ``k``."""
+    flat = map(fn, a.ravel().tolist(), *(b.ravel().tolist() for b in more))
+    return np.fromiter(flat, float, a.size).reshape(a.shape)
+
+
+def _scalar_angles(background: Background, lengths) -> np.ndarray:
+    """``interior_angles`` row by row, raising for the first bad row."""
+    return np.array([interior_angles(background, tuple(row)) for row in lengths.tolist()])
+
+
+def angle_array(background: Background, lengths: np.ndarray) -> np.ndarray:
+    """``interior_angles`` of every row of an ``F x 3`` array of side
+    lengths, bit for bit, as an ``F x 3`` array.  Where a row is not
+    finite, or ``interior_angles`` would reject it, every row goes
+    through ``interior_angles``, which raises for the first bad row."""
+    a, b, c = lengths.T
+    perimeter = a + b + c
+    longest = lengths.max(axis=1)
+    # the checks of interior_angles, as one test that fails on NaN; a
+    # length <= 0 makes some gap <= 0, and on finite rows numpy's max is
+    # the builtin's.  Column s holds the gap l_s + l_{s+1} - l_{s+2}.
+    gaps = lengths + lengths[:, _NEXT] - lengths[:, _PREV]
+    ok = (gaps > (DEGENERACY_TOL * np.maximum(longest, 1.0))[:, None]).all()
+    if ok and background is Background.SPHERICAL:
+        ok = (longest < math.pi).all() and (perimeter < 2 * math.pi).all()
+    if not ok:
+        return _scalar_angles(background, lengths)
+    f = np.empty((len(lengths), 4))
+    f[:, 3] = perimeter / 2.0
+    f[:, :3] = f[:, 3:] - lengths  # sp - l_s, then sp
+    # each f is positive on rows that pass: sp - l_s is half a gap above
+    # 1e-12 up to rounding, and sp < pi on the sphere, so interior_angles'
+    # second check cannot fail here
+    try:
+        if background is Background.SPHERICAL:
+            f = each(math.sin, f)
+        elif background is Background.HYPERBOLIC:
+            f = each(math.sinh, f)
+    except OverflowError:
+        return _scalar_angles(background, lengths)
+    # corner s: f of slots s and s + 2 over f(sp) and f of slot s + 1
+    fl, fs = f[:, :3], f[:, 3:]
+    return 2.0 * each(math.atan, np.sqrt((fl * fl[:, _PREV]) / (fs * fl[:, _NEXT])))
+
+
+def _section_arrays(background: Background, length, r_a, r_b) -> tuple:
+    """``section_foot_radius`` of every edge, bit for bit, as arrays
+    ``(x, rho)``; the arguments are arrays of one value per edge."""
+    neg_a, neg_b = -r_a, -r_b
+    sums = zip(
+        np.concatenate((length, length, length, length)).tolist(),
+        np.concatenate((neg_a, neg_a, r_a, r_a)).tolist(),
+        np.concatenate((neg_b, r_b, neg_b, r_b)).tolist(),
+    )
+    gaps = np.fromiter(map(math.fsum, sums), float, 4 * length.size).reshape(4, -1) / 2.0
+    if background is Background.EUCLIDEAN:
+        x = (length * length + r_a * r_a - r_b * r_b) / (2.0 * length)
+        rho = np.sqrt(_max(0.0, 4.0 * (gaps[0] * gaps[1] * gaps[2] * gaps[3]))) / length
+        return x, rho
+    sin, cos = SIN_COS[background]
+    if background is Background.SPHERICAL:
+        plus, minus = (r_b + r_a) / 2.0, (r_b - r_a) / 2.0
+    else:
+        plus, minus = (r_a + r_b) / 2.0, (r_a - r_b) / 2.0
+    s_half, s_plus, s_minus, s_l, s0, s1, s2, s3 = each(
+        sin, np.concatenate(((length / 2.0, plus, minus, length), gaps))
+    )
+    c_a = each(cos, r_a)
+    s_half = np.fromiter(map(pow, s_half.tolist(), repeat(2)), float, s_half.size)  # ** 2
+    den = c_a * s_l
+    if background is Background.SPHERICAL:
+        num = 2.0 * (c_a * s_half - s_plus * s_minus)
+        x = each(math.atan2, num, den)
+        sin2 = 4.0 * (s0 * s1 * s2 * s3) / (den * den + num * num)
+        return x, each(math.asin, _min(1.0, np.sqrt(_max(0.0, sin2))))
+    num = 2.0 * (c_a * s_half + s_plus * s_minus)
+    x = each(math.atanh, _max(-1.0 + 1e-16, _min(1.0 - 1e-16, num / den)))
+    c_b = each(cos, r_b)
+    e_minus, e_plus = each(math.exp, np.array((-length, length)))
+    sinh2 = 4.0 * (s0 * s1 * s2 * s3) / ((c_b - c_a * e_minus) * (c_a * e_plus - c_b))
+    return x, each(math.asinh, np.sqrt(_max(0.0, sinh2)))
+
+
+@dataclass(frozen=True, eq=False)
+class FaceArrays:
+    """The fields of ``TriangleGeometry`` for every face of a surface, as
+    ``F x 3`` float arrays (row ``f`` holds face ``f`` in slot order)."""
+
+    background: Background
+    lengths: np.ndarray
+    radii: np.ndarray
+    angles: np.ndarray
+    r_section: np.ndarray
+    x_section: np.ndarray
+    d_tangent: np.ndarray
+
+    @classmethod
+    def stack(cls, background: Background, geoms) -> "FaceArrays":
+        """The arrays of a list of per-face geometries."""
+        return cls(background, *(
+            np.array([getattr(g, name) for g in geoms], dtype=float).reshape(-1, 3)
+            for name in ("lengths", "radii", "angles", "r_section", "x_section", "d_tangent")
+        ))
+
+    def geometries(self) -> list:
+        """One ``TriangleGeometry`` per face, with the same floats."""
+        rows = (map(tuple, a.tolist()) for a in (
+            self.lengths, self.radii, self.angles, self.r_section, self.x_section, self.d_tangent
+        ))
+        bg = self.background
+        return [TriangleGeometry(bg, *fields) for fields in zip(*rows)]
+
+
+def face_circles(
+    background: Background, lengths, radii, face_edges, face_vertices, edge_ends
+) -> FaceArrays:
+    """``face_circle`` of every face of a surface at once, bit for bit.
+
+    ``lengths`` and ``radii`` hold one value per edge and per vertex;
+    ``face_edges`` and ``face_vertices`` (``F x 3``) and ``edge_ends``
+    (``E x 2``) index them as the ``Triangulation`` tables of those
+    names do.  As ``delaunay.face_geometries`` does face by face, every
+    edge gets one ``edge_section``, from its endpoint with the smaller
+    radius, and each face side reads it through ``side_section``.
+
+    numpy does only gathers, ``+ - * /``, ``sqrt`` and comparisons,
+    which round exactly as the scalar float operations do; every
+    transcendental, ``**``, ``math.fsum`` and clamp is the scalar call
+    of the per-face kernel mapped over the values, in the same order of
+    operations, and the clamps keep the NaN behaviour of ``min`` and
+    ``max``.  So every float equals the scalar kernel's.  Only
+    degenerate faces are checked, before anything else is evaluated:
+    the first raises ``interior_angles``' DegenerateTriangle.  Other
+    data should pass ``metric.validate``.
+    """
+    L = lengths[face_edges]
+    angles = angle_array(background, L)
+    r_i, r_j = radii[edge_ends].T
+    swap = r_j < r_i
+    x, rho = _section_arrays(
+        background, lengths, np.where(swap, r_j, r_i), np.where(swap, r_i, r_j)
+    )
+    R = radii[face_vertices]
+    foot = x[face_edges]
+    X = np.where(R <= R[:, _NEXT], foot, L - foot)  # side_section
+    x_ik = (L - X)[:, _PREV]  # slot s - 1 runs from k to i
+    cos_t, sin_t = each(math.cos, angles), each(math.sin, angles)
+    if background is Background.EUCLIDEAN:
+        d = (x_ik - X * cos_t) / sin_t
+    else:
+        T, C = _T_C[background]
+        t_ik, t_ij = each(T, np.array((x_ik, X)))
+        d = each(C, X) * (t_ik - t_ij * cos_t) / sin_t
+    return FaceArrays(background, L, R, angles, rho[face_edges], X, d)
 
 
 # -- diagonal swap ------------------------------------------------------------

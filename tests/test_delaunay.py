@@ -125,8 +125,7 @@ def test_predicate_equivalence(rng):
         for _ in range(8):
             m = scrambled_metric(octahedron(), bg, rng, flips=3)
             geoms = dl.face_geometries(m)
-            for e in range(m.triangulation.edge_count):
-                w = dl.edge_weight(m, e, geoms)
+            for e, w in enumerate(dl.edge_weights(m, geoms).tolist()):
                 gf, s, gg, t = dl._edge_slot_data(m, e, geoms)
                 dsum = gf.d_tangent[s] + gg.d_tangent[t]
                 # face-circle angles at the edge, from cot alpha * sfac(rho) = d_tangent
@@ -396,11 +395,14 @@ def test_flip_to_delaunay_matches_rebuild_reference(rng, monkeypatch):
         assert flip_outcome(*got, vertex_map=False) == flip_outcome(*want, vertex_map=False)
         assert got[1].vertex_map == [want[1].vertex_map[w] for w in canon_map]
         # the re-verify pass too visits edges in canonical order: hide
-        # every violation from the first pass, so the second finds them all
+        # every violation but the first from the first pass, so the
+        # second finds the others (a first pass without a flip ends the
+        # loop, and then nothing is re-verified)
+        edges = kept.triangulation.edge_count
         with monkeypatch.context() as mp:
-            mp.setattr(dl, "is_local_delaunay", blind_first(kept.triangulation.edge_count))
+            mp.setattr(dl, "is_local_delaunay", blind_after_first_flip(edges))
             got = dl.flip_to_delaunay(kept)
-            mp.setattr(dl, "is_local_delaunay", blind_first(kept.triangulation.edge_count))
+            mp.setattr(dl, "is_local_delaunay", blind_after_first_flip(edges))
             want = reference_flip_to_delaunay(canon)
         assert got[1].sweeps >= 2 and got[1].flip_count > 0
         assert flip_outcome(*got, vertex_map=False) == flip_outcome(*want, vertex_map=False)
@@ -411,17 +413,61 @@ def test_flip_to_delaunay_matches_rebuild_reference(rng, monkeypatch):
 IS_LOCAL_DELAUNAY = dl.is_local_delaunay
 
 
-def blind_first(calls):
-    """``is_local_delaunay`` that answers True to its first ``calls`` calls."""
-    left = [calls]
+def blind_after_first_flip(calls):
+    """``is_local_delaunay`` that answers truthfully up to its first
+    False, then True to the rest of its first ``calls`` calls, and
+    truthfully again after them."""
+    left, flipped = [calls], [False]
 
     def predicate(m, e, strict=False, geoms=None):
-        if left[0] > 0:
-            left[0] -= 1
+        left[0] -= 1
+        if flipped[0] and left[0] >= 0:
             return True
-        return IS_LOCAL_DELAUNAY(m, e, strict=strict, geoms=geoms)
+        ok = IS_LOCAL_DELAUNAY(m, e, strict=strict, geoms=geoms)
+        flipped[0] = flipped[0] or not ok
+        return ok
 
     return predicate
+
+
+def test_flip_to_delaunay_validates_its_input_once(rng, monkeypatch):
+    real = dl.validate
+    calls = []
+    monkeypatch.setattr(dl, "validate", lambda m: calls.append(m) or real(m))
+    for bg in ALL_BACKGROUNDS:
+        for tri in (octahedron(), grid_torus(4)):
+            m = scrambled_metric(tri, bg, rng, flips=4)
+            calls.clear()
+            dl.flip_to_delaunay(m)
+            assert len(calls) == 1
+    # an invalid input raises what check_valid raises on it
+    m = random_metric(grid_torus(4), Background.HYPERBOLIC, rng)
+    lengths = m.lengths.copy()
+    lengths[3] = -1.0
+    lengths[7] = lengths[8] + 10.0
+    bad = DecoratedMetric(m.triangulation, m.background, lengths, m.radii)
+    with pytest.raises(me.ResultInvalid) as got:
+        dl.flip_to_delaunay(bad)
+    with pytest.raises(me.ResultInvalid) as want:
+        me.check_valid(bad, "input of flip_to_delaunay")
+    assert str(got.value) == str(want.value)
+    assert got.value.diagnostics == want.value.diagnostics and len(want.value.diagnostics) >= 3
+
+
+def test_flip_to_delaunay_checks_each_edge_once_without_flips(rng, monkeypatch):
+    # a first sweep without a flip has checked every edge on the metric
+    # and geometries it ends with: no re-verify pass follows
+    calls = []
+    monkeypatch.setattr(
+        dl, "is_local_delaunay", lambda m, e, **kw: calls.append(e) or IS_LOCAL_DELAUNAY(m, e, **kw)
+    )
+    for bg in ALL_BACKGROUNDS:
+        for tri in (octahedron(), grid_torus(4), Triangulation.genus_two_octagon()):
+            m, _ = dl.flip_to_delaunay(scrambled_metric(tri, bg, rng, flips=4))
+            calls.clear()
+            out, log = dl.flip_to_delaunay(m)
+            assert log.flip_count == 0 and log.sweeps == 1 and out is m
+            assert sorted(calls) == list(range(tri.edge_count))
 
 
 def test_flip_to_delaunay_builds_the_surface_once(rng, monkeypatch):

@@ -77,6 +77,34 @@ def test_cone_angles_from_flip_geometries_are_exact(rng):
     assert flips.count(0) >= 2 and max(flips) >= 5
 
 
+def reference_angle_jacobian(m, geoms):
+    """The angle Jacobian corner by corner, each slot's weight half
+    evaluated afresh at both of its corners."""
+    tri, bg = m.triangulation, m.background
+    jac = np.zeros((tri.vertex_count, tri.vertex_count))
+    for geom, verts in zip(geoms, tri.face_vertex_ids):
+        for s in range(3):
+            i = verts[s]
+            for slot, other in ((s, verts[(s + 1) % 3]), ((s + 2) % 3, verts[(s + 2) % 3])):
+                length = geom.lengths[slot]
+                q = geom.d_tangent[slot] / (
+                    trig.cfac(bg, geom.r_section[slot]) * trig.sfac(bg, length)
+                )
+                jac[i, other] -= q
+                jac[i, i] += q * trig.cfac(bg, length)
+    return jac
+
+
+def test_angle_jacobian_matches_corner_by_corner_reference(rng):
+    # loop edges of the genus-2 octagon included
+    metrics = [m for _, m in oracle_corpus(rng)]
+    metrics += [random_metric(grid_torus(4), bg, rng) for bg in ALL_BACKGROUNDS]
+    for m in metrics:
+        geoms = dl.face_geometries(m)
+        got = so.angle_jacobian(m, geoms)
+        assert repr(got.tolist()) == repr(reference_angle_jacobian(m, geoms).tolist())
+
+
 # -- Gauss-Bonnet gate --------------------------------------------------------------
 
 
