@@ -27,14 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trig
-from .errors import (
-    BadParameters,
-    DegenerateTriangle,
-    FlipBoundExceeded,
-    NotDelaunay,
-    ResultInvalid,
-)
-from .metric import DecoratedMetric, validate
+from .errors import BadParameters, DegenerateTriangle, FlipBoundExceeded, NotDelaunay
+from .metric import DecoratedMetric, check_valid, validate
 from .surface import _UnionFind
 from .trig import Background
 
@@ -43,45 +37,15 @@ FLIP_TOL = 1e-12
 
 
 def face_geometries(m: DecoratedMetric) -> list:
-    """TriangleGeometry per face.
+    """TriangleGeometry per face, from the scalar kernel face by face.
 
     The metric is checked once as a whole: any diagnostic of
-    ``metric.validate`` raises DegenerateTriangle naming them all, with
-    the list as its ``diagnostics``.  Each edge's orthogonal section is
-    then evaluated once (``trig.edge_section``) and read by both faces
-    at the edge.  Surfaces of ``trig.ARRAY_MIN_FACES`` faces or more go
-    through the array kernel ``trig.face_circles``, which gives the
-    same floats."""
+    ``metric.validate`` raises DegenerateTriangle naming them all.  Each
+    edge's orthogonal section is then evaluated once
+    (``trig.edge_section``) and read by both faces at the edge.  Callers
+    that read arrays rather than per-face objects use ``face_arrays``,
+    which gives the same floats."""
     _gate(m)
-    if m.triangulation.face_count < trig.ARRAY_MIN_FACES:
-        return _scalar_geometries(m)
-    return face_arrays(m).geometries()
-
-
-def face_arrays(m: DecoratedMetric) -> trig.FaceArrays:
-    """What ``face_geometries`` computes, as ``F x 3`` arrays, without
-    checking the metric: for metrics that ``metric.validate`` has just
-    accepted, such as the outputs of ``decoration_from_heights``.
-    Surfaces below ``trig.ARRAY_MIN_FACES`` faces run the scalar
-    kernel face by face, the others ``trig.face_circles``."""
-    tri = m.triangulation
-    if tri.face_count < trig.ARRAY_MIN_FACES:
-        return trig.FaceArrays.stack(m.background, _scalar_geometries(m))
-    return trig.face_circles(
-        m.background, m.lengths, m.radii,
-        tri.face_edge_array, tri.face_vertex_array, tri.edge_endpoint_array,
-    )
-
-
-def _gate(m: DecoratedMetric) -> None:
-    bad = validate(m)
-    if bad:
-        raise DegenerateTriangle("; ".join(bad), bad)
-
-
-def _scalar_geometries(m: DecoratedMetric) -> list:
-    """``_face_geometry`` of every face, after one ``trig.edge_section``
-    per edge."""
     bg, tri = m.background, m.triangulation
     lengths, radii = m.lengths.tolist(), m.radii.tolist()
     sections = [
@@ -97,6 +61,24 @@ def _scalar_geometries(m: DecoratedMetric) -> list:
         )
         for (a, b, c), (u, v, w) in zip(tri.face_edge_ids, tri.face_vertex_ids)
     ]
+
+
+def face_arrays(m: DecoratedMetric) -> trig.FaceArrays:
+    """What ``face_geometries`` computes, as ``F x 3`` arrays from the
+    array kernel ``trig.face_circles``, without checking the metric: for
+    metrics that ``metric.validate`` has just accepted, such as the
+    outputs of ``decoration_from_heights``."""
+    tri = m.triangulation
+    return trig.face_circles(
+        m.background, m.lengths, m.radii,
+        tri.face_edge_array, tri.face_vertex_array, tri.edge_endpoint_array,
+    )
+
+
+def _gate(m: DecoratedMetric) -> None:
+    bad = validate(m)
+    if bad:
+        raise DegenerateTriangle("; ".join(bad))
 
 
 def _face_geometry(t: trig.DecoratedTriangle, sections) -> trig.TriangleGeometry:
@@ -213,10 +195,7 @@ class FlipLog:
     ``face_geometries`` computes on that metric.  That holds bit for
     bit because an edge's section, and which side reads the
     complemented foot, depend only on its length and endpoint radii,
-    not on labels, and because the array kernel that
-    ``face_geometries`` runs on larger surfaces gives the scalar
-    kernel's floats, with which flips rebuild their two faces.  It
-    describes the returned metric only; any later
+    not on labels.  It describes the returned metric only; any later
     change of lengths, radii or triangulation makes it stale.
     """
 
@@ -248,17 +227,16 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
     Flips keep every edge and vertex id and the queue visits edges in
     canonical order; after flips the output is relabeled canonically
     once, and without any the input is returned as it is.  The input
-    is validated once, by ``face_geometries``; an invalid one raises
-    ResultInvalid with the diagnostics of ``metric.validate``.  The
-    first sweep checks every edge, so when it flips nothing no
-    re-verify pass follows.
+    is validated once, by ``face_geometries``; only when that gate
+    refuses it does ``check_valid`` run, to raise ResultInvalid with the
+    diagnostics of ``metric.validate``.  The first sweep checks every
+    edge, so when it flips nothing no re-verify pass follows.
     """
     try:
         geoms = face_geometries(m)
-    except DegenerateTriangle as ex:
-        raise ResultInvalid(
-            "input of flip_to_delaunay is not a valid decorated metric", ex.diagnostics
-        ) from None
+    except DegenerateTriangle:
+        check_valid(m, "input of flip_to_delaunay")  # raises ResultInvalid
+        raise
     if track_support is None:
         track_support = m.background is Background.SPHERICAL
     log = FlipLog(vertex_map=list(range(m.triangulation.vertex_count)))

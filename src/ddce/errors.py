@@ -26,13 +26,7 @@ class UnflippableSelfGluing(DDCEError):
 # -- per-triangle geometry ---------------------------------------------------
 
 class DegenerateTriangle(DDCEError):
-    """Triangle inequality (or spherical range condition) violated.  A
-    whole metric rejected by ``delaunay.face_geometries`` attaches the
-    diagnostics of ``metric.validate``."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or []
+    """Triangle inequality (or spherical range condition) violated."""
 
 
 class ZeroRadius(DDCEError):

@@ -63,18 +63,12 @@ MIN_STEP = 2.0**-40
 
 
 def cone_angles(m: DecoratedMetric) -> np.ndarray:
-    """Total corner angle around each vertex orbit.  Surfaces of
-    ``trig.ARRAY_MIN_FACES`` faces or more take their corner angles from
-    ``trig.angle_array`` and sum them with ``np.bincount``, which adds
-    in the same order as ``_vertex_angle_sums``: the same floats."""
+    """Total corner angle around each vertex orbit: the corner angles of
+    ``trig.angle_array``, summed with ``np.bincount``, which adds in the
+    same order as ``_vertex_angle_sums`` and so gives the same floats."""
     tri = m.triangulation
-    bg = m.background
-    if tri.face_count >= trig.ARRAY_MIN_FACES:
-        angles = trig.angle_array(bg, m.lengths[tri.face_edge_array])
-        return np.bincount(tri.face_vertex_array.ravel(), angles.ravel(), tri.vertex_count)
-    l = m.lengths.tolist()
-    angles = (trig.interior_angles(bg, (l[ea], l[eb], l[ec])) for ea, eb, ec in tri.face_edge_ids)
-    return _vertex_angle_sums(tri, angles)
+    angles = trig.angle_array(m.background, m.lengths[tri.face_edge_array])
+    return np.bincount(tri.face_vertex_array.ravel(), angles.ravel(), tri.vertex_count)
 
 
 def _vertex_angle_sums(tri, face_angles) -> np.ndarray:

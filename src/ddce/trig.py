@@ -41,12 +41,15 @@ stays the scalar ``math`` or builtin call, mapped over the values
 (``each``) in the scalar kernel's order of operations, and the clamps
 keep the NaN behaviour of the builtin ``min`` and ``max``.  So its
 floats equal the scalar kernel's bit for bit; numpy's transcendental
-ufuncs would not (README "Numerics").  Surfaces below
-``ARRAY_MIN_FACES`` = 24 faces keep the scalar kernel, where the
-array kernel's fixed cost is not yet paid back: the summed cost of
-``face_geometries``, ``cone_angles`` and a transition row breaks even
-at 20-24 faces.  The scalar kernel also serves the two faces a flip
-rebuilds, and the tests compare the array kernel against it.
+ufuncs would not (README "Numerics").  It serves the callers that read
+arrays (``delaunay.face_arrays`` and ``edge_weights``,
+``solver.cone_angles``, the rows of ``transition.build_transition``)
+at every surface size, with no face-count cutoff: below about 30
+faces its fixed cost of numpy calls makes it slower than a scalar
+loop, by some 40 us per call at 2-8 faces.  The scalar kernel
+serves the callers that keep one object per face
+(``delaunay.face_geometries``, the two faces a flip rebuilds), and the
+tests compare the array kernel against it.
 """
 
 from __future__ import annotations
@@ -370,15 +373,6 @@ def face_circle(tri: DecoratedTriangle, sections) -> TriangleGeometry:
 
 # -- array kernel -------------------------------------------------------------
 
-#: surfaces with fewer faces run the scalar kernel face by face.  The
-#: array kernel costs a fixed 30-130 us of numpy calls and saves about
-#: 2.5 (angles) to 8 (face data) us per face: alone, a transition row
-#: breaks even at 8-12 faces, ``face_geometries`` (which also builds
-#: the per-face objects) and ``cone_angles`` at 16-28; their summed
-#: cost breaks even at 20-24 faces in every background (README
-#: "Numerics")
-ARRAY_MIN_FACES = 24
-
 _PREV = np.array([2, 0, 1])  # slot s - 1 of slots 0, 1, 2
 _NEXT = np.array([1, 2, 0])
 
@@ -499,14 +493,6 @@ class FaceArrays:
             np.array([getattr(g, name) for g in geoms], dtype=float).reshape(-1, 3)
             for name in ("lengths", "radii", "angles", "r_section", "x_section", "d_tangent")
         ))
-
-    def geometries(self) -> list:
-        """One ``TriangleGeometry`` per face, with the same floats."""
-        rows = (map(tuple, a.tolist()) for a in (
-            self.lengths, self.radii, self.angles, self.r_section, self.x_section, self.d_tangent
-        ))
-        bg = self.background
-        return [TriangleGeometry(bg, *fields) for fields in zip(*rows)]
 
 
 def face_circles(

@@ -1,10 +1,10 @@
 """The array face kernel against the scalar per-face kernel, bit for bit.
 
 ``trig.face_circles`` and ``trig.angle_array`` evaluate every edge and
-face of a surface at once; ``delaunay._scalar_geometries`` runs the
-scalar kernel face by face and is the reference.  Floats are compared
-through ``repr``, which tells apart every bit pattern, -0.0 and NaN
-included.
+face of a surface at once; ``scalar_geometries`` runs the scalar kernel
+face by face, as ``delaunay.face_geometries`` does without its gate,
+and is the reference.  Floats are compared through ``repr``, which
+tells apart every bit pattern, -0.0 and NaN included.
 """
 
 import math
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ddce import Background, DecoratedMetric, Triangulation, cli
+from ddce import Background, DecoratedMetric, cli
 from ddce import delaunay as dl
 from ddce import solver as so
 from ddce import transition as tr
@@ -24,7 +24,6 @@ from conftest import (
     from_face_vertices,
     geometry_fields,
     grid_torus,
-    octahedron,
     oracle_corpus,
     outcome,
     random_metric,
@@ -60,8 +59,8 @@ def fixture_metrics():
 
 def corpus(rng):
     """(name, valid metric): the oracle corpus, the seven fixtures, and
-    random metrics on surfaces above the cutoff in every background,
-    with ideal vertices and with a tangent edge, before and after flips."""
+    random metrics on grid tori in every background, with ideal
+    vertices and with a tangent edge, before and after flips."""
     cases = list(oracle_corpus(rng)) + fixture_metrics()
     for bg in ALL_BACKGROUNDS:
         for n in (4, 6):
@@ -75,6 +74,24 @@ def corpus(rng):
     for name, m in cases:
         assert not dl.validate(m), name
     return cases
+
+
+def scalar_geometries(m):
+    """``face_geometries`` without its ``metric.validate`` gate, so that
+    invalid metrics reach the scalar kernel too."""
+    bg, tri = m.background, m.triangulation
+    lengths, radii = m.lengths.tolist(), m.radii.tolist()
+    sections = [
+        trig.edge_section(bg, length, radii[i], radii[j])
+        for length, (i, j) in zip(lengths, tri.edge_endpoint_ids)
+    ]
+    return [
+        dl._face_geometry(
+            trig.DecoratedTriangle(bg, tuple(lengths[e] for e in es), tuple(radii[v] for v in vs)),
+            [sections[e] for e in es],
+        )
+        for es, vs in zip(tri.face_edge_ids, tri.face_vertex_ids)
+    ]
 
 
 def kernel_arrays(m):
@@ -97,7 +114,7 @@ def reference_edge_weights(m, geoms):
 
 def reference_cone_angles(m):
     theta = [0.0] * m.triangulation.vertex_count
-    for g, verts in zip(dl._scalar_geometries(m), m.triangulation.face_vertex_ids):
+    for g, verts in zip(scalar_geometries(m), m.triangulation.face_vertex_ids):
         for v, angle in zip(verts, g.angles):
             theta[v] += angle
     return np.array(theta)
@@ -110,45 +127,42 @@ def bits(values):
 def test_face_arrays_match_the_scalar_kernel(rng):
     checked = 0
     for name, m in corpus(rng):
-        want = dl._scalar_geometries(m)
+        want = scalar_geometries(m)
         got = kernel_arrays(m)
         for field in FIELDS:
             want_field = bits([getattr(g, field) for g in want])
             assert bits(getattr(got, field)) == want_field, (name, field)
-        assert [geometry_fields(g) for g in got.geometries()] == [geometry_fields(g) for g in want]
+        assert [geometry_fields(g) for g in dl.face_geometries(m)] == [
+            geometry_fields(g) for g in want
+        ], name
         assert bits(dl.edge_weights(m, got)) == bits(reference_edge_weights(m, want)), name
         assert bits(dl.edge_weights(m, want)) == bits(reference_edge_weights(m, want)), name
         checked += m.triangulation.face_count
     assert checked >= 1000
 
 
-def test_cone_angles_and_face_geometries_match_on_either_path(rng, monkeypatch):
+def test_cone_angles_and_edge_weights_match_the_scalar_kernel(rng):
     for name, m in corpus(rng):
-        want_theta = bits(reference_cone_angles(m))
-        want_geoms = [geometry_fields(g) for g in dl._scalar_geometries(m)]
-        for cutoff in (0, 10**9):
-            monkeypatch.setattr(trig, "ARRAY_MIN_FACES", cutoff)
-            assert bits(so.cone_angles(m)) == want_theta, (name, cutoff)
-            assert [geometry_fields(g) for g in dl.face_geometries(m)] == want_geoms, name
-            assert bits(dl.edge_weights(m)) == bits(dl.edge_weights(m, dl.face_geometries(m)))
+        assert bits(so.cone_angles(m)) == bits(reference_cone_angles(m)), name
+        assert bits(dl.edge_weights(m)) == bits(dl.edge_weights(m, dl.face_geometries(m))), name
 
 
 def reference_rows(path):
     """Transition rows recomputed from the path's metrics with the scalar
     kernel and per-edge weights."""
     w_euc = reference_edge_weights(
-        path.euclidean_metric, dl._scalar_geometries(path.euclidean_metric)
+        path.euclidean_metric, scalar_geometries(path.euclidean_metric)
     )
     rows = []
     for t, mt in zip(path.ts, path.metrics):
-        geoms = dl._scalar_geometries(mt)
+        geoms = scalar_geometries(mt)
         defect = max(abs(g.angle_sum - math.pi) for g in geoms)
         wdev = float(np.max(np.abs(reference_edge_weights(mt, geoms) - w_euc)))
         rows.append(tr.DiagnosticsRow(t, defect, wdev))
     return rows
 
 
-def test_transition_rows_match_the_scalar_kernel(rng, monkeypatch):
+def test_transition_rows_match_the_scalar_kernel(rng):
     ts = [1.0, 3.0, 10.0, 100.0, 1e3, 1e4, 1e5]
     metrics = [cli.load_surface_file(str(FIXTURES / f"{name}.json"))[0] for name in (
         "genus2_hyperbolic", "double_tangent_hyperbolic", "octahedron_spherical",
@@ -160,11 +174,6 @@ def test_transition_rows_match_the_scalar_kernel(rng, monkeypatch):
     for m in metrics:
         path = tr.build_transition(m, ts)
         assert repr(path.rows) == repr(reference_rows(path))
-        # the cutoff picks the kernel, never the rows
-        for cutoff in (0, 10**9):
-            monkeypatch.setattr(trig, "ARRAY_MIN_FACES", cutoff)
-            assert repr(tr.build_transition(m, ts).rows) == repr(path.rows)
-        monkeypatch.undo()
 
 
 def test_face_arrays_raise_the_scalar_message_for_the_first_bad_face(rng):
@@ -178,7 +187,7 @@ def test_face_arrays_raise_the_scalar_message_for_the_first_bad_face(rng):
     flat = DecoratedMetric(tri, m.background, lengths, m.radii)
     got = outcome(kernel_arrays, flat)
     assert got[0] is DegenerateTriangle
-    assert got == outcome(dl._scalar_geometries, flat)
+    assert got == outcome(scalar_geometries, flat)
     per_face = [
         outcome(trig.interior_angles, m.background, tuple(row))
         for row in lengths[tri.face_edge_array].tolist()
@@ -192,7 +201,7 @@ def test_face_arrays_raise_the_scalar_message_for_the_first_bad_face(rng):
     lengths[7] = math.pi
     bad = DecoratedMetric(s.triangulation, s.background, lengths, s.radii)
     got = outcome(kernel_arrays, bad)
-    assert got[0] is DegenerateTriangle and got == outcome(dl._scalar_geometries, bad)
+    assert got[0] is DegenerateTriangle and got == outcome(scalar_geometries, bad)
 
 
 def test_face_arrays_keep_the_scalar_nan_behaviour(rng):
@@ -203,7 +212,7 @@ def test_face_arrays_keep_the_scalar_nan_behaviour(rng):
         radii = m.radii.copy()
         radii[3] = math.nan
         nan = DecoratedMetric(m.triangulation, bg, m.lengths, radii)
-        got, want = kernel_arrays(nan), dl._scalar_geometries(nan)
+        got, want = kernel_arrays(nan), scalar_geometries(nan)
         for field in FIELDS:
             assert bits(getattr(got, field)) == bits([getattr(g, field) for g in want]), field
         lengths = m.lengths.copy()
@@ -214,34 +223,24 @@ def test_face_arrays_keep_the_scalar_nan_behaviour(rng):
         )
 
 
-def test_surfaces_either_side_of_the_cutoff(rng, monkeypatch):
-    # bipyramids of 2n faces just below and at the cutoff: face_geometries
-    # picks the kernel by size, and both kernels give the same fields
-    calls = []
-    real = trig.face_circles
-    monkeypatch.setattr(trig, "face_circles", lambda *a: calls.append(a) or real(*a))
-    cutoff = trig.ARRAY_MIN_FACES
-    for n in (cutoff // 2 - 1, (cutoff + 1) // 2):
-        tri = bipyramid(n)
+def test_each_caller_takes_one_kernel_at_every_size(rng, monkeypatch):
+    # bipyramids from 6 to 26 faces and a torus of 32: face_geometries,
+    # whose callers keep per-face objects, runs face_circle once per
+    # face; face_arrays and cone_angles run the array kernel alone, and
+    # all of them give the same floats
+    circles, arrays = [], []
+    real_circle, real_arrays = trig.face_circle, trig.face_circles
+    monkeypatch.setattr(trig, "face_circle", lambda *a: circles.append(a) or real_circle(*a))
+    monkeypatch.setattr(trig, "face_circles", lambda *a: arrays.append(a) or real_arrays(*a))
+    for tri in [bipyramid(n) for n in (3, 4, 11, 12, 13)] + [grid_torus(4)]:
         for bg in ALL_BACKGROUNDS:
             m = random_metric(tri, bg, rng, ideal_fraction=0.3)
-            calls.clear()
-            got = [geometry_fields(g) for g in dl.face_geometries(m)]
-            assert len(calls) == (tri.face_count >= cutoff)
-            other = [geometry_fields(g) for g in (
-                dl._scalar_geometries(m) if calls else real(
-                    bg, m.lengths, m.radii,
-                    tri.face_edge_array, tri.face_vertex_array, tri.edge_endpoint_array,
-                ).geometries()
-            )]
-            assert got == other
-    assert bipyramid(cutoff // 2 - 1).face_count < cutoff <= bipyramid((cutoff + 1) // 2).face_count
-
-
-def test_bench_sized_surfaces_take_the_array_path():
-    # the genus-2 octagon and the fixtures stay scalar, grid tori of
-    # 32 faces and more take arrays
-    assert Triangulation.genus_two_octagon().face_count < trig.ARRAY_MIN_FACES
-    assert octahedron().face_count < trig.ARRAY_MIN_FACES
-    assert all(m.triangulation.face_count < trig.ARRAY_MIN_FACES for _, m in fixture_metrics())
-    assert grid_torus(4).face_count >= trig.ARRAY_MIN_FACES
+            circles.clear(), arrays.clear()
+            want = dl.face_geometries(m)
+            assert (len(circles), len(arrays)) == (tri.face_count, 0)
+            got = dl.face_arrays(m)
+            theta = so.cone_angles(m)
+            assert (len(circles), len(arrays)) == (tri.face_count, 1)
+            for field in FIELDS:
+                assert bits(getattr(got, field)) == bits([getattr(g, field) for g in want]), field
+            assert bits(theta) == bits(reference_cone_angles(m))
