@@ -18,9 +18,9 @@ Labels are the canonical (lexicographically least) half-edge of each
 orbit, written "f:s".  Floats are emitted with 17 significant digits,
 so writing and re-reading a canonical file is byte-stable.
 
-Exit codes: 0 ok, 1 invalid metric, 2 parse error, 3 non-convergence,
-4 infeasible target.  All geometry lives in the library; the commands
-only compose it.
+Exit codes: 0 ok, 1 invalid metric (or one whose floats overflow the
+computation), 2 parse error, 3 non-convergence, 4 infeasible target.
+All geometry lives in the library; the commands only compose it.
 """
 
 from __future__ import annotations
@@ -405,7 +405,7 @@ def main(argv=None) -> int:
     except CliError as ex:
         print(f"error: {ex}", file=sys.stderr)
         code = ex.code
-    except DDCEError as ex:
+    except (DDCEError, ArithmeticError) as ex:  # e.g. sinh of a hyperbolic length of 1e3
         print(f"error: {ex}", file=sys.stderr)
         code = EXIT_INVALID_METRIC
     if argv is None:

@@ -65,9 +65,10 @@ def face_geometries(m: DecoratedMetric) -> list:
 
 def face_arrays(m: DecoratedMetric) -> trig.FaceArrays:
     """What ``face_geometries`` computes, as ``F x 3`` arrays from the
-    array kernel ``trig.face_circles``, without checking the metric: for
-    metrics that ``metric.validate`` has just accepted, such as the
-    outputs of ``decoration_from_heights``."""
+    array kernel ``trig.face_circles``, behind the same gate.  On a
+    metric that ``metric.validate`` has already seen, such as an output
+    of ``decoration_from_heights``, the gate is a lookup."""
+    _gate(m)
     tri = m.triangulation
     return trig.face_circles(
         m.background, m.lengths, m.radii,
@@ -108,10 +109,9 @@ def edge_weights(m: DecoratedMetric, geoms=None) -> np.ndarray:
     (cot alpha diverges but T(d) = sin/sinh/id(r_sec) cot alpha does not).
 
     ``geoms`` holds the face geometries of ``m``, as a list or as
-    ``trig.FaceArrays``; without them ``m`` is checked and evaluated as
-    ``face_geometries`` does."""
+    ``trig.FaceArrays``; without them ``m`` is checked and evaluated by
+    ``face_arrays``."""
     if geoms is None:
-        _gate(m)
         geoms = face_arrays(m)
     elif not isinstance(geoms, trig.FaceArrays):
         geoms = trig.FaceArrays.stack(m.background, geoms)
@@ -226,17 +226,12 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
 
     Flips keep every edge and vertex id and the queue visits edges in
     canonical order; after flips the output is relabeled canonically
-    once, and without any the input is returned as it is.  The input
-    is validated once, by ``face_geometries``; only when that gate
-    refuses it does ``check_valid`` run, to raise ResultInvalid with the
-    diagnostics of ``metric.validate``.  The first sweep checks every
-    edge, so when it flips nothing no re-verify pass follows.
+    once, and without any the input is returned as it is.  An invalid
+    input raises ``check_valid``'s ResultInvalid.  The first sweep checks
+    every edge, so when it flips nothing no re-verify pass follows.
     """
-    try:
-        geoms = face_geometries(m)
-    except DegenerateTriangle:
-        check_valid(m, "input of flip_to_delaunay")  # raises ResultInvalid
-        raise
+    check_valid(m, "input of flip_to_delaunay")
+    geoms = face_geometries(m)
     if track_support is None:
         track_support = m.background is Background.SPHERICAL
     log = FlipLog(vertex_map=list(range(m.triangulation.vertex_count)))

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .errors import (
     WeightOutOfRange,
 )
 from .surface import Triangulation
-from .trig import DEGENERACY_TOL, Background
+from .trig import Background
 
 
 def tau(y: int, x: float) -> float:
@@ -81,7 +82,8 @@ def default_reference_radius(background: Background) -> float:
 
 @dataclass(frozen=True)
 class DecoratedMetric:
-    """Per-edge lengths and per-vertex radii on a triangulation."""
+    """Per-edge lengths and per-vertex radii on a triangulation, held as
+    read-only copies, so that ``validate`` need look only once."""
 
     triangulation: Triangulation
     background: Background
@@ -89,12 +91,19 @@ class DecoratedMetric:
     radii: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "lengths", np.asarray(self.lengths, dtype=float))
-        object.__setattr__(self, "radii", np.asarray(self.radii, dtype=float))
+        for name in ("lengths", "radii"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         if self.lengths.shape != (self.triangulation.edge_count,):
             raise ValueError("length array does not match edge orbits")
         if self.radii.shape != (self.triangulation.vertex_count,):
             raise ValueError("radius array does not match vertex orbits")
+
+    @cached_property
+    def _diagnostics(self) -> tuple:
+        """What ``validate`` reports, computed on first read."""
+        return tuple(_diagnose(self))
 
     @property
     def eps(self) -> np.ndarray:
@@ -149,7 +158,12 @@ class Heights:
 def validate(m: DecoratedMetric) -> list:
     """Diagnostics for every violated constraint; empty iff the metric is
     valid.  Hyperideality is reported per edge orbit (loop edges read
-    2 r_i < l_ii); triangle-level conditions per face."""
+    2 r_i < l_ii); triangle-level conditions per face.  Computed on the
+    first call; later calls return a new list of the same strings."""
+    return list(m._diagnostics)
+
+
+def _diagnose(m: DecoratedMetric) -> list:
     tri = m.triangulation
     finite_l, finite_r = np.isfinite(m.lengths), np.isfinite(m.radii)
     if not (finite_l.all() and finite_r.all()):
@@ -180,16 +194,9 @@ def validate(m: DecoratedMetric) -> list:
             f"(r_i + r_j = {r[i] + r[j]} > l = {l[e]})"
         )
     # faces whose DecoratedTriangle.violations() reports more than circle
-    # intersections (already reported per edge), with the same arithmetic
-    a, b, c = l[tri.face_edge_array].T
-    longest = np.maximum(np.maximum(a, b), c)
-    tol = DEGENERACY_TOL * np.maximum(longest, 1.0)
-    flagged = (  # gap of slot s: l_s + l_{s+1} - l_{s+2}
-        (a + b - c <= tol) | (b + c - a <= tol) | (c + a - b <= tol)
-        | (np.minimum(np.minimum(a, b), c) <= 0)
-    )
-    if spherical:
-        flagged |= (longest >= math.pi) | (a + b + c >= 2 * math.pi)
+    # intersections (already reported per edge): degenerate side lengths
+    # or a bad corner radius
+    flagged = trig.degenerate_rows(m.background, l[tri.face_edge_array])
     if bad_radius.any():
         flagged |= bad_radius[tri.face_vertex_array].any(axis=1)
     for f in np.flatnonzero(flagged):

@@ -64,22 +64,11 @@ MIN_STEP = 2.0**-40
 
 def cone_angles(m: DecoratedMetric) -> np.ndarray:
     """Total corner angle around each vertex orbit: the corner angles of
-    ``trig.angle_array``, summed with ``np.bincount``, which adds in the
-    same order as ``_vertex_angle_sums`` and so gives the same floats."""
+    ``trig.angle_array``, summed with ``np.bincount``, which adds each
+    vertex's corners to 0.0 in face and slot order."""
     tri = m.triangulation
     angles = trig.angle_array(m.background, m.lengths[tri.face_edge_array])
     return np.bincount(tri.face_vertex_array.ravel(), angles.ravel(), tri.vertex_count)
-
-
-def _vertex_angle_sums(tri, face_angles) -> np.ndarray:
-    """Sum per-face corner angles (slot order, one triple per face in
-    face order) at the vertex orbits, each sum from 0.0 in that order."""
-    theta = [0.0] * tri.vertex_count
-    for (va, vb, vc), (aa, ab, ac) in zip(tri.face_vertex_ids, face_angles):
-        theta[va] += aa
-        theta[vb] += ab
-        theta[vc] += ac
-    return np.array(theta)
 
 
 def gauss_bonnet_check(
@@ -363,8 +352,10 @@ def newton_solve(
     converged = False
     for _ in range(max_iter):
         # m is the output of the last re-flip, whose log holds its
-        # geometries: their angles are what cone_angles(m) would sum
-        theta = _vertex_angle_sums(m.triangulation, (g.angles for g in flog.geoms))
+        # geometries: cone_angles(m) would sum their angles the same way
+        tri = m.triangulation
+        angles = [a for g in flog.geoms for a in g.angles]
+        theta = np.bincount(tri.face_vertex_array.ravel(), angles, tri.vertex_count)
         res = float(np.max(np.abs(theta_cur - theta)))
         report.residuals.append(res)
         if res <= tol:

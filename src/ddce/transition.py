@@ -133,7 +133,7 @@ def build_transition(m: DecoratedMetric, ts) -> TransitionPath:
 
     for t in ts:
         ht = scale_family(h1, t)
-        mt = decoration_from_heights(tri, inv, ht)  # validated there
+        mt = decoration_from_heights(tri, inv, ht)
         faces = delaunay.face_arrays(mt)
         angle_sums = faces.angles[:, 0] + faces.angles[:, 1] + faces.angles[:, 2]
         defect = max(np.abs(angle_sums - math.pi).tolist())

@@ -27,10 +27,12 @@ A section depends on its edge alone, so it is evaluated once per edge
 two faces at the edge read it (``side_section``): a side that runs
 from the smaller circle reads the foot ``x`` as it is, the other side
 reads the complemented foot ``l - x``, and both read the same radius.
-``face_circle`` takes the three sections of its sides and does not
-check its triangle: ``delaunay.face_geometries`` gates the whole
-metric once with ``metric.validate``, and the two faces a flip rebuilds
-are checked by ``diagonal_length``.
+``face_circle`` does not check its triangle: ``delaunay``'s gate,
+``metric.validate``, checks each metric once, and ``diagonal_length``
+the two faces a flip rebuilds.  The constraints on side lengths are
+stated once per form, by ``interior_angles`` for one triangle and by
+``degenerate_rows`` for an array of them, which ``angle_array`` and
+``metric.validate`` read; ``DecoratedTriangle.violations`` words them.
 
 The array kernel (``face_circles``, and ``angle_array`` for the angles
 alone) computes the same floats for every edge and face of a surface
@@ -395,41 +397,44 @@ def each(fn, a, *more) -> np.ndarray:
     return np.fromiter(flat, float, a.size).reshape(a.shape)
 
 
-def _scalar_angles(background: Background, lengths) -> np.ndarray:
-    """``interior_angles`` row by row, raising for the first bad row."""
-    return np.array([interior_angles(background, tuple(row)) for row in lengths.tolist()])
+def degenerate_rows(background: Background, lengths: np.ndarray) -> np.ndarray:
+    """Which rows of an ``F x 3`` length array ``interior_angles``
+    rejects (raising DegenerateTriangle, or giving NaN on a NaN row): a
+    gap at or below ``DEGENERACY_TOL * max(1, longest)``, a spherical
+    side of pi or perimeter of 2 pi or more, or a NaN.  A length <= 0
+    makes some gap <= 0; a spherical side >= pi with every gap above
+    the tolerance makes the perimeter >= 2 pi."""
+    # on the three columns: a reduction over each row of the F x 3 array
+    # (axis 1) is about ten times slower.  np.minimum and np.maximum keep
+    # a NaN, and a NaN fails the comparison.
+    a, b, c = lengths.T
+    ab = a + b
+    gap = np.minimum(np.minimum(ab - c, b + c - a), c + a - b)  # slots 0, 1, 2
+    ok = gap > DEGENERACY_TOL * np.maximum(np.maximum(np.maximum(a, b), c), 1.0)
+    if background is Background.SPHERICAL:
+        ok &= ab + c < 2 * math.pi
+    return ~ok
 
 
 def angle_array(background: Background, lengths: np.ndarray) -> np.ndarray:
     """``interior_angles`` of every row of an ``F x 3`` array of side
-    lengths, bit for bit, as an ``F x 3`` array.  Where a row is not
-    finite, or ``interior_angles`` would reject it, every row goes
-    through ``interior_angles``, which raises for the first bad row."""
+    lengths, bit for bit, as an ``F x 3`` array.  Where some row is
+    among the ``degenerate_rows``, every row goes through
+    ``interior_angles``, which raises for the first degenerate row."""
+    if degenerate_rows(background, lengths).any():
+        return np.array([interior_angles(background, tuple(row)) for row in lengths.tolist()])
     a, b, c = lengths.T
-    perimeter = a + b + c
-    longest = lengths.max(axis=1)
-    # the checks of interior_angles, as one test that fails on NaN; a
-    # length <= 0 makes some gap <= 0, and on finite rows numpy's max is
-    # the builtin's.  Column s holds the gap l_s + l_{s+1} - l_{s+2}.
-    gaps = lengths + lengths[:, _NEXT] - lengths[:, _PREV]
-    ok = (gaps > (DEGENERACY_TOL * np.maximum(longest, 1.0))[:, None]).all()
-    if ok and background is Background.SPHERICAL:
-        ok = (longest < math.pi).all() and (perimeter < 2 * math.pi).all()
-    if not ok:
-        return _scalar_angles(background, lengths)
     f = np.empty((len(lengths), 4))
-    f[:, 3] = perimeter / 2.0
+    f[:, 3] = (a + b + c) / 2.0
     f[:, :3] = f[:, 3:] - lengths  # sp - l_s, then sp
     # each f is positive on rows that pass: sp - l_s is half a gap above
     # 1e-12 up to rounding, and sp < pi on the sphere, so interior_angles'
-    # second check cannot fail here
-    try:
-        if background is Background.SPHERICAL:
-            f = each(math.sin, f)
-        elif background is Background.HYPERBOLIC:
-            f = each(math.sinh, f)
-    except OverflowError:
-        return _scalar_angles(background, lengths)
+    # second check cannot fail here; a sinh that overflows raises its
+    # OverflowError, as in interior_angles
+    if background is Background.SPHERICAL:
+        f = each(math.sin, f)
+    elif background is Background.HYPERBOLIC:
+        f = each(math.sinh, f)
     # corner s: f of slots s and s + 2 over f(sp) and f of slot s + 1
     fl, fs = f[:, :3], f[:, 3:]
     return 2.0 * each(math.atan, np.sqrt((fl * fl[:, _PREV]) / (fs * fl[:, _NEXT])))

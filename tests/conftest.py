@@ -5,9 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ddce import Background, DecoratedMetric, DecoratedTriangle, Triangulation
 from ddce import delaunay, metric as me, trig
+
+# property and fuzz tests draw the same examples on every run, keep no
+# example database, and have no per-example deadline (timings on a
+# loaded machine vary); tests that run whole commands lower max_examples
+settings.register_profile(
+    "ddce", derandomize=True, deadline=None, max_examples=100, database=None
+)
+settings.load_profile("ddce")
 
 
 def from_face_vertices(faces):

@@ -1,11 +1,15 @@
 """Command-line interface tests: parsing, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddce import Background, DecoratedMetric, Triangulation
 from ddce import cli
@@ -361,6 +365,51 @@ def test_transition_keeps_exact_tangency(tmp_path, capsys):
 def test_transition_t_list_errors(genus2_file, capsys, t_list, code, message):
     assert run("transition", genus2_file, "--t-list", t_list) == code
     assert message in capsys.readouterr().err
+
+
+# -- fuzz ----------------------------------------------------------------------------
+
+FIXTURE_DOCS = {
+    path.stem: json.loads(path.read_text())
+    for path in sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
+}
+
+
+@st.composite
+def surface_documents(draw):
+    """A fixture, valid as it is, perhaps in another background, with
+    all lengths and radii scaled by one power of two (which keeps a
+    Euclidean metric valid), perhaps the radii alone scaled down, and
+    up to two lengths or radii replaced by any float (NaN and
+    infinities too)."""
+    doc = json.loads(json.dumps(FIXTURE_DOCS[draw(st.sampled_from(sorted(FIXTURE_DOCS)))]))
+    if draw(st.booleans()):
+        doc["background"] = draw(st.sampled_from(["spherical", "euclidean", "hyperbolic"]))
+    scale = {"lengths": 2.0 ** draw(st.integers(-20, 12))}
+    scale["radii"] = scale["lengths"] * 2.0 ** -draw(st.sampled_from([0, 0, 3, 1000]))
+    for key in ("lengths", "radii"):
+        doc[key] = {label: value * scale[key] for label, value in doc[key].items()}
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(["lengths", "radii"]))
+        label = draw(st.sampled_from(sorted(doc[key])))
+        doc[key][label] = draw(st.floats())
+    return doc
+
+
+@settings(max_examples=150)
+@given(surface_documents(), st.sampled_from(["validate", "delaunay", "invariant"]))
+def test_fuzzed_surface_files_end_in_an_exit_code(tmp_path_factory, doc, command):
+    # any surface file ends in a result or a one-line error with a
+    # documented exit code, never in a traceback
+    path = tmp_path_factory.getbasetemp() / "fuzzed-surface.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity tokens, which the reader takes
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, str(path)])
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 1 and not out.getvalue().startswith("invalid: "):
+        assert err.getvalue().startswith("error: ")
 
 
 # -- determinism ---------------------------------------------------------------------

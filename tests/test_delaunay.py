@@ -431,15 +431,20 @@ def blind_after_first_flip(calls):
 
 
 def test_flip_to_delaunay_validates_its_input_once(rng, monkeypatch):
-    real = dl.validate
-    calls = []
-    monkeypatch.setattr(dl, "validate", lambda m: calls.append(m) or real(m))
+    # its validity is computed once, for check_valid, and read again by
+    # the face_geometries gate; a metric already validated is not
+    # computed again, and flip outputs are not validated
+    real = me._diagnose
+    computed = []
+    monkeypatch.setattr(me, "_diagnose", lambda m: computed.append(m) or real(m))
     for bg in ALL_BACKGROUNDS:
         for tri in (octahedron(), grid_torus(4)):
             m = scrambled_metric(tri, bg, rng, flips=4)
-            calls.clear()
-            dl.flip_to_delaunay(m)
-            assert len(calls) == 1
+            fresh = DecoratedMetric(m.triangulation, bg, m.lengths, m.radii)
+            computed.clear()
+            dl.flip_to_delaunay(fresh)
+            dl.flip_to_delaunay(fresh)
+            assert len(computed) == 1 and computed[0] is fresh
     # an invalid input raises what check_valid raises on it
     m = random_metric(grid_torus(4), Background.HYPERBOLIC, rng)
     lengths = m.lengths.copy()

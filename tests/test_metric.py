@@ -1,12 +1,17 @@
 """Decorated metric tests: validation, conformal change, invariants,
 heights, omega maps, scale factors."""
 
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ddce import Background, DecoratedMetric, Triangulation
+from ddce import cli, solver, transition
 from ddce import metric as me
 from ddce import trig
 from ddce.errors import (
@@ -18,6 +23,8 @@ from ddce.errors import (
 )
 
 from conftest import ALL_BACKGROUNDS, grid_torus, octahedron, oracle_corpus, outcome, random_metric
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 # frozen oracle values
 HYP_LAMBDA_R05_L2 = 2.9063528387891410972  # acosh((cosh 2 - cosh^2 0.5)/sinh^2 0.5)
@@ -137,7 +144,12 @@ def test_validate_matches_loop_oracle(rng):
 
 
 def test_validate_skips_triangle_checks_on_valid_metrics(rng, monkeypatch):
-    valid = [m for _, m in oracle_corpus(rng) if not reference_validate(m)]
+    # fresh copies: validate has already computed the corpus metrics
+    valid = [
+        DecoratedMetric(m.triangulation, m.background, m.lengths, m.radii)
+        for _, m in oracle_corpus(rng)
+        if not reference_validate(m)
+    ]
     assert len(valid) >= 15
 
     def fail(self):
@@ -152,6 +164,86 @@ def test_validate_names_edges(square_torus):
     m = DecoratedMetric(square_torus, Background.EUCLIDEAN, np.array([1.0, 1.0, 0.3]), np.array([0.2]))
     bad = me.validate(m)
     assert any("0:2" in msg for msg in bad)
+
+
+@functools.lru_cache(maxsize=None)
+def _base_metric(bg, name):
+    tri = {"octahedron": octahedron, "torus": grid_torus,
+           "genus2": Triangulation.genus_two_octagon}[name]()
+    return random_metric(tri, bg, np.random.default_rng(7), ideal_fraction=0.3)
+
+
+@st.composite
+def _perturbed_metrics(draw):
+    """A valid metric with up to four lengths or radii replaced: scaled,
+    set to a special value, closing a face's triangle inequality, or
+    making an edge's circles tangent."""
+    m = _base_metric(draw(st.sampled_from(ALL_BACKGROUNDS)),
+                     draw(st.sampled_from(["octahedron", "torus", "genus2"])))
+    tri = m.triangulation
+    lengths, radii = m.lengths.copy(), m.radii.copy()
+    special = st.sampled_from([0.0, -0.1, math.pi / 2, math.pi, 2.2, 3.3, math.nan, math.inf])
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["length", "radius", "flat", "tangent"]))
+        if kind == "flat":
+            a, b, c = tri.face_edge_ids[draw(st.integers(0, tri.face_count - 1))]
+            lengths[c] = lengths[a] + lengths[b]
+        elif kind == "tangent":
+            e = draw(st.integers(0, tri.edge_count - 1))
+            i, j = tri.edge_endpoints(e)
+            lengths[e] = radii[i] + radii[j]
+        else:
+            values = lengths if kind == "length" else radii
+            k = draw(st.integers(0, values.size - 1))
+            values[k] = draw(st.one_of(special, st.floats(0.0, 4.0).map(values[k].__mul__)))
+    return DecoratedMetric(tri, m.background, lengths, radii)
+
+
+@given(_perturbed_metrics())
+def test_validate_matches_loop_oracle_on_generated_metrics(m):
+    assert me.validate(m) == reference_validate(m)
+
+
+def test_metric_holds_read_only_copies(double_triangle):
+    lengths, radii = np.ones(3), np.full(3, 0.2)
+    m = DecoratedMetric(double_triangle, Background.EUCLIDEAN, lengths, radii)
+    for values in (m.lengths, m.radii):
+        with pytest.raises(ValueError):
+            values[0] = 0.5
+    # the caller's arrays are left as they were, and writing into them
+    # later does not reach the metric
+    assert lengths.flags.writeable and radii.flags.writeable
+    assert lengths.tolist() == [1.0] * 3 and radii.tolist() == [0.2] * 3
+    lengths[0], radii[0] = 0.5, 0.9
+    assert m.lengths.tolist() == [1.0] * 3 and m.radii.tolist() == [0.2] * 3
+
+
+def test_validate_returns_a_fresh_list(double_triangle):
+    for r in (0.2, 0.6):  # valid, then three intersecting pairs of circles
+        m = DecoratedMetric(double_triangle, Background.EUCLIDEAN, np.ones(3), np.full(3, r))
+        first = me.validate(m)
+        want = list(first)
+        first.append("appended")
+        first[:1] = ["replaced"]
+        assert me.validate(m) == want == reference_validate(m)
+        assert me.validate(m) is not me.validate(m)
+
+
+def test_validity_is_computed_at_most_once_per_metric(rng, monkeypatch):
+    seen = []  # the metrics themselves, so that no id is reused
+    real = me._diagnose
+    monkeypatch.setattr(me, "_diagnose", lambda m: seen.append(m) or real(m))
+    m = random_metric(Triangulation.genus_two_octagon(), Background.HYPERBOLIC, rng)
+    solver.newton_solve(m, np.full(1, 2 * math.pi))
+    transition.build_transition(random_metric(grid_torus(4), Background.SPHERICAL, rng), [1, 10])
+    for argv in (
+        ["solve", str(FIXTURES / "genus2_hyperbolic.json"), "--theta", "2pi"],
+        ["invariant", str(FIXTURES / "square_torus_pulled.json")],
+        ["transition", str(FIXTURES / "octahedron_spherical.json"), "--t-list", "1,10,100"],
+    ):
+        assert cli.main(argv) == 0
+    assert len(seen) >= 20
+    assert len({id(x) for x in seen}) == len(seen)
 
 
 # -- conformal change -----------------------------------------------------------

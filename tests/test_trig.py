@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ddce import Background, DecoratedTriangle
 from ddce import trig
@@ -68,6 +70,87 @@ def test_degenerate_triangle_rejected():
     for lengths, radii in (((1.0, 1.0, math.nan), (0.0,) * 3), ((1.0,) * 3, (0.1, math.nan, 0.1))):
         bad = DecoratedTriangle(Background.HYPERBOLIC, lengths, radii).violations()
         assert "not all finite" in bad[0]
+
+
+def _ulps(x, k):
+    """``x`` moved by ``k`` units in the last place."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
+@st.composite
+def _boundary_row(draw):
+    """A row on a boundary of ``interior_angles``: its first gap within
+    two ulps of the tolerance, or a perimeter within two ulps of 2 pi."""
+    k = draw(st.integers(-2, 2))
+    if draw(st.booleans()):
+        a = draw(st.floats(1e-6, 40.0))
+        b = draw(st.floats(a / 2, a * 2))
+        pair = a + b
+        # a + b - c is exact here (Sterbenz), so it steps by one ulp of c
+        c = _ulps(pair - trig.DEGENERACY_TOL * max(1.0, pair), k)
+    else:
+        a = draw(st.floats(math.pi / 2 + 0.01, math.pi))
+        b = draw(st.floats(math.pi / 2 + 0.01, math.pi))
+        c = _ulps(2 * math.pi - a - b, k)
+    row = [a, b, c]
+    shift = draw(st.integers(0, 2))
+    return row[shift:] + row[:shift]
+
+
+_SPECIAL = st.sampled_from(
+    [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, math.pi, 2 * math.pi, 1e300]
+)
+_ROW = st.one_of(
+    st.lists(st.one_of(st.floats(-1.0, 8.0), _SPECIAL), min_size=3, max_size=3),
+    _boundary_row(),
+)
+
+
+@given(st.sampled_from(ALL_BACKGROUNDS), st.lists(_ROW, min_size=1, max_size=6))
+@example(Background.EUCLIDEAN, [[1e-12, 1e-12, 1e-12]])  # every gap equals the tolerance
+@example(Background.SPHERICAL, [[math.pi, 2.0, 2.0], [math.pi, 1.6, 1.6]])  # a side of pi
+@example(Background.SPHERICAL, [[2 * math.pi / 3] * 3])  # perimeter 2 pi
+@example(Background.HYPERBOLIC, [[0.0, 1.0, 1.0], [-0.5, 1.0, 1.0], [math.nan, 1.0, 1.0]])
+def test_degenerate_rows_are_the_rows_interior_angles_rejects(background, rows):
+    # interior_angles raises DegenerateTriangle on a degenerate row and
+    # returns NaN angles on a row with a NaN, or with infinities that its
+    # tests let through.  A finite row of 1e300 sides is not degenerate:
+    # it overflows, to OverflowError from sinh or to NaN from inf / inf.
+    lengths = np.array(rows, dtype=float)
+    flags = trig.degenerate_rows(background, lengths).tolist()
+    for row, flagged in zip(lengths.tolist(), flags):
+        got = outcome(trig.interior_angles, background, tuple(row))
+        nan = not isinstance(got[0], type) and any(map(math.isnan, got))
+        if all(map(math.isfinite, row)) and (got[0] is OverflowError or nan):
+            assert not flagged, row
+            continue
+        assert flagged == (got[0] is DegenerateTriangle or nan), row
+    # angle_array gives what interior_angles gives row by row, or raises
+    # what it raises for the first row that raises
+    want = outcome(lambda: [trig.interior_angles(background, tuple(r)) for r in rows])
+    got = outcome(trig.angle_array, background, lengths)
+    assert repr(got if isinstance(got[0], type) else got.tolist()) == repr(
+        want if isinstance(want[0], type) else [list(r) for r in want]
+    )
+
+
+def test_boundary_rows_fall_on_both_sides():
+    # the boundary family of the property test straddles its boundary:
+    # two ulps below it a row passes, two ulps above it is rejected
+    rows = [
+        (bg, [a, b, _ulps(c, k)])
+        for bg, a, b, c in (
+            (Background.EUCLIDEAN, 1.0, 1.0, 2.0 - 2e-12),
+            (Background.EUCLIDEAN, 0.3, 0.5, 0.8 - 1e-12),
+            (Background.HYPERBOLIC, 17.0, 30.0, 47.0 - 47e-12),
+            (Background.SPHERICAL, 2.0, 2.0, 2 * math.pi - 4.0),
+        )
+        for k in (-2, 2)
+    ]
+    flags = [bool(trig.degenerate_rows(bg, np.array([row]))[0]) for bg, row in rows]
+    assert flags == [False, True] * 4
 
 
 def reference_interior_angles(bg, lengths):
