@@ -26,6 +26,8 @@ All geometry lives in the library; the commands only compose it.
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import math
 import sys
 
@@ -42,7 +44,7 @@ from .errors import (
     NonOrientable,
     DisconnectedSurface,
 )
-from .metric import DecoratedMetric, validate
+from .metric import DecoratedMetric, lambda_lengths, validate
 from .surface import Triangulation, parse_half_edge_label
 from .trig import Background
 
@@ -59,43 +61,7 @@ class CliError(Exception):
         self.code = code
 
 
-# -- deterministic JSON -----------------------------------------------------------
-
-def _emit(value, indent=0):
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = [f'{pad}  {_emit(k)}: {_emit(v, indent + 1)}' for k, v in value.items()]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in value) or _is_gluing_pair(value)
-        if flat:
-            return "[" + ", ".join(_emit(v) for v in value) + "]"
-        rows = [f"{pad}  {_emit(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        import json
-
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value)}")
-
-
-def _is_gluing_pair(value):
-    return (
-        len(value) == 2
-        and all(isinstance(v, (list, tuple)) and len(v) == 2 for v in value)
-        and all(isinstance(x, (int, np.integer)) for v in value for x in v)
-    )
-
+# -- writing ----------------------------------------------------------------------
 
 def write_surface_file(path, m: DecoratedMetric, extra=None):
     text = surface_file_text(m, extra)
@@ -103,18 +69,27 @@ def write_surface_file(path, m: DecoratedMetric, extra=None):
         fh.write(text)
 
 
+def _table(key, labels, values):
+    rows = (f'    "{label}": {format(float(v), ".17g")}' for label, v in zip(labels, values))
+    return f'  "{key}": {{\n' + ",\n".join(rows) + "\n  }"
+
+
 def surface_file_text(m: DecoratedMetric, extra=None) -> str:
+    """The file of ``m`` in its fixed layout: background, faces, one
+    gluing pair per line, then the lengths, the radii and each
+    per-vertex ``extra`` table, in edge and vertex order."""
     tri = m.triangulation
-    doc = {
-        "background": m.background.name_lower,
-        "faces": tri.face_count,
-        "gluing": [[list(h1), list(h2)] for h1, h2 in tri.edges],
-        "lengths": {tri.edge_label(e): float(m.lengths[e]) for e in range(tri.edge_count)},
-        "radii": {tri.vertex_label(v): float(m.radii[v]) for v in range(tri.vertex_count)},
-    }
-    for key, values in (extra or {}).items():
-        doc[key] = {tri.vertex_label(v): float(values[v]) for v in range(tri.vertex_count)}
-    return _emit(doc) + "\n"
+    vertex_labels = [tri.vertex_label(v) for v in range(tri.vertex_count)]
+    gluing = ",\n".join(f"    [[{f}, {s}], [{g}, {t}]]" for (f, s), (g, t) in tri.edges)
+    parts = [
+        f'  "background": "{m.background.name_lower}"',
+        f'  "faces": {tri.face_count}',
+        f'  "gluing": [\n{gluing}\n  ]',
+        _table("lengths", [tri.edge_label(e) for e in range(tri.edge_count)], m.lengths),
+        _table("radii", vertex_labels, m.radii),
+    ]
+    parts += [_table(key, vertex_labels, values) for key, values in (extra or {}).items()]
+    return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
 # -- reading ----------------------------------------------------------------------
@@ -141,8 +116,6 @@ def _vertex_table(tri, mapping, what):
 def load_surface_file(path):
     """Parse and build (metric, extras).  Raises CliError with exit
     code 2 on any structural problem."""
-    import json
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -254,8 +227,6 @@ def _inverse_map(vertex_map):
 def cmd_invariant(args) -> int:
     metric, _ = _load_valid(args.path)
     flipped, log = delaunay.flip_to_delaunay(metric, track_support=False)
-    from .metric import lambda_lengths
-
     inv = lambda_lengths(flipped)
     try:
         tess = delaunay.extract_tessellation(flipped, tol=args.tol, geoms=log.geoms)
@@ -286,8 +257,6 @@ def _parse_theta(args, metric, extras):
         return np.full(tri.vertex_count, float(text))
     except ValueError:
         pass
-    import json
-
     try:
         with open(args.theta, "r", encoding="utf-8") as fh:
             mapping = json.load(fh)
@@ -361,7 +330,10 @@ def _add_common(sub):
     sub.add_argument("path", help="surface file (JSON)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: argparse
+    costs more to build than most commands take to run."""
     parser = argparse.ArgumentParser(
         prog="ddce",
         description="decorated discrete conformal equivalence toolbox",
@@ -399,9 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; with ``argv`` given, return its exit code (a
+    usage error and ``--help`` included), else exit with it."""
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
+    except SystemExit as ex:  # argparse: 2 on a usage error, 0 after --help
+        code = ex.code
     except CliError as ex:
         print(f"error: {ex}", file=sys.stderr)
         code = ex.code

@@ -329,31 +329,39 @@ def lambda_lengths(m: DecoratedMetric, heights: Heights | None = None) -> Invari
     heights relation, by default in the canonical (zero ideal heights)
     gauge.  Passing explicit ``heights`` keeps lambda-lengths in a
     caller-maintained horocycle gauge instead.
+
+    Raises ResultInvalid when an edge's inversive distance or lambda
+    exponential is not finite, which includes a denominator that
+    underflows to zero (radii near 1e-300 make their product 0).
     """
     check_valid(m, "input of lambda_lengths")
     tri = m.triangulation
     bg = m.background
     eps = m.eps
     h = (heights.h if heights is not None else heights_from_decoration(m).h)
+    lengths, radii = m.lengths.tolist(), m.radii.tolist()
     lam = np.zeros(tri.edge_count)
     for e in range(tri.edge_count):
         i, j = tri.edge_endpoints(e)
-        if eps[i] == 1 and eps[j] == 1:
-            inv = trig.inversive_distance(bg, m.lengths[e], m.radii[i], m.radii[j])
-            lam[e] = _acosh_snapped(inv)
-            continue
-        l = m.lengths[e]
-        if bg is Background.SPHERICAL:
-            t = tau(-eps[i], h[i]) * tau(-eps[j], h[j]) - math.cos(l) * tau(eps[i], h[i]) * tau(
-                eps[j], h[j]
-            )
-        elif bg is Background.HYPERBOLIC:
-            t = math.cosh(l) * tau(-eps[i], h[i]) * tau(-eps[j], h[j]) - tau(eps[i], h[i]) * tau(
-                eps[j], h[j]
-            )
-        else:
-            rho_i, rho_j = math.exp(-h[i]), math.exp(-h[j])
-            t = (l * l - eps[i] * rho_i**2 - eps[j] * rho_j**2) / (2.0 * rho_i * rho_j)
+        l = lengths[e]
+        hyperideal = eps[i] == 1 and eps[j] == 1
+        try:
+            if hyperideal:
+                t = trig.inversive_distance(bg, l, radii[i], radii[j])
+            elif bg is Background.SPHERICAL:
+                t = tau(-eps[i], h[i]) * tau(-eps[j], h[j])
+                t -= math.cos(l) * tau(eps[i], h[i]) * tau(eps[j], h[j])
+            elif bg is Background.HYPERBOLIC:
+                t = math.cosh(l) * tau(-eps[i], h[i]) * tau(-eps[j], h[j])
+                t -= tau(eps[i], h[i]) * tau(eps[j], h[j])
+            else:
+                rho_i, rho_j = math.exp(-h[i]), math.exp(-h[j])
+                t = (l * l - eps[i] * rho_i**2 - eps[j] * rho_j**2) / (2.0 * rho_i * rho_j)
+        except (ZeroDivisionError, OverflowError):  # a product of radii is 0, cosh l overflows
+            t = math.inf
+        if not math.isfinite(t):
+            what = "inversive distance" if hyperideal else "lambda exponential"
+            raise ResultInvalid(f"edge {tri.edge_label(e)}: {what} {t} is not finite", [])
         if eps[i] * eps[j] == 1:
             lam[e] = _acosh_snapped(t)
         else:

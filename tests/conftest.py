@@ -1,6 +1,7 @@
 """Shared fixtures: stock triangulations and random decorated metrics."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -296,6 +297,61 @@ def surface_fields(tri):
 def fresh_copy(tri):
     """The same surface with its index tables not yet derived."""
     return Triangulation(**surface_fields(tri))
+
+
+# -- writer oracle ----------------------------------------------------------------
+# The generic recursive JSON emitter the surface-file writer replaced:
+# the reference for ``cli.surface_file_text``, which writes the fixed
+# schema directly.
+
+
+def _emit(value, indent=0):
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        rows = [f"{pad}  {_emit(k)}: {_emit(v, indent + 1)}" for k, v in value.items()]
+        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        flat = all(not isinstance(v, (dict, list, tuple)) for v in value) or _is_gluing_pair(value)
+        if flat:
+            return "[" + ", ".join(_emit(v) for v in value) + "]"
+        rows = [f"{pad}  {_emit(v, indent + 1)}" for v in value]
+        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value)}")
+
+
+def _is_gluing_pair(value):
+    return (
+        len(value) == 2
+        and all(isinstance(v, (list, tuple)) and len(v) == 2 for v in value)
+        and all(isinstance(x, (int, np.integer)) for v in value for x in v)
+    )
+
+
+def reference_surface_file_text(m, extra=None):
+    """Surface file text through the generic emitter."""
+    tri = m.triangulation
+    doc = {
+        "background": m.background.name_lower,
+        "faces": tri.face_count,
+        "gluing": [[list(h1), list(h2)] for h1, h2 in tri.edges],
+        "lengths": {tri.edge_label(e): float(m.lengths[e]) for e in range(tri.edge_count)},
+        "radii": {tri.vertex_label(v): float(m.radii[v]) for v in range(tri.vertex_count)},
+    }
+    for key, values in (extra or {}).items():
+        doc[key] = {tri.vertex_label(v): float(values[v]) for v in range(tri.vertex_count)}
+    return _emit(doc) + "\n"
 
 
 def scrambled_metric(triangulation, background, rng, flips=4, **kw):

@@ -12,11 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddce import Background, DecoratedMetric, Triangulation
-from ddce import cli
+from ddce import cli, delaunay, solver
 from ddce import metric as me
 from ddce import transition as tr
 
-from conftest import octahedron, random_metric
+from conftest import octahedron, random_metric, reference_surface_file_text
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_DOCS = {path.stem: json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))}
 
 
 def write(tmp_path, name, metric, extra=None):
@@ -85,6 +88,45 @@ def test_missing_length_is_parse_error(tmp_path, genus2_file):
 def test_round_trip_is_byte_stable(genus2_file):
     m, _ = cli.load_surface_file(genus2_file)
     assert cli.surface_file_text(m) == open(genus2_file).read()
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_DOCS))
+def test_writer_matches_the_generic_emitter(name, rng):
+    m, _ = cli.load_surface_file(str(FIXTURES / f"{name}.json"))
+    flipped, _ = delaunay.flip_to_delaunay(m)
+    n = m.triangulation.vertex_count
+    extra = {"theta_target": rng.uniform(0.5, 7.0, n), "heights": list(rng.normal(size=n))}
+    for metric in (m, flipped):
+        for ext in (None, extra):
+            assert cli.surface_file_text(metric, ext) == reference_surface_file_text(metric, ext)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["genus2_hyperbolic", "genus2_undecorated", "square_torus_cocircular", "square_torus_pulled"],
+)
+def test_writer_matches_the_generic_emitter_on_solved_metrics(name):
+    m, _ = cli.load_surface_file(str(FIXTURES / f"{name}.json"))
+    solved, _ = solver.newton_solve(m, np.full(m.triangulation.vertex_count, 2 * math.pi))
+    assert cli.surface_file_text(solved) == reference_surface_file_text(solved)
+
+
+EDGE_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, -math.inf, math.inf, -0.0, 0.0, 5e-324, 1e-310, 1e308, -1e308]),
+)
+
+
+@given(st.sampled_from(sorted(FIXTURE_DOCS)), st.sampled_from(list(Background)), st.data())
+def test_writer_matches_the_generic_emitter_on_any_floats(name, background, data):
+    tri = Triangulation.build_from_gluing(FIXTURE_DOCS[name]["faces"], FIXTURE_DOCS[name]["gluing"])
+    n_e, n_v = tri.edge_count, tri.vertex_count
+    lengths = data.draw(st.lists(EDGE_FLOATS, min_size=n_e, max_size=n_e))
+    radii = data.draw(st.lists(EDGE_FLOATS, min_size=n_v, max_size=n_v))
+    heights = st.lists(EDGE_FLOATS, min_size=n_v, max_size=n_v)
+    extra = data.draw(st.none() | st.fixed_dictionaries({"heights": heights}))
+    m = DecoratedMetric(tri, background, lengths, radii)
+    assert cli.surface_file_text(m, extra) == reference_surface_file_text(m, extra)
 
 
 # -- delaunay ---------------------------------------------------------------------
@@ -192,6 +234,24 @@ def test_spherical_solve_skips_the_support_function(capsys, monkeypatch):
     got = capsys.readouterr()
     assert (got.out, got.err) == (want.out, want.err)
     assert "line search stalled (expected for spherical targets)" in want.out + want.err
+
+
+def test_invariant_rejects_radii_whose_product_underflows(tmp_path, capsys):
+    # the genus-2 fixture as a Euclidean metric, its radius scaled by
+    # 2**-1000: valid, but 2 r_i r_j underflows to 0 in the inversive
+    # distance, which once printed lambda 0 on every edge and exit 0
+    doc = json.loads(json.dumps(FIXTURE_DOCS["genus2_hyperbolic"]))
+    doc["background"] = "euclidean"
+    doc["radii"] = {label: r * 2.0**-1000 for label, r in doc["radii"].items()}
+    path = tmp_path / "tiny-radii.json"
+    path.write_text(json.dumps(doc))
+    assert run("validate", str(path)) == 0
+    capsys.readouterr()
+    assert run("invariant", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "inversive distance inf is not finite" in captured.err
 
 
 def test_invariant_stable_under_conformal_change(tmp_path, rng, capsys):
@@ -367,13 +427,50 @@ def test_transition_t_list_errors(genus2_file, capsys, t_list, code, message):
     assert message in capsys.readouterr().err
 
 
+# -- entry point ---------------------------------------------------------------------
+
+
+def test_usage_errors_and_help_return_their_exit_codes(capsys):
+    assert run("solve") == 2
+    assert "the following arguments are required: path" in capsys.readouterr().err
+    assert run("frobnicate") == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run("--help") == 0
+    assert capsys.readouterr().out.startswith("usage: ddce")
+
+
+def test_parser_is_built_once_and_reentrant(genus2_file, capsys):
+    cli.build_parser.cache_clear()
+    assert run("validate", genus2_file) == 0
+    first = capsys.readouterr().out
+    assert run("validate", genus2_file, "--tol", "1") == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert run("validate", genus2_file) == 0
+    assert capsys.readouterr().out == first
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_no_option_leaks_between_calls(tmp_path, genus2_file, capsys, monkeypatch):
+    tols = []
+    real = solver.newton_solve
+
+    def spy(m, theta, tol, max_iter):
+        tols.append(tol)
+        return real(m, theta, tol=tol, max_iter=max_iter)
+
+    monkeypatch.setattr(solver, "newton_solve", spy)
+    assert run("solve", genus2_file, "--theta", "2pi", "--tol", "1e-3") == 0
+    assert run("solve", genus2_file, "--theta", "2pi") == 0
+    assert tols == [1e-3, 1e-10]
+    out = tmp_path / "flipped.json"
+    assert run("delaunay", genus2_file, "--out", str(out)) == 0
+    out.unlink()
+    before = sorted(tmp_path.iterdir())
+    assert run("delaunay", genus2_file) == 0
+    assert sorted(tmp_path.iterdir()) == before
+
+
 # -- fuzz ----------------------------------------------------------------------------
-
-FIXTURE_DOCS = {
-    path.stem: json.loads(path.read_text())
-    for path in sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
-}
-
 
 @st.composite
 def surface_documents(draw):
@@ -410,6 +507,51 @@ def test_fuzzed_surface_files_end_in_an_exit_code(tmp_path_factory, doc, command
     assert "Traceback" not in err.getvalue()
     if code == 1 and not out.getvalue().startswith("invalid: "):
         assert err.getvalue().startswith("error: ")
+
+
+NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.integers(-3, 100).map(str),
+    st.sampled_from(["", "pi", "-pi", "abc", "1e999", "0x10", "1,2", " 2 "]),
+)
+THETA_TEXT = st.one_of(
+    st.sampled_from(["2pi", "6.283185307179586", "3pi"]),
+    st.floats(0.05, 4.0).map(lambda x: f"{x!r}pi"),
+    st.tuples(NUMBER_TEXT, st.sampled_from(["", "pi"])).map("".join),
+)
+NON_SPHERICAL = sorted(n for n, doc in FIXTURE_DOCS.items() if doc["background"] != "spherical")
+
+
+@st.composite
+def solve_and_transition_arguments(draw):
+    """``solve`` on a non-spherical fixture or ``transition`` on any,
+    each option perhaps given: a value in its useful range, or any
+    number, or text that may not parse."""
+    if draw(st.booleans()):
+        argv = ["solve", str(FIXTURES / f"{draw(st.sampled_from(NON_SPHERICAL))}.json")]
+        if draw(st.integers(0, 3)):
+            argv.append("--theta=" + draw(THETA_TEXT))
+        if draw(st.booleans()):
+            argv.append("--tol=" + draw(st.floats(0.0, 1.0).map(repr) | NUMBER_TEXT))
+        if draw(st.booleans()):
+            argv.append("--max-iter=" + draw(st.integers(-2, 30).map(str) | NUMBER_TEXT))
+        return argv
+    argv = ["transition", str(FIXTURES / f"{draw(st.sampled_from(sorted(FIXTURE_DOCS)))}.json")]
+    if draw(st.integers(0, 3)):
+        increasing = st.lists(st.floats(1.0, 1e5), max_size=4, unique=True).map(sorted)
+        texts = increasing.map(lambda ts: [repr(t) for t in ts]) | st.lists(NUMBER_TEXT, max_size=4)
+        argv.append("--t-list=" + ",".join(draw(texts)))
+    return argv
+
+
+@settings(max_examples=150)
+@given(solve_and_transition_arguments())
+def test_fuzzed_arguments_end_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
 
 
 # -- determinism ---------------------------------------------------------------------

@@ -445,6 +445,21 @@ def test_lambda_examples(double_triangle):
     assert np.allclose(me.lambda_lengths(m3).lam, math.acosh(3.5), atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "background, radius",
+    [(Background.EUCLIDEAN, 0.3 * 2.0**-1000), (Background.HYPERBOLIC, 1e-300)],
+)
+def test_lambda_rejects_a_denominator_that_underflows(background, radius):
+    # a valid metric whose radius product underflows to 0: the Euclidean
+    # inversive distance once became inf and lambda 0, the hyperbolic
+    # one raised ZeroDivisionError
+    tri = Triangulation.genus_two_octagon()
+    m = DecoratedMetric(tri, background, np.full(9, 2.5), np.array([radius]))
+    assert me.validate(m) == []
+    with pytest.raises(ResultInvalid, match="inversive distance inf is not finite"):
+        me.lambda_lengths(m)
+
+
 def test_lambda_heights_route_cross_check(rng):
     # for hyperideal metrics the inversive-distance route and the heights
     # route must agree
