@@ -19,7 +19,8 @@ orbit, written "f:s".  Floats are emitted with 17 significant digits,
 so writing and re-reading a canonical file is byte-stable.
 
 Exit codes: 0 ok, 1 invalid metric (or one whose floats overflow the
-computation), 2 parse error, 3 non-convergence, 4 infeasible target.
+computation), 2 parse error (or an input that cannot be read or an
+output that cannot be written), 3 non-convergence, 4 infeasible target.
 All geometry lives in the library; the commands only compose it.
 """
 
@@ -63,10 +64,16 @@ class CliError(Exception):
 
 # -- writing ----------------------------------------------------------------------
 
+def _write_text(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as ex:
+        raise CliError(EXIT_PARSE_ERROR, f"cannot write {path}: {ex}")
+
+
 def write_surface_file(path, m: DecoratedMetric, extra=None):
-    text = surface_file_text(m, extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_text(path, surface_file_text(m, extra))
 
 
 def _table(key, labels, values):
@@ -318,8 +325,7 @@ def cmd_transition(args) -> int:
         for k, (t, mt) in enumerate(zip(path.ts, path.metrics)):
             write_surface_file(f"{args.out_prefix}_t{format(t, 'g')}.json", mt)
         write_surface_file(f"{args.out_prefix}_limit.json", path.euclidean_metric)
-        with open(f"{args.out_prefix}_diagnostics.csv", "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        _write_text(f"{args.out_prefix}_diagnostics.csv", csv_text)
     sys.stdout.write(csv_text)
     return EXIT_OK
 

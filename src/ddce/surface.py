@@ -14,12 +14,19 @@ single face and multiple edges between the same pair of faces are
 allowed; vertex triples therefore do not determine edges, which is why
 edges are stored as explicit half-edge pairs.
 
-Vertices and edges are derived orbits, each named by its
-lexicographically least member.  ``build_from_gluing`` numbers them in
-that order (canonical labels), so rebuilding a surface from the same
-gluing list always reproduces identical labels.  A flip keeps every
-edge and vertex id instead; ``canonical()`` renumbers a flipped
-surface, which ``flip_to_delaunay`` does once after its last flip.
+A ``Triangulation`` stores each incidence once: the edges as sorted
+half-edge pairs, and two face tables that give the edge id of every
+half-edge and the vertex id of every corner.  The vertex count follows
+from the Euler characteristic.  The gluing, the half-edge and corner
+lookups and the vertex orbits are derived from these tables when first
+read.
+
+Vertices and edges are orbits, each named by its lexicographically
+least member.  ``build_from_gluing`` numbers them in that order
+(canonical labels), so rebuilding a surface from the same gluing list
+always reproduces identical labels.  A flip keeps every edge and vertex
+id instead; ``canonical()`` renumbers a flipped surface, which
+``flip_to_delaunay`` does once after its last flip.
 """
 
 from __future__ import annotations
@@ -74,18 +81,30 @@ class _UnionFind:
 class FlipResult:
     """Outcome of a combinatorial edge flip.
 
-    Every edge and vertex keeps its id: the new diagonal is edge
-    ``new_edge``, the id of the flipped edge, and ``quad_boundary_edges``
-    holds the ids of the four quad sides.  ``half_edge_map`` holds only
-    the six half-edges of the flipped quad, which change identity; every
-    other half-edge keeps its own, so look up with
-    ``half_edge_map.get(h, h)``.
+    Every edge and vertex keeps its id: the new diagonal has the id of
+    the flipped edge, and ``quad_boundary_edges`` holds the ids of the
+    four quad sides.  ``half_edge_map`` holds only the six half-edges of
+    the flipped quad, which change identity; every other half-edge keeps
+    its own, so look up with ``half_edge_map.get(h, h)``.
     """
 
     triangulation: "Triangulation"
     half_edge_map: dict
-    new_edge: int
     quad_boundary_edges: tuple
+
+
+def _rows(slots: list) -> tuple:
+    """A flat ``3 F`` slot list as ``F`` tuples of three."""
+    return tuple(zip(slots[0::3], slots[1::3], slots[2::3]))
+
+
+def _slot_map(old_rows, new_rows, n: int) -> list:
+    """``k -> k'`` for two face tables that name the same slots."""
+    out = [0] * n
+    for old, new in zip(old_rows, new_rows):
+        for k, k_new in zip(old, new):
+            out[k] = k_new
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,31 +114,32 @@ class Triangulation:
     ``build_from_gluing`` numbers edges and vertices canonically;
     ``flip`` keeps the ids of its parent.
 
-    Index tables for the per-face and per-edge loops are derived from
-    the edge and vertex orbits when first read and cached on the
-    instance (one O(F) pass each); ``flip`` patches its parent's tables
-    instead.  ``face_edge_ids[f]`` and ``face_vertex_ids[f]``
-    hold the edge and vertex indices of face ``f`` in slot order and
-    ``edge_endpoint_ids[e]`` the endpoint vertex indices of edge ``e``,
-    as tuples of ints; ``face_edge_array``, ``face_vertex_array``
-    (``F x 3``) and ``edge_endpoint_array`` (``E x 2``) hold the same
-    data as int arrays for numpy gathers, and ``edge_side_array`` the
-    flat slots of ``edges``.
+    Stored: ``edges[e]``, the two half-edges of edge ``e`` in sorted
+    order, and the face tables ``face_edge_ids[f]`` and
+    ``face_vertex_ids[f]``, the edge ids of face ``f``'s half-edges and
+    the vertex ids of its corners in slot order (tuples of ints).
+    Everything else is derived from these when first read and cached on
+    the instance (one O(F) pass each): the lookups ``gluing``,
+    ``edge_index``, ``vertex_index`` and ``vertices``, the endpoint
+    table ``edge_endpoint_ids[e]``, and the int arrays
+    ``face_edge_array``, ``face_vertex_array`` (``F x 3``),
+    ``edge_endpoint_array`` (``E x 2``) and ``edge_side_array`` for
+    numpy gathers.  ``flip`` patches its parent's stored tables and its
+    endpoint table, and derives nothing else.
     """
 
     face_count: int
-    gluing: dict = field(repr=False)  # involution on half-edges, both directions
-    edges: tuple = field(repr=False)  # half-edge pairs, each sorted
-    vertices: tuple = field(repr=False)  # corner orbits as sorted tuples
-    edge_index: dict = field(repr=False)  # half-edge -> edge position
-    vertex_index: dict = field(repr=False)  # corner -> vertex position
-    genus: int = 0
+    edges: tuple = field(repr=False)  # half-edge pairs, each sorted, by edge id
+    face_edge_ids: tuple = field(repr=False)  # per face: edge id of each half-edge
+    face_vertex_ids: tuple = field(repr=False)  # per face: vertex id of each corner
+    genus: int
 
     # -- construction --------------------------------------------------------
 
     @classmethod
     def build_from_gluing(cls, face_count: int, pairs) -> "Triangulation":
-        """Validate a gluing list and derive vertex/edge orbits and genus."""
+        """Validate a gluing list, number its edge and vertex orbits
+        canonically, and fill the face tables and genus."""
         half_edges = [(f, s) for f in range(face_count) for s in range(3)]
         gluing: dict = {}
         for pair in pairs:
@@ -141,19 +161,17 @@ class Triangulation:
         for h1, h2 in gluing.items():
             uf.union(h1, _next(h2))
         vertex_orbits: dict = {}
-        for corner in half_edges:
+        for corner in half_edges:  # in sorted order, so each orbit is sorted
             vertex_orbits.setdefault(uf.find(corner), []).append(corner)
-        vertices = tuple(tuple(sorted(v)) for v in sorted(vertex_orbits.values()))
+        vertex_slots = [0] * (3 * face_count)
+        for idx, orbit in enumerate(sorted(vertex_orbits.values())):
+            for f, s in orbit:
+                vertex_slots[3 * f + s] = idx
 
         edges = tuple(sorted(tuple(sorted((h, gluing[h]))) for h in gluing if h <= gluing[h]))
-        edge_index = {}
-        for idx, (h1, h2) in enumerate(edges):
-            edge_index[h1] = idx
-            edge_index[h2] = idx
-        vertex_index = {}
-        for idx, orbit in enumerate(vertices):
-            for corner in orbit:
-                vertex_index[corner] = idx
+        edge_slots = [0] * (3 * face_count)
+        for idx, ((f, s), (g, t)) in enumerate(edges):
+            edge_slots[3 * f + s] = edge_slots[3 * g + t] = idx
 
         faces_uf = _UnionFind(range(face_count))
         for (f, _s), (g, _t) in gluing.items():
@@ -161,7 +179,7 @@ class Triangulation:
         if len({faces_uf.find(f) for f in range(face_count)}) != 1:
             raise DisconnectedSurface("gluing does not connect all faces")
 
-        chi = len(vertices) - len(edges) + face_count
+        chi = len(vertex_orbits) - len(edges) + face_count
         if chi % 2 != 0:
             raise NonOrientable(f"Euler characteristic {chi} is odd")
         if chi > 2:
@@ -169,11 +187,9 @@ class Triangulation:
 
         return cls(
             face_count=face_count,
-            gluing=gluing,
             edges=edges,
-            vertices=vertices,
-            edge_index=edge_index,
-            vertex_index=vertex_index,
+            face_edge_ids=_rows(edge_slots),
+            face_vertex_ids=_rows(vertex_slots),
             genus=(2 - chi) // 2,
         )
 
@@ -182,8 +198,8 @@ class Triangulation:
         canonical labels, where edge ``k`` is ``edge_map[k]`` and vertex
         ``v`` is ``vertex_map[v]``; faces and half-edges keep their names."""
         canon = Triangulation.build_from_gluing(self.face_count, self.edges)
-        edge_map = [canon.edge_index[h] for h, _ in self.edges]
-        vertex_map = [canon.vertex_index[orbit[0]] for orbit in self.vertices]
+        edge_map = _slot_map(self.face_edge_ids, canon.face_edge_ids, self.edge_count)
+        vertex_map = _slot_map(self.face_vertex_ids, canon.face_vertex_ids, self.vertex_count)
         return canon, edge_map, vertex_map
 
     # -- stock gluings used throughout the test suite and docs ---------------
@@ -218,7 +234,7 @@ class Triangulation:
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return self.euler_characteristic + self.edge_count - self.face_count
 
     @property
     def edge_count(self) -> int:
@@ -226,7 +242,7 @@ class Triangulation:
 
     @property
     def euler_characteristic(self) -> int:
-        return self.vertex_count - self.edge_count + self.face_count
+        return 2 - 2 * self.genus
 
     def vertex_label(self, v: int) -> str:
         return half_edge_label(self.vertices[v][0])
@@ -234,27 +250,32 @@ class Triangulation:
     def edge_label(self, e: int) -> str:
         return half_edge_label(self.edges[e][0])
 
-    def opposite(self, h: HalfEdge) -> HalfEdge:
-        return self.gluing[h]
-
     def edge_sides(self, e: int) -> tuple:
         """The two half-edges bounding edge ``e`` (may share a face)."""
         return self.edges[e]
 
     @cached_property
-    def face_edge_ids(self) -> tuple:
-        slots = [0] * (3 * self.face_count)
-        for idx, ((f, s), (g, t)) in enumerate(self.edges):
-            slots[3 * f + s] = slots[3 * g + t] = idx
-        return tuple(zip(slots[0::3], slots[1::3], slots[2::3]))
+    def gluing(self) -> dict:
+        """The involution on half-edges, both directions."""
+        return {h: k for pair in self.edges for h, k in (pair, pair[::-1])}
 
     @cached_property
-    def face_vertex_ids(self) -> tuple:
-        slots = [0] * (3 * self.face_count)
-        for idx, orbit in enumerate(self.vertices):
-            for f, s in orbit:
-                slots[3 * f + s] = idx
-        return tuple(zip(slots[0::3], slots[1::3], slots[2::3]))
+    def edge_index(self) -> dict:
+        """Half-edge ``(f, s)`` -> id of its edge."""
+        return {(f, s): k for f, row in enumerate(self.face_edge_ids) for s, k in enumerate(row)}
+
+    @cached_property
+    def vertex_index(self) -> dict:
+        """Corner ``(f, s)`` -> id of its vertex."""
+        return {(f, s): v for f, row in enumerate(self.face_vertex_ids) for s, v in enumerate(row)}
+
+    @cached_property
+    def vertices(self) -> tuple:
+        """Corner orbits as sorted tuples, by vertex id."""
+        orbits = [[] for _ in range(self.vertex_count)]
+        for corner, v in self.vertex_index.items():  # corners in sorted order
+            orbits[v].append(corner)
+        return tuple(map(tuple, orbits))
 
     @cached_property
     def edge_endpoint_ids(self) -> tuple:
@@ -306,20 +327,22 @@ class Triangulation:
         matching corners (the double of a triangle), in which case both
         pairs of adjacent quad boundary edges coincide.
         """
-        h1, h2 = self.edges[e]
-        if h1[0] == h2[0]:
+        (f, s), (g, t) = self.edges[e]
+        if f == g:
             return True
-        return self.gluing[_next(h1)] == _prev(h2) and self.gluing[_prev(h1)] == _next(h2)
+        fe, ge = self.face_edge_ids[f], self.face_edge_ids[g]
+        return fe[(s + 1) % 3] == ge[(t + 2) % 3] and fe[(s + 2) % 3] == ge[(t + 1) % 3]
 
     # -- edge flip ------------------------------------------------------------
 
     def flip(self, e: int) -> FlipResult:
         """Replace edge ``e`` by the opposite diagonal of its quadrilateral.
 
-        Only the entries of the quad's two faces change, and every edge
-        and vertex keeps its id.  A flip keeps the gluing an involution,
-        the surface connected and its Euler characteristic, so nothing
-        is validated again.
+        Only the rows of the quad's two faces and the pairs and endpoints
+        of the diagonal and the quad sides change; every edge and vertex
+        keeps its id.  A flip keeps the gluing an involution, the surface
+        connected and its Euler characteristic, so nothing is validated
+        again.
 
         Refuses self-glued quads: their diagonal is not a well-defined
         combinatorial quadrilateral side swap.
@@ -341,59 +364,30 @@ class Triangulation:
             _next(h2): (f, 0),   # a -> d side
             _prev(h2): (g, 0),   # d -> b side
         }
-        gluing = dict(self.gluing)
-        edge_index = dict(self.edge_index)
-        for old, new in relabel.items():
-            partner = self.gluing[old]
-            gluing[new] = relabel.get(partner, partner)
-            if partner not in relabel:
-                gluing[partner] = new
-            edge_index[new] = self.edge_index[old]
-        edges = list(self.edges)
-        touched = {self.edge_index[h] for h in relabel}  # the diagonal and the quad sides
-        for k in touched:
-            edges[k] = tuple(sorted(relabel.get(h, h) for h in self.edges[k]))
-
-        # quad corners a, b, c, d as vertex ids, and where they sit after the flip
-        vi = self.vertex_index
-        a, b, c, d = vi[h1], vi[_next(h1)], vi[_prev(h1)], vi[_prev(h2)]
-        corners = {(f, 0): a, (f, 1): d, (f, 2): c, (g, 0): d, (g, 1): b, (g, 2): c}
-        vertex_index = dict(vi)
-        vertex_index.update(corners)
-        vertices = list(self.vertices)
-        for v in {a, b, c, d}:
-            outside = [x for x in self.vertices[v] if x[0] != f and x[0] != g]
-            vertices[v] = tuple(sorted(outside + [x for x, w in corners.items() if w == v]))
+        fe, ge = self.face_edge_ids[f], self.face_edge_ids[g]
+        bc, ca, ad, db = fe[(s + 1) % 3], fe[(s + 2) % 3], ge[(t + 1) % 3], ge[(t + 2) % 3]
+        fv, gv = self.face_vertex_ids[f], self.face_vertex_ids[g]
+        a, b, c, d = fv[s], fv[(s + 1) % 3], fv[(s + 2) % 3], gv[(t + 2) % 3]
 
         face_edges = list(self.face_edge_ids)
+        face_edges[f], face_edges[g] = (ad, e, ca), (db, bc, e)
         face_vertices = list(self.face_vertex_ids)
-        for x in (f, g):
-            face_edges[x] = (edge_index[(x, 0)], edge_index[(x, 1)], edge_index[(x, 2)])
-            face_vertices[x] = (corners[(x, 0)], corners[(x, 1)], corners[(x, 2)])
+        face_vertices[f], face_vertices[g] = (a, d, c), (d, b, c)
+        edges = list(self.edges)
         endpoints = list(self.edge_endpoint_ids)
-        for k in touched:
-            h = edges[k][0]
-            endpoints[k] = (vertex_index[h], vertex_index[_next(h)])
+        for k in {e, bc, ca, ad, db}:
+            edges[k] = tuple(sorted(relabel.get(h, h) for h in self.edges[k]))
+            x, y = edges[k][0]
+            endpoints[k] = (face_vertices[x][y], face_vertices[x][(y + 1) % 3])
 
         new_tri = Triangulation(
             face_count=self.face_count,
-            gluing=gluing,
             edges=tuple(edges),
-            vertices=tuple(vertices),
-            edge_index=edge_index,
-            vertex_index=vertex_index,
-            genus=self.genus,
-        )
-        vars(new_tri).update(
             face_edge_ids=tuple(face_edges),
             face_vertex_ids=tuple(face_vertices),
-            edge_endpoint_ids=tuple(endpoints),
+            genus=self.genus,
         )
+        vars(new_tri)["edge_endpoint_ids"] = tuple(endpoints)
         return FlipResult(
-            triangulation=new_tri,
-            half_edge_map=relabel,
-            new_edge=e,
-            quad_boundary_edges=tuple(
-                self.edge_index[h] for h in (_next(h1), _prev(h1), _next(h2), _prev(h2))
-            ),
+            triangulation=new_tri, half_edge_map=relabel, quad_boundary_edges=(bc, ca, ad, db)
         )

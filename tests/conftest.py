@@ -290,13 +290,61 @@ def reference_flip(tri, e):
 
 
 def surface_fields(tri):
-    """Every field of a Triangulation, comparable with ``==``."""
+    """The stored fields of a Triangulation (``face_count``, ``edges``,
+    ``face_edge_ids``, ``face_vertex_ids``, ``genus``), comparable with
+    ``==``."""
     return {f.name: getattr(tri, f.name) for f in dataclasses.fields(tri)}
 
 
+def corner_orbits(face_count, pairs):
+    """Vertex orbits of a gluing, found by breadth-first search on the
+    corner identification graph (no union-find): sorted tuples, in
+    sorted order."""
+    adj = {(f, s): set() for f in range(face_count) for s in range(3)}
+    for (f, s), (g, t) in pairs:
+        for a, b in (((f, s), (g, (t + 1) % 3)), ((f, (s + 1) % 3), (g, t))):
+            adj[a].add(b)
+            adj[b].add(a)
+    seen = set()
+    orbits = []
+    for corner in sorted(adj):
+        if corner in seen:
+            continue
+        stack = [corner]
+        orbit = set()
+        while stack:
+            c = stack.pop()
+            if c in orbit:
+                continue
+            orbit.add(c)
+            stack.extend(adj[c] - orbit)
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return sorted(orbits)
+
+
 def fresh_copy(tri):
-    """The same surface with its index tables not yet derived."""
-    return Triangulation(**surface_fields(tri))
+    """The same surface with its face tables derived afresh from its
+    edge pairs alone: edge ids read off ``edges``, and vertex ids from
+    ``corner_orbits``, each orbit taking the id that ``tri`` gives its
+    least corner.  Nothing is derived from the copy yet."""
+    edge_of = {h: k for k, pair in enumerate(tri.edges) for h in pair}
+    vertex_of = {
+        c: tri.face_vertex_ids[orbit[0][0]][orbit[0][1]]
+        for orbit in corner_orbits(tri.face_count, tri.edges)
+        for c in orbit
+    }
+
+    def rows(slot_of):
+        return tuple(tuple(slot_of[(f, s)] for s in range(3)) for f in range(tri.face_count))
+
+    return Triangulation(
+        face_count=tri.face_count,
+        edges=tri.edges,
+        face_edge_ids=rows(edge_of),
+        face_vertex_ids=rows(vertex_of),
+        genus=tri.genus,
+    )
 
 
 # -- writer oracle ----------------------------------------------------------------

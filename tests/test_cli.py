@@ -85,6 +85,25 @@ def test_missing_length_is_parse_error(tmp_path, genus2_file):
     assert run("validate", str(path)) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["delaunay", "--out", "{d}/x.json"], "{d}/x.json"),
+        (["solve", "--theta", "2pi", "--out", "{d}/x.json"], "{d}/x.json"),
+        (["transition", "--t-list", "1,10", "--out-prefix", "{d}/tw"], "{d}/tw_t1.json"),
+    ],
+)
+def test_unwritable_output_is_parse_error(tmp_path, genus2_file, capsys, argv, written):
+    # an output that cannot be written ends like an input that cannot be read
+    missing = tmp_path / "missing"
+    assert run("validate", str(missing / "in.json")) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}/in.json: ")
+    argv = [arg.format(d=missing) for arg in argv]
+    assert run(argv[0], genus2_file, *argv[1:]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {written.format(d=missing)}: ")
+    assert not missing.exists()
+
+
 def test_round_trip_is_byte_stable(genus2_file):
     m, _ = cli.load_surface_file(genus2_file)
     assert cli.surface_file_text(m) == open(genus2_file).read()

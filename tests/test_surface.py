@@ -1,5 +1,7 @@
 """Combinatorial surface tests: orbits, genus, flips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from ddce import Triangulation
 from ddce.errors import DisconnectedSurface, NonInvolution, UnflippableSelfGluing
 
 from conftest import (
+    corner_orbits,
     fresh_copy,
-    from_face_vertices,
     grid_torus,
     isosceles_sphere,
     octahedron,
@@ -20,35 +22,18 @@ TABLES = (
     "face_edge_ids", "face_vertex_ids", "edge_endpoint_ids",
     "face_edge_array", "face_vertex_array", "edge_endpoint_array",
 )
+LOOKUPS = ("gluing", "vertices", "edge_index", "vertex_index")
 
 
-def brute_force_orbits(face_count, pairs):
-    """Independent orbit enumeration: breadth-first search on the corner
-    identification graph, no union-find."""
-    adj = {(f, s): set() for f in range(face_count) for s in range(3)}
-    for (f, s), (g, t) in pairs:
-        a1, b1 = (f, s), (g, (t + 1) % 3)
-        a2, b2 = (f, (s + 1) % 3), (g, t)
-        adj[a1].add(b1)
-        adj[b1].add(a1)
-        adj[a2].add(b2)
-        adj[b2].add(a2)
-    seen = set()
-    orbits = []
-    for corner in sorted(adj):
-        if corner in seen:
-            continue
-        stack = [corner]
-        orbit = set()
-        while stack:
-            c = stack.pop()
-            if c in orbit:
-                continue
-            orbit.add(c)
-            stack.extend(adj[c] - orbit)
-        seen |= orbit
-        orbits.append(tuple(sorted(orbit)))
-    return sorted(orbits)
+def folds_onto_itself(tri, e):
+    """``is_self_glued_quad`` read off the gluing: one face glued to
+    itself along ``e``, or both pairs of adjacent quad sides glued to
+    each other."""
+    (f, s), (g, t) = tri.edges[e]
+    glue = tri.gluing
+    return f == g or (
+        glue[(f, (s + 1) % 3)] == (g, (t + 2) % 3) and glue[(f, (s + 2) % 3)] == (g, (t + 1) % 3)
+    )
 
 
 def test_double_triangle_counts():
@@ -66,7 +51,7 @@ def test_genus_two_octagon_against_orbit_oracle():
     assert t.euler_characteristic == -2
     assert t.genus == 2
     pairs = [t.edges[e] for e in range(t.edge_count)]
-    oracle = brute_force_orbits(6, pairs)
+    oracle = corner_orbits(6, pairs)
     assert tuple(oracle) == t.vertices
 
 
@@ -155,7 +140,7 @@ def test_flip_involution_up_to_relabeling():
             if t.is_self_glued_quad(e):
                 continue
             fr1 = t.flip(e)
-            fr2 = fr1.triangulation.flip(fr1.new_edge)
+            fr2 = fr1.triangulation.flip(e)
             # the composed half-edge map is a gluing isomorphism onto the original
             # (half-edges absent from a map keep their identity)
             phi = {}
@@ -171,7 +156,9 @@ def test_flip_maps_are_consistent():
     t = octahedron()
     fr = t.flip(0)
     s = fr.triangulation
-    assert fr.new_edge == 0
+    # the new diagonal keeps the flipped edge's id
+    (f, _), (g, _) = t.edges[0]
+    assert s.edges[0] == ((f, 1), (g, 2))
     # ids are stable: every unflipped edge keeps its endpoints
     for e in range(1, t.edge_count):
         assert sorted(s.edge_endpoints(e)) == sorted(t.edge_endpoints(e))
@@ -203,6 +190,7 @@ def test_flip_in_place_matches_rebuild():
         cur = t
         for _ in range(40):
             flippable = [e for e in range(cur.edge_count) if not cur.is_self_glued_quad(e)]
+            assert flippable == [e for e in range(cur.edge_count) if not folds_onto_itself(cur, e)]
             e = flippable[rng.integers(len(flippable))]
             fr = cur.flip(e)
             new = fr.triangulation
@@ -210,39 +198,64 @@ def test_flip_in_place_matches_rebuild():
             canon, edge_map, vertex_map = new.canonical()
             assert surface_fields(canon) == surface_fields(ref)
             assert (edge_map, vertex_map) == (ref_edges, ref_vertices)
-            assert fr.new_edge == e and edge_map[e] == ref_new_edge
+            assert edge_map[e] == ref_new_edge
             assert tuple(edge_map[b] for b in fr.quad_boundary_edges) == ref_boundary
             assert new.genus == t.genus
-            # edges stay sorted pairs and orbits sorted tuples (canonical names)
+            # edges stay sorted pairs (canonical names)
             assert all(list(pair) == sorted(pair) for pair in new.edges)
-            assert all(list(orbit) == sorted(orbit) for orbit in new.vertices)
             touched = {e, *fr.quad_boundary_edges}
             for k in range(cur.edge_count):
                 if k not in touched:
                     assert new.edges[k] == cur.edges[k]
-            # patched index tables equal tables derived fresh
+            # patched tables equal tables derived afresh from the edge pairs
             fresh = fresh_copy(new)
             for name in TABLES:
                 assert np.array_equal(getattr(new, name), getattr(fresh, name)), name
+            assert sorted(new.vertices) == corner_orbits(new.face_count, new.edges)
+            # each derived lookup equals the rebuilt surface's, through the
+            # reference's edge and vertex maps
+            assert new.gluing == ref.gluing
+            assert {h: ref_edges[k] for h, k in new.edge_index.items()} == ref.edge_index
+            assert {c: ref_vertices[v] for c, v in new.vertex_index.items()} == ref.vertex_index
+            assert list(new.vertices) == [ref.vertices[w] for w in ref_vertices]
+            assert [tuple(ref_vertices[v] for v in ends) for ends in new.edge_endpoint_ids] == [
+                ref.edge_endpoint_ids[k] for k in ref_edges
+            ]
             cur = new
 
 
 def test_index_tables_match_orbit_maps():
     for t in (Triangulation.square_torus(), Triangulation.genus_two_octagon(), octahedron()):
-        for f in range(t.face_count):
-            assert t.face_edges(f) == tuple(t.edge_index[(f, s)] for s in range(3))
-            assert t.face_vertices(f) == tuple(t.vertex_index[(f, s)] for s in range(3))
-        for e, (h, _) in enumerate(t.edges):
-            assert t.edge_endpoints(e) == (t.vertex_index[h], t.vertex_index[(h[0], (h[1] + 1) % 3)])
-        assert t.face_edge_array.tolist() == [list(x) for x in t.face_edge_ids]
-        assert t.face_vertex_array.tolist() == [list(x) for x in t.face_vertex_ids]
-        assert t.edge_endpoint_array.tolist() == [list(x) for x in t.edge_endpoint_ids]
-        # built once per surface; a flip patches its parent's tuples, which
-        # equal tables derived fresh
-        assert t.face_edge_ids is t.face_edge_ids
         flipped = t.flip(next(e for e in range(t.edge_count) if not t.is_self_glued_quad(e)))
         s = flipped.triangulation
-        fresh = fresh_copy(s)
-        for name in ("face_edge_ids", "face_vertex_ids", "edge_endpoint_ids"):
-            assert name in vars(s)
-            assert getattr(s, name) == getattr(fresh, name)
+        for u in (t, s):
+            # the face tables agree with the edge pairs and the corner orbits
+            for e, pair in enumerate(u.edges):
+                assert [u.face_edge_ids[f][k] for f, k in pair] == [e, e]
+            assert sorted(u.vertices) == corner_orbits(u.face_count, u.edges)
+            for f in range(u.face_count):
+                assert u.face_edges(f) == tuple(u.edge_index[(f, k)] for k in range(3))
+                assert u.face_vertices(f) == tuple(u.vertex_index[(f, k)] for k in range(3))
+            for e, (h, _) in enumerate(u.edges):
+                tail, head = h, (h[0], (h[1] + 1) % 3)
+                assert u.edge_endpoints(e) == (u.vertex_index[tail], u.vertex_index[head])
+            assert u.face_edge_array.tolist() == [list(x) for x in u.face_edge_ids]
+            assert u.face_vertex_array.tolist() == [list(x) for x in u.face_vertex_ids]
+            assert u.edge_endpoint_array.tolist() == [list(x) for x in u.edge_endpoint_ids]
+        # derived once per surface; a flip patches its parent's endpoint table
+        assert t.edge_endpoint_ids is t.edge_endpoint_ids
+        assert "edge_endpoint_ids" in vars(flipped.triangulation)
+
+
+def test_flip_stores_tables_and_derives_no_lookup():
+    names = [f.name for f in dataclasses.fields(Triangulation)]
+    assert names == ["face_count", "edges", "face_edge_ids", "face_vertex_ids", "genus"]
+    rng = np.random.default_rng(11)
+    for t in (Triangulation.square_torus(), Triangulation.genus_two_octagon(), grid_torus(4)):
+        chain = [t]
+        for _ in range(30):
+            cur = chain[-1]
+            flippable = [e for e in range(cur.edge_count) if not cur.is_self_glued_quad(e)]
+            chain.append(cur.flip(flippable[rng.integers(len(flippable))]).triangulation)
+        for u in chain:
+            assert not set(LOOKUPS) & set(vars(u))

@@ -202,14 +202,12 @@ def _reversed_labels(tri):
     """The same surface with its edge and vertex ids in reverse order
     (faces and half-edges keep their names): labels that ``canonical``
     changes."""
-    edges, vertices = tri.edges[::-1], tri.vertices[::-1]
+    last_e, last_v = tri.edge_count - 1, tri.vertex_count - 1
     return Triangulation(
         face_count=tri.face_count,
-        gluing=tri.gluing,
-        edges=edges,
-        vertices=vertices,
-        edge_index={h: k for k, pair in enumerate(edges) for h in pair},
-        vertex_index={c: v for v, orbit in enumerate(vertices) for c in orbit},
+        edges=tri.edges[::-1],
+        face_edge_ids=tuple(tuple(last_e - k for k in row) for row in tri.face_edge_ids),
+        face_vertex_ids=tuple(tuple(last_v - v for v in row) for row in tri.face_vertex_ids),
         genus=tri.genus,
     )
 
