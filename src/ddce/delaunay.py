@@ -165,6 +165,7 @@ def flip_edge(m: DecoratedMetric, e: int):
     fr = tri.flip(e)
     lengths = m.lengths.copy()
     lengths[e] = new_len
+    lengths.flags.writeable = False  # the metric keeps it as it is
     return DecoratedMetric(fr.triangulation, m.background, lengths, m.radii), fr, new_len
 
 
@@ -220,9 +221,13 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
     records the support-function minimum after every flip, the
     monotone quantity behind the termination proof.  Faces outside a
     flipped quad keep their ids and slots, so only the two rebuilt
-    faces get a new geometry and a new support value per flip; their
-    five edges get their sections evaluated afresh, and their triangles
-    were checked by ``trig.diagonal_length``.
+    faces get a new geometry and a new support value per flip, and
+    their triangles were checked by ``trig.diagonal_length``.  Of their
+    five edges only the new diagonal gets its section evaluated
+    (``trig.edge_section``): each quad side keeps its length and
+    endpoint radii, and its section is read off the face geometries it
+    had before the flip (``_held_section``).  So a call evaluates
+    ``E + flip_count`` sections.
 
     Flips keep every edge and vertex id and the queue visits edges in
     canonical order; after flips the output is relabeled canonically
@@ -253,11 +258,16 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
                 raise FlipBoundExceeded(
                     "flip algorithm exceeded the safety bound; geometry inconsistent"
                 )
-            label = m.triangulation.edge_label(e)
+            before = m.triangulation
+            label = before.edge_label(e)
             m, fr, new_len = flip_edge(m, e)
+            sections = {b: _held_section(before, geoms, b) for b in fr.quad_boundary_edges}
+            i, j = m.triangulation.edge_endpoint_ids[e]
+            sections[e] = trig.edge_section(
+                m.background, new_len, float(m.radii[i]), float(m.radii[j])
+            )
             rebuilt = set(h[0] for h in m.triangulation.edges[e])
             face_edges = m.triangulation.face_edge_ids
-            sections = _edge_sections(m, {b for f in rebuilt for b in face_edges[f]})
             for f in rebuilt:
                 geoms[f] = _face_geometry(
                     m.face_triangle(f), [sections[b] for b in face_edges[f]]
@@ -290,16 +300,16 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
     return m, log
 
 
-def _edge_sections(m: DecoratedMetric, edges) -> dict:
-    """``trig.edge_section`` of each of the given edges, by edge id."""
-    ends = m.triangulation.edge_endpoint_ids
-    l, r = m.lengths, m.radii
-    return {
-        e: trig.edge_section(
-            m.background, float(l[e]), float(r[ends[e][0]]), float(r[ends[e][1]])
-        )
-        for e in edges
-    }
+def _held_section(tri, geoms, b: int) -> tuple:
+    """The ``trig.edge_section`` of edge ``b`` as a face side holds it:
+    ``trig.side_section`` gives the section itself to the side that
+    starts at the endpoint with the smaller radius (to both on a tie),
+    so ``geoms``, current on ``tri``, hold it bit for bit."""
+    (f, s), (g, t) = tri.edges[b]
+    held = geoms[f]
+    if held.radii[s] > held.radii[(s + 1) % 3]:
+        held, s = geoms[g], t
+    return held.x_section[s], held.r_section[s]
 
 
 def _canonical_metric(m: DecoratedMetric):
@@ -343,7 +353,7 @@ def extract_tessellation(m: DecoratedMetric, tol: float = 1e-9, geoms=None) -> T
         raise NotDelaunay(f"negative edge weights at {offending}")
     kept = tuple(e for e in range(tri.edge_count) if weights[e] > tol)
     removed = tuple(e for e in range(tri.edge_count) if weights[e] <= tol)
-    uf = _UnionFind(range(tri.face_count))
+    uf = _UnionFind(tri.face_count)
     for e in removed:
         (f, _), (g, _) = tri.edge_sides(e)
         uf.union(f, g)

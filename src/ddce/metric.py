@@ -83,7 +83,10 @@ def default_reference_radius(background: Background) -> float:
 @dataclass(frozen=True)
 class DecoratedMetric:
     """Per-edge lengths and per-vertex radii on a triangulation, held as
-    read-only copies, so that ``validate`` need look only once."""
+    read-only float arrays, so that ``validate`` need look only once.
+    An array that is already read-only, float64 and owns its data is
+    kept as it is, so flips share their parent's radii; anything else
+    is copied."""
 
     triangulation: Triangulation
     background: Background
@@ -92,9 +95,14 @@ class DecoratedMetric:
 
     def __post_init__(self):
         for name in ("lengths", "radii"):
-            values = np.array(getattr(self, name), dtype=float)
-            values.flags.writeable = False
-            object.__setattr__(self, name, values)
+            values = getattr(self, name)
+            if not (
+                type(values) is np.ndarray and values.dtype == np.float64
+                and values.flags.owndata and not values.flags.writeable
+            ):
+                values = np.array(values, dtype=float)
+                values.flags.writeable = False
+                object.__setattr__(self, name, values)
         if self.lengths.shape != (self.triangulation.edge_count,):
             raise ValueError("length array does not match edge orbits")
         if self.radii.shape != (self.triangulation.vertex_count,):

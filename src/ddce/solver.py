@@ -92,32 +92,40 @@ def gradient(m: DecoratedMetric, theta_target) -> np.ndarray:
 
 
 def angle_jacobian(m: DecoratedMetric, geoms=None) -> np.ndarray:
-    """d(theta)/d(heights), assembled corner by corner so self-gluings
-    and loop edges fall out correctly."""
-    tri = m.triangulation
+    """d(theta)/d(heights), summed corner by corner so self-gluings and
+    loop edges fall out correctly.
+
+    Corner s of a face sits on slots s and s + 2, towards corners s + 1
+    and s + 2.  Per slot, q is this face's half of the edge weight, in
+    the product form of delaunay.edge_weights (finite at tangency), and
+    d theta_i = sum_edges q * (K(l) dh_i - dh_other) with K = cos/1/cosh;
+    per edge this sums to the Laplacian of the cotan weights plus the
+    diagonal (K - 1) form, which is what finite differences of the cone
+    angles reproduce.  One ``np.bincount`` adds the entries -q at
+    (i, other) and q K at (i, i) face by face, corner by corner, slot s
+    before slot s + 2, so every sum is rounded in that order.
+
+    ``geoms`` holds the face geometries of ``m``, as a list or as
+    ``trig.FaceArrays``; without them ``m`` is evaluated by
+    ``delaunay.face_arrays``."""
     if geoms is None:
-        geoms = delaunay.face_geometries(m)
+        geoms = delaunay.face_arrays(m)
+    elif not isinstance(geoms, trig.FaceArrays):
+        geoms = trig.FaceArrays.stack(m.background, geoms)
     bg = m.background
-    n = tri.vertex_count
-    jac = np.zeros((n, n))
-    for geom, verts in zip(geoms, tri.face_vertex_ids):
-        # per slot: this face's half q of the edge weight, in the product
-        # form of delaunay.edge_weights (finite at tangency), and K(l)
-        q, k = [], []
-        for d, rho, length in zip(geom.d_tangent, geom.r_section, geom.lengths):
-            q.append(d / (trig.cfac(bg, rho) * trig.sfac(bg, length)))
-            k.append(trig.cfac(bg, length))
-        for s in range(3):
-            i = verts[s]
-            # corner s sits on slots s and s + 2, towards corners s + 1, s + 2
-            for slot, other in ((s, verts[(s + 1) % 3]), ((s + 2) % 3, verts[(s + 2) % 3])):
-                # d theta_i = sum_edges q * (K(l) dh_i - dh_other); per edge
-                # this sums to the Laplacian of the cotan weights plus the
-                # diagonal (K - 1) form, which is what finite differences
-                # of the cone angles reproduce.
-                jac[i, other] -= q[slot]
-                jac[i, i] += q[slot] * k[slot]
-    return jac
+    d, length = geoms.d_tangent, geoms.lengths
+    if bg is Background.EUCLIDEAN:
+        q = qk = d / length
+    else:
+        sin, cos = trig.SIN_COS[bg]
+        q = d / (trig.each(cos, geoms.r_section) * trig.each(sin, length))
+        qk = q * trig.each(cos, length)
+    n = m.triangulation.vertex_count
+    v = m.triangulation.face_vertex_array
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    cells = np.stack([v * n + v[:, nxt], v * (n + 1), v * n + v[:, prv], v * (n + 1)], axis=2)
+    values = np.stack([-q, qk, -q[:, prv], qk[:, prv]], axis=2)
+    return np.bincount(cells.ravel(), values.ravel(), minlength=n * n).reshape(n, n)
 
 
 def hessian(m: DecoratedMetric, geoms=None) -> np.ndarray:

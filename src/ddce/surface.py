@@ -24,9 +24,12 @@ read.
 Vertices and edges are orbits, each named by its lexicographically
 least member.  ``build_from_gluing`` numbers them in that order
 (canonical labels), so rebuilding a surface from the same gluing list
-always reproduces identical labels.  A flip keeps every edge and vertex
-id instead; ``canonical()`` renumbers a flipped surface, which
-``flip_to_delaunay`` does once after its last flip.
+always reproduces identical labels.  It works on flat slot numbers
+``3 f + s``, whose order is that of the names ``(f, s)``: the gluing
+is a list of partner slots, and the vertex orbits are the cycles of
+corner ``k`` -> corner ``next(partner[k])``.  A flip keeps every edge
+and vertex id instead; ``canonical()`` renumbers a flipped surface,
+which ``flip_to_delaunay`` does once after its last flip.
 """
 
 from __future__ import annotations
@@ -59,8 +62,11 @@ def parse_half_edge_label(label: str) -> HalfEdge:
 
 
 class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+    """Union-find over ``0 .. n - 1``; the root of a set is its least
+    member."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
 
     def find(self, x):
         root = x
@@ -139,47 +145,51 @@ class Triangulation:
     @classmethod
     def build_from_gluing(cls, face_count: int, pairs) -> "Triangulation":
         """Validate a gluing list, number its edge and vertex orbits
-        canonically, and fill the face tables and genus."""
-        half_edges = [(f, s) for f in range(face_count) for s in range(3)]
-        gluing: dict = {}
+        canonically, and fill the face tables and genus, all on flat
+        slots ``3 f + s``."""
+        n = 3 * face_count
+        partner = [-1] * n
         for pair in pairs:
             (h1, h2) = (tuple(pair[0]), tuple(pair[1]))
             for h in (h1, h2):
-                if not (0 <= h[0] < face_count and 0 <= h[1] < 3):
+                if not (len(h) == 2 and 0 <= h[0] < face_count and 0 <= h[1] < 3):
                     raise NonInvolution(f"half-edge {h} out of range")
             if h1 == h2:
                 raise NonInvolution(f"half-edge {h1} glued to itself")
-            if h1 in gluing or h2 in gluing:
+            k1, k2 = 3 * h1[0] + h1[1], 3 * h2[0] + h2[1]
+            if partner[k1] >= 0 or partner[k2] >= 0:
                 raise NonInvolution(f"half-edge repeated in pair ({h1}, {h2})")
-            gluing[h1] = h2
-            gluing[h2] = h1
-        missing = [h for h in half_edges if h not in gluing]
+            partner[k1], partner[k2] = k2, k1
+        missing = [divmod(k, 3) for k in range(n) if partner[k] < 0]
         if missing:
             raise NonInvolution(f"unglued half-edges: {missing}")
 
-        uf = _UnionFind(half_edges)  # corners share the (face, slot) key space
-        for h1, h2 in gluing.items():
-            uf.union(h1, _next(h2))
-        vertex_orbits: dict = {}
-        for corner in half_edges:  # in sorted order, so each orbit is sorted
-            vertex_orbits.setdefault(uf.find(corner), []).append(corner)
-        vertex_slots = [0] * (3 * face_count)
-        for idx, orbit in enumerate(sorted(vertex_orbits.values())):
-            for f, s in orbit:
-                vertex_slots[3 * f + s] = idx
+        # corner k is corner next(partner[k]): the vertex orbits are the
+        # cycles of that permutation, each numbered at its least corner
+        vertex_slots = [-1] * n
+        vertex_count = 0
+        for k in range(n):
+            if vertex_slots[k] >= 0:
+                continue
+            c = k
+            while vertex_slots[c] < 0:
+                vertex_slots[c] = vertex_count
+                p = partner[c]
+                c = p + 1 if p % 3 < 2 else p - 2
+            vertex_count += 1
 
-        edges = tuple(sorted(tuple(sorted((h, gluing[h]))) for h in gluing if h <= gluing[h]))
-        edge_slots = [0] * (3 * face_count)
-        for idx, ((f, s), (g, t)) in enumerate(edges):
-            edge_slots[3 * f + s] = edge_slots[3 * g + t] = idx
-
-        faces_uf = _UnionFind(range(face_count))
-        for (f, _s), (g, _t) in gluing.items():
-            faces_uf.union(f, g)
+        edges = []
+        edge_slots = [0] * n
+        faces_uf = _UnionFind(face_count)
+        for k, p in enumerate(partner):
+            if k < p:
+                edge_slots[k] = edge_slots[p] = len(edges)
+                edges.append((divmod(k, 3), divmod(p, 3)))
+                faces_uf.union(k // 3, p // 3)
         if len({faces_uf.find(f) for f in range(face_count)}) != 1:
             raise DisconnectedSurface("gluing does not connect all faces")
 
-        chi = len(vertex_orbits) - len(edges) + face_count
+        chi = vertex_count - len(edges) + face_count
         if chi % 2 != 0:
             raise NonOrientable(f"Euler characteristic {chi} is odd")
         if chi > 2:
@@ -187,7 +197,7 @@ class Triangulation:
 
         return cls(
             face_count=face_count,
-            edges=edges,
+            edges=tuple(edges),
             face_edge_ids=_rows(edge_slots),
             face_vertex_ids=_rows(vertex_slots),
             genus=(2 - chi) // 2,

@@ -259,7 +259,12 @@ def side_section(section: tuple, length: float, r_tail: float, r_head: float) ->
     ``r_tail`` to one of radius ``r_head`` reads off its edge's
     ``edge_section``: the foot as it is when ``r_tail <= r_head``, else
     the complemented foot ``length - x``, well conditioned because
-    ``x <= length / 2``.  Both sides read the same radius."""
+    ``x <= length / 2``.  Both sides read the same radius.
+
+    So the side that starts at the endpoint with the smaller radius
+    holds the edge's section exactly, the very tuple; on a tie both
+    sides hold it.  The other side's foot, complemented again, need not
+    give ``x`` back bit for bit."""
     if r_tail <= r_head:
         return section
     return length - section[0], section[1]

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import settings
 
 from ddce import Background, DecoratedMetric, DecoratedTriangle, Triangulation
-from ddce import delaunay, metric as me, trig
+from ddce.errors import DisconnectedSurface, NonInvolution, NonOrientable
+from ddce import delaunay, metric as me, surface, trig
 
 # property and fuzz tests draw the same examples on every run, keep no
 # example database, and have no per-example deadline (timings on a
@@ -344,6 +345,88 @@ def fresh_copy(tri):
         face_edge_ids=rows(edge_of),
         face_vertex_ids=rows(vertex_of),
         genus=tri.genus,
+    )
+
+
+# -- surface builder oracle -------------------------------------------------------
+# The builder on (face, slot) tuples that the one on flat slots
+# replaced: the reference for ``Triangulation.build_from_gluing``.
+
+
+class _DictUnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            ra, rb = min(ra, rb), max(ra, rb)
+            self.parent[rb] = ra
+
+
+def reference_build_from_gluing(face_count, pairs):
+    """``Triangulation.build_from_gluing`` on ``(f, s)`` tuples: the
+    gluing and the vertex union-find are dicts keyed by half-edges.
+    Reference for the builder on flat slots ``3 f + s``."""
+    half_edges = [(f, s) for f in range(face_count) for s in range(3)]
+    gluing: dict = {}
+    for pair in pairs:
+        (h1, h2) = (tuple(pair[0]), tuple(pair[1]))
+        for h in (h1, h2):
+            if not (0 <= h[0] < face_count and 0 <= h[1] < 3):
+                raise NonInvolution(f"half-edge {h} out of range")
+        if h1 == h2:
+            raise NonInvolution(f"half-edge {h1} glued to itself")
+        if h1 in gluing or h2 in gluing:
+            raise NonInvolution(f"half-edge repeated in pair ({h1}, {h2})")
+        gluing[h1] = h2
+        gluing[h2] = h1
+    missing = [h for h in half_edges if h not in gluing]
+    if missing:
+        raise NonInvolution(f"unglued half-edges: {missing}")
+
+    uf = _DictUnionFind(half_edges)  # corners share the (face, slot) key space
+    for h1, h2 in gluing.items():
+        uf.union(h1, (h2[0], (h2[1] + 1) % 3))
+    vertex_orbits: dict = {}
+    for corner in half_edges:  # in sorted order, so each orbit is sorted
+        vertex_orbits.setdefault(uf.find(corner), []).append(corner)
+    vertex_slots = [0] * (3 * face_count)
+    for idx, orbit in enumerate(sorted(vertex_orbits.values())):
+        for f, s in orbit:
+            vertex_slots[3 * f + s] = idx
+
+    edges = tuple(sorted(tuple(sorted((h, gluing[h]))) for h in gluing if h <= gluing[h]))
+    edge_slots = [0] * (3 * face_count)
+    for idx, ((f, s), (g, t)) in enumerate(edges):
+        edge_slots[3 * f + s] = edge_slots[3 * g + t] = idx
+
+    faces_uf = _DictUnionFind(range(face_count))
+    for (f, _s), (g, _t) in gluing.items():
+        faces_uf.union(f, g)
+    if len({faces_uf.find(f) for f in range(face_count)}) != 1:
+        raise DisconnectedSurface("gluing does not connect all faces")
+
+    chi = len(vertex_orbits) - len(edges) + face_count
+    if chi % 2 != 0:
+        raise NonOrientable(f"Euler characteristic {chi} is odd")
+    if chi > 2:
+        raise NonOrientable(f"Euler characteristic {chi} exceeds 2")
+
+    return Triangulation(
+        face_count=face_count,
+        edges=edges,
+        face_edge_ids=surface._rows(edge_slots),
+        face_vertex_ids=surface._rows(vertex_slots),
+        genus=(2 - chi) // 2,
     )
 
 

@@ -85,6 +85,16 @@ def test_missing_length_is_parse_error(tmp_path, genus2_file):
     assert run("validate", str(path)) == 2
 
 
+
+@pytest.mark.parametrize("entry", [0.5, 0.0, 1e300, "0", None, [0]])
+def test_non_integer_gluing_entry_is_parse_error(tmp_path, genus2_file, capsys, entry):
+    doc = json.load(open(genus2_file))
+    doc["gluing"][0][0][0] = entry
+    path = tmp_path / "gluing.json"
+    path.write_text(json.dumps(doc))
+    assert run("validate", str(path)) == 2
+    assert "bad gluing" in capsys.readouterr().err
+
 @pytest.mark.parametrize(
     "argv, written",
     [

@@ -279,14 +279,45 @@ def test_face_support_closed_form_matches_lift_oracle(rng):
     assert lift_support_max(hemisphere) == dl._face_support_max(hemisphere) == math.inf
 
 
+def with_tangent_edge(m):
+    """``m`` with the radii at the ends of its tightest edge grown until
+    their circles touch."""
+    ends = np.array(m.triangulation.edge_endpoint_ids)
+    gap = m.lengths - m.radii[ends[:, 0]] - m.radii[ends[:, 1]]
+    e = int(np.argmin(gap))
+    i, j = ends[e]
+    radii = m.radii.copy()
+    radii[i] += gap[e] / 2.0
+    radii[j] = m.lengths[e] - radii[i]  # a loop edge: the same radius, l / 2
+    assert radii[i] + radii[j] == m.lengths[e]
+    return DecoratedMetric(m.triangulation, m.background, m.lengths, radii)
+
+
 def test_flip_log_geoms_match_recomputation(rng):
     cases = []
+    tangents = 0
     for bg in ALL_BACKGROUNDS:
         for tri in (octahedron(), grid_torus(4), Triangulation.genus_two_octagon()):
             cases.append(random_metric(tri, bg, rng))  # typically few or no flips
             cases.append(scrambled_metric(tri, bg, rng, flips=6))
             cases.append(dl.flip_to_delaunay(cases[-1])[0])  # already Delaunay
         cases.append(scrambled_metric(grid_torus(6), bg, rng, flips=24))  # many flips
+        # the quad sides' sections are read off the faces: ties of the
+        # endpoint radii (both sides hold the section), ideal vertices
+        # (r = 0) and tangent circles (rho = 0)
+        for tri in (grid_torus(5), Triangulation.genus_two_octagon()):
+            m = scrambled_metric(tri, bg, rng, flips=10)
+            n = tri.vertex_count
+            ideal = np.where(np.arange(n) % 2, m.radii, 0.0)
+            for radii in (np.full(n, m.radii.min()), np.zeros(n), ideal):
+                cases.append(DecoratedMetric(m.triangulation, bg, m.lengths, radii))
+            tangent = with_tangent_edge(m)
+            try:
+                dl.flip_to_delaunay(tangent)
+            except FlipGeometryInvalid:
+                continue  # grown circles that meet across a diagonal
+            cases.append(tangent)
+            tangents += 1
     flips = []
     for m in cases:
         out, log = dl.flip_to_delaunay(m)
@@ -295,7 +326,24 @@ def test_flip_log_geoms_match_recomputation(rng):
         assert len(log.geoms) == len(want) == out.triangulation.face_count
         for got_g, want_g in zip(log.geoms, want):
             assert geometry_fields(got_g) == geometry_fields(want_g)
-    assert flips.count(0) >= 9 and max(flips) >= 10
+    assert flips.count(0) >= 9 and max(flips) >= 10 and tangents >= 4
+
+
+def test_flip_to_delaunay_evaluates_one_section_per_flip(rng, monkeypatch):
+    # every edge once for the input, then the new diagonal of each flip:
+    # the four quad sides keep their length and endpoint radii
+    real = trig.edge_section
+    calls = []
+    monkeypatch.setattr(trig, "edge_section", lambda *args: calls.append(args) or real(*args))
+    flips = []
+    for bg in ALL_BACKGROUNDS:
+        for tri in (octahedron(), grid_torus(5), Triangulation.genus_two_octagon()):
+            m = scrambled_metric(tri, bg, rng, flips=8)
+            calls.clear()
+            out, log = dl.flip_to_delaunay(m)
+            assert len(calls) == tri.edge_count + log.flip_count
+            flips.append(log.flip_count)
+    assert max(flips) >= 5
 
 
 def reference_flip_edge(m, e):

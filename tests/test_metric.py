@@ -11,10 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ddce import Background, DecoratedMetric, Triangulation
-from ddce import cli, solver, transition
+from ddce import cli, delaunay, solver, transition
 from ddce import metric as me
 from ddce import trig
 from ddce.errors import (
+    FlipGeometryInvalid,
     HeightsOutOfDomain,
     NotComparable,
     ResultInvalid,
@@ -216,6 +217,32 @@ def test_metric_holds_read_only_copies(double_triangle):
     assert lengths.tolist() == [1.0] * 3 and radii.tolist() == [0.2] * 3
     lengths[0], radii[0] = 0.5, 0.9
     assert m.lengths.tolist() == [1.0] * 3 and m.radii.tolist() == [0.2] * 3
+
+
+def test_metric_keeps_read_only_float_arrays_it_is_given(rng):
+    m = random_metric(grid_torus(4), Background.HYPERBOLIC, rng)
+    # what a metric holds is kept as it is by the next metric
+    again = DecoratedMetric(m.triangulation, m.background, m.lengths, m.radii)
+    assert again.lengths is m.lengths and again.radii is m.radii
+    # a read-only view, a writable array or another dtype is copied
+    view = m.lengths[:]
+    assert not view.flags.writeable and not view.flags.owndata
+    for lengths in (view, m.lengths.copy(), m.lengths.astype(np.float32)):
+        other = DecoratedMetric(m.triangulation, m.background, lengths, m.radii)
+        assert other.lengths is not lengths and not other.lengths.flags.writeable
+    # a flip shares its parent's radii and copies the lengths once
+    for e in range(m.triangulation.edge_count):
+        try:
+            flipped, _, new_len = delaunay.flip_edge(m, e)
+            break
+        except FlipGeometryInvalid:
+            continue
+    assert flipped.radii is m.radii
+    assert flipped.lengths is not m.lengths and flipped.lengths[e] == new_len
+    for values in (m.lengths, m.radii, flipped.lengths):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0.5
 
 
 def test_validate_returns_a_fresh_list(double_triangle):

@@ -17,6 +17,7 @@ from ddce.errors import Infeasible, LineSearchStalled, PathLeavesDomain
 from conftest import (
     ALL_BACKGROUNDS,
     grid_torus,
+    isosceles_sphere,
     octahedron,
     oracle_corpus,
     outcome,
@@ -81,31 +82,48 @@ def test_cone_angles_from_flip_geometries_are_exact(rng):
 
 
 def reference_angle_jacobian(m, geoms):
-    """The angle Jacobian corner by corner, each slot's weight half
-    evaluated afresh at both of its corners."""
-    tri, bg = m.triangulation, m.background
-    jac = np.zeros((tri.vertex_count, tri.vertex_count))
+    """The angle Jacobian as a loop of entry updates, face by face and
+    corner by corner: the assembly that one ``np.bincount`` replaced,
+    with the same entries in the same order."""
+    tri = m.triangulation
+    bg = m.background
+    n = tri.vertex_count
+    jac = np.zeros((n, n))
     for geom, verts in zip(geoms, tri.face_vertex_ids):
+        # per slot: this face's half q of the edge weight, in the product
+        # form of delaunay.edge_weights (finite at tangency), and K(l)
+        q, k = [], []
+        for d, rho, length in zip(geom.d_tangent, geom.r_section, geom.lengths):
+            q.append(d / (trig.cfac(bg, rho) * trig.sfac(bg, length)))
+            k.append(trig.cfac(bg, length))
         for s in range(3):
             i = verts[s]
+            # corner s sits on slots s and s + 2, towards corners s + 1, s + 2
             for slot, other in ((s, verts[(s + 1) % 3]), ((s + 2) % 3, verts[(s + 2) % 3])):
-                length = geom.lengths[slot]
-                q = geom.d_tangent[slot] / (
-                    trig.cfac(bg, geom.r_section[slot]) * trig.sfac(bg, length)
-                )
-                jac[i, other] -= q
-                jac[i, i] += q * trig.cfac(bg, length)
+                jac[i, other] -= q[slot]
+                jac[i, i] += q[slot] * k[slot]
     return jac
 
 
 def test_angle_jacobian_matches_corner_by_corner_reference(rng):
-    # loop edges of the genus-2 octagon included
+    # loop edges (the one vertex of the genus-2 octagon) and faces glued
+    # to themselves put several entries into one cell: each cell's sum
+    # must come out in the loop's order
     metrics = [m for _, m in oracle_corpus(rng)]
     metrics += [random_metric(grid_torus(4), bg, rng) for bg in ALL_BACKGROUNDS]
+    for bg in ALL_BACKGROUNDS:
+        for tri in (Triangulation.genus_two_octagon(), isosceles_sphere()):
+            metrics += [random_metric(tri, bg, rng), scrambled_metric(tri, bg, rng)]
     for m in metrics:
         geoms = dl.face_geometries(m)
-        got = so.angle_jacobian(m, geoms)
-        assert repr(got.tolist()) == repr(reference_angle_jacobian(m, geoms).tolist())
+        want = reference_angle_jacobian(m, geoms)
+        for got in (
+            so.angle_jacobian(m, geoms),
+            so.angle_jacobian(m, dl.face_arrays(m)),
+            so.angle_jacobian(m),
+        ):
+            assert np.array_equal(got, want)
+            assert repr(got.tolist()) == repr(want.tolist())
 
 
 # -- Gauss-Bonnet gate --------------------------------------------------------------

@@ -14,6 +14,8 @@ from conftest import (
     grid_torus,
     isosceles_sphere,
     octahedron,
+    outcome,
+    reference_build_from_gluing,
     reference_flip,
     surface_fields,
 )
@@ -259,3 +261,89 @@ def test_flip_stores_tables_and_derives_no_lookup():
             chain.append(cur.flip(flippable[rng.integers(len(flippable))]).triangulation)
         for u in chain:
             assert not set(LOOKUPS) & set(vars(u))
+
+
+# -- the builder on flat slots against the builder on (face, slot) tuples --------
+
+
+def stock_surfaces():
+    return (
+        Triangulation.double_triangle(),
+        Triangulation.square_torus(),
+        Triangulation.genus_two_octagon(),
+        isosceles_sphere(),
+        octahedron(),
+        grid_torus(3),
+        grid_torus(5),
+    )
+
+
+def built(builder, face_count, pairs):
+    """What a builder makes of a gluing: the stored fields and the
+    vertex count, or the type and message of what it raised."""
+    got = outcome(builder, face_count, pairs)
+    if isinstance(got, Triangulation):
+        return surface_fields(got), got.vertex_count
+    return got
+
+
+def assert_builders_agree(face_count, pairs):
+    want = built(reference_build_from_gluing, face_count, pairs)
+    assert built(Triangulation.build_from_gluing, face_count, pairs) == want
+    return want
+
+
+def test_build_from_gluing_matches_tuple_reference_on_stock_surfaces():
+    for t in stock_surfaces():
+        fields, vertex_count = assert_builders_agree(t.face_count, t.edges)
+        assert fields == surface_fields(t) and vertex_count == t.vertex_count
+
+
+def test_build_from_gluing_matches_tuple_reference_after_flips():
+    # the edge pairs of id-keeping flips are not in canonical order; the
+    # builder gets them shuffled, with members swapped, as lists
+    rng = np.random.default_rng(16)
+    checked = 0
+    for t in stock_surfaces():
+        cur = t
+        for _ in range(25):
+            flippable = [e for e in range(cur.edge_count) if not cur.is_self_glued_quad(e)]
+            if not flippable:
+                break
+            cur = cur.flip(flippable[rng.integers(len(flippable))]).triangulation
+            pairs = [list(pair) for pair in cur.edges]
+            rng.shuffle(pairs)
+            pairs = [
+                [list(b), list(a)] if rng.integers(2) else [list(a), list(b)] for a, b in pairs
+            ]
+            fields, _ = assert_builders_agree(cur.face_count, pairs)
+            assert fields == surface_fields(cur.canonical()[0])
+            checked += 1
+    assert checked >= 100
+
+
+def test_build_from_gluing_matches_tuple_reference_on_corrupted_gluings():
+    t = grid_torus(3)
+    pairs = [list(map(list, pair)) for pair in t.edges]
+    faces = t.face_count
+    corrupted = [
+        pairs[1:],  # a dropped pair
+        pairs[:-1],
+        [pairs[0], [pairs[1][0], pairs[0][1]]] + pairs[2:],  # a repeated half-edge
+        pairs + [pairs[3]],
+        [[pairs[0][0], pairs[0][0]]] + pairs[1:],  # a half-edge glued to itself
+        [[[faces, 0], pairs[0][1]]] + pairs[1:],  # face out of range
+        [[[-1, 0], pairs[0][1]]] + pairs[1:],
+        [[pairs[0][0], [0, 3]]] + pairs[1:],  # slot out of range
+        [[[0, -1], pairs[0][1]]] + pairs[1:],
+        pairs + [[[f + faces, s], [g + faces, u]] for (f, s), (g, u) in pairs],  # disconnected
+        [],
+    ]
+    messages = []
+    for bad in corrupted:
+        for count in (faces, 2 * faces):
+            kind, message = assert_builders_agree(count, bad)
+            assert kind in (NonInvolution, DisconnectedSurface)
+            messages.append(message)
+    for check in ("unglued", "repeated", "glued to itself", "out of range", "does not connect"):
+        assert any(check in message for message in messages), check
