@@ -141,9 +141,11 @@ def load_surface_file(path):
         raise CliError(EXIT_PARSE_ERROR, f"{path}: {ex}")
     if not isinstance(doc["faces"], int) or doc["faces"] <= 0:
         raise CliError(EXIT_PARSE_ERROR, f"{path}: faces must be a positive integer")
+    if not isinstance(doc["gluing"], list):
+        raise CliError(EXIT_PARSE_ERROR, f"{path}: gluing must be a list")
     try:
         tri = Triangulation.build_from_gluing(doc["faces"], doc["gluing"])
-    except (NonInvolution, NonOrientable, DisconnectedSurface, TypeError, IndexError) as ex:
+    except (NonInvolution, NonOrientable, DisconnectedSurface) as ex:
         raise CliError(EXIT_PARSE_ERROR, f"{path}: bad gluing ({ex})")
 
     lengths = np.zeros(tri.edge_count)

@@ -53,10 +53,8 @@ def face_geometries(m: DecoratedMetric) -> list:
         for length, (i, j) in zip(lengths, tri.edge_endpoint_ids)
     ]
     return [
-        _face_geometry(
-            trig.DecoratedTriangle(
-                bg, (lengths[a], lengths[b], lengths[c]), (radii[u], radii[v], radii[w])
-            ),
+        trig.face_circle(
+            bg, (lengths[a], lengths[b], lengths[c]), (radii[u], radii[v], radii[w]),
             (sections[a], sections[b], sections[c]),
         )
         for (a, b, c), (u, v, w) in zip(tri.face_edge_ids, tri.face_vertex_ids)
@@ -80,23 +78,6 @@ def _gate(m: DecoratedMetric) -> None:
     bad = validate(m)
     if bad:
         raise DegenerateTriangle("; ".join(bad))
-
-
-def _face_geometry(t: trig.DecoratedTriangle, sections) -> trig.TriangleGeometry:
-    """``trig.face_circle`` of one face from the ``trig.edge_section``
-    of the edge at each of its slots: slot ``s`` reads its section from
-    corner ``s`` (``trig.side_section``)."""
-    l, r = t.lengths, t.radii
-    return trig.face_circle(t, (
-        trig.side_section(sections[0], l[0], r[0], r[1]),
-        trig.side_section(sections[1], l[1], r[1], r[2]),
-        trig.side_section(sections[2], l[2], r[2], r[0]),
-    ))
-
-
-def _edge_slot_data(m: DecoratedMetric, e: int, geoms):
-    (f, s), (g, t) = m.triangulation.edge_sides(e)
-    return geoms[f], s, geoms[g], t
 
 
 def edge_weights(m: DecoratedMetric, geoms=None) -> np.ndarray:
@@ -127,28 +108,24 @@ def edge_weights(m: DecoratedMetric, geoms=None) -> np.ndarray:
     return (d[sides[:, 0]] + d[sides[:, 1]]) / denom
 
 
-def _d_sum(m: DecoratedMetric, e: int, geoms) -> tuple:
-    gf, s, gg, t = _edge_slot_data(m, e, geoms)
-    a, b = gf.d_tangent[s], gg.d_tangent[t]
-    return a + b, FLIP_TOL * (1.0 + abs(a) + abs(b))
-
-
-def is_local_delaunay(m: DecoratedMetric, e: int, strict: bool = False, geoms=None) -> bool:
+def is_local_delaunay(m: DecoratedMetric, e: int, geoms=None) -> bool:
     """d-sum form of the local Delaunay test, with the isosceles,
-    concave-quad, and self-glued-quad short circuits."""
+    concave-quad, and self-glued-quad short circuits: the d-sum may
+    fall below zero by ``FLIP_TOL`` relative to its terms."""
     tri = m.triangulation
     if tri.is_self_glued_quad(e):
         return True
     if geoms is None:
         geoms = face_geometries(m)
-    gf, s, gg, t = _edge_slot_data(m, e, geoms)
+    (f, s), (g, t) = tri.edges[e]
+    gf, gg = geoms[f], geoms[g]
     # angle sums at the two edge endpoints within the quad
     if gf.angles[s] + gg.angles[(t + 1) % 3] >= math.pi:
         return True
     if gf.angles[(s + 1) % 3] + gg.angles[t] >= math.pi:
         return True
-    dsum, tol = _d_sum(m, e, geoms)
-    return dsum > tol if strict else dsum >= -tol
+    a, b = gf.d_tangent[s], gg.d_tangent[t]
+    return a + b >= -FLIP_TOL * (1.0 + abs(a) + abs(b))
 
 
 def flip_edge(m: DecoratedMetric, e: int):
@@ -156,9 +133,7 @@ def flip_edge(m: DecoratedMetric, e: int):
     combinatorial surgery.  Returns (metric, FlipResult, new_length);
     every edge and vertex keeps its id, so only ``lengths[e]`` moves."""
     tri = m.triangulation
-    h1, h2 = tri.edge_sides(e)
-    f, s = h1
-    g, t = h2
+    (f, s), (g, t) = tri.edges[e]
     t1 = _rotated_triangle(m, f, s)
     t2 = _rotated_triangle(m, g, t)
     new_len = trig.diagonal_length(m.background, t1, t2)
@@ -170,12 +145,11 @@ def flip_edge(m: DecoratedMetric, e: int):
 
 
 def _rotated_triangle(m: DecoratedMetric, f: int, s: int) -> trig.DecoratedTriangle:
-    tri = m.triangulation
-    edges = tri.face_edges(f)
-    verts = tri.face_vertices(f)
-    lengths = tuple(float(m.lengths[edges[(s + k) % 3]]) for k in range(3))
-    radii = tuple(float(m.radii[verts[(s + k) % 3]]) for k in range(3))
-    return trig.DecoratedTriangle(m.background, lengths, radii)
+    """Face ``f`` with its slot ``s`` moved to slot 0."""
+    t = m.face_triangle(f)
+    return trig.DecoratedTriangle(
+        m.background, t.lengths[s:] + t.lengths[:s], t.radii[s:] + t.radii[:s]
+    )
 
 
 @dataclass(frozen=True)
@@ -194,10 +168,11 @@ class FlipLog:
     ``geoms`` is the TriangleGeometry of every face of the output
     metric, indexed by its face ids: field for field what
     ``face_geometries`` computes on that metric.  That holds bit for
-    bit because an edge's section, and which side reads the
-    complemented foot, depend only on its length and endpoint radii,
-    not on labels.  It describes the returned metric only; any later
-    change of lengths, radii or triangulation makes it stale.
+    bit because an edge's section, and which side ``trig.face_circle``
+    lets read the complemented foot, depend only on its length and
+    endpoint radii, not on labels.  It describes the returned metric
+    only; any later change of lengths, radii or triangulation makes it
+    stale.
     """
 
     records: list = field(default_factory=list)
@@ -252,7 +227,7 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
         while queue:
             e = queue.popleft()
             queued.discard(e)
-            if is_local_delaunay(m, e, strict=False, geoms=geoms):
+            if is_local_delaunay(m, e, geoms=geoms):
                 continue
             if log.flip_count >= max_flips:
                 raise FlipBoundExceeded(
@@ -269,8 +244,9 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
             rebuilt = set(h[0] for h in m.triangulation.edges[e])
             face_edges = m.triangulation.face_edge_ids
             for f in rebuilt:
-                geoms[f] = _face_geometry(
-                    m.face_triangle(f), [sections[b] for b in face_edges[f]]
+                t = m.face_triangle(f)
+                geoms[f] = trig.face_circle(
+                    m.background, t.lengths, t.radii, [sections[b] for b in face_edges[f]]
                 )
             for b in fr.quad_boundary_edges:
                 if b not in queued:
@@ -288,7 +264,7 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
         stale = [
             e
             for e in _canonical_order(m.triangulation)
-            if not is_local_delaunay(m, e, strict=False, geoms=geoms)
+            if not is_local_delaunay(m, e, geoms=geoms)
         ]
         if not stale:
             break
@@ -302,9 +278,9 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
 
 def _held_section(tri, geoms, b: int) -> tuple:
     """The ``trig.edge_section`` of edge ``b`` as a face side holds it:
-    ``trig.side_section`` gives the section itself to the side that
-    starts at the endpoint with the smaller radius (to both on a tie),
-    so ``geoms``, current on ``tri``, hold it bit for bit."""
+    ``trig.face_circle`` keeps the section's foot as it is on the side
+    that starts at the endpoint with the smaller radius (on both on a
+    tie), so ``geoms``, current on ``tri``, hold it bit for bit."""
     (f, s), (g, t) = tri.edges[b]
     held = geoms[f]
     if held.radii[s] > held.radii[(s + 1) % 3]:
@@ -355,7 +331,7 @@ def extract_tessellation(m: DecoratedMetric, tol: float = 1e-9, geoms=None) -> T
     removed = tuple(e for e in range(tri.edge_count) if weights[e] <= tol)
     uf = _UnionFind(tri.face_count)
     for e in removed:
-        (f, _), (g, _) = tri.edge_sides(e)
+        (f, _), (g, _) = tri.edges[e]
         uf.union(f, g)
     groups: dict = {}
     for f in range(tri.face_count):

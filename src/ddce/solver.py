@@ -61,6 +61,9 @@ from .trig import Background
 #: smallest admissible backtracking step
 MIN_STEP = 2.0**-40
 
+#: relative change at which ``functional_value`` stops doubling panels
+FUNCTIONAL_RTOL = 1e-9
+
 
 def cone_angles(m: DecoratedMetric) -> np.ndarray:
     """Total corner angle around each vertex orbit: the corner angles of
@@ -212,13 +215,7 @@ def _trial_gain(chart, theta_target, h_from, h_to, grad_from, m_to) -> float:
     return _segment_integral(chart, theta_target, h_from, h_to, panels=8)
 
 
-def functional_value(
-    m0: DecoratedMetric,
-    heights: Heights,
-    theta_target,
-    via=None,
-    rtol: float = 1e-9,
-) -> float:
+def functional_value(m0: DecoratedMetric, heights: Heights, theta_target, via=None) -> float:
     """Hilbert-Einstein functional at ``heights`` relative to the
     decorated metric ``m0`` (whose own heights are the zero point),
     computed as a line integral of the exact gradient along the
@@ -226,8 +223,9 @@ def functional_value(
 
     The gradient field has a symmetric Jacobian, so the value does not
     depend on the path within the valid-heights domain; panels are
-    doubled until the quadrature stabilizes.  Raises PathLeavesDomain
-    if any node leaves the domain.
+    doubled, up to 64, until the quadrature changes by at most
+    ``FUNCTIONAL_RTOL`` relative.  Raises PathLeavesDomain if any node
+    leaves the domain.
     """
     check_valid(m0, "base point of functional_value")
     theta_target = np.asarray(theta_target, dtype=float)
@@ -243,7 +241,7 @@ def functional_value(
         value = _segment_integral(chart, theta_target, a, b, panels)
         while panels < 64:
             refined = _segment_integral(chart, theta_target, a, b, panels * 2)
-            if abs(refined - value) <= rtol * (1.0 + abs(refined)):
+            if abs(refined - value) <= FUNCTIONAL_RTOL * (1.0 + abs(refined)):
                 value = refined
                 break
             value = refined
@@ -280,23 +278,18 @@ class SolveReport:
 
 
 def _solve_step(mtx: np.ndarray, rhs: np.ndarray, pin: int | None) -> np.ndarray:
-    if pin is not None:
-        keep = [k for k in range(rhs.size) if k != pin]
-        if not keep:
-            return np.zeros_like(rhs)
+    """The Newton step ``mtx @ step = rhs`` with ``step[pin] = 0`` (every
+    index kept when ``pin`` is None); least squares where ``mtx`` is
+    singular."""
+    keep = [k for k in range(rhs.size) if k != pin]
+    out = np.zeros_like(rhs)
+    if keep:
         sub = mtx[np.ix_(keep, keep)]
         try:
-            sol = np.linalg.solve(sub, rhs[keep])
+            out[keep] = np.linalg.solve(sub, rhs[keep])
         except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(sub, rhs[keep], rcond=None)
-        out = np.zeros_like(rhs)
-        out[keep] = sol
-        return out
-    try:
-        return np.linalg.solve(mtx, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(mtx, rhs, rcond=None)
-        return sol
+            out[keep] = np.linalg.lstsq(sub, rhs[keep], rcond=None)[0]
+    return out
 
 
 def newton_solve(

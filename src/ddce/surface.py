@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import index
 
 import numpy as np
 
@@ -146,13 +147,23 @@ class Triangulation:
     def build_from_gluing(cls, face_count: int, pairs) -> "Triangulation":
         """Validate a gluing list, number its edge and vertex orbits
         canonically, and fill the face tables and genus, all on flat
-        slots ``3 f + s``."""
+        slots ``3 f + s``.  The gluing is a list or tuple of pairs of
+        half-edges ``(f, s)``, whose entries are ints (numpy integers
+        too, but not bools); anything else raises NonInvolution."""
+        if not isinstance(pairs, (list, tuple)):
+            raise NonInvolution(f"gluing must be a list of pairs, not {type(pairs).__name__}")
         n = 3 * face_count
         partner = [-1] * n
         for pair in pairs:
-            (h1, h2) = (tuple(pair[0]), tuple(pair[1]))
+            try:
+                (f, s), (g, t) = pair
+                if bool in (type(f), type(s), type(g), type(t)):
+                    raise TypeError
+                h1, h2 = (index(f), index(s)), (index(g), index(t))
+            except (TypeError, ValueError):
+                raise NonInvolution(f"gluing pair {pair!r} is not two int pairs (f, s)") from None
             for h in (h1, h2):
-                if not (len(h) == 2 and 0 <= h[0] < face_count and 0 <= h[1] < 3):
+                if not (0 <= h[0] < face_count and 0 <= h[1] < 3):
                     raise NonInvolution(f"half-edge {h} out of range")
             if h1 == h2:
                 raise NonInvolution(f"half-edge {h1} glued to itself")
@@ -260,10 +271,6 @@ class Triangulation:
     def edge_label(self, e: int) -> str:
         return half_edge_label(self.edges[e][0])
 
-    def edge_sides(self, e: int) -> tuple:
-        """The two half-edges bounding edge ``e`` (may share a face)."""
-        return self.edges[e]
-
     @cached_property
     def gluing(self) -> dict:
         """The involution on half-edges, both directions."""
@@ -307,27 +314,13 @@ class Triangulation:
     @cached_property
     def edge_side_array(self) -> np.ndarray:
         """``E x 2``: the two half-edges ``(f, s)`` of each edge as flat
-        slot indices ``3 f + s``, in ``edge_sides`` order."""
+        slot indices ``3 f + s``, in ``edges`` order."""
         flat = [3 * f + s for sides in self.edges for f, s in sides]
         return np.array(flat, dtype=np.intp).reshape(self.edge_count, 2)
 
     def edge_endpoints(self, e: int) -> tuple:
         """Vertex indices of the two endpoints (equal for a loop edge)."""
         return self.edge_endpoint_ids[e]
-
-    def face_edges(self, f: int) -> tuple:
-        """Edge indices of face ``f`` in slot order; slot ``s`` spans
-        corners ``s`` and ``s + 1``."""
-        return self.face_edge_ids[f]
-
-    def face_vertices(self, f: int) -> tuple:
-        """Vertex indices at the corners of face ``f`` in slot order."""
-        return self.face_vertex_ids[f]
-
-    def is_self_glued_face_edge(self, e: int) -> bool:
-        """Edge whose two sides belong to a single face."""
-        h1, h2 = self.edges[e]
-        return h1[0] == h2[0]
 
     def is_self_glued_quad(self, e: int) -> bool:
         """Edge whose flip quadrilateral folds onto itself.

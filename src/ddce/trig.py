@@ -23,16 +23,17 @@ In the hyperbolic plane the face-circle may be a horocycle or a
 hypercycle instead of a compact circle; the tangents stay finite.
 
 A section depends on its edge alone, so it is evaluated once per edge
-(``edge_section``, from the endpoint with the smaller radius) and the
-two faces at the edge read it (``side_section``): a side that runs
-from the smaller circle reads the foot ``x`` as it is, the other side
-reads the complemented foot ``l - x``, and both read the same radius.
-``face_circle`` does not check its triangle: ``delaunay``'s gate,
-``metric.validate``, checks each metric once, and ``diagonal_length``
-the two faces a flip rebuilds.  The constraints on side lengths are
-stated once per form, by ``interior_angles`` for one triangle and by
-``degenerate_rows`` for an array of them, which ``angle_array`` and
-``metric.validate`` read; ``DecoratedTriangle.violations`` words them.
+(``edge_section``, from the endpoint with the smaller radius), and
+both kernels take edge sections in and choose each side's reading
+themselves: a side that runs from the smaller circle reads the foot
+``x`` as it is, the other side reads the complemented foot ``l - x``,
+and both read the same radius.  ``face_circle`` does not check its
+triangle: ``delaunay``'s gate, ``metric.validate``, checks each metric
+once, and ``diagonal_length`` the two faces a flip rebuilds.  The
+constraints on side lengths are stated once per form, by
+``interior_angles`` for one triangle and by ``degenerate_rows`` for an
+array of them, which ``angle_array`` and ``metric.validate`` read;
+``DecoratedTriangle.violations`` words them.
 
 The array kernel (``face_circles``, and ``angle_array`` for the angles
 alone) computes the same floats for every edge and face of a surface
@@ -75,10 +76,6 @@ class Background(enum.Enum):
     SPHERICAL = 1
     EUCLIDEAN = 0
     HYPERBOLIC = -1
-
-    @property
-    def curvature(self) -> int:
-        return self.value
 
     @classmethod
     def from_name(cls, name: str) -> "Background":
@@ -248,26 +245,10 @@ def edge_section(background: Background, length: float, r_i: float, r_j: float) 
     ``r_i`` and ``r_j``, in either order: ``section_foot_radius``
     evaluated from the endpoint with the smaller radius, whose foot is
     at most half the length away.  It depends on the edge alone, so one
-    evaluation serves both faces at the edge (``side_section``)."""
+    evaluation serves both faces at the edge (``face_circle``)."""
     if r_j < r_i:
         r_i, r_j = r_j, r_i
     return section_foot_radius(background, length, r_i, r_j)
-
-
-def side_section(section: tuple, length: float, r_tail: float, r_head: float) -> tuple:
-    """The ``(x, rho)`` that a face side from a corner of radius
-    ``r_tail`` to one of radius ``r_head`` reads off its edge's
-    ``edge_section``: the foot as it is when ``r_tail <= r_head``, else
-    the complemented foot ``length - x``, well conditioned because
-    ``x <= length / 2``.  Both sides read the same radius.
-
-    So the side that starts at the endpoint with the smaller radius
-    holds the edge's section exactly, the very tuple; on a tie both
-    sides hold it.  The other side's foot, complemented again, need not
-    give ``x`` back bit for bit."""
-    if r_tail <= r_head:
-        return section
-    return length - section[0], section[1]
 
 
 def sfac(background: Background, t: float) -> float:
@@ -331,22 +312,22 @@ class TriangleGeometry:
     x_section: tuple
     d_tangent: tuple
 
-    @property
-    def angle_sum(self) -> float:
-        return self.angles[0] + self.angles[1] + self.angles[2]
 
+def face_circle(background: Background, lengths, radii, sections) -> TriangleGeometry:
+    """Angles and per-edge face-circle data of a decorated triangle with
+    side lengths ``(l01, l12, l20)`` and vertex radii ``(r0, r1, r2)``.
 
-def face_circle(tri: DecoratedTriangle, sections) -> TriangleGeometry:
-    """Angles and per-edge face-circle data of a decorated triangle.
-
-    ``sections[s]`` is the ``(x, rho)`` that slot ``s`` reads off its
-    edge's section (``side_section``): the section of edge
-    ``s = (i -> j)`` is centered at distance ``x_ij`` from ``i``, where
-    the face-circle center projects onto the edge; on the edge to the
-    third corner ``k`` it projects at ``x_ik = l_ki - x_ki`` from ``i``.
-    The right-angled triangles at ``i`` then give, with T =
-    tan/id/tanh and C = cos/1/cosh by background (Glickenstein 2011;
-    Glickenstein-Thomas 2017),
+    ``sections[s]`` is the ``edge_section`` of the edge at slot ``s``,
+    evaluated from its endpoint with the smaller radius.  Slot ``s``
+    reads its foot as it is when ``radii[s] <= radii[s + 1]``, else as
+    the complemented foot ``lengths[s] - x``, well conditioned because
+    ``x <= lengths[s] / 2``; both faces at an edge read the same radius.
+    So the section of edge ``s = (i -> j)`` is centered at distance
+    ``x_ij`` from ``i``, where the face-circle center projects onto the
+    edge; on the edge to the third corner ``k`` it projects at
+    ``x_ik = l_ki - x_ki`` from ``i``.  The right-angled triangles at
+    ``i`` then give, with T = tan/id/tanh and C = cos/1/cosh by
+    background (Glickenstein 2011; Glickenstein-Thomas 2017),
 
         T(d_ij) = C(x_ij) * (T(x_ik) - T(x_ij) * cos theta_i) / sin theta_i,
 
@@ -356,11 +337,12 @@ def face_circle(tri: DecoratedTriangle, sections) -> TriangleGeometry:
     ``interior_angles`` still raises DegenerateTriangle, on degenerate
     side lengths.
     """
-    bg = tri.background
-    lengths = tri.lengths
-    angles = interior_angles(bg, lengths)
-    T, C = _T_C[bg]
-    x = (sections[0][0], sections[1][0], sections[2][0])
+    angles = interior_angles(background, lengths)
+    T, C = _T_C[background]
+    x = tuple(
+        foot if radii[s] <= radii[(s + 1) % 3] else lengths[s] - foot
+        for s, (foot, _) in enumerate(sections)
+    )
     d_tangent = []
     for s in range(3):
         x_ik = lengths[s - 1] - x[s - 1]  # slot s - 1 runs from k to i
@@ -368,9 +350,9 @@ def face_circle(tri: DecoratedTriangle, sections) -> TriangleGeometry:
             C(x[s]) * (T(x_ik) - T(x[s]) * math.cos(angles[s])) / math.sin(angles[s])
         )
     return TriangleGeometry(
-        background=bg,
+        background=background,
         lengths=tuple(lengths),
-        radii=tuple(tri.radii),
+        radii=tuple(radii),
         angles=angles,
         r_section=(sections[0][1], sections[1][1], sections[2][1]),
         x_section=x,
@@ -512,10 +494,12 @@ def face_circles(
 
     ``lengths`` and ``radii`` hold one value per edge and per vertex;
     ``face_edges`` and ``face_vertices`` (``F x 3``) and ``edge_ends``
-    (``E x 2``) index them as the ``Triangulation`` tables of those
-    names do.  As ``delaunay.face_geometries`` does face by face, every
-    edge gets one ``edge_section``, from its endpoint with the smaller
-    radius, and each face side reads it through ``side_section``.
+    (``E x 2``) index them as the ``Triangulation`` arrays
+    ``face_edge_array``, ``face_vertex_array`` and
+    ``edge_endpoint_array`` do.  As ``delaunay.face_geometries`` does
+    face by face, every edge gets one ``edge_section``, from its
+    endpoint with the smaller radius, and each face side reads it as
+    ``face_circle`` does.
 
     numpy does only gathers, ``+ - * /``, ``sqrt`` and comparisons,
     which round exactly as the scalar float operations do; every
@@ -536,7 +520,7 @@ def face_circles(
     )
     R = radii[face_vertices]
     foot = x[face_edges]
-    X = np.where(R <= R[:, _NEXT], foot, L - foot)  # side_section
+    X = np.where(R <= R[:, _NEXT], foot, L - foot)  # as in face_circle
     x_ik = (L - X)[:, _PREV]  # slot s - 1 runs from k to i
     cos_t, sin_t = each(math.cos, angles), each(math.sin, angles)
     if background is Background.EUCLIDEAN:

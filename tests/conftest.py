@@ -122,12 +122,12 @@ def random_triangle(bg, rng, ideal=False):
 
 
 def lone_face_circle(tri):
-    """``trig.face_circle`` of a lone triangle, each side reading the
-    section of its edge as ``delaunay.face_geometries`` reads it on a
-    surface: through the same per-face helper and ``trig.edge_section``."""
+    """``trig.face_circle`` of a lone triangle, given the
+    ``trig.edge_section`` of each side as ``delaunay.face_geometries``
+    gives it on a surface."""
     bg, l, r = tri.background, tri.lengths, tri.radii
-    return delaunay._face_geometry(
-        tri, [trig.edge_section(bg, l[s], r[s], r[(s + 1) % 3]) for s in range(3)]
+    return trig.face_circle(
+        bg, l, r, [trig.edge_section(bg, l[s], r[s], r[(s + 1) % 3]) for s in range(3)]
     )
 
 

@@ -311,7 +311,7 @@ def test_criterion_8_gauss_bonnet_bookkeeping():
             tri = m.triangulation
             theta = so.cone_angles(m)
             face_defect = sum(
-                math.pi - sum(trig.interior_angles(bg, [m.lengths[e] for e in tri.face_edges(f)]))
+                math.pi - sum(trig.interior_angles(bg, [m.lengths[e] for e in tri.face_edge_ids[f]]))
                 for f in range(tri.face_count)
             )
             lhs = float(np.sum(2.0 * math.pi - theta)) - face_defect

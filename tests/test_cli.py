@@ -95,6 +95,17 @@ def test_non_integer_gluing_entry_is_parse_error(tmp_path, genus2_file, capsys, 
     assert run("validate", str(path)) == 2
     assert "bad gluing" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("gluing", [{}, 5, "0:0 1:2", None])
+def test_gluing_that_is_not_a_list_is_parse_error(tmp_path, genus2_file, capsys, gluing):
+    doc = json.load(open(genus2_file))
+    doc["gluing"] = gluing
+    path = tmp_path / "gluing.json"
+    path.write_text(json.dumps(doc))
+    assert run("validate", str(path)) == 2
+    assert capsys.readouterr().err == f"error: {path}: gluing must be a list\n"
+
+
 @pytest.mark.parametrize(
     "argv, written",
     [
@@ -581,6 +592,48 @@ def test_fuzzed_arguments_end_in_an_exit_code(argv):
         code = cli.main(argv)
     assert code in (0, 1, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def solve_and_transition_files(draw):
+    """``solve --theta 2pi`` with at most five iterations on a
+    non-spherical fixture, or ``transition`` on any, with the fixture's
+    lengths or radii changed: a whole table, or one or two of its
+    values, scaled, negated, NaN, infinite or 1e3."""
+    command = draw(st.sampled_from(["solve", "transition"]))
+    names = NON_SPHERICAL if command == "solve" else sorted(FIXTURE_DOCS)
+    doc = json.loads(json.dumps(FIXTURE_DOCS[draw(st.sampled_from(names))]))
+    change = st.sampled_from(["scale", "negate", "nan", "inf", "-inf", "1e3"])
+    for _ in range(draw(st.integers(1, 2))):
+        table = doc[draw(st.sampled_from(["lengths", "radii"]))]
+        labels = sorted(table)
+        if draw(st.booleans()):
+            labels = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=2))
+        kind, factor = draw(change), draw(st.sampled_from([1e-3, 0.5, 2.0, 10.0]))
+        for label in labels:
+            table[label] = {
+                "scale": table[label] * factor, "negate": -table[label], "nan": math.nan,
+                "inf": math.inf, "-inf": -math.inf, "1e3": 1e3,
+            }[kind]
+    if command == "solve":
+        return doc, ["solve", "--theta", "2pi", "--max-iter", str(draw(st.integers(0, 5)))]
+    return doc, ["transition"]
+
+
+@settings(max_examples=120)
+@given(solve_and_transition_files())
+def test_fuzzed_surface_files_through_solve_and_transition(tmp_path_factory, case):
+    # a changed fixture ends in a result or in one error line, with a
+    # documented exit code, through the commands that solve and deform
+    doc, argv = case
+    path = tmp_path_factory.getbasetemp() / "fuzzed-run.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity tokens, which the reader takes
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([argv[0], str(path), *argv[1:]])
+    assert code in (0, 1, 2, 3, 4)
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), lines
 
 
 # -- determinism ---------------------------------------------------------------------

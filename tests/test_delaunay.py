@@ -52,14 +52,18 @@ def test_square_diagonal_weight_zero():
     w = dl.edge_weights(m)
     assert abs(w[2]) < 1e-12  # cocircular: the diagonal carries weight 0
     assert dl.is_local_delaunay(m, 2)
-    assert not dl.is_local_delaunay(m, 2, strict=True)
+    # and the d-sum is zero within the flip tolerance
+    geoms = dl.face_geometries(m)
+    (f, s), (g, t) = m.triangulation.edges[2]
+    a, b = geoms[f].d_tangent[s], geoms[g].d_tangent[t]
+    assert abs(a + b) <= dl.FLIP_TOL * (1.0 + abs(a) + abs(b))
 
 
 def test_self_glued_isosceles_edge_nonnegative():
     tri = isosceles_sphere()
     m = DecoratedMetric(tri, Background.SPHERICAL, np.array([1.0, 1.2, 1.0]), np.full(3, 0.15))
     assert me.validate(m) == []
-    self_glued = [e for e in range(3) if tri.is_self_glued_face_edge(e)]
+    self_glued = [e for e, ((f, _), (g, _)) in enumerate(tri.edges) if f == g]
     w = dl.edge_weights(m)
     for e in self_glued:
         assert w[e] >= 0
@@ -96,7 +100,7 @@ def test_concave_quad_is_delaunay_without_flip():
     assert me.validate(m) == []
     geoms = dl.face_geometries(m)
     for e in range(3):
-        (f, s), (g, t) = tri.edge_sides(e)
+        (f, s), (g, t) = tri.edges[e]
         assert geoms[f].angles[s] + geoms[g].angles[(t + 1) % 3] >= math.pi
         assert dl.is_local_delaunay(m, e)
 
@@ -126,7 +130,8 @@ def test_predicate_equivalence(rng):
             m = scrambled_metric(octahedron(), bg, rng, flips=3)
             geoms = dl.face_geometries(m)
             for e, w in enumerate(dl.edge_weights(m, geoms).tolist()):
-                gf, s, gg, t = dl._edge_slot_data(m, e, geoms)
+                (f, s), (g, t) = m.triangulation.edges[e]
+                gf, gg = geoms[f], geoms[g]
                 dsum = gf.d_tangent[s] + gg.d_tangent[t]
                 # face-circle angles at the edge, from cot alpha * sfac(rho) = d_tangent
                 srho = trig.sfac(bg, gf.r_section[s])
@@ -349,7 +354,7 @@ def test_flip_to_delaunay_evaluates_one_section_per_flip(rng, monkeypatch):
 def reference_flip_edge(m, e):
     """``flip_edge`` on a surface rebuilt with canonical labels, with
     the maps from the old ids."""
-    (f, s), (g, t) = m.triangulation.edge_sides(e)
+    (f, s), (g, t) = m.triangulation.edges[e]
     t1, t2 = dl._rotated_triangle(m, f, s), dl._rotated_triangle(m, g, t)
     new_len = trig.diagonal_length(m.background, t1, t2)
     new_tri, edge_map, vertex_map, new_edge, boundary = reference_flip(m.triangulation, e)
@@ -467,11 +472,11 @@ def blind_after_first_flip(calls):
     truthfully again after them."""
     left, flipped = [calls], [False]
 
-    def predicate(m, e, strict=False, geoms=None):
+    def predicate(m, e, geoms=None):
         left[0] -= 1
         if flipped[0] and left[0] >= 0:
             return True
-        ok = IS_LOCAL_DELAUNAY(m, e, strict=strict, geoms=geoms)
+        ok = IS_LOCAL_DELAUNAY(m, e, geoms=geoms)
         flipped[0] = flipped[0] or not ok
         return ok
 
@@ -575,7 +580,7 @@ def test_flip_bound_is_a_ddce_error(monkeypatch, tmp_path, capsys):
     # that rejects every diagonal keeps flipping valid quads forever
     m = square_with_radii()
     monkeypatch.setattr(
-        dl, "is_local_delaunay", lambda m, e, strict=False, geoms=None: m.lengths[e] < 1.2
+        dl, "is_local_delaunay", lambda m, e, geoms=None: m.lengths[e] < 1.2
     )
     with pytest.raises(FlipBoundExceeded, match="safety bound") as err:
         dl.flip_to_delaunay(m)

@@ -86,8 +86,8 @@ def scalar_geometries(m):
         for length, (i, j) in zip(lengths, tri.edge_endpoint_ids)
     ]
     return [
-        dl._face_geometry(
-            trig.DecoratedTriangle(bg, tuple(lengths[e] for e in es), tuple(radii[v] for v in vs)),
+        trig.face_circle(
+            bg, tuple(lengths[e] for e in es), tuple(radii[v] for v in vs),
             [sections[e] for e in es],
         )
         for es, vs in zip(tri.face_edge_ids, tri.face_vertex_ids)
@@ -106,7 +106,7 @@ def reference_edge_weights(m, geoms):
     """Per-edge product-form weights, edge by edge from the scalar geometries."""
     bg, weights = m.background, []
     for e in range(m.triangulation.edge_count):
-        (f, s), (g, t) = m.triangulation.edge_sides(e)
+        (f, s), (g, t) = m.triangulation.edges[e]
         denom = trig.cfac(bg, geoms[f].r_section[s]) * trig.sfac(bg, m.lengths[e])
         weights.append((geoms[f].d_tangent[s] + geoms[g].d_tangent[t]) / denom)
     return np.array(weights)
@@ -156,7 +156,7 @@ def reference_rows(path):
     rows = []
     for t, mt in zip(path.ts, path.metrics):
         geoms = scalar_geometries(mt)
-        defect = max(abs(g.angle_sum - math.pi) for g in geoms)
+        defect = max(abs(g.angles[0] + g.angles[1] + g.angles[2] - math.pi) for g in geoms)
         wdev = float(np.max(np.abs(reference_edge_weights(mt, geoms) - w_euc)))
         rows.append(tr.DiagnosticsRow(t, defect, wdev))
     return rows

@@ -102,7 +102,7 @@ def reference_validate(m):
 def _perturbed(m):
     """The metric itself and copies breaking each validity condition."""
     tri, bg = m.triangulation, m.background
-    (ea, eb, ec), out = tri.face_edges(0), [m]
+    (ea, eb, ec), out = tri.face_edge_ids[0], [m]
 
     def variant(lengths=None, radii=None):
         out.append(DecoratedMetric(

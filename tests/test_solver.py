@@ -49,8 +49,8 @@ def reference_cone_angles(m):
     tri = m.triangulation
     theta = np.zeros(tri.vertex_count)
     for f in range(tri.face_count):
-        angles = trig.interior_angles(m.background, [m.lengths[e] for e in tri.face_edges(f)])
-        for s, v in enumerate(tri.face_vertices(f)):
+        angles = trig.interior_angles(m.background, [m.lengths[e] for e in tri.face_edge_ids[f]])
+        for s, v in enumerate(tri.face_vertex_ids[f]):
             theta[v] += angles[s]
     return theta
 
@@ -382,7 +382,7 @@ def test_bookkeeping_gauss_bonnet_identity(rng):
             theta = so.cone_angles(m)
             face_defect = 0.0
             for f in range(tri.face_count):
-                angles = trig.interior_angles(bg, [m.lengths[e] for e in tri.face_edges(f)])
+                angles = trig.interior_angles(bg, [m.lengths[e] for e in tri.face_edge_ids[f]])
                 face_defect += math.pi - sum(angles)
             lhs = float(np.sum(2.0 * math.pi - theta)) - face_defect
             assert lhs == pytest.approx(2.0 * math.pi * tri.euler_characteristic, abs=1e-9)

@@ -4,9 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddce import Triangulation
-from ddce.errors import DisconnectedSurface, NonInvolution, UnflippableSelfGluing
+from ddce.errors import DDCEError, DisconnectedSurface, NonInvolution, UnflippableSelfGluing
 
 from conftest import (
     corner_orbits,
@@ -83,6 +85,29 @@ def test_non_involution_errors():
         Triangulation.build_from_gluing(1, [((0, 0), (0, 3))])
 
 
+@pytest.mark.parametrize(
+    "pair",
+    [
+        ((0.5, 0), (1, 2)), ((0.0, 0), (1, 2)), (("0", 0), (1, 2)), ((None, 0), (1, 2)),
+        (0, (1, 2)),  # a half-edge given as an int
+        ((0, 0),),  # one half-edge
+        ((0, 0), (True, 2)),  # read as face 1, this completes the double triangle
+        ((0, 0), (1, 2), (1, 1)),  # the third half-edge used to be dropped
+    ],
+)
+def test_malformed_gluing_pair_is_named(pair):
+    rest = [((0, 1), (1, 1)), ((0, 2), (1, 0))]
+    with pytest.raises(NonInvolution) as raised:
+        Triangulation.build_from_gluing(2, [pair] + rest)
+    assert str(raised.value).startswith(f"gluing pair {pair!r} ")
+
+
+@pytest.mark.parametrize("pairs", [None, 5, "0:0", {0: ((0, 0), (1, 2))}])
+def test_gluing_that_is_not_a_list_is_rejected(pairs):
+    with pytest.raises(NonInvolution, match="gluing must be a list"):
+        Triangulation.build_from_gluing(2, pairs)
+
+
 def test_disconnected_rejected():
     double = [((0, 0), (1, 2)), ((0, 1), (1, 1)), ((0, 2), (1, 0))]
     shifted = [((f + 2, s), (g + 2, t)) for (f, s), (g, t) in double]
@@ -110,7 +135,7 @@ def test_double_triangle_flip_refused():
 
 def test_self_glued_face_flip_refused():
     t = isosceles_sphere()
-    self_glued = [e for e in range(t.edge_count) if t.is_self_glued_face_edge(e)]
+    self_glued = [e for e, ((f, _), (g, _)) in enumerate(t.edges) if f == g]
     assert len(self_glued) == 2
     for e in self_glued:
         with pytest.raises(UnflippableSelfGluing):
@@ -236,8 +261,8 @@ def test_index_tables_match_orbit_maps():
                 assert [u.face_edge_ids[f][k] for f, k in pair] == [e, e]
             assert sorted(u.vertices) == corner_orbits(u.face_count, u.edges)
             for f in range(u.face_count):
-                assert u.face_edges(f) == tuple(u.edge_index[(f, k)] for k in range(3))
-                assert u.face_vertices(f) == tuple(u.vertex_index[(f, k)] for k in range(3))
+                assert u.face_edge_ids[f] == tuple(u.edge_index[(f, k)] for k in range(3))
+                assert u.face_vertex_ids[f] == tuple(u.vertex_index[(f, k)] for k in range(3))
             for e, (h, _) in enumerate(u.edges):
                 tail, head = h, (h[0], (h[1] + 1) % 3)
                 assert u.edge_endpoints(e) == (u.vertex_index[tail], u.vertex_index[head])
@@ -347,3 +372,81 @@ def test_build_from_gluing_matches_tuple_reference_on_corrupted_gluings():
             messages.append(message)
     for check in ("unglued", "repeated", "glued to itself", "out of range", "does not connect"):
         assert any(check in message for message in messages), check
+
+
+#: mutations of a gluing list that keep every pair two int half-edges
+WELL_FORMED = ("drop", "repeat", "self-glue", "out of range")
+#: mutations that make an entry, a pair or the list itself malformed
+MALFORMED = ("float", "string", "None", "bool", "three", "single", "plain int", "not a list")
+
+
+@st.composite
+def mutated_gluings(draw):
+    """``(face_count, pairs, kind)``: a random involution on the ``3 F``
+    slots of F = 1..8 faces (the last slot unglued when ``3 F`` is
+    odd), as a list of ``[f, s]`` pairs, after up to two
+    ``WELL_FORMED`` mutations and perhaps one ``MALFORMED`` one, which
+    ``kind`` names.  A well-formed list may come as nested tuples or
+    with numpy integers instead, and ``kind`` is then "list", "tuple"
+    or "numpy"."""
+    faces = draw(st.integers(1, 8))
+    slots = draw(st.permutations(range(3 * faces)))
+    pairs = [[list(divmod(a, 3)), list(divmod(b, 3))] for a, b in zip(slots[0::2], slots[1::2])]
+    kinds = draw(st.lists(st.sampled_from(WELL_FORMED), max_size=2))
+    malformed = draw(st.none() | st.sampled_from(MALFORMED))
+    for kind in kinds + [malformed] * (malformed is not None):
+        if not pairs:
+            break
+        k = draw(st.integers(0, len(pairs) - 1))
+        half, entry = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        h = pairs[k][half] = list(pairs[k][half])
+        if kind == "drop":
+            del pairs[k]
+        elif kind == "repeat":
+            pairs.append(draw(st.sampled_from([pairs[k], [h, pairs[-1][0]]])))
+        elif kind == "self-glue":
+            pairs[k] = [h, list(h)]
+        elif kind == "out of range":
+            h[entry] = draw(st.sampled_from([-1, faces, 3] if entry else [-1, faces, faces + 5]))
+        elif kind in ("float", "string", "None", "bool"):
+            h[entry] = {
+                "float": draw(st.sampled_from([float(h[entry]), h[entry] + 0.5])),
+                "string": str(h[entry]),
+                "None": None,
+                "bool": bool(h[entry] % 2),
+            }[kind]
+        elif kind == "three":
+            pairs[k] = draw(st.sampled_from([[*pairs[k], h], [pairs[k][1 - half], [*h, 0]]]))
+        elif kind == "single":
+            pairs[k] = [h]
+        elif kind == "plain int":
+            pairs[k] = [h[0], pairs[k][1 - half]]
+        else:
+            pairs = draw(st.sampled_from([dict(enumerate(pairs)), None, 5, "0:0"]))
+    if malformed is not None:
+        return faces, pairs, malformed
+    form = draw(st.sampled_from(["list", "tuple", "numpy"]))
+    if form == "tuple":
+        pairs = tuple(tuple(map(tuple, pair)) for pair in pairs)
+    elif form == "numpy":
+        pairs = [[np.array(a, dtype=np.int64), [np.int32(i) for i in b]] for a, b in pairs]
+    return faces, pairs, form
+
+
+@settings(max_examples=250)
+@given(mutated_gluings())
+def test_generated_gluings_build_as_the_reference_or_raise_a_ddce_error(gluing):
+    # a well-formed gluing builds as the tuple reference does, raising
+    # the same error; anything else builds a surface the reference
+    # agrees with or raises a DDCEError, never another exception
+    faces, pairs, kind = gluing
+    got = built(Triangulation.build_from_gluing, faces, pairs)
+    raised = isinstance(got[0], type)
+    if raised:
+        assert issubclass(got[0], DDCEError), got
+    if raised and kind in MALFORMED:
+        return
+    want = built(reference_build_from_gluing, faces, pairs)
+    if kind == "numpy":  # numpy integers print differently in the reference's messages
+        got, want = got[0], want[0]
+    assert got == want
