@@ -8,7 +8,8 @@ class DDCEError(Exception):
 # -- surface combinatorics ---------------------------------------------------
 
 class NonInvolution(DDCEError):
-    """A half-edge is missing, repeated, or glued to itself."""
+    """A half-edge is missing, repeated, or glued to itself, or the
+    gluing or its face count is malformed."""
 
 
 class NonOrientable(DDCEError):

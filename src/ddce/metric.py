@@ -23,13 +23,23 @@ The maps between heights and decoration weights (``omega_map`` /
 ``omega_inverse``) share the single primitive
 
     tau_y(x) = (exp(x) + y exp(-x)) / 2,   y in {-1, 0, 1}.
+
+The height maps (``decoration_from_heights``, ``omega_map``,
+``omega_inverse``) evaluate a whole surface per call: numpy or plain
+float arithmetic with every transcendental a scalar ``math`` call, so
+the floats are those of a vertex-by-vertex and edge-by-edge
+evaluation, bit for bit, and an invalid input raises the error of the
+first failing vertex or edge in index order.
 """
 
 from __future__ import annotations
 
+import errno
 import math
+import os
+import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -68,6 +78,25 @@ def _acosh_snapped(x: float) -> float:
     if t <= 4.0 * 2.220446049250313e-16 * abs(x):
         return 0.0
     return stable_acosh(max(1.0, x))
+
+
+#: largest arguments at which math.exp, math.cosh and math.sinh, and
+#: ``x ** 2``, are finite: at a finite argument above, they raise
+#: OverflowError
+_EXP_MAX = math.log(sys.float_info.max)
+_COSH_MAX = math.acosh(sys.float_info.max)
+_SQUARE_MAX = math.sqrt(sys.float_info.max)
+
+
+def _each_below(fn, x, top):
+    """``trig.each(fn, x)`` and the mask of the finite ``x`` above
+    ``top``, where the scalar call would raise OverflowError: those are
+    evaluated at 0 instead."""
+    over = x > top
+    if np.count_nonzero(over):
+        over &= x < math.inf
+        x = np.where(over, 0.0, x)
+    return trig.each(fn, x), over
 
 
 def default_reference_radius(background: Background) -> float:
@@ -173,15 +202,18 @@ def validate(m: DecoratedMetric) -> list:
 
 def _diagnose(m: DecoratedMetric) -> list:
     tri = m.triangulation
-    finite_l, finite_r = np.isfinite(m.lengths), np.isfinite(m.radii)
-    if not (finite_l.all() and finite_r.all()):
+    # count_nonzero and nonzero()[0] in place of any(), all() and
+    # flatnonzero, which cost several times more on the small arrays of
+    # the command line's surfaces
+    nonfinite_l, nonfinite_r = ~np.isfinite(m.lengths), ~np.isfinite(m.radii)
+    if np.count_nonzero(nonfinite_l) or np.count_nonzero(nonfinite_r):
         # every other condition is meaningless on NaN or infinite data
         return [
             f"edge {tri.edge_label(e)}: length {m.lengths[e]} not finite"
-            for e in np.flatnonzero(~finite_l)
+            for e in nonfinite_l.nonzero()[0]
         ] + [
             f"vertex {tri.vertex_label(v)}: radius {m.radii[v]} not finite"
-            for v in np.flatnonzero(~finite_r)
+            for v in nonfinite_r.nonzero()[0]
         ]
     # one vectorised gate per constraint group; messages are built only
     # for the flagged vertices, edges and faces, in index order
@@ -193,9 +225,9 @@ def _diagnose(m: DecoratedMetric) -> list:
         f"vertex {tri.vertex_label(v)}: spherical radius {r[v]} outside [0, pi/2)"
         if spherical
         else f"vertex {tri.vertex_label(v)}: negative radius {r[v]}"
-        for v in np.flatnonzero(bad_radius)
+        for v in bad_radius.nonzero()[0]
     ]
-    for e in np.flatnonzero(r[ends[:, 0]] + r[ends[:, 1]] > l):
+    for e in (r[ends[:, 0]] + r[ends[:, 1]] > l).nonzero()[0]:
         i, j = tri.edge_endpoints(e)
         out.append(
             f"edge {tri.edge_label(e)}: vertex circles intersect "
@@ -205,9 +237,9 @@ def _diagnose(m: DecoratedMetric) -> list:
     # intersections (already reported per edge): degenerate side lengths
     # or a bad corner radius
     flagged = trig.degenerate_rows(m.background, l[tri.face_edge_array])
-    if bad_radius.any():
+    if np.count_nonzero(bad_radius):
         flagged |= bad_radius[tri.face_vertex_array].any(axis=1)
-    for f in np.flatnonzero(flagged):
+    for f in flagged.nonzero()[0]:
         for msg in m.face_triangle(f).violations():
             if "circles intersect" in msg:
                 continue  # already reported per edge
@@ -316,8 +348,7 @@ def heights_from_decoration(m: DecoratedMetric, reference_radius: float | None =
     if reference_radius is None and bg is not Background.EUCLIDEAN:
         reference_radius = default_reference_radius(bg)
     h = np.zeros(m.triangulation.vertex_count)
-    for v in range(m.triangulation.vertex_count):
-        r = m.radii[v]
+    for v, r in enumerate(m.radii.tolist()):
         if r <= 0:
             continue
         if bg is Background.SPHERICAL:
@@ -345,13 +376,11 @@ def lambda_lengths(m: DecoratedMetric, heights: Heights | None = None) -> Invari
     check_valid(m, "input of lambda_lengths")
     tri = m.triangulation
     bg = m.background
-    eps = m.eps
-    h = (heights.h if heights is not None else heights_from_decoration(m).h)
-    lengths, radii = m.lengths.tolist(), m.radii.tolist()
+    eps = m.eps.tolist()
+    h = (heights.h if heights is not None else heights_from_decoration(m).h).tolist()
+    radii = m.radii.tolist()
     lam = np.zeros(tri.edge_count)
-    for e in range(tri.edge_count):
-        i, j = tri.edge_endpoints(e)
-        l = lengths[e]
+    for e, ((i, j), l) in enumerate(zip(tri.edge_endpoint_ids, m.lengths.tolist())):
         hyperideal = eps[i] == 1 and eps[j] == 1
         try:
             if hyperideal:
@@ -378,7 +407,7 @@ def lambda_lengths(m: DecoratedMetric, heights: Heights | None = None) -> Invari
                     f"edge {tri.edge_label(e)}: non-positive lambda exponential {t}", []
                 )
             lam[e] = math.log(2.0 * t)
-    return Invariant(tri, lam, eps)
+    return Invariant(tri, lam, m.eps)
 
 
 def decoration_from_heights(
@@ -386,95 +415,113 @@ def decoration_from_heights(
 ) -> DecoratedMetric:
     """Decorated metric realizing the invariant at the given heights.
 
-    Inverts the heights/lambda relation edge by edge and the
-    radius/height identity vertex by vertex, then validates the result.
-    Raises HeightsOutOfDomain naming the violated admissibility
-    condition.
+    Inverts the heights/lambda relation on every edge and the
+    radius/height identity on every vertex as whole-surface arithmetic,
+    by the array kernel's rule (README "Numerics"): numpy does the
+    gathers, ``+ - * /``, ``sqrt`` and comparisons, and every ``exp``,
+    ``**``, ``cosh``/``sinh``, ``acos``, ``log1p``, ``asin`` and
+    ``asinh`` is the scalar ``math`` call mapped with ``trig.each``, in
+    the per-edge formulas' order of operations.  So every float is that
+    of an edge-by-edge evaluation, and an exponential the formulas
+    never form (``e^-h`` at an ideal vertex, ``e^-lambda`` on an edge
+    with an ideal end) is never taken.  Tangent vertex circles (two
+    hyperideal ends, lambda exactly 0) get length ``r_i + r_j``.
+
+    Errors are located in index order, as edge by edge: the first
+    hyperideal vertex with height <= 0; else the first edge where a
+    check fails, with that edge's first failing check of: spherical
+    ``lambda >= h_i + h_j``, an exponential (or a Euclidean ``rho**2``)
+    that overflows (OverflowError), a denominator that underflows to 0,
+    the induced length's domain; else a radius that overflows
+    (OverflowError); else ``validate``.  Every failure but an overflow
+    raises HeightsOutOfDomain naming the violated condition.
     """
     bg = heights.background
     tri = triangulation
-    if heights.h.shape != (tri.vertex_count,):
+    h, lam = heights.h, invariant.lam
+    if h.shape != (tri.vertex_count,):
         raise ValueError("height array does not match vertex orbits")
-    if invariant.lam.shape != (tri.edge_count,):
+    if lam.shape != (tri.edge_count,):
         raise ValueError("lambda array does not match edge orbits")
-    eps = invariant.eps.tolist()
-    h = heights.h.tolist()
-
-    if bg is not Background.EUCLIDEAN:
-        for v in range(tri.vertex_count):
-            if eps[v] == 1 and h[v] <= 0:
-                raise HeightsOutOfDomain(
-                    f"vertex {tri.vertex_label(v)}: hyperideal height {h[v]} <= 0"
-                )
-
-    # per-vertex exponentials and radii, computed when an edge first needs
-    # them so that an overflow surfaces at the same edge as edge-by-edge
-    # evaluation
-    terms = [None] * tri.vertex_count
-    radii = [None if eps[v] else 0.0 for v in range(tri.vertex_count)]
-
-    def vertex_terms(v):
-        if bg is Background.EUCLIDEAN:
-            terms[v] = (math.exp(-h[v]),)
+    hyper = invariant.eps == 1
+    curved = bg is not Background.EUCLIDEAN
+    if curved and np.count_nonzero(hyper & (h <= 0)):
+        v = int((hyper & (h <= 0)).nonzero()[0][0])
+        raise HeightsOutOfDomain(f"vertex {tri.vertex_label(v)}: hyperideal height {h[v]} <= 0")
+    V, E = tri.vertex_count, tri.edge_count
+    i, j = tri.edge_endpoint_array.T
+    ee = hyper[i] & hyper[j]
+    tangent = ee & (lam == 0.0)
+    spherical = bg is Background.SPHERICAL
+    with np.errstate(all="ignore"):  # inf and NaN propagate as with Python floats
+        # e^h (curved tau), e^-h (tau at hyperideal vertices, Euclidean
+        # rho), e^lam and e^-lam (tau on edges between hyperideal
+        # vertices); one that the per-edge formulas never form is e^-inf
+        args = np.full(2 * (V + E), -math.inf)
+        if curved:
+            args[:V] = h
+        np.negative(h, out=args[V:2 * V], where=hyper if curved else True)
+        args[2 * V:-E] = lam
+        np.negative(lam, out=args[-E:], where=ee)
+        exps, over = _each_below(math.exp, args, _EXP_MAX)
+        e_h, e_mh, e_lam, e_mlam = exps[:V], exps[V:2 * V], exps[2 * V:-E], exps[-E:]
+        tau_lam = (e_lam + e_mlam) / 2.0
+        if curved:
+            plus, minus = (e_h + e_mh) / 2.0, (e_h - e_mh) / 2.0  # tau(eps, h), tau(-eps, h)
+            fn, arc = (math.cosh, math.asin) if spherical else (math.sinh, math.asinh)
+            cosh_h, over_r = _each_below(fn, np.where(hyper, h, math.inf), _COSH_MAX)
+            radii = trig.each(arc, 1.0 / cosh_h)  # 0 at ideal vertices
+            if spherical:
+                den = plus[i] * plus[j]
+                x = (minus[i] * minus[j] - tau_lam) / den
+                bad, what = ~(np.abs(x) < 1.0), "cosine of induced length"
+            else:
+                den = minus[i] * minus[j]
+                x = (tau_lam + plus[i] * plus[j]) / den
+                bad, what = x <= 1.0, "cosh of induced length"
+            unevaluable = den == 0.0  # a tau underflows
         else:
-            terms[v] = (tau(-eps[v], h[v]), tau(eps[v], h[v]))
-        return terms[v]
-
-    def vertex_radius(v):
-        if bg is Background.SPHERICAL:
-            radii[v] = math.asin(1.0 / math.cosh(h[v]))
-        elif bg is Background.HYPERBOLIC:
-            radii[v] = math.asinh(1.0 / math.sinh(h[v]))
+            radii, over_r = np.where(hyper, e_mh, 0.0), over[V:2 * V] & hyper
+            rho_sq, over_sq = _each_below(partial(pow, exp=2), e_mh, _SQUARE_MAX)
+            eps_rho_sq, two_rho = hyper.astype(float) * rho_sq, 2.0 * e_mh
+            x = eps_rho_sq[i] + eps_rho_sq[j] + two_rho[i] * e_mh[j] * tau_lam
+            bad, what = x <= 0.0, "squared induced length"
+            unevaluable = over_sq[i] | over_sq[j]  # rho ** 2 overflows
+        far = lam >= h[i] + h[j] if spherical else np.zeros(E, bool)
+        # a radius overflows only where e^h (e^-h, Euclidean) does
+        if np.count_nonzero(over) or np.count_nonzero(bad | unevaluable | far):
+            over_v = over[:V] | over[V:2 * V]
+            checks = [  # (failing edges, error at edge e), in the per-edge order
+                (far, lambda e: HeightsOutOfDomain(
+                    f"edge {tri.edge_label(e)}: lambda = {lam[e]} >= h_i + h_j = {h[i[e]] + h[j[e]]}"
+                )),
+                (np.where(tangent, over_r[i] | over_r[j], over_v[i] | over_v[j] | over[2 * V:-E]
+                          | over[-E:]), lambda e: OverflowError("math range error")),
+                (unevaluable & ~tangent, lambda e: HeightsOutOfDomain(
+                    f"edge {tri.edge_label(e)}: {what} has a denominator that underflows to 0"
+                ) if curved else OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))),
+                (bad & ~tangent, lambda e: HeightsOutOfDomain(
+                    f"edge {tri.edge_label(e)}: {what} is {x[e]}"
+                )),
+            ]
+            failed = np.logical_or.reduce([mask for mask, _ in checks]).nonzero()[0]
+            if failed.size:
+                e = int(failed[0])
+                raise next(error(e) for mask, error in checks if mask[e])
+            if np.count_nonzero(over_r):  # a radius that no edge needed
+                raise OverflowError("math range error")
+        touching = np.count_nonzero(tangent)
+        if curved:
+            if not spherical:  # stable_acosh
+                x = x - 1.0
+                x = x + np.sqrt(x * (x + 2.0))
+            lengths = trig.each(
+                math.acos if spherical else math.log1p, np.where(tangent, 0.0, x) if touching else x
+            )
         else:
-            radii[v] = math.exp(-h[v])
-        return radii[v]
-
-    lengths = []
-    for e, ((i, j), lam) in enumerate(zip(tri.edge_endpoint_ids, invariant.lam.tolist())):
-        ee = eps[i] * eps[j]
-        if bg is Background.SPHERICAL and lam >= h[i] + h[j]:
-            raise HeightsOutOfDomain(
-                f"edge {tri.edge_label(e)}: lambda = {lam} >= h_i + h_j = {h[i] + h[j]}"
-            )
-        if ee == 1 and lam == 0.0:
-            # tangent vertex circles (inversive distance tau(1, 0) = 1 in
-            # every background): the length is exactly r_i + r_j, which
-            # the inversion below can miss by an ulp
-            r_i = vertex_radius(i) if radii[i] is None else radii[i]
-            r_j = vertex_radius(j) if radii[j] is None else radii[j]
-            lengths.append(r_i + r_j)
-        elif bg is Background.SPHERICAL:
-            (minus_i, plus_i), (minus_j, plus_j) = (
-                terms[i] or vertex_terms(i), terms[j] or vertex_terms(j)
-            )
-            c = (minus_i * minus_j - tau(ee, lam)) / (plus_i * plus_j)
-            if not (-1.0 < c < 1.0):
-                raise HeightsOutOfDomain(
-                    f"edge {tri.edge_label(e)}: cosine of induced length is {c}"
-                )
-            lengths.append(math.acos(c))
-        elif bg is Background.HYPERBOLIC:
-            (minus_i, plus_i), (minus_j, plus_j) = (
-                terms[i] or vertex_terms(i), terms[j] or vertex_terms(j)
-            )
-            ch = (tau(ee, lam) + plus_i * plus_j) / (minus_i * minus_j)
-            if ch <= 1.0:
-                raise HeightsOutOfDomain(
-                    f"edge {tri.edge_label(e)}: cosh of induced length is {ch}"
-                )
-            lengths.append(stable_acosh(ch))
-        else:
-            (rho_i,), (rho_j,) = terms[i] or vertex_terms(i), terms[j] or vertex_terms(j)
-            sq = eps[i] * rho_i**2 + eps[j] * rho_j**2 + 2.0 * rho_i * rho_j * tau(ee, lam)
-            if sq <= 0.0:
-                raise HeightsOutOfDomain(
-                    f"edge {tri.edge_label(e)}: squared induced length is {sq}"
-                )
-            lengths.append(math.sqrt(sq))
-
-    for v in range(tri.vertex_count):
-        if radii[v] is None:
-            vertex_radius(v)
+            lengths = np.sqrt(x)
+        if touching:  # exactly r_i + r_j, which the inversion can miss by an ulp
+            lengths = np.where(tangent, radii[i] + radii[j], lengths)
 
     result = DecoratedMetric(tri, bg, lengths, radii)
     bad = validate(result)
@@ -485,25 +532,23 @@ def decoration_from_heights(
 
 # -- heights <-> weights --------------------------------------------------------
 
-def _omega_sign(background: Background, eps_v: int) -> int:
-    # spherical relation couples h to -eps, hyperbolic to +eps
-    return eps_v if background is Background.HYPERBOLIC else -eps_v
-
-
 def omega_map(background: Background, reference_radius: float, heights: Heights) -> np.ndarray:
     """Decoration weights of the invariant surface induced by apex
-    heights, for an apex sphere of radius R."""
+    heights, for an apex sphere of radius R: ``tau(+-eps_v, h_v) / n``
+    with ``n = sinh R`` (hyperbolic, sign +) or ``cosh R`` (spherical,
+    sign -).  The whole surface is one pass of scalar ``math``
+    arithmetic over plain floats, vertex by vertex, so an exponential
+    that overflows raises OverflowError at the first such vertex."""
     if heights.eps is None:
         raise ValueError("heights carry no eps flags")
-    norm = (
-        math.sinh(reference_radius)
-        if background is Background.HYPERBOLIC
-        else math.cosh(reference_radius)
+    if background is Background.HYPERBOLIC:
+        norm, sign = math.sinh(reference_radius), 1
+    else:
+        norm, sign = math.cosh(reference_radius), -1
+    return np.array(
+        [tau(sign * e, hv) / norm for e, hv in zip(heights.eps.tolist(), heights.h.tolist())],
+        dtype=float,
     )
-    omega = np.zeros_like(heights.h)
-    for v, hv in enumerate(heights.h):
-        omega[v] = tau(_omega_sign(background, heights.eps[v]), hv) / norm
-    return omega
 
 
 def _check_squared_weight(v: int, omega_v, t: float) -> None:
@@ -518,31 +563,26 @@ def _check_squared_weight(v: int, omega_v, t: float) -> None:
 def omega_inverse(
     background: Background, reference_radius: float, omega, eps
 ) -> Heights:
-    """Inverse of omega_map on its image; raises WeightOutOfRange off it."""
+    """Inverse of omega_map on its image.  The whole surface is one pass
+    of scalar ``math`` arithmetic over plain floats, vertex by vertex:
+    the first vertex off the image, in index order, raises
+    WeightOutOfRange."""
     omega = np.asarray(omega, dtype=float)
     eps = np.asarray(eps, dtype=int)
-    h = np.zeros_like(omega)
-    if background is Background.HYPERBOLIC:
-        s = math.sinh(reference_radius)
-        for v in range(omega.size):
-            t = float(omega[v]) * s
-            if omega[v] <= 0 or (eps[v] == 1 and t <= 1.0):
-                raise WeightOutOfRange(
-                    f"vertex {v}: weight {omega[v]} outside the image of the height map"
-                )
-            _check_squared_weight(v, omega[v], t)
-            h[v] = math.log(t + math.sqrt(t * t - eps[v]))
-    elif background is Background.SPHERICAL:
-        c = math.cosh(reference_radius)
-        for v in range(omega.size):
-            if omega[v] <= 0:
-                raise WeightOutOfRange(f"vertex {v}: weight {omega[v]} not positive")
-            t = float(omega[v]) * c
-            _check_squared_weight(v, omega[v], t)
-            h[v] = math.log(t + math.sqrt(t * t + eps[v]))
+    if background is Background.HYPERBOLIC:  # t = sinh(R) omega, h = log(t + sqrt(t^2 - eps))
+        scale, sign, off_image = math.sinh(reference_radius), -1, "outside the image of the height map"
+    elif background is Background.SPHERICAL:  # t = cosh(R) omega, h = log(t + sqrt(t^2 + eps))
+        scale, sign, off_image = math.cosh(reference_radius), 1, "not positive"
     else:
         raise ValueError("omega maps are defined for curved backgrounds only")
-    return Heights(h, background, reference_radius, eps)
+    h = []
+    for v, (w, e) in enumerate(zip(omega.tolist(), eps.tolist())):
+        t = w * scale
+        if w <= 0 or (sign < 0 and e == 1 and t <= 1.0):
+            raise WeightOutOfRange(f"vertex {v}: weight {w} {off_image}")
+        _check_squared_weight(v, w, t)
+        h.append(math.log(t + math.sqrt(t * t + sign * e)))
+    return Heights(np.array(h, dtype=float), background, reference_radius, eps)
 
 
 # -- scale factors ---------------------------------------------------------------

@@ -430,11 +430,13 @@ def _finalize(report: SolveReport, m0, m, vmap, h, h_start_orig) -> None:
     report.vertex_map = list(vmap)
     report.final_heights = h[vmap]
     bg = m0.background
-    eps0 = m0.eps
+    radii, radii0 = m.radii.tolist(), m0.radii.tolist()
     u = np.zeros(m0.triangulation.vertex_count)
-    for v in range(m0.triangulation.vertex_count):
-        if eps0[v] == 0:
-            u[v] = report.final_heights[v] - h_start_orig[v]
+    for v, (e, h_end, h_start) in enumerate(
+        zip(m0.eps.tolist(), report.final_heights.tolist(), h_start_orig.tolist())
+    ):
+        if e == 0:
+            u[v] = h_end - h_start
         else:
-            u[v] = math.log(trig.sfac(bg, m.radii[vmap[v]]) / trig.sfac(bg, m0.radii[v]))
+            u[v] = math.log(trig.sfac(bg, radii[vmap[v]]) / trig.sfac(bg, radii0[v]))
     report.scale_factors = u

@@ -149,7 +149,14 @@ class Triangulation:
         canonically, and fill the face tables and genus, all on flat
         slots ``3 f + s``.  The gluing is a list or tuple of pairs of
         half-edges ``(f, s)``, whose entries are ints (numpy integers
-        too, but not bools); anything else raises NonInvolution."""
+        too, but not bools); anything else, or a ``face_count`` that is
+        not such an int, raises NonInvolution."""
+        try:
+            if type(face_count) is bool:
+                raise TypeError
+            face_count = index(face_count)
+        except TypeError:
+            raise NonInvolution(f"face count {face_count!r} is not an int") from None
         if not isinstance(pairs, (list, tuple)):
             raise NonInvolution(f"gluing must be a list of pairs, not {type(pairs).__name__}")
         n = 3 * face_count

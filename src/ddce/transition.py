@@ -62,7 +62,7 @@ def cusp_heights(h1: Heights) -> np.ndarray:
         raise ValueError("heights carry no eps flags")
     sign = 1 if h1.background is Background.HYPERBOLIC else -1
     logs = np.array(
-        [math.log(tau(sign * e, hv)) for e, hv in zip(h1.eps, h1.h)]
+        [math.log(tau(sign * e, hv)) for e, hv in zip(h1.eps.tolist(), h1.h.tolist())]
     )
     return logs - logs[0]
 

@@ -1,8 +1,10 @@
 """Decorated metric tests: validation, conformal change, invariants,
 heights, omega maps, scale factors."""
 
+import errno
 import functools
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -608,8 +610,10 @@ def test_heights_out_of_domain_errors(double_triangle):
 def reference_decoration_from_heights(tri, invariant, heights):
     """Edge-by-edge inversion of the heights/lambda relation, evaluating
     tau afresh for every edge: the exact oracle.  Tangent vertex circles
-    (two hyperideal ends, lambda exactly 0) get length r_i + r_j."""
-    bg, eps, h = heights.background, invariant.eps, heights.h
+    (two hyperideal ends, lambda exactly 0) get length r_i + r_j.  A
+    denominator that underflows to 0 is out of the domain (it raised
+    ZeroDivisionError here before decoration_from_heights named it)."""
+    bg, eps, h = heights.background, invariant.eps.tolist(), heights.h.tolist()
     tau = me.tau
 
     def radius(v):
@@ -626,7 +630,7 @@ def reference_decoration_from_heights(tri, invariant, heights):
     lengths = np.zeros(tri.edge_count)
     for e in range(tri.edge_count):
         i, j = _endpoints(tri, e)
-        lam = invariant.lam[e]
+        lam = float(invariant.lam[e])
         ee = eps[i] * eps[j]
         if bg is Background.SPHERICAL:
             if lam >= h[i] + h[j]:
@@ -636,16 +640,26 @@ def reference_decoration_from_heights(tri, invariant, heights):
         if ee == 1 and lam == 0.0:
             lengths[e] = radius(i) + radius(j)
         elif bg is Background.SPHERICAL:
-            c = (tau(-eps[i], h[i]) * tau(-eps[j], h[j]) - tau(ee, lam)) / (
-                tau(eps[i], h[i]) * tau(eps[j], h[j])
-            )
+            num = tau(-eps[i], h[i]) * tau(-eps[j], h[j]) - tau(ee, lam)
+            den = tau(eps[i], h[i]) * tau(eps[j], h[j])
+            if den == 0.0:
+                raise HeightsOutOfDomain(
+                    f"edge {tri.edge_label(e)}: cosine of induced length has a denominator "
+                    "that underflows to 0"
+                )
+            c = num / den
             if not (-1.0 < c < 1.0):
                 raise HeightsOutOfDomain(f"edge {tri.edge_label(e)}: cosine of induced length is {c}")
             lengths[e] = math.acos(c)
         elif bg is Background.HYPERBOLIC:
-            ch = (tau(ee, lam) + tau(eps[i], h[i]) * tau(eps[j], h[j])) / (
-                tau(-eps[i], h[i]) * tau(-eps[j], h[j])
-            )
+            num = tau(ee, lam) + tau(eps[i], h[i]) * tau(eps[j], h[j])
+            den = tau(-eps[i], h[i]) * tau(-eps[j], h[j])
+            if den == 0.0:
+                raise HeightsOutOfDomain(
+                    f"edge {tri.edge_label(e)}: cosh of induced length has a denominator "
+                    "that underflows to 0"
+                )
+            ch = num / den
             if ch <= 1.0:
                 raise HeightsOutOfDomain(f"edge {tri.edge_label(e)}: cosh of induced length is {ch}")
             lengths[e] = me.stable_acosh(ch)
@@ -721,7 +735,192 @@ def test_decoration_from_heights_matches_per_edge_oracle(rng):
     assert outcome(me.decoration_from_heights, *args) == want
 
 
+def test_decoration_from_heights_matches_per_edge_oracle_at_extreme_heights(rng):
+    """Ideal heights of +-800, lambdas of +-800 and tangent edges at
+    heights whose exponential or radius overflows, mixed into otherwise
+    valid inputs: values, or the error type, message and edge, equal the
+    edge-by-edge oracle's."""
+    outcomes = set()
+    tri = grid_torus(3)
+    n_v, n_e = tri.vertex_count, tri.edge_count
+    for bg in ALL_BACKGROUNDS:
+        ref = me.default_reference_radius(bg) if bg is not Background.EUCLIDEAN else 0.0
+        for k in range(120):
+            eps = (rng.random(n_v) >= 0.3).astype(int)
+            if bg is Background.EUCLIDEAN:
+                h = rng.uniform(-0.4, 0.4, size=n_v)
+            elif bg is Background.SPHERICAL:
+                h = rng.uniform(0.9, 1.6, size=n_v)
+            else:
+                h = rng.uniform(0.6, 1.5, size=n_v)
+            lam = rng.uniform(0.1, 1.0, size=n_e)
+            kind = k % 4
+            if kind == 0:  # ideal heights of +-800; at -400 a Euclidean rho ** 2 overflows
+                v = int(rng.integers(n_v))
+                eps[v] = 0
+                h[v] = (800.0, -800.0, -400.0)[k // 4 % 3]
+            elif kind == 1:  # lambdas of +-800
+                lam[rng.integers(n_e, size=2)] = rng.choice([800.0, -800.0], size=2)
+            else:  # tangent edges whose ends' heights overflow
+                e = int(rng.integers(n_e))
+                i, j = _endpoints(tri, e)
+                eps[[i, j]] = 1
+                lam[e] = 0.0
+                big = (709.9, 710.2, 800.0)[k % 3]  # e^h overflows; cosh h too from 710.48
+                h[i] = -big if bg is Background.EUCLIDEAN else big
+                if kind == 3:  # every edge at vertex i tangent
+                    at_i = [f for f in range(n_e) if i in _endpoints(tri, f)]
+                    lam[at_i] = 0.0
+                    eps[[v for f in at_i for v in _endpoints(tri, f)]] = 1
+                    if bg is Background.SPHERICAL:  # a later edge fails lambda < h_i + h_j
+                        lam[max(f for f in range(n_e) if f not in at_i)] = 50.0
+            inv = me.Invariant(tri, lam, eps)
+            heights = me.Heights(h, bg, ref, eps)
+            want = outcome(reference_decoration_from_heights, tri, inv, heights)
+            got = outcome(me.decoration_from_heights, tri, inv, heights)
+            if isinstance(want, tuple):
+                assert got == want, (bg, k)
+                outcomes.add(want)
+            else:
+                assert np.array_equal(got.lengths, want.lengths), (bg, k)
+                assert np.array_equal(got.radii, want.radii), (bg, k)
+    errors = {(kind, message.split(": ")[-1]) for kind, message in outcomes}
+    assert (OverflowError, "math range error") in errors
+    assert (OverflowError, str(OverflowError(errno.ERANGE, os.strerror(errno.ERANGE)))) in errors
+    assert (HeightsOutOfDomain, "cosh of induced length has a denominator that underflows to 0") in errors
+
+
+@pytest.mark.parametrize("background", [Background.HYPERBOLIC, Background.SPHERICAL])
+def test_underflowing_ideal_height_names_the_edge(double_triangle, background):
+    # e^h / 2 of an ideal vertex at height -800 is 0: the edges at it
+    # have a zero denominator, which raised a bare ZeroDivisionError
+    # (spherical edges at it need lambda < h_i + h_j to get that far)
+    eps = np.array([0, 1, 1])
+    h = np.array([-800.0, 1.2, 1.2])
+    at_0 = [0 in double_triangle.edge_endpoints(e) for e in range(3)]
+    lam = np.where(at_0, -900.0 if background is Background.SPHERICAL else 0.5, 0.5)
+    inv = me.Invariant(double_triangle, lam, eps)
+    heights = me.Heights(h, background, me.default_reference_radius(background), eps)
+    e = at_0.index(True)
+    what = "cosh" if background is Background.HYPERBOLIC else "cosine"
+    with pytest.raises(HeightsOutOfDomain) as raised:
+        me.decoration_from_heights(double_triangle, inv, heights)
+    assert str(raised.value) == (
+        f"edge {double_triangle.edge_label(e)}: {what} of induced length has a denominator "
+        "that underflows to 0"
+    )
+
+
+@pytest.mark.parametrize(
+    "fn, limit",
+    [
+        (math.exp, me._EXP_MAX),
+        (math.cosh, me._COSH_MAX),
+        (math.sinh, me._COSH_MAX),
+        (lambda x: x ** 2, me._SQUARE_MAX),
+    ],
+)
+def test_overflow_limits_are_the_last_finite_arguments(fn, limit):
+    # decoration_from_heights reads its OverflowErrors off these limits
+    assert math.isfinite(fn(limit))
+    with pytest.raises(OverflowError):
+        fn(math.nextafter(limit, math.inf))
+
+
 # -- omega maps -----------------------------------------------------------------------
+
+
+def reference_omega_map(background, reference_radius, heights):
+    """The per-vertex loop over numpy scalars that ``omega_map``
+    replaced: the bit-for-bit reference."""
+    if heights.eps is None:
+        raise ValueError("heights carry no eps flags")
+    norm = (
+        math.sinh(reference_radius)
+        if background is Background.HYPERBOLIC
+        else math.cosh(reference_radius)
+    )
+    omega = np.zeros_like(heights.h)
+    for v, hv in enumerate(heights.h):
+        eps_v = heights.eps[v]
+        sign = eps_v if background is Background.HYPERBOLIC else -eps_v
+        omega[v] = me.tau(sign, hv) / norm
+    return omega
+
+
+def reference_omega_inverse(background, reference_radius, omega, eps):
+    """The per-vertex loop over numpy scalars that ``omega_inverse``
+    replaced: the bit-for-bit reference."""
+    omega = np.asarray(omega, dtype=float)
+    eps = np.asarray(eps, dtype=int)
+    h = np.zeros_like(omega)
+
+    def check_squared(v, t):
+        if not math.isfinite(t * t):
+            raise WeightOutOfRange(
+                f"vertex {v}: weight {omega[v]} outside the image of the height map "
+                "(squared weight not finite)"
+            )
+
+    if background is Background.HYPERBOLIC:
+        s = math.sinh(reference_radius)
+        for v in range(omega.size):
+            t = float(omega[v]) * s
+            if omega[v] <= 0 or (eps[v] == 1 and t <= 1.0):
+                raise WeightOutOfRange(
+                    f"vertex {v}: weight {omega[v]} outside the image of the height map"
+                )
+            check_squared(v, t)
+            h[v] = math.log(t + math.sqrt(t * t - eps[v]))
+    elif background is Background.SPHERICAL:
+        c = math.cosh(reference_radius)
+        for v in range(omega.size):
+            if omega[v] <= 0:
+                raise WeightOutOfRange(f"vertex {v}: weight {omega[v]} not positive")
+            t = float(omega[v]) * c
+            check_squared(v, t)
+            h[v] = math.log(t + math.sqrt(t * t + eps[v]))
+    else:
+        raise ValueError("omega maps are defined for curved backgrounds only")
+    return me.Heights(h, background, reference_radius, eps)
+
+
+def test_omega_maps_match_the_per_vertex_reference(rng):
+    """Random mixes of ideal and hyperideal vertices, heights of up to
+    +-800, and weights that are scaled, non-positive or 1e300: the same
+    floats, or the same error type and message, which names the first
+    failing vertex."""
+    failures = set()
+    for bg in (Background.HYPERBOLIC, Background.SPHERICAL, Background.EUCLIDEAN):
+        R = me.default_reference_radius(bg if bg is not Background.EUCLIDEAN else Background.SPHERICAL)
+        for k in range(150):
+            n = int(rng.integers(1, 9))
+            eps = (rng.random(n) < 0.6).astype(int)
+            h = np.where(eps == 1, rng.uniform(0.05, 4.0, n), rng.uniform(-3.0, 3.0, n))
+            if k % 7 == 0:
+                h[rng.integers(n)] = rng.choice([800.0, -800.0])
+            hts = me.Heights(h, bg, R, eps)
+            want = outcome(reference_omega_map, bg, R, hts)
+            got = outcome(me.omega_map, bg, R, hts)
+            if isinstance(want, tuple):
+                assert got == want, (bg, k)
+                failures.add(want[0])
+                omega = rng.uniform(0.1, 3.0, n)
+            else:
+                assert got.dtype == want.dtype and np.array_equal(got, want), (bg, k)
+                omega = want * rng.uniform(1.0, 50.0)
+            for v in rng.integers(n, size=int(rng.integers(0, 3))):
+                omega[v] = rng.choice([0.0, -0.5, 0.3, 1e300, -1e300])
+            want = outcome(reference_omega_inverse, bg, R, omega, eps)
+            got = outcome(me.omega_inverse, bg, R, omega, eps)
+            if isinstance(want, tuple):
+                assert got == want, (bg, k)
+                failures.add(want[0])
+            else:
+                assert np.array_equal(got.h, want.h) and np.array_equal(got.eps, want.eps), (bg, k)
+                assert (got.background, got.reference_radius) == (want.background, want.reference_radius)
+    assert failures == {OverflowError, WeightOutOfRange, ValueError}
+
 
 
 def test_omega_examples():

@@ -108,6 +108,24 @@ def test_gluing_that_is_not_a_list_is_rejected(pairs):
         Triangulation.build_from_gluing(2, pairs)
 
 
+@pytest.mark.parametrize("face_count", [2.0, "2", None, True])
+def test_face_count_that_is_not_an_int_is_named(face_count):
+    double = [((0, 0), (1, 2)), ((0, 1), (1, 1)), ((0, 2), (1, 0))]
+    with pytest.raises(NonInvolution) as raised:
+        Triangulation.build_from_gluing(face_count, double)
+    assert str(raised.value) == f"face count {face_count!r} is not an int"
+
+
+def test_numpy_integer_face_count_is_accepted():
+    double = [((0, 0), (1, 2)), ((0, 1), (1, 1)), ((0, 2), (1, 0))]
+    tri = Triangulation.build_from_gluing(np.int64(2), double)
+    want = Triangulation.build_from_gluing(2, double)
+    assert (tri.face_count, tri.edges, tri.face_edge_ids, tri.face_vertex_ids) == (
+        want.face_count, want.edges, want.face_edge_ids, want.face_vertex_ids
+    )
+    assert type(tri.face_count) is int
+
+
 def test_disconnected_rejected():
     double = [((0, 0), (1, 2)), ((0, 1), (1, 1)), ((0, 2), (1, 0))]
     shifted = [((f + 2, s), (g + 2, t)) for (f, s), (g, t) in double]
