@@ -27,7 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trig
-from .errors import BadParameters, DegenerateTriangle, FlipBoundExceeded, NotDelaunay
+from .errors import (
+    BadParameters, DegenerateTriangle, FlipBoundExceeded, NotDelaunay, ResultInvalid
+)
 from .metric import DecoratedMetric, check_valid, validate
 from .surface import _UnionFind
 from .trig import Background
@@ -44,21 +46,26 @@ def face_geometries(m: DecoratedMetric) -> list:
     edge's orthogonal section is then evaluated once
     (``trig.edge_section``) and read by both faces at the edge.  Callers
     that read arrays rather than per-face objects use ``face_arrays``,
-    which gives the same floats."""
+    which gives the same floats.  A valid metric whose kernel call
+    overflows (a hyperbolic length above about 710) raises ResultInvalid
+    naming the first such edge, else face."""
     _gate(m)
     bg, tri = m.background, m.triangulation
     lengths, radii = m.lengths.tolist(), m.radii.tolist()
-    sections = [
-        trig.edge_section(bg, length, radii[i], radii[j])
-        for length, (i, j) in zip(lengths, tri.edge_endpoint_ids)
-    ]
-    return [
-        trig.face_circle(
-            bg, (lengths[a], lengths[b], lengths[c]), (radii[u], radii[v], radii[w]),
-            (sections[a], sections[b], sections[c]),
-        )
-        for (a, b, c), (u, v, w) in zip(tri.face_edge_ids, tri.face_vertex_ids)
-    ]
+    sections, geoms = [], []
+    try:
+        for length, (i, j) in zip(lengths, tri.edge_endpoint_ids):
+            sections.append(trig.edge_section(bg, length, radii[i], radii[j]))
+        for (a, b, c), (u, v, w) in zip(tri.face_edge_ids, tri.face_vertex_ids):
+            geoms.append(trig.face_circle(
+                bg, (lengths[a], lengths[b], lengths[c]), (radii[u], radii[v], radii[w]),
+                (sections[a], sections[b], sections[c]),
+            ))
+    except OverflowError as ex:  # name the first edge, else face, that overflows
+        e = len(sections)
+        at = f"edge {tri.edge_label(e)}" if e < tri.edge_count else f"face {len(geoms)}"
+        raise ResultInvalid(f"{at}: the face kernel overflows ({ex})", [str(ex)]) from None
+    return geoms
 
 
 def face_arrays(m: DecoratedMetric) -> trig.FaceArrays:
@@ -132,23 +139,27 @@ def flip_edge(m: DecoratedMetric, e: int):
     """Geometric edge flip: new diagonal length from the quad, then the
     combinatorial surgery.  Returns (metric, FlipResult, new_length);
     every edge and vertex keeps its id, so only ``lengths[e]`` moves."""
-    tri = m.triangulation
-    (f, s), (g, t) = tri.edges[e]
-    t1 = _rotated_triangle(m, f, s)
-    t2 = _rotated_triangle(m, g, t)
+    (f, s), (g, t) = m.triangulation.edges[e]
+    t1, t2 = _rotated_triangle(m.face_triangle(f), s), _rotated_triangle(m.face_triangle(g), t)
+    return _flip(m, e, t1, t2)
+
+
+def _flip(m: DecoratedMetric, e: int, t1, t2):
+    """``flip_edge`` given the quad triangles (a, b, c) and (b, a, d) of
+    ``e``, each rotated to start at its side of ``e``."""
     new_len = trig.diagonal_length(m.background, t1, t2)
-    fr = tri.flip(e)
+    fr = m.triangulation.flip(e)
     lengths = m.lengths.copy()
     lengths[e] = new_len
     lengths.flags.writeable = False  # the metric keeps it as it is
     return DecoratedMetric(fr.triangulation, m.background, lengths, m.radii), fr, new_len
 
 
-def _rotated_triangle(m: DecoratedMetric, f: int, s: int) -> trig.DecoratedTriangle:
-    """Face ``f`` with its slot ``s`` moved to slot 0."""
-    t = m.face_triangle(f)
+def _rotated_triangle(t, s: int) -> trig.DecoratedTriangle:
+    """Triangle ``t`` (a DecoratedTriangle or TriangleGeometry) with its
+    slot ``s`` moved to slot 0."""
     return trig.DecoratedTriangle(
-        m.background, t.lengths[s:] + t.lengths[:s], t.radii[s:] + t.radii[:s]
+        t.background, t.lengths[s:] + t.lengths[:s], t.radii[s:] + t.radii[:s]
     )
 
 
@@ -197,12 +208,16 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
     monotone quantity behind the termination proof.  Faces outside a
     flipped quad keep their ids and slots, so only the two rebuilt
     faces get a new geometry and a new support value per flip, and
-    their triangles were checked by ``trig.diagonal_length``.  Of their
-    five edges only the new diagonal gets its section evaluated
+    their triangles were checked by ``trig.diagonal_length``.  A flip
+    step reads the floats it holds: the two quad triangles are the
+    held geometries of its faces, rotated to the flipped edge, and the
+    rebuilt faces take their lengths and radii from those and the new
+    diagonal, so no step reads the metric's arrays.  Of their five
+    edges only the new diagonal gets its section evaluated
     (``trig.edge_section``): each quad side keeps its length and
     endpoint radii, and its section is read off the face geometries it
     had before the flip (``_held_section``).  So a call evaluates
-    ``E + flip_count`` sections.
+    ``E + flip_count`` sections and ``F + 2 flip_count`` face circles.
 
     Flips keep every edge and vertex id and the queue visits edges in
     canonical order; after flips the output is relabeled canonically
@@ -235,27 +250,30 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
                 )
             before = m.triangulation
             label = before.edge_label(e)
-            m, fr, new_len = flip_edge(m, e)
-            sections = {b: _held_section(before, geoms, b) for b in fr.quad_boundary_edges}
-            i, j = m.triangulation.edge_endpoint_ids[e]
-            sections[e] = trig.edge_section(
-                m.background, new_len, float(m.radii[i]), float(m.radii[j])
+            (f, s), (g, t) = before.edges[e]
+            t1, t2 = _rotated_triangle(geoms[f], s), _rotated_triangle(geoms[g], t)
+            m, fr, new_len = _flip(m, e, t1, t2)
+            # Triangulation.flip's layout: f = (a, d, c) on edges (ad, e, ca),
+            # g = (d, b, c) on edges (db, bc, e)
+            (_, l_bc, l_ca), (r_a, r_b, r_c) = t1.lengths, t1.radii
+            (_, l_ad, l_db), r_d = t2.lengths, t2.radii[2]
+            bc, ca, ad, db = fr.quad_boundary_edges
+            held = {b: _held_section(before, geoms, b) for b in fr.quad_boundary_edges}
+            diagonal = trig.edge_section(m.background, new_len, r_d, r_c)
+            geoms[f] = trig.face_circle(
+                m.background, (l_ad, new_len, l_ca), (r_a, r_d, r_c), (held[ad], diagonal, held[ca])
             )
-            rebuilt = set(h[0] for h in m.triangulation.edges[e])
-            face_edges = m.triangulation.face_edge_ids
-            for f in rebuilt:
-                t = m.face_triangle(f)
-                geoms[f] = trig.face_circle(
-                    m.background, t.lengths, t.radii, [sections[b] for b in face_edges[f]]
-                )
+            geoms[g] = trig.face_circle(
+                m.background, (l_db, l_bc, new_len), (r_d, r_b, r_c), (held[db], held[bc], diagonal)
+            )
             for b in fr.quad_boundary_edges:
                 if b not in queued:
                     queue.append(b)
                     queued.add(b)
             support = None
             if track_support:
-                for f in rebuilt:
-                    supports[f] = 1.0 / _face_support_max(geoms[f])
+                supports[f] = 1.0 / _face_support_max(geoms[f])
+                supports[g] = 1.0 / _face_support_max(geoms[g])
                 support = min(supports)
             log.records.append(FlipRecord(label, new_len, support))
         if not log.records:

@@ -523,6 +523,7 @@ def decoration_from_heights(
         if touching:  # exactly r_i + r_j, which the inversion can miss by an ulp
             lengths = np.where(tangent, radii[i] + radii[j], lengths)
 
+    lengths.flags.writeable = radii.flags.writeable = False  # fresh: the metric keeps them
     result = DecoratedMetric(tri, bg, lengths, radii)
     bad = validate(result)
     if bad:

@@ -202,42 +202,39 @@ def section_foot_radius(background: Background, length: float, r_a: float, r_b: 
     gap is rounded once (``math.fsum``), so a closing gap keeps its
     relative accuracy too.
     """
-    gaps = (
-        math.fsum((length, -r_a, -r_b)) / 2.0,
-        math.fsum((length, -r_a, r_b)) / 2.0,
-        math.fsum((length, r_a, -r_b)) / 2.0,
-        math.fsum((length, r_a, r_b)) / 2.0,
-    )
+    g0 = math.fsum((length, -r_a, -r_b)) / 2.0
+    g1 = math.fsum((length, -r_a, r_b)) / 2.0
+    g2 = math.fsum((length, r_a, -r_b)) / 2.0
+    g3 = math.fsum((length, r_a, r_b)) / 2.0
     if background is Background.SPHERICAL:
         # cos r_b - cos r_a cos l, summed from terms that do not cancel
         # on small triangles
+        cos_a = math.cos(r_a)
         num = 2.0 * (
-            math.cos(r_a) * math.sin(length / 2.0) ** 2
+            cos_a * math.sin(length / 2.0) ** 2
             - math.sin((r_b + r_a) / 2.0) * math.sin((r_b - r_a) / 2.0)
         )
-        den = math.cos(r_a) * math.sin(length)
+        den = cos_a * math.sin(length)
         x = math.atan2(num, den)
-        sin2 = (
-            4.0 * math.prod(math.sin(g) for g in gaps) / (den * den + num * num)
-        )
-        rho = math.asin(min(1.0, math.sqrt(max(0.0, sin2))))
-        return x, rho
+        sines = math.sin(g0) * math.sin(g1) * math.sin(g2) * math.sin(g3)
+        sin2 = 4.0 * sines / (den * den + num * num)
+        return x, math.asin(min(1.0, math.sqrt(max(0.0, sin2))))
     if background is Background.HYPERBOLIC:
         # cosh r_a cosh l - cosh r_b, likewise
+        cosh_a = math.cosh(r_a)
         num = 2.0 * (
-            math.cosh(r_a) * math.sinh(length / 2.0) ** 2
+            cosh_a * math.sinh(length / 2.0) ** 2
             + math.sinh((r_a + r_b) / 2.0) * math.sinh((r_a - r_b) / 2.0)
         )
-        den = math.cosh(r_a) * math.sinh(length)
+        den = cosh_a * math.sinh(length)
         x = math.atanh(max(-1.0 + 1e-16, min(1.0 - 1e-16, num / den)))
-        lower = math.cosh(r_b) - math.cosh(r_a) * math.exp(-length)
-        upper = math.cosh(r_a) * math.exp(length) - math.cosh(r_b)
-        sinh2 = 4.0 * math.prod(math.sinh(g) for g in gaps) / (lower * upper)
-        rho = math.asinh(math.sqrt(max(0.0, sinh2)))
-        return x, rho
+        cosh_b = math.cosh(r_b)
+        lower = cosh_b - cosh_a * math.exp(-length)
+        upper = cosh_a * math.exp(length) - cosh_b
+        sinhs = math.sinh(g0) * math.sinh(g1) * math.sinh(g2) * math.sinh(g3)
+        return x, math.asinh(math.sqrt(max(0.0, 4.0 * sinhs / (lower * upper))))
     x = (length * length + r_a * r_a - r_b * r_b) / (2.0 * length)
-    rho = math.sqrt(max(0.0, 4.0 * math.prod(gaps))) / length
-    return x, rho
+    return x, math.sqrt(max(0.0, 4.0 * (g0 * g1 * g2 * g3))) / length
 
 
 def edge_section(background: Background, length: float, r_i: float, r_j: float) -> tuple:
@@ -271,10 +268,10 @@ def cfac(background: Background, t: float) -> float:
 
 # -- face circle --------------------------------------------------------------
 
-#: T = tan/id/tanh and C = cos/1/cosh of ``face_circle``, by background
+#: T = tan/tanh and C = cos/cosh of ``face_circle`` on the curved
+#: backgrounds (the Euclidean plane has T(t) = t and C(t) = 1)
 _T_C = {
     Background.SPHERICAL: (math.tan, math.cos),
-    Background.EUCLIDEAN: (lambda t: t, lambda t: 1.0),
     Background.HYPERBOLIC: (math.tanh, math.cosh),
 }
 
@@ -336,27 +333,36 @@ def face_circle(background: Background, lengths, radii, sections) -> TriangleGeo
     (``delaunay.face_geometries`` gates the whole metric), and only
     ``interior_angles`` still raises DegenerateTriangle, on degenerate
     side lengths.
+
+    The three slots are written out over unpacked floats, with no
+    per-slot indexing; each slot takes the operations of the relation
+    above in its order, so every float and every exception (an
+    OverflowError of ``cosh``, a ZeroDivisionError) is that of a
+    slot-by-slot loop.  ``section_foot_radius`` is written the same way.
     """
-    angles = interior_angles(background, lengths)
-    T, C = _T_C[background]
-    x = tuple(
-        foot if radii[s] <= radii[(s + 1) % 3] else lengths[s] - foot
-        for s, (foot, _) in enumerate(sections)
-    )
-    d_tangent = []
-    for s in range(3):
-        x_ik = lengths[s - 1] - x[s - 1]  # slot s - 1 runs from k to i
-        d_tangent.append(
-            C(x[s]) * (T(x_ik) - T(x[s]) * math.cos(angles[s])) / math.sin(angles[s])
+    a0, a1, a2 = angles = interior_angles(background, lengths)
+    l0, l1, l2 = lengths
+    r0, r1, r2 = radii
+    (f0, rho0), (f1, rho1), (f2, rho2) = sections
+    x0 = f0 if r0 <= r1 else l0 - f0
+    x1 = f1 if r1 <= r2 else l1 - f1
+    x2 = f2 if r2 <= r0 else l2 - f2
+    # slot s - 1 runs from k to i: x_ik of slot s is l_{s-1} - x_{s-1}
+    if background is Background.EUCLIDEAN:  # T(t) = t, C(t) = 1
+        d = (
+            (l2 - x2 - x0 * math.cos(a0)) / math.sin(a0),
+            (l0 - x0 - x1 * math.cos(a1)) / math.sin(a1),
+            (l1 - x1 - x2 * math.cos(a2)) / math.sin(a2),
+        )
+    else:
+        T, C = _T_C[background]
+        d = (
+            C(x0) * (T(l2 - x2) - T(x0) * math.cos(a0)) / math.sin(a0),
+            C(x1) * (T(l0 - x0) - T(x1) * math.cos(a1)) / math.sin(a1),
+            C(x2) * (T(l1 - x1) - T(x2) * math.cos(a2)) / math.sin(a2),
         )
     return TriangleGeometry(
-        background=background,
-        lengths=tuple(lengths),
-        radii=tuple(radii),
-        angles=angles,
-        r_section=(sections[0][1], sections[1][1], sections[2][1]),
-        x_section=x,
-        d_tangent=tuple(d_tangent),
+        background, (l0, l1, l2), (r0, r1, r2), angles, (rho0, rho1, rho2), (x0, x1, x2), d
     )
 
 
@@ -379,9 +385,12 @@ def _min(a, b):
 
 def each(fn, a, *more) -> np.ndarray:
     """The scalar ``fn`` mapped over the values of equal-shape arrays, in
-    array order: ``fn(a[k], more[0][k], ...)`` for every ``k``."""
+    array order: ``fn(a[k], more[0][k], ...)`` for every ``k``.  On 1-D
+    arrays the result is a new array that owns its data; otherwise it is
+    that array reshaped."""
     flat = map(fn, a.ravel().tolist(), *(b.ravel().tolist() for b in more))
-    return np.fromiter(flat, float, a.size).reshape(a.shape)
+    out = np.fromiter(flat, float, a.size)
+    return out if a.ndim == 1 else out.reshape(a.shape)
 
 
 def degenerate_rows(background: Background, lengths: np.ndarray) -> np.ndarray:

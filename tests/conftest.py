@@ -131,6 +131,75 @@ def lone_face_circle(tri):
     )
 
 
+# -- generator-form kernel -------------------------------------------------------
+# The per-face kernel as first written, with generators, ``math.prod``
+# and slot indexing: the straight-line ``trig`` kernel must give the
+# same floats, or raise the same exception, bit for bit.
+
+def reference_section_foot_radius(background, length, r_a, r_b):
+    """``trig.section_foot_radius`` in its generator form."""
+    gaps = (
+        math.fsum((length, -r_a, -r_b)) / 2.0,
+        math.fsum((length, -r_a, r_b)) / 2.0,
+        math.fsum((length, r_a, -r_b)) / 2.0,
+        math.fsum((length, r_a, r_b)) / 2.0,
+    )
+    if background is Background.SPHERICAL:
+        num = 2.0 * (
+            math.cos(r_a) * math.sin(length / 2.0) ** 2
+            - math.sin((r_b + r_a) / 2.0) * math.sin((r_b - r_a) / 2.0)
+        )
+        den = math.cos(r_a) * math.sin(length)
+        x = math.atan2(num, den)
+        sin2 = 4.0 * math.prod(math.sin(g) for g in gaps) / (den * den + num * num)
+        return x, math.asin(min(1.0, math.sqrt(max(0.0, sin2))))
+    if background is Background.HYPERBOLIC:
+        num = 2.0 * (
+            math.cosh(r_a) * math.sinh(length / 2.0) ** 2
+            + math.sinh((r_a + r_b) / 2.0) * math.sinh((r_a - r_b) / 2.0)
+        )
+        den = math.cosh(r_a) * math.sinh(length)
+        x = math.atanh(max(-1.0 + 1e-16, min(1.0 - 1e-16, num / den)))
+        lower = math.cosh(r_b) - math.cosh(r_a) * math.exp(-length)
+        upper = math.cosh(r_a) * math.exp(length) - math.cosh(r_b)
+        sinh2 = 4.0 * math.prod(math.sinh(g) for g in gaps) / (lower * upper)
+        return x, math.asinh(math.sqrt(max(0.0, sinh2)))
+    x = (length * length + r_a * r_a - r_b * r_b) / (2.0 * length)
+    return x, math.sqrt(max(0.0, 4.0 * math.prod(gaps))) / length
+
+
+_REFERENCE_T_C = {
+    Background.SPHERICAL: (math.tan, math.cos),
+    Background.EUCLIDEAN: (lambda t: t, lambda t: 1.0),
+    Background.HYPERBOLIC: (math.tanh, math.cosh),
+}
+
+
+def reference_face_circle(background, lengths, radii, sections):
+    """``trig.face_circle`` in its generator form, slot by slot."""
+    angles = trig.interior_angles(background, lengths)
+    T, C = _REFERENCE_T_C[background]
+    x = tuple(
+        foot if radii[s] <= radii[(s + 1) % 3] else lengths[s] - foot
+        for s, (foot, _) in enumerate(sections)
+    )
+    d_tangent = []
+    for s in range(3):
+        x_ik = lengths[s - 1] - x[s - 1]  # slot s - 1 runs from k to i
+        d_tangent.append(
+            C(x[s]) * (T(x_ik) - T(x[s]) * math.cos(angles[s])) / math.sin(angles[s])
+        )
+    return trig.TriangleGeometry(
+        background=background,
+        lengths=tuple(lengths),
+        radii=tuple(radii),
+        angles=angles,
+        r_section=(sections[0][1], sections[1][1], sections[2][1]),
+        x_section=x,
+        d_tangent=tuple(d_tangent),
+    )
+
+
 # -- lift oracle ----------------------------------------------------------------
 # Model realizations and Minkowski lifts of circles into R^{3,1}: an
 # independent construction of the face-circle and of the spherical

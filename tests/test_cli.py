@@ -294,6 +294,23 @@ def test_invariant_rejects_radii_whose_product_underflows(tmp_path, capsys):
     assert "inversive distance inf is not finite" in captured.err
 
 
+def test_kernel_overflow_names_the_edge(tmp_path, capsys):
+    # every length of the genus-2 fixture times 1000: valid, but the
+    # face kernel overflows on its first edge, which once printed only
+    # "error: math range error"
+    doc = json.loads(json.dumps(FIXTURE_DOCS["genus2_hyperbolic"]))
+    doc["lengths"] = {label: l * 1000 for label, l in doc["lengths"].items()}
+    path = tmp_path / "long-edges.json"
+    path.write_text(json.dumps(doc))
+    assert run("validate", str(path)) == 0
+    capsys.readouterr()
+    for command in ("delaunay", "invariant"):
+        assert run(command, str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: edge 0:0: the face kernel overflows (math range error)\n"
+
+
 def test_invariant_stable_under_conformal_change(tmp_path, rng, capsys):
     m = random_metric(octahedron(), Background.HYPERBOLIC, rng)
     u = rng.uniform(-0.1, 0.1, size=6)

@@ -17,6 +17,7 @@ from ddce.errors import (
     FlipBoundExceeded,
     FlipGeometryInvalid,
     NotDelaunay,
+    ResultInvalid,
 )
 
 from conftest import (
@@ -90,6 +91,17 @@ def test_face_geometries_gate_the_metric(background, lengths, radii, diagnostic)
     with pytest.raises(DegenerateTriangle) as raised:
         dl.face_geometries(m)
     assert str(raised.value) == "; ".join(bad)
+
+
+def test_face_geometries_name_the_face_whose_kernel_overflows():
+    # sides of 600 overflow no edge section, only sinh of the semi-perimeter
+    m = DecoratedMetric(
+        Triangulation.double_triangle(), Background.HYPERBOLIC, np.full(3, 600.0), np.full(3, 0.3)
+    )
+    assert me.validate(m) == []
+    with pytest.raises(ResultInvalid) as raised:
+        dl.face_geometries(m)
+    assert str(raised.value) == "face 0: the face kernel overflows (math range error)"
 
 
 def test_concave_quad_is_delaunay_without_flip():
@@ -355,7 +367,8 @@ def reference_flip_edge(m, e):
     """``flip_edge`` on a surface rebuilt with canonical labels, with
     the maps from the old ids."""
     (f, s), (g, t) = m.triangulation.edges[e]
-    t1, t2 = dl._rotated_triangle(m, f, s), dl._rotated_triangle(m, g, t)
+    t1 = dl._rotated_triangle(m.face_triangle(f), s)
+    t2 = dl._rotated_triangle(m.face_triangle(g), t)
     new_len = trig.diagonal_length(m.background, t1, t2)
     new_tri, edge_map, vertex_map, new_edge, boundary = reference_flip(m.triangulation, e)
     lengths = np.zeros(new_tri.edge_count)

@@ -551,6 +551,25 @@ def test_decoration_heights_round_trip(rng):
             assert np.max(np.abs(h2.h - h.h)) < 1e-10
 
 
+def test_decoration_from_heights_keeps_its_fresh_arrays(rng, monkeypatch):
+    # the lengths and radii it builds are new arrays: it marks them
+    # read-only, and the metric keeps them without a copy
+    assert trig.each(math.exp, np.ones(3)).flags.owndata
+    assert trig.each(math.exp, np.ones((2, 3))).shape == (2, 3)
+    real = me.DecoratedMetric
+    passed = []
+    monkeypatch.setattr(
+        me, "DecoratedMetric", lambda *args: passed.append(args[2:]) or real(*args)
+    )
+    for bg in ALL_BACKGROUNDS:
+        m = random_metric(octahedron(), bg, rng, ideal_fraction=0.3)
+        inv, heights = me.lambda_lengths(m), me.heights_from_decoration(m)
+        passed.clear()
+        got = me.decoration_from_heights(m.triangulation, inv, heights)
+        assert len(passed) == 1
+        assert got.lengths is passed[0][0] and got.radii is passed[0][1], bg
+
+
 def test_spherical_tangency_formula(double_triangle):
     # lambda = 0 at every edge, h = 1 everywhere, all hyperideal
     eps = np.ones(3, dtype=int)

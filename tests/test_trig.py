@@ -21,6 +21,8 @@ from conftest import (
     outcome,
     random_triangle,
     realize_triangle,
+    reference_face_circle,
+    reference_section_foot_radius,
 )
 
 # frozen oracle values (50-digit evaluation of the stated closed forms)
@@ -415,6 +417,57 @@ def test_face_circle_relabeling_invariance(rng):
             assert geom_ref.angles[s] == pytest.approx(geom.angles[corners[s]], abs=1e-10)
             assert geom_ref.r_section[s] == pytest.approx(geom.r_section[edges[s]], abs=1e-10)
             assert geom_ref.d_tangent[s] == pytest.approx(geom.d_tangent[edges[s]], abs=1e-10)
+
+
+def _kernel_cases(rng):
+    """Decorated triangles for comparing the kernel with its generator
+    form: random ones, and the boundary cases by hand in every
+    background (some of them invalid there, which must fail alike)."""
+    edge = math.pi - 1e-8
+    by_hand = [
+        ((0.75, 0.9, 0.8), (0.25, 0.5, 0.2)),  # tangent: 0.25 + 0.5 == 0.75
+        ((0.75, 0.9, 0.8), (0.5, 0.25, 0.3)),  # tangent, larger radius first
+        ((1.1, 0.9, 0.8), (0.0, 0.3, 0.0)),  # two ideal vertices
+        ((1.1, 0.9, 0.8), (0.0, 0.0, 0.0)),  # every vertex ideal
+        ((1.1, 0.9, 0.8), (0.2, 0.2, 0.2)),  # equal radii: the tie branch
+        ((1.0, 1.0, 1.0), (0.3, 0.3, 0.1)),
+        ((edge, math.pi / 2, math.pi / 2), (0.0, 0.0, 0.0)),  # side near pi
+        ((edge, math.pi / 2, math.pi / 2), (0.1, 0.1, 0.1)),
+        ((edge, 1.6, 1.6), (0.1, 0.2, 0.1)),  # spherical perimeter above 2 pi
+        ((720.0, 720.5, 721.0), (0.3, 0.3, 0.3)),  # hyperbolic: exp and sinh overflow
+        ((711.0, 400.0, 400.0), (0.3, 0.2, 0.1)),
+        ((600.0, 600.0, 600.0), (0.3, 0.2, 0.1)),  # only the angles' sinh(sp) overflows
+        ((1.0, 1.0, math.nan), (0.1, 0.1, 0.1)),
+    ]
+    for bg in ALL_BACKGROUNDS:
+        for _ in range(100):
+            for ideal in (False, True):
+                tri = random_triangle(bg, rng, ideal=ideal)
+                yield bg, tuple(map(float, tri.lengths)), tuple(map(float, tri.radii))
+        for lengths, radii in by_hand:
+            yield bg, lengths, radii
+
+
+def test_straight_line_kernel_matches_generator_form(rng):
+    # repr tells floats apart bit for bit, NaN and -0.0 included; a
+    # failure compares as its exception type and message
+    overflows = 0
+    for bg, lengths, radii in _kernel_cases(rng):
+        sections = []
+        for s in range(3):
+            l, r_i, r_j = lengths[s], radii[s], radii[(s + 1) % 3]
+            for r_a, r_b in ((r_i, r_j), (r_j, r_i)):
+                got = outcome(trig.section_foot_radius, bg, l, r_a, r_b)
+                want = outcome(reference_section_foot_radius, bg, l, r_a, r_b)
+                assert repr(got) == repr(want), (bg, l, r_a, r_b)
+                overflows += got[0] is OverflowError
+            section = outcome(trig.edge_section, bg, l, r_i, r_j)
+            sections.append(section if isinstance(section[0], float) else (l / 2.0, 0.0))
+        got = outcome(trig.face_circle, bg, lengths, radii, sections)
+        want = outcome(reference_face_circle, bg, lengths, radii, sections)
+        assert repr(got) == repr(want), (bg, lengths, radii)
+        overflows += isinstance(got, tuple) and got[0] is OverflowError
+    assert overflows >= 3
 
 
 def test_hyperbolic_hypercycle_face_circle():
