@@ -47,8 +47,9 @@ def face_geometries(m: DecoratedMetric) -> list:
     (``trig.edge_section``) and read by both faces at the edge.  Callers
     that read arrays rather than per-face objects use ``face_arrays``,
     which gives the same floats.  A valid metric whose kernel call
-    overflows (a hyperbolic length above about 710) raises ResultInvalid
-    naming the first such edge, else face."""
+    overflows (a hyperbolic length above about 710) or divides by zero
+    (hyperbolic sides of 356 or more, where a corner angle rounds to 0)
+    raises ResultInvalid naming the first such edge, else face."""
     _gate(m)
     bg, tri = m.background, m.triangulation
     lengths, radii = m.lengths.tolist(), m.radii.tolist()
@@ -61,10 +62,11 @@ def face_geometries(m: DecoratedMetric) -> list:
                 bg, (lengths[a], lengths[b], lengths[c]), (radii[u], radii[v], radii[w]),
                 (sections[a], sections[b], sections[c]),
             ))
-    except OverflowError as ex:  # name the first edge, else face, that overflows
+    except (OverflowError, ZeroDivisionError) as ex:  # name the first edge, else face
         e = len(sections)
         at = f"edge {tri.edge_label(e)}" if e < tri.edge_count else f"face {len(geoms)}"
-        raise ResultInvalid(f"{at}: the face kernel overflows ({ex})", [str(ex)]) from None
+        fails = "overflows" if isinstance(ex, OverflowError) else "divides by zero"
+        raise ResultInvalid(f"{at}: the face kernel {fails} ({ex})", [str(ex)]) from None
     return geoms
 
 
@@ -184,6 +186,9 @@ class FlipLog:
     endpoint radii, not on labels.  It describes the returned metric
     only; any later change of lengths, radii or triangulation makes it
     stale.
+
+    ``sweeps`` is always 1: the one worklist pass of
+    ``flip_to_delaunay``.  It stays for the benchmark's counters.
     """
 
     records: list = field(default_factory=list)
@@ -198,10 +203,16 @@ class FlipLog:
 
 
 def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
-    """Flip until every edge is local Delaunay (FIFO queue over the
-    violating edges, re-enqueueing the four quad boundary edges after
-    each flip).  The decorated surface is unchanged; only the
-    triangulation and the induced edge lengths move.
+    """Flip until every edge is local Delaunay: one FIFO worklist that
+    starts with every edge.  ``is_local_delaunay`` reads only an edge's
+    two faces, so a flip can change the check of just the five edges of
+    the two faces it rebuilds: it re-enqueues the four quad sides, and
+    checks the new diagonal at once, enqueueing it only if it fails
+    (flipping a violating edge makes it local Delaunay, so in exact
+    arithmetic it never does).  An empty queue thus means every edge
+    passed on the current geometry.  The decorated surface is
+    unchanged; only the triangulation and the induced edge lengths
+    move.
 
     Returns ``(metric, FlipLog)``.  For spherical metrics the log
     records the support-function minimum after every flip, the
@@ -222,72 +233,61 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
     Flips keep every edge and vertex id and the queue visits edges in
     canonical order; after flips the output is relabeled canonically
     once, and without any the input is returned as it is.  An invalid
-    input raises ``check_valid``'s ResultInvalid.  The first sweep checks
-    every edge, so when it flips nothing no re-verify pass follows.
+    input raises ``check_valid``'s ResultInvalid.
     """
     check_valid(m, "input of flip_to_delaunay")
     geoms = face_geometries(m)
     if track_support is None:
         track_support = m.background is Background.SPHERICAL
-    log = FlipLog(vertex_map=list(range(m.triangulation.vertex_count)))
+    tri = m.triangulation
+    log = FlipLog(sweeps=1, vertex_map=list(range(tri.vertex_count)))
     supports = []  # per-face support minima, refreshed on rebuilt faces
     if track_support:
         log.initial_support_min = support_minimum(m, geoms, per_face=supports)
-    max_flips = max(200, 40 * m.triangulation.edge_count)
+    max_flips = max(200, 40 * tri.edge_count)
 
-    queue = deque(_canonical_order(m.triangulation))
+    queue = deque(sorted(range(tri.edge_count), key=tri.edges.__getitem__))  # canonical order
     queued = set(queue)
-    while True:
-        log.sweeps += 1
-        while queue:
-            e = queue.popleft()
-            queued.discard(e)
-            if is_local_delaunay(m, e, geoms=geoms):
-                continue
-            if log.flip_count >= max_flips:
-                raise FlipBoundExceeded(
-                    "flip algorithm exceeded the safety bound; geometry inconsistent"
-                )
-            before = m.triangulation
-            label = before.edge_label(e)
-            (f, s), (g, t) = before.edges[e]
-            t1, t2 = _rotated_triangle(geoms[f], s), _rotated_triangle(geoms[g], t)
-            m, fr, new_len = _flip(m, e, t1, t2)
-            # Triangulation.flip's layout: f = (a, d, c) on edges (ad, e, ca),
-            # g = (d, b, c) on edges (db, bc, e)
-            (_, l_bc, l_ca), (r_a, r_b, r_c) = t1.lengths, t1.radii
-            (_, l_ad, l_db), r_d = t2.lengths, t2.radii[2]
-            bc, ca, ad, db = fr.quad_boundary_edges
-            held = {b: _held_section(before, geoms, b) for b in fr.quad_boundary_edges}
-            diagonal = trig.edge_section(m.background, new_len, r_d, r_c)
-            geoms[f] = trig.face_circle(
-                m.background, (l_ad, new_len, l_ca), (r_a, r_d, r_c), (held[ad], diagonal, held[ca])
+    while queue:
+        e = queue.popleft()
+        queued.discard(e)
+        if is_local_delaunay(m, e, geoms=geoms):
+            continue
+        if log.flip_count >= max_flips:
+            raise FlipBoundExceeded(
+                "flip algorithm exceeded the safety bound; geometry inconsistent"
             )
-            geoms[g] = trig.face_circle(
-                m.background, (l_db, l_bc, new_len), (r_d, r_b, r_c), (held[db], held[bc], diagonal)
-            )
-            for b in fr.quad_boundary_edges:
-                if b not in queued:
-                    queue.append(b)
-                    queued.add(b)
-            support = None
-            if track_support:
-                supports[f] = 1.0 / _face_support_max(geoms[f])
-                supports[g] = 1.0 / _face_support_max(geoms[g])
-                support = min(supports)
-            log.records.append(FlipRecord(label, new_len, support))
-        if not log.records:
-            break  # the first sweep checked every edge and flipped none
-        # re-verify: a drained queue can in principle miss a new diagonal
-        stale = [
-            e
-            for e in _canonical_order(m.triangulation)
-            if not is_local_delaunay(m, e, geoms=geoms)
-        ]
-        if not stale:
-            break
-        queue = deque(stale)
-        queued = set(queue)
+        before = m.triangulation
+        label = before.edge_label(e)
+        (f, s), (g, t) = before.edges[e]
+        t1, t2 = _rotated_triangle(geoms[f], s), _rotated_triangle(geoms[g], t)
+        m, fr, new_len = _flip(m, e, t1, t2)
+        # Triangulation.flip's layout: f = (a, d, c) on edges (ad, e, ca),
+        # g = (d, b, c) on edges (db, bc, e)
+        (_, l_bc, l_ca), (r_a, r_b, r_c) = t1.lengths, t1.radii
+        (_, l_ad, l_db), r_d = t2.lengths, t2.radii[2]
+        bc, ca, ad, db = fr.quad_boundary_edges
+        held = {b: _held_section(before, geoms, b) for b in fr.quad_boundary_edges}
+        diagonal = trig.edge_section(m.background, new_len, r_d, r_c)
+        geoms[f] = trig.face_circle(
+            m.background, (l_ad, new_len, l_ca), (r_a, r_d, r_c), (held[ad], diagonal, held[ca])
+        )
+        geoms[g] = trig.face_circle(
+            m.background, (l_db, l_bc, new_len), (r_d, r_b, r_c), (held[db], held[bc], diagonal)
+        )
+        for b in fr.quad_boundary_edges:
+            if b not in queued:
+                queue.append(b)
+                queued.add(b)
+        if not is_local_delaunay(m, e, geoms=geoms):  # the new diagonal, at once
+            queue.append(e)
+            queued.add(e)
+        support = None
+        if track_support:
+            supports[f] = 1.0 / _face_support_max(geoms[f])
+            supports[g] = 1.0 / _face_support_max(geoms[g])
+            support = min(supports)
+        log.records.append(FlipRecord(label, new_len, support))
     log.geoms = geoms  # indexed by face, which relabeling leaves alone
     if log.records:
         m, log.vertex_map = _canonical_metric(m)
@@ -314,11 +314,6 @@ def _canonical_metric(m: DecoratedMetric):
     radii = np.empty(tri.vertex_count)
     radii[vertex_map] = m.radii
     return DecoratedMetric(tri, m.background, lengths, radii), vertex_map
-
-
-def _canonical_order(tri) -> list:
-    """Edge ids sorted by canonical label."""
-    return sorted(range(tri.edge_count), key=tri.edges.__getitem__)
 
 
 @dataclass(frozen=True)

@@ -257,15 +257,6 @@ def sfac(background: Background, t: float) -> float:
     return t
 
 
-def cfac(background: Background, t: float) -> float:
-    """cos / 1 / cosh of ``t`` by background."""
-    if background is Background.SPHERICAL:
-        return math.cos(t)
-    if background is Background.HYPERBOLIC:
-        return math.cosh(t)
-    return 1.0
-
-
 # -- face circle --------------------------------------------------------------
 
 #: T = tan/tanh and C = cos/cosh of ``face_circle`` on the curved
@@ -275,7 +266,7 @@ _T_C = {
     Background.HYPERBOLIC: (math.tanh, math.cosh),
 }
 
-#: sin/sinh and cos/cosh (``sfac``, ``cfac``) of the curved backgrounds
+#: sin/sinh (``sfac``) and cos/cosh of the curved backgrounds
 SIN_COS = {
     Background.SPHERICAL: (math.sin, math.cos),
     Background.HYPERBOLIC: (math.sinh, math.cosh),

@@ -121,6 +121,16 @@ def random_triangle(bg, rng, ideal=False):
             return tri
 
 
+def cfac(background, t):
+    """cos / 1 / cosh of ``t`` by background: the cosine counterpart
+    of ``trig.sfac``."""
+    if background is Background.SPHERICAL:
+        return math.cos(t)
+    if background is Background.HYPERBOLIC:
+        return math.cosh(t)
+    return 1.0
+
+
 def lone_face_circle(tri):
     """``trig.face_circle`` of a lone triangle, given the
     ``trig.edge_section`` of each side as ``delaunay.face_geometries``

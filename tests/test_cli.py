@@ -311,6 +311,32 @@ def test_kernel_overflow_names_the_edge(tmp_path, capsys):
         assert captured.err == "error: edge 0:0: the face kernel overflows (math range error)\n"
 
 
+def test_kernel_division_by_zero_names_the_face(tmp_path, capsys):
+    # every length and radius of the genus-2 fixture times 144 (sides of
+    # 360): valid, but a corner angle rounds to 0 and the face kernel
+    # divides by its sine, which once printed only "error: float
+    # division by zero"
+    doc = json.loads(json.dumps(FIXTURE_DOCS["genus2_hyperbolic"]))
+    for key in ("lengths", "radii"):
+        doc[key] = {label: x * 144 for label, x in doc[key].items()}
+    path = tmp_path / "long-edges.json"
+    path.write_text(json.dumps(doc))
+    assert run("validate", str(path)) == 0
+    capsys.readouterr()
+    for argv in (
+        ("delaunay", str(path)),
+        ("invariant", str(path)),
+        ("solve", str(path), "--theta", "2pi", "--out", str(tmp_path / "solved.json")),
+        ("transition", str(path), "--t-list", "1,10", "--out-prefix", str(tmp_path / "tw")),
+    ):
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: face 0: the face kernel divides by zero (float division by zero)\n"
+        )
+
+
 def test_invariant_stable_under_conformal_change(tmp_path, rng, capsys):
     m = random_metric(octahedron(), Background.HYPERBOLIC, rng)
     u = rng.uniform(-0.1, 0.1, size=6)

@@ -104,6 +104,24 @@ def test_face_geometries_name_the_face_whose_kernel_overflows():
     assert str(raised.value) == "face 0: the face kernel overflows (math range error)"
 
 
+def test_face_geometries_name_the_face_whose_kernel_divides_by_zero():
+    # from sides of 356 sinh(sp) * sinh(sp - b) overflows to inf, so a
+    # corner angle is exactly 0 and face_circle divides by its sine;
+    # sides of 355 still evaluate
+    def double(side):
+        return DecoratedMetric(
+            Triangulation.double_triangle(), Background.HYPERBOLIC,
+            np.full(3, side), np.full(3, 0.3),
+        )
+
+    assert min(dl.face_geometries(double(355.0))[0].angles) > 0.0
+    m = double(356.0)
+    assert me.validate(m) == []
+    with pytest.raises(ResultInvalid) as raised:
+        dl.face_geometries(m)
+    assert str(raised.value) == "face 0: the face kernel divides by zero (float division by zero)"
+
+
 def test_concave_quad_is_delaunay_without_flip():
     # fat spherical torus: every corner angle exceeds pi/2, so the quad
     # of every edge is concave and the lemma short-circuits the predicate
@@ -425,7 +443,7 @@ def flip_outcome(m, log, vertex_map=True):
     )
 
 
-def test_flip_to_delaunay_matches_rebuild_reference(rng, monkeypatch):
+def test_flip_to_delaunay_matches_rebuild_reference(rng):
     cases = []
     for bg in ALL_BACKGROUNDS:
         for tri in (octahedron(), grid_torus(5), Triangulation.genus_two_octagon()):
@@ -460,40 +478,11 @@ def test_flip_to_delaunay_matches_rebuild_reference(rng, monkeypatch):
         assert got[1].flip_count > 0
         assert flip_outcome(*got, vertex_map=False) == flip_outcome(*want, vertex_map=False)
         assert got[1].vertex_map == [want[1].vertex_map[w] for w in canon_map]
-        # the re-verify pass too visits edges in canonical order: hide
-        # every violation but the first from the first pass, so the
-        # second finds the others (a first pass without a flip ends the
-        # loop, and then nothing is re-verified)
-        edges = kept.triangulation.edge_count
-        with monkeypatch.context() as mp:
-            mp.setattr(dl, "is_local_delaunay", blind_after_first_flip(edges))
-            got = dl.flip_to_delaunay(kept)
-            mp.setattr(dl, "is_local_delaunay", blind_after_first_flip(edges))
-            want = reference_flip_to_delaunay(canon)
-        assert got[1].sweeps >= 2 and got[1].flip_count > 0
-        assert flip_outcome(*got, vertex_map=False) == flip_outcome(*want, vertex_map=False)
         checked += 1
     assert checked >= 10
 
 
 IS_LOCAL_DELAUNAY = dl.is_local_delaunay
-
-
-def blind_after_first_flip(calls):
-    """``is_local_delaunay`` that answers truthfully up to its first
-    False, then True to the rest of its first ``calls`` calls, and
-    truthfully again after them."""
-    left, flipped = [calls], [False]
-
-    def predicate(m, e, geoms=None):
-        left[0] -= 1
-        if flipped[0] and left[0] >= 0:
-            return True
-        ok = IS_LOCAL_DELAUNAY(m, e, geoms=geoms)
-        flipped[0] = flipped[0] or not ok
-        return ok
-
-    return predicate
 
 
 def test_flip_to_delaunay_validates_its_input_once(rng, monkeypatch):
@@ -526,8 +515,8 @@ def test_flip_to_delaunay_validates_its_input_once(rng, monkeypatch):
 
 
 def test_flip_to_delaunay_checks_each_edge_once_without_flips(rng, monkeypatch):
-    # a first sweep without a flip has checked every edge on the metric
-    # and geometries it ends with: no re-verify pass follows
+    # a worklist without a flip checks every edge once, on the metric
+    # and geometries it ends with
     calls = []
     monkeypatch.setattr(
         dl, "is_local_delaunay", lambda m, e, **kw: calls.append(e) or IS_LOCAL_DELAUNAY(m, e, **kw)
@@ -539,6 +528,50 @@ def test_flip_to_delaunay_checks_each_edge_once_without_flips(rng, monkeypatch):
             out, log = dl.flip_to_delaunay(m)
             assert log.flip_count == 0 and log.sweeps == 1 and out is m
             assert sorted(calls) == list(range(tri.edge_count))
+
+
+def test_flip_to_delaunay_rechecks_only_the_edges_a_flip_rebuilt(rng, monkeypatch):
+    # after its first check an edge is checked again only once a flip has
+    # rebuilt one of its faces, and the last check of every edge passes:
+    # an empty worklist leaves no edge to re-verify
+    cases = []
+    for bg in ALL_BACKGROUNDS:
+        for tri in (octahedron(), grid_torus(5), Triangulation.genus_two_octagon()):
+            cases.append(scrambled_metric(tri, bg, rng, flips=8))
+        cases.append(scrambled_metric(grid_torus(6), bg, rng, flips=24))
+    events = []
+    real_flip = Triangulation.flip
+
+    def flip(tri, e):
+        fr = real_flip(tri, e)
+        rebuilt = {f for f, _ in fr.triangulation.edges[e]}
+        events.append(("flip", {k for f in rebuilt for k in fr.triangulation.face_edge_ids[f]}))
+        return fr
+
+    def check(m, e, **kw):
+        ok = IS_LOCAL_DELAUNAY(m, e, **kw)
+        events.append(("check", e, ok))
+        return ok
+
+    monkeypatch.setattr(Triangulation, "flip", flip)
+    monkeypatch.setattr(dl, "is_local_delaunay", check)
+    flips = []
+    for m in cases:
+        events.clear()
+        _, log = dl.flip_to_delaunay(m)
+        flips.append(log.flip_count)
+        rebuilt, last = set(), {}  # edges whose faces a flip rebuilt since their check
+        for event in events:
+            if event[0] == "flip":
+                rebuilt |= event[1]
+                continue
+            _, e, ok = event
+            assert e not in last or e in rebuilt
+            rebuilt.discard(e)
+            last[e] = ok
+        assert sorted(last) == list(range(m.triangulation.edge_count))
+        assert all(last.values())
+    assert max(flips) >= 20 and sum(flips) >= 100
 
 
 def test_flip_to_delaunay_builds_the_surface_once(rng, monkeypatch):

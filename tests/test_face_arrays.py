@@ -21,6 +21,7 @@ from ddce.errors import DegenerateTriangle
 
 from conftest import (
     ALL_BACKGROUNDS,
+    cfac,
     from_face_vertices,
     geometry_fields,
     grid_torus,
@@ -107,7 +108,7 @@ def reference_edge_weights(m, geoms):
     bg, weights = m.background, []
     for e in range(m.triangulation.edge_count):
         (f, s), (g, t) = m.triangulation.edges[e]
-        denom = trig.cfac(bg, geoms[f].r_section[s]) * trig.sfac(bg, m.lengths[e])
+        denom = cfac(bg, geoms[f].r_section[s]) * trig.sfac(bg, m.lengths[e])
         weights.append((geoms[f].d_tangent[s] + geoms[g].d_tangent[t]) / denom)
     return np.array(weights)
 

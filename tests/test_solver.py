@@ -16,6 +16,7 @@ from ddce.errors import Infeasible, LineSearchStalled, PathLeavesDomain
 
 from conftest import (
     ALL_BACKGROUNDS,
+    cfac,
     grid_torus,
     isosceles_sphere,
     octahedron,
@@ -94,8 +95,8 @@ def reference_angle_jacobian(m, geoms):
         # form of delaunay.edge_weights (finite at tangency), and K(l)
         q, k = [], []
         for d, rho, length in zip(geom.d_tangent, geom.r_section, geom.lengths):
-            q.append(d / (trig.cfac(bg, rho) * trig.sfac(bg, length)))
-            k.append(trig.cfac(bg, length))
+            q.append(d / (cfac(bg, rho) * trig.sfac(bg, length)))
+            k.append(cfac(bg, length))
         for s in range(3):
             i = verts[s]
             # corner s sits on slots s and s + 2, towards corners s + 1, s + 2

@@ -21,7 +21,7 @@ from mpmath import mp, mpf
 from ddce import Background, DecoratedMetric, DecoratedTriangle, Triangulation
 from ddce import delaunay, trig
 
-from conftest import ALL_BACKGROUNDS, geometry_fields, lone_face_circle, random_triangle
+from conftest import ALL_BACKGROUNDS, cfac, geometry_fields, lone_face_circle, random_triangle
 
 TOL = 1e-12
 DIGITS = 50
@@ -358,7 +358,7 @@ def test_near_concave_quad_weights_match_oracle(rng):
             assert all(err <= TOL for err in kernel_errors(geom)), geom
         # the shared edge's weight, in the product form of edge_weight
         got = (g1.d_tangent[0] + g2.d_tangent[0]) / (
-            trig.cfac(bg, g1.r_section[0]) * trig.sfac(bg, t1.lengths[0])
+            cfac(bg, g1.r_section[0]) * trig.sfac(bg, t1.lengths[0])
         )
         (d1, r1), (d2, _) = oracle(t1), oracle(t2)
         with mp.workdps(DIGITS):
