@@ -101,22 +101,30 @@ def surface_file_text(m: DecoratedMetric, extra=None) -> str:
 
 # -- reading ----------------------------------------------------------------------
 
-def _vertex_table(tri, mapping, what):
-    values = np.zeros(tri.vertex_count)
+def _label_table(tri, mapping, what, kind="vertex"):
+    """Values of a table keyed by the labels of every vertex (or, with
+    ``kind="edge"``, every edge) of ``tri``, in id order."""
+    if not isinstance(mapping, dict):
+        raise CliError(EXIT_PARSE_ERROR, f"{what} must be an object")
+    if kind == "vertex":
+        index, count, label_of = tri.vertex_index, tri.vertex_count, tri.vertex_label
+    else:
+        index, count, label_of = tri.edge_index, tri.edge_count, tri.edge_label
+    values = np.zeros(count)
     seen = set()
     for label, value in mapping.items():
         try:
-            v = tri.vertex_index[parse_half_edge_label(label)]
+            k = index[parse_half_edge_label(label)]
         except (KeyError, ValueError):
-            raise CliError(EXIT_PARSE_ERROR, f"{what}: unknown vertex label {label!r}")
+            raise CliError(EXIT_PARSE_ERROR, f"{what}: unknown {kind} label {label!r}")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise CliError(EXIT_PARSE_ERROR, f"{what}[{label}]: not a number")
-        values[v] = float(value)
-        seen.add(v)
-    missing = set(range(tri.vertex_count)) - seen
+        values[k] = float(value)
+        seen.add(k)
+    missing = set(range(count)) - seen
     if missing:
-        labels = sorted(tri.vertex_label(v) for v in missing)
-        raise CliError(EXIT_PARSE_ERROR, f"{what}: missing vertices {labels}")
+        labels = sorted(label_of(k) for k in missing)
+        raise CliError(EXIT_PARSE_ERROR, f"{what}: missing {kind} labels {labels}")
     return values
 
 
@@ -148,33 +156,13 @@ def load_surface_file(path):
     except (NonInvolution, NonOrientable, DisconnectedSurface) as ex:
         raise CliError(EXIT_PARSE_ERROR, f"{path}: bad gluing ({ex})")
 
-    lengths = np.zeros(tri.edge_count)
-    seen = set()
-    if not isinstance(doc["lengths"], dict):
-        raise CliError(EXIT_PARSE_ERROR, f"{path}: lengths must be an object")
-    for label, value in doc["lengths"].items():
-        try:
-            e = tri.edge_index[parse_half_edge_label(label)]
-        except (KeyError, ValueError):
-            raise CliError(EXIT_PARSE_ERROR, f"{path}: unknown edge label {label!r}")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise CliError(EXIT_PARSE_ERROR, f"{path}: lengths[{label}] is not a number")
-        lengths[e] = float(value)
-        seen.add(e)
-    missing = set(range(tri.edge_count)) - seen
-    if missing:
-        labels = sorted(tri.edge_label(e) for e in missing)
-        raise CliError(EXIT_PARSE_ERROR, f"{path}: lengths missing edges {labels}")
-    if not isinstance(doc["radii"], dict):
-        raise CliError(EXIT_PARSE_ERROR, f"{path}: radii must be an object")
-    radii = _vertex_table(tri, doc["radii"], f"{path}: radii")
+    lengths = _label_table(tri, doc["lengths"], f"{path}: lengths", "edge")
+    radii = _label_table(tri, doc["radii"], f"{path}: radii")
 
     extras = {}
     for key in ("theta_target", "heights"):
         if key in doc:
-            if not isinstance(doc[key], dict):
-                raise CliError(EXIT_PARSE_ERROR, f"{path}: {key} must be an object")
-            extras[key] = _vertex_table(tri, doc[key], f"{path}: {key}")
+            extras[key] = _label_table(tri, doc[key], f"{path}: {key}")
     metric = DecoratedMetric(tri, background, lengths, radii)
     return metric, extras
 
@@ -273,7 +261,7 @@ def _parse_theta(args, metric, extras):
         raise CliError(EXIT_PARSE_ERROR, f"--theta: not a number, 'Npi', or readable file ({ex})")
     if not isinstance(mapping, dict):
         raise CliError(EXIT_PARSE_ERROR, "--theta file: top level is not an object")
-    return _vertex_table(tri, mapping, "--theta file")
+    return _label_table(tri, mapping, "--theta file")
 
 
 def cmd_solve(args) -> int:

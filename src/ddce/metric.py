@@ -19,6 +19,11 @@ explicitly wherever heights enter.
 Heights reparametrize conformal classes: ``h_i`` is the truncated
 distance from the apex of the hyperideal pyramid (spherical), prism
 (hyperbolic), or horoprism (Euclidean) over a face to the vertex ``i``.
+A conformal change keeps the invariant and moves only the heights:
+scaling by ``e^u`` multiplies ``tau(-eps_i, h_i)`` by ``e^-u_i``, so an
+ideal or Euclidean height moves to ``h_i - u_i``, and
+``conformal_change`` is ``decoration_from_heights`` at the moved
+heights.
 The maps between heights and decoration weights (``omega_map`` /
 ``omega_inverse``) share the single primitive
 
@@ -257,82 +262,36 @@ def check_valid(m: DecoratedMetric, context: str = "metric") -> None:
 
 def conformal_change(m: DecoratedMetric, u) -> DecoratedMetric:
     """Metric obtained by applying logarithmic scale factors at the
-    vertices.  Inversive distances (and the whole fundamental
-    invariant up to horocycle gauge at ideal vertices) are preserved;
-    vertices with ``u_i == 0.0`` keep their data bit-for-bit."""
+    vertices: the metric that ``decoration_from_heights`` builds from
+    the invariant of ``m`` at its heights moved by ``u`` (see
+    ``_scaled_heights``).  The fundamental invariant is kept (up to
+    horocycle gauge at ideal vertices, whose canonical lambda-lengths
+    shift by ``u``).  Vertices with ``u_i == 0.0`` keep their radii, and
+    edges between two such vertices their lengths, bit for bit; a
+    tangent edge gets exactly ``r_i + r_j`` of the returned radii.
+
+    Raises ScaleOutOfDomain when a spherical circle would pass a
+    hemisphere, and ResultInvalid when the moved heights leave the
+    domain of ``decoration_from_heights`` or an exponential overflows.
+    """
     check_valid(m, "input of conformal_change")
     tri = m.triangulation
     u = np.asarray(u, dtype=float)
     if u.shape != (tri.vertex_count,):
         raise ValueError("scale factor array does not match vertex orbits")
-    bg = m.background
-    # scalar math.* per vertex, like every other transcendental of the
-    # package (README "Numerics")
-    scale = [math.exp(x) for x in u.tolist()]
-    radii = m.radii.tolist()
-
-    new_radii = m.radii.copy()
-    if bg is Background.SPHERICAL:
-        sin_new = [s * math.sin(r) for s, r in zip(scale, radii)]
-        over = [v for v, x in enumerate(sin_new) if x > 1.0]
-        if over:
-            worst = max(over, key=sin_new.__getitem__)
-            raise ScaleOutOfDomain(
-                f"vertex {tri.vertex_label(worst)}: e^u sin r = {sin_new[worst]} > 1"
-            )
-    for v, (uv, s, r) in enumerate(zip(u.tolist(), scale, radii)):
-        if uv == 0.0:
-            continue
-        if bg is Background.SPHERICAL:
-            new_radii[v] = math.asin(sin_new[v])
-        elif bg is Background.HYPERBOLIC:
-            new_radii[v] = math.asinh(s * math.sinh(r))
-        else:
-            new_radii[v] = s * r
-
-    new_lengths = m.lengths.copy()
-    bad = []
-    for e in range(tri.edge_count):
-        i, j = tri.edge_endpoints(e)
-        if u[i] == 0.0 and u[j] == 0.0:
-            continue
-        l = m.lengths[e]
-        if bg is Background.SPHERICAL:
-            c = math.exp(u[i] + u[j]) * (
-                math.cos(l) - math.cos(m.radii[i]) * math.cos(m.radii[j])
-            ) + math.sqrt(
-                (1.0 - scale[i] ** 2 * math.sin(m.radii[i]) ** 2)
-                * (1.0 - scale[j] ** 2 * math.sin(m.radii[j]) ** 2)
-            )
-            if not (-1.0 < c < 1.0):
-                bad.append(f"edge {tri.edge_label(e)}: cos of new length = {c}")
-                continue
-            new_lengths[e] = math.acos(c)
-        elif bg is Background.HYPERBOLIC:
-            c = math.exp(u[i] + u[j]) * (
-                math.cosh(l) - math.cosh(m.radii[i]) * math.cosh(m.radii[j])
-            ) + math.sqrt(
-                (1.0 + scale[i] ** 2 * math.sinh(m.radii[i]) ** 2)
-                * (1.0 + scale[j] ** 2 * math.sinh(m.radii[j]) ** 2)
-            )
-            if c < 1.0:
-                bad.append(f"edge {tri.edge_label(e)}: cosh of new length = {c}")
-                continue
-            new_lengths[e] = stable_acosh(c)
-        else:
-            sq = (
-                scale[i] ** 2 * m.radii[i] ** 2
-                + scale[j] ** 2 * m.radii[j] ** 2
-                + math.exp(u[i] + u[j]) * (l * l - m.radii[i] ** 2 - m.radii[j] ** 2)
-            )
-            if sq <= 0.0:
-                bad.append(f"edge {tri.edge_label(e)}: squared new length = {sq}")
-                continue
-            new_lengths[e] = math.sqrt(sq)
-    if bad:
-        raise ResultInvalid("conformal change leaves the metric space", bad)
-
-    result = DecoratedMetric(tri, bg, new_lengths, new_radii)
+    try:
+        inv = lambda_lengths(m)
+        moved = decoration_from_heights(
+            tri, inv, Heights(_scaled_heights(m, u.tolist()), m.background, 0.0)
+        )
+    except (HeightsOutOfDomain, OverflowError) as ex:
+        raise ResultInvalid("conformal change leaves the metric space", [str(ex)]) from None
+    keep, hyper = u == 0.0, inv.eps == 1
+    i, j = tri.edge_endpoint_array.T
+    radii = np.where(keep, m.radii, moved.radii)
+    tangent = hyper[i] & hyper[j] & (inv.lam == 0.0)
+    lengths = np.where(tangent, radii[i] + radii[j], moved.lengths)
+    result = DecoratedMetric(tri, m.background, np.where(keep[i] & keep[j], m.lengths, lengths), radii)
     diagnostics = validate(result)
     if diagnostics:
         raise ResultInvalid("conformally changed metric is invalid", diagnostics)
@@ -341,22 +300,50 @@ def conformal_change(m: DecoratedMetric, u) -> DecoratedMetric:
 
 # -- heights and lambda-lengths -------------------------------------------------
 
+def _scaled_heights(m: DecoratedMetric, u: list) -> np.ndarray:
+    """Apex heights of ``m`` with its vertex circles scaled by ``e^u``,
+    in the canonical gauge, as one pass of scalar ``math`` arithmetic
+    over plain floats, vertex by vertex.
+
+    The scaling multiplies ``tau(-eps, h)`` by ``e^-u``: a hyperideal
+    height is ``asinh(e^-u / sinh r)`` (hyperbolic) or
+    ``acosh(e^-u / sin r)`` (spherical); a Euclidean one is
+    ``-log r - u`` and an ideal one ``0 - u``.  At ``u = 0`` these are
+    the heights of ``m`` themselves, bit for bit, since
+    ``e^-0.0 = 1.0`` and ``x - 0.0 = x``.  Raises ScaleOutOfDomain
+    naming the spherical vertex with the least ``e^-u / sin r`` when
+    that is below 1, and OverflowError where ``e^-u`` or ``sinh r``
+    overflows."""
+    bg = m.background
+    radii = m.radii.tolist()
+    h = []
+    for r, x in zip(radii, u):
+        if r <= 0:
+            h.append(0.0 - x)
+        elif bg is Background.SPHERICAL:
+            h.append(math.exp(-x) / math.sin(r))  # cosh h, its acosh taken below
+        elif bg is Background.HYPERBOLIC:
+            h.append(math.asinh(math.exp(-x) / math.sinh(r)))
+        else:
+            h.append(-math.log(r) - x)
+    if bg is Background.SPHERICAL:
+        over = [v for v, r in enumerate(radii) if r > 0 and h[v] < 1.0]
+        if over:
+            worst = min(over, key=h.__getitem__)
+            raise ScaleOutOfDomain(
+                f"vertex {m.triangulation.vertex_label(worst)}: e^-u / sin r = {h[worst]} < 1"
+            )
+        h = [stable_acosh(c) if r > 0 else c for r, c in zip(radii, h)]
+    return np.array(h, dtype=float)
+
+
 def heights_from_decoration(m: DecoratedMetric, reference_radius: float | None = None) -> Heights:
     """Apex heights determined by the radii.  Ideal vertices are gauged
     to height zero (canonical auxiliary horosphere)."""
     bg = m.background
     if reference_radius is None and bg is not Background.EUCLIDEAN:
         reference_radius = default_reference_radius(bg)
-    h = np.zeros(m.triangulation.vertex_count)
-    for v, r in enumerate(m.radii.tolist()):
-        if r <= 0:
-            continue
-        if bg is Background.SPHERICAL:
-            h[v] = stable_acosh(1.0 / math.sin(r))
-        elif bg is Background.HYPERBOLIC:
-            h[v] = math.asinh(1.0 / math.sinh(r))
-        else:
-            h[v] = -math.log(r)
+    h = _scaled_heights(m, [0.0] * m.triangulation.vertex_count)
     return Heights(h, bg, reference_radius if reference_radius is not None else 0.0, m.eps)
 
 

@@ -310,9 +310,13 @@ def newton_solve(
     the sign of an 8-panel Gauss-Legendre quadrature of the increase.
     See ``_trial_gain``.
 
-    The result is discretely conformally equivalent to ``m0``, weighted
-    Delaunay, and (Euclidean case) gauge-fixed by zero height at the
-    first vertex orbit of the input.  Raises Infeasible before
+    The result is weighted Delaunay and (Euclidean case) gauge-fixed by
+    zero height at the first vertex orbit of the input.  It is
+    discretely conformally equivalent to ``m0`` when no accepted step
+    re-flips (``report.flips_per_iteration`` all zero): a re-flip
+    flips the metric geometrically, which keeps the invariant only
+    where the flipped quad is cocircular, so a solve that re-flips may
+    end in another conformal class.  Raises Infeasible before
     iterating when the Gauss-Bonnet check rejects the targets, and
     MaxIterations / LineSearchStalled with the partial report attached
     otherwise.  Raises BadParameters for a ``tol`` that is not finite
@@ -436,7 +440,7 @@ def _finalize(report: SolveReport, m0, m, vmap, h, h_start_orig) -> None:
         zip(m0.eps.tolist(), report.final_heights.tolist(), h_start_orig.tolist())
     ):
         if e == 0:
-            u[v] = h_end - h_start
+            u[v] = h_start - h_end
         else:
             u[v] = math.log(trig.sfac(bg, radii[vmap[v]]) / trig.sfac(bg, radii0[v]))
     report.scale_factors = u

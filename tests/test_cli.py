@@ -76,13 +76,30 @@ def test_truncated_file_is_parse_error(tmp_path, genus2_file):
     assert run("validate", str(broken)) == 2
 
 
-def test_missing_length_is_parse_error(tmp_path, genus2_file):
+def test_missing_length_is_parse_error(tmp_path, genus2_file, capsys):
     doc = json.load(open(genus2_file))
     first = sorted(doc["lengths"])[0]
     del doc["lengths"][first]
     path = tmp_path / "missing.json"
     path.write_text(json.dumps(doc))
     assert run("validate", str(path)) == 2
+    assert capsys.readouterr().err == f"error: {path}: lengths: missing edge labels {[first]}\n"
+
+
+@pytest.mark.parametrize("key", ["lengths", "radii"])
+def test_bad_table_entries_are_parse_errors(tmp_path, genus2_file, capsys, key):
+    doc = json.load(open(genus2_file))
+    first = sorted(doc[key])[0]
+    kind = "edge" if key == "lengths" else "vertex"
+    path = tmp_path / "bad.json"
+    for table, message in (
+        ({**doc[key], "9:9": 1.0}, f"{key}: unknown {kind} label '9:9'"),
+        ({**doc[key], first: "1"}, f"{key}[{first}]: not a number"),
+        ([1.0], f"{key} must be an object"),
+    ):
+        path.write_text(json.dumps({**doc, key: table}))
+        assert run("validate", str(path)) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 

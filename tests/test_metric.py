@@ -17,6 +17,7 @@ from ddce import cli, delaunay, solver, transition
 from ddce import metric as me
 from ddce import trig
 from ddce.errors import (
+    DDCEError,
     FlipGeometryInvalid,
     HeightsOutOfDomain,
     NotComparable,
@@ -198,7 +199,7 @@ def _perturbed_metrics(draw):
         else:
             values = lengths if kind == "length" else radii
             k = draw(st.integers(0, values.size - 1))
-            values[k] = draw(st.one_of(special, st.floats(0.0, 4.0).map(values[k].__mul__)))
+            values[k] = draw(st.one_of(special, st.floats(0.0, 4.0).map(float(values[k]).__mul__)))
     return DecoratedMetric(tri, m.background, lengths, radii)
 
 
@@ -323,6 +324,11 @@ def test_scale_out_of_domain(double_triangle):
     )
     with pytest.raises(ScaleOutOfDomain):
         me.conformal_change(m, np.full(3, 2.0))
+    # the vertex that overshoots most is named; one whose factor is NaN
+    # has no overshoot to compare
+    worst = double_triangle.vertex_label(2)
+    with pytest.raises(ScaleOutOfDomain, match=f"^vertex {worst}: "):
+        me.conformal_change(m, np.array([math.nan, 2.0, 2.5]))
 
 
 def test_conformal_result_invalid_diagnostics(double_triangle):
@@ -334,9 +340,12 @@ def test_conformal_result_invalid_diagnostics(double_triangle):
     assert err.value.diagnostics
 
 
-def reference_conformal_change(m, u):
-    """conformal_change evaluated vertex by vertex and edge by edge with
-    scalar math.*: the exact oracle."""
+def closed_form_conformal_change(m, u):
+    """The closed form of a conformal change on the lifts of the vertex
+    circles (``cosh l' = e^{u_i + u_j} (cosh l - cosh r_i cosh r_j) +
+    sqrt((1 + e^{2u_i} sinh^2 r_i) (1 + e^{2u_j} sinh^2 r_j))`` and its
+    spherical and Euclidean counterparts), vertex by vertex and edge by
+    edge: a cross-check of the heights route, independent of it."""
     tri, bg = m.triangulation, m.background
     r, u = m.radii.tolist(), [float(x) for x in u]
     scale = [math.exp(x) for x in u]
@@ -393,6 +402,53 @@ def reference_conformal_change(m, u):
     return result
 
 
+def reference_conformal_change(m, u):
+    """conformal_change by its definition, with the tests' scalar
+    references: the invariant of ``m`` realized by
+    ``reference_decoration_from_heights`` at the heights moved by ``u``
+    (``tau(-eps, h)`` scaled by e^-u, ideal heights by -u), then the radii
+    of untouched vertices and the lengths of edges between two of them
+    restored, and tangent edges set to r_i + r_j: the exact oracle."""
+    tri, bg = m.triangulation, m.background
+    r, u = m.radii.tolist(), [float(x) for x in u]
+    inv = me.lambda_lengths(m)
+    h = []
+    for v in range(tri.vertex_count):
+        if r[v] <= 0:
+            h.append(0.0 - u[v])
+        elif bg is Background.SPHERICAL:
+            h.append(math.exp(-u[v]) / math.sin(r[v]))  # cosh of the height
+        elif bg is Background.HYPERBOLIC:
+            h.append(math.asinh(math.exp(-u[v]) / math.sinh(r[v])))
+        else:
+            h.append(-math.log(r[v]) - u[v])
+    if bg is Background.SPHERICAL:
+        hyper = [v for v in range(tri.vertex_count) if r[v] > 0]
+        below = [v for v in hyper if h[v] < 1.0]
+        if below:
+            worst = min(below, key=lambda v: h[v])
+            raise ScaleOutOfDomain(f"vertex {tri.vertex_label(worst)}: e^-u / sin r = {h[worst]} < 1")
+        for v in hyper:
+            h[v] = me.stable_acosh(h[v])
+    try:
+        moved = reference_decoration_from_heights(tri, inv, me.Heights(np.array(h), bg, 0.0))
+    except (HeightsOutOfDomain, OverflowError) as ex:
+        raise ResultInvalid("conformal change leaves the metric space", [str(ex)]) from None
+    radii = [r[v] if u[v] == 0.0 else float(moved.radii[v]) for v in range(tri.vertex_count)]
+    lengths = moved.lengths.tolist()
+    for e in range(tri.edge_count):
+        i, j = _endpoints(tri, e)
+        if u[i] == 0.0 and u[j] == 0.0:
+            lengths[e] = float(m.lengths[e])  # bit for bit unchanged
+        elif inv.eps[i] == 1 and inv.eps[j] == 1 and inv.lam[e] == 0.0:
+            lengths[e] = radii[i] + radii[j]  # tangency kept exactly
+    result = DecoratedMetric(tri, bg, lengths, radii)
+    bad = reference_validate(result)
+    if bad:
+        raise ResultInvalid("conformally changed metric is invalid", bad)
+    return result
+
+
 def conformal_outcome(fn, m, u):
     """Lengths and radii as text that tells floats apart bit for bit, or
     the type, message and diagnostics of what was raised."""
@@ -404,7 +460,9 @@ def conformal_outcome(fn, m, u):
 
 
 def test_conformal_change_matches_scalar_oracle_exactly(rng):
-    outcomes = set()
+    """Exact against its definition, and within 1e-13 relative of the
+    closed form wherever both give a metric."""
+    outcomes, agreed = set(), 0
     for name, m in oracle_corpus(rng):
         n = m.triangulation.vertex_count
         for k in range(6):
@@ -416,7 +474,58 @@ def test_conformal_change_matches_scalar_oracle_exactly(rng):
             want = conformal_outcome(reference_conformal_change, m, u)
             assert conformal_outcome(me.conformal_change, m, u) == want, (name, k)
             outcomes.add(want[0])
+            closed = outcome(closed_form_conformal_change, m, u)
+            if want[0] is DecoratedMetric and isinstance(closed, DecoratedMetric):
+                got = me.conformal_change(m, u)
+                assert np.allclose(got.lengths, closed.lengths, rtol=1e-13, atol=0.0), (name, k)
+                assert np.allclose(got.radii, closed.radii, rtol=1e-13, atol=0.0), (name, k)
+                agreed += 1
     assert outcomes == {DecoratedMetric, ScaleOutOfDomain, ResultInvalid}
+    assert agreed >= 100
+
+
+@pytest.mark.parametrize("x", [800.0, -800.0, math.inf, -math.inf, math.nan])
+def test_conformal_change_at_extreme_scale_factors(rng, x):
+    """e^u overflowing, underflowing or not a number, at every vertex or
+    at one: a spherical circle past a hemisphere is ScaleOutOfDomain,
+    everything else ResultInvalid, never a bare OverflowError."""
+    for name, m in oracle_corpus(rng):
+        n = m.triangulation.vertex_count
+        for u in (np.full(n, x), np.where(np.arange(n) == n - 1, x, 0.1)):
+            with pytest.raises((ScaleOutOfDomain, ResultInvalid)) as err:
+                me.conformal_change(m, u)
+            assert err.type is ResultInvalid or (m.background is Background.SPHERICAL and x > 0), name
+
+
+def test_conformal_change_keeps_tangency_exactly(rng):
+    tangent = [m for name, m in oracle_corpus(rng) if name.endswith("-tangent")]
+    assert len(tangent) == len(ALL_BACKGROUNDS)
+    for m in tangent:
+        i, j = m.triangulation.edge_endpoints(0)
+        assert m.lengths[0] == m.radii[i] + m.radii[j]
+        for _ in range(40):
+            m2 = me.conformal_change(m, rng.uniform(-0.3, 0.3, size=m.triangulation.vertex_count))
+            assert m2.lengths[0] == m2.radii[i] + m2.radii[j], m.background
+
+
+_scale_factor = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from([800.0, -800.0, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@given(_perturbed_metrics(), st.data())
+def test_conformal_change_ends_in_a_metric_or_a_ddce_error(m, data):
+    n = m.triangulation.vertex_count
+    u = np.array(data.draw(st.lists(_scale_factor, min_size=n, max_size=n)))
+    try:
+        out = me.conformal_change(m, u)
+    except DDCEError:
+        return
+    assert me.validate(out) == []
+    if np.all(np.abs(u) <= 1.0):
+        assert np.max(np.abs(me.scale_factors(m, out) - u)) <= 1e-10
 
 
 def test_dce_invariance_all_backgrounds(rng):

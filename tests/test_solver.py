@@ -277,6 +277,27 @@ def test_zero_iterations_when_solved(rng):
     assert np.array_equal(solved.lengths, m.lengths)
 
 
+def test_reported_scale_factors_reproduce_the_solve():
+    """Hyperbolic octahedra with ideal vertices that stay Delaunay: the
+    report's scale factors turn the input into the solved metric, and
+    are those that metric.scale_factors reads off the pair."""
+    rng = np.random.default_rng(3)
+    checked = 0
+    for _ in range(40):
+        m0 = random_metric(octahedron(), Background.HYPERBOLIC, rng, ideal_fraction=0.5)
+        if m0.eps.min() == 1 or not all(dl.is_local_delaunay(m0, e) for e in range(12)):
+            continue
+        solved, report = so.newton_solve(m0, so.cone_angles(m0) * rng.uniform(0.9, 1.0, size=6))
+        if sum(report.flips_per_iteration):
+            continue
+        back = me.conformal_change(m0, report.scale_factors)
+        assert np.max(np.abs(back.lengths - solved.lengths)) <= 1e-12
+        assert np.max(np.abs(back.radii - solved.radii)) <= 1e-12
+        assert np.max(np.abs(me.scale_factors(m0, solved) - report.scale_factors)) <= 1e-12
+        checked += 1
+    assert checked >= 5
+
+
 def test_genus2_uniformization_and_uniqueness(genus2):
     m0 = DecoratedMetric(genus2, Background.HYPERBOLIC, np.full(9, 2.0), np.zeros(1))
     start = time.time()
