@@ -206,19 +206,10 @@ def cmd_delaunay(args) -> int:
             line += f" support-min {format(rec.support_min, '.17g')}"
         print(line)
     if args.out:
-        mapped = {
-            key: np.asarray(values)[_inverse_map(log.vertex_map)]
-            for key, values in extras.items()
-        }
+        inverse = np.argsort(log.vertex_map)
+        mapped = {key: np.asarray(values)[inverse] for key, values in extras.items()}
         write_surface_file(args.out, flipped, mapped)
     return EXIT_OK
-
-
-def _inverse_map(vertex_map):
-    inv = [0] * len(vertex_map)
-    for old, new in enumerate(vertex_map):
-        inv[new] = old
-    return inv
 
 
 def cmd_invariant(args) -> int:
@@ -354,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--theta", help="constant (e.g. 2pi or 6.28), or a JSON file per vertex")
     p.add_argument("--tol", type=float, default=1e-10, help="residual tolerance (sup norm)")
-    p.add_argument("--max-iter", type=int, default=50, help="Newton iteration cap")
+    p.add_argument("--max-iter", type=int, default=50, help="Newton step cap")
     p.add_argument("--out", help="write the solved metric here")
     p.set_defaults(func=cmd_solve)
 

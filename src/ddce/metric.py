@@ -337,14 +337,23 @@ def _scaled_heights(m: DecoratedMetric, u: list) -> np.ndarray:
     return np.array(h, dtype=float)
 
 
-def heights_from_decoration(m: DecoratedMetric, reference_radius: float | None = None) -> Heights:
+def heights_from_decoration(m: DecoratedMetric) -> Heights:
     """Apex heights determined by the radii.  Ideal vertices are gauged
-    to height zero (canonical auxiliary horosphere)."""
+    to height zero (canonical auxiliary horosphere).
+
+    Raises ResultInvalid naming the vertex with the largest radius when
+    a hyperbolic radius is too large for ``sinh`` (above about 710)."""
     bg = m.background
-    if reference_radius is None and bg is not Background.EUCLIDEAN:
-        reference_radius = default_reference_radius(bg)
-    h = _scaled_heights(m, [0.0] * m.triangulation.vertex_count)
-    return Heights(h, bg, reference_radius if reference_radius is not None else 0.0, m.eps)
+    try:
+        h = _scaled_heights(m, [0.0] * m.triangulation.vertex_count)
+    except OverflowError:
+        # at u = 0 the only overflow is sinh r, and the largest r overflows
+        v = int(np.argmax(m.radii))
+        raise ResultInvalid(
+            f"vertex {m.triangulation.vertex_label(v)}: sinh of radius {m.radii[v]} overflows", []
+        ) from None
+    reference_radius = default_reference_radius(bg) if bg is not Background.EUCLIDEAN else 0.0
+    return Heights(h, bg, reference_radius, m.eps)
 
 
 def lambda_lengths(m: DecoratedMetric, heights: Heights | None = None) -> Invariant:
@@ -584,6 +593,8 @@ def scale_factors(m: DecoratedMetric, m_new: DecoratedMetric) -> np.ndarray:
     edges (least squares; triangulations always contain odd cycles, so
     the system determines the factors).  Whether the result actually
     reproduces ``m_new`` is the caller's DCE test via conformal_change.
+    Raises ResultInvalid naming the vertex when a hyperbolic radius is
+    too large for ``sinh``.
     """
     tri = m.triangulation
     if m_new.triangulation is not tri and m_new.triangulation.gluing != tri.gluing:
@@ -598,7 +609,13 @@ def scale_factors(m: DecoratedMetric, m_new: DecoratedMetric) -> np.ndarray:
     bg = m.background
     for v in range(tri.vertex_count):
         if eps[v] == 1:
-            u[v] = math.log(trig.sfac(bg, m_new.radii[v]) / trig.sfac(bg, m.radii[v]))
+            try:
+                u[v] = math.log(trig.sfac(bg, m_new.radii[v]) / trig.sfac(bg, m.radii[v]))
+            except OverflowError:
+                raise ResultInvalid(
+                    f"vertex {tri.vertex_label(v)}: sinh of radius "
+                    f"{max(m.radii[v], m_new.radii[v])} overflows", []
+                ) from None
 
     ideal = np.where(eps == 0)[0]
     if ideal.size:

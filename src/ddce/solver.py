@@ -49,10 +49,8 @@ from .errors import (
 from .metric import (
     DecoratedMetric,
     Heights,
-    Invariant,
     check_valid,
     decoration_from_heights,
-    default_reference_radius,
     heights_from_decoration,
     lambda_lengths,
 )
@@ -255,8 +253,12 @@ def functional_value(m0: DecoratedMetric, heights: Heights, theta_target, via=No
 @dataclass
 class SolveReport:
     """Trace of one Newton solve.  Residuals are recomputable cone-angle
-    defects of the reported metric; heights and scale factors are
-    indexed by the vertex orbits of the input metric.
+    defects of the reported metric, one before each Newton step and one
+    after the last; heights and scale factors are indexed by the vertex
+    orbits of the input metric.  Every exit of the Newton loop (a
+    converged solve, MaxIterations and LineSearchStalled) fills
+    ``vertex_map``, ``final_heights`` and ``scale_factors``; only an
+    Infeasible raised before iterating leaves them None.
 
     ``functional_increase_bounds`` holds one positive number per
     accepted step: a certified lower bound on the functional's increase
@@ -301,14 +303,23 @@ def newton_solve(
     """Maximize the Hilbert-Einstein functional until every cone angle
     matches its target within ``tol`` (sup norm).
 
-    Each iteration takes a Newton step and halves it until the
-    functional increases along it.  On hyperbolic and Euclidean
-    backgrounds a trial is decided from a few gradient slopes along the
-    step, which bound the increase from both sides because the
-    functional is concave (usually one slope at the end point, at most
-    eight); on the sphere, and wherever the slopes cannot decide, by
-    the sign of an 8-panel Gauss-Legendre quadrature of the increase.
-    See ``_trial_gain``.
+    ``max_iter`` caps the number of Newton steps.  The residual is
+    checked before every step and after the last one, so a solve that
+    needs exactly ``max_iter`` steps converges, with ``max_iter + 1``
+    residuals.  Each step is a Newton step halved until the functional
+    increases along it.  On hyperbolic and Euclidean backgrounds a
+    trial is decided from a few gradient slopes along the step, which
+    bound the increase from both sides because the functional is
+    concave (usually one slope at the end point, at most eight); on
+    the sphere, and wherever the slopes cannot decide, by the sign of
+    an 8-panel Gauss-Legendre quadrature of the increase.  See
+    ``_trial_gain``.
+
+    The heights are the coordinates; a flip pass only changes the
+    triangulation chart they are read in.  The input's flip to
+    weighted Delaunay and the re-flip after every accepted step are
+    the same pass, and each pass that flips (and the first) hands the
+    heights, targets and vertex map over to the new chart.
 
     The result is weighted Delaunay and (Euclidean case) gauge-fixed by
     zero height at the first vertex orbit of the input.  It is
@@ -341,106 +352,75 @@ def newton_solve(
             "target angles violate the Gauss-Bonnet feasibility condition", report
         )
 
-    m, flog = delaunay.flip_to_delaunay(m0, track_support=False)
-    report.flips_initial = flog.flip_count
-    vmap = list(flog.vertex_map)
-    theta_cur = np.empty_like(theta_target)
-    theta_cur[vmap] = theta_target
+    h0 = heights_from_decoration(m0)
+    ref_r = h0.reference_radius
+    h, theta_cur, vmap = h0.h, theta_target, list(range(tri0.vertex_count))
+    m, chart, flips = m0, None, []
+    while True:
+        m, flog = delaunay.flip_to_delaunay(m, track_support=False)
+        flips.append(flog.flip_count)
+        if chart is None or flog.flip_count:
+            # hand the heights over to the chart of the flipped triangulation
+            inverse = np.argsort(flog.vertex_map)
+            h, theta_cur = h[inverse], theta_cur[inverse]
+            vmap = [flog.vertex_map[x] for x in vmap]
+            eps = m.eps
+            inv = lambda_lengths(m, heights=Heights(h, bg, ref_r, eps))
+            chart = (m.triangulation, inv, bg, ref_r, eps)
+            pin = vmap[0] if bg is Background.EUCLIDEAN else None
 
-    ref_r = default_reference_radius(bg) if bg is not Background.EUCLIDEAN else 0.0
-    h = heights_from_decoration(m).h
-    h_start_orig = h[vmap]
-    eps = m.eps
-    lam = lambda_lengths(m).lam
-    pin = vmap[0] if bg is Background.EUCLIDEAN else None
-
-    converged = False
-    for _ in range(max_iter):
-        # m is the output of the last re-flip, whose log holds its
-        # geometries: cone_angles(m) would sum their angles the same way
+        # the flip log holds the geometries of m: cone_angles(m) would
+        # sum their angles the same way
         tri = m.triangulation
         angles = [a for g in flog.geoms for a in g.angles]
-        theta = np.bincount(tri.face_vertex_array.ravel(), angles, tri.vertex_count)
-        res = float(np.max(np.abs(theta_cur - theta)))
-        report.residuals.append(res)
-        if res <= tol:
-            converged = True
+        grad = theta_cur - np.bincount(tri.face_vertex_array.ravel(), angles, tri.vertex_count)
+        report.residuals.append(float(np.max(np.abs(grad))))
+        if report.residuals[-1] <= tol or len(report.functional_increase_bounds) == max_iter:
             break
-        grad = theta_cur - theta
-        step = _solve_step(angle_jacobian(m, flog.geoms), grad, pin)
 
-        chart = (m.triangulation, Invariant(m.triangulation, lam, eps), bg, ref_r, eps)
+        step = _solve_step(angle_jacobian(m, flog.geoms), grad, pin)
         s = 1.0
-        accepted = False
         while s >= MIN_STEP:
             h_trial = h + s * step
             try:
-                m_trial = decoration_from_heights(
-                    m.triangulation, chart[1], Heights(h_trial, bg, ref_r, eps)
-                )
+                m_trial = decoration_from_heights(chart[0], chart[1], Heights(h_trial, *chart[2:]))
                 gain = _trial_gain(chart, theta_cur, h, h_trial, grad, m_trial)
             except (HeightsOutOfDomain, PathLeavesDomain):
-                s /= 2.0
-                continue
+                gain = 0.0
             if gain > 0.0:
-                accepted = True
                 break
             s /= 2.0
-        if not accepted:
-            report.iterations = len(report.residuals) - 1
-            report.message = "line search stalled"
-            if bg is Background.SPHERICAL:
-                report.message += " (expected for spherical targets)"
-            _finalize(report, m0, m, vmap, h, h_start_orig)
-            raise LineSearchStalled(report.message, report)
-
+        else:
+            break  # the line search stalled
         m, h = m_trial, h_trial
         report.functional_increase_bounds.append(gain)
 
-        m, flog = delaunay.flip_to_delaunay(m, track_support=False)
-        report.flips_per_iteration.append(flog.flip_count)
-        if flog.flip_count:
-            new_h = np.empty_like(h)
-            new_h[flog.vertex_map] = h
-            h = new_h
-            theta_new = np.empty_like(theta_cur)
-            theta_new[flog.vertex_map] = theta_cur
-            theta_cur = theta_new
-            vmap = [flog.vertex_map[x] for x in vmap]
-            eps = m.eps
-            lam = lambda_lengths(m, heights=Heights(h, bg, ref_r, eps)).lam
-            pin = vmap[0] if bg is Background.EUCLIDEAN else None
-
-    if not converged:
-        report.iterations = len(report.residuals)
-        report.message = f"no convergence within {max_iter} iterations"
-        _finalize(report, m0, m, vmap, h, h_start_orig)
-        raise MaxIterations(report.message, report)
-
-    if bg is Background.EUCLIDEAN and h[pin] != 0.0:
+    report.converged = report.residuals[-1] <= tol
+    if report.converged and pin is not None and h[pin] != 0.0:
         h = h - h[pin]
-        m = decoration_from_heights(
-            m.triangulation, Invariant(m.triangulation, lam, eps), Heights(h, bg, ref_r, eps)
-        )
-
-    report.converged = True
-    report.iterations = len(report.residuals) - 1
-    report.message = "converged"
-    _finalize(report, m0, m, vmap, h, h_start_orig)
-    return m, report
-
-
-def _finalize(report: SolveReport, m0, m, vmap, h, h_start_orig) -> None:
-    report.vertex_map = list(vmap)
+        m = decoration_from_heights(chart[0], chart[1], Heights(h, *chart[2:]))
+    report.iterations = len(report.functional_increase_bounds)
+    report.flips_initial, report.flips_per_iteration = flips[0], flips[1:]
+    report.vertex_map = vmap
     report.final_heights = h[vmap]
-    bg = m0.background
     radii, radii0 = m.radii.tolist(), m0.radii.tolist()
-    u = np.zeros(m0.triangulation.vertex_count)
+    u = np.zeros(tri0.vertex_count)
     for v, (e, h_end, h_start) in enumerate(
-        zip(m0.eps.tolist(), report.final_heights.tolist(), h_start_orig.tolist())
+        zip(m0.eps.tolist(), report.final_heights.tolist(), h0.h.tolist())
     ):
         if e == 0:
             u[v] = h_start - h_end
         else:
             u[v] = math.log(trig.sfac(bg, radii[vmap[v]]) / trig.sfac(bg, radii0[v]))
     report.scale_factors = u
+
+    if report.converged:
+        report.message = "converged"
+        return m, report
+    if report.iterations == max_iter:
+        report.message = f"no convergence within {max_iter} iterations"
+        raise MaxIterations(report.message, report)
+    report.message = "line search stalled"
+    if bg is Background.SPHERICAL:
+        report.message += " (expected for spherical targets)"
+    raise LineSearchStalled(report.message, report)

@@ -293,6 +293,20 @@ def test_spherical_solve_skips_the_support_function(capsys, monkeypatch):
     assert "line search stalled (expected for spherical targets)" in want.out + want.err
 
 
+def test_solve_max_iter_caps_newton_steps(capsys):
+    # genus2_hyperbolic needs exactly four steps at 2 pi; the residual
+    # after the last step allowed is checked and printed
+    fixture = str(FIXTURES / "genus2_hyperbolic.json")
+    assert run("solve", fixture, "--theta", "2pi", "--max-iter", "4") == 0
+    out = capsys.readouterr().out
+    assert out.startswith("converged in 4 iterations")
+    assert out.count(" residual ") == 5
+    assert run("solve", fixture, "--theta", "2pi", "--max-iter", "3") == 3
+    out = capsys.readouterr().out
+    assert out.startswith("not converged: no convergence within 3 iterations\n")
+    assert out.count(" residual ") == 4
+
+
 def test_invariant_rejects_radii_whose_product_underflows(tmp_path, capsys):
     # the genus-2 fixture as a Euclidean metric, its radius scaled by
     # 2**-1000: valid, but 2 r_i r_j underflows to 0 in the inversive

@@ -497,6 +497,27 @@ def test_conformal_change_at_extreme_scale_factors(rng, x):
             assert err.type is ResultInvalid or (m.background is Background.SPHERICAL and x > 0), name
 
 
+@pytest.mark.parametrize("length, radius", [(2000.0, 800.0), (1500.0, 711.0)])
+def test_radius_too_large_for_sinh_names_the_vertex(length, radius):
+    """A valid hyperbolic metric whose radius overflows sinh: every map
+    through its heights raises ResultInvalid naming the vertex, never a
+    bare OverflowError."""
+    m = DecoratedMetric(
+        Triangulation.genus_two_octagon(), Background.HYPERBOLIC,
+        np.full(9, length), np.array([radius]),
+    )
+    assert me.validate(m) == []
+    heights = me.Heights(np.zeros(1), Background.HYPERBOLIC, 0.0)
+    for call in (
+        lambda: me.heights_from_decoration(m),
+        lambda: me.lambda_lengths(m),
+        lambda: solver.functional_value(m, heights, [2.0 * math.pi]),
+        lambda: me.scale_factors(m, m),
+    ):
+        with pytest.raises(ResultInvalid, match=f"^vertex 0:0: sinh of radius {radius} overflows$"):
+            call()
+
+
 def test_conformal_change_keeps_tangency_exactly(rng):
     tangent = [m for name, m in oracle_corpus(rng) if name.endswith("-tangent")]
     assert len(tangent) == len(ALL_BACKGROUNDS)

@@ -12,7 +12,7 @@ from ddce import delaunay as dl
 from ddce import metric as me
 from ddce import solver as so
 from ddce import trig
-from ddce.errors import Infeasible, LineSearchStalled, PathLeavesDomain
+from ddce.errors import Infeasible, LineSearchStalled, MaxIterations, PathLeavesDomain
 
 from conftest import (
     ALL_BACKGROUNDS,
@@ -390,6 +390,78 @@ def test_stalled_line_search_names_spherical_targets_only_on_the_sphere(
         so.newton_solve(m, 0.95 * so.cone_angles(m))
     expected = background is Background.SPHERICAL
     assert ("expected for spherical targets" in str(info.value)) == expected
+
+
+GENUS2_FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "genus2_hyperbolic.json"
+
+
+def assert_partial_report(report, m0, steps):
+    """A report of a solve that took ``steps`` Newton steps: one residual
+    per step plus the one checked after the last, one flip count and
+    one increase bound per step, and the heights, scale factors and
+    vertex map in the input's labels."""
+    n = m0.triangulation.vertex_count
+    assert report.iterations == steps
+    assert len(report.residuals) == steps + 1
+    assert len(report.flips_per_iteration) == steps
+    assert len(report.functional_increase_bounds) == steps
+    assert sorted(report.vertex_map) == list(range(n))
+    assert report.final_heights.shape == (n,) and np.all(np.isfinite(report.final_heights))
+    assert report.scale_factors.shape == (n,) and np.all(np.isfinite(report.scale_factors))
+
+
+def test_max_iter_caps_steps_and_checks_the_last_one():
+    # the fixture needs exactly four steps at 2 pi: the residual after
+    # the fourth is checked, so four steps are enough
+    m, _ = cli.load_surface_file(GENUS2_FIXTURE)
+    theta = np.array([2.0 * math.pi])
+    solved, full = so.newton_solve(m, theta)
+    assert full.converged and full.iterations == 4 and len(full.residuals) == 5
+    capped, report = so.newton_solve(m, theta, max_iter=4)
+    assert report.converged and report.iterations == 4
+    assert report.residuals == full.residuals
+    assert report.final_heights.tolist() == full.final_heights.tolist()
+    assert capped.lengths.tolist() == solved.lengths.tolist()
+    with pytest.raises(MaxIterations) as info:
+        so.newton_solve(m, theta, max_iter=3)
+    partial = info.value.report
+    assert not partial.converged
+    assert partial.message == "no convergence within 3 iterations"
+    assert_partial_report(partial, m, 3)
+    assert partial.residuals == full.residuals[:4]
+    assert partial.functional_increase_bounds == full.functional_increase_bounds[:3]
+    # zero steps: a solved metric converges on its one residual check,
+    # an unsolved one is capped with that residual
+    _, again = so.newton_solve(solved, theta, max_iter=0)
+    assert again.converged and again.iterations == 0 and len(again.residuals) == 1
+    with pytest.raises(MaxIterations) as info:
+        so.newton_solve(m, theta, max_iter=0)
+    assert_partial_report(info.value.report, m, 0)
+    assert info.value.report.residuals == full.residuals[:1]
+    assert info.value.report.scale_factors.tolist() == [0.0]
+
+
+def test_stalled_solve_reports_its_accepted_steps(rng, monkeypatch):
+    # the line search accepts two steps, then rejects every trial
+    m = random_metric(octahedron(), Background.HYPERBOLIC, rng)
+    theta = 0.95 * so.cone_angles(m)
+    real_trial_gain, accepted = so._trial_gain, []
+
+    def two_steps(*args):
+        if len(accepted) == 2:
+            return -1.0
+        gain = real_trial_gain(*args)
+        if gain > 0.0:
+            accepted.append(gain)
+        return gain
+
+    monkeypatch.setattr(so, "_trial_gain", two_steps)
+    with pytest.raises(LineSearchStalled) as info:
+        so.newton_solve(m, theta)
+    report = info.value.report
+    assert not report.converged and report.message == "line search stalled"
+    assert_partial_report(report, m, 2)
+    assert report.functional_increase_bounds == accepted
 
 
 def test_bookkeeping_gauss_bonnet_identity(rng):
