@@ -47,7 +47,7 @@ from .errors import (
 )
 from .metric import DecoratedMetric, lambda_lengths, validate
 from .surface import Triangulation, parse_half_edge_label
-from .trig import Background
+from .trig import Background, FaceArrays
 
 EXIT_OK = 0
 EXIT_INVALID_METRIC = 1
@@ -216,8 +216,9 @@ def cmd_invariant(args) -> int:
     metric, _ = _load_valid(args.path)
     flipped, log = delaunay.flip_to_delaunay(metric, track_support=False)
     inv = lambda_lengths(flipped)
+    faces = FaceArrays.stack(flipped.background, log.geoms)
     try:
-        tess = delaunay.extract_tessellation(flipped, tol=args.tol, geoms=log.geoms)
+        tess = delaunay.extract_tessellation(flipped, tol=args.tol, geoms=faces)
     except BadParameters as ex:
         raise CliError(EXIT_PARSE_ERROR, f"--tol: {ex}")
     tri = flipped.triangulation

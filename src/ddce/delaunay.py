@@ -89,7 +89,21 @@ def _gate(m: DecoratedMetric) -> None:
         raise DegenerateTriangle("; ".join(bad))
 
 
-def edge_weights(m: DecoratedMetric, geoms=None) -> np.ndarray:
+def weight_denominators(m: DecoratedMetric, faces: trig.FaceArrays) -> np.ndarray:
+    """cos/cosh/1(r_sec) * sin/sinh/id(l) of every edge: the denominator
+    of the decorated cotan weight's product form, which ``edge_weights``
+    and ``solver.angle_jacobian`` share.  ``faces`` holds the face
+    geometries of ``m``; the section radius is read at each edge's side
+    0, as both faces at an edge hold the same one bit for bit."""
+    bg = m.background
+    if bg is Background.EUCLIDEAN:
+        return m.lengths  # 1 * l
+    sin, cos = trig.SIN_COS[bg]
+    rho = faces.r_section.ravel()[m.triangulation.edge_side_array[:, 0]]
+    return trig.each(cos, rho) * trig.each(sin, m.lengths)
+
+
+def edge_weights(m: DecoratedMetric, geoms: trig.FaceArrays | None = None) -> np.ndarray:
     """Decorated cotan weight of every edge:
     (cot alpha^k + cot alpha^l) * tan/tanh/id(r_sec) / sin/sinh/id(l),
     with alpha the angle at which a face-circle meets the edge,
@@ -98,23 +112,13 @@ def edge_weights(m: DecoratedMetric, geoms=None) -> np.ndarray:
     which stays finite when the vertex circles of the edge are tangent
     (cot alpha diverges but T(d) = sin/sinh/id(r_sec) cot alpha does not).
 
-    ``geoms`` holds the face geometries of ``m``, as a list or as
-    ``trig.FaceArrays``; without them ``m`` is checked and evaluated by
-    ``face_arrays``."""
+    ``geoms`` holds the face geometries of ``m``; without them ``m`` is
+    checked and evaluated by ``face_arrays``."""
     if geoms is None:
         geoms = face_arrays(m)
-    elif not isinstance(geoms, trig.FaceArrays):
-        geoms = trig.FaceArrays.stack(m.background, geoms)
     sides = m.triangulation.edge_side_array
     d = geoms.d_tangent.ravel()
-    bg = m.background
-    if bg is Background.EUCLIDEAN:
-        denom = m.lengths  # 1 * l
-    else:
-        sin, cos = trig.SIN_COS[bg]
-        rho = geoms.r_section.ravel()[sides[:, 0]]
-        denom = trig.each(cos, rho) * trig.each(sin, m.lengths)
-    return (d[sides[:, 0]] + d[sides[:, 1]]) / denom
+    return (d[sides[:, 0]] + d[sides[:, 1]]) / weight_denominators(m, geoms)
 
 
 def is_local_delaunay(m: DecoratedMetric, e: int, geoms=None) -> bool:
@@ -330,9 +334,10 @@ class Tessellation:
 
 
 def extract_tessellation(m: DecoratedMetric, tol: float = 1e-9, geoms=None) -> Tessellation:
-    """Drop all edges with |weight| <= tol and group faces across them.
-    Raises NotDelaunay if any weight is below -tol, and BadParameters
-    if ``tol`` is not finite and non-negative."""
+    """Drop all edges with |weight| <= tol and group faces across them;
+    ``geoms`` goes to ``edge_weights``.  Raises NotDelaunay if any
+    weight is below -tol, and BadParameters if ``tol`` is not finite
+    and non-negative."""
     if not (math.isfinite(tol) and tol >= 0):
         raise BadParameters(f"tol must be finite and non-negative, got {tol!r}")
     tri = m.triangulation

@@ -426,10 +426,10 @@ def decoration_from_heights(
     Errors are located in index order, as edge by edge: the first
     hyperideal vertex with height <= 0; else the first edge where a
     check fails, with that edge's first failing check of: spherical
-    ``lambda >= h_i + h_j``, an exponential (or a Euclidean ``rho**2``)
-    that overflows (OverflowError), a denominator that underflows to 0,
-    the induced length's domain; else a radius that overflows
-    (OverflowError); else ``validate``.  Every failure but an overflow
+    ``lambda >= h_i + h_j``, an exponential (or a Euclidean ``rho**2``,
+    or an end's radius on a tangent edge) that overflows
+    (OverflowError), a denominator that underflows to 0, the induced
+    length's domain; else ``validate``.  Every failure but an overflow
     raises HeightsOutOfDomain naming the violated condition.
     """
     bg = heights.background
@@ -484,7 +484,8 @@ def decoration_from_heights(
             bad, what = x <= 0.0, "squared induced length"
             unevaluable = over_sq[i] | over_sq[j]  # rho ** 2 overflows
         far = lam >= h[i] + h[j] if spherical else np.zeros(E, bool)
-        # a radius overflows only where e^h (e^-h, Euclidean) does
+        # a radius overflows only where e^h (e^-h, Euclidean) does, so
+        # every edge at such a vertex fails the overflow check
         if np.count_nonzero(over) or np.count_nonzero(bad | unevaluable | far):
             over_v = over[:V] | over[V:2 * V]
             checks = [  # (failing edges, error at edge e), in the per-edge order
@@ -504,8 +505,6 @@ def decoration_from_heights(
             if failed.size:
                 e = int(failed[0])
                 raise next(error(e) for mask, error in checks if mask[e])
-            if np.count_nonzero(over_r):  # a radius that no edge needed
-                raise OverflowError("math range error")
         touching = np.count_nonzero(tangent)
         if curved:
             if not spherical:  # stable_acosh
@@ -584,6 +583,19 @@ def omega_inverse(
 
 # -- scale factors ---------------------------------------------------------------
 
+def radius_scale_factor(background: Background, r_old: float, r_new: float) -> float:
+    """log(sfac(r_new) / sfac(r_old)), the scale factor of a hyperideal
+    vertex read off its radii, on Python floats.  Where the quotient
+    leaves the normal floats (underflow to a subnormal or 0, overflow
+    to inf) it is the difference of the two logs instead.  A ``sinh``
+    that overflows raises OverflowError."""
+    a, b = trig.sfac(background, r_new), trig.sfac(background, r_old)
+    ratio = a / b
+    if sys.float_info.min <= ratio <= sys.float_info.max:
+        return math.log(ratio)
+    return math.log(a) - math.log(b)
+
+
 def scale_factors(m: DecoratedMetric, m_new: DecoratedMetric) -> np.ndarray:
     """Logarithmic scale factors turning ``m`` into ``m_new``.
 
@@ -607,14 +619,13 @@ def scale_factors(m: DecoratedMetric, m_new: DecoratedMetric) -> np.ndarray:
 
     u = np.zeros(tri.vertex_count)
     bg = m.background
-    for v in range(tri.vertex_count):
+    for v, (r_old, r_new) in enumerate(zip(m.radii.tolist(), m_new.radii.tolist())):
         if eps[v] == 1:
             try:
-                u[v] = math.log(trig.sfac(bg, m_new.radii[v]) / trig.sfac(bg, m.radii[v]))
+                u[v] = radius_scale_factor(bg, r_old, r_new)
             except OverflowError:
                 raise ResultInvalid(
-                    f"vertex {tri.vertex_label(v)}: sinh of radius "
-                    f"{max(m.radii[v], m_new.radii[v])} overflows", []
+                    f"vertex {tri.vertex_label(v)}: sinh of radius {max(r_old, r_new)} overflows", []
                 ) from None
 
     ideal = np.where(eps == 0)[0]

@@ -53,6 +53,7 @@ from .metric import (
     decoration_from_heights,
     heights_from_decoration,
     lambda_lengths,
+    radius_scale_factor,
 )
 from .trig import Background
 
@@ -92,13 +93,14 @@ def gradient(m: DecoratedMetric, theta_target) -> np.ndarray:
     return np.asarray(theta_target, dtype=float) - cone_angles(m)
 
 
-def angle_jacobian(m: DecoratedMetric, geoms=None) -> np.ndarray:
+def angle_jacobian(m: DecoratedMetric, geoms: trig.FaceArrays | None = None) -> np.ndarray:
     """d(theta)/d(heights), summed corner by corner so self-gluings and
     loop edges fall out correctly.
 
     Corner s of a face sits on slots s and s + 2, towards corners s + 1
-    and s + 2.  Per slot, q is this face's half of the edge weight, in
-    the product form of delaunay.edge_weights (finite at tangency), and
+    and s + 2.  Per slot, q is this face's half of the edge weight, over
+    the denominator of delaunay.edge_weights (``weight_denominators``,
+    finite at tangency), and
     d theta_i = sum_edges q * (K(l) dh_i - dh_other) with K = cos/1/cosh;
     per edge this sums to the Laplacian of the cotan weights plus the
     diagonal (K - 1) form, which is what finite differences of the cone
@@ -106,21 +108,15 @@ def angle_jacobian(m: DecoratedMetric, geoms=None) -> np.ndarray:
     (i, other) and q K at (i, i) face by face, corner by corner, slot s
     before slot s + 2, so every sum is rounded in that order.
 
-    ``geoms`` holds the face geometries of ``m``, as a list or as
-    ``trig.FaceArrays``; without them ``m`` is evaluated by
-    ``delaunay.face_arrays``."""
+    ``geoms`` holds the face geometries of ``m``; without them ``m`` is
+    evaluated by ``delaunay.face_arrays``."""
     if geoms is None:
         geoms = delaunay.face_arrays(m)
-    elif not isinstance(geoms, trig.FaceArrays):
-        geoms = trig.FaceArrays.stack(m.background, geoms)
     bg = m.background
-    d, length = geoms.d_tangent, geoms.lengths
-    if bg is Background.EUCLIDEAN:
-        q = qk = d / length
-    else:
-        sin, cos = trig.SIN_COS[bg]
-        q = d / (trig.each(cos, geoms.r_section) * trig.each(sin, length))
-        qk = q * trig.each(cos, length)
+    edges = m.triangulation.face_edge_array
+    q = qk = geoms.d_tangent / delaunay.weight_denominators(m, geoms)[edges]
+    if bg is not Background.EUCLIDEAN:
+        qk = q * trig.each(trig.SIN_COS[bg][1], m.lengths)[edges]
     n = m.triangulation.vertex_count
     v = m.triangulation.face_vertex_array
     nxt, prv = [1, 2, 0], [2, 0, 1]
@@ -129,7 +125,7 @@ def angle_jacobian(m: DecoratedMetric, geoms=None) -> np.ndarray:
     return np.bincount(cells.ravel(), values.ravel(), minlength=n * n).reshape(n, n)
 
 
-def hessian(m: DecoratedMetric, geoms=None) -> np.ndarray:
+def hessian(m: DecoratedMetric, geoms: trig.FaceArrays | None = None) -> np.ndarray:
     """Hessian of the Hilbert-Einstein functional: minus the angle
     Jacobian.  Symmetric; negative definite for hyperbolic weighted
     Delaunay metrics, negative semidefinite with constant kernel in the
@@ -371,14 +367,14 @@ def newton_solve(
 
         # the flip log holds the geometries of m: cone_angles(m) would
         # sum their angles the same way
-        tri = m.triangulation
-        angles = [a for g in flog.geoms for a in g.angles]
+        tri, faces = m.triangulation, trig.FaceArrays.stack(bg, flog.geoms)
+        angles = faces.angles.ravel()
         grad = theta_cur - np.bincount(tri.face_vertex_array.ravel(), angles, tri.vertex_count)
         report.residuals.append(float(np.max(np.abs(grad))))
         if report.residuals[-1] <= tol or len(report.functional_increase_bounds) == max_iter:
             break
 
-        step = _solve_step(angle_jacobian(m, flog.geoms), grad, pin)
+        step = _solve_step(angle_jacobian(m, faces), grad, pin)
         s = 1.0
         while s >= MIN_STEP:
             h_trial = h + s * step
@@ -411,7 +407,7 @@ def newton_solve(
         if e == 0:
             u[v] = h_start - h_end
         else:
-            u[v] = math.log(trig.sfac(bg, radii[vmap[v]]) / trig.sfac(bg, radii0[v]))
+            u[v] = radius_scale_factor(bg, radii0[v], radii[vmap[v]])
     report.scale_factors = u
 
     if report.converged:

@@ -45,14 +45,21 @@ stays the scalar ``math`` or builtin call, mapped over the values
 keep the NaN behaviour of the builtin ``min`` and ``max``.  So its
 floats equal the scalar kernel's bit for bit; numpy's transcendental
 ufuncs would not (README "Numerics").  It serves the callers that read
-arrays (``delaunay.face_arrays`` and ``edge_weights``,
-``solver.cone_angles``, the rows of ``transition.build_transition``)
-at every surface size, with no face-count cutoff: below about 30
-faces its fixed cost of numpy calls makes it slower than a scalar
-loop, by some 40 us per call at 2-8 faces.  The scalar kernel
-serves the callers that keep one object per face
-(``delaunay.face_geometries``, the two faces a flip rebuilds), and the
-tests compare the array kernel against it.
+arrays (``delaunay.face_arrays``, ``solver.cone_angles``, the rows of
+``transition.build_transition``) at every surface size, with no
+face-count cutoff: below about 30 faces its fixed cost of numpy calls
+makes it slower than a scalar loop, by some 40 us per call at 2-8
+faces.  The scalar kernel serves the callers that keep one object per
+face (``delaunay.face_geometries``, the two faces a flip rebuilds), and
+the tests compare the array kernel against it.
+
+The two forms of face geometry have one use each.  Per-face lists of
+``TriangleGeometry`` serve the flip pass, whose readers
+(``delaunay.is_local_delaunay``, ``delaunay.support_minimum``) take one
+edge's two faces, or one face, at a time.  ``FaceArrays`` serve
+whole-surface arithmetic (``delaunay.edge_weights``,
+``solver.angle_jacobian``), which takes no list: a caller that holds a
+flip pass's list stacks it once (``FaceArrays.stack``).
 """
 
 from __future__ import annotations
@@ -81,7 +88,7 @@ class Background(enum.Enum):
     def from_name(cls, name: str) -> "Background":
         try:
             return cls[name.upper()]
-        except KeyError:
+        except (AttributeError, KeyError):  # not a string, or no such name
             raise ValueError(f"unknown background {name!r}") from None
 
     @property

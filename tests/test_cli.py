@@ -124,6 +124,23 @@ def test_gluing_that_is_not_a_list_is_parse_error(tmp_path, genus2_file, capsys,
 
 
 @pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: [doc], "top level is not an object"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "radii"}, "missing key 'radii'"),
+        (lambda doc: {**doc, "background": "flat"}, "unknown background 'flat'"),
+        (lambda doc: {**doc, "background": 5}, "unknown background 5"),
+        (lambda doc: {**doc, "faces": 0}, "faces must be a positive integer"),
+    ],
+)
+def test_malformed_document_is_parse_error(tmp_path, genus2_file, capsys, edit, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(edit(json.load(open(genus2_file)))))
+    assert run("validate", str(path)) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv, written",
     [
         (["delaunay", "--out", "{d}/x.json"], "{d}/x.json"),
@@ -455,14 +472,23 @@ def test_solve_theta_file(tmp_path, rng, capsys):
     assert np.max(np.abs(so.cone_angles(solved) - theta)) < 1e-10
 
 
-@pytest.mark.parametrize("theta", ["-1", "0", "nan", "inf", "-2pi", "file"])
-def test_solve_rejects_bad_theta(tmp_path, genus2_file, capsys, theta):
-    if theta == "file":
+@pytest.mark.parametrize("theta", ["-1", "0", "nan", "inf", "-2pi", "file", "xpi", "list"])
+def test_solve_rejects_bad_theta(tmp_path, genus2_file, capsys, monkeypatch, theta):
+    monkeypatch.chdir(tmp_path)  # no file is named xpi
+    message = "target angles must be positive and finite"
+    if theta == "xpi":  # neither 'Npi' nor a number, so a file that does not exist
+        message = "--theta: not a number, 'Npi', or readable file "
+        message += "([Errno 2] No such file or directory: 'xpi')"
+    elif theta in ("file", "list"):
         path = tmp_path / "theta.json"
-        path.write_text('{"0:0": NaN}')
+        if theta == "file":
+            path.write_text('{"0:0": NaN}')
+        else:
+            path.write_text("[6.283185307179586]")
+            message = "--theta file: top level is not an object"
         theta = str(path)
     assert run("solve", genus2_file, f"--theta={theta}") == 2
-    assert "positive and finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -159,7 +159,8 @@ def test_predicate_equivalence(rng):
         for _ in range(8):
             m = scrambled_metric(octahedron(), bg, rng, flips=3)
             geoms = dl.face_geometries(m)
-            for e, w in enumerate(dl.edge_weights(m, geoms).tolist()):
+            faces = trig.FaceArrays.stack(bg, geoms)
+            for e, w in enumerate(dl.edge_weights(m, faces).tolist()):
                 (f, s), (g, t) = m.triangulation.edges[e]
                 gf, gg = geoms[f], geoms[g]
                 dsum = gf.d_tangent[s] + gg.d_tangent[t]

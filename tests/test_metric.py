@@ -7,6 +7,7 @@ import math
 import os
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -1170,3 +1171,20 @@ def test_scale_factors_not_comparable(rng):
     m_sph = random_metric(octa, Background.SPHERICAL, rng)
     with pytest.raises(NotComparable):
         me.scale_factors(m, m_sph)
+
+
+def test_scale_factors_whose_radius_quotient_leaves_the_floats():
+    # sfac(new) / sfac(old) underflows to 0 one way and overflows to inf
+    # the other; the factor is then the difference of the two logs
+    tri = Triangulation.genus_two_octagon()
+    big, tiny = (DecoratedMetric(tri, Background.EUCLIDEAN, np.full(9, 1e11), np.array([r]))
+                 for r in (1e10, 1e-320))
+    want = float(mpmath.log(mpmath.mpf(1e10)) - mpmath.log(mpmath.mpf(1e-320)))
+    assert abs(want - 759.8530918209144) <= 1e-12 * want
+    for old, new, sign in ((big, tiny, -1.0), (tiny, big, 1.0)):
+        (u,) = me.scale_factors(old, new).tolist()
+        assert abs(u - sign * want) <= 1e-12 * want
+    # inside the normal floats the quotient's log keeps its bits
+    assert me.radius_scale_factor(Background.HYPERBOLIC, 0.25, 0.5) == math.log(
+        math.sinh(0.5) / math.sinh(0.25)
+    )

@@ -119,7 +119,7 @@ def test_angle_jacobian_matches_corner_by_corner_reference(rng):
         geoms = dl.face_geometries(m)
         want = reference_angle_jacobian(m, geoms)
         for got in (
-            so.angle_jacobian(m, geoms),
+            so.angle_jacobian(m, trig.FaceArrays.stack(m.background, geoms)),
             so.angle_jacobian(m, dl.face_arrays(m)),
             so.angle_jacobian(m),
         ):
@@ -551,7 +551,9 @@ def test_newton_solve_reuses_flip_geometries_exactly(rng, monkeypatch):
     # reference: the Jacobian recomputes every face geometry of its metric
     real_jacobian = so.angle_jacobian
     with monkeypatch.context() as mp:
-        mp.setattr(so, "angle_jacobian", lambda m, geoms=None: real_jacobian(m, dl.face_geometries(m)))
+        mp.setattr(so, "angle_jacobian", lambda m, geoms=None: real_jacobian(
+            m, trig.FaceArrays.stack(m.background, dl.face_geometries(m))
+        ))
         want = [solve_outcome(m, theta) for m, theta in cases]
     # repr tells floats apart bit for bit
     assert repr(got) == repr(want)
