@@ -33,15 +33,15 @@ The height maps (``decoration_from_heights``, ``omega_map``,
 ``omega_inverse``) evaluate a whole surface per call: numpy or plain
 float arithmetic with every transcendental a scalar ``math`` call, so
 the floats are those of a vertex-by-vertex and edge-by-edge
-evaluation, bit for bit, and an invalid input raises the error of the
-first failing vertex or edge in index order.
+evaluation, bit for bit.  ``decoration_from_heights`` rejects an
+invalid input at one gate, the ``validate`` of its result, which names
+every failing edge and vertex; the omega maps raise at the first
+failing vertex.
 """
 
 from __future__ import annotations
 
-import errno
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -85,23 +85,20 @@ def _acosh_snapped(x: float) -> float:
     return stable_acosh(max(1.0, x))
 
 
-#: largest arguments at which math.exp, math.cosh and math.sinh, and
-#: ``x ** 2``, are finite: at a finite argument above, they raise
-#: OverflowError
-_EXP_MAX = math.log(sys.float_info.max)
-_COSH_MAX = math.acosh(sys.float_info.max)
-_SQUARE_MAX = math.sqrt(sys.float_info.max)
+def _each_or_nan(fn, x) -> np.ndarray:
+    """``trig.each(fn, x)``, with NaN wherever the scalar call overflows
+    (raises OverflowError): an exponential that has no float value."""
+    try:
+        return trig.each(fn, x)
+    except OverflowError:
+        return trig.each(partial(_nan_on_overflow, fn), x)
 
 
-def _each_below(fn, x, top):
-    """``trig.each(fn, x)`` and the mask of the finite ``x`` above
-    ``top``, where the scalar call would raise OverflowError: those are
-    evaluated at 0 instead."""
-    over = x > top
-    if np.count_nonzero(over):
-        over &= x < math.inf
-        x = np.where(over, 0.0, x)
-    return trig.each(fn, x), over
+def _nan_on_overflow(fn, x: float) -> float:
+    try:
+        return fn(x)
+    except OverflowError:
+        return math.nan
 
 
 def default_reference_radius(background: Background) -> float:
@@ -423,14 +420,14 @@ def decoration_from_heights(
     with an ideal end) is never taken.  Tangent vertex circles (two
     hyperideal ends, lambda exactly 0) get length ``r_i + r_j``.
 
-    Errors are located in index order, as edge by edge: the first
-    hyperideal vertex with height <= 0; else the first edge where a
-    check fails, with that edge's first failing check of: spherical
-    ``lambda >= h_i + h_j``, an exponential (or a Euclidean ``rho**2``,
-    or an end's radius on a tangent edge) that overflows
-    (OverflowError), a denominator that underflows to 0, the induced
-    length's domain; else ``validate``.  Every failure but an overflow
-    raises HeightsOutOfDomain naming the violated condition.
+    Raises HeightsOutOfDomain in two places only: at the first
+    hyperideal vertex with height <= 0, and at the closing ``validate``
+    of the result, which names every failing edge and vertex.  An edge
+    whose inversion leaves the domain (spherical ``|cos l| < 1`` and
+    ``lambda < h_i + h_j``, hyperbolic ``cosh l > 1``, Euclidean
+    ``l^2 > 0``) gets a NaN length; an exponential that overflows is
+    NaN and a denominator that underflows to 0 gives an infinite or
+    NaN length, so all of them end at that gate.
     """
     bg = heights.background
     tri = triangulation
@@ -459,63 +456,35 @@ def decoration_from_heights(
         np.negative(h, out=args[V:2 * V], where=hyper if curved else True)
         args[2 * V:-E] = lam
         np.negative(lam, out=args[-E:], where=ee)
-        exps, over = _each_below(math.exp, args, _EXP_MAX)
+        exps = _each_or_nan(math.exp, args)
         e_h, e_mh, e_lam, e_mlam = exps[:V], exps[V:2 * V], exps[2 * V:-E], exps[-E:]
         tau_lam = (e_lam + e_mlam) / 2.0
         if curved:
             plus, minus = (e_h + e_mh) / 2.0, (e_h - e_mh) / 2.0  # tau(eps, h), tau(-eps, h)
             fn, arc = (math.cosh, math.asin) if spherical else (math.sinh, math.asinh)
-            cosh_h, over_r = _each_below(fn, np.where(hyper, h, math.inf), _COSH_MAX)
-            radii = trig.each(arc, 1.0 / cosh_h)  # 0 at ideal vertices
+            # 0 at ideal vertices, NaN where cosh or sinh overflows
+            radii = trig.each(arc, 1.0 / _each_or_nan(fn, np.where(hyper, h, math.inf)))
             if spherical:
-                den = plus[i] * plus[j]
-                x = (minus[i] * minus[j] - tau_lam) / den
-                bad, what = ~(np.abs(x) < 1.0), "cosine of induced length"
+                x = (minus[i] * minus[j] - tau_lam) / (plus[i] * plus[j])
+                out = ~(np.abs(x) < 1.0) | (lam >= h[i] + h[j])
             else:
-                den = minus[i] * minus[j]
-                x = (tau_lam + plus[i] * plus[j]) / den
-                bad, what = x <= 1.0, "cosh of induced length"
-            unevaluable = den == 0.0  # a tau underflows
+                x = (tau_lam + plus[i] * plus[j]) / (minus[i] * minus[j])
+                out = ~(x > 1.0)
         else:
-            radii, over_r = np.where(hyper, e_mh, 0.0), over[V:2 * V] & hyper
-            rho_sq, over_sq = _each_below(partial(pow, exp=2), e_mh, _SQUARE_MAX)
+            radii = np.where(hyper, e_mh, 0.0)
+            rho_sq = _each_or_nan(partial(pow, exp=2), e_mh)
             eps_rho_sq, two_rho = hyper.astype(float) * rho_sq, 2.0 * e_mh
             x = eps_rho_sq[i] + eps_rho_sq[j] + two_rho[i] * e_mh[j] * tau_lam
-            bad, what = x <= 0.0, "squared induced length"
-            unevaluable = over_sq[i] | over_sq[j]  # rho ** 2 overflows
-        far = lam >= h[i] + h[j] if spherical else np.zeros(E, bool)
-        # a radius overflows only where e^h (e^-h, Euclidean) does, so
-        # every edge at such a vertex fails the overflow check
-        if np.count_nonzero(over) or np.count_nonzero(bad | unevaluable | far):
-            over_v = over[:V] | over[V:2 * V]
-            checks = [  # (failing edges, error at edge e), in the per-edge order
-                (far, lambda e: HeightsOutOfDomain(
-                    f"edge {tri.edge_label(e)}: lambda = {lam[e]} >= h_i + h_j = {h[i[e]] + h[j[e]]}"
-                )),
-                (np.where(tangent, over_r[i] | over_r[j], over_v[i] | over_v[j] | over[2 * V:-E]
-                          | over[-E:]), lambda e: OverflowError("math range error")),
-                (unevaluable & ~tangent, lambda e: HeightsOutOfDomain(
-                    f"edge {tri.edge_label(e)}: {what} has a denominator that underflows to 0"
-                ) if curved else OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))),
-                (bad & ~tangent, lambda e: HeightsOutOfDomain(
-                    f"edge {tri.edge_label(e)}: {what} is {x[e]}"
-                )),
-            ]
-            failed = np.logical_or.reduce([mask for mask, _ in checks]).nonzero()[0]
-            if failed.size:
-                e = int(failed[0])
-                raise next(error(e) for mask, error in checks if mask[e])
-        touching = np.count_nonzero(tangent)
+            out = ~(x > 0.0)
+        x[out] = math.nan  # also on tangent edges, whose lengths are set below
         if curved:
             if not spherical:  # stable_acosh
                 x = x - 1.0
                 x = x + np.sqrt(x * (x + 2.0))
-            lengths = trig.each(
-                math.acos if spherical else math.log1p, np.where(tangent, 0.0, x) if touching else x
-            )
+            lengths = trig.each(math.acos if spherical else math.log1p, x)
         else:
             lengths = np.sqrt(x)
-        if touching:  # exactly r_i + r_j, which the inversion can miss by an ulp
+        if np.count_nonzero(tangent):  # exactly r_i + r_j, which the inversion can miss by an ulp
             lengths = np.where(tangent, radii[i] + radii[j], lengths)
 
     lengths.flags.writeable = radii.flags.writeable = False  # fresh: the metric keeps them

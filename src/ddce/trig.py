@@ -71,7 +71,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DegenerateTriangle, FlipGeometryInvalid, ZeroRadius
+from .errors import DegenerateTriangle, FlipGeometryInvalid, ResultInvalid, ZeroRadius
 
 #: tolerance for triangle-inequality degeneracy checks
 DEGENERACY_TOL = 1e-12
@@ -414,7 +414,11 @@ def angle_array(background: Background, lengths: np.ndarray) -> np.ndarray:
     """``interior_angles`` of every row of an ``F x 3`` array of side
     lengths, bit for bit, as an ``F x 3`` array.  Where some row is
     among the ``degenerate_rows``, every row goes through
-    ``interior_angles``, which raises for the first degenerate row."""
+    ``interior_angles``, which raises for the first degenerate row.  A
+    corner angle that rounds to 0 (hyperbolic sides of 356 or more,
+    where ``sinh(sp) * sinh(sp - b)`` overflows) is rejected: it raises
+    ResultInvalid naming the first such face, a face at which the
+    scalar kernel ``face_circle`` divides by zero."""
     if degenerate_rows(background, lengths).any():
         return np.array([interior_angles(background, tuple(row)) for row in lengths.tolist()])
     a, b, c = lengths.T
@@ -431,7 +435,12 @@ def angle_array(background: Background, lengths: np.ndarray) -> np.ndarray:
         f = each(math.sinh, f)
     # corner s: f of slots s and s + 2 over f(sp) and f of slot s + 1
     fl, fs = f[:, :3], f[:, 3:]
-    return 2.0 * each(math.atan, np.sqrt((fl * fl[:, _PREV]) / (fs * fl[:, _NEXT])))
+    with np.errstate(over="ignore"):  # a product of sinh that overflows gives an angle of 0
+        angles = 2.0 * each(math.atan, np.sqrt((fl * fl[:, _PREV]) / (fs * fl[:, _NEXT])))
+    zero = angles == 0.0
+    if np.count_nonzero(zero):
+        raise ResultInvalid(f"face {int(zero.nonzero()[0][0])}: a corner angle rounds to 0", [])
+    return angles
 
 
 def _section_arrays(background: Background, length, r_a, r_b) -> tuple:

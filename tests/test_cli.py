@@ -131,6 +131,19 @@ def test_gluing_that_is_not_a_list_is_parse_error(tmp_path, genus2_file, capsys,
         (lambda doc: {**doc, "background": "flat"}, "unknown background 'flat'"),
         (lambda doc: {**doc, "background": 5}, "unknown background 5"),
         (lambda doc: {**doc, "faces": 0}, "faces must be a positive integer"),
+        pytest.param(
+            lambda doc: {**doc, "faces": True}, "faces must be a positive integer", id="faces-true"
+        ),
+        # the face count alone once sized the builder's tables
+        pytest.param(
+            lambda doc: {**doc, "faces": 10**30},
+            f"{10**30} faces have {3 * 10**30} half-edges, but 9 gluing pairs cover 18",
+            id="faces-1e30",
+        ),
+        pytest.param(
+            lambda doc: {**doc, "faces": 7}, "7 faces have 21 half-edges, but 9 gluing pairs cover 18",
+            id="faces-plus-one",
+        ),
     ],
 )
 def test_malformed_document_is_parse_error(tmp_path, genus2_file, capsys, edit, message):

@@ -120,6 +120,16 @@ def test_face_geometries_name_the_face_whose_kernel_divides_by_zero():
     with pytest.raises(ResultInvalid) as raised:
         dl.face_geometries(m)
     assert str(raised.value) == "face 0: the face kernel divides by zero (float division by zero)"
+    # the array kernel names the same face, where it once gave zero
+    # angles and NaN weights with a RuntimeWarning
+    array_callers = (
+        lambda m: so.cone_angles(m), lambda m: dl.face_arrays(m).angles, lambda m: dl.edge_weights(m),
+    )
+    for call in array_callers:
+        assert np.all(call(double(355.0)) > 0.0)
+        with pytest.raises(ResultInvalid) as raised:
+            call(m)
+        assert str(raised.value) == "face 0: a corner angle rounds to 0"
 
 
 def test_concave_quad_is_delaunay_without_flip():

@@ -1,10 +1,9 @@
 """Decorated metric tests: validation, conformal change, invariants,
 heights, omega maps, scale factors."""
 
-import errno
 import functools
 import math
-import os
+import sys
 from pathlib import Path
 
 import mpmath
@@ -433,7 +432,7 @@ def reference_conformal_change(m, u):
             h[v] = me.stable_acosh(h[v])
     try:
         moved = reference_decoration_from_heights(tri, inv, me.Heights(np.array(h), bg, 0.0))
-    except (HeightsOutOfDomain, OverflowError) as ex:
+    except HeightsOutOfDomain as ex:
         raise ResultInvalid("conformal change leaves the metric space", [str(ex)]) from None
     radii = [r[v] if u[v] == 0.0 else float(moved.radii[v]) for v in range(tri.vertex_count)]
     lengths = moved.lengths.tolist()
@@ -741,13 +740,30 @@ def test_heights_out_of_domain_errors(double_triangle):
         me.decoration_from_heights(
             double_triangle, inv, me.Heights(np.array([-0.2, 1.0, 1.0]), Background.HYPERBOLIC, R, eps)
         )
+    # lambda = 3 >= h_i + h_j = 2 on every edge: NaN lengths, all named
     Rs = me.default_reference_radius(Background.SPHERICAL)
-    with pytest.raises(HeightsOutOfDomain, match="lambda"):
+    with pytest.raises(HeightsOutOfDomain) as raised:
         me.decoration_from_heights(
             double_triangle,
             me.Invariant(double_triangle, np.full(3, 3.0), eps),
             me.Heights(np.full(3, 1.0), Background.SPHERICAL, Rs, eps),
         )
+    assert gate_names(str(raised.value)) == [
+        f"edge {double_triangle.edge_label(e)}" for e in range(3)
+    ]
+    # lambda = h_i + h_j exactly between two ideal vertices, where the
+    # cosine rounds to -0.9999999999999997: out of the domain all the same
+    ideal = np.zeros(3, dtype=int)
+    h = np.array([0.32688578098399296, 0.13362505573991862, 0.2])
+    i, j = double_triangle.edge_endpoints(0)
+    lam = np.full(3, 0.1)
+    lam[0] = h[i] + h[j]
+    args = (double_triangle, me.Invariant(double_triangle, lam, ideal),
+            me.Heights(h, Background.SPHERICAL, Rs, ideal))
+    assert oracle_failure(check_against_per_edge_oracle(*args)) == "lambda"
+    with pytest.raises(HeightsOutOfDomain) as raised:
+        me.decoration_from_heights(*args)
+    assert gate_names(str(raised.value)) == [f"edge {double_triangle.edge_label(0)}"]
     # resulting lengths violate the triangle inequality: one huge lambda
     with pytest.raises(HeightsOutOfDomain, match="invalid"):
         me.decoration_from_heights(
@@ -760,9 +776,12 @@ def test_heights_out_of_domain_errors(double_triangle):
 def reference_decoration_from_heights(tri, invariant, heights):
     """Edge-by-edge inversion of the heights/lambda relation, evaluating
     tau afresh for every edge: the exact oracle.  Tangent vertex circles
-    (two hyperideal ends, lambda exactly 0) get length r_i + r_j.  A
-    denominator that underflows to 0 is out of the domain (it raised
-    ZeroDivisionError here before decoration_from_heights named it)."""
+    (two hyperideal ends, lambda exactly 0) get length r_i + r_j.  It
+    stops at the first failure, in the order: hyperideal heights, edges,
+    radii, validate, and raises HeightsOutOfDomain saying where: an edge
+    out of the domain or whose denominator underflows to 0, or an edge
+    or vertex whose scalar call overflows (with that OverflowError's
+    message)."""
     bg, eps, h = heights.background, invariant.eps.tolist(), heights.h.tolist()
     tau = me.tau
 
@@ -773,12 +792,7 @@ def reference_decoration_from_heights(tri, invariant, heights):
             return math.asinh(1.0 / math.sinh(h[v]))
         return math.exp(-h[v])
 
-    if bg is not Background.EUCLIDEAN:
-        for v in range(tri.vertex_count):
-            if eps[v] == 1 and h[v] <= 0:
-                raise HeightsOutOfDomain(f"vertex {tri.vertex_label(v)}: hyperideal height {h[v]} <= 0")
-    lengths = np.zeros(tri.edge_count)
-    for e in range(tri.edge_count):
+    def length(e):
         i, j = _endpoints(tri, e)
         lam = float(invariant.lam[e])
         ee = eps[i] * eps[j]
@@ -788,8 +802,8 @@ def reference_decoration_from_heights(tri, invariant, heights):
                     f"edge {tri.edge_label(e)}: lambda = {lam} >= h_i + h_j = {h[i] + h[j]}"
                 )
         if ee == 1 and lam == 0.0:
-            lengths[e] = radius(i) + radius(j)
-        elif bg is Background.SPHERICAL:
+            return radius(i) + radius(j)
+        if bg is Background.SPHERICAL:
             num = tau(-eps[i], h[i]) * tau(-eps[j], h[j]) - tau(ee, lam)
             den = tau(eps[i], h[i]) * tau(eps[j], h[j])
             if den == 0.0:
@@ -800,8 +814,8 @@ def reference_decoration_from_heights(tri, invariant, heights):
             c = num / den
             if not (-1.0 < c < 1.0):
                 raise HeightsOutOfDomain(f"edge {tri.edge_label(e)}: cosine of induced length is {c}")
-            lengths[e] = math.acos(c)
-        elif bg is Background.HYPERBOLIC:
+            return math.acos(c)
+        if bg is Background.HYPERBOLIC:
             num = tau(ee, lam) + tau(eps[i], h[i]) * tau(eps[j], h[j])
             den = tau(-eps[i], h[i]) * tau(-eps[j], h[j])
             if den == 0.0:
@@ -812,14 +826,28 @@ def reference_decoration_from_heights(tri, invariant, heights):
             ch = num / den
             if ch <= 1.0:
                 raise HeightsOutOfDomain(f"edge {tri.edge_label(e)}: cosh of induced length is {ch}")
-            lengths[e] = me.stable_acosh(ch)
-        else:
-            rho_i, rho_j = math.exp(-h[i]), math.exp(-h[j])
-            sq = eps[i] * rho_i**2 + eps[j] * rho_j**2 + 2.0 * rho_i * rho_j * tau(ee, lam)
-            if sq <= 0.0:
-                raise HeightsOutOfDomain(f"edge {tri.edge_label(e)}: squared induced length is {sq}")
-            lengths[e] = math.sqrt(sq)
-    radii = np.array([radius(v) if eps[v] else 0.0 for v in range(tri.vertex_count)])
+            return me.stable_acosh(ch)
+        rho_i, rho_j = math.exp(-h[i]), math.exp(-h[j])
+        sq = eps[i] * rho_i**2 + eps[j] * rho_j**2 + 2.0 * rho_i * rho_j * tau(ee, lam)
+        if sq <= 0.0:
+            raise HeightsOutOfDomain(f"edge {tri.edge_label(e)}: squared induced length is {sq}")
+        return math.sqrt(sq)
+
+    if bg is not Background.EUCLIDEAN:
+        for v in range(tri.vertex_count):
+            if eps[v] == 1 and h[v] <= 0:
+                raise HeightsOutOfDomain(f"vertex {tri.vertex_label(v)}: hyperideal height {h[v]} <= 0")
+    lengths, radii = [], []
+    for e in range(tri.edge_count):
+        try:
+            lengths.append(length(e))
+        except OverflowError as ex:
+            raise HeightsOutOfDomain(f"edge {tri.edge_label(e)}: {ex}") from None
+    for v in range(tri.vertex_count):
+        try:
+            radii.append(radius(v) if eps[v] else 0.0)
+        except OverflowError as ex:
+            raise HeightsOutOfDomain(f"vertex {tri.vertex_label(v)}: {ex}") from None
     result = DecoratedMetric(tri, bg, lengths, radii)
     bad = reference_validate(result)
     if bad:
@@ -827,8 +855,50 @@ def reference_decoration_from_heights(tri, invariant, heights):
     return result
 
 
+_GATE = "resulting lengths invalid: "
+
+
+def gate_names(message):
+    """The vertices, edges and faces that the closing validate of
+    decoration_from_heights names in its message, as 'edge 0:1' etc."""
+    assert message.startswith(_GATE), message
+    return [diagnostic.split(": ")[0] for diagnostic in message[len(_GATE):].split("; ")]
+
+
+def check_against_per_edge_oracle(tri, inv, heights):
+    """The oracle's outcome, once decoration_from_heights has been checked
+    against it: the same lengths and radii bit for bit; or, wherever the
+    oracle raises, HeightsOutOfDomain with the oracle's message when it
+    failed a hyperideal height or validate, and otherwise a message from
+    the closing validate that names the edge or vertex where the oracle
+    stopped."""
+    want = outcome(reference_decoration_from_heights, tri, inv, heights)
+    got = outcome(me.decoration_from_heights, tri, inv, heights)
+    if not isinstance(want, tuple):
+        assert np.array_equal(got.lengths, want.lengths)
+        assert np.array_equal(got.radii, want.radii)
+        return want
+    assert want[0] is HeightsOutOfDomain and got[0] is HeightsOutOfDomain, (want, got)
+    where, reason = want[1].split(": ", 1)
+    if want[1].startswith(_GATE) or reason.startswith("hyperideal height"):
+        assert got == want
+    else:
+        assert where in gate_names(got[1]), (want, got)
+    return want
+
+
+def oracle_failure(want):
+    """What the oracle's outcome says went wrong, without where."""
+    if not isinstance(want, tuple):
+        return DecoratedMetric
+    if want[1].startswith(_GATE):
+        return "validate"
+    reason = want[1].split(": ")[-1]
+    return "denominator" if reason.endswith("underflows to 0") else reason.split(" ")[0]
+
+
 def test_decoration_from_heights_matches_per_edge_oracle(rng):
-    outcomes = set()
+    failures = set()
     tangent_kept = 0
     for bg in ALL_BACKGROUNDS:
         ref = me.default_reference_radius(bg) if bg is not Background.EUCLIDEAN else 0.0
@@ -852,25 +922,19 @@ def test_decoration_from_heights_matches_per_edge_oracle(rng):
                 if k % 10 == 7:
                     h[-1] = 800.0 if bg is not Background.EUCLIDEAN else -800.0  # exp overflows
                 inv = me.Invariant(tri, lam, eps)
-                heights = me.Heights(h, bg, ref, eps)
-                want = outcome(reference_decoration_from_heights, tri, inv, heights)
-                got = outcome(me.decoration_from_heights, tri, inv, heights)
+                want = check_against_per_edge_oracle(tri, inv, me.Heights(h, bg, ref, eps))
+                failures.add(oracle_failure(want))
                 if isinstance(want, tuple):
-                    assert got == want, (bg, k)
-                    outcomes.add(want[0])
-                else:
-                    assert np.array_equal(got.lengths, want.lengths), (bg, k)
-                    assert np.array_equal(got.radii, want.radii), (bg, k)
-                    outcomes.add(DecoratedMetric)
-                    for e in np.flatnonzero(lam == 0.0):
-                        i, j = _endpoints(tri, e)
-                        if eps[i] and eps[j]:  # tangency survives exactly
-                            assert got.lengths[e] == got.radii[i] + got.radii[j], (bg, k)
-                            tangent_kept += 1
-    assert outcomes == {DecoratedMetric, HeightsOutOfDomain, OverflowError}
+                    continue
+                for e in np.flatnonzero(lam == 0.0):
+                    i, j = _endpoints(tri, e)
+                    if eps[i] and eps[j]:  # tangency survives exactly
+                        assert want.lengths[e] == want.radii[i] + want.radii[j], (bg, k)
+                        tangent_kept += 1
+    assert {DecoratedMetric, "hyperideal", "math", "validate"} <= failures, failures
     assert tangent_kept > 0
-    # edge 0 is out of domain and comes before every edge at the vertex
-    # whose exponentials overflow: the domain error wins, as edge by edge
+    # edge 0 is out of domain, and so is every edge at the vertex whose
+    # exponentials overflow: the gate names them all
     tri = octahedron()
     v = next(v for v in range(tri.vertex_count) if v not in tri.edge_endpoints(0))
     eps = np.ones(tri.vertex_count, dtype=int)
@@ -880,17 +944,21 @@ def test_decoration_from_heights_matches_per_edge_oracle(rng):
     h[v] = 800.0
     ref = me.default_reference_radius(Background.SPHERICAL)
     args = (tri, me.Invariant(tri, lam, eps), me.Heights(h, Background.SPHERICAL, ref, eps))
-    want = outcome(reference_decoration_from_heights, *args)
-    assert want[0] is HeightsOutOfDomain
-    assert outcome(me.decoration_from_heights, *args) == want
+    assert oracle_failure(check_against_per_edge_oracle(*args)) == "lambda"
+    with pytest.raises(HeightsOutOfDomain) as raised:
+        me.decoration_from_heights(*args)
+    at_v = [e for e in range(tri.edge_count) if v in tri.edge_endpoints(e)]
+    assert gate_names(str(raised.value)) == [
+        f"edge {tri.edge_label(e)}" for e in [0] + at_v
+    ] + [f"vertex {tri.vertex_label(v)}"]
 
 
 def test_decoration_from_heights_matches_per_edge_oracle_at_extreme_heights(rng):
     """Ideal heights of +-800, lambdas of +-800 and tangent edges at
     heights whose exponential or radius overflows, mixed into otherwise
-    valid inputs: values, or the error type, message and edge, equal the
-    edge-by-edge oracle's."""
-    outcomes = set()
+    valid inputs: values equal the edge-by-edge oracle's, and where the
+    oracle fails, the error names the edge or vertex where it stopped."""
+    failures = set()
     tri = grid_torus(3)
     n_v, n_e = tri.vertex_count, tri.edge_count
     for bg in ALL_BACKGROUNDS:
@@ -925,56 +993,56 @@ def test_decoration_from_heights_matches_per_edge_oracle_at_extreme_heights(rng)
                     if bg is Background.SPHERICAL:  # a later edge fails lambda < h_i + h_j
                         lam[max(f for f in range(n_e) if f not in at_i)] = 50.0
             inv = me.Invariant(tri, lam, eps)
-            heights = me.Heights(h, bg, ref, eps)
-            want = outcome(reference_decoration_from_heights, tri, inv, heights)
-            got = outcome(me.decoration_from_heights, tri, inv, heights)
-            if isinstance(want, tuple):
-                assert got == want, (bg, k)
-                outcomes.add(want)
-            else:
-                assert np.array_equal(got.lengths, want.lengths), (bg, k)
-                assert np.array_equal(got.radii, want.radii), (bg, k)
-    errors = {(kind, message.split(": ")[-1]) for kind, message in outcomes}
-    assert (OverflowError, "math range error") in errors
-    assert (OverflowError, str(OverflowError(errno.ERANGE, os.strerror(errno.ERANGE)))) in errors
-    assert (HeightsOutOfDomain, "cosh of induced length has a denominator that underflows to 0") in errors
+            want = check_against_per_edge_oracle(tri, inv, me.Heights(h, bg, ref, eps))
+            failures.add(oracle_failure(want))
+    assert "math" in failures  # math range error: an exponential, cosh or sinh overflows
+    assert "(34," in failures  # a Euclidean rho ** 2 overflows
+    assert "denominator" in failures
 
 
 @pytest.mark.parametrize("background", [Background.HYPERBOLIC, Background.SPHERICAL])
 def test_underflowing_ideal_height_names_the_edge(double_triangle, background):
     # e^h / 2 of an ideal vertex at height -800 is 0: the edges at it
-    # have a zero denominator, which raised a bare ZeroDivisionError
-    # (spherical edges at it need lambda < h_i + h_j to get that far)
+    # have a zero denominator, which raised a bare ZeroDivisionError;
+    # their lengths are now infinite (cosh) or NaN (cosine), and the gate
+    # names just those edges (spherical edges at it need lambda < h_i +
+    # h_j to get that far)
     eps = np.array([0, 1, 1])
     h = np.array([-800.0, 1.2, 1.2])
     at_0 = [0 in double_triangle.edge_endpoints(e) for e in range(3)]
     lam = np.where(at_0, -900.0 if background is Background.SPHERICAL else 0.5, 0.5)
     inv = me.Invariant(double_triangle, lam, eps)
     heights = me.Heights(h, background, me.default_reference_radius(background), eps)
-    e = at_0.index(True)
-    what = "cosh" if background is Background.HYPERBOLIC else "cosine"
+    want = check_against_per_edge_oracle(double_triangle, inv, heights)
+    assert oracle_failure(want) == "denominator"
+    length = "inf" if background is Background.HYPERBOLIC else "nan"
     with pytest.raises(HeightsOutOfDomain) as raised:
         me.decoration_from_heights(double_triangle, inv, heights)
-    assert str(raised.value) == (
-        f"edge {double_triangle.edge_label(e)}: {what} of induced length has a denominator "
-        "that underflows to 0"
+    assert str(raised.value) == _GATE + "; ".join(
+        f"edge {double_triangle.edge_label(e)}: length {length} not finite"
+        for e in range(3) if at_0[e]
     )
 
 
 @pytest.mark.parametrize(
     "fn, limit",
     [
-        (math.exp, me._EXP_MAX),
-        (math.cosh, me._COSH_MAX),
-        (math.sinh, me._COSH_MAX),
-        (lambda x: x ** 2, me._SQUARE_MAX),
+        (math.exp, math.log(sys.float_info.max)),
+        (math.cosh, math.acosh(sys.float_info.max)),
+        (math.sinh, math.acosh(sys.float_info.max)),
+        (lambda x: x ** 2, math.sqrt(sys.float_info.max)),
     ],
 )
 def test_overflow_limits_are_the_last_finite_arguments(fn, limit):
-    # decoration_from_heights reads its OverflowErrors off these limits
-    assert math.isfinite(fn(limit))
+    # decoration_from_heights maps these calls with _each_or_nan: the
+    # scalar value up to the last finite argument, NaN past it
+    past = math.nextafter(limit, math.inf)
     with pytest.raises(OverflowError):
-        fn(math.nextafter(limit, math.inf))
+        fn(past)
+    got = me._each_or_nan(fn, np.array([limit, past, -1.0, math.inf]))
+    assert math.isfinite(got[0]) and got[0] == fn(limit)
+    assert math.isnan(got[1])
+    assert got[2] == fn(-1.0) and got[3] == math.inf
 
 
 # -- omega maps -----------------------------------------------------------------------

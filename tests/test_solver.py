@@ -264,6 +264,19 @@ def test_functional_path_leaves_domain(rng):
         so.functional_value(m, bad, np.full(6, 2.0 * math.pi))
 
 
+def test_functional_path_whose_exponential_overflows_leaves_domain():
+    # toward a Euclidean height of -400, rho = e^400 is finite but rho ** 2
+    # overflows on the way: the path leaves the domain, with no bare
+    # OverflowError
+    m = DecoratedMetric(
+        Triangulation.genus_two_octagon(), Background.EUCLIDEAN, np.full(9, 2.5), np.array([0.3])
+    )
+    assert me.validate(m) == []
+    toward = me.Heights(np.array([-400.0]), Background.EUCLIDEAN, 0.0)
+    with pytest.raises(PathLeavesDomain, match="length nan not finite"):
+        so.functional_value(m, toward, [2.0 * math.pi])
+
+
 # -- Newton solve ------------------------------------------------------------------
 
 
