@@ -42,7 +42,6 @@ from .errors import (
     LineSearchStalled,
     MaxIterations,
     NonInvolution,
-    NonOrientable,
     DisconnectedSurface,
 )
 from .metric import DecoratedMetric, lambda_lengths, validate
@@ -161,7 +160,7 @@ def load_surface_file(path):
         )
     try:
         tri = Triangulation.build_from_gluing(faces, doc["gluing"])
-    except (NonInvolution, NonOrientable, DisconnectedSurface) as ex:
+    except (NonInvolution, DisconnectedSurface) as ex:
         raise CliError(EXIT_PARSE_ERROR, f"{path}: bad gluing ({ex})")
 
     lengths = _label_table(tri, doc["lengths"], f"{path}: lengths", "edge")
@@ -267,8 +266,6 @@ def _parse_theta(args, metric, extras):
 def cmd_solve(args) -> int:
     metric, extras = _load_valid(args.path)
     theta = _parse_theta(args, metric, extras)
-    if not np.all(np.isfinite(theta) & (theta > 0)):
-        raise CliError(EXIT_PARSE_ERROR, "target angles must be positive and finite")
     try:
         solved, report = solver.newton_solve(metric, theta, tol=args.tol, max_iter=args.max_iter)
     except BadParameters as ex:

@@ -27,10 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trig
-from .errors import (
-    BadParameters, DegenerateTriangle, FlipBoundExceeded, NotDelaunay, ResultInvalid
-)
-from .metric import DecoratedMetric, check_valid, validate
+from .errors import BadParameters, FlipBoundExceeded, NotDelaunay, ResultInvalid
+from .metric import DecoratedMetric, check_valid
 from .surface import _UnionFind
 from .trig import Background
 
@@ -41,16 +39,17 @@ FLIP_TOL = 1e-12
 def face_geometries(m: DecoratedMetric) -> list:
     """TriangleGeometry per face, from the scalar kernel face by face.
 
-    The metric is checked once as a whole: any diagnostic of
-    ``metric.validate`` raises DegenerateTriangle naming them all.  Each
-    edge's orthogonal section is then evaluated once
-    (``trig.edge_section``) and read by both faces at the edge.  Callers
-    that read arrays rather than per-face objects use ``face_arrays``,
-    which gives the same floats.  A valid metric whose kernel call
-    overflows (a hyperbolic length above about 710) or divides by zero
-    (hyperbolic sides of 356 or more, where a corner angle rounds to 0)
-    raises ResultInvalid naming the first such edge, else face."""
-    _gate(m)
+    The metric is checked once as a whole: an invalid one raises
+    ``metric.check_valid``'s ResultInvalid, whose ``diagnostics`` are
+    those of ``metric.validate``.  Each edge's orthogonal section is
+    then evaluated once (``trig.edge_section``) and read by both faces
+    at the edge.  Callers that read arrays rather than per-face objects
+    use ``face_arrays``, which gives the same floats.  A valid metric
+    whose kernel call overflows (a hyperbolic length above about 710)
+    or divides by zero (hyperbolic sides of 356 or more, where a corner
+    angle rounds to 0) raises ResultInvalid naming the first such edge,
+    else face."""
+    check_valid(m, "input of face_geometries")
     bg, tri = m.background, m.triangulation
     lengths, radii = m.lengths.tolist(), m.radii.tolist()
     sections, geoms = [], []
@@ -72,21 +71,15 @@ def face_geometries(m: DecoratedMetric) -> list:
 
 def face_arrays(m: DecoratedMetric) -> trig.FaceArrays:
     """What ``face_geometries`` computes, as ``F x 3`` arrays from the
-    array kernel ``trig.face_circles``, behind the same gate.  On a
-    metric that ``metric.validate`` has already seen, such as an output
-    of ``decoration_from_heights``, the gate is a lookup."""
-    _gate(m)
+    array kernel ``trig.face_circles``, behind the same ``check_valid``
+    gate.  On a metric that ``metric.validate`` has already seen, such
+    as an output of ``decoration_from_heights``, the gate is a lookup."""
+    check_valid(m, "input of face_arrays")
     tri = m.triangulation
     return trig.face_circles(
         m.background, m.lengths, m.radii,
         tri.face_edge_array, tri.face_vertex_array, tri.edge_endpoint_array,
     )
-
-
-def _gate(m: DecoratedMetric) -> None:
-    bad = validate(m)
-    if bad:
-        raise DegenerateTriangle("; ".join(bad))
 
 
 def weight_denominators(m: DecoratedMetric, faces: trig.FaceArrays) -> np.ndarray:
@@ -144,7 +137,10 @@ def is_local_delaunay(m: DecoratedMetric, e: int, geoms=None) -> bool:
 def flip_edge(m: DecoratedMetric, e: int):
     """Geometric edge flip: new diagonal length from the quad, then the
     combinatorial surgery.  Returns (metric, FlipResult, new_length);
-    every edge and vertex keeps its id, so only ``lengths[e]`` moves."""
+    every edge and vertex keeps its id, so only ``lengths[e]`` moves.
+    An invalid input raises ``check_valid``'s ResultInvalid, since
+    ``trig.diagonal_length`` checks only what the flip creates."""
+    check_valid(m, "input of flip_edge")
     (f, s), (g, t) = m.triangulation.edges[e]
     t1, t2 = _rotated_triangle(m.face_triangle(f), s), _rotated_triangle(m.face_triangle(g), t)
     return _flip(m, e, t1, t2)
@@ -223,7 +219,7 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
     monotone quantity behind the termination proof.  Faces outside a
     flipped quad keep their ids and slots, so only the two rebuilt
     faces get a new geometry and a new support value per flip, and
-    their triangles were checked by ``trig.diagonal_length``.  A flip
+    ``trig.diagonal_length`` checked what each flip created.  A flip
     step reads the floats it holds: the two quad triangles are the
     held geometries of its faces, rotated to the flipped edge, and the
     rebuilt faces take their lengths and radii from those and the new

@@ -12,10 +12,6 @@ class NonInvolution(DDCEError):
     gluing or its face count is malformed."""
 
 
-class NonOrientable(DDCEError):
-    """The gluing does not describe a closed oriented surface."""
-
-
 class DisconnectedSurface(DDCEError):
     """The faces do not form a single connected surface."""
 
@@ -35,7 +31,8 @@ class ZeroRadius(DDCEError):
 
 
 class FlipGeometryInvalid(DDCEError):
-    """The triangles produced by a flip violate metric constraints."""
+    """A flip's quad is concave, or its new diagonal's vertex circles
+    intersect or one of its two new faces is degenerate."""
 
 
 # -- metrics and heights -----------------------------------------------------

@@ -3,7 +3,12 @@
 A decorated metric assigns a length to every edge orbit and a
 vertex-circle radius to every vertex orbit of a triangulated surface.
 Vertices with radius zero are *ideal* (flag ``eps = 0``), vertices with
-positive radius *hyperideal* (``eps = 1``).
+positive radius *hyperideal* (``eps = 1``).  A metric is valid when
+every vertex radius is admissible, the two vertex circles of every
+edge are disjoint (tangency allowed), and the side lengths of every
+face make one (``trig.face_defect``).  ``validate`` states each
+condition once, on the vertex, edge or face it constrains, and
+reports one line per violated condition.
 
 Two metrics are discretely conformally equivalent (DCE) when they are
 related by logarithmic scale factors ``u`` acting on the Minkowski
@@ -35,7 +40,7 @@ float arithmetic with every transcendental a scalar ``math`` call, so
 the floats are those of a vertex-by-vertex and edge-by-edge
 evaluation, bit for bit.  ``decoration_from_heights`` rejects an
 invalid input at one gate, the ``validate`` of its result, which names
-every failing edge and vertex; the omega maps raise at the first
+every failing vertex, edge and face; the omega maps raise at the first
 failing vertex.
 """
 
@@ -195,10 +200,17 @@ class Heights:
 # -- validation ----------------------------------------------------------------
 
 def validate(m: DecoratedMetric) -> list:
-    """Diagnostics for every violated constraint; empty iff the metric is
-    valid.  Hyperideality is reported per edge orbit (loop edges read
-    2 r_i < l_ii); triangle-level conditions per face.  Computed on the
-    first call; later calls return a new list of the same strings."""
+    """Diagnostics for every violated condition, one line each on the
+    object it constrains; empty iff the metric is valid.  The
+    conditions: a vertex radius is admissible (``>= 0``, spherical
+    ``< pi/2``); the vertex circles of an edge are disjoint
+    (``r_i + r_j <= l``, tangency allowed; loop edges read
+    ``2 r_i <= l_ii``); the side lengths of a face make one
+    (``trig.face_defect``, which words its line).  A length of 0 or
+    less, or a spherical one of pi or more, fails a face condition.
+    Where a length or radius is not finite, only that is reported.
+    Computed on the first call; later calls return a new list of the
+    same strings."""
     return list(m._diagnostics)
 
 
@@ -217,8 +229,8 @@ def _diagnose(m: DecoratedMetric) -> list:
             f"vertex {tri.vertex_label(v)}: radius {m.radii[v]} not finite"
             for v in nonfinite_r.nonzero()[0]
         ]
-    # one vectorised gate per constraint group; messages are built only
-    # for the flagged vertices, edges and faces, in index order
+    # one vectorised gate per condition; messages are built only for the
+    # flagged vertices, edges and faces, in index order
     r, l = m.radii, m.lengths
     spherical = m.background is Background.SPHERICAL
     bad_radius = ~((0 <= r) & (r < math.pi / 2)) if spherical else r < 0
@@ -235,17 +247,9 @@ def _diagnose(m: DecoratedMetric) -> list:
             f"edge {tri.edge_label(e)}: vertex circles intersect "
             f"(r_i + r_j = {r[i] + r[j]} > l = {l[e]})"
         )
-    # faces whose DecoratedTriangle.violations() reports more than circle
-    # intersections (already reported per edge): degenerate side lengths
-    # or a bad corner radius
-    flagged = trig.degenerate_rows(m.background, l[tri.face_edge_array])
-    if np.count_nonzero(bad_radius):
-        flagged |= bad_radius[tri.face_vertex_array].any(axis=1)
-    for f in flagged.nonzero()[0]:
-        for msg in m.face_triangle(f).violations():
-            if "circles intersect" in msg:
-                continue  # already reported per edge
-            out.append(f"face {f}: {msg}")
+    lengths = l[tri.face_edge_array]
+    for f in trig.degenerate_rows(m.background, lengths).nonzero()[0]:
+        out.append(f"face {f}: {trig.face_defect(m.background, *lengths[f].tolist())}")
     return out
 
 
@@ -359,8 +363,8 @@ def lambda_lengths(m: DecoratedMetric, heights: Heights | None = None) -> Invari
     Edges with two hyperideal endpoints use acosh of the inversive
     distance directly; edges with an ideal endpoint go through the
     heights relation, by default in the canonical (zero ideal heights)
-    gauge.  Passing explicit ``heights`` keeps lambda-lengths in a
-    caller-maintained horocycle gauge instead.
+    gauge.  Passing explicit ``heights``, one per vertex orbit, keeps
+    lambda-lengths in a caller-maintained horocycle gauge instead.
 
     Raises ResultInvalid when an edge's inversive distance or lambda
     exponential is not finite, which includes a denominator that
@@ -370,7 +374,10 @@ def lambda_lengths(m: DecoratedMetric, heights: Heights | None = None) -> Invari
     tri = m.triangulation
     bg = m.background
     eps = m.eps.tolist()
-    h = (heights.h if heights is not None else heights_from_decoration(m).h).tolist()
+    h = heights.h if heights is not None else heights_from_decoration(m).h
+    if h.shape != (tri.vertex_count,):
+        raise ValueError("height array does not match vertex orbits")
+    h = h.tolist()
     radii = m.radii.tolist()
     lam = np.zeros(tri.edge_count)
     for e, ((i, j), l) in enumerate(zip(tri.edge_endpoint_ids, m.lengths.tolist())):
@@ -422,9 +429,9 @@ def decoration_from_heights(
 
     Raises HeightsOutOfDomain in two places only: at the first
     hyperideal vertex with height <= 0, and at the closing ``validate``
-    of the result, which names every failing edge and vertex.  An edge
-    whose inversion leaves the domain (spherical ``|cos l| < 1`` and
-    ``lambda < h_i + h_j``, hyperbolic ``cosh l > 1``, Euclidean
+    of the result, which names every failing vertex, edge and face.  An
+    edge whose inversion leaves the domain (spherical ``|cos l| < 1``
+    and ``lambda < h_i + h_j``, hyperbolic ``cosh l > 1``, Euclidean
     ``l^2 > 0``) gets a NaN length; an exponential that overflows is
     NaN and a denominator that underflows to 0 gives an infinite or
     NaN length, so all of them end at that gate.

@@ -33,6 +33,7 @@ so ideal-vertex heights remain ordinary optimization variables.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -327,19 +328,20 @@ def newton_solve(
     iterating when the Gauss-Bonnet check rejects the targets, and
     MaxIterations / LineSearchStalled with the partial report attached
     otherwise.  Raises BadParameters for a ``tol`` that is not finite
-    and non-negative or a negative ``max_iter``.
+    and non-negative, a ``max_iter`` that is not a non-negative
+    integer, or target angles that are not positive and finite.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise BadParameters(f"tol must be finite and non-negative, got {tol!r}")
-    if max_iter < 0:
-        raise BadParameters(f"max_iter must be non-negative, got {max_iter!r}")
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
+        raise BadParameters(f"max_iter must be non-negative and an integer, got {max_iter!r}")
     check_valid(m0, "input of newton_solve")
     tri0 = m0.triangulation
     theta_target = np.asarray(theta_target, dtype=float)
     if theta_target.shape != (tri0.vertex_count,):
         raise ValueError("target angle array does not match vertex orbits")
-    if np.any(theta_target <= 0):
-        raise ValueError("target angles must be positive")
+    if not np.all((theta_target > 0) & (theta_target < math.inf)):  # NaN fails both
+        raise BadParameters("target angles must be positive and finite")
     bg = m0.background
     report = SolveReport(background=bg.name_lower)
 

@@ -40,7 +40,7 @@ from operator import index
 
 import numpy as np
 
-from .errors import DisconnectedSurface, NonInvolution, NonOrientable, UnflippableSelfGluing
+from .errors import DisconnectedSurface, NonInvolution, UnflippableSelfGluing
 
 HalfEdge = tuple[int, int]
 
@@ -207,11 +207,10 @@ class Triangulation:
         if len({faces_uf.find(f) for f in range(face_count)}) != 1:
             raise DisconnectedSurface("gluing does not connect all faces")
 
+        # every half-edge is glued to one of opposite orientation and each
+        # vertex orbit is one cycle, so a connected gluing is a closed
+        # oriented surface: chi = 2 - 2g is even and at most 2
         chi = vertex_count - len(edges) + face_count
-        if chi % 2 != 0:
-            raise NonOrientable(f"Euler characteristic {chi} is odd")
-        if chi > 2:
-            raise NonOrientable(f"Euler characteristic {chi} exceeds 2")
 
         return cls(
             face_count=face_count,

@@ -28,12 +28,13 @@ both kernels take edge sections in and choose each side's reading
 themselves: a side that runs from the smaller circle reads the foot
 ``x`` as it is, the other side reads the complemented foot ``l - x``,
 and both read the same radius.  ``face_circle`` does not check its
-triangle: ``delaunay``'s gate, ``metric.validate``, checks each metric
-once, and ``diagonal_length`` the two faces a flip rebuilds.  The
-constraints on side lengths are stated once per form, by
-``interior_angles`` for one triangle and by ``degenerate_rows`` for an
-array of them, which ``angle_array`` and ``metric.validate`` read;
-``DecoratedTriangle.violations`` words them.
+triangle: ``delaunay``'s gate, ``metric.check_valid``, checks each
+metric once, and ``diagonal_length`` only what a flip creates, its new
+diagonal and two new faces.  The condition on a face's side lengths is
+stated once, by ``face_defect``, which ``interior_angles``,
+``diagonal_length`` and ``metric.validate`` read and which words it;
+``degenerate_rows`` is its array form, which ``angle_array`` and
+``metric.validate`` read.
 
 The array kernel (``face_circles``, and ``angle_array`` for the angles
 alone) computes the same floats for every edge and face of a surface
@@ -106,60 +107,41 @@ class DecoratedTriangle:
     lengths: tuple
     radii: tuple
 
-    def violations(self) -> list:
-        """Every violated constraint, as human-readable strings."""
-        bg = self.background
-        out = []
-        a, b, c = self.lengths
-        scale = max(1.0, a, b, c)
-        if not all(map(math.isfinite, (*self.lengths, *self.radii))):
-            out.append(f"lengths {tuple(self.lengths)} / radii {tuple(self.radii)} not all finite")
-        for s in range(3):
-            if self.lengths[s] <= 0:
-                out.append(f"slot {s}: length {self.lengths[s]} not positive")
-        for s in range(3):
-            gap = self.lengths[s] + self.lengths[(s + 1) % 3] - self.lengths[(s + 2) % 3]
-            if gap <= DEGENERACY_TOL * scale:
-                out.append(f"slot {(s + 2) % 3}: triangle inequality violated (gap {gap:.3e})")
-        if bg is Background.SPHERICAL:
-            for s in range(3):
-                if not (0 < self.lengths[s] < math.pi):
-                    out.append(f"slot {s}: spherical length {self.lengths[s]} outside (0, pi)")
-            if a + b + c >= 2 * math.pi:
-                out.append(f"perimeter {a + b + c} not below 2*pi")
-            for s in range(3):
-                if not (0 <= self.radii[s] < math.pi / 2):
-                    out.append(f"corner {s}: spherical radius outside [0, pi/2)")
-        else:
-            for s in range(3):
-                if self.radii[s] < 0:
-                    out.append(f"corner {s}: negative radius")
-        for s in range(3):
-            # tangency (equality) is a supported boundary case
-            if self.radii[s] + self.radii[(s + 1) % 3] > self.lengths[s]:
-                out.append(
-                    f"slot {s}: vertex circles intersect "
-                    f"(r+r = {self.radii[s] + self.radii[(s + 1) % 3]} > l = {self.lengths[s]})"
-                )
-        return out
-
 
 # -- interior angles ----------------------------------------------------------
+
+def face_defect(background: Background, a: float, b: float, c: float) -> str:
+    """Why side lengths ``(a, b, c)`` make no face, or ``""`` when they
+    make one: a gap ``l_s + l_{s+1} - l_{s+2}`` at or below
+    ``DEGENERACY_TOL * max(1, a, b, c)``, or a spherical perimeter of
+    2 pi or more.  A length <= 0 makes some gap <= 0, and a spherical
+    side of pi or more with every gap above the tolerance makes the
+    perimeter 2 pi or more.  Every gap of a row with a NaN is NaN, so
+    such a row passes."""
+    tol = DEGENERACY_TOL * max(1.0, a, b, c)
+    g0, g1, g2 = a + b - c, b + c - a, c + a - b  # slots 0, 1, 2
+    if g0 <= tol or g1 <= tol or g2 <= tol:
+        return f"triangle inequality violated (gap {min(g0, g1, g2):.3e})"
+    if background is Background.SPHERICAL and a + b + c >= 2 * math.pi:
+        return f"perimeter {a + b + c} not below 2*pi"
+    return ""
+
 
 def interior_angles(background: Background, lengths) -> tuple:
     """Angles at corners 0, 1, 2.  Corner ``s`` lies between the edges of
     slots ``s`` and ``s + 2``; the half-angle form of the law of cosines
-    stays accurate near degenerate triangles."""
+    stays accurate near degenerate triangles.  Lengths that make no face
+    (``face_defect``) raise DegenerateTriangle; a NaN length gives NaN
+    angles."""
     a, b, c = lengths
-    tol = DEGENERACY_TOL * max(1.0, a, b, c)
-    # slot s has gap l_s + l_{s+1} - l_{s+2}
-    if a + b - c <= tol or a <= 0 or b + c - a <= tol or b <= 0 or c + a - b <= tol or c <= 0:
+    defect = face_defect(background, a, b, c)
+    if defect.startswith("perimeter"):
+        raise DegenerateTriangle(f"spherical lengths {tuple(lengths)} out of range")
+    if defect:
         raise DegenerateTriangle(f"lengths {tuple(lengths)} degenerate")
     bg = background
     sp = (a + b + c) / 2.0
     if bg is Background.SPHERICAL:
-        if max(lengths) >= math.pi or a + b + c >= 2 * math.pi:
-            raise DegenerateTriangle(f"spherical lengths {tuple(lengths)} out of range")
         fa, fb, fc, fs = math.sin(sp - a), math.sin(sp - b), math.sin(sp - c), math.sin(sp)
     elif bg is Background.HYPERBOLIC:
         fa, fb, fc, fs = math.sinh(sp - a), math.sinh(sp - b), math.sinh(sp - c), math.sinh(sp)
@@ -393,11 +375,8 @@ def each(fn, a, *more) -> np.ndarray:
 
 def degenerate_rows(background: Background, lengths: np.ndarray) -> np.ndarray:
     """Which rows of an ``F x 3`` length array ``interior_angles``
-    rejects (raising DegenerateTriangle, or giving NaN on a NaN row): a
-    gap at or below ``DEGENERACY_TOL * max(1, longest)``, a spherical
-    side of pi or perimeter of 2 pi or more, or a NaN.  A length <= 0
-    makes some gap <= 0; a spherical side >= pi with every gap above
-    the tolerance makes the perimeter >= 2 pi."""
+    rejects (raising DegenerateTriangle, or giving NaN on a NaN row):
+    the rows with a ``face_defect``, in the same floats, or a NaN."""
     # on the three columns: a reduction over each row of the F x 3 array
     # (axis 1) is about ten times slower.  np.minimum and np.maximum keep
     # a NaN, and a NaN fails the comparison.
@@ -568,8 +547,12 @@ def diagonal_length(background: Background, t1: DecoratedTriangle, t2: Decorated
 
     ``t1`` is the triangle ``(a, b, c)`` and ``t2`` the triangle
     ``(b, a, d)`` on the other side, so the shared edge data must agree
-    exactly.  Raises FlipGeometryInvalid when the flipped triangles
-    ``(a, d, c)`` and ``(d, b, c)`` would violate metric constraints.
+    exactly.  The quad's five lengths and four radii are taken to be
+    those of a valid metric (``delaunay.flip_edge`` checks it), so only
+    what the flip creates is checked: raises FlipGeometryInvalid when
+    the flipped faces ``(a, d, c)`` and ``(d, b, c)`` make no face
+    (``face_defect``) or the vertex circles of the new diagonal ``dc``
+    intersect.
     """
     if background is not t1.background or background is not t2.background:
         raise FlipGeometryInvalid("background mismatch between quad triangles")
@@ -584,16 +567,20 @@ def diagonal_length(background: Background, t1: DecoratedTriangle, t2: Decorated
         raise FlipGeometryInvalid(
             f"quad is concave at a shared-edge endpoint (angles {gamma}, {gamma_b})"
         )
-    b1 = t1.lengths[2]  # |ca|
-    b2 = t2.lengths[1]  # |ad|
-    new_len = _cos_rule_forward(background, b1, b2, gamma)
-    if background is Background.SPHERICAL and not (0.0 < new_len < math.pi):
-        raise FlipGeometryInvalid(f"flipped diagonal length {new_len} outside (0, pi)")
-    r_a, r_b, r_c = t1.radii
-    r_d = t2.radii[2]
-    flipped1 = DecoratedTriangle(background, (b2, new_len, b1), (r_a, r_d, r_c))
-    flipped2 = DecoratedTriangle(background, (t2.lengths[2], t1.lengths[1], new_len), (r_d, r_b, r_c))
-    bad = flipped1.violations() + flipped2.violations()
+    _, l_bc, l_ca = t1.lengths
+    _, l_ad, l_db = t2.lengths
+    new_len = _cos_rule_forward(background, l_ca, l_ad, gamma)
+    r_cd = t1.radii[2] + t2.radii[2]
+    bad = [
+        f"face {name}: {defect}"
+        for name, defect in (
+            ("(a, d, c)", face_defect(background, l_ad, new_len, l_ca)),
+            ("(d, b, c)", face_defect(background, l_db, l_bc, new_len)),
+        )
+        if defect
+    ]
+    if r_cd > new_len:  # tangency (equality) is a supported boundary case
+        bad.append(f"new diagonal: vertex circles intersect (r_d + r_c = {r_cd} > l = {new_len})")
     if bad:
         raise FlipGeometryInvalid("flip produces invalid triangles: " + "; ".join(bad))
     return new_len

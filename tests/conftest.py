@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 
 from ddce import Background, DecoratedMetric, DecoratedTriangle, Triangulation
-from ddce.errors import DisconnectedSurface, NonInvolution, NonOrientable
+from ddce.errors import DisconnectedSurface, FlipGeometryInvalid, NonInvolution
 from ddce import delaunay, metric as me, surface, trig
 
 # property and fuzz tests draw the same examples on every run, keep no
@@ -117,8 +117,73 @@ def random_triangle(bg, rng, ideal=False):
         if ideal:
             radii[rng.integers(3)] = 0.0
         tri = DecoratedTriangle(bg, tuple(lengths), tuple(radii))
-        if not tri.violations():
+        if valid_triangle(tri):
             return tri
+
+
+# -- triangle validity oracle -----------------------------------------------------
+# The per-triangle check as first written, slot by slot, and the flip
+# post-check built on it: the references for ``trig.face_defect`` and
+# for what ``trig.diagonal_length`` checks.
+
+def reference_violations(tri):
+    """Every violated constraint of a lone decorated triangle, as text."""
+    bg = tri.background
+    out = []
+    a, b, c = tri.lengths
+    scale = max(1.0, a, b, c)
+    if not all(map(math.isfinite, (*tri.lengths, *tri.radii))):
+        out.append(f"lengths {tuple(tri.lengths)} / radii {tuple(tri.radii)} not all finite")
+    for s in range(3):
+        if tri.lengths[s] <= 0:
+            out.append(f"slot {s}: length {tri.lengths[s]} not positive")
+    for s in range(3):
+        gap = tri.lengths[s] + tri.lengths[(s + 1) % 3] - tri.lengths[(s + 2) % 3]
+        if gap <= trig.DEGENERACY_TOL * scale:
+            out.append(f"slot {(s + 2) % 3}: triangle inequality violated (gap {gap:.3e})")
+    if bg is Background.SPHERICAL:
+        for s in range(3):
+            if not (0 < tri.lengths[s] < math.pi):
+                out.append(f"slot {s}: spherical length {tri.lengths[s]} outside (0, pi)")
+        if a + b + c >= 2 * math.pi:
+            out.append(f"perimeter {a + b + c} not below 2*pi")
+        for s in range(3):
+            if not (0 <= tri.radii[s] < math.pi / 2):
+                out.append(f"corner {s}: spherical radius outside [0, pi/2)")
+    else:
+        for s in range(3):
+            if tri.radii[s] < 0:
+                out.append(f"corner {s}: negative radius")
+    for s in range(3):
+        # tangency (equality) is a supported boundary case
+        if tri.radii[s] + tri.radii[(s + 1) % 3] > tri.lengths[s]:
+            out.append(f"slot {s}: vertex circles intersect")
+    return out
+
+
+def valid_triangle(tri):
+    """Whether a lone decorated triangle is valid: the one filter of
+    the random-triangle generators."""
+    return not reference_violations(tri)
+
+
+def reference_diagonal_length(bg, t1, t2):
+    """``trig.diagonal_length`` checking both whole flipped triangles
+    (``reference_violations``) after the diagonal, rather than only what
+    the flip creates."""
+    ang1 = trig.interior_angles(bg, t1.lengths)
+    ang2 = trig.interior_angles(bg, t2.lengths)
+    gamma, gamma_b = ang1[0] + ang2[1], ang1[1] + ang2[0]
+    if gamma >= math.pi or gamma_b >= math.pi:
+        raise FlipGeometryInvalid("quad is concave at a shared-edge endpoint")
+    new_len = trig._cos_rule_forward(bg, t1.lengths[2], t2.lengths[1], gamma)
+    (_, l_bc, l_ca), (r_a, r_b, r_c) = t1.lengths, t1.radii
+    (_, l_ad, l_db), r_d = t2.lengths, t2.radii[2]
+    bad = reference_violations(DecoratedTriangle(bg, (l_ad, new_len, l_ca), (r_a, r_d, r_c)))
+    bad += reference_violations(DecoratedTriangle(bg, (l_db, l_bc, new_len), (r_d, r_b, r_c)))
+    if bad:
+        raise FlipGeometryInvalid("; ".join(bad))
+    return new_len
 
 
 def cfac(background, t):
@@ -495,10 +560,6 @@ def reference_build_from_gluing(face_count, pairs):
         raise DisconnectedSurface("gluing does not connect all faces")
 
     chi = len(vertex_orbits) - len(edges) + face_count
-    if chi % 2 != 0:
-        raise NonOrientable(f"Euler characteristic {chi} is odd")
-    if chi > 2:
-        raise NonOrientable(f"Euler characteristic {chi} exceeds 2")
 
     return Triangulation(
         face_count=face_count,

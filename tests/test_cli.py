@@ -57,6 +57,26 @@ def test_validate_names_violations(tmp_path, capsys):
     assert "0:0" in out and "circles intersect" in out
 
 
+@pytest.mark.parametrize(
+    "fixture, key, value, want",
+    [
+        # one negative radius: a vertex line, and no line per face at the vertex
+        ("genus2_hyperbolic", "radii", -0.1, ["vertex 0:0: negative radius -0.1"]),
+        # every side 3.3: one perimeter line per face, and no line per side
+        ("octahedron_spherical", "lengths", 3.3, [
+            f"face {f}: perimeter 9.899999999999999 not below 2*pi" for f in range(8)
+        ]),
+    ],
+)
+def test_validate_prints_one_line_per_violated_condition(tmp_path, capsys, fixture, key, value, want):
+    doc = FIXTURE_DOCS[fixture]
+    doc = {**doc, key: {label: value for label in doc[key]}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run("validate", str(path)) == 1
+    assert capsys.readouterr().out.splitlines() == [f"invalid: {line}" for line in want]
+
+
 @pytest.mark.parametrize("command", [["validate"], ["invariant"], ["solve", "--theta", "2pi"]])
 @pytest.mark.parametrize("key", ["lengths", "radii"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -13,7 +13,6 @@ from ddce import solver as so
 from ddce import trig
 from ddce.errors import (
     DDCEError,
-    DegenerateTriangle,
     FlipBoundExceeded,
     FlipGeometryInvalid,
     NotDelaunay,
@@ -82,15 +81,31 @@ def test_self_glued_isosceles_edge_nonnegative():
     ],
 )
 def test_face_geometries_gate_the_metric(background, lengths, radii, diagnostic):
-    # the kernel no longer checks its triangle: face_geometries refuses
-    # the metric as a whole, where the per-face check refused a face
+    # the kernel does not check its triangle: face_geometries and
+    # face_arrays refuse the metric as a whole, as every entry point does
     m = DecoratedMetric(Triangulation.double_triangle(), background, lengths, radii)
-    assert any(m.face_triangle(f).violations() for f in range(2))
     bad = me.validate(m)
     assert any(diagnostic in msg for msg in bad)
-    with pytest.raises(DegenerateTriangle) as raised:
-        dl.face_geometries(m)
-    assert str(raised.value) == "; ".join(bad)
+    for gate in (dl.face_geometries, dl.face_arrays):
+        with pytest.raises(ResultInvalid) as raised:
+            gate(m)
+        assert raised.value.diagnostics == bad
+        assert str(raised.value) == f"input of {gate.__name__} is not a valid decorated metric"
+
+
+def test_flip_edge_gates_its_input(rng):
+    # trig.diagonal_length checks only what a flip creates, so flip_edge
+    # refuses an invalid metric first: here a negative radius, which the
+    # new diagonal's check does not see
+    m = random_metric(grid_torus(4), Background.HYPERBOLIC, rng)
+    radii = m.radii.copy()
+    radii[0] = -0.1
+    bad = DecoratedMetric(m.triangulation, m.background, m.lengths, radii)
+    for e in range(m.triangulation.edge_count):
+        with pytest.raises(ResultInvalid) as raised:
+            dl.flip_edge(bad, e)
+        assert raised.value.diagnostics == me.validate(bad)
+        assert str(raised.value) == "input of flip_edge is not a valid decorated metric"
 
 
 def test_face_geometries_name_the_face_whose_kernel_overflows():

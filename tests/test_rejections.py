@@ -1,0 +1,136 @@
+"""Input rejections: each documented refusal of a malformed or
+out-of-range input raises its type with its message."""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ddce import Background, DecoratedMetric, cli
+from ddce import delaunay as dl
+from ddce import metric as me
+from ddce import solver as so
+from ddce import transition as tr
+from ddce.errors import BadParameters, NotComparable
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fixture(name):
+    return cli.load_surface_file(str(FIXTURES / f"{name}.json"))[0]
+
+
+def genus2():
+    """The one-vertex hyperbolic genus-2 fixture, 9 edges."""
+    return fixture("genus2_hyperbolic")
+
+
+def heights(m, eps=True):
+    h = me.heights_from_decoration(m)
+    return h if eps else me.Heights(h.h, h.background, h.reference_radius)
+
+
+def solve(theta=2 * math.pi, **kw):
+    return lambda: so.newton_solve(genus2(), np.full(1, theta), **kw)
+
+
+HYP = Background.HYPERBOLIC
+
+CASES = {
+    "metric lengths": (
+        lambda: DecoratedMetric(genus2().triangulation, HYP, np.ones(8), np.ones(1)),
+        ValueError, "length array does not match edge orbits",
+    ),
+    "metric radii": (
+        lambda: DecoratedMetric(genus2().triangulation, HYP, np.ones(9), np.ones(2)),
+        ValueError, "radius array does not match vertex orbits",
+    ),
+    "conformal_change factors": (
+        lambda: me.conformal_change(genus2(), np.zeros(2)),
+        ValueError, "scale factor array does not match vertex orbits",
+    ),
+    "decoration_from_heights heights": (
+        lambda: me.decoration_from_heights(
+            genus2().triangulation, me.lambda_lengths(genus2()), me.Heights(np.ones(2), HYP, 0.0)
+        ),
+        ValueError, "height array does not match vertex orbits",
+    ),
+    "decoration_from_heights lambdas": (
+        lambda: me.decoration_from_heights(
+            genus2().triangulation,
+            me.Invariant(genus2().triangulation, np.ones(8), np.ones(1)),
+            heights(genus2()),
+        ),
+        ValueError, "lambda array does not match edge orbits",
+    ),
+    "lambda_lengths no heights": (
+        lambda: me.lambda_lengths(
+            fixture("genus2_undecorated"), me.Heights(np.zeros(0), HYP, 0.0)
+        ),
+        ValueError, "height array does not match vertex orbits",
+    ),
+    "lambda_lengths extra heights": (
+        lambda: me.lambda_lengths(genus2(), me.Heights(np.ones(3), HYP, 0.0)),
+        ValueError, "height array does not match vertex orbits",
+    ),
+    "newton_solve targets shape": (
+        lambda: so.newton_solve(genus2(), np.full(2, 2 * math.pi)),
+        ValueError, "target angle array does not match vertex orbits",
+    ),
+    "newton_solve target nan": (solve(math.nan), BadParameters, "target angles must be positive and finite"),
+    "newton_solve target inf": (solve(math.inf), BadParameters, "target angles must be positive and finite"),
+    "newton_solve target 0": (solve(0.0), BadParameters, "target angles must be positive and finite"),
+    "newton_solve spherical target nan": (
+        lambda: so.newton_solve(fixture("octahedron_spherical"), np.full(6, math.nan)),
+        BadParameters, "target angles must be positive and finite",
+    ),
+    "newton_solve max_iter 2.5": (
+        solve(max_iter=2.5), BadParameters, "max_iter must be non-negative and an integer, got 2.5"
+    ),
+    "newton_solve max_iter 1.5": (
+        solve(max_iter=1.5), BadParameters, "max_iter must be non-negative and an integer, got 1.5"
+    ),
+    "omega_map no eps": (
+        lambda: me.omega_map(HYP, me.default_reference_radius(HYP), heights(genus2(), eps=False)),
+        ValueError, "heights carry no eps flags",
+    ),
+    "cusp_heights no eps": (
+        lambda: tr.cusp_heights(heights(genus2(), eps=False)),
+        ValueError, "heights carry no eps flags",
+    ),
+    "scale_factors triangulations": (
+        lambda: me.scale_factors(genus2(), fixture("double_tangent_hyperbolic")),
+        NotComparable, "metrics live on different triangulations",
+    ),
+    "scale_factors backgrounds": (
+        lambda: me.scale_factors(
+            genus2(), DecoratedMetric(genus2().triangulation, Background.EUCLIDEAN, np.full(9, 2.5), [0.3])
+        ),
+        NotComparable, "metrics have different backgrounds",
+    ),
+    "scale_family t below 1": (
+        lambda: tr.scale_family(heights(genus2()), 0.5),
+        ValueError, "scale parameter must be >= 1",
+    ),
+    "default_reference_radius euclidean": (
+        lambda: me.default_reference_radius(Background.EUCLIDEAN),
+        ValueError, "reference radius is defined for curved backgrounds only",
+    ),
+    "stable_acosh below 1": (
+        lambda: me.stable_acosh(0.5), ValueError, "acosh argument 0.5 below 1"
+    ),
+    "support_minimum hyperbolic": (
+        lambda: dl.support_minimum(genus2()),
+        ValueError, "the support function is defined for spherical metrics",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_input_is_rejected_with_its_type_and_message(case):
+    call, kind, message = CASES[case]
+    with pytest.raises(Exception) as raised:
+        call()
+    assert type(raised.value) is kind
+    assert str(raised.value) == message

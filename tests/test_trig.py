@@ -22,7 +22,9 @@ from conftest import (
     random_triangle,
     realize_triangle,
     reference_face_circle,
+    reference_diagonal_length,
     reference_section_foot_radius,
+    valid_triangle,
 )
 
 # frozen oracle values (50-digit evaluation of the stated closed forms)
@@ -69,9 +71,6 @@ def test_degenerate_triangle_rejected():
         trig.interior_angles(Background.EUCLIDEAN, (1.0, 1.0, 2.0 - 1e-14))
     with pytest.raises(DegenerateTriangle):
         trig.interior_angles(Background.SPHERICAL, (2.5, 2.5, 2.0))  # perimeter >= 2 pi
-    for lengths, radii in (((1.0, 1.0, math.nan), (0.0,) * 3), ((1.0,) * 3, (0.1, math.nan, 0.1))):
-        bad = DecoratedTriangle(Background.HYPERBOLIC, lengths, radii).violations()
-        assert "not all finite" in bad[0]
 
 
 def _ulps(x, k):
@@ -127,6 +126,8 @@ def test_degenerate_rows_are_the_rows_interior_angles_rejects(background, rows):
     for row, flagged in zip(lengths.tolist(), flags):
         got = outcome(trig.interior_angles, background, tuple(row))
         nan = not isinstance(got[0], type) and any(map(math.isnan, got))
+        if all(map(math.isfinite, row)):  # the scalar form of the same condition
+            assert bool(trig.face_defect(background, *row)) == flagged, row
         if all(map(math.isfinite, row)) and (got[0] is OverflowError or nan):
             assert not flagged, row
             continue
@@ -518,7 +519,7 @@ def test_diagonal_both_routes_agree(rng):
                 (tri.lengths[0], other.lengths[1], other.lengths[2]),
                 (tri.radii[1], tri.radii[0], other.radii[2]),
             )
-            if t2.violations():
+            if not valid_triangle(t2):
                 continue
             try:
                 d1 = trig.diagonal_length(bg, tri, t2)
@@ -529,6 +530,82 @@ def test_diagonal_both_routes_agree(rng):
             assert d1 == pytest.approx(d2, abs=1e-11)
             checked += 1
     assert checked >= 10
+
+
+def _quad(bg, l1, l2, radii):
+    """``(bg, t1, t2)`` for the quad of t1 = (a, b, c) with sides
+    ``l1 = (ab, bc, ca)`` and t2 = (b, a, d) with sides ``ab`` and
+    ``l2 = (ad, db)``, at radii ``(r_a, r_b, r_c, r_d)``."""
+    r_a, r_b, r_c, r_d = radii
+    return (
+        bg,
+        DecoratedTriangle(bg, tuple(l1), (r_a, r_b, r_c)),
+        DecoratedTriangle(bg, (l1[0], *l2), (r_b, r_a, r_d)),
+    )
+
+
+def _rejects(quad):
+    return isinstance(outcome(reference_diagonal_length, *quad), tuple)
+
+
+def _boundary(make, lo, hi):
+    """Quads ``make(x)`` at the six floats around the point of
+    ``[lo, hi]`` where ``reference_diagonal_length`` turns from accepting
+    to rejecting, found by bisection; none if it does not turn there."""
+    if _rejects(make(lo)) or not _rejects(make(hi)):
+        return []
+    while True:
+        mid = lo + (hi - lo) / 2.0
+        if mid in (lo, hi):
+            break
+        if _rejects(make(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return [make(x) for x in (_ulps(lo, -2), _ulps(lo, -1), lo, hi, _ulps(hi, 1), _ulps(hi, 2))]
+
+
+def test_diagonal_length_checks_what_the_flip_creates(rng):
+    # on a quad of two valid triangles the new diagonal's circles and the
+    # two new faces are all a flip can break: diagonal_length rejects
+    # exactly what checking both whole flipped triangles rejects, and
+    # returns the same float otherwise, also at the tangency and gap
+    # boundaries of the new diagonal
+    quads = []
+    for bg in ALL_BACKGROUNDS:
+        for _ in range(40):
+            t1, other = random_triangle(bg, rng), random_triangle(bg, rng)
+            l1, l2 = t1.lengths, other.lengths[1:]
+            radii = (*t1.radii, other.radii[2])
+            base = _quad(bg, l1, l2, radii)
+            quads.append(base)
+            if _rejects(base):
+                continue
+            # circles of c and d grow until they touch
+            quads += _boundary(lambda x: _quad(bg, l1, l2, (0.0, 0.0, x, x)), 0.0, 4.0)
+            # the angle at a opens until the flipped face (a, d, c) is flat
+            beta, ab, ad = trig.interior_angles(bg, (l1[0], *l2))[1], l1[0], l2[0]
+            quads += _boundary(
+                lambda x: _quad(bg, l1, (ad, trig._cos_rule_forward(bg, ab, ad, x)), radii),
+                beta, math.pi - trig.interior_angles(bg, l1)[0],
+            )
+    # the flipped faces of a convex quad have perimeters below 2 pi, so
+    # a "2*pi" rejection can only be absent from both
+    counts = {"accepted": 0, "circles intersect": 0, "triangle inequality": 0, "2*pi": 0}
+    for bg, t1, t2 in quads:
+        if not (valid_triangle(t1) and valid_triangle(t2)):
+            continue  # a quad of a valid metric only
+        want = outcome(reference_diagonal_length, bg, t1, t2)
+        got = outcome(trig.diagonal_length, bg, t1, t2)
+        if not isinstance(want, tuple):
+            assert repr(got) == repr(want), (t1, t2)
+            counts["accepted"] += 1
+            continue
+        assert want[0] is got[0] is FlipGeometryInvalid, (t1, t2, got)
+        for reason in list(counts)[1:]:
+            assert (reason in want[1]) == (reason in got[1]), (t1, t2, got)
+            counts[reason] += reason in got[1]
+    assert counts.pop("2*pi") == 0 and min(counts.values()) >= 20, counts
 
 
 def test_diagonal_shared_edge_mismatch_rejected():

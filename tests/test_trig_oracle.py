@@ -21,7 +21,14 @@ from mpmath import mp, mpf
 from ddce import Background, DecoratedMetric, DecoratedTriangle, Triangulation
 from ddce import delaunay, trig
 
-from conftest import ALL_BACKGROUNDS, cfac, geometry_fields, lone_face_circle, random_triangle
+from conftest import (
+    ALL_BACKGROUNDS,
+    cfac,
+    geometry_fields,
+    lone_face_circle,
+    random_triangle,
+    valid_triangle,
+)
 
 TOL = 1e-12
 DIGITS = 50
@@ -246,7 +253,7 @@ def _near_tangent_triangles(rng):
             rho = 10.0 ** rng.uniform(-9, -5) * lengths[s]
             radii[(s + 1) % 3] = lengths[s] - radii[s] - rho * rho / lengths[s]
             tri = DecoratedTriangle(bg, lengths, tuple(radii))
-            if not tri.violations():
+            if valid_triangle(tri):
                 assert oracle(tri)[1][s] <= 1e-5 * lengths[s]
                 out.append(tri)
                 k += 1
@@ -281,7 +288,7 @@ def _spherical_ideal_on_circle(rng):
         radii = list(tri.radii)
         radii[(s + 1) % 3] = tri.lengths[s]
         tri = DecoratedTriangle(Background.SPHERICAL, tri.lengths, tuple(radii))
-        if not tri.violations():
+        if valid_triangle(tri):
             out.append(tri)
     return out
 
@@ -341,7 +348,7 @@ def _near_concave_quads(rng):
             l_bd = trig._cos_rule_forward(bg, t1.lengths[0], l_ad, gamma)
             r_d = rng.uniform(0.03, 0.18)
             t2 = DecoratedTriangle(bg, (t1.lengths[0], l_ad, l_bd), (t1.radii[1], t1.radii[0], r_d))
-            if not t2.violations():
+            if valid_triangle(t2):
                 out.append((t1, t2))
     return out
 
@@ -385,7 +392,7 @@ def _near_flat_spherical_triangles(rng):
             (a, b, a + b - 10.0 ** rng.uniform(-8, -3)),
             tuple(rng.uniform(0.03, 0.18, size=3)),
         )
-        if not tri.violations():
+        if valid_triangle(tri):
             out.append(tri)
     return out
 
