@@ -46,7 +46,7 @@ from .errors import (
 )
 from .metric import DecoratedMetric, lambda_lengths, validate
 from .surface import Triangulation, parse_half_edge_label
-from .trig import Background, FaceArrays
+from .trig import Background
 
 EXIT_OK = 0
 EXIT_INVALID_METRIC = 1
@@ -221,11 +221,10 @@ def cmd_delaunay(args) -> int:
 
 def cmd_invariant(args) -> int:
     metric, _ = _load_valid(args.path)
-    flipped, log = delaunay.flip_to_delaunay(metric, track_support=False)
+    flipped, _ = delaunay.flip_to_delaunay(metric, track_support=False)
     inv = lambda_lengths(flipped)
-    faces = FaceArrays.stack(flipped.background, log.geoms)
     try:
-        tess = delaunay.extract_tessellation(flipped, tol=args.tol, geoms=faces)
+        tess = delaunay.extract_tessellation(flipped, tol=args.tol)
     except BadParameters as ex:
         raise CliError(EXIT_PARSE_ERROR, f"--tol: {ex}")
     tri = flipped.triangulation

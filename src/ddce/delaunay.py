@@ -21,6 +21,7 @@ diagonal swap is refused combinatorially.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -44,11 +45,11 @@ def face_geometries(m: DecoratedMetric) -> list:
     those of ``metric.validate``.  Each edge's orthogonal section is
     then evaluated once (``trig.edge_section``) and read by both faces
     at the edge.  Callers that read arrays rather than per-face objects
-    use ``face_arrays``, which gives the same floats.  A valid metric
-    whose kernel call overflows (a hyperbolic length above about 710)
-    or divides by zero (hyperbolic sides of 356 or more, where a corner
-    angle rounds to 0) raises ResultInvalid naming the first such edge,
-    else face."""
+    read ``DecoratedMetric.faces``, which holds the same floats.  A
+    valid metric whose kernel call overflows (a hyperbolic length above
+    about 710) or divides by zero (hyperbolic sides of 356 or more,
+    where a corner angle rounds to 0) raises ResultInvalid naming the
+    first such edge, else face."""
     check_valid(m, "input of face_geometries")
     bg, tri = m.background, m.triangulation
     lengths, radii = m.lengths.tolist(), m.radii.tolist()
@@ -69,34 +70,21 @@ def face_geometries(m: DecoratedMetric) -> list:
     return geoms
 
 
-def face_arrays(m: DecoratedMetric) -> trig.FaceArrays:
-    """What ``face_geometries`` computes, as ``F x 3`` arrays from the
-    array kernel ``trig.face_circles``, behind the same ``check_valid``
-    gate.  On a metric that ``metric.validate`` has already seen, such
-    as an output of ``decoration_from_heights``, the gate is a lookup."""
-    check_valid(m, "input of face_arrays")
-    tri = m.triangulation
-    return trig.face_circles(
-        m.background, m.lengths, m.radii,
-        tri.face_edge_array, tri.face_vertex_array, tri.edge_endpoint_array,
-    )
-
-
-def weight_denominators(m: DecoratedMetric, faces: trig.FaceArrays) -> np.ndarray:
+def weight_denominators(m: DecoratedMetric) -> np.ndarray:
     """cos/cosh/1(r_sec) * sin/sinh/id(l) of every edge: the denominator
     of the decorated cotan weight's product form, which ``edge_weights``
-    and ``solver.angle_jacobian`` share.  ``faces`` holds the face
-    geometries of ``m``; the section radius is read at each edge's side
-    0, as both faces at an edge hold the same one bit for bit."""
+    and ``solver.angle_jacobian`` share.  The section radius is read off
+    ``m.faces`` at each edge's side 0, as both faces at an edge hold the
+    same one bit for bit."""
     bg = m.background
     if bg is Background.EUCLIDEAN:
         return m.lengths  # 1 * l
     sin, cos = trig.SIN_COS[bg]
-    rho = faces.r_section.ravel()[m.triangulation.edge_side_array[:, 0]]
+    rho = m.faces.r_section.ravel()[m.triangulation.edge_side_array[:, 0]]
     return trig.each(cos, rho) * trig.each(sin, m.lengths)
 
 
-def edge_weights(m: DecoratedMetric, geoms: trig.FaceArrays | None = None) -> np.ndarray:
+def edge_weights(m: DecoratedMetric) -> np.ndarray:
     """Decorated cotan weight of every edge:
     (cot alpha^k + cot alpha^l) * tan/tanh/id(r_sec) / sin/sinh/id(l),
     with alpha the angle at which a face-circle meets the edge,
@@ -104,14 +92,11 @@ def edge_weights(m: DecoratedMetric, geoms: trig.FaceArrays | None = None) -> np
     (T(d^k) + T(d^l)) / (cos/cosh/1(r_sec) * sin/sinh/id(l))
     which stays finite when the vertex circles of the edge are tangent
     (cot alpha diverges but T(d) = sin/sinh/id(r_sec) cot alpha does not).
-
-    ``geoms`` holds the face geometries of ``m``; without them ``m`` is
-    checked and evaluated by ``face_arrays``."""
-    if geoms is None:
-        geoms = face_arrays(m)
+    The face geometry is that of ``m.faces``, read behind its
+    ``check_valid`` gate."""
     sides = m.triangulation.edge_side_array
-    d = geoms.d_tangent.ravel()
-    return (d[sides[:, 0]] + d[sides[:, 1]]) / weight_denominators(m, geoms)
+    d = m.faces.d_tangent.ravel()
+    return (d[sides[:, 0]] + d[sides[:, 1]]) / weight_denominators(m)
 
 
 def is_local_delaunay(m: DecoratedMetric, e: int, geoms=None) -> bool:
@@ -177,15 +162,8 @@ class FlipLog:
     """Flip trace plus the vertex relabeling map (vertex orbit index of
     the input metric -> vertex orbit index of the output): flips keep
     ids, so this is the one canonical relabeling after the last flip.
-
-    ``geoms`` is the TriangleGeometry of every face of the output
-    metric, indexed by its face ids: field for field what
-    ``face_geometries`` computes on that metric.  That holds bit for
-    bit because an edge's section, and which side ``trig.face_circle``
-    lets read the complemented foot, depend only on its length and
-    endpoint radii, not on labels.  It describes the returned metric
-    only; any later change of lengths, radii or triangulation makes it
-    stale.
+    The face geometry of the output metric is on the metric itself
+    (``DecoratedMetric.faces``).
 
     ``sweeps`` is always 1: the one worklist pass of
     ``flip_to_delaunay``.  It stays for the benchmark's counters.
@@ -195,7 +173,6 @@ class FlipLog:
     initial_support_min: float | None = None
     sweeps: int = 0
     vertex_map: list = field(default_factory=list)
-    geoms: list = field(default_factory=list)
 
     @property
     def flip_count(self) -> int:
@@ -232,8 +209,15 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
 
     Flips keep every edge and vertex id and the queue visits edges in
     canonical order; after flips the output is relabeled canonically
-    once, and without any the input is returned as it is.  An invalid
-    input raises ``check_valid``'s ResultInvalid.
+    once, and without any the input is returned as it is.  The
+    returned metric keeps the pass's per-face geometries, indexed by
+    face, which relabeling leaves alone; its ``faces`` stacks them on
+    first read (unless the input's ``faces`` was already read).  They
+    equal what ``face_geometries`` computes on it bit for bit, because
+    an edge's section, and which side ``trig.face_circle`` lets read
+    the complemented foot, depend only on its length and endpoint
+    radii, not on labels.  An invalid input raises ``check_valid``'s
+    ResultInvalid.
     """
     check_valid(m, "input of flip_to_delaunay")
     geoms = face_geometries(m)
@@ -288,9 +272,10 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
             supports[g] = 1.0 / _face_support_max(geoms[g])
             support = min(supports)
         log.records.append(FlipRecord(label, new_len, support))
-    log.geoms = geoms  # indexed by face, which relabeling leaves alone
     if log.records:
         m, log.vertex_map = _canonical_metric(m)
+    if "faces" not in vars(m):
+        vars(m)["_flip_geometries"] = geoms  # stacked by m.faces on first read
     return m, log
 
 
@@ -329,15 +314,14 @@ class Tessellation:
     face_groups: tuple
 
 
-def extract_tessellation(m: DecoratedMetric, tol: float = 1e-9, geoms=None) -> Tessellation:
-    """Drop all edges with |weight| <= tol and group faces across them;
-    ``geoms`` goes to ``edge_weights``.  Raises NotDelaunay if any
-    weight is below -tol, and BadParameters if ``tol`` is not finite
-    and non-negative."""
-    if not (math.isfinite(tol) and tol >= 0):
+def extract_tessellation(m: DecoratedMetric, tol: float = 1e-9) -> Tessellation:
+    """Drop all edges with |weight| <= tol and group faces across them.
+    Raises NotDelaunay if any weight is below -tol, and BadParameters
+    if ``tol`` is not a finite and non-negative number."""
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
         raise BadParameters(f"tol must be finite and non-negative, got {tol!r}")
     tri = m.triangulation
-    weights = edge_weights(m, geoms)
+    weights = edge_weights(m)
     offending = [tri.edge_label(e) for e in range(tri.edge_count) if weights[e] < -tol]
     if offending:
         raise NotDelaunay(f"negative edge weights at {offending}")

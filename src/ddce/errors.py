@@ -58,7 +58,8 @@ class WeightOutOfRange(DDCEError):
 
 
 class NotComparable(DDCEError):
-    """Two metrics do not share triangulation, background, or flags."""
+    """Two metrics, or a metric and its heights, do not share
+    triangulation, background, or flags."""
 
 
 class PathLeavesDomain(DDCEError):
@@ -98,4 +99,8 @@ class LineSearchStalled(SolverError):
 # -- transitions -------------------------------------------------------------
 
 class BadParameters(DDCEError, ValueError):
-    """Transition parameters are not finite, >= 1 and strictly increasing."""
+    """A parameter is not a number, or outside its documented range:
+    transition parameters that are not finite, >= 1 and strictly
+    increasing, a tolerance that is not finite and non-negative, an
+    iteration cap that is not a non-negative integer, target angles
+    that are not positive and finite."""

@@ -149,6 +149,23 @@ class DecoratedMetric:
         """What ``validate`` reports, computed on first read."""
         return tuple(_diagnose(self))
 
+    @cached_property
+    def faces(self) -> trig.FaceArrays:
+        """The face geometry of every face, computed on first read behind
+        ``check_valid``: the array kernel ``trig.face_circles``, or, on a
+        metric that ``delaunay.flip_to_delaunay`` returned, the per-face
+        list its flip pass held, stacked.  Both give the floats of
+        ``delaunay.face_geometries`` bit for bit."""
+        check_valid(self, "input of faces")
+        held = vars(self).pop("_flip_geometries", None)
+        if held is not None:
+            return trig.FaceArrays.stack(self.background, held)
+        tri = self.triangulation
+        return trig.face_circles(
+            self.background, self.lengths, self.radii,
+            tri.face_edge_array, tri.face_vertex_array, tri.edge_endpoint_array,
+        )
+
     @property
     def eps(self) -> np.ndarray:
         """1 for hyperideal vertices (r > 0), 0 for ideal ones."""
@@ -366,18 +383,24 @@ def lambda_lengths(m: DecoratedMetric, heights: Heights | None = None) -> Invari
     gauge.  Passing explicit ``heights``, one per vertex orbit, keeps
     lambda-lengths in a caller-maintained horocycle gauge instead.
 
-    Raises ResultInvalid when an edge's inversive distance or lambda
-    exponential is not finite, which includes a denominator that
+    Raises NotComparable when explicit ``heights`` refer to another
+    background than ``m``, or carry eps flags other than those of
+    ``m``.  Raises ResultInvalid when an edge's inversive distance or
+    lambda exponential is not finite, which includes a denominator that
     underflows to zero (radii near 1e-300 make their product 0).
     """
     check_valid(m, "input of lambda_lengths")
     tri = m.triangulation
     bg = m.background
-    eps = m.eps.tolist()
-    h = heights.h if heights is not None else heights_from_decoration(m).h
-    if h.shape != (tri.vertex_count,):
+    heights = heights or heights_from_decoration(m)
+    if heights.h.shape != (tri.vertex_count,):
         raise ValueError("height array does not match vertex orbits")
-    h = h.tolist()
+    if heights.background is not bg:
+        raise NotComparable(f"{heights.background.name_lower} heights for a {bg.name_lower} metric")
+    if heights.eps is not None and not np.array_equal(heights.eps, m.eps):
+        raise NotComparable("heights carry other ideal/hyperideal flags than the metric")
+    eps = m.eps.tolist()
+    h = heights.h.tolist()
     radii = m.radii.tolist()
     lam = np.zeros(tri.edge_count)
     for e, ((i, j), l) in enumerate(zip(tri.edge_endpoint_ids, m.lengths.tolist())):
@@ -604,25 +627,12 @@ def scale_factors(m: DecoratedMetric, m_new: DecoratedMetric) -> np.ndarray:
                     f"vertex {tri.vertex_label(v)}: sinh of radius {max(r_old, r_new)} overflows", []
                 ) from None
 
-    ideal = np.where(eps == 0)[0]
+    ideal = (eps == 0).nonzero()[0]
     if ideal.size:
-        col = {int(v): k for k, v in enumerate(ideal)}
-        lam_old = lambda_lengths(m).lam
-        lam_new = lambda_lengths(m_new).lam
-        rows = []
-        rhs = []
-        for e in range(tri.edge_count):
-            i, j = tri.edge_endpoints(e)
-            if eps[i] == 1 and eps[j] == 1:
-                continue
-            row = np.zeros(ideal.size)
-            delta = lam_new[e] - lam_old[e]
-            if eps[i] == 0:
-                row[col[i]] += 1.0
-            if eps[j] == 0:
-                row[col[j]] += 1.0
-            rows.append(row)
-            rhs.append(delta)
-        sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-        u[ideal] = sol
+        # per edge, the shift of its lambda-length is the sum of the
+        # factors at its ideal ends (twice one factor on an ideal loop)
+        rows = (tri.edge_endpoint_array[:, :, None] == ideal).sum(axis=1).astype(float)
+        shift = lambda_lengths(m_new).lam - lambda_lengths(m).lam
+        some = rows.any(axis=1)  # the edges with an ideal end
+        u[ideal] = np.linalg.lstsq(rows[some], shift[some], rcond=None)[0]
     return u

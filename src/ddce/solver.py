@@ -94,7 +94,7 @@ def gradient(m: DecoratedMetric, theta_target) -> np.ndarray:
     return np.asarray(theta_target, dtype=float) - cone_angles(m)
 
 
-def angle_jacobian(m: DecoratedMetric, geoms: trig.FaceArrays | None = None) -> np.ndarray:
+def angle_jacobian(m: DecoratedMetric) -> np.ndarray:
     """d(theta)/d(heights), summed corner by corner so self-gluings and
     loop edges fall out correctly.
 
@@ -107,15 +107,11 @@ def angle_jacobian(m: DecoratedMetric, geoms: trig.FaceArrays | None = None) -> 
     diagonal (K - 1) form, which is what finite differences of the cone
     angles reproduce.  One ``np.bincount`` adds the entries -q at
     (i, other) and q K at (i, i) face by face, corner by corner, slot s
-    before slot s + 2, so every sum is rounded in that order.
-
-    ``geoms`` holds the face geometries of ``m``; without them ``m`` is
-    evaluated by ``delaunay.face_arrays``."""
-    if geoms is None:
-        geoms = delaunay.face_arrays(m)
+    before slot s + 2, so every sum is rounded in that order.  The face
+    geometry is that of ``m.faces``."""
     bg = m.background
     edges = m.triangulation.face_edge_array
-    q = qk = geoms.d_tangent / delaunay.weight_denominators(m, geoms)[edges]
+    q = qk = m.faces.d_tangent / delaunay.weight_denominators(m)[edges]
     if bg is not Background.EUCLIDEAN:
         qk = q * trig.each(trig.SIN_COS[bg][1], m.lengths)[edges]
     n = m.triangulation.vertex_count
@@ -126,12 +122,12 @@ def angle_jacobian(m: DecoratedMetric, geoms: trig.FaceArrays | None = None) -> 
     return np.bincount(cells.ravel(), values.ravel(), minlength=n * n).reshape(n, n)
 
 
-def hessian(m: DecoratedMetric, geoms: trig.FaceArrays | None = None) -> np.ndarray:
+def hessian(m: DecoratedMetric) -> np.ndarray:
     """Hessian of the Hilbert-Einstein functional: minus the angle
     Jacobian.  Symmetric; negative definite for hyperbolic weighted
     Delaunay metrics, negative semidefinite with constant kernel in the
     Euclidean case."""
-    return -angle_jacobian(m, geoms)
+    return -angle_jacobian(m)
 
 
 # -- functional as a line integral ----------------------------------------------
@@ -327,11 +323,11 @@ def newton_solve(
     end in another conformal class.  Raises Infeasible before
     iterating when the Gauss-Bonnet check rejects the targets, and
     MaxIterations / LineSearchStalled with the partial report attached
-    otherwise.  Raises BadParameters for a ``tol`` that is not finite
-    and non-negative, a ``max_iter`` that is not a non-negative
+    otherwise.  Raises BadParameters for a ``tol`` that is not a finite
+    and non-negative number, a ``max_iter`` that is not a non-negative
     integer, or target angles that are not positive and finite.
     """
-    if not (math.isfinite(tol) and tol >= 0):
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
         raise BadParameters(f"tol must be finite and non-negative, got {tol!r}")
     if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
         raise BadParameters(f"max_iter must be non-negative and an integer, got {max_iter!r}")
@@ -367,16 +363,15 @@ def newton_solve(
             chart = (m.triangulation, inv, bg, ref_r, eps)
             pin = vmap[0] if bg is Background.EUCLIDEAN else None
 
-        # the flip log holds the geometries of m: cone_angles(m) would
-        # sum their angles the same way
-        tri, faces = m.triangulation, trig.FaceArrays.stack(bg, flog.geoms)
-        angles = faces.angles.ravel()
+        # m holds the flip pass's geometries: cone_angles(m) would sum
+        # their angles the same way
+        tri, angles = m.triangulation, m.faces.angles.ravel()
         grad = theta_cur - np.bincount(tri.face_vertex_array.ravel(), angles, tri.vertex_count)
         report.residuals.append(float(np.max(np.abs(grad))))
         if report.residuals[-1] <= tol or len(report.functional_increase_bounds) == max_iter:
             break
 
-        step = _solve_step(angle_jacobian(m, faces), grad, pin)
+        step = _solve_step(angle_jacobian(m), grad, pin)
         s = 1.0
         while s >= MIN_STEP:
             h_trial = h + s * step

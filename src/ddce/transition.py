@@ -21,6 +21,8 @@ background, and determine the Euclidean metric through
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,7 +106,9 @@ class TransitionPath:
 def build_transition(m: DecoratedMetric, ts) -> TransitionPath:
     """Evaluate the scale family of a curved decorated metric at the
     given parameters (each >= 1, strictly increasing) and compare
-    against the Euclidean limit.
+    against the Euclidean limit.  Raises BadParameters when ``ts`` is
+    not a sequence of real numbers that are finite, >= 1 and strictly
+    increasing.
 
     The metric is flipped to weighted Delaunay first; weight scaling
     preserves the weighted Delaunay property, so one triangulation
@@ -116,6 +120,9 @@ def build_transition(m: DecoratedMetric, ts) -> TransitionPath:
     bg = m.background
     if bg is Background.EUCLIDEAN:
         raise ValueError("transition families start from a curved background")
+    ts = list(ts) if isinstance(ts, Iterable) else None
+    if ts is None or not all(isinstance(t, numbers.Real) for t in ts):
+        raise BadParameters("parameters must be a sequence of real numbers")
     ts = [float(t) for t in ts]
     if not all(1.0 <= t < math.inf for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
         raise BadParameters("parameters must be finite, >= 1 and strictly increasing")
@@ -134,10 +141,9 @@ def build_transition(m: DecoratedMetric, ts) -> TransitionPath:
     for t in ts:
         ht = scale_family(h1, t)
         mt = decoration_from_heights(tri, inv, ht)
-        faces = delaunay.face_arrays(mt)
-        angle_sums = faces.angles[:, 0] + faces.angles[:, 1] + faces.angles[:, 2]
-        defect = max(np.abs(angle_sums - math.pi).tolist())
-        wdev = float(np.max(np.abs(delaunay.edge_weights(mt, faces) - w_euc)))
+        angles = mt.faces.angles
+        defect = max(np.abs(angles[:, 0] + angles[:, 1] + angles[:, 2] - math.pi).tolist())
+        wdev = float(np.max(np.abs(delaunay.edge_weights(mt) - w_euc)))
         path.ts.append(t)
         path.heights.append(ht)
         path.metrics.append(mt)

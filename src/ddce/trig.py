@@ -45,10 +45,9 @@ stays the scalar ``math`` or builtin call, mapped over the values
 (``each``) in the scalar kernel's order of operations, and the clamps
 keep the NaN behaviour of the builtin ``min`` and ``max``.  So its
 floats equal the scalar kernel's bit for bit; numpy's transcendental
-ufuncs would not (README "Numerics").  It serves the callers that read
-arrays (``delaunay.face_arrays``, ``solver.cone_angles``, the rows of
-``transition.build_transition``) at every surface size, with no
-face-count cutoff: below about 30 faces its fixed cost of numpy calls
+ufuncs would not (README "Numerics").  It serves the readers of
+arrays (``metric.DecoratedMetric.faces``, ``solver.cone_angles``) at
+every surface size, with no face-count cutoff: below about 30 faces its fixed cost of numpy calls
 makes it slower than a scalar loop, by some 40 us per call at 2-8
 faces.  The scalar kernel serves the callers that keep one object per
 face (``delaunay.face_geometries``, the two faces a flip rebuilds), and
@@ -59,8 +58,11 @@ The two forms of face geometry have one use each.  Per-face lists of
 (``delaunay.is_local_delaunay``, ``delaunay.support_minimum``) take one
 edge's two faces, or one face, at a time.  ``FaceArrays`` serve
 whole-surface arithmetic (``delaunay.edge_weights``,
-``solver.angle_jacobian``), which takes no list: a caller that holds a
-flip pass's list stacks it once (``FaceArrays.stack``).
+``solver.angle_jacobian``, the rows of ``transition.build_transition``),
+which reads them off the metric (``DecoratedMetric.faces``) and is
+passed no geometry.  A metric computes its ``FaceArrays`` once, on
+first read: with the array kernel, or, for the output of a flip pass,
+by stacking the pass's per-face list (``FaceArrays.stack``).
 """
 
 from __future__ import annotations

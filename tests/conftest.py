@@ -396,6 +396,22 @@ def lift_support_max(geom):
     return best
 
 
+def face_rows(faces):
+    """The rows of a ``trig.FaceArrays``, one TriangleGeometry per face."""
+    names = [f.name for f in dataclasses.fields(faces) if f.name != "background"]
+    rows = [{n: tuple(getattr(faces, n)[f].tolist()) for n in names} for f in range(len(faces.lengths))]
+    return [trig.TriangleGeometry(faces.background, **row) for row in rows]
+
+
+def with_stacked_faces(m):
+    """A copy of ``m`` whose ``faces`` stacks ``face_geometries(m)``, as
+    the metric that ``flip_to_delaunay`` returns stacks its flip pass's
+    per-face list."""
+    out = DecoratedMetric(m.triangulation, m.background, m.lengths, m.radii)
+    vars(out)["_flip_geometries"] = delaunay.face_geometries(m)
+    return out
+
+
 def geometry_fields(geom):
     """Every field of a TriangleGeometry as text that tells floats apart
     bit for bit (-0.0 and NaN included)."""

@@ -22,6 +22,7 @@ from ddce.errors import (
 from conftest import (
     ALL_BACKGROUNDS,
     face_circle_lift,
+    face_rows,
     geometry_fields,
     grid_torus,
     isosceles_sphere,
@@ -81,16 +82,16 @@ def test_self_glued_isosceles_edge_nonnegative():
     ],
 )
 def test_face_geometries_gate_the_metric(background, lengths, radii, diagnostic):
-    # the kernel does not check its triangle: face_geometries and
-    # face_arrays refuse the metric as a whole, as every entry point does
+    # the kernel does not check its triangle: face_geometries and the
+    # metric's faces refuse the metric as a whole, as every entry point does
     m = DecoratedMetric(Triangulation.double_triangle(), background, lengths, radii)
     bad = me.validate(m)
     assert any(diagnostic in msg for msg in bad)
-    for gate in (dl.face_geometries, dl.face_arrays):
+    for name, gate in (("face_geometries", dl.face_geometries), ("faces", lambda m: m.faces)):
         with pytest.raises(ResultInvalid) as raised:
             gate(m)
         assert raised.value.diagnostics == bad
-        assert str(raised.value) == f"input of {gate.__name__} is not a valid decorated metric"
+        assert str(raised.value) == f"input of {name} is not a valid decorated metric"
 
 
 def test_flip_edge_gates_its_input(rng):
@@ -138,7 +139,7 @@ def test_face_geometries_name_the_face_whose_kernel_divides_by_zero():
     # the array kernel names the same face, where it once gave zero
     # angles and NaN weights with a RuntimeWarning
     array_callers = (
-        lambda m: so.cone_angles(m), lambda m: dl.face_arrays(m).angles, lambda m: dl.edge_weights(m),
+        lambda m: so.cone_angles(m), lambda m: m.faces.angles, lambda m: dl.edge_weights(m),
     )
     for call in array_callers:
         assert np.all(call(double(355.0)) > 0.0)
@@ -184,8 +185,7 @@ def test_predicate_equivalence(rng):
         for _ in range(8):
             m = scrambled_metric(octahedron(), bg, rng, flips=3)
             geoms = dl.face_geometries(m)
-            faces = trig.FaceArrays.stack(bg, geoms)
-            for e, w in enumerate(dl.edge_weights(m, faces).tolist()):
+            for e, w in enumerate(dl.edge_weights(m).tolist()):
                 (f, s), (g, t) = m.triangulation.edges[e]
                 gf, gg = geoms[f], geoms[g]
                 dsum = gf.d_tangent[s] + gg.d_tangent[t]
@@ -354,7 +354,7 @@ def with_tangent_edge(m):
     return DecoratedMetric(m.triangulation, m.background, m.lengths, radii)
 
 
-def test_flip_log_geoms_match_recomputation(rng):
+def test_flip_output_faces_match_recomputation(rng):
     cases = []
     tangents = 0
     for bg in ALL_BACKGROUNDS:
@@ -383,9 +383,10 @@ def test_flip_log_geoms_match_recomputation(rng):
     for m in cases:
         out, log = dl.flip_to_delaunay(m)
         flips.append(log.flip_count)
+        got = face_rows(out.faces)
         want = dl.face_geometries(out)
-        assert len(log.geoms) == len(want) == out.triangulation.face_count
-        for got_g, want_g in zip(log.geoms, want):
+        assert len(got) == len(want) == out.triangulation.face_count
+        for got_g, want_g in zip(got, want):
             assert geometry_fields(got_g) == geometry_fields(want_g)
     assert flips.count(0) >= 9 and max(flips) >= 10 and tangents >= 4
 
@@ -426,7 +427,8 @@ def reference_flip_edge(m, e):
 
 def reference_flip_to_delaunay(m):
     """The flip loop on surfaces rebuilt per flip: the queue and the
-    vertex map are carried through every flip's relabeling."""
+    vertex map are carried through every flip's relabeling.  Returns
+    the metric, its FlipLog and the per-face geometries it kept."""
     geoms = dl.face_geometries(m)
     log = dl.FlipLog(vertex_map=list(range(m.triangulation.vertex_count)))
     spherical = m.background is Background.SPHERICAL
@@ -455,17 +457,23 @@ def reference_flip_to_delaunay(m):
             if not dl.is_local_delaunay(m, e, geoms=geoms)
         ]
         if not queue:
-            log.geoms = geoms
-            return m, log
+            return m, log, geoms
 
 
-def flip_outcome(m, log, vertex_map=True):
-    """The output metric and everything its FlipLog holds, as values
-    that tell floats apart bit for bit."""
+def flipped_with_faces(m):
+    """``flip_to_delaunay``'s metric and FlipLog, and the rows of the
+    metric's ``faces``."""
+    out, log = dl.flip_to_delaunay(m)
+    return out, log, face_rows(out.faces)
+
+
+def flip_outcome(m, log, geoms, vertex_map=True):
+    """The output metric, everything its FlipLog holds and its face
+    geometries, as values that tell floats apart bit for bit."""
     return (
         surface_fields(m.triangulation), m.background, repr(m.lengths.tolist()),
         repr(m.radii.tolist()), repr(log.records), log.sweeps, repr(log.initial_support_min),
-        [geometry_fields(g) for g in log.geoms], log.vertex_map if vertex_map else None,
+        [geometry_fields(g) for g in geoms], log.vertex_map if vertex_map else None,
     )
 
 
@@ -479,7 +487,7 @@ def test_flip_to_delaunay_matches_rebuild_reference(rng):
         cases.append(dl.flip_to_delaunay(cases[-1])[0])  # zero flips
     flips = []
     for m in cases:
-        got = dl.flip_to_delaunay(m)
+        got = flipped_with_faces(m)
         flips.append(got[1].flip_count)
         assert flip_outcome(*got) == flip_outcome(*reference_flip_to_delaunay(m))
     assert flips.count(0) >= 3 and max(flips) >= 20
@@ -500,7 +508,7 @@ def test_flip_to_delaunay_matches_rebuild_reference(rng):
         canon, canon_map = dl._canonical_metric(kept)
         if canon.triangulation.edges == kept.triangulation.edges:
             continue
-        got, want = dl.flip_to_delaunay(kept), reference_flip_to_delaunay(canon)
+        got, want = flipped_with_faces(kept), reference_flip_to_delaunay(canon)
         assert got[1].flip_count > 0
         assert flip_outcome(*got, vertex_map=False) == flip_outcome(*want, vertex_map=False)
         assert got[1].vertex_map == [want[1].vertex_map[w] for w in canon_map]

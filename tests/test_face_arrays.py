@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ddce import Background, DecoratedMetric, cli
+from ddce import Background, DecoratedMetric, Triangulation, cli
 from ddce import delaunay as dl
 from ddce import metric as me
 from ddce import solver as so
@@ -30,6 +30,7 @@ from conftest import (
     outcome,
     random_metric,
     scrambled_metric,
+    with_stacked_faces,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -137,9 +138,9 @@ def test_face_arrays_match_the_scalar_kernel(rng):
         assert [geometry_fields(g) for g in dl.face_geometries(m)] == [
             geometry_fields(g) for g in want
         ], name
-        assert bits(dl.edge_weights(m, got)) == bits(reference_edge_weights(m, want)), name
-        stacked = trig.FaceArrays.stack(m.background, want)
-        assert bits(dl.edge_weights(m, stacked)) == bits(reference_edge_weights(m, want)), name
+        assert bits(dl.edge_weights(m)) == bits(reference_edge_weights(m, want)), name
+        stacked = with_stacked_faces(m)
+        assert bits(dl.edge_weights(stacked)) == bits(reference_edge_weights(m, want)), name
         checked += m.triangulation.face_count
     assert checked >= 1000
 
@@ -147,8 +148,8 @@ def test_face_arrays_match_the_scalar_kernel(rng):
 def test_cone_angles_and_edge_weights_match_the_scalar_kernel(rng):
     for name, m in corpus(rng):
         assert bits(so.cone_angles(m)) == bits(reference_cone_angles(m)), name
-        stacked = trig.FaceArrays.stack(m.background, dl.face_geometries(m))
-        assert bits(dl.edge_weights(m)) == bits(dl.edge_weights(m, stacked)), name
+        stacked = with_stacked_faces(m)
+        assert bits(dl.edge_weights(m)) == bits(dl.edge_weights(stacked)), name
 
 
 def reference_rows(path):
@@ -230,7 +231,7 @@ def test_face_arrays_keep_the_scalar_nan_behaviour(rng):
 def test_each_caller_takes_one_kernel_at_every_size(rng, monkeypatch):
     # bipyramids from 6 to 26 faces and a torus of 32: face_geometries,
     # whose callers keep per-face objects, runs face_circle once per
-    # face; face_arrays and cone_angles run the array kernel alone, and
+    # face; the metric's faces and cone_angles run the array kernel alone, and
     # all of them give the same floats
     circles, arrays = [], []
     real_circle, real_arrays = trig.face_circle, trig.face_circles
@@ -242,9 +243,55 @@ def test_each_caller_takes_one_kernel_at_every_size(rng, monkeypatch):
             circles.clear(), arrays.clear()
             want = dl.face_geometries(m)
             assert (len(circles), len(arrays)) == (tri.face_count, 0)
-            got = dl.face_arrays(m)
+            got = m.faces
             theta = so.cone_angles(m)
             assert (len(circles), len(arrays)) == (tri.face_count, 1)
             for field in FIELDS:
                 assert bits(getattr(got, field)) == bits([getattr(g, field) for g in want]), field
             assert bits(theta) == bits(reference_cone_angles(m))
+
+
+def unread(m):
+    """A metric with the data of ``m`` and nothing computed yet."""
+    return DecoratedMetric(m.triangulation, m.background, m.lengths, m.radii)
+
+
+def test_metric_faces_equal_the_array_kernel_on_fresh_and_flipped_metrics(rng):
+    # a fresh metric's faces run face_circles on first read; a flip
+    # output's faces stack its flip pass's list, and a pass that flips
+    # nothing hands its list to the input it returns
+    flips = []
+    for bg in ALL_BACKGROUNDS:
+        for tri in (grid_torus(4), Triangulation.genus_two_octagon()):
+            m = scrambled_metric(tri, bg, rng, flips=8)
+            ideal = np.where(np.arange(tri.vertex_count) % 2, m.radii, 0.0)  # r = 0: ideal
+            for radii in (m.radii, ideal):
+                fresh = DecoratedMetric(m.triangulation, bg, m.lengths, radii)
+                flipped, log = dl.flip_to_delaunay(unread(fresh))
+                again = unread(flipped)
+                same, none = dl.flip_to_delaunay(again)
+                assert same is again and none.flip_count == 0
+                flips.append(log.flip_count)
+                for out in (fresh, flipped, same):
+                    want = kernel_arrays(out)
+                    for field in FIELDS:
+                        assert bits(getattr(out.faces, field)) == bits(getattr(want, field)), field
+    assert min(flips) >= 1  # every pass flips; the second pass over its output does not
+
+
+def test_flip_output_faces_run_no_array_kernel(rng, monkeypatch):
+    # the faces of a flip output, and the weights and Jacobian read off
+    # them, come from the flip pass's list, whether it flipped or not
+    metrics = [scrambled_metric(grid_torus(4), bg, rng, flips=8) for bg in ALL_BACKGROUNDS]
+    metrics += [dl.flip_to_delaunay(m)[0] for m in metrics]
+    calls = []
+    for name in ("face_circles", "angle_array"):
+        real = getattr(trig, name)
+        monkeypatch.setattr(trig, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    flips = []
+    for m in metrics:
+        out, log = dl.flip_to_delaunay(unread(m))
+        flips.append(log.flip_count)
+        out.faces, dl.edge_weights(out), so.angle_jacobian(out)
+        assert calls == []
+    assert flips[3:] == [0, 0, 0] and min(flips[:3]) >= 1

@@ -1,6 +1,7 @@
 """Input rejections: each documented refusal of a malformed or
 out-of-range input raises its type with its message."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -29,6 +30,11 @@ def genus2():
 def heights(m, eps=True):
     h = me.heights_from_decoration(m)
     return h if eps else me.Heights(h.h, h.background, h.reference_radius)
+
+
+def chart(m, **changes):
+    """The heights of ``m`` with some of their fields replaced."""
+    return dataclasses.replace(me.heights_from_decoration(m), **changes)
 
 
 def solve(theta=2 * math.pi, **kw):
@@ -91,6 +97,36 @@ CASES = {
     "newton_solve max_iter 1.5": (
         solve(max_iter=1.5), BadParameters, "max_iter must be non-negative and an integer, got 1.5"
     ),
+    "newton_solve tol None": (
+        solve(tol=None), BadParameters, "tol must be finite and non-negative, got None"
+    ),
+    "newton_solve tol string": (
+        solve(tol="1e-9"), BadParameters, "tol must be finite and non-negative, got '1e-9'"
+    ),
+    "extract_tessellation tol None": (
+        lambda: dl.extract_tessellation(genus2(), tol=None),
+        BadParameters, "tol must be finite and non-negative, got None",
+    ),
+    "build_transition None parameter": (
+        lambda: tr.build_transition(genus2(), [1, None]),
+        BadParameters, "parameters must be a sequence of real numbers",
+    ),
+    "build_transition one number": (
+        lambda: tr.build_transition(genus2(), 5),
+        BadParameters, "parameters must be a sequence of real numbers",
+    ),
+    "build_transition string parameter": (
+        lambda: tr.build_transition(genus2(), ["x"]),
+        BadParameters, "parameters must be a sequence of real numbers",
+    ),
+    "lambda_lengths heights of another background": (
+        lambda: me.lambda_lengths(genus2(), chart(genus2(), background=Background.SPHERICAL)),
+        NotComparable, "spherical heights for a hyperbolic metric",
+    ),
+    "lambda_lengths heights with other eps": (
+        lambda: me.lambda_lengths(genus2(), chart(genus2(), eps=np.zeros(1))),
+        NotComparable, "heights carry other ideal/hyperideal flags than the metric",
+    ),
     "omega_map no eps": (
         lambda: me.omega_map(HYP, me.default_reference_radius(HYP), heights(genus2(), eps=False)),
         ValueError, "heights carry no eps flags",
@@ -134,3 +170,14 @@ def test_input_is_rejected_with_its_type_and_message(case):
         call()
     assert type(raised.value) is kind
     assert str(raised.value) == message
+
+
+def test_lambda_lengths_take_heights_of_their_own_chart():
+    # the chart newton_solve passes: the metric's background and eps flags
+    for name in ("genus2_hyperbolic", "genus2_undecorated", "octahedron_spherical"):
+        m = fixture(name)
+        h = me.heights_from_decoration(m)
+        for given in (h, me.Heights(h.h, h.background, h.reference_radius)):
+            assert repr(me.lambda_lengths(m, given).lam.tolist()) == repr(
+                me.lambda_lengths(m).lam.tolist()
+            )

@@ -24,6 +24,7 @@ from conftest import (
     outcome,
     random_metric,
     scrambled_metric,
+    with_stacked_faces,
 )
 
 # frozen oracle value: acosh of the root of cos(pi/9) = (x^2 - x)/(x^2 - 1)
@@ -66,9 +67,9 @@ def test_cone_angles_match_per_face_oracle(rng):
 
 
 def test_cone_angles_from_flip_geometries_are_exact(rng):
-    # newton_solve sums the angles of the flip log's geometries, with the
-    # np.bincount of cone_angles, instead of calling cone_angles on the
-    # flipped metric
+    # newton_solve sums the angles of the flipped metric's faces, which
+    # stack the flip pass's geometries, with the np.bincount of
+    # cone_angles, instead of calling cone_angles on the flipped metric
     flips = []
     for bg in ALL_BACKGROUNDS:
         for tri in (octahedron(), grid_torus(4), Triangulation.genus_two_octagon()):
@@ -76,7 +77,7 @@ def test_cone_angles_from_flip_geometries_are_exact(rng):
                 out, log = dl.flip_to_delaunay(m)
                 flips.append(log.flip_count)
                 t = out.triangulation
-                angles = [a for g in log.geoms for a in g.angles]
+                angles = out.faces.angles.ravel()
                 got = np.bincount(t.face_vertex_array.ravel(), angles, t.vertex_count)
                 assert repr(got.tolist()) == repr(so.cone_angles(out).tolist())
     assert flips.count(0) >= 2 and max(flips) >= 5
@@ -118,11 +119,7 @@ def test_angle_jacobian_matches_corner_by_corner_reference(rng):
     for m in metrics:
         geoms = dl.face_geometries(m)
         want = reference_angle_jacobian(m, geoms)
-        for got in (
-            so.angle_jacobian(m, trig.FaceArrays.stack(m.background, geoms)),
-            so.angle_jacobian(m, dl.face_arrays(m)),
-            so.angle_jacobian(m),
-        ):
+        for got in (so.angle_jacobian(with_stacked_faces(m)), so.angle_jacobian(m)):
             assert np.array_equal(got, want)
             assert repr(got.tolist()) == repr(want.tolist())
 
@@ -564,9 +561,7 @@ def test_newton_solve_reuses_flip_geometries_exactly(rng, monkeypatch):
     # reference: the Jacobian recomputes every face geometry of its metric
     real_jacobian = so.angle_jacobian
     with monkeypatch.context() as mp:
-        mp.setattr(so, "angle_jacobian", lambda m, geoms=None: real_jacobian(
-            m, trig.FaceArrays.stack(m.background, dl.face_geometries(m))
-        ))
+        mp.setattr(so, "angle_jacobian", lambda m: real_jacobian(with_stacked_faces(m)))
         want = [solve_outcome(m, theta) for m, theta in cases]
     # repr tells floats apart bit for bit
     assert repr(got) == repr(want)
