@@ -11,13 +11,12 @@ metrics between background geometries along a shared invariant.
 """
 
 from .surface import Triangulation
-from .trig import Background, DecoratedTriangle, TriangleGeometry
+from .trig import Background, TriangleGeometry
 from .metric import DecoratedMetric, Heights, Invariant
 
 __all__ = [
     "Background",
     "DecoratedMetric",
-    "DecoratedTriangle",
     "Heights",
     "Invariant",
     "Triangulation",

@@ -57,17 +57,25 @@ def face_geometries(m: DecoratedMetric) -> list:
     try:
         for length, (i, j) in zip(lengths, tri.edge_endpoint_ids):
             sections.append(trig.edge_section(bg, length, radii[i], radii[j]))
-        for (a, b, c), (u, v, w) in zip(tri.face_edge_ids, tri.face_vertex_ids):
-            geoms.append(trig.face_circle(
-                bg, (lengths[a], lengths[b], lengths[c]), (radii[u], radii[v], radii[w]),
-                (sections[a], sections[b], sections[c]),
-            ))
+        for f in range(tri.face_count):
+            geoms.append(_face_geometry(bg, tri, f, lengths, radii, sections))
     except (OverflowError, ZeroDivisionError) as ex:  # name the first edge, else face
         e = len(sections)
         at = f"edge {tri.edge_label(e)}" if e < tri.edge_count else f"face {len(geoms)}"
         fails = "overflows" if isinstance(ex, OverflowError) else "divides by zero"
         raise ResultInvalid(f"{at}: the face kernel {fails} ({ex})", [str(ex)]) from None
     return geoms
+
+
+def _face_geometry(bg: Background, tri, f: int, lengths, radii, sections):
+    """``trig.face_circle`` of face ``f`` of ``tri``, with the lengths,
+    radii and edge sections of its sides and corners read by id."""
+    a, b, c = tri.face_edge_ids[f]
+    u, v, w = tri.face_vertex_ids[f]
+    return trig.face_circle(
+        bg, (lengths[a], lengths[b], lengths[c]), (radii[u], radii[v], radii[w]),
+        (sections[a], sections[b], sections[c]),
+    )
 
 
 def weight_denominators(m: DecoratedMetric) -> np.ndarray:
@@ -123,31 +131,29 @@ def flip_edge(m: DecoratedMetric, e: int):
     """Geometric edge flip: new diagonal length from the quad, then the
     combinatorial surgery.  Returns (metric, FlipResult, new_length);
     every edge and vertex keeps its id, so only ``lengths[e]`` moves.
-    An invalid input raises ``check_valid``'s ResultInvalid, since
-    ``trig.diagonal_length`` checks only what the flip creates."""
+    The quad's lengths and radii are read by id off
+    ``Triangulation.quad``.  An invalid input raises ``check_valid``'s
+    ResultInvalid, since ``trig.diagonal_length`` checks only what the
+    flip creates."""
     check_valid(m, "input of flip_edge")
-    (f, s), (g, t) = m.triangulation.edges[e]
-    t1, t2 = _rotated_triangle(m.face_triangle(f), s), _rotated_triangle(m.face_triangle(g), t)
-    return _flip(m, e, t1, t2)
+    return _flip(m, e, m.lengths.tolist(), m.radii.tolist())
 
 
-def _flip(m: DecoratedMetric, e: int, t1, t2):
-    """``flip_edge`` given the quad triangles (a, b, c) and (b, a, d) of
-    ``e``, each rotated to start at its side of ``e``."""
-    new_len = trig.diagonal_length(m.background, t1, t2)
-    fr = m.triangulation.flip(e)
-    lengths = m.lengths.copy()
-    lengths[e] = new_len
-    lengths.flags.writeable = False  # the metric keeps it as it is
-    return DecoratedMetric(fr.triangulation, m.background, lengths, m.radii), fr, new_len
-
-
-def _rotated_triangle(t, s: int) -> trig.DecoratedTriangle:
-    """Triangle ``t`` (a DecoratedTriangle or TriangleGeometry) with its
-    slot ``s`` moved to slot 0."""
-    return trig.DecoratedTriangle(
-        t.background, t.lengths[s:] + t.lengths[:s], t.radii[s:] + t.radii[:s]
+def _flip(m: DecoratedMetric, e: int, lengths: list, radii: list):
+    """``flip_edge`` given the floats of ``m`` as lists: the new
+    diagonal first, so a self-glued quad raises what
+    ``trig.diagonal_length`` raises on it before the surgery refuses
+    it."""
+    (bc, ca, ad, db), (_, _, c, d) = m.triangulation.quad(e)
+    new_len = trig.diagonal_length(
+        m.background, (lengths[e], lengths[bc], lengths[ca], lengths[ad], lengths[db]),
+        (radii[c], radii[d]),
     )
+    fr = m.triangulation.flip(e)
+    new_lengths = m.lengths.copy()
+    new_lengths[e] = new_len
+    new_lengths.flags.writeable = False  # the metric keeps it as it is
+    return DecoratedMetric(fr.triangulation, m.background, new_lengths, m.radii), fr, new_len
 
 
 @dataclass(frozen=True)
@@ -197,15 +203,17 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
     flipped quad keep their ids and slots, so only the two rebuilt
     faces get a new geometry and a new support value per flip, and
     ``trig.diagonal_length`` checked what each flip created.  A flip
-    step reads the floats it holds: the two quad triangles are the
-    held geometries of its faces, rotated to the flipped edge, and the
-    rebuilt faces take their lengths and radii from those and the new
-    diagonal, so no step reads the metric's arrays.  Of their five
-    edges only the new diagonal gets its section evaluated
-    (``trig.edge_section``): each quad side keeps its length and
-    endpoint radii, and its section is read off the face geometries it
-    had before the flip (``_held_section``).  So a call evaluates
-    ``E + flip_count`` sections and ``F + 2 flip_count`` face circles.
+    step reads floats by id from two lists, the metric's lengths and
+    radii, of which it sets ``lengths[e]`` after each flip: the quad's
+    through ``Triangulation.quad`` (``_flip``, as ``flip_edge``), and
+    the two rebuilt faces' from the new triangulation's rows, through
+    the per-face helper of ``face_geometries``.  Of their five edges
+    only the new diagonal gets its section evaluated
+    (``trig.edge_section``, at its ``edge_endpoint_ids``): each quad
+    side keeps its length and endpoint radii, and its section is read
+    off the face geometries it had before the flip
+    (``_held_section``).  So a call evaluates ``E + flip_count``
+    sections and ``F + 2 flip_count`` face circles.
 
     Flips keep every edge and vertex id and the queue visits edges in
     canonical order; after flips the output is relabeled canonically
@@ -224,6 +232,7 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
     if track_support is None:
         track_support = m.background is Background.SPHERICAL
     tri = m.triangulation
+    lengths, radii = m.lengths.tolist(), m.radii.tolist()  # lengths[e] follows each flip
     log = FlipLog(sweeps=1, vertex_map=list(range(tri.vertex_count)))
     supports = []  # per-face support minima, refreshed on rebuilt faces
     if track_support:
@@ -243,22 +252,15 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
             )
         before = m.triangulation
         label = before.edge_label(e)
-        (f, s), (g, t) = before.edges[e]
-        t1, t2 = _rotated_triangle(geoms[f], s), _rotated_triangle(geoms[g], t)
-        m, fr, new_len = _flip(m, e, t1, t2)
-        # Triangulation.flip's layout: f = (a, d, c) on edges (ad, e, ca),
-        # g = (d, b, c) on edges (db, bc, e)
-        (_, l_bc, l_ca), (r_a, r_b, r_c) = t1.lengths, t1.radii
-        (_, l_ad, l_db), r_d = t2.lengths, t2.radii[2]
-        bc, ca, ad, db = fr.quad_boundary_edges
-        held = {b: _held_section(before, geoms, b) for b in fr.quad_boundary_edges}
-        diagonal = trig.edge_section(m.background, new_len, r_d, r_c)
-        geoms[f] = trig.face_circle(
-            m.background, (l_ad, new_len, l_ca), (r_a, r_d, r_c), (held[ad], diagonal, held[ca])
-        )
-        geoms[g] = trig.face_circle(
-            m.background, (l_db, l_bc, new_len), (r_d, r_b, r_c), (held[db], held[bc], diagonal)
-        )
+        m, fr, new_len = _flip(m, e, lengths, radii)
+        lengths[e] = new_len
+        after = fr.triangulation
+        sections = {b: _held_section(before, geoms, b) for b in fr.quad_boundary_edges}
+        i, j = after.edge_endpoint_ids[e]
+        sections[e] = trig.edge_section(m.background, new_len, radii[i], radii[j])
+        (f, _), (g, _) = after.edges[e]  # the two rebuilt faces
+        geoms[f] = _face_geometry(m.background, after, f, lengths, radii, sections)
+        geoms[g] = _face_geometry(m.background, after, g, lengths, radii, sections)
         for b in fr.quad_boundary_edges:
             if b not in queued:
                 queue.append(b)
@@ -382,7 +384,7 @@ def support_minimum(m: DecoratedMetric, geoms=None, per_face=None) -> float:
     the number of flips.  A list passed as ``per_face`` receives the
     minimum on each face, in face order."""
     if m.background is not Background.SPHERICAL:
-        raise ValueError("the support function is defined for spherical metrics")
+        raise BadParameters("the support function is defined for spherical metrics")
     if geoms is None:
         geoms = face_geometries(m)
     values = [1.0 / _face_support_max(g) for g in geoms]

@@ -96,11 +96,15 @@ class LineSearchStalled(SolverError):
     """Backtracking line search underflowed without making progress."""
 
 
-# -- transitions -------------------------------------------------------------
+# -- caller arguments --------------------------------------------------------
 
 class BadParameters(DDCEError, ValueError):
-    """A parameter is not a number, or outside its documented range:
-    transition parameters that are not finite, >= 1 and strictly
-    increasing, a tolerance that is not finite and non-negative, an
-    iteration cap that is not a non-negative integer, target angles
-    that are not positive and finite."""
+    """A caller's argument is malformed, not a number, or outside its
+    documented range: an array whose shape does not match the vertex or
+    edge orbits, heights without eps flags, a background the call is
+    not defined for, an unknown background name, an ``acosh`` argument
+    below 1, transition parameters that are not finite, >= 1 and
+    strictly increasing, a tolerance that is not finite and
+    non-negative, an iteration cap that is not a non-negative integer,
+    target angles that are not positive and finite.  It is a ValueError
+    too, as Python's own argument rejections are."""

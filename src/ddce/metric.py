@@ -55,6 +55,7 @@ import numpy as np
 
 from . import trig
 from .errors import (
+    BadParameters,
     HeightsOutOfDomain,
     NotComparable,
     ResultInvalid,
@@ -76,7 +77,7 @@ def stable_acosh(x: float) -> float:
     """acosh via log1p, accurate for arguments just above 1."""
     t = x - 1.0
     if t < 0:
-        raise ValueError(f"acosh argument {x} below 1")
+        raise BadParameters(f"acosh argument {x} below 1")
     return math.log1p(t + math.sqrt(t * (t + 2.0)))
 
 
@@ -113,16 +114,17 @@ def default_reference_radius(background: Background) -> float:
         return math.asinh(1.0)
     if background is Background.SPHERICAL:
         return math.acosh(math.sqrt(2.0))
-    raise ValueError("reference radius is defined for curved backgrounds only")
+    raise BadParameters("reference radius is defined for curved backgrounds only")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecoratedMetric:
     """Per-edge lengths and per-vertex radii on a triangulation, held as
     read-only float arrays, so that ``validate`` need look only once.
     An array that is already read-only, float64 and owns its data is
     kept as it is, so flips share their parent's radii; anything else
-    is copied."""
+    is copied.  Equality and hashing are by identity, as for
+    ``Triangulation``; ``Invariant`` and ``Heights`` likewise."""
 
     triangulation: Triangulation
     background: Background
@@ -140,9 +142,9 @@ class DecoratedMetric:
                 values.flags.writeable = False
                 object.__setattr__(self, name, values)
         if self.lengths.shape != (self.triangulation.edge_count,):
-            raise ValueError("length array does not match edge orbits")
+            raise BadParameters("length array does not match edge orbits")
         if self.radii.shape != (self.triangulation.vertex_count,):
-            raise ValueError("radius array does not match vertex orbits")
+            raise BadParameters("radius array does not match vertex orbits")
 
     @cached_property
     def _diagnostics(self) -> tuple:
@@ -171,19 +173,8 @@ class DecoratedMetric:
         """1 for hyperideal vertices (r > 0), 0 for ideal ones."""
         return (self.radii > 0).astype(int)
 
-    def face_triangle(self, f: int) -> trig.DecoratedTriangle:
-        tri = self.triangulation
-        l, r = self.lengths, self.radii
-        ea, eb, ec = tri.face_edge_ids[f]
-        va, vb, vc = tri.face_vertex_ids[f]
-        return trig.DecoratedTriangle(
-            self.background,
-            (float(l[ea]), float(l[eb]), float(l[ec])),
-            (float(r[va]), float(r[vb]), float(r[vc])),
-        )
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Invariant:
     """Fundamental discrete conformal invariant data: lambda-lengths per
     edge plus ideal/hyperideal flags.  Carries no background tag; the
@@ -198,7 +189,7 @@ class Invariant:
         object.__setattr__(self, "eps", np.asarray(self.eps, dtype=int))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Heights:
     """Apex heights per vertex, with the background and gauge radius R of
     the apex sphere they refer to."""
@@ -296,7 +287,7 @@ def conformal_change(m: DecoratedMetric, u) -> DecoratedMetric:
     tri = m.triangulation
     u = np.asarray(u, dtype=float)
     if u.shape != (tri.vertex_count,):
-        raise ValueError("scale factor array does not match vertex orbits")
+        raise BadParameters("scale factor array does not match vertex orbits")
     try:
         inv = lambda_lengths(m)
         moved = decoration_from_heights(
@@ -394,7 +385,7 @@ def lambda_lengths(m: DecoratedMetric, heights: Heights | None = None) -> Invari
     bg = m.background
     heights = heights or heights_from_decoration(m)
     if heights.h.shape != (tri.vertex_count,):
-        raise ValueError("height array does not match vertex orbits")
+        raise BadParameters("height array does not match vertex orbits")
     if heights.background is not bg:
         raise NotComparable(f"{heights.background.name_lower} heights for a {bg.name_lower} metric")
     if heights.eps is not None and not np.array_equal(heights.eps, m.eps):
@@ -463,9 +454,9 @@ def decoration_from_heights(
     tri = triangulation
     h, lam = heights.h, invariant.lam
     if h.shape != (tri.vertex_count,):
-        raise ValueError("height array does not match vertex orbits")
+        raise BadParameters("height array does not match vertex orbits")
     if lam.shape != (tri.edge_count,):
-        raise ValueError("lambda array does not match edge orbits")
+        raise BadParameters("lambda array does not match edge orbits")
     hyper = invariant.eps == 1
     curved = bg is not Background.EUCLIDEAN
     if curved and np.count_nonzero(hyper & (h <= 0)):
@@ -535,7 +526,7 @@ def omega_map(background: Background, reference_radius: float, heights: Heights)
     arithmetic over plain floats, vertex by vertex, so an exponential
     that overflows raises OverflowError at the first such vertex."""
     if heights.eps is None:
-        raise ValueError("heights carry no eps flags")
+        raise BadParameters("heights carry no eps flags")
     if background is Background.HYPERBOLIC:
         norm, sign = math.sinh(reference_radius), 1
     else:
@@ -569,7 +560,7 @@ def omega_inverse(
     elif background is Background.SPHERICAL:  # t = cosh(R) omega, h = log(t + sqrt(t^2 + eps))
         scale, sign, off_image = math.cosh(reference_radius), 1, "not positive"
     else:
-        raise ValueError("omega maps are defined for curved backgrounds only")
+        raise BadParameters("omega maps are defined for curved backgrounds only")
     h = []
     for v, (w, e) in enumerate(zip(omega.tolist(), eps.tolist())):
         t = w * scale
@@ -604,11 +595,14 @@ def scale_factors(m: DecoratedMetric, m_new: DecoratedMetric) -> np.ndarray:
     edges (least squares; triangulations always contain odd cycles, so
     the system determines the factors).  Whether the result actually
     reproduces ``m_new`` is the caller's DCE test via conformal_change.
-    Raises ResultInvalid naming the vertex when a hyperbolic radius is
+    Raises NotComparable unless both triangulations have the same
+    edges and vertices under the same ids (equal ``edges`` and
+    ``face_vertex_ids``), since factors and lambda-lengths are paired by
+    id, and ResultInvalid naming the vertex when a hyperbolic radius is
     too large for ``sinh``.
     """
-    tri = m.triangulation
-    if m_new.triangulation is not tri and m_new.triangulation.gluing != tri.gluing:
+    tri, other = m.triangulation, m_new.triangulation
+    if other is not tri and (other.edges, other.face_vertex_ids) != (tri.edges, tri.face_vertex_ids):
         raise NotComparable("metrics live on different triangulations")
     if m.background is not m_new.background:
         raise NotComparable("metrics have different backgrounds")

@@ -335,7 +335,7 @@ def newton_solve(
     tri0 = m0.triangulation
     theta_target = np.asarray(theta_target, dtype=float)
     if theta_target.shape != (tri0.vertex_count,):
-        raise ValueError("target angle array does not match vertex orbits")
+        raise BadParameters("target angle array does not match vertex orbits")
     if not np.all((theta_target > 0) & (theta_target < math.inf)):  # NaN fails both
         raise BadParameters("target angles must be positive and finite")
     bg = m0.background

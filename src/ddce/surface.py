@@ -344,6 +344,23 @@ class Triangulation:
 
     # -- edge flip ------------------------------------------------------------
 
+    def quad(self, e: int) -> tuple:
+        """``((bc, ca, ad, db), (a, b, c, d))``: the side ids and corner
+        ids of the quadrilateral that edge ``e`` is the diagonal of.  For
+        ``edges[e] = ((f, s), (g, t))``, face ``f`` read from slot ``s``
+        is ``(a, b, c)`` and face ``g`` read from slot ``t`` is
+        ``(b, a, d)``, so ``e`` runs from ``a`` to ``b`` and ``c`` and
+        ``d`` are the apexes.  ``flip`` makes ``f`` the face ``(a, d, c)``
+        on edges ``(ad, e, ca)`` and ``g`` the face ``(d, b, c)`` on
+        edges ``(db, bc, e)``."""
+        (f, s), (g, t) = self.edges[e]
+        fe, ge = self.face_edge_ids[f], self.face_edge_ids[g]
+        fv, gv = self.face_vertex_ids[f], self.face_vertex_ids[g]
+        return (
+            (fe[(s + 1) % 3], fe[(s + 2) % 3], ge[(t + 1) % 3], ge[(t + 2) % 3]),
+            (fv[s], fv[(s + 1) % 3], fv[(s + 2) % 3], gv[(t + 2) % 3]),
+        )
+
     def flip(self, e: int) -> FlipResult:
         """Replace edge ``e`` by the opposite diagonal of its quadrilateral.
 
@@ -361,22 +378,18 @@ class Triangulation:
                 f"edge {self.edge_label(e)} bounds a self-glued quadrilateral"
             )
         h1, h2 = self.edges[e]
-        f, s = h1
-        g, t = h2
-        # Quad corners: a = (f,s), b = (f,s+1), apex c = (f,s+2), apex d = (g,t+2).
-        # New faces: f -> (a, d, c), g -> (d, b, c); new diagonal (f,1)~(g,2).
+        f, g = h1[0], h2[0]
+        # the quad's half-edges move to their slots in the new faces
+        # f = (a, d, c) and g = (d, b, c); the new diagonal is (f,1)~(g,2)
         relabel = {
-            (f, s): (f, 1),
-            (g, t): (g, 2),
+            h1: (f, 1),
+            h2: (g, 2),
             _next(h1): (g, 1),   # b -> c side
             _prev(h1): (f, 2),   # c -> a side
             _next(h2): (f, 0),   # a -> d side
             _prev(h2): (g, 0),   # d -> b side
         }
-        fe, ge = self.face_edge_ids[f], self.face_edge_ids[g]
-        bc, ca, ad, db = fe[(s + 1) % 3], fe[(s + 2) % 3], ge[(t + 1) % 3], ge[(t + 2) % 3]
-        fv, gv = self.face_vertex_ids[f], self.face_vertex_ids[g]
-        a, b, c, d = fv[s], fv[(s + 1) % 3], fv[(s + 2) % 3], gv[(t + 2) % 3]
+        (bc, ca, ad, db), (a, b, c, d) = self.quad(e)
 
         face_edges = list(self.face_edge_ids)
         face_edges[f], face_edges[g] = (ad, e, ca), (db, bc, e)

@@ -47,9 +47,9 @@ def scale_family(h1: Heights, t: float) -> Heights:
     """Heights of the weight-scaled decoration, ``t >= 1``.  Increasing
     componentwise in ``t``; the gauge radius cancels."""
     if t < 1.0:
-        raise ValueError("scale parameter must be >= 1")
+        raise BadParameters("scale parameter must be >= 1")
     if h1.background is Background.EUCLIDEAN:
-        raise ValueError("scale families start from a curved background")
+        raise BadParameters("scale families start from a curved background")
     return omega_inverse(
         h1.background,
         h1.reference_radius,
@@ -61,7 +61,7 @@ def scale_family(h1: Heights, t: float) -> Heights:
 def cusp_heights(h1: Heights) -> np.ndarray:
     """Euclidean-limit cusp heights, gauged to zero at vertex 0."""
     if h1.eps is None:
-        raise ValueError("heights carry no eps flags")
+        raise BadParameters("heights carry no eps flags")
     sign = 1 if h1.background is Background.HYPERBOLIC else -1
     logs = np.array(
         [math.log(tau(sign * e, hv)) for e, hv in zip(h1.eps.tolist(), h1.h.tolist())]
@@ -119,7 +119,7 @@ def build_transition(m: DecoratedMetric, ts) -> TransitionPath:
     """
     bg = m.background
     if bg is Background.EUCLIDEAN:
-        raise ValueError("transition families start from a curved background")
+        raise BadParameters("transition families start from a curved background")
     ts = list(ts) if isinstance(ts, Iterable) else None
     if ts is None or not all(isinstance(t, numbers.Real) for t in ts):
         raise BadParameters("parameters must be a sequence of real numbers")

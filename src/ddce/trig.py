@@ -14,7 +14,10 @@ This module computes, for a single triangle:
   the orthogonal-section radius ``r_sec`` and the tangent (tan /
   identity / tanh) of the signed distance from the face-circle center
   to the edge, positive when the center lies on the triangle's side,
-* the geodesic diagonal swap used by edge flips.
+* the geodesic diagonal swap used by edge flips, from plain floats:
+  a quad's five lengths (the shared edge once) and the radii of the
+  two corners the new diagonal joins, in the layout that
+  ``surface.Triangulation.quad`` names by id.
 
 Every quantity is a closed form in the side lengths and radii.  The
 face-circle data come from the right-angled triangles that the
@@ -74,7 +77,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DegenerateTriangle, FlipGeometryInvalid, ResultInvalid, ZeroRadius
+from .errors import BadParameters, DegenerateTriangle, FlipGeometryInvalid, ResultInvalid, ZeroRadius
 
 #: tolerance for triangle-inequality degeneracy checks
 DEGENERACY_TOL = 1e-12
@@ -92,22 +95,11 @@ class Background(enum.Enum):
         try:
             return cls[name.upper()]
         except (AttributeError, KeyError):  # not a string, or no such name
-            raise ValueError(f"unknown background {name!r}") from None
+            raise BadParameters(f"unknown background {name!r}") from None
 
     @property
     def name_lower(self) -> str:
         return self.name.lower()
-
-
-@dataclass(frozen=True)
-class DecoratedTriangle:
-    """A triangle with lengths ``(l01, l12, l20)`` and vertex radii
-    ``(r0, r1, r2)``; slot ``s`` is the edge from corner ``s`` to
-    corner ``s + 1``."""
-
-    background: Background
-    lengths: tuple
-    radii: tuple
 
 
 # -- interior angles ----------------------------------------------------------
@@ -543,25 +535,24 @@ def _cos_rule_forward(background: Background, b1: float, b2: float, gamma: float
     return math.sqrt(max(0.0, c2))
 
 
-def diagonal_length(background: Background, t1: DecoratedTriangle, t2: DecoratedTriangle) -> float:
-    """Length of the opposite diagonal of the quadrilateral formed by two
-    triangles sharing their slot-0 edge.
+def diagonal_length(background: Background, lengths, radii) -> float:
+    """Length of the new diagonal ``cd`` of the quadrilateral of two
+    faces ``(a, b, c)`` and ``(b, a, d)`` that share the edge ``ab``
+    (``surface.Triangulation.quad``'s layout).
 
-    ``t1`` is the triangle ``(a, b, c)`` and ``t2`` the triangle
-    ``(b, a, d)`` on the other side, so the shared edge data must agree
-    exactly.  The quad's five lengths and four radii are taken to be
+    ``lengths`` is ``(l_ab, l_bc, l_ca, l_ad, l_db)`` and ``radii`` is
+    ``(r_c, r_d)``, the radii at the two apexes, which the new diagonal
+    joins.  The quad's five lengths and four radii are taken to be
     those of a valid metric (``delaunay.flip_edge`` checks it), so only
     what the flip creates is checked: raises FlipGeometryInvalid when
-    the flipped faces ``(a, d, c)`` and ``(d, b, c)`` make no face
-    (``face_defect``) or the vertex circles of the new diagonal ``dc``
-    intersect.
+    the quad is concave at ``a`` or ``b``, when the flipped faces
+    ``(a, d, c)`` and ``(d, b, c)`` make no face (``face_defect``), or
+    when the vertex circles of the new diagonal intersect.
     """
-    if background is not t1.background or background is not t2.background:
-        raise FlipGeometryInvalid("background mismatch between quad triangles")
-    if t1.lengths[0] != t2.lengths[0] or t1.radii[0] != t2.radii[1] or t1.radii[1] != t2.radii[0]:
-        raise FlipGeometryInvalid("shared edge data of the quad disagrees")
-    ang1 = interior_angles(background, t1.lengths)
-    ang2 = interior_angles(background, t2.lengths)
+    l_ab, l_bc, l_ca, l_ad, l_db = lengths
+    r_c, r_d = radii
+    ang1 = interior_angles(background, (l_ab, l_bc, l_ca))
+    ang2 = interior_angles(background, (l_ab, l_ad, l_db))
     gamma = ang1[0] + ang2[1]  # angle at corner a between the two outer edges
     gamma_b = ang1[1] + ang2[0]
     if gamma >= math.pi or gamma_b >= math.pi:
@@ -569,10 +560,8 @@ def diagonal_length(background: Background, t1: DecoratedTriangle, t2: Decorated
         raise FlipGeometryInvalid(
             f"quad is concave at a shared-edge endpoint (angles {gamma}, {gamma_b})"
         )
-    _, l_bc, l_ca = t1.lengths
-    _, l_ad, l_db = t2.lengths
     new_len = _cos_rule_forward(background, l_ca, l_ad, gamma)
-    r_cd = t1.radii[2] + t2.radii[2]
+    r_cd = r_c + r_d
     bad = [
         f"face {name}: {defect}"
         for name, defect in (

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ddce import Background, DecoratedMetric, DecoratedTriangle, Triangulation
+from ddce import Background, DecoratedMetric, Triangulation
 from ddce.errors import DisconnectedSurface, FlipGeometryInvalid, NonInvolution
 from ddce import delaunay, metric as me, surface, trig
 
@@ -63,6 +63,29 @@ def isosceles_sphere():
 
 
 ALL_BACKGROUNDS = (Background.SPHERICAL, Background.EUCLIDEAN, Background.HYPERBOLIC)
+
+
+@dataclasses.dataclass(frozen=True)
+class DecoratedTriangle:
+    """A lone triangle with lengths ``(l01, l12, l20)`` and vertex radii
+    ``(r0, r1, r2)``; slot ``s`` is the edge from corner ``s`` to
+    corner ``s + 1``.  The package reads a face's floats by id off its
+    metric; the tests build and check lone triangles with this record."""
+
+    background: Background
+    lengths: tuple
+    radii: tuple
+
+
+def face_triangle(m, f, s=0):
+    """Face ``f`` of metric ``m`` as a DecoratedTriangle, read from its
+    slot ``s``: the face's lengths and radii rotated to start there."""
+    tri = m.triangulation
+    lengths = [float(m.lengths[k]) for k in tri.face_edge_ids[f]]
+    radii = [float(m.radii[v]) for v in tri.face_vertex_ids[f]]
+    return DecoratedTriangle(
+        m.background, tuple(lengths[s:] + lengths[:s]), tuple(radii[s:] + radii[:s])
+    )
 
 
 def random_metric(triangulation, background, rng, ideal_fraction=0.0, max_tries=400):
@@ -167,10 +190,25 @@ def valid_triangle(tri):
     return not reference_violations(tri)
 
 
-def reference_diagonal_length(bg, t1, t2):
+def quad_triangles(bg, lengths, radii):
+    """The faces ``(a, b, c)`` and ``(b, a, d)`` of a quad with
+    ``lengths = (ab, bc, ca, ad, db)`` and ``radii = (r_a, r_b, r_c,
+    r_d)``, as DecoratedTriangles."""
+    l_ab, l_bc, l_ca, l_ad, l_db = lengths
+    r_a, r_b, r_c, r_d = radii
+    return (
+        DecoratedTriangle(bg, (l_ab, l_bc, l_ca), (r_a, r_b, r_c)),
+        DecoratedTriangle(bg, (l_ab, l_ad, l_db), (r_b, r_a, r_d)),
+    )
+
+
+def reference_diagonal_length(bg, lengths, radii):
     """``trig.diagonal_length`` checking both whole flipped triangles
     (``reference_violations``) after the diagonal, rather than only what
-    the flip creates."""
+    the flip creates.  ``lengths`` are those of ``trig.diagonal_length``
+    and ``radii`` all four ``(r_a, r_b, r_c, r_d)``, of which
+    ``trig.diagonal_length`` takes ``(r_c, r_d)``."""
+    t1, t2 = quad_triangles(bg, lengths, radii)
     ang1 = trig.interior_angles(bg, t1.lengths)
     ang2 = trig.interior_angles(bg, t2.lengths)
     gamma, gamma_b = ang1[0] + ang2[1], ang1[1] + ang2[0]

@@ -23,6 +23,7 @@ from conftest import (
     ALL_BACKGROUNDS,
     face_circle_lift,
     face_rows,
+    face_triangle,
     geometry_fields,
     grid_torus,
     isosceles_sphere,
@@ -412,9 +413,10 @@ def reference_flip_edge(m, e):
     """``flip_edge`` on a surface rebuilt with canonical labels, with
     the maps from the old ids."""
     (f, s), (g, t) = m.triangulation.edges[e]
-    t1 = dl._rotated_triangle(m.face_triangle(f), s)
-    t2 = dl._rotated_triangle(m.face_triangle(g), t)
-    new_len = trig.diagonal_length(m.background, t1, t2)
+    t1, t2 = face_triangle(m, f, s), face_triangle(m, g, t)  # (a, b, c) and (b, a, d)
+    new_len = trig.diagonal_length(
+        m.background, t1.lengths + t2.lengths[1:], (t1.radii[2], t2.radii[2])
+    )
     new_tri, edge_map, vertex_map, new_edge, boundary = reference_flip(m.triangulation, e)
     lengths = np.zeros(new_tri.edge_count)
     lengths[edge_map] = m.lengths
@@ -446,7 +448,7 @@ def reference_flip_to_delaunay(m):
             queue = [edge_map[x] for x in queue]
             log.vertex_map = [vertex_map[x] for x in log.vertex_map]
             for f in {h[0] for h in m.triangulation.edges[new_edge]}:
-                geoms[f] = lone_face_circle(m.face_triangle(f))
+                geoms[f] = lone_face_circle(face_triangle(m, f))
             for b in boundary:
                 if b not in queue:
                     queue.append(b)

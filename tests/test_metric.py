@@ -17,6 +17,7 @@ from ddce import cli, delaunay, solver, transition
 from ddce import metric as me
 from ddce import trig
 from ddce.errors import (
+    BadParameters,
     DDCEError,
     FlipGeometryInvalid,
     HeightsOutOfDomain,
@@ -1032,7 +1033,7 @@ def reference_omega_map(background, reference_radius, heights):
     """The per-vertex loop over numpy scalars that ``omega_map``
     replaced: the bit-for-bit reference."""
     if heights.eps is None:
-        raise ValueError("heights carry no eps flags")
+        raise BadParameters("heights carry no eps flags")
     norm = (
         math.sinh(reference_radius)
         if background is Background.HYPERBOLIC
@@ -1079,7 +1080,7 @@ def reference_omega_inverse(background, reference_radius, omega, eps):
             check_squared(v, t)
             h[v] = math.log(t + math.sqrt(t * t + eps[v]))
     else:
-        raise ValueError("omega maps are defined for curved backgrounds only")
+        raise BadParameters("omega maps are defined for curved backgrounds only")
     return me.Heights(h, background, reference_radius, eps)
 
 
@@ -1117,7 +1118,7 @@ def test_omega_maps_match_the_per_vertex_reference(rng):
             else:
                 assert np.array_equal(got.h, want.h) and np.array_equal(got.eps, want.eps), (bg, k)
                 assert (got.background, got.reference_radius) == (want.background, want.reference_radius)
-    assert failures == {OverflowError, WeightOutOfRange, ValueError}
+    assert failures == {OverflowError, WeightOutOfRange, BadParameters}
 
 
 
@@ -1219,6 +1220,40 @@ def test_scale_factors_not_comparable(rng):
     m_sph = random_metric(octa, Background.SPHERICAL, rng)
     with pytest.raises(NotComparable):
         me.scale_factors(m, m_sph)
+
+
+def test_scale_factors_refuse_metrics_with_other_ids():
+    # a flip keeps every id, so a flipped metric and the same metric on
+    # canonical labels share the gluing but not the vertex ids; factors
+    # read off both would pair different vertices
+    m = cli.load_surface_file(str(FIXTURES / "octahedron_spherical.json"))[0]
+    flipped = delaunay.flip_edge(m, 0)[0]
+    canon, edge_map, vertex_map = flipped.triangulation.canonical()
+    lengths, radii = np.empty(canon.edge_count), np.empty(canon.vertex_count)
+    lengths[edge_map], radii[vertex_map] = flipped.lengths, flipped.radii
+    relabeled = DecoratedMetric(canon, m.background, lengths, radii)
+    assert canon.gluing == flipped.triangulation.gluing and vertex_map != sorted(vertex_map)
+    for a, b in ((flipped, relabeled), (relabeled, flipped)):
+        with pytest.raises(NotComparable) as raised:
+            me.scale_factors(a, b)
+        assert str(raised.value) == "metrics live on different triangulations"
+    # a surface built again from the same gluing has the same ids
+    rebuilt = Triangulation.build_from_gluing(canon.face_count, canon.edges)
+    again = DecoratedMetric(rebuilt, m.background, lengths, radii)
+    assert me.scale_factors(relabeled, again).tolist() == [0.0] * canon.vertex_count
+
+
+def test_metric_invariant_and_heights_compare_by_identity():
+    m = cli.load_surface_file(str(FIXTURES / "genus2_hyperbolic.json"))[0]
+    copy = DecoratedMetric(m.triangulation, m.background, m.lengths.copy(), m.radii.copy())
+    for a, b in (
+        (m, copy),
+        (me.lambda_lengths(m), me.lambda_lengths(m)),
+        (me.heights_from_decoration(m), me.heights_from_decoration(m)),
+    ):
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a) and isinstance(hash(b), int)
+        assert a in {a} and b not in {a} and len({a, b}) == 2
 
 
 def test_scale_factors_whose_radius_quotient_leaves_the_floats():

@@ -46,21 +46,21 @@ HYP = Background.HYPERBOLIC
 CASES = {
     "metric lengths": (
         lambda: DecoratedMetric(genus2().triangulation, HYP, np.ones(8), np.ones(1)),
-        ValueError, "length array does not match edge orbits",
+        BadParameters, "length array does not match edge orbits",
     ),
     "metric radii": (
         lambda: DecoratedMetric(genus2().triangulation, HYP, np.ones(9), np.ones(2)),
-        ValueError, "radius array does not match vertex orbits",
+        BadParameters, "radius array does not match vertex orbits",
     ),
     "conformal_change factors": (
         lambda: me.conformal_change(genus2(), np.zeros(2)),
-        ValueError, "scale factor array does not match vertex orbits",
+        BadParameters, "scale factor array does not match vertex orbits",
     ),
     "decoration_from_heights heights": (
         lambda: me.decoration_from_heights(
             genus2().triangulation, me.lambda_lengths(genus2()), me.Heights(np.ones(2), HYP, 0.0)
         ),
-        ValueError, "height array does not match vertex orbits",
+        BadParameters, "height array does not match vertex orbits",
     ),
     "decoration_from_heights lambdas": (
         lambda: me.decoration_from_heights(
@@ -68,21 +68,21 @@ CASES = {
             me.Invariant(genus2().triangulation, np.ones(8), np.ones(1)),
             heights(genus2()),
         ),
-        ValueError, "lambda array does not match edge orbits",
+        BadParameters, "lambda array does not match edge orbits",
     ),
     "lambda_lengths no heights": (
         lambda: me.lambda_lengths(
             fixture("genus2_undecorated"), me.Heights(np.zeros(0), HYP, 0.0)
         ),
-        ValueError, "height array does not match vertex orbits",
+        BadParameters, "height array does not match vertex orbits",
     ),
     "lambda_lengths extra heights": (
         lambda: me.lambda_lengths(genus2(), me.Heights(np.ones(3), HYP, 0.0)),
-        ValueError, "height array does not match vertex orbits",
+        BadParameters, "height array does not match vertex orbits",
     ),
     "newton_solve targets shape": (
         lambda: so.newton_solve(genus2(), np.full(2, 2 * math.pi)),
-        ValueError, "target angle array does not match vertex orbits",
+        BadParameters, "target angle array does not match vertex orbits",
     ),
     "newton_solve target nan": (solve(math.nan), BadParameters, "target angles must be positive and finite"),
     "newton_solve target inf": (solve(math.inf), BadParameters, "target angles must be positive and finite"),
@@ -129,11 +129,11 @@ CASES = {
     ),
     "omega_map no eps": (
         lambda: me.omega_map(HYP, me.default_reference_radius(HYP), heights(genus2(), eps=False)),
-        ValueError, "heights carry no eps flags",
+        BadParameters, "heights carry no eps flags",
     ),
     "cusp_heights no eps": (
         lambda: tr.cusp_heights(heights(genus2(), eps=False)),
-        ValueError, "heights carry no eps flags",
+        BadParameters, "heights carry no eps flags",
     ),
     "scale_factors triangulations": (
         lambda: me.scale_factors(genus2(), fixture("double_tangent_hyperbolic")),
@@ -147,18 +147,18 @@ CASES = {
     ),
     "scale_family t below 1": (
         lambda: tr.scale_family(heights(genus2()), 0.5),
-        ValueError, "scale parameter must be >= 1",
+        BadParameters, "scale parameter must be >= 1",
     ),
     "default_reference_radius euclidean": (
         lambda: me.default_reference_radius(Background.EUCLIDEAN),
-        ValueError, "reference radius is defined for curved backgrounds only",
+        BadParameters, "reference radius is defined for curved backgrounds only",
     ),
     "stable_acosh below 1": (
-        lambda: me.stable_acosh(0.5), ValueError, "acosh argument 0.5 below 1"
+        lambda: me.stable_acosh(0.5), BadParameters, "acosh argument 0.5 below 1"
     ),
     "support_minimum hyperbolic": (
         lambda: dl.support_minimum(genus2()),
-        ValueError, "the support function is defined for spherical metrics",
+        BadParameters, "the support function is defined for spherical metrics",
     ),
 }
 

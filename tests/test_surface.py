@@ -217,6 +217,39 @@ def test_flip_maps_are_consistent():
         assert old == sorted(canon.edge_endpoints(edge_map[e]))
 
 
+def test_quad_reads_the_rows_that_flip_writes():
+    # quad(e) names the faces (a, b, c) and (b, a, d) at e as their rows
+    # hold them, and flip(e) writes (a, d, c) on edges (ad, e, ca) and
+    # (d, b, c) on (db, bc, e) with quad_boundary_edges (bc, ca, ad, db)
+    stock = (
+        Triangulation.double_triangle(),
+        Triangulation.square_torus(),
+        Triangulation.genus_two_octagon(),
+        isosceles_sphere(),
+        octahedron(),
+        grid_torus(4),
+    )
+    flipped = 0
+    for tri in stock:
+        for e in range(tri.edge_count):
+            if tri.is_self_glued_quad(e):
+                continue
+            (bc, ca, ad, db), (a, b, c, d) = tri.quad(e)
+            (f, s), (g, t) = tri.edges[e]
+            fe, fv, ge, gv = (
+                tri.face_edge_ids[f], tri.face_vertex_ids[f], tri.face_edge_ids[g], tri.face_vertex_ids[g]
+            )
+            assert (fe[s:] + fe[:s], fv[s:] + fv[:s]) == ((e, bc, ca), (a, b, c))
+            assert (ge[t:] + ge[:t], gv[t:] + gv[:t]) == ((e, ad, db), (b, a, d))
+            fr = tri.flip(e)
+            new = fr.triangulation
+            assert (new.face_edge_ids[f], new.face_vertex_ids[f]) == ((ad, e, ca), (a, d, c))
+            assert (new.face_edge_ids[g], new.face_vertex_ids[g]) == ((db, bc, e), (d, b, c))
+            assert fr.quad_boundary_edges == (bc, ca, ad, db)
+            flipped += 1
+    assert flipped == 0 + 3 + 9 + 1 + 12 + 48  # every edge but the self-glued ones
+
+
 def test_flip_in_place_matches_rebuild():
     rng = np.random.default_rng(7)
     stock = (

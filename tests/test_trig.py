@@ -7,18 +7,20 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ddce import Background, DecoratedTriangle
+from ddce import Background
 from ddce import trig
 from ddce.errors import DegenerateTriangle, FlipGeometryInvalid, ZeroRadius
 
 from conftest import (
     ALL_BACKGROUNDS,
+    DecoratedTriangle,
     circle_lift,
     cross,
     face_circle_lift,
     lone_face_circle,
     mdot,
     outcome,
+    quad_triangles,
     random_triangle,
     realize_triangle,
     reference_face_circle,
@@ -486,23 +488,22 @@ def test_hyperbolic_hypercycle_face_circle():
 
 
 def test_euclidean_square_diagonal():
-    t1 = DecoratedTriangle(Background.EUCLIDEAN, (math.sqrt(2.0), 1.0, 1.0), (0.0, 0.0, 0.0))
-    t2 = DecoratedTriangle(Background.EUCLIDEAN, (math.sqrt(2.0), 1.0, 1.0), (0.0, 0.0, 0.0))
-    assert trig.diagonal_length(Background.EUCLIDEAN, t1, t2) == pytest.approx(
+    # faces (a, b, c) and (b, a, d) of a unit square, split along ab
+    lengths = (math.sqrt(2.0), 1.0, 1.0, 1.0, 1.0)
+    assert trig.diagonal_length(Background.EUCLIDEAN, lengths, (0.0, 0.0)) == pytest.approx(
         math.sqrt(2.0), abs=1e-12
     )
 
 
 def test_spherical_octant_pair_rejected():
-    oct_tri = DecoratedTriangle(Background.SPHERICAL, (math.pi / 2,) * 3, (0.0, 0.0, 0.0))
     with pytest.raises(FlipGeometryInvalid):
-        trig.diagonal_length(Background.SPHERICAL, oct_tri, oct_tri)
+        trig.diagonal_length(Background.SPHERICAL, (math.pi / 2,) * 5, (0.0, 0.0))
 
 
 def test_hyperbolic_kite_frozen_oracle():
-    t1 = DecoratedTriangle(Background.HYPERBOLIC, (1.6, 1.2, 1.0), (0.1, 0.1, 0.1))
-    t2 = DecoratedTriangle(Background.HYPERBOLIC, (1.6, 1.0, 1.2), (0.1, 0.1, 0.1))
-    assert trig.diagonal_length(Background.HYPERBOLIC, t1, t2) == pytest.approx(
+    # (a, b, c) with sides (1.6, 1.2, 1.0) and (b, a, d) with (1.6, 1.0, 1.2)
+    lengths = (1.6, 1.2, 1.0, 1.0, 1.2)
+    assert trig.diagonal_length(Background.HYPERBOLIC, lengths, (0.1, 0.1)) == pytest.approx(
         KITE_DIAGONAL, abs=1e-13
     )
 
@@ -522,26 +523,24 @@ def test_diagonal_both_routes_agree(rng):
             if not valid_triangle(t2):
                 continue
             try:
-                d1 = trig.diagonal_length(bg, tri, t2)
+                d1 = trig.diagonal_length(
+                    bg, tri.lengths + t2.lengths[1:], (tri.radii[2], t2.radii[2])
+                )
             except FlipGeometryInvalid:
                 continue
             # the quad seen from the other side swaps the triangle roles
-            d2 = trig.diagonal_length(bg, t2, tri)
+            d2 = trig.diagonal_length(bg, t2.lengths + tri.lengths[1:], (t2.radii[2], tri.radii[2]))
             assert d1 == pytest.approx(d2, abs=1e-11)
             checked += 1
     assert checked >= 10
 
 
 def _quad(bg, l1, l2, radii):
-    """``(bg, t1, t2)`` for the quad of t1 = (a, b, c) with sides
+    """``(bg, lengths, radii)`` for the quad of t1 = (a, b, c) with sides
     ``l1 = (ab, bc, ca)`` and t2 = (b, a, d) with sides ``ab`` and
-    ``l2 = (ad, db)``, at radii ``(r_a, r_b, r_c, r_d)``."""
-    r_a, r_b, r_c, r_d = radii
-    return (
-        bg,
-        DecoratedTriangle(bg, tuple(l1), (r_a, r_b, r_c)),
-        DecoratedTriangle(bg, (l1[0], *l2), (r_b, r_a, r_d)),
-    )
+    ``l2 = (ad, db)``, at radii ``(r_a, r_b, r_c, r_d)``: the arguments
+    of ``reference_diagonal_length``."""
+    return bg, (*l1, *l2), tuple(radii)
 
 
 def _rejects(quad):
@@ -592,11 +591,12 @@ def test_diagonal_length_checks_what_the_flip_creates(rng):
     # the flipped faces of a convex quad have perimeters below 2 pi, so
     # a "2*pi" rejection can only be absent from both
     counts = {"accepted": 0, "circles intersect": 0, "triangle inequality": 0, "2*pi": 0}
-    for bg, t1, t2 in quads:
+    for bg, lengths, radii in quads:
+        t1, t2 = quad_triangles(bg, lengths, radii)
         if not (valid_triangle(t1) and valid_triangle(t2)):
             continue  # a quad of a valid metric only
-        want = outcome(reference_diagonal_length, bg, t1, t2)
-        got = outcome(trig.diagonal_length, bg, t1, t2)
+        want = outcome(reference_diagonal_length, bg, lengths, radii)
+        got = outcome(trig.diagonal_length, bg, lengths, radii[2:])
         if not isinstance(want, tuple):
             assert repr(got) == repr(want), (t1, t2)
             counts["accepted"] += 1
@@ -606,13 +606,6 @@ def test_diagonal_length_checks_what_the_flip_creates(rng):
             assert (reason in want[1]) == (reason in got[1]), (t1, t2, got)
             counts[reason] += reason in got[1]
     assert counts.pop("2*pi") == 0 and min(counts.values()) >= 20, counts
-
-
-def test_diagonal_shared_edge_mismatch_rejected():
-    t1 = DecoratedTriangle(Background.EUCLIDEAN, (1.0, 1.0, 1.0), (0.1, 0.1, 0.1))
-    t2 = DecoratedTriangle(Background.EUCLIDEAN, (1.0 + 1e-12, 1.0, 1.0), (0.1, 0.1, 0.1))
-    with pytest.raises(FlipGeometryInvalid):
-        trig.diagonal_length(Background.EUCLIDEAN, t1, t2)
 
 
 # -- the lift oracle's scalar cross product ------------------------------------------

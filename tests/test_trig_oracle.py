@@ -18,11 +18,12 @@ import math
 import pytest
 from mpmath import mp, mpf
 
-from ddce import Background, DecoratedMetric, DecoratedTriangle, Triangulation
+from ddce import Background, DecoratedMetric, Triangulation
 from ddce import delaunay, trig
 
 from conftest import (
     ALL_BACKGROUNDS,
+    DecoratedTriangle,
     cfac,
     geometry_fields,
     lone_face_circle,
