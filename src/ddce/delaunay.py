@@ -319,8 +319,9 @@ class Tessellation:
 def extract_tessellation(m: DecoratedMetric, tol: float = 1e-9) -> Tessellation:
     """Drop all edges with |weight| <= tol and group faces across them.
     Raises NotDelaunay if any weight is below -tol, and BadParameters
-    if ``tol`` is not a finite and non-negative number."""
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+    if ``tol`` is not a finite and non-negative number (a bool is
+    not)."""
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
         raise BadParameters(f"tol must be finite and non-negative, got {tol!r}")
     tri = m.triangulation
     weights = edge_weights(m)

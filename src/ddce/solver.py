@@ -325,11 +325,12 @@ def newton_solve(
     MaxIterations / LineSearchStalled with the partial report attached
     otherwise.  Raises BadParameters for a ``tol`` that is not a finite
     and non-negative number, a ``max_iter`` that is not a non-negative
-    integer, or target angles that are not positive and finite.
+    integer (a bool is neither), or target angles that are not positive
+    and finite.
     """
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
         raise BadParameters(f"tol must be finite and non-negative, got {tol!r}")
-    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
+    if isinstance(max_iter, bool) or not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
         raise BadParameters(f"max_iter must be non-negative and an integer, got {max_iter!r}")
     check_valid(m0, "input of newton_solve")
     tri0 = m0.triangulation

@@ -107,8 +107,8 @@ def build_transition(m: DecoratedMetric, ts) -> TransitionPath:
     """Evaluate the scale family of a curved decorated metric at the
     given parameters (each >= 1, strictly increasing) and compare
     against the Euclidean limit.  Raises BadParameters when ``ts`` is
-    not a sequence of real numbers that are finite, >= 1 and strictly
-    increasing.
+    not a sequence of real numbers (bools are not) that are finite,
+    >= 1 and strictly increasing.
 
     The metric is flipped to weighted Delaunay first; weight scaling
     preserves the weighted Delaunay property, so one triangulation
@@ -121,7 +121,7 @@ def build_transition(m: DecoratedMetric, ts) -> TransitionPath:
     if bg is Background.EUCLIDEAN:
         raise BadParameters("transition families start from a curved background")
     ts = list(ts) if isinstance(ts, Iterable) else None
-    if ts is None or not all(isinstance(t, numbers.Real) for t in ts):
+    if ts is None or not all(isinstance(t, numbers.Real) and not isinstance(t, bool) for t in ts):
         raise BadParameters("parameters must be a sequence of real numbers")
     ts = [float(t) for t in ts]
     if not all(1.0 <= t < math.inf for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):

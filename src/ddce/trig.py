@@ -43,16 +43,24 @@ The array kernel (``face_circles``, and ``angle_array`` for the angles
 alone) computes the same floats for every edge and face of a surface
 at once.  There numpy does only gathers, ``+ - * /``, ``sqrt`` and
 comparisons, which IEEE 754 rounds exactly as Python's float
-operations do.  Every transcendental, ``**``, ``math.fsum`` and clamp
-stays the scalar ``math`` or builtin call, mapped over the values
-(``each``) in the scalar kernel's order of operations, and the clamps
-keep the NaN behaviour of the builtin ``min`` and ``max``.  So its
-floats equal the scalar kernel's bit for bit; numpy's transcendental
-ufuncs would not (README "Numerics").  It serves the readers of
-arrays (``metric.DecoratedMetric.faces``, ``solver.cone_angles``) at
-every surface size, with no face-count cutoff: below about 30 faces its fixed cost of numpy calls
-makes it slower than a scalar loop, by some 40 us per call at 2-8
-faces.  The scalar kernel serves the callers that keep one object per
+operations do.  Every transcendental, ``**`` and clamp stays the
+scalar ``math`` or builtin call, mapped over the values (``each``) in
+the scalar kernel's order of operations, and the clamps keep the NaN
+behaviour of the builtin ``min`` and ``max``.  A function of a vertex
+radius is mapped once per vertex and gathered at the edge ends.  The
+three-term ``math.fsum`` of a section gap is ``_sum3``: error-free
+transformations that IEEE arithmetic makes exact, and one add rounded
+to odd, which round the sum as ``fsum`` does.  So its floats equal the
+scalar kernel's bit for bit; numpy's transcendental ufuncs would not
+(README "Numerics").  On a 12x12 hyperbolic torus (432 edges) the gaps
+take about 40 us where a ``fsum`` map took 305 us, and ``face_circles``
+1075 us where it took 1424 us.  It serves the readers of arrays
+(``metric.DecoratedMetric.faces``, ``solver.cone_angles``) at every
+surface size, with no face-count cutoff: below about 30 faces its
+fixed cost of numpy calls makes it slower than a scalar loop, by some
+55-85 us per call at 2-8 faces (``face_circles`` 70-128 us on the
+fixtures; ``_sum3`` 16 us where the ``fsum`` map took 8-15 us).  The
+scalar kernel serves the callers that keep one object per
 face (``delaunay.face_geometries``, the two faces a flip rebuilds), and
 the tests compare the array kernel against it.
 
@@ -344,6 +352,9 @@ def face_circle(background: Background, lengths, radii, sections) -> TriangleGeo
 
 _PREV = np.array([2, 0, 1])  # slot s - 1 of slots 0, 1, 2
 _NEXT = np.array([1, 2, 0])
+#: slots s - 1, s and s + 1 of slots 0, 1, 2 as the three-column windows
+#: at offsets 0, 1 and 2, gathered at once
+_CYCLE = np.array([2, 0, 1, 2, 0])
 
 
 def _max(a, b):
@@ -362,7 +373,10 @@ def each(fn, a, *more) -> np.ndarray:
     array order: ``fn(a[k], more[0][k], ...)`` for every ``k``.  On 1-D
     arrays the result is a new array that owns its data; otherwise it is
     that array reshaped."""
-    flat = map(fn, a.ravel().tolist(), *(b.ravel().tolist() for b in more))
+    if more:  # unpacking a generator costs more than mapping a few values
+        flat = map(fn, a.ravel().tolist(), *[b.ravel().tolist() for b in more])
+    else:
+        flat = map(fn, a.ravel().tolist())
     out = np.fromiter(flat, float, a.size)
     return out if a.ndim == 1 else out.reshape(a.shape)
 
@@ -392,7 +406,7 @@ def angle_array(background: Background, lengths: np.ndarray) -> np.ndarray:
     where ``sinh(sp) * sinh(sp - b)`` overflows) is rejected: it raises
     ResultInvalid naming the first such face, a face at which the
     scalar kernel ``face_circle`` divides by zero."""
-    if degenerate_rows(background, lengths).any():
+    if np.count_nonzero(degenerate_rows(background, lengths)):
         return np.array([interior_angles(background, tuple(row)) for row in lengths.tolist()])
     a, b, c = lengths.T
     f = np.empty((len(lengths), 4))
@@ -406,26 +420,71 @@ def angle_array(background: Background, lengths: np.ndarray) -> np.ndarray:
         f = each(math.sin, f)
     elif background is Background.HYPERBOLIC:
         f = each(math.sinh, f)
-    # corner s: f of slots s and s + 2 over f(sp) and f of slot s + 1
-    fl, fs = f[:, :3], f[:, 3:]
+    # corner s: f of slots s and s - 1 over f(sp) and f of slot s + 1
+    fc = f[:, _CYCLE]
     with np.errstate(over="ignore"):  # a product of sinh that overflows gives an angle of 0
-        angles = 2.0 * each(math.atan, np.sqrt((fl * fl[:, _PREV]) / (fs * fl[:, _NEXT])))
+        angles = 2.0 * each(math.atan, np.sqrt((fc[:, 1:4] * fc[:, :3]) / (f[:, 3:] * fc[:, 2:])))
     zero = angles == 0.0
     if np.count_nonzero(zero):
         raise ResultInvalid(f"face {int(zero.nonzero()[0][0])}: a corner angle rounds to 0", [])
     return angles
 
 
-def _section_arrays(background: Background, length, r_a, r_b) -> tuple:
+def _sum3(a, b, c) -> np.ndarray:
+    """``math.fsum((a, b, c))`` value by value, bit for bit, errors
+    included, on arrays that broadcast together.  Two TwoSums split
+    ``a + b + c`` into ``hi + lo1 + lo2`` exactly, ``lo1 + lo2`` is
+    rounded to odd, and one rounded add gives the correctly rounded sum
+    (Boldo and Melquiond, "Emulation of FMA and correctly rounded sums:
+    proved algorithms using rounding to odd", IEEE TC 57(4), 2008).
+    Every step is a ``+ -`` that IEEE 754 rounds as Python does, or the
+    exact ``nextafter``, and an exact zero sum is +0.0, as in ``fsum``.
+    Where the result is not finite (an infinite or NaN input, or an
+    exact sum that overflows), ``fsum`` itself gives the value or raises
+    its OverflowError or ValueError.  Where only a partial sum of
+    ``fsum`` overflows (``1e308 + 1e308 - 1e308``), ``fsum`` raises and
+    this gives the rounded sum; of the section gaps ``l -+ r_a -+ r_b``
+    (no negative term) none has such a partial unless
+    ``l + r_a + r_b`` overflows, so ``_section_arrays`` raises the same
+    OverflowError as the scalar kernel."""
+
+    def two_sum(x, y):  # s + err == x + y exactly (Knuth)
+        s = x + y
+        t = s - x
+        return s, (x - (s - t)) + (y - t)
+
+    hi, lo1 = two_sum(b, c)
+    hi, lo2 = two_sum(a, hi)
+    lo, err = two_sum(lo2, lo1)
+    inexact = err != 0.0
+    if np.count_nonzero(inexact):  # rare: no edge of a random 12x12 torus has one
+        # round lo to odd: where its last bit is even, the other
+        # neighbour of the exact value has an odd one
+        odd = inexact & (lo.view(np.int64) & 1 == 0)
+        lo = np.where(odd, np.nextafter(lo, np.copysign(np.inf, err)), lo)
+    out = hi + lo
+    finite = np.isfinite(out)
+    if np.count_nonzero(finite) < out.size:
+        bad = ~finite
+        rows = zip(*(x[bad].tolist() for x in np.broadcast_arrays(a, b, c)))
+        out[bad] = [math.fsum(row) for row in rows]
+    return out
+
+
+#: signs of ``r_a`` (row 0) and ``r_b`` (row 1) in the four section gaps
+_GAP_SIGNS = np.array([[-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0]])[:, :, None]
+
+
+def _section_arrays(background: Background, length, radii, ends) -> tuple:
     """``section_foot_radius`` of every edge, bit for bit, as arrays
-    ``(x, rho)``; the arguments are arrays of one value per edge."""
-    neg_a, neg_b = -r_a, -r_b
-    sums = zip(
-        np.concatenate((length, length, length, length)).tolist(),
-        np.concatenate((neg_a, neg_a, r_a, r_a)).tolist(),
-        np.concatenate((neg_b, r_b, neg_b, r_b)).tolist(),
-    )
-    gaps = np.fromiter(map(math.fsum, sums), float, 4 * length.size).reshape(4, -1) / 2.0
+    ``(x, rho)``: ``length`` holds one value per edge, and row ``e`` of
+    ``ends`` (``E x 2``) indexes ``radii`` at edge ``e``'s first and
+    second endpoint.  The four gaps ``fsum((l, -+r_a, -+r_b)) / 2`` are
+    ``_sum3`` of the same terms, which rounds as ``math.fsum`` does, and
+    cos/cosh is mapped once per vertex and gathered at the endpoints:
+    the scalar kernel's calls on the same inputs."""
+    r_a, r_b = r = radii[ends].T
+    gaps = _sum3(length, *(_GAP_SIGNS * r[:, None])) / 2.0
     if background is Background.EUCLIDEAN:
         x = (length * length + r_a * r_a - r_b * r_b) / (2.0 * length)
         rho = np.sqrt(_max(0.0, 4.0 * (gaps[0] * gaps[1] * gaps[2] * gaps[3]))) / length
@@ -438,7 +497,7 @@ def _section_arrays(background: Background, length, r_a, r_b) -> tuple:
     s_half, s_plus, s_minus, s_l, s0, s1, s2, s3 = each(
         sin, np.concatenate(((length / 2.0, plus, minus, length), gaps))
     )
-    c_a = each(cos, r_a)
+    c_a, c_b = each(cos, radii)[ends].T
     s_half = np.fromiter(map(pow, s_half.tolist(), repeat(2)), float, s_half.size)  # ** 2
     den = c_a * s_l
     if background is Background.SPHERICAL:
@@ -448,7 +507,6 @@ def _section_arrays(background: Background, length, r_a, r_b) -> tuple:
         return x, each(math.asin, _min(1.0, np.sqrt(_max(0.0, sin2))))
     num = 2.0 * (c_a * s_half + s_plus * s_minus)
     x = each(math.atanh, _max(-1.0 + 1e-16, _min(1.0 - 1e-16, num / den)))
-    c_b = each(cos, r_b)
     e_minus, e_plus = each(math.exp, np.array((-length, length)))
     sinh2 = 4.0 * (s0 * s1 * s2 * s3) / ((c_b - c_a * e_minus) * (c_a * e_plus - c_b))
     return x, each(math.asinh, np.sqrt(_max(0.0, sinh2)))
@@ -492,21 +550,24 @@ def face_circles(
 
     numpy does only gathers, ``+ - * /``, ``sqrt`` and comparisons,
     which round exactly as the scalar float operations do; every
-    transcendental, ``**``, ``math.fsum`` and clamp is the scalar call
-    of the per-face kernel mapped over the values, in the same order of
-    operations, and the clamps keep the NaN behaviour of ``min`` and
-    ``max``.  So every float equals the scalar kernel's.  Only
+    transcendental, ``**`` and clamp is the scalar call of the per-face
+    kernel mapped over the values, in the same order of operations, and
+    the clamps keep the NaN behaviour of ``min`` and ``max``.  A
+    function of a vertex radius (the section's cos/cosh) is mapped once
+    per vertex and gathered at the edge ends, and the three-term
+    ``math.fsum`` of each section gap is ``_sum3``: error-free
+    transformations that IEEE arithmetic makes exact, which round as
+    ``fsum`` does.  So every float equals the scalar kernel's.  Only
     degenerate faces are checked, before anything else is evaluated:
     the first raises ``interior_angles``' DegenerateTriangle.  Other
     data should pass ``metric.validate``.
     """
     L = lengths[face_edges]
     angles = angle_array(background, L)
-    r_i, r_j = radii[edge_ends].T
-    swap = r_j < r_i
-    x, rho = _section_arrays(
-        background, lengths, np.where(swap, r_j, r_i), np.where(swap, r_i, r_j)
-    )
+    r = radii[edge_ends]
+    # each edge from its endpoint with the smaller radius, as in edge_section
+    ends = np.where(r[:, 1:] < r[:, :1], edge_ends[:, ::-1], edge_ends)
+    x, rho = _section_arrays(background, lengths, radii, ends)
     R = radii[face_vertices]
     foot = x[face_edges]
     X = np.where(R <= R[:, _NEXT], foot, L - foot)  # as in face_circle

@@ -7,7 +7,9 @@ and is the reference.  Floats are compared through ``repr``, which
 tells apart every bit pattern, -0.0 and NaN included.
 """
 
+import itertools
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +127,54 @@ def reference_cone_angles(m):
 
 def bits(values):
     return repr(np.asarray(values, dtype=float).tolist())
+
+
+def sum3_families(rng, n=20000):
+    """(name, a, b, c): triples on which ``trig._sum3`` must give
+    ``math.fsum``'s floats.  The near ties put the exact sum next to a
+    midpoint between floats, where rounding the two low parts of the
+    error-free split to nearest instead of to odd moves the result."""
+    sign = lambda: rng.choice([-1.0, 1.0], n)
+    r_a, r_b = rng.random((2, n)) * 10.0 ** rng.integers(-9, 3, (2, n))
+    r_a[rng.random(n) < 0.2] = 0.0  # ideal end
+    length = (r_a + r_b) * (1.0 + rng.random(n) * 10.0 ** rng.integers(-16, 1, n))
+    tangent = rng.random(n) < 0.2
+    length[tangent] = r_a[tangent] + r_b[tangent]
+    yield "edge", length, sign() * r_a, sign() * r_b
+    signed = lambda: sign() * rng.random(n) * np.exp2(rng.integers(-60, 61, n).astype(float))
+    yield "random exponent", signed(), signed(), signed()
+    offsets = np.array([1.0, 0.5, 0.25, 2.0**-53, 2.0**-60, 0.0])
+    near = sign() * (2.0**53 + rng.integers(-4, 5, n).astype(float))
+    ties = np.array((near, sign() * rng.choice(offsets, n), sign() * rng.choice(offsets, n)))
+    yield "near tie", *rng.permuted(ties, axis=0)
+    tiny = lambda: sign() * rng.integers(0, 2**20, n) * 5e-324 * rng.choice([1.0, 2.0**40], n)
+    yield "subnormal", tiny(), tiny(), tiny()
+    zeros = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0], (3, n))
+    yield "signed zero", *zeros
+    nan = np.array((signed(), signed(), signed()))
+    nan[rng.integers(0, 3, n), np.arange(n)] = math.nan
+    yield "nan", *nan
+
+
+def test_sum3_is_math_fsum_bit_for_bit(rng):
+    for name, a, b, c in sum3_families(rng):
+        got = trig._sum3(a, b, c).tolist()
+        want = list(map(math.fsum, zip(a.tolist(), b.tolist(), c.tolist())))
+        wrong = [k for k, (x, y) in enumerate(zip(got, want)) if repr(x) != repr(y)]
+        assert not wrong, (name, len(wrong), [(a[k], b[k], c[k], got[k], want[k]) for k in wrong[:3]])
+
+
+def test_sum3_takes_fsum_values_and_errors_where_a_sum_is_not_finite():
+    # infinite and NaN inputs, and finite ones whose sum overflows
+    values = (math.inf, -math.inf, math.nan, 1e308, -1e308, 1.0, -0.0)
+    for triple in itertools.product(values, repeat=3):
+        with np.errstate(all="ignore"):  # inf - inf and overflowing adds
+            got = outcome(lambda: trig._sum3(*(np.array([v]) for v in triple)).tolist()[0])
+        want = outcome(math.fsum, triple)
+        if isinstance(got, float) and isinstance(want, tuple) and want[0] is OverflowError:
+            # a partial sum of fsum overflows where the exact sum does not
+            want = float(sum(map(Fraction, triple)))
+        assert repr(got) == repr(want), triple
 
 
 def test_face_arrays_match_the_scalar_kernel(rng):

@@ -103,9 +103,23 @@ CASES = {
     "newton_solve tol string": (
         solve(tol="1e-9"), BadParameters, "tol must be finite and non-negative, got '1e-9'"
     ),
+    "newton_solve max_iter True": (
+        solve(max_iter=True), BadParameters, "max_iter must be non-negative and an integer, got True"
+    ),
+    "newton_solve tol True": (
+        solve(tol=True), BadParameters, "tol must be finite and non-negative, got True"
+    ),
     "extract_tessellation tol None": (
         lambda: dl.extract_tessellation(genus2(), tol=None),
         BadParameters, "tol must be finite and non-negative, got None",
+    ),
+    "extract_tessellation tol False": (
+        lambda: dl.extract_tessellation(genus2(), tol=False),
+        BadParameters, "tol must be finite and non-negative, got False",
+    ),
+    "build_transition bool parameter": (
+        lambda: tr.build_transition(genus2(), [True, 2]),
+        BadParameters, "parameters must be a sequence of real numbers",
     ),
     "build_transition None parameter": (
         lambda: tr.build_transition(genus2(), [1, None]),
