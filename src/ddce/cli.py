@@ -118,7 +118,10 @@ def _label_table(tri, mapping, what, kind="vertex"):
             raise CliError(EXIT_PARSE_ERROR, f"{what}: unknown {kind} label {label!r}")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise CliError(EXIT_PARSE_ERROR, f"{what}[{label}]: not a number")
-        values[k] = float(value)
+        try:
+            values[k] = float(value)
+        except OverflowError:  # an int literal beyond the float range
+            raise CliError(EXIT_PARSE_ERROR, f"{what}[{label}]: integer too large for a float") from None
         seen.add(k)
     missing = set(range(count)) - seen
     if missing:

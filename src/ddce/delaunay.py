@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trig
-from .errors import BadParameters, FlipBoundExceeded, NotDelaunay, ResultInvalid
-from .metric import DecoratedMetric, check_valid
+from .errors import BadParameters, FlipBoundExceeded, NotDelaunay
+from .metric import DecoratedMetric, check_valid, face_geometry, scalar_face_geometries
 from .surface import _UnionFind
 from .trig import Background
 
@@ -38,44 +38,18 @@ FLIP_TOL = 1e-12
 
 
 def face_geometries(m: DecoratedMetric) -> list:
-    """TriangleGeometry per face, from the scalar kernel face by face.
+    """TriangleGeometry per face, from the scalar kernel face by face
+    (``metric.scalar_face_geometries``).
 
     The metric is checked once as a whole: an invalid one raises
     ``metric.check_valid``'s ResultInvalid, whose ``diagnostics`` are
-    those of ``metric.validate``.  Each edge's orthogonal section is
-    then evaluated once (``trig.edge_section``) and read by both faces
-    at the edge.  Callers that read arrays rather than per-face objects
-    read ``DecoratedMetric.faces``, which holds the same floats.  A
-    valid metric whose kernel call overflows (a hyperbolic length above
-    about 710) or divides by zero (hyperbolic sides of 356 or more,
-    where a corner angle rounds to 0) raises ResultInvalid naming the
-    first such edge, else face."""
+    those of ``metric.validate``.  Callers that read arrays rather than
+    per-face objects read ``DecoratedMetric.faces``, which holds the
+    same floats.  A valid metric on which the kernel fails raises the
+    ResultInvalid of ``scalar_face_geometries``, which names the first
+    edge, else face, where it fails."""
     check_valid(m, "input of face_geometries")
-    bg, tri = m.background, m.triangulation
-    lengths, radii = m.lengths.tolist(), m.radii.tolist()
-    sections, geoms = [], []
-    try:
-        for length, (i, j) in zip(lengths, tri.edge_endpoint_ids):
-            sections.append(trig.edge_section(bg, length, radii[i], radii[j]))
-        for f in range(tri.face_count):
-            geoms.append(_face_geometry(bg, tri, f, lengths, radii, sections))
-    except (OverflowError, ZeroDivisionError) as ex:  # name the first edge, else face
-        e = len(sections)
-        at = f"edge {tri.edge_label(e)}" if e < tri.edge_count else f"face {len(geoms)}"
-        fails = "overflows" if isinstance(ex, OverflowError) else "divides by zero"
-        raise ResultInvalid(f"{at}: the face kernel {fails} ({ex})", [str(ex)]) from None
-    return geoms
-
-
-def _face_geometry(bg: Background, tri, f: int, lengths, radii, sections):
-    """``trig.face_circle`` of face ``f`` of ``tri``, with the lengths,
-    radii and edge sections of its sides and corners read by id."""
-    a, b, c = tri.face_edge_ids[f]
-    u, v, w = tri.face_vertex_ids[f]
-    return trig.face_circle(
-        bg, (lengths[a], lengths[b], lengths[c]), (radii[u], radii[v], radii[w]),
-        (sections[a], sections[b], sections[c]),
-    )
+    return scalar_face_geometries(m)
 
 
 def weight_denominators(m: DecoratedMetric) -> np.ndarray:
@@ -129,31 +103,31 @@ def is_local_delaunay(m: DecoratedMetric, e: int, geoms=None) -> bool:
 
 def flip_edge(m: DecoratedMetric, e: int):
     """Geometric edge flip: new diagonal length from the quad, then the
-    combinatorial surgery.  Returns (metric, FlipResult, new_length);
-    every edge and vertex keeps its id, so only ``lengths[e]`` moves.
-    The quad's lengths and radii are read by id off
-    ``Triangulation.quad``.  An invalid input raises ``check_valid``'s
-    ResultInvalid, since ``trig.diagonal_length`` checks only what the
-    flip creates."""
+    combinatorial surgery.  Returns ``(metric, new_length)``; every edge
+    and vertex keeps its id, so only ``lengths[e]`` moves.  The quad's
+    lengths and radii are read by id off ``Triangulation.quad``.  An
+    invalid input raises ``check_valid``'s ResultInvalid, since
+    ``trig.diagonal_length`` checks only what the flip creates."""
     check_valid(m, "input of flip_edge")
-    return _flip(m, e, m.lengths.tolist(), m.radii.tolist())
+    return _flip(m, e, m.lengths.tolist(), m.radii.tolist())[:2]
 
 
 def _flip(m: DecoratedMetric, e: int, lengths: list, radii: list):
-    """``flip_edge`` given the floats of ``m`` as lists: the new
-    diagonal first, so a self-glued quad raises what
+    """``flip_edge`` given the floats of ``m`` as lists, with the
+    ``Triangulation.quad`` of ``e`` that it read as a third item: the
+    new diagonal first, so a self-glued quad raises what
     ``trig.diagonal_length`` raises on it before the surgery refuses
     it."""
-    (bc, ca, ad, db), (_, _, c, d) = m.triangulation.quad(e)
+    quad = (bc, ca, ad, db), (_, _, c, d) = m.triangulation.quad(e)
     new_len = trig.diagonal_length(
         m.background, (lengths[e], lengths[bc], lengths[ca], lengths[ad], lengths[db]),
         (radii[c], radii[d]),
     )
-    fr = m.triangulation.flip(e)
     new_lengths = m.lengths.copy()
     new_lengths[e] = new_len
     new_lengths.flags.writeable = False  # the metric keeps it as it is
-    return DecoratedMetric(fr.triangulation, m.background, new_lengths, m.radii), fr, new_len
+    flipped = DecoratedMetric(m.triangulation.flip(e), m.background, new_lengths, m.radii)
+    return flipped, new_len, quad
 
 
 @dataclass(frozen=True)
@@ -205,15 +179,17 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
     ``trig.diagonal_length`` checked what each flip created.  A flip
     step reads floats by id from two lists, the metric's lengths and
     radii, of which it sets ``lengths[e]`` after each flip: the quad's
-    through ``Triangulation.quad`` (``_flip``, as ``flip_edge``), and
-    the two rebuilt faces' from the new triangulation's rows, through
-    the per-face helper of ``face_geometries``.  Of their five edges
-    only the new diagonal gets its section evaluated
-    (``trig.edge_section``, at its ``edge_endpoint_ids``): each quad
-    side keeps its length and endpoint radii, and its section is read
-    off the face geometries it had before the flip
-    (``_held_section``).  So a call evaluates ``E + flip_count``
-    sections and ``F + 2 flip_count`` face circles.
+    through the one ``Triangulation.quad`` read of ``_flip`` (as
+    ``flip_edge``), which also gives the four quad sides, and the two
+    rebuilt faces' from the new triangulation's rows, through the
+    per-face helper of ``face_geometries`` (``metric.face_geometry``).
+    Of their five edges only the new diagonal gets its section
+    evaluated (``trig.edge_section``, at the quad's apex radii): each
+    quad side keeps its length and endpoint radii, and its section is
+    read off the face geometries it had before the flip
+    (``_held_section``).  So no flipped triangulation derives its
+    endpoint table, and a call evaluates ``E + flip_count`` sections
+    and ``F + 2 flip_count`` face circles.
 
     Flips keep every edge and vertex id and the queue visits edges in
     canonical order; after flips the output is relabeled canonically
@@ -252,16 +228,15 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
             )
         before = m.triangulation
         label = before.edge_label(e)
-        m, fr, new_len = _flip(m, e, lengths, radii)
+        m, new_len, (sides, (_, _, c, d)) = _flip(m, e, lengths, radii)
         lengths[e] = new_len
-        after = fr.triangulation
-        sections = {b: _held_section(before, geoms, b) for b in fr.quad_boundary_edges}
-        i, j = after.edge_endpoint_ids[e]
-        sections[e] = trig.edge_section(m.background, new_len, radii[i], radii[j])
+        sections = {b: _held_section(before, geoms, b) for b in sides}
+        sections[e] = trig.edge_section(m.background, new_len, radii[c], radii[d])
+        after = m.triangulation
         (f, _), (g, _) = after.edges[e]  # the two rebuilt faces
-        geoms[f] = _face_geometry(m.background, after, f, lengths, radii, sections)
-        geoms[g] = _face_geometry(m.background, after, g, lengths, radii, sections)
-        for b in fr.quad_boundary_edges:
+        geoms[f] = face_geometry(m.background, after, f, lengths, radii, sections)
+        geoms[g] = face_geometry(m.background, after, g, lengths, radii, sections)
+        for b in sides:
             if b not in queued:
                 queue.append(b)
                 queued.add(b)

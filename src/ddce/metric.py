@@ -157,16 +157,21 @@ class DecoratedMetric:
         ``check_valid``: the array kernel ``trig.face_circles``, or, on a
         metric that ``delaunay.flip_to_delaunay`` returned, the per-face
         list its flip pass held, stacked.  Both give the floats of
-        ``delaunay.face_geometries`` bit for bit."""
+        ``delaunay.face_geometries`` bit for bit.  Where the array kernel
+        overflows, ``scalar_face_geometries`` takes over, and it raises
+        the same overflow as a ResultInvalid that names the edge or face."""
         check_valid(self, "input of faces")
         held = vars(self).pop("_flip_geometries", None)
-        if held is not None:
-            return trig.FaceArrays.stack(self.background, held)
-        tri = self.triangulation
-        return trig.face_circles(
-            self.background, self.lengths, self.radii,
-            tri.face_edge_array, tri.face_vertex_array, tri.edge_endpoint_array,
-        )
+        if held is None:
+            tri = self.triangulation
+            try:
+                return trig.face_circles(
+                    self.background, self.lengths, self.radii,
+                    tri.face_edge_array, tri.face_vertex_array, tri.edge_endpoint_array,
+                )
+            except OverflowError:  # the scalar kernel overflows too, and names where
+                held = scalar_face_geometries(self)
+        return trig.FaceArrays.stack(self.background, held)
 
     @property
     def eps(self) -> np.ndarray:
@@ -265,6 +270,49 @@ def check_valid(m: DecoratedMetric, context: str = "metric") -> None:
     bad = validate(m)
     if bad:
         raise ResultInvalid(f"{context} is not a valid decorated metric", bad)
+
+
+# -- the scalar face kernel on a surface ------------------------------------------
+
+def face_geometry(bg: Background, tri, f: int, lengths, radii, sections):
+    """``trig.face_circle`` of face ``f`` of ``tri``, with the lengths,
+    radii and edge sections of its sides and corners read by id."""
+    a, b, c = tri.face_edge_ids[f]
+    u, v, w = tri.face_vertex_ids[f]
+    return trig.face_circle(
+        bg, (lengths[a], lengths[b], lengths[c]), (radii[u], radii[v], radii[w]),
+        (sections[a], sections[b], sections[c]),
+    )
+
+
+def scalar_face_geometries(m: DecoratedMetric) -> list:
+    """TriangleGeometry per face of ``m``, unchecked: each edge's
+    orthogonal section is evaluated once (``trig.edge_section``) and
+    read by both faces at the edge (``face_geometry``).
+
+    This is the one rule for a face kernel that fails on a metric: a
+    call that overflows or divides by zero raises ResultInvalid naming
+    the first such edge, else face.  A hyperbolic length above about
+    710 overflows, and so do Euclidean sides above about 1e154, whose
+    corner angle is not a number (``trig.interior_angles``); hyperbolic
+    sides of 356 or more make a corner angle round to 0, and
+    ``trig.face_circle`` divides by its sine.  ``DecoratedMetric.faces``
+    and ``solver.cone_angles`` fall back to it where the array kernel
+    overflows, so they name the same edge or face."""
+    bg, tri = m.background, m.triangulation
+    lengths, radii = m.lengths.tolist(), m.radii.tolist()
+    sections, geoms = [], []
+    try:
+        for length, (i, j) in zip(lengths, tri.edge_endpoint_ids):
+            sections.append(trig.edge_section(bg, length, radii[i], radii[j]))
+        for f in range(tri.face_count):
+            geoms.append(face_geometry(bg, tri, f, lengths, radii, sections))
+    except (OverflowError, ZeroDivisionError, ResultInvalid) as ex:  # name the first edge, else face
+        e = len(sections)
+        at = f"edge {tri.edge_label(e)}" if e < tri.edge_count else f"face {len(geoms)}"
+        fails = "divides by zero" if isinstance(ex, ZeroDivisionError) else "overflows"
+        raise ResultInvalid(f"{at}: the face kernel {fails} ({ex})", [str(ex)]) from None
+    return geoms
 
 
 # -- conformal change ----------------------------------------------------------

@@ -55,6 +55,7 @@ from .metric import (
     heights_from_decoration,
     lambda_lengths,
     radius_scale_factor,
+    scalar_face_geometries,
 )
 from .trig import Background
 
@@ -68,9 +69,15 @@ FUNCTIONAL_RTOL = 1e-9
 def cone_angles(m: DecoratedMetric) -> np.ndarray:
     """Total corner angle around each vertex orbit: the corner angles of
     ``trig.angle_array``, summed with ``np.bincount``, which adds each
-    vertex's corners to 0.0 in face and slot order."""
+    vertex's corners to 0.0 in face and slot order.  Where the array
+    kernel overflows, ``metric.scalar_face_geometries`` takes over, and
+    it raises the same overflow as a ResultInvalid that names the edge
+    or face."""
     tri = m.triangulation
-    angles = trig.angle_array(m.background, m.lengths[tri.face_edge_array])
+    try:
+        angles = trig.angle_array(m.background, m.lengths[tri.face_edge_array])
+    except OverflowError:
+        angles = np.array([g.angles for g in scalar_face_geometries(m)])
     return np.bincount(tri.face_vertex_array.ravel(), angles.ravel(), tri.vertex_count)
 
 

@@ -18,8 +18,8 @@ A ``Triangulation`` stores each incidence once: the edges as sorted
 half-edge pairs, and two face tables that give the edge id of every
 half-edge and the vertex id of every corner.  The vertex count follows
 from the Euler characteristic.  The gluing, the half-edge and corner
-lookups and the vertex orbits are derived from these tables when first
-read.
+lookups, the vertex orbits and the edge endpoints are derived from
+these tables when first read, and a flip writes these tables only.
 
 Vertices and edges are orbits, each named by its lexicographically
 least member.  ``build_from_gluing`` numbers them in that order
@@ -43,14 +43,6 @@ import numpy as np
 from .errors import DisconnectedSurface, NonInvolution, UnflippableSelfGluing
 
 HalfEdge = tuple[int, int]
-
-
-def _next(h: HalfEdge) -> HalfEdge:
-    return (h[0], (h[1] + 1) % 3)
-
-
-def _prev(h: HalfEdge) -> HalfEdge:
-    return (h[0], (h[1] + 2) % 3)
 
 
 def half_edge_label(h: HalfEdge) -> str:
@@ -84,22 +76,6 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-@dataclass(frozen=True)
-class FlipResult:
-    """Outcome of a combinatorial edge flip.
-
-    Every edge and vertex keeps its id: the new diagonal has the id of
-    the flipped edge, and ``quad_boundary_edges`` holds the ids of the
-    four quad sides.  ``half_edge_map`` holds only the six half-edges of
-    the flipped quad, which change identity; every other half-edge keeps
-    its own, so look up with ``half_edge_map.get(h, h)``.
-    """
-
-    triangulation: "Triangulation"
-    half_edge_map: dict
-    quad_boundary_edges: tuple
-
-
 def _rows(slots: list) -> tuple:
     """A flat ``3 F`` slot list as ``F`` tuples of three."""
     return tuple(zip(slots[0::3], slots[1::3], slots[2::3]))
@@ -131,8 +107,7 @@ class Triangulation:
     table ``edge_endpoint_ids[e]``, and the int arrays
     ``face_edge_array``, ``face_vertex_array`` (``F x 3``),
     ``edge_endpoint_array`` (``E x 2``) and ``edge_side_array`` for
-    numpy gathers.  ``flip`` patches its parent's stored tables and its
-    endpoint table, and derives nothing else.
+    numpy gathers.  ``flip`` patches only its parent's stored tables.
     """
 
     face_count: int
@@ -361,14 +336,17 @@ class Triangulation:
             (fv[s], fv[(s + 1) % 3], fv[(s + 2) % 3], gv[(t + 2) % 3]),
         )
 
-    def flip(self, e: int) -> FlipResult:
-        """Replace edge ``e`` by the opposite diagonal of its quadrilateral.
+    def flip(self, e: int) -> "Triangulation":
+        """The triangulation with edge ``e`` replaced by the opposite
+        diagonal of its quadrilateral.
 
-        Only the rows of the quad's two faces and the pairs and endpoints
-        of the diagonal and the quad sides change; every edge and vertex
-        keeps its id.  A flip keeps the gluing an involution, the surface
-        connected and its Euler characteristic, so nothing is validated
-        again.
+        Only the rows of the quad's two faces and the pairs of the
+        diagonal and the quad sides change; every edge and vertex keeps
+        its id, and the flipped quad's sides are ``quad(e)[0]`` read
+        before the flip.  A flip keeps the gluing an involution, the
+        surface connected and its Euler characteristic, so nothing is
+        validated again, and every derived table is derived afresh on
+        first read.
 
         Refuses self-glued quads: their diagonal is not a well-defined
         combinatorial quadrilateral side swap.
@@ -377,18 +355,7 @@ class Triangulation:
             raise UnflippableSelfGluing(
                 f"edge {self.edge_label(e)} bounds a self-glued quadrilateral"
             )
-        h1, h2 = self.edges[e]
-        f, g = h1[0], h2[0]
-        # the quad's half-edges move to their slots in the new faces
-        # f = (a, d, c) and g = (d, b, c); the new diagonal is (f,1)~(g,2)
-        relabel = {
-            h1: (f, 1),
-            h2: (g, 2),
-            _next(h1): (g, 1),   # b -> c side
-            _prev(h1): (f, 2),   # c -> a side
-            _next(h2): (f, 0),   # a -> d side
-            _prev(h2): (g, 0),   # d -> b side
-        }
+        (f, _), (g, _) = self.edges[e]
         (bc, ca, ad, db), (a, b, c, d) = self.quad(e)
 
         face_edges = list(self.face_edge_ids)
@@ -396,20 +363,15 @@ class Triangulation:
         face_vertices = list(self.face_vertex_ids)
         face_vertices[f], face_vertices[g] = (a, d, c), (d, b, c)
         edges = list(self.edges)
-        endpoints = list(self.edge_endpoint_ids)
         for k in {e, bc, ca, ad, db}:
-            edges[k] = tuple(sorted(relabel.get(h, h) for h in self.edges[k]))
-            x, y = edges[k][0]
-            endpoints[k] = (face_vertices[x][y], face_vertices[x][(y + 1) % 3])
-
-        new_tri = Triangulation(
+            # the half-edges of k in the two new rows, and any outside them
+            halves = [(h, s) for h in (f, g) for s in range(3) if face_edges[h][s] == k]
+            halves += [h for h in self.edges[k] if h[0] != f and h[0] != g]
+            edges[k] = tuple(sorted(halves))
+        return Triangulation(
             face_count=self.face_count,
             edges=tuple(edges),
             face_edge_ids=tuple(face_edges),
             face_vertex_ids=tuple(face_vertices),
             genus=self.genus,
-        )
-        vars(new_tri)["edge_endpoint_ids"] = tuple(endpoints)
-        return FlipResult(
-            triangulation=new_tri, half_edge_map=relabel, quad_boundary_edges=(bc, ca, ad, db)
         )

@@ -61,8 +61,10 @@ fixed cost of numpy calls makes it slower than a scalar loop, by some
 55-85 us per call at 2-8 faces (``face_circles`` 70-128 us on the
 fixtures; ``_sum3`` 16 us where the ``fsum`` map took 8-15 us).  The
 scalar kernel serves the callers that keep one object per
-face (``delaunay.face_geometries``, the two faces a flip rebuilds), and
-the tests compare the array kernel against it.
+face (``delaunay.face_geometries``, the two faces a flip rebuilds) and
+a surface on which the array kernel overflows, whose first failing
+edge or face it names (``metric.scalar_face_geometries``); the tests
+compare the array kernel against it.
 
 The two forms of face geometry have one use each.  Per-face lists of
 ``TriangleGeometry`` serve the flip pass, whose readers
@@ -134,7 +136,9 @@ def interior_angles(background: Background, lengths) -> tuple:
     slots ``s`` and ``s + 2``; the half-angle form of the law of cosines
     stays accurate near degenerate triangles.  Lengths that make no face
     (``face_defect``) raise DegenerateTriangle; a NaN length gives NaN
-    angles."""
+    angles.  Lengths that are numbers but whose products ``f f`` overflow
+    to inf on both sides of a quotient (Euclidean sides above about
+    1e154) raise ResultInvalid: their corner angle is not a number."""
     a, b, c = lengths
     defect = face_defect(background, a, b, c)
     if defect.startswith("perimeter"):
@@ -155,10 +159,13 @@ def interior_angles(background: Background, lengths) -> tuple:
         raise DegenerateTriangle("triangle inequality violated beyond tolerance")
     # corner s: tan^2 of its half angle is f(sp - l_s) f(sp - l_{s+2}) over
     # f(sp) f(sp - l_{s+1}), the slots adjacent to s over the opposite one
+    t0, t1, t2 = (fa * fc) / (fs * fb), (fb * fa) / (fs * fc), (fc * fb) / (fs * fa)
+    if math.isnan(t0 + t1 + t2) and not math.isnan(fa + fb + fc + fs):  # inf / inf
+        raise ResultInvalid("a corner angle is not a number", [])
     return (
-        2.0 * math.atan(math.sqrt((fa * fc) / (fs * fb))),
-        2.0 * math.atan(math.sqrt((fb * fa) / (fs * fc))),
-        2.0 * math.atan(math.sqrt((fc * fb) / (fs * fa))),
+        2.0 * math.atan(math.sqrt(t0)),
+        2.0 * math.atan(math.sqrt(t1)),
+        2.0 * math.atan(math.sqrt(t2)),
     )
 
 
@@ -387,13 +394,15 @@ def degenerate_rows(background: Background, lengths: np.ndarray) -> np.ndarray:
     the rows with a ``face_defect``, in the same floats, or a NaN."""
     # on the three columns: a reduction over each row of the F x 3 array
     # (axis 1) is about ten times slower.  np.minimum and np.maximum keep
-    # a NaN, and a NaN fails the comparison.
+    # a NaN, and a NaN fails the comparison; a sum that overflows to inf
+    # is a gap above any tolerance, as in face_defect.
     a, b, c = lengths.T
-    ab = a + b
-    gap = np.minimum(np.minimum(ab - c, b + c - a), c + a - b)  # slots 0, 1, 2
-    ok = gap > DEGENERACY_TOL * np.maximum(np.maximum(np.maximum(a, b), c), 1.0)
-    if background is Background.SPHERICAL:
-        ok &= ab + c < 2 * math.pi
+    with np.errstate(over="ignore"):
+        ab = a + b
+        gap = np.minimum(np.minimum(ab - c, b + c - a), c + a - b)  # slots 0, 1, 2
+        ok = gap > DEGENERACY_TOL * np.maximum(np.maximum(np.maximum(a, b), c), 1.0)
+        if background is Background.SPHERICAL:
+            ok &= ab + c < 2 * math.pi
     return ~ok
 
 
@@ -402,31 +411,38 @@ def angle_array(background: Background, lengths: np.ndarray) -> np.ndarray:
     lengths, bit for bit, as an ``F x 3`` array.  Where some row is
     among the ``degenerate_rows``, every row goes through
     ``interior_angles``, which raises for the first degenerate row.  A
-    corner angle that rounds to 0 (hyperbolic sides of 356 or more,
-    where ``sinh(sp) * sinh(sp - b)`` overflows) is rejected: it raises
-    ResultInvalid naming the first such face, a face at which the
-    scalar kernel ``face_circle`` divides by zero."""
+    corner angle that is not a positive number is rejected: it raises
+    ResultInvalid naming the first such face.  It rounds to 0 where
+    ``sinh(sp) * sinh(sp - b)`` overflows (hyperbolic sides of 356 or
+    more), a face at which the scalar kernel ``face_circle`` divides by
+    zero, and it is NaN where both products of its quotient overflow
+    (Euclidean sides above about 1e154), a face at which
+    ``interior_angles`` raises."""
     if np.count_nonzero(degenerate_rows(background, lengths)):
         return np.array([interior_angles(background, tuple(row)) for row in lengths.tolist()])
     a, b, c = lengths.T
     f = np.empty((len(lengths), 4))
-    f[:, 3] = (a + b + c) / 2.0
-    f[:, :3] = f[:, 3:] - lengths  # sp - l_s, then sp
-    # each f is positive on rows that pass: sp - l_s is half a gap above
-    # 1e-12 up to rounding, and sp < pi on the sphere, so interior_angles'
-    # second check cannot fail here; a sinh that overflows raises its
-    # OverflowError, as in interior_angles
-    if background is Background.SPHERICAL:
-        f = each(math.sin, f)
-    elif background is Background.HYPERBOLIC:
-        f = each(math.sinh, f)
-    # corner s: f of slots s and s - 1 over f(sp) and f of slot s + 1
-    fc = f[:, _CYCLE]
-    with np.errstate(over="ignore"):  # a product of sinh that overflows gives an angle of 0
+    # a sum or product that overflows gives inf, and inf / inf an angle
+    # that is NaN, which the check below rejects as interior_angles does
+    with np.errstate(over="ignore", invalid="ignore"):
+        f[:, 3] = (a + b + c) / 2.0
+        f[:, :3] = f[:, 3:] - lengths  # sp - l_s, then sp
+        # each f is positive on rows that pass: sp - l_s is half a gap above
+        # 1e-12 up to rounding, and sp < pi on the sphere, so interior_angles'
+        # second check cannot fail here; a sinh that overflows raises its
+        # OverflowError, as in interior_angles
+        if background is Background.SPHERICAL:
+            f = each(math.sin, f)
+        elif background is Background.HYPERBOLIC:
+            f = each(math.sinh, f)
+        # corner s: f of slots s and s - 1 over f(sp) and f of slot s + 1
+        fc = f[:, _CYCLE]
         angles = 2.0 * each(math.atan, np.sqrt((fc[:, 1:4] * fc[:, :3]) / (f[:, 3:] * fc[:, 2:])))
-    zero = angles == 0.0
-    if np.count_nonzero(zero):
-        raise ResultInvalid(f"face {int(zero.nonzero()[0][0])}: a corner angle rounds to 0", [])
+    bad = ~(angles > 0.0)  # 0, or NaN
+    if np.count_nonzero(bad):
+        face, slot = np.argwhere(bad)[0]
+        what = "rounds to 0" if angles[face, slot] == 0.0 else "is not a number"
+        raise ResultInvalid(f"face {face}: a corner angle {what}", [])
     return angles
 
 

@@ -695,8 +695,8 @@ def scrambled_metric(triangulation, background, rng, flips=4, **kw):
             break
         e = int(candidates[rng.integers(len(candidates))])
         try:
-            m, _, _ = delaunay.flip_edge(m, e)
-        except Exception:
+            m, _ = delaunay.flip_edge(m, e)
+        except FlipGeometryInvalid:  # the new faces would not be valid
             continue
         # a flip keeps ids; draw the next edge in canonical order
         m, _ = delaunay._canonical_metric(m)

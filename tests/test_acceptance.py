@@ -193,7 +193,7 @@ def test_criterion_4_flip_algorithm():
                     if current.triangulation.edge_label(e) == rec.edge_label
                 )
                 theta_before = so.cone_angles(current)
-                current, _, _ = dl.flip_edge(current, e)
+                current, _ = dl.flip_edge(current, e)
                 theta_after = so.cone_angles(current)  # a flip keeps vertex ids
                 dev = max(
                     abs(theta_after[v] - theta_before[v])

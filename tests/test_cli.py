@@ -106,15 +106,19 @@ def test_missing_length_is_parse_error(tmp_path, genus2_file, capsys):
     assert capsys.readouterr().err == f"error: {path}: lengths: missing edge labels {[first]}\n"
 
 
-@pytest.mark.parametrize("key", ["lengths", "radii"])
+@pytest.mark.parametrize("key", ["lengths", "radii", "theta_target", "heights"])
 def test_bad_table_entries_are_parse_errors(tmp_path, genus2_file, capsys, key):
     doc = json.load(open(genus2_file))
-    first = sorted(doc[key])[0]
+    good = doc.get(key, doc["radii"])  # the optional tables are keyed as radii are
+    first = sorted(good)[0]
     kind = "edge" if key == "lengths" else "vertex"
     path = tmp_path / "bad.json"
     for table, message in (
-        ({**doc[key], "9:9": 1.0}, f"{key}: unknown {kind} label '9:9'"),
-        ({**doc[key], first: "1"}, f"{key}[{first}]: not a number"),
+        ({**good, "9:9": 1.0}, f"{key}: unknown {kind} label '9:9'"),
+        ({**good, first: "1"}, f"{key}[{first}]: not a number"),
+        # an int literal of 401 digits once ended in exit 1 with "int too
+        # large to convert to float"
+        ({**good, first: 10**400}, f"{key}[{first}]: integer too large for a float"),
         ([1.0], f"{key} must be an object"),
     ):
         path.write_text(json.dumps({**doc, key: table}))
@@ -505,17 +509,20 @@ def test_solve_theta_file(tmp_path, rng, capsys):
     assert np.max(np.abs(so.cone_angles(solved) - theta)) < 1e-10
 
 
-@pytest.mark.parametrize("theta", ["-1", "0", "nan", "inf", "-2pi", "file", "xpi", "list"])
+@pytest.mark.parametrize("theta", ["-1", "0", "nan", "inf", "-2pi", "file", "xpi", "list", "huge"])
 def test_solve_rejects_bad_theta(tmp_path, genus2_file, capsys, monkeypatch, theta):
     monkeypatch.chdir(tmp_path)  # no file is named xpi
     message = "target angles must be positive and finite"
     if theta == "xpi":  # neither 'Npi' nor a number, so a file that does not exist
         message = "--theta: not a number, 'Npi', or readable file "
         message += "([Errno 2] No such file or directory: 'xpi')"
-    elif theta in ("file", "list"):
+    elif theta in ("file", "list", "huge"):
         path = tmp_path / "theta.json"
         if theta == "file":
             path.write_text('{"0:0": NaN}')
+        elif theta == "huge":
+            path.write_text(json.dumps({"0:0": 10**400}))
+            message = "--theta file[0:0]: integer too large for a float"
         else:
             path.write_text("[6.283185307179586]")
             message = "--theta file: top level is not an object"

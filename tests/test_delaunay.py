@@ -234,7 +234,7 @@ def test_flip_preserves_cone_angles_and_surface(rng):
                 for e in range(current.triangulation.edge_count)
                 if current.triangulation.edge_label(e) == rec.edge_label
             )
-            new_m, _, new_len = dl.flip_edge(current, e)
+            new_m, new_len = dl.flip_edge(current, e)
             assert new_len == pytest.approx(rec.new_length, abs=1e-13)
             assert np.max(np.abs(np.sort(so.cone_angles(new_m)) - np.sort(so.cone_angles(current)))) < 1e-10
             current = new_m
@@ -503,7 +503,7 @@ def test_flip_to_delaunay_matches_rebuild_reference(rng):
             for e in sorted(range(len(weights)), key=lambda e: -weights[e]):
                 if weights[e] > 1e-6 and not kept.triangulation.is_self_glued_quad(e):
                     try:
-                        kept, _, _ = dl.flip_edge(kept, e)
+                        kept, _ = dl.flip_edge(kept, e)
                         break
                     except FlipGeometryInvalid:
                         continue
@@ -579,10 +579,10 @@ def test_flip_to_delaunay_rechecks_only_the_edges_a_flip_rebuilt(rng, monkeypatc
     real_flip = Triangulation.flip
 
     def flip(tri, e):
-        fr = real_flip(tri, e)
-        rebuilt = {f for f, _ in fr.triangulation.edges[e]}
-        events.append(("flip", {k for f in rebuilt for k in fr.triangulation.face_edge_ids[f]}))
-        return fr
+        new = real_flip(tri, e)
+        rebuilt = {f for f, _ in new.edges[e]}
+        events.append(("flip", {k for f in rebuilt for k in new.face_edge_ids[f]}))
+        return new
 
     def check(m, e, **kw):
         ok = IS_LOCAL_DELAUNAY(m, e, **kw)
@@ -642,7 +642,7 @@ def test_support_min_records_match_replay(rng):
                     for e in range(current.triangulation.edge_count)
                     if current.triangulation.edge_label(e) == rec.edge_label
                 )
-                current, _, _ = dl.flip_edge(current, e)
+                current, _ = dl.flip_edge(current, e)
                 # recomputed from scratch on the replayed metric
                 assert repr(rec.support_min) == repr(dl.support_minimum(current))
                 checked += 1
@@ -696,7 +696,7 @@ def test_tessellation_unique_across_flip():
     m = square_with_radii()
     inv = me.lambda_lengths(m)
     tess = dl.extract_tessellation(m, tol=1e-9)
-    flipped, _, _ = dl.flip_edge(m, 2)
+    flipped, _ = dl.flip_edge(m, 2)
     assert me.validate(flipped) == []
     tess2 = dl.extract_tessellation(flipped, tol=1e-9)
     inv2 = me.lambda_lengths(flipped)

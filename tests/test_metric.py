@@ -217,7 +217,7 @@ def test_metric_keeps_read_only_float_arrays_it_is_given(rng):
     # a flip shares its parent's radii and copies the lengths once
     for e in range(m.triangulation.edge_count):
         try:
-            flipped, _, new_len = delaunay.flip_edge(m, e)
+            flipped, new_len = delaunay.flip_edge(m, e)
             break
         except FlipGeometryInvalid:
             continue

@@ -13,7 +13,10 @@ from ddce import delaunay as dl
 from ddce import metric as me
 from ddce import solver as so
 from ddce import transition as tr
-from ddce.errors import BadParameters, NotComparable
+from ddce import trig
+from ddce.errors import BadParameters, NotComparable, ResultInvalid
+
+from conftest import grid_torus, outcome
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -195,3 +198,68 @@ def test_lambda_lengths_take_heights_of_their_own_chart():
             assert repr(me.lambda_lengths(m, given).lam.tolist()) == repr(
                 me.lambda_lengths(m).lam.tolist()
             )
+
+
+# -- valid metrics on which the face kernel fails ------------------------------
+
+ARRAY_READERS = {
+    "faces": lambda m: m.faces,
+    "edge_weights": dl.edge_weights,
+    "angle_jacobian": so.angle_jacobian,
+    "cone_angles": so.cone_angles,
+}
+
+
+def euclidean_torus(length):
+    """The 3x3 Euclidean grid torus with every length ``length`` and
+    every radius ``0.4 * length``: valid at any finite scale."""
+    tri = grid_torus(3)
+    return DecoratedMetric(
+        tri, Background.EUCLIDEAN, np.full(tri.edge_count, length), np.full(tri.vertex_count, 0.4 * length)
+    )
+
+
+@pytest.mark.parametrize("reader", list(ARRAY_READERS))
+def test_array_readers_name_where_the_kernel_overflows(reader):
+    # every length of the genus-2 fixture times 1000 (sinh overflows) and
+    # a Euclidean torus of sides 1e308 (a + b + c overflows): the readers
+    # once raised a bare OverflowError ("math range error", "intermediate
+    # overflow in fsum") where face_geometries named the first edge
+    g2 = genus2()
+    overflow = "edge 0:0: the face kernel overflows"
+    for m, message, scalar in (
+        (
+            DecoratedMetric(g2.triangulation, HYP, g2.lengths * 1000, g2.radii),
+            f"{overflow} (math range error)", f"{overflow} (math range error)",
+        ),
+        (
+            euclidean_torus(1e308),
+            "face 0: a corner angle is not a number", f"{overflow} (intermediate overflow in fsum)",
+        ),
+    ):
+        assert me.validate(m) == []
+        with pytest.raises(ResultInvalid) as raised:
+            ARRAY_READERS[reader](m)
+        assert str(raised.value) == message
+        assert outcome(dl.face_geometries, m) == (ResultInvalid, scalar)
+
+
+def test_euclidean_angles_whose_products_overflow_are_rejected():
+    # lengths of 1e160: (sp - a)(sp - c) and sp (sp - b) overflow to inf,
+    # and inf / inf gave NaN angles and weights with no error, and a
+    # FlipGeometryInvalid from flip_to_delaunay; at 1e150 they evaluate
+    m = euclidean_torus(1e160)
+    assert me.validate(m) == []
+    for reader in ARRAY_READERS.values():
+        with pytest.raises(ResultInvalid) as raised:
+            reader(m)
+        assert str(raised.value) == "face 0: a corner angle is not a number"
+    scalar = "face 0: the face kernel overflows (a corner angle is not a number)"
+    assert outcome(dl.face_geometries, m) == (ResultInvalid, scalar)
+    assert outcome(dl.flip_to_delaunay, m) == (ResultInvalid, scalar)
+    assert outcome(dl.flip_edge, m, 0) == (ResultInvalid, "a corner angle is not a number")
+    assert outcome(trig.interior_angles, Background.EUCLIDEAN, (1e160,) * 3) == (
+        ResultInvalid, "a corner angle is not a number"
+    )
+    assert np.allclose(so.cone_angles(euclidean_torus(1e150)), 2 * math.pi, rtol=1e-15, atol=0)
+    assert min(dl.face_geometries(euclidean_torus(1e150))[0].angles) > 0.0

@@ -26,7 +26,6 @@ TABLES = (
     "face_edge_ids", "face_vertex_ids", "edge_endpoint_ids",
     "face_edge_array", "face_vertex_array", "edge_endpoint_array",
 )
-LOOKUPS = ("gluing", "vertices", "edge_index", "vertex_index")
 
 
 def folds_onto_itself(tri, e):
@@ -162,8 +161,7 @@ def test_self_glued_face_flip_refused():
 
 def test_torus_diagonal_flip_preserves_counts():
     t = Triangulation.square_torus()
-    fr = t.flip(2)
-    s = fr.triangulation
+    s = t.flip(2)
     assert (s.vertex_count, s.edge_count, s.face_count) == (1, 3, 2)
     assert s.genus == 1
 
@@ -173,34 +171,48 @@ def test_flip_preserves_genus_two():
     for e in range(t.edge_count):
         if t.is_self_glued_quad(e):
             continue
-        s = t.flip(e).triangulation
+        s = t.flip(e)
         assert s.euler_characteristic == t.euler_characteristic
         assert (s.vertex_count, s.edge_count, s.face_count) == (1, 9, 6)
         assert s.genus == 2
 
 
+def rotation(old_row, new_row):
+    """``r`` with ``new_row[(k + r) % 3] == old_row[k]`` for every
+    ``k``, else None."""
+    return next((r for r in range(3) if all(new_row[(k + r) % 3] == old_row[k] for k in range(3))), None)
+
+
 def test_flip_involution_up_to_relabeling():
+    # flipping e twice gives back faces f and g swapped, each row rotated,
+    # and leaves every other row as it was; the swap is a gluing
+    # isomorphism that keeps every edge and vertex id
     for t in (Triangulation.square_torus(), Triangulation.genus_two_octagon(), octahedron()):
         for e in range(t.edge_count):
             if t.is_self_glued_quad(e):
                 continue
-            fr1 = t.flip(e)
-            fr2 = fr1.triangulation.flip(e)
-            # the composed half-edge map is a gluing isomorphism onto the original
-            # (half-edges absent from a map keep their identity)
-            phi = {}
-            for h in t.gluing:
-                h_mid = fr1.half_edge_map.get(h, h)
-                phi[h] = fr2.half_edge_map.get(h_mid, h_mid)
+            u = t.flip(e).flip(e)
+            (f, _), (g, _) = t.edges[e]
+            phi = {h: h for h in t.gluing}
+            for old, new in ((f, g), (g, f)):
+                r = rotation(
+                    list(zip(t.face_edge_ids[old], t.face_vertex_ids[old])),
+                    list(zip(u.face_edge_ids[new], u.face_vertex_ids[new])),
+                )
+                assert r is not None
+                phi.update({(old, k): (new, (k + r) % 3) for k in range(3)})
+            for h in set(range(t.face_count)) - {f, g}:
+                assert u.face_edge_ids[h] == t.face_edge_ids[h]
+                assert u.face_vertex_ids[h] == t.face_vertex_ids[h]
             assert sorted(phi.values()) == sorted(t.gluing)
             for h, partner in t.gluing.items():
-                assert fr2.triangulation.gluing[phi[h]] == phi[partner]
+                assert u.gluing[phi[h]] == phi[partner]
+                assert u.edge_index[phi[h]] == t.edge_index[h]
 
 
 def test_flip_maps_are_consistent():
     t = octahedron()
-    fr = t.flip(0)
-    s = fr.triangulation
+    s = t.flip(0)
     # the new diagonal keeps the flipped edge's id
     (f, _), (g, _) = t.edges[0]
     assert s.edges[0] == ((f, 1), (g, 2))
@@ -220,7 +232,7 @@ def test_flip_maps_are_consistent():
 def test_quad_reads_the_rows_that_flip_writes():
     # quad(e) names the faces (a, b, c) and (b, a, d) at e as their rows
     # hold them, and flip(e) writes (a, d, c) on edges (ad, e, ca) and
-    # (d, b, c) on (db, bc, e) with quad_boundary_edges (bc, ca, ad, db)
+    # (d, b, c) on (db, bc, e), whose quad has the same four sides
     stock = (
         Triangulation.double_triangle(),
         Triangulation.square_torus(),
@@ -241,11 +253,10 @@ def test_quad_reads_the_rows_that_flip_writes():
             )
             assert (fe[s:] + fe[:s], fv[s:] + fv[:s]) == ((e, bc, ca), (a, b, c))
             assert (ge[t:] + ge[:t], gv[t:] + gv[:t]) == ((e, ad, db), (b, a, d))
-            fr = tri.flip(e)
-            new = fr.triangulation
+            new = tri.flip(e)
             assert (new.face_edge_ids[f], new.face_vertex_ids[f]) == ((ad, e, ca), (a, d, c))
             assert (new.face_edge_ids[g], new.face_vertex_ids[g]) == ((db, bc, e), (d, b, c))
-            assert fr.quad_boundary_edges == (bc, ca, ad, db)
+            assert sorted(new.quad(e)[0]) == sorted((bc, ca, ad, db))
             flipped += 1
     assert flipped == 0 + 3 + 9 + 1 + 12 + 48  # every edge but the self-glued ones
 
@@ -270,22 +281,23 @@ def test_flip_in_place_matches_rebuild():
             flippable = [e for e in range(cur.edge_count) if not cur.is_self_glued_quad(e)]
             assert flippable == [e for e in range(cur.edge_count) if not folds_onto_itself(cur, e)]
             e = flippable[rng.integers(len(flippable))]
-            fr = cur.flip(e)
-            new = fr.triangulation
+            sides = cur.quad(e)[0]
+            new = cur.flip(e)
             ref, ref_edges, ref_vertices, ref_new_edge, ref_boundary = reference_flip(cur, e)
             canon, edge_map, vertex_map = new.canonical()
             assert surface_fields(canon) == surface_fields(ref)
             assert (edge_map, vertex_map) == (ref_edges, ref_vertices)
             assert edge_map[e] == ref_new_edge
-            assert tuple(edge_map[b] for b in fr.quad_boundary_edges) == ref_boundary
+            assert tuple(edge_map[b] for b in sides) == ref_boundary
             assert new.genus == t.genus
             # edges stay sorted pairs (canonical names)
             assert all(list(pair) == sorted(pair) for pair in new.edges)
-            touched = {e, *fr.quad_boundary_edges}
+            touched = {e, *sides}
             for k in range(cur.edge_count):
                 if k not in touched:
                     assert new.edges[k] == cur.edges[k]
-            # patched tables equal tables derived afresh from the edge pairs
+            # tables derived from the patched ones equal tables derived
+            # afresh from the edge pairs
             fresh = fresh_copy(new)
             for name in TABLES:
                 assert np.array_equal(getattr(new, name), getattr(fresh, name)), name
@@ -304,8 +316,8 @@ def test_flip_in_place_matches_rebuild():
 
 def test_index_tables_match_orbit_maps():
     for t in (Triangulation.square_torus(), Triangulation.genus_two_octagon(), octahedron()):
-        flipped = t.flip(next(e for e in range(t.edge_count) if not t.is_self_glued_quad(e)))
-        s = flipped.triangulation
+        s = t.flip(next(e for e in range(t.edge_count) if not t.is_self_glued_quad(e)))
+        assert "edge_endpoint_ids" not in vars(s)  # a flip derives no endpoint table
         for u in (t, s):
             # the face tables agree with the edge pairs and the corner orbits
             for e, pair in enumerate(u.edges):
@@ -320,9 +332,9 @@ def test_index_tables_match_orbit_maps():
             assert u.face_edge_array.tolist() == [list(x) for x in u.face_edge_ids]
             assert u.face_vertex_array.tolist() == [list(x) for x in u.face_vertex_ids]
             assert u.edge_endpoint_array.tolist() == [list(x) for x in u.edge_endpoint_ids]
-        # derived once per surface; a flip patches its parent's endpoint table
+        # derived once per surface, on first read
         assert t.edge_endpoint_ids is t.edge_endpoint_ids
-        assert "edge_endpoint_ids" in vars(flipped.triangulation)
+        assert s.edge_endpoint_ids is s.edge_endpoint_ids
 
 
 def test_flip_stores_tables_and_derives_no_lookup():
@@ -334,9 +346,9 @@ def test_flip_stores_tables_and_derives_no_lookup():
         for _ in range(30):
             cur = chain[-1]
             flippable = [e for e in range(cur.edge_count) if not cur.is_self_glued_quad(e)]
-            chain.append(cur.flip(flippable[rng.integers(len(flippable))]).triangulation)
-        for u in chain:
-            assert not set(LOOKUPS) & set(vars(u))
+            chain.append(cur.flip(flippable[rng.integers(len(flippable))]))
+        for u in chain:  # a flip writes only the stored tables
+            assert set(vars(u)) == set(names)
 
 
 # -- the builder on flat slots against the builder on (face, slot) tuples --------
@@ -386,7 +398,7 @@ def test_build_from_gluing_matches_tuple_reference_after_flips():
             flippable = [e for e in range(cur.edge_count) if not cur.is_self_glued_quad(e)]
             if not flippable:
                 break
-            cur = cur.flip(flippable[rng.integers(len(flippable))]).triangulation
+            cur = cur.flip(flippable[rng.integers(len(flippable))])
             pairs = [list(pair) for pair in cur.edges]
             rng.shuffle(pairs)
             pairs = [

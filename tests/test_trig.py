@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ddce import Background
 from ddce import trig
-from ddce.errors import DegenerateTriangle, FlipGeometryInvalid, ZeroRadius
+from ddce.errors import DegenerateTriangle, FlipGeometryInvalid, ResultInvalid, ZeroRadius
 
 from conftest import (
     ALL_BACKGROUNDS,
@@ -116,13 +116,16 @@ _ROW = st.one_of(
 @example(Background.SPHERICAL, [[math.pi, 2.0, 2.0], [math.pi, 1.6, 1.6]])  # a side of pi
 @example(Background.SPHERICAL, [[2 * math.pi / 3] * 3])  # perimeter 2 pi
 @example(Background.HYPERBOLIC, [[0.0, 1.0, 1.0], [-0.5, 1.0, 1.0], [math.nan, 1.0, 1.0]])
+@example(Background.EUCLIDEAN, [[1.0, 1.0, 1.0], [1e300, 1e300, 1e300]])  # inf / inf
+@example(Background.EUCLIDEAN, [[1e300, 1e300, 1e300], [0.0, 1.0, 1.0]])  # then a degenerate row
 # inf - inf in the gaps of rows with infinite sides, fed in on purpose
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_degenerate_rows_are_the_rows_interior_angles_rejects(background, rows):
     # interior_angles raises DegenerateTriangle on a degenerate row and
     # returns NaN angles on a row with a NaN, or with infinities that its
     # tests let through.  A finite row of 1e300 sides is not degenerate:
-    # it overflows, to OverflowError from sinh or to NaN from inf / inf.
+    # it overflows, to OverflowError from sinh or to inf / inf, for which
+    # it raises ResultInvalid.
     lengths = np.array(rows, dtype=float)
     flags = trig.degenerate_rows(background, lengths).tolist()
     for row, flagged in zip(lengths.tolist(), flags):
@@ -130,14 +133,20 @@ def test_degenerate_rows_are_the_rows_interior_angles_rejects(background, rows):
         nan = not isinstance(got[0], type) and any(map(math.isnan, got))
         if all(map(math.isfinite, row)):  # the scalar form of the same condition
             assert bool(trig.face_defect(background, *row)) == flagged, row
-        if all(map(math.isfinite, row)) and (got[0] is OverflowError or nan):
+        if all(map(math.isfinite, row)) and got[0] in (OverflowError, ResultInvalid):
             assert not flagged, row
             continue
         assert flagged == (got[0] is DegenerateTriangle or nan), row
     # angle_array gives what interior_angles gives row by row, or raises
-    # what it raises for the first row that raises
+    # what it raises for the first row that raises; with no degenerate
+    # row it takes no row by row path, and names the face of a ResultInvalid
     want = outcome(lambda: [trig.interior_angles(background, tuple(r)) for r in rows])
     got = outcome(trig.angle_array, background, lengths)
+    if want[0] is ResultInvalid and not any(flags):
+        first = next(
+            k for k, r in enumerate(rows) if outcome(trig.interior_angles, background, tuple(r)) == want
+        )
+        want = (ResultInvalid, f"face {first}: {want[1]}")
     assert repr(got if isinstance(got[0], type) else got.tolist()) == repr(
         want if isinstance(want[0], type) else [list(r) for r in want]
     )
