@@ -30,7 +30,6 @@ import numpy as np
 from . import trig
 from .errors import BadParameters, FlipBoundExceeded, NotDelaunay
 from .metric import DecoratedMetric, check_valid, face_geometry, scalar_face_geometries
-from .surface import _UnionFind
 from .trig import Background
 
 #: relative tolerance of the flip strictness test
@@ -84,8 +83,10 @@ def edge_weights(m: DecoratedMetric) -> np.ndarray:
 def is_local_delaunay(m: DecoratedMetric, e: int, geoms=None) -> bool:
     """d-sum form of the local Delaunay test, with the isosceles,
     concave-quad, and self-glued-quad short circuits: the d-sum may
-    fall below zero by ``FLIP_TOL`` relative to its terms."""
+    fall below zero by ``FLIP_TOL`` relative to its terms.  An edge id
+    that ``Triangulation.check_edge`` refuses raises BadParameters."""
     tri = m.triangulation
+    e = tri.check_edge(e)
     if tri.is_self_glued_quad(e):
         return True
     if geoms is None:
@@ -106,8 +107,11 @@ def flip_edge(m: DecoratedMetric, e: int):
     combinatorial surgery.  Returns ``(metric, new_length)``; every edge
     and vertex keeps its id, so only ``lengths[e]`` moves.  The quad's
     lengths and radii are read by id off ``Triangulation.quad``.  An
-    invalid input raises ``check_valid``'s ResultInvalid, since
-    ``trig.diagonal_length`` checks only what the flip creates."""
+    edge id that ``Triangulation.check_edge`` refuses raises
+    BadParameters, and an invalid input ``check_valid``'s
+    ResultInvalid, since ``trig.diagonal_length`` checks only what the
+    flip creates."""
+    e = m.triangulation.check_edge(e)
     check_valid(m, "input of flip_edge")
     return _flip(m, e, m.lengths.tolist(), m.radii.tolist())[:2]
 
@@ -289,6 +293,28 @@ class Tessellation:
     kept_edges: tuple
     removed_edges: tuple
     face_groups: tuple
+
+
+class _UnionFind:
+    """Union-find over ``0 .. n - 1``; the root of a set is its least
+    member."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            ra, rb = min(ra, rb), max(ra, rb)
+            self.parent[rb] = ra
 
 
 def extract_tessellation(m: DecoratedMetric, tol: float = 1e-9) -> Tessellation:

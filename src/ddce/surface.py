@@ -26,10 +26,14 @@ least member.  ``build_from_gluing`` numbers them in that order
 (canonical labels), so rebuilding a surface from the same gluing list
 always reproduces identical labels.  It works on flat slot numbers
 ``3 f + s``, whose order is that of the names ``(f, s)``: the gluing
-is a list of partner slots, and the vertex orbits are the cycles of
-corner ``k`` -> corner ``next(partner[k])``.  A flip keeps every edge
-and vertex id instead; ``canonical()`` renumbers a flipped surface,
-which ``flip_to_delaunay`` does once after its last flip.
+is a list of partner slots, the faces are connected when a walk
+across partner slots from face 0 reaches them all, and the vertex
+orbits are the cycles of corner ``k`` -> corner ``next(partner[k])``.
+A flip keeps every edge and vertex id instead: it moves the six
+half-edges of its quad to their new slots by one six-entry map and
+rewrites only the two face rows and the five pairs that map touches.
+``canonical()`` renumbers a flipped surface, which
+``flip_to_delaunay`` does once after its last flip.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from operator import index
 
 import numpy as np
 
-from .errors import DisconnectedSurface, NonInvolution, UnflippableSelfGluing
+from .errors import BadParameters, DisconnectedSurface, NonInvolution, UnflippableSelfGluing
 
 HalfEdge = tuple[int, int]
 
@@ -52,28 +56,6 @@ def half_edge_label(h: HalfEdge) -> str:
 def parse_half_edge_label(label: str) -> HalfEdge:
     f, s = label.split(":")
     return (int(f), int(s))
-
-
-class _UnionFind:
-    """Union-find over ``0 .. n - 1``; the root of a set is its least
-    member."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            ra, rb = min(ra, rb), max(ra, rb)
-            self.parent[rb] = ra
 
 
 def _rows(slots: list) -> tuple:
@@ -124,14 +106,19 @@ class Triangulation:
         canonically, and fill the face tables and genus, all on flat
         slots ``3 f + s``.  The gluing is a list or tuple of pairs of
         half-edges ``(f, s)``, whose entries are ints (numpy integers
-        too, but not bools); anything else, or a ``face_count`` that is
-        not such an int, raises NonInvolution."""
+        too, but not bools; entries of type ``int`` are taken as they
+        are); anything else, or a ``face_count`` that is not such an int
+        or is below 1, raises NonInvolution, and a gluing whose faces a
+        walk across glued slots does not all reach raises
+        DisconnectedSurface."""
         try:
             if type(face_count) is bool:
                 raise TypeError
             face_count = index(face_count)
         except TypeError:
             raise NonInvolution(f"face count {face_count!r} is not an int") from None
+        if face_count < 1:
+            raise NonInvolution(f"face count {face_count} is not positive")
         if not isinstance(pairs, (list, tuple)):
             raise NonInvolution(f"gluing must be a list of pairs, not {type(pairs).__name__}")
         n = 3 * face_count
@@ -139,23 +126,37 @@ class Triangulation:
         for pair in pairs:
             try:
                 (f, s), (g, t) = pair
-                if bool in (type(f), type(s), type(g), type(t)):
-                    raise TypeError
-                h1, h2 = (index(f), index(s)), (index(g), index(t))
+                if not type(f) is type(s) is type(g) is type(t) is int:
+                    if bool in (type(f), type(s), type(g), type(t)):
+                        raise TypeError
+                    f, s, g, t = index(f), index(s), index(g), index(t)
             except (TypeError, ValueError):
                 raise NonInvolution(f"gluing pair {pair!r} is not two int pairs (f, s)") from None
-            for h in (h1, h2):
-                if not (0 <= h[0] < face_count and 0 <= h[1] < 3):
-                    raise NonInvolution(f"half-edge {h} out of range")
-            if h1 == h2:
-                raise NonInvolution(f"half-edge {h1} glued to itself")
-            k1, k2 = 3 * h1[0] + h1[1], 3 * h2[0] + h2[1]
+            if not (0 <= f < face_count and 0 <= s < 3 and 0 <= g < face_count and 0 <= t < 3):
+                bad = (f, s) if not (0 <= f < face_count and 0 <= s < 3) else (g, t)
+                raise NonInvolution(f"half-edge {bad} out of range")
+            k1, k2 = 3 * f + s, 3 * g + t
+            if k1 == k2:
+                raise NonInvolution(f"half-edge {(f, s)} glued to itself")
             if partner[k1] >= 0 or partner[k2] >= 0:
-                raise NonInvolution(f"half-edge repeated in pair ({h1}, {h2})")
+                raise NonInvolution(f"half-edge repeated in pair ({(f, s)}, {(g, t)})")
             partner[k1], partner[k2] = k2, k1
         missing = [divmod(k, 3) for k in range(n) if partner[k] < 0]
         if missing:
             raise NonInvolution(f"unglued half-edges: {missing}")
+
+        # faces are connected when a walk across glued slots from face 0
+        # reaches every face
+        reached = [False] * face_count
+        reached[0] = True
+        stack = [0]
+        for f in stack:  # the walk appends to the list it runs over
+            for p in partner[3 * f:3 * f + 3]:
+                if not reached[p // 3]:
+                    reached[p // 3] = True
+                    stack.append(p // 3)
+        if len(stack) != face_count:
+            raise DisconnectedSurface("gluing does not connect all faces")
 
         # corner k is corner next(partner[k]): the vertex orbits are the
         # cycles of that permutation, each numbered at its least corner
@@ -173,14 +174,10 @@ class Triangulation:
 
         edges = []
         edge_slots = [0] * n
-        faces_uf = _UnionFind(face_count)
         for k, p in enumerate(partner):
             if k < p:
                 edge_slots[k] = edge_slots[p] = len(edges)
                 edges.append((divmod(k, 3), divmod(p, 3)))
-                faces_uf.union(k // 3, p // 3)
-        if len({faces_uf.find(f) for f in range(face_count)}) != 1:
-            raise DisconnectedSurface("gluing does not connect all faces")
 
         # every half-edge is glued to one of opposite orientation and each
         # vertex orbit is one cycle, so a connected gluing is a closed
@@ -319,6 +316,21 @@ class Triangulation:
 
     # -- edge flip ------------------------------------------------------------
 
+    def check_edge(self, e) -> int:
+        """``e`` as an edge id: an int (numpy integers too, but not
+        bools) in ``range(edge_count)``; anything else raises
+        BadParameters naming it."""
+        if type(e) is not int:
+            try:
+                if type(e) is bool:
+                    raise TypeError
+                e = index(e)
+            except TypeError:
+                raise BadParameters(f"edge id {e!r} is not an int") from None
+        if not 0 <= e < len(self.edges):
+            raise BadParameters(f"edge id {e} out of range for {len(self.edges)} edges")
+        return e
+
     def quad(self, e: int) -> tuple:
         """``((bc, ca, ad, db), (a, b, c, d))``: the side ids and corner
         ids of the quadrilateral that edge ``e`` is the diagonal of.  For
@@ -327,7 +339,11 @@ class Triangulation:
         ``(b, a, d)``, so ``e`` runs from ``a`` to ``b`` and ``c`` and
         ``d`` are the apexes.  ``flip`` makes ``f`` the face ``(a, d, c)``
         on edges ``(ad, e, ca)`` and ``g`` the face ``(d, b, c)`` on
-        edges ``(db, bc, e)``."""
+        edges ``(db, bc, e)``.  An edge id that ``check_edge`` refuses
+        raises BadParameters."""
+        return self._quad(self.check_edge(e))
+
+    def _quad(self, e: int) -> tuple:
         (f, s), (g, t) = self.edges[e]
         fe, ge = self.face_edge_ids[f], self.face_edge_ids[g]
         fv, gv = self.face_vertex_ids[f], self.face_vertex_ids[g]
@@ -343,20 +359,34 @@ class Triangulation:
         Only the rows of the quad's two faces and the pairs of the
         diagonal and the quad sides change; every edge and vertex keeps
         its id, and the flipped quad's sides are ``quad(e)[0]`` read
-        before the flip.  A flip keeps the gluing an involution, the
-        surface connected and its Euler characteristic, so nothing is
-        validated again, and every derived table is derived afresh on
-        first read.
+        before the flip.  The quad's six half-edges move to their new
+        slots by one map, (f, s) -> (f, 1), (g, t) -> (g, 2),
+        (f, s+1) -> (g, 1), (f, s+2) -> (f, 2), (g, t+1) -> (f, 0),
+        (g, t+2) -> (g, 0) (slots mod 3), and each touched edge's pair
+        is its old pair through that map, sorted; this holds also when
+        quad sides coincide, as both of their half-edges move.  Every
+        other entry of ``edges``, ``face_edge_ids`` and
+        ``face_vertex_ids`` is the parent's own object.  A flip keeps
+        the gluing an involution, the surface connected and its Euler
+        characteristic, so nothing is validated again, and every derived
+        table is derived afresh on first read.
 
+        An edge id that ``check_edge`` refuses raises BadParameters.
         Refuses self-glued quads: their diagonal is not a well-defined
         combinatorial quadrilateral side swap.
         """
+        e = self.check_edge(e)
         if self.is_self_glued_quad(e):
             raise UnflippableSelfGluing(
                 f"edge {self.edge_label(e)} bounds a self-glued quadrilateral"
             )
-        (f, _), (g, _) = self.edges[e]
-        (bc, ca, ad, db), (a, b, c, d) = self.quad(e)
+        (f, s), (g, t) = self.edges[e]
+        (bc, ca, ad, db), (a, b, c, d) = self._quad(e)
+        moved = {
+            (f, s): (f, 1), (g, t): (g, 2),
+            (f, (s + 1) % 3): (g, 1), (f, (s + 2) % 3): (f, 2),
+            (g, (t + 1) % 3): (f, 0), (g, (t + 2) % 3): (g, 0),
+        }
 
         face_edges = list(self.face_edge_ids)
         face_edges[f], face_edges[g] = (ad, e, ca), (db, bc, e)
@@ -364,10 +394,9 @@ class Triangulation:
         face_vertices[f], face_vertices[g] = (a, d, c), (d, b, c)
         edges = list(self.edges)
         for k in {e, bc, ca, ad, db}:
-            # the half-edges of k in the two new rows, and any outside them
-            halves = [(h, s) for h in (f, g) for s in range(3) if face_edges[h][s] == k]
-            halves += [h for h in self.edges[k] if h[0] != f and h[0] != g]
-            edges[k] = tuple(sorted(halves))
+            h1, h2 = edges[k]
+            h1, h2 = moved.get(h1, h1), moved.get(h2, h2)
+            edges[k] = (h1, h2) if h1 < h2 else (h2, h1)
         return Triangulation(
             face_count=self.face_count,
             edges=tuple(edges),
