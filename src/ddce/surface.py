@@ -341,10 +341,7 @@ class Triangulation:
         on edges ``(ad, e, ca)`` and ``g`` the face ``(d, b, c)`` on
         edges ``(db, bc, e)``.  An edge id that ``check_edge`` refuses
         raises BadParameters."""
-        return self._quad(self.check_edge(e))
-
-    def _quad(self, e: int) -> tuple:
-        (f, s), (g, t) = self.edges[e]
+        (f, s), (g, t) = self.edges[self.check_edge(e)]
         fe, ge = self.face_edge_ids[f], self.face_edge_ids[g]
         fv, gv = self.face_vertex_ids[f], self.face_vertex_ids[g]
         return (
@@ -381,7 +378,7 @@ class Triangulation:
                 f"edge {self.edge_label(e)} bounds a self-glued quadrilateral"
             )
         (f, s), (g, t) = self.edges[e]
-        (bc, ca, ad, db), (a, b, c, d) = self._quad(e)
+        (bc, ca, ad, db), (a, b, c, d) = self.quad(e)
         moved = {
             (f, s): (f, 1), (g, t): (g, 2),
             (f, (s + 1) % 3): (g, 1), (f, (s + 2) % 3): (f, 2),

@@ -612,20 +612,31 @@ def test_flip_to_delaunay_rechecks_only_the_edges_a_flip_rebuilt(rng, monkeypatc
 
 def test_flip_to_delaunay_builds_the_surface_once(rng, monkeypatch):
     real = Triangulation.build_from_gluing.__func__
-    calls = []
+    real_flip = Triangulation.flip
+    calls, flips = [], []
 
     def counted(cls, face_count, pairs):
         calls.append(face_count)
         return real(cls, face_count, pairs)
 
+    def counted_flip(tri, e):
+        flips.append(e)
+        return real_flip(tri, e)
+
     m = scrambled_metric(grid_torus(5), Background.HYPERBOLIC, rng, flips=12)
     monkeypatch.setattr(Triangulation, "build_from_gluing", classmethod(counted))
+    monkeypatch.setattr(Triangulation, "flip", counted_flip)
     out, log = dl.flip_to_delaunay(m)
     assert log.flip_count >= 5
     assert calls == [m.triangulation.face_count]  # the one canonical relabeling
+    # one Triangulation.flip per FlipRecord: the benchmark's traced run
+    # (bench/run.py trace_checks) requires surface.flip calls to equal
+    # the summed FlipLog.flip_count
+    assert len(flips) == log.flip_count
     calls.clear()
+    flips.clear()
     _, log = dl.flip_to_delaunay(out)
-    assert log.flip_count == 0 and calls == []
+    assert log.flip_count == 0 and calls == [] and flips == []
 
 
 def test_support_min_records_match_replay(rng):

@@ -173,6 +173,30 @@ CASES = {
     "stable_acosh below 1": (
         lambda: me.stable_acosh(0.5), BadParameters, "acosh argument 0.5 below 1"
     ),
+    "flip_edge edge id -1": (
+        lambda: dl.flip_edge(genus2(), -1), BadParameters, "edge id -1 out of range for 9 edges"
+    ),
+    "flip_edge edge id 9": (
+        lambda: dl.flip_edge(genus2(), 9), BadParameters, "edge id 9 out of range for 9 edges"
+    ),
+    "flip_edge edge id True": (
+        lambda: dl.flip_edge(genus2(), True), BadParameters, "edge id True is not an int"
+    ),
+    "flip_edge edge id 1.0": (
+        lambda: dl.flip_edge(genus2(), 1.0), BadParameters, "edge id 1.0 is not an int"
+    ),
+    "is_local_delaunay edge id -1": (
+        lambda: dl.is_local_delaunay(genus2(), -1), BadParameters, "edge id -1 out of range for 9 edges"
+    ),
+    "is_local_delaunay edge id None": (
+        lambda: dl.is_local_delaunay(genus2(), None), BadParameters, "edge id None is not an int"
+    ),
+    "Triangulation.flip edge id 9": (
+        lambda: genus2().triangulation.flip(9), BadParameters, "edge id 9 out of range for 9 edges"
+    ),
+    "Triangulation.quad edge id True": (
+        lambda: genus2().triangulation.quad(True), BadParameters, "edge id True is not an int"
+    ),
     "support_minimum hyperbolic": (
         lambda: dl.support_minimum(genus2()),
         BadParameters, "the support function is defined for spherical metrics",
@@ -187,6 +211,16 @@ def test_input_is_rejected_with_its_type_and_message(case):
         call()
     assert type(raised.value) is kind
     assert str(raised.value) == message
+
+
+def test_numpy_integer_edge_ids_are_accepted():
+    m = genus2()
+    for e in (np.int64(1), np.intp(8)):
+        assert repr(dl.flip_edge(m, e)[0].lengths.tolist()) == repr(
+            dl.flip_edge(m, int(e))[0].lengths.tolist()
+        )
+        assert dl.is_local_delaunay(m, e) == dl.is_local_delaunay(m, int(e))
+        assert m.triangulation.quad(e) == m.triangulation.quad(int(e))
 
 
 def test_lambda_lengths_take_heights_of_their_own_chart():

@@ -74,14 +74,19 @@ def test_octahedron_and_grid_torus():
 
 
 def test_non_involution_errors():
-    with pytest.raises(NonInvolution):
-        Triangulation.build_from_gluing(2, [((0, 0), (1, 0)), ((0, 0), (1, 1)), ((0, 2), (1, 2))])
-    with pytest.raises(NonInvolution):  # half-edge glued to itself
-        Triangulation.build_from_gluing(2, [((0, 0), (0, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))])
-    with pytest.raises(NonInvolution):  # missing half-edges
-        Triangulation.build_from_gluing(2, [((0, 0), (1, 0))])
-    with pytest.raises(NonInvolution):  # out of range
-        Triangulation.build_from_gluing(1, [((0, 0), (0, 3))])
+    for face_count, pairs in (
+        (2, [((0, 0), (1, 0)), ((0, 0), (1, 1)), ((0, 2), (1, 2))]),  # repeated half-edge
+        (2, [((0, 0), (0, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))]),  # half-edge glued to itself
+        (2, [((0, 0), (1, 0))]),  # missing half-edges
+        (1, [((0, 0), (0, 3))]),  # out of range
+    ):
+        with pytest.raises(NonInvolution) as raised:
+            Triangulation.build_from_gluing(face_count, pairs)
+        assert outcome(reference_build_from_gluing, face_count, pairs) == (NonInvolution, str(raised.value))
+    for face_count in (0, -1):  # were reported as a disconnected gluing
+        with pytest.raises(NonInvolution) as raised:
+            Triangulation.build_from_gluing(face_count, [])
+        assert str(raised.value) == f"face count {face_count} is not positive"
 
 
 @pytest.mark.parametrize(
@@ -128,8 +133,11 @@ def test_numpy_integer_face_count_is_accepted():
 def test_disconnected_rejected():
     double = [((0, 0), (1, 2)), ((0, 1), (1, 1)), ((0, 2), (1, 0))]
     shifted = [((f + 2, s), (g + 2, t)) for (f, s), (g, t) in double]
-    with pytest.raises(DisconnectedSurface):
+    with pytest.raises(DisconnectedSurface) as raised:
         Triangulation.build_from_gluing(4, double + shifted)
+    assert outcome(reference_build_from_gluing, 4, double + shifted) == (
+        DisconnectedSurface, str(raised.value)
+    )
 
 
 def test_deterministic_labels():
@@ -292,10 +300,16 @@ def test_flip_in_place_matches_rebuild():
             assert new.genus == t.genus
             # edges stay sorted pairs (canonical names)
             assert all(list(pair) == sorted(pair) for pair in new.edges)
+            # every entry the flip does not write is the parent's own object
             touched = {e, *sides}
             for k in range(cur.edge_count):
                 if k not in touched:
-                    assert new.edges[k] == cur.edges[k]
+                    assert new.edges[k] is cur.edges[k]
+            rows = {h for h, _ in cur.edges[e]}
+            for h in range(cur.face_count):
+                if h not in rows:
+                    assert new.face_edge_ids[h] is cur.face_edge_ids[h]
+                    assert new.face_vertex_ids[h] is cur.face_vertex_ids[h]
             # tables derived from the patched ones equal tables derived
             # afresh from the edge pairs
             fresh = fresh_copy(new)
