@@ -132,9 +132,10 @@ class Triangulation:
                     f, s, g, t = index(f), index(s), index(g), index(t)
             except (TypeError, ValueError):
                 raise NonInvolution(f"gluing pair {pair!r} is not two int pairs (f, s)") from None
-            if not (0 <= f < face_count and 0 <= s < 3 and 0 <= g < face_count and 0 <= t < 3):
-                bad = (f, s) if not (0 <= f < face_count and 0 <= s < 3) else (g, t)
-                raise NonInvolution(f"half-edge {bad} out of range")
+            if not (0 <= f < face_count and 0 <= s < 3):
+                raise NonInvolution(f"half-edge {(f, s)} out of range")
+            if not (0 <= g < face_count and 0 <= t < 3):
+                raise NonInvolution(f"half-edge {(g, t)} out of range")
             k1, k2 = 3 * f + s, 3 * g + t
             if k1 == k2:
                 raise NonInvolution(f"half-edge {(f, s)} glued to itself")
