@@ -60,9 +60,8 @@ def weight_denominators(m: DecoratedMetric) -> np.ndarray:
     bg = m.background
     if bg is Background.EUCLIDEAN:
         return m.lengths  # 1 * l
-    sin, cos = trig.SIN_COS[bg]
     rho = m.faces.r_section.ravel()[m.triangulation.edge_side_array[:, 0]]
-    return trig.each(cos, rho) * trig.each(sin, m.lengths)
+    return bg.arrays.C(rho) * bg.arrays.S(m.lengths)
 
 
 def edge_weights(m: DecoratedMetric) -> np.ndarray:

@@ -254,11 +254,13 @@ def _diagnose(m: DecoratedMetric) -> list:
         else f"vertex {tri.vertex_label(v)}: negative radius {r[v]}"
         for v in bad_radius.nonzero()[0]
     ]
-    for e in (r[ends[:, 0]] + r[ends[:, 1]] > l).nonzero()[0]:
+    with np.errstate(over="ignore"):  # radii whose sum overflows to inf exceed any length
+        intersect = r[ends[:, 0]] + r[ends[:, 1]] > l
+    for e in intersect.nonzero()[0]:
         i, j = tri.edge_endpoints(e)
         out.append(
             f"edge {tri.edge_label(e)}: vertex circles intersect "
-            f"(r_i + r_j = {r[i] + r[j]} > l = {l[e]})"
+            f"(r_i + r_j = {float(r[i]) + float(r[j])} > l = {l[e]})"
         )
     lengths = l[tri.face_edge_array]
     for f in trig.degenerate_rows(m.background, lengths).nonzero()[0]:

@@ -120,7 +120,7 @@ def angle_jacobian(m: DecoratedMetric) -> np.ndarray:
     edges = m.triangulation.face_edge_array
     q = qk = m.faces.d_tangent / delaunay.weight_denominators(m)[edges]
     if bg is not Background.EUCLIDEAN:
-        qk = q * trig.each(trig.SIN_COS[bg][1], m.lengths)[edges]
+        qk = q * bg.arrays.C(m.lengths)[edges]
     n = m.triangulation.vertex_count
     v = m.triangulation.face_vertex_array
     nxt, prv = [1, 2, 0], [2, 0, 1]

@@ -107,9 +107,11 @@ class Triangulation:
         slots ``3 f + s``.  The gluing is a list or tuple of pairs of
         half-edges ``(f, s)``, whose entries are ints (numpy integers
         too, but not bools; entries of type ``int`` are taken as they
-        are); anything else, or a ``face_count`` that is not such an int
-        or is below 1, raises NonInvolution, and a gluing whose faces a
-        walk across glued slots does not all reach raises
+        are); anything else, a ``face_count`` that is not such an int
+        or is below 1, or a count of pairs other than ``3 face_count / 2``
+        (checked first, so a short gluing of a huge face count fails at
+        once) raises NonInvolution, and a gluing whose faces a walk
+        across glued slots does not all reach raises
         DisconnectedSurface."""
         try:
             if type(face_count) is bool:
@@ -121,7 +123,14 @@ class Triangulation:
             raise NonInvolution(f"face count {face_count} is not positive")
         if not isinstance(pairs, (list, tuple)):
             raise NonInvolution(f"gluing must be a list of pairs, not {type(pairs).__name__}")
+        # before any table is sized by the face count; pairs that pass the
+        # checks below then glue every half-edge exactly once
         n = 3 * face_count
+        if n != 2 * len(pairs):
+            raise NonInvolution(
+                f"{face_count} faces have {n} half-edges, "
+                f"but {len(pairs)} gluing pairs cover {2 * len(pairs)}"
+            )
         partner = [-1] * n
         for pair in pairs:
             try:
@@ -142,9 +151,6 @@ class Triangulation:
             if partner[k1] >= 0 or partner[k2] >= 0:
                 raise NonInvolution(f"half-edge repeated in pair ({(f, s)}, {(g, t)})")
             partner[k1], partner[k2] = k2, k1
-        missing = [divmod(k, 3) for k in range(n) if partner[k] < 0]
-        if missing:
-            raise NonInvolution(f"unglued half-edges: {missing}")
 
         # faces are connected when a walk across glued slots from face 0
         # reaches every face

@@ -574,6 +574,11 @@ def reference_build_from_gluing(face_count, pairs):
     """``Triangulation.build_from_gluing`` on ``(f, s)`` tuples: the
     gluing and the vertex union-find are dicts keyed by half-edges.
     Reference for the builder on flat slots ``3 f + s``."""
+    if 3 * face_count != 2 * len(pairs):
+        raise NonInvolution(
+            f"{face_count} faces have {3 * face_count} half-edges, "
+            f"but {len(pairs)} gluing pairs cover {2 * len(pairs)}"
+        )
     half_edges = [(f, s) for f in range(face_count) for s in range(3)]
     gluing: dict = {}
     for pair in pairs:
@@ -587,9 +592,6 @@ def reference_build_from_gluing(face_count, pairs):
             raise NonInvolution(f"half-edge repeated in pair ({h1}, {h2})")
         gluing[h1] = h2
         gluing[h2] = h1
-    missing = [h for h in half_edges if h not in gluing]
-    if missing:
-        raise NonInvolution(f"unglued half-edges: {missing}")
 
     uf = _DictUnionFind(half_edges)  # corners share the (face, slot) key space
     for h1, h2 in gluing.items():

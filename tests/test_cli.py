@@ -8,13 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddce import Background, DecoratedMetric, Triangulation
 from ddce import cli, delaunay, solver
 from ddce import metric as me
 from ddce import transition as tr
+from ddce.errors import BadParameters, DDCEError
 
 from conftest import octahedron, random_metric, reference_surface_file_text
 
@@ -652,6 +653,71 @@ def test_no_option_leaks_between_calls(tmp_path, genus2_file, capsys, monkeypatc
 
 # -- fuzz ----------------------------------------------------------------------------
 
+def classified_main(argv):
+    """``cli.main(argv)`` with what decided its exit code: the exception
+    that the command or argparse raised to ``main`` (argparse's
+    SystemExit included), or None when the command returned its code.
+    Returns ``(code, caught, stdout, stderr)``."""
+    parser, caught = cli.build_parser(), []
+
+    class Recording:
+        def parse_args(self, args):
+            try:
+                parsed = parser.parse_args(args)
+            except SystemExit as ex:
+                caught.append(ex)
+                raise
+            command = parsed.func
+
+            def recorded(parsed_args):
+                try:
+                    return command(parsed_args)
+                except Exception as ex:
+                    caught.append(ex)
+                    raise
+
+            parsed.func = recorded
+            return parsed
+
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "build_parser", Recording)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    return code, (caught[0] if caught else None), out.getvalue(), err.getvalue()
+
+
+def assert_documented_exit(code, caught, out, err):
+    """The exit code comes from its documented cause, with no traceback:
+    1 from a DDCEError of the computation (not a rejected argument), the
+    invalid-metric report or the refusal of a Euclidean transition; 2
+    from a parse error (a CliError of code 2) or argparse; 3 and 4 from
+    the solver's reports; 0 from a command that returned."""
+    assert "Traceback" not in err
+    if code == 1 and caught is not None and not isinstance(caught, cli.CliError):
+        assert isinstance(caught, DDCEError) and not isinstance(caught, BadParameters), repr(caught)
+        assert err.startswith("error: "), err
+        return
+    expected = {
+        0: caught is None,
+        1: (caught is None or (isinstance(caught, cli.CliError) and caught.code == 1))
+        and (out.startswith("invalid: ") or out == "transition: input is already Euclidean\n"),
+        2: isinstance(caught, SystemExit) or (isinstance(caught, cli.CliError) and caught.code == 2),
+        3: caught is None and out.startswith("not converged: "),
+        4: caught is None and out.startswith("infeasible: "),
+    }
+    assert expected.get(code), (code, repr(caught), out[:200], err[:200])
+
+
+def huge_radii_document():
+    """The genus-2 fixture with every length 2.5 and every radius half
+    the largest float: the sum of two radii overflows to inf."""
+    doc = json.loads(json.dumps(FIXTURE_DOCS["genus2_hyperbolic"]))
+    doc["lengths"] = {label: 2.5 for label in doc["lengths"]}
+    doc["radii"] = {label: 8.98846567431158e307 for label in doc["radii"]}
+    return doc
+
+
 @st.composite
 def surface_documents(draw):
     """A fixture, valid as it is, perhaps in another background, with
@@ -675,18 +741,14 @@ def surface_documents(draw):
 
 @settings(max_examples=150)
 @given(surface_documents(), st.sampled_from(["validate", "delaunay", "invariant"]))
+@example(huge_radii_document(), "validate")  # radius sums overflow: no numpy warning may leak
 def test_fuzzed_surface_files_end_in_an_exit_code(tmp_path_factory, doc, command):
     # any surface file ends in a result or a one-line error with a
     # documented exit code, never in a traceback
     path = tmp_path_factory.getbasetemp() / "fuzzed-surface.json"
     path.write_text(json.dumps(doc))  # NaN and Infinity tokens, which the reader takes
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([command, str(path)])
-    assert code in (0, 1, 2, 3, 4)
-    assert "Traceback" not in err.getvalue()
-    if code == 1 and not out.getvalue().startswith("invalid: "):
-        assert err.getvalue().startswith("error: ")
+    code, caught, out, err = classified_main([command, str(path)])
+    assert_documented_exit(code, caught, out, err)
 
 
 NUMBER_TEXT = st.one_of(
@@ -727,11 +789,7 @@ def solve_and_transition_arguments(draw):
 @settings(max_examples=150)
 @given(solve_and_transition_arguments())
 def test_fuzzed_arguments_end_in_an_exit_code(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    assert code in (0, 1, 2, 3, 4)
-    assert "Traceback" not in err.getvalue()
+    assert_documented_exit(*classified_main(argv))
 
 
 @st.composite
@@ -768,11 +826,9 @@ def test_fuzzed_surface_files_through_solve_and_transition(tmp_path_factory, cas
     doc, argv = case
     path = tmp_path_factory.getbasetemp() / "fuzzed-run.json"
     path.write_text(json.dumps(doc))  # NaN and Infinity tokens, which the reader takes
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([argv[0], str(path), *argv[1:]])
-    assert code in (0, 1, 2, 3, 4)
-    lines = err.getvalue().splitlines()
+    code, caught, out, err = classified_main([argv[0], str(path), *argv[1:]])
+    assert_documented_exit(code, caught, out, err)
+    lines = err.splitlines()
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), lines
 
 

@@ -120,6 +120,21 @@ def test_face_count_that_is_not_an_int_is_named(face_count):
     assert str(raised.value) == f"face count {face_count!r} is not an int"
 
 
+def test_short_gluing_of_a_huge_face_count_fails_before_sizing_tables():
+    # the pair count is checked before any table is sized by the face
+    # count, so a short gluing fails at once, with a message whose
+    # length does not grow with the face count
+    for face_count, pairs in ((10**5, []), (10**6, [((0, 0), (1, 2))]), (4, [])):
+        with pytest.raises(NonInvolution) as raised:
+            Triangulation.build_from_gluing(face_count, pairs)
+        assert len(str(raised.value)) < 100
+        assert str(raised.value) == (
+            f"{face_count} faces have {3 * face_count} half-edges, "
+            f"but {len(pairs)} gluing pairs cover {2 * len(pairs)}"
+        )
+        assert outcome(reference_build_from_gluing, face_count, pairs) == (NonInvolution, str(raised.value))
+
+
 def test_numpy_integer_face_count_is_accepted():
     double = [((0, 0), (1, 2)), ((0, 1), (1, 1)), ((0, 2), (1, 0))]
     tri = Triangulation.build_from_gluing(np.int64(2), double)
@@ -447,7 +462,7 @@ def test_build_from_gluing_matches_tuple_reference_on_corrupted_gluings():
             kind, message = assert_builders_agree(count, bad)
             assert kind in (NonInvolution, DisconnectedSurface)
             messages.append(message)
-    for check in ("unglued", "repeated", "glued to itself", "out of range", "does not connect"):
+    for check in ("pairs cover", "repeated", "glued to itself", "out of range", "does not connect"):
         assert any(check in message for message in messages), check
 
 
