@@ -56,6 +56,7 @@ import numpy as np
 from . import trig
 from .errors import (
     BadParameters,
+    DDCEError,
     HeightsOutOfDomain,
     NotComparable,
     ResultInvalid,
@@ -156,10 +157,13 @@ class DecoratedMetric:
         """The face geometry of every face, computed on first read behind
         ``check_valid``: the array kernel ``trig.face_circles``, or, on a
         metric that ``delaunay.flip_to_delaunay`` returned, the per-face
-        list its flip pass held, stacked.  Both give the floats of
-        ``delaunay.face_geometries`` bit for bit.  Where the array kernel
-        overflows, ``scalar_face_geometries`` takes over, and it raises
-        the same overflow as a ResultInvalid that names the edge or face."""
+        list its flip pass held, stacked.  A third way fills it ahead of
+        the first read: ``fill_faces`` evaluates the metrics of a
+        transition's rows in one ``face_circles`` call.  All of them give
+        the floats of ``delaunay.face_geometries`` bit for bit.  Where the
+        array kernel overflows, ``scalar_face_geometries`` takes over, and
+        it raises the same overflow as a ResultInvalid that names the edge
+        or face."""
         check_valid(self, "input of faces")
         held = vars(self).pop("_flip_geometries", None)
         if held is None:
@@ -315,6 +319,35 @@ def scalar_face_geometries(m: DecoratedMetric) -> list:
         fails = "divides by zero" if isinstance(ex, ZeroDivisionError) else "overflows"
         raise ResultInvalid(f"{at}: the face kernel {fails} ({ex})", [str(ex)]) from None
     return geoms
+
+
+def fill_faces(metrics: list) -> None:
+    """Fill the ``faces`` cache of metrics on one triangulation and
+    background, none of them read yet, with one ``trig.face_circles``
+    call over their disjoint union: metric ``k`` holds the edges,
+    vertices and faces of the surface offset by ``k`` times their
+    counts, and its ``faces`` are the ``k``-th block of ``F`` rows of
+    the result.  The kernel maps its operations value by value, so each
+    metric gets the floats of its own ``faces`` bit for bit.  Where a
+    metric is invalid or the pass raises, no cache is filled, and each
+    metric's ``faces`` raises its own error when read."""
+    if not metrics:
+        return
+    tri, bg, k = metrics[0].triangulation, metrics[0].background, len(metrics)
+    V, E = tri.vertex_count, tri.edge_count
+    step = np.arange(k).reshape(-1, 1, 1)  # metric k's ids follow those of the metrics before it
+    tables = [(ids + n * step).reshape(-1, ids.shape[1]) for ids, n in (
+        (tri.face_edge_array, E), (tri.face_vertex_array, V), (tri.edge_endpoint_array, V))]
+    try:
+        for m in metrics:
+            check_valid(m, "input of faces")
+        lengths = np.concatenate([m.lengths for m in metrics])
+        faces = trig.face_circles(bg, lengths, np.concatenate([m.radii for m in metrics]), *tables)
+    except (DDCEError, ArithmeticError):
+        return
+    names = ("lengths", "radii", "angles", "r_section", "x_section", "d_tangent")
+    for m, *arrays in zip(metrics, *(getattr(faces, name).reshape(k, -1, 3) for name in names)):
+        vars(m)["faces"] = trig.FaceArrays(bg, *arrays)
 
 
 # -- conformal change ----------------------------------------------------------

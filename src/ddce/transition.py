@@ -34,6 +34,7 @@ from .metric import (
     Heights,
     Invariant,
     decoration_from_heights,
+    fill_faces,
     heights_from_decoration,
     lambda_lengths,
     omega_inverse,
@@ -50,12 +51,9 @@ def scale_family(h1: Heights, t: float) -> Heights:
         raise BadParameters("scale parameter must be >= 1")
     if h1.background is Background.EUCLIDEAN:
         raise BadParameters("scale families start from a curved background")
-    return omega_inverse(
-        h1.background,
-        h1.reference_radius,
-        t * omega_map(h1.background, h1.reference_radius, h1),
-        h1.eps,
-    )
+    with np.errstate(over="ignore"):  # omega_inverse refuses an infinite weight by vertex
+        omega = t * omega_map(h1.background, h1.reference_radius, h1)
+    return omega_inverse(h1.background, h1.reference_radius, omega, h1.eps)
 
 
 def cusp_heights(h1: Heights) -> np.ndarray:
@@ -116,6 +114,12 @@ def build_transition(m: DecoratedMetric, ts) -> TransitionPath:
     largest face angle-sum defect |anglesum - pi| and the largest
     deviation of the decorated cotan weights from the Euclidean weights
     of the limit metric.
+
+    The rows' face geometry is evaluated in one array pass over all of
+    them (``metric.fill_faces``), with the floats of each row's own
+    ``faces``.  An error is that of the first row that fails, as if the
+    rows were evaluated one after another: the rows before it are built
+    and read first.
     """
     bg = m.background
     if bg is Background.EUCLIDEAN:
@@ -138,15 +142,24 @@ def build_transition(m: DecoratedMetric, ts) -> TransitionPath:
     path.euclidean_metric = m_euc
     w_euc = delaunay.edge_weights(m_euc)
 
+    held = None  # the first row's error, raised after the rows before it
     for t in ts:
-        ht = scale_family(h1, t)
-        mt = decoration_from_heights(tri, inv, ht)
-        angles = mt.faces.angles
-        defect = max(np.abs(angles[:, 0] + angles[:, 1] + angles[:, 2] - math.pi).tolist())
-        wdev = float(np.max(np.abs(delaunay.edge_weights(mt) - w_euc)))
+        try:
+            ht = scale_family(h1, t)
+            mt = decoration_from_heights(tri, inv, ht)
+        except Exception as ex:
+            held = ex
+            break
         path.ts.append(t)
         path.heights.append(ht)
         path.metrics.append(mt)
+    fill_faces(path.metrics)
+    for t, mt in zip(path.ts, path.metrics):
+        angles = mt.faces.angles
+        defect = max(np.abs(angles[:, 0] + angles[:, 1] + angles[:, 2] - math.pi).tolist())
+        wdev = float(np.max(np.abs(delaunay.edge_weights(mt) - w_euc)))
         path.rows.append(DiagnosticsRow(t, defect, wdev))
+    if held is not None:
+        raise held
     return path
 

@@ -82,7 +82,10 @@ rows of ``transition.build_transition``), which reads them off the
 metric (``DecoratedMetric.faces``) and is passed no geometry.  A metric
 computes its ``FaceArrays`` once, on first read: with ``face_circles``
 at every surface size, or, for the output of a flip pass, by stacking
-the pass's per-face list (``FaceArrays.stack``).  On a surface where
+the pass's per-face list (``FaceArrays.stack``).  The rows of
+``transition.build_transition`` share one triangulation, and one
+``face_circles`` call over their disjoint union fills all of their
+``FaceArrays`` at once (``metric.fill_faces``).  On a surface where
 ``face_circles`` overflows, ``metric.scalar_face_geometries`` runs the
 per-face entries and names the first failing edge or face.
 """

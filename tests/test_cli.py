@@ -788,6 +788,9 @@ def solve_and_transition_arguments(draw):
 
 @settings(max_examples=150)
 @given(solve_and_transition_arguments())
+@example(  # t * omega overflows: the inf weight is refused by name, with no numpy warning
+    ["transition", str(FIXTURES / "double_octant_spherical.json"), "--t-list=7.864323565871281e+307"]
+)
 def test_fuzzed_arguments_end_in_an_exit_code(argv):
     assert_documented_exit(*classified_main(argv))
 

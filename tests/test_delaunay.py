@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddce import Background, DecoratedMetric, Triangulation, cli
 from ddce import delaunay as dl
@@ -717,6 +719,84 @@ def test_tessellation_unique_across_flip():
     kept1 = sorted(inv.lam[e] for e in tess.kept_edges)
     kept2 = sorted(inv2.lam[e] for e in tess2.kept_edges)
     assert np.allclose(kept1, kept2, atol=1e-10)
+
+
+def tessellation_summary(m):
+    """Sorted face-group sizes, and the sorted lengths and lambda-lengths
+    of the kept edges: what the weighted Delaunay tessellation of ``m``
+    is up to edge and face ids."""
+    tess = dl.extract_tessellation(m, tol=1e-9)
+    kept = list(tess.kept_edges)
+    return (
+        sorted(len(g) for g in tess.face_groups),
+        sorted(m.lengths[kept].tolist()),
+        sorted(me.lambda_lengths(m).lam[kept].tolist()),
+    )
+
+
+def square_lattice(bg, radius, side=0.5, n=4):
+    """``grid_torus(n)`` made of regular squares: sides ``side``, radii
+    ``radius``, and the diagonal length that a flip of the diagonal
+    keeps (bisection).  Every diagonal has weight 0 up to rounding, so
+    the tessellation's cells are the ``n * n`` squares."""
+    flip = lambda d: trig.diagonal_length(bg, (d, side, side, side, side), (radius, radius))  # noqa: E731
+    lo, hi = 1.1 * side, 1.9 * side
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if flip(mid) > mid else (lo, mid)
+    tri = grid_torus(n)
+    lengths = np.full(tri.edge_count, side)
+    for k in range(n * n):  # faces 2k and 2k + 1 split square k along its diagonal
+        (diagonal,) = set(tri.face_edge_ids[2 * k]) & set(tri.face_edge_ids[2 * k + 1])
+        lengths[diagonal] = lo
+    return DecoratedMetric(tri, bg, lengths, np.full(tri.vertex_count, radius))
+
+
+SURFACES = {"octahedron": octahedron, "torus4": lambda: grid_torus(4), "genus2": Triangulation.genus_two_octagon}
+
+
+def test_tessellation_is_unique_across_random_flips():
+    # the weighted Delaunay tessellation depends on the decorated surface
+    # alone: a Delaunay metric, scrambled by random valid flips and
+    # flipped to Delaunay again, has the same face groups and kept edges
+    checked, refused = [], []
+
+    @settings(max_examples=150)
+    @given(
+        st.sampled_from(ALL_BACKGROUNDS), st.sampled_from([*SURFACES, "lattice"]), st.booleans(),
+        st.integers(0, 2**32 - 1), st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
+    )
+    def check(bg, surface, ideal, seed, picks):
+        if surface == "lattice":  # cocircular squares: face groups of two
+            m = square_lattice(bg, 0.0 if ideal else 0.1)
+        else:
+            m = random_metric(SURFACES[surface](), bg, np.random.default_rng(seed), ideal_fraction=0.4 * ideal)
+        try:
+            m, _ = dl.flip_to_delaunay(m)
+            scrambled = m
+            for pick in picks:
+                e = pick % scrambled.triangulation.edge_count
+                if scrambled.triangulation.is_self_glued_quad(e):
+                    continue
+                try:
+                    scrambled, _ = dl.flip_edge(scrambled, e)
+                except FlipGeometryInvalid:  # not a valid flip
+                    continue
+            again, _ = dl.flip_to_delaunay(scrambled)
+        except FlipGeometryInvalid as ex:
+            # ROADMAP item 3: a new diagonal that joins intersecting circles
+            assert "new diagonal: vertex circles intersect" in str(ex), str(ex)
+            refused.append(bg)
+            return
+        (groups, lengths, lam), (groups2, lengths2, lam2) = map(tessellation_summary, (m, again))
+        assert groups == groups2
+        assert np.allclose(lengths, lengths2, rtol=0.0, atol=1e-10)
+        assert np.allclose(lam, lam2, rtol=0.0, atol=1e-10)
+        checked.append(bg)
+
+    check()
+    assert len(refused) <= len(checked) // 10, refused
+    assert all(checked.count(bg) >= 20 for bg in ALL_BACKGROUNDS)
 
 
 def test_not_delaunay_raises():

@@ -345,3 +345,81 @@ def test_flip_output_faces_run_no_array_kernel(rng, monkeypatch):
         out.faces, dl.edge_weights(out), so.angle_jacobian(out)
         assert calls == []
     assert flips[3:] == [0, 0, 0] and min(flips[:3]) >= 1
+
+
+def curved_fixture_and_torus_metrics(rng):
+    metrics = [m for _, m in fixture_metrics() if m.background is not Background.EUCLIDEAN]
+    for bg in (Background.HYPERBOLIC, Background.SPHERICAL):
+        for n in (4, 5):
+            metrics.append(random_metric(grid_torus(n), bg, rng, ideal_fraction=0.4))
+    return metrics
+
+
+def test_transition_rows_share_one_pass_with_their_own_floats(rng, monkeypatch):
+    # the rows' faces come from one face_circles call over all rows, the
+    # Euclidean limit's from one more, and each row holds the floats of
+    # its own faces
+    calls = []
+    real = trig.face_circles
+    monkeypatch.setattr(trig, "face_circles", lambda *a: calls.append(len(a[3])) or real(*a))
+    ts = [1.0, 3.0, 10.0, 100.0, 1e3, 1e4]
+    for m in curved_fixture_and_torus_metrics(rng):
+        calls.clear()
+        path = tr.build_transition(m, ts)
+        F = path.euclidean_metric.triangulation.face_count
+        assert calls == [F, len(ts) * F]
+        for mt in path.metrics:
+            fresh = unread(mt).faces
+            for field in FIELDS:
+                assert bits(getattr(mt.faces, field)) == bits(getattr(fresh, field)), field
+
+
+def reference_transition_rows(m, ts):
+    """``build_transition``'s rows one row at a time, each read off its
+    own metric's faces, as before the rows shared one pass."""
+    m_del, _ = dl.flip_to_delaunay(m, track_support=False)
+    tri, h1, inv = m_del.triangulation, me.heights_from_decoration(m_del), me.lambda_lengths(m_del)
+    w_euc = dl.edge_weights(tr.euclidean_limit(tri, inv, h1)[0])
+    rows = []
+    for t in ts:
+        mt = me.decoration_from_heights(tri, inv, tr.scale_family(h1, t))
+        angles = mt.faces.angles
+        defect = max(np.abs(angles[:, 0] + angles[:, 1] + angles[:, 2] - math.pi).tolist())
+        wdev = float(np.max(np.abs(dl.edge_weights(mt) - w_euc)))
+        rows.append(tr.DiagnosticsRow(t, defect, wdev))
+    return rows
+
+
+def test_transition_raises_the_error_of_its_first_failing_row(rng):
+    octant = cli.load_surface_file(str(FIXTURES / "double_octant_spherical.json"))[0]
+    cases = [
+        (octant, [1.0, 7.864323565871281e+307]),  # scale_family overflows after a valid row
+        (octant, [1.0, 2.0, 1e300, 1e308]),
+    ]
+    for m in curved_fixture_and_torus_metrics(rng):
+        cases.append((m, [1.0, 10.0, 1e5]))
+        cases.append((m, [1.0, 1e150, 1e300]))
+    failed = 0
+    for m, ts in cases:
+        want = outcome(reference_transition_rows, m, ts)
+        got = outcome(lambda: tr.build_transition(m, ts).rows)
+        assert repr(got) == repr(want), ts
+        failed += isinstance(want, tuple)
+    assert failed >= 2
+
+
+def test_one_pass_over_several_metrics_leaves_a_failing_row_its_own_error():
+    # sides (400, 400, 480) pass validate, but a corner angle of face 0
+    # rounds to 0; the pass over both metrics fails at face 2 of their
+    # union, and each metric then reads its own faces
+    tri = Triangulation.square_torus()
+    ordinary = DecoratedMetric(tri, Background.HYPERBOLIC, [2.0, 2.0, 2.5], [0.3])
+    thin = DecoratedMetric(tri, Background.HYPERBOLIC, [400.0, 400.0, 480.0], [0.3])
+    assert me.validate(thin) == []
+    want = outcome(lambda: unread(thin).faces)
+    assert want == (me.ResultInvalid, "face 0: a corner angle rounds to 0")
+    me.fill_faces([ordinary, thin])
+    assert "faces" not in vars(ordinary) and "faces" not in vars(thin)
+    assert outcome(lambda: thin.faces) == want
+    for field in FIELDS:
+        assert bits(getattr(ordinary.faces, field)) == bits(getattr(kernel_arrays(ordinary), field))
