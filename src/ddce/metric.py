@@ -338,11 +338,12 @@ def fill_faces(metrics: list) -> None:
     step = np.arange(k).reshape(-1, 1, 1)  # metric k's ids follow those of the metrics before it
     tables = [(ids + n * step).reshape(-1, ids.shape[1]) for ids, n in (
         (tri.face_edge_array, E), (tri.face_vertex_array, V), (tri.edge_endpoint_array, V))]
+    lengths = np.concatenate([m.lengths for m in metrics])
+    radii = np.concatenate([m.radii for m in metrics])
     try:
         for m in metrics:
             check_valid(m, "input of faces")
-        lengths = np.concatenate([m.lengths for m in metrics])
-        faces = trig.face_circles(bg, lengths, np.concatenate([m.radii for m in metrics]), *tables)
+        faces = trig.face_circles(bg, lengths, radii, *tables)
     except (DDCEError, ArithmeticError):
         return
     names = ("lengths", "radii", "angles", "r_section", "x_section", "d_tangent")

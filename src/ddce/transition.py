@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import delaunay
-from .errors import BadParameters
+from .errors import BadParameters, DDCEError
 from .metric import (
     DecoratedMetric,
     Heights,
@@ -142,12 +142,12 @@ def build_transition(m: DecoratedMetric, ts) -> TransitionPath:
     path.euclidean_metric = m_euc
     w_euc = delaunay.edge_weights(m_euc)
 
-    held = None  # the first row's error, raised after the rows before it
+    held = None  # the error of the first row that fails to build, raised after the rows before it
     for t in ts:
         try:
             ht = scale_family(h1, t)
             mt = decoration_from_heights(tri, inv, ht)
-        except Exception as ex:
+        except (DDCEError, ArithmeticError) as ex:
             held = ex
             break
         path.ts.append(t)

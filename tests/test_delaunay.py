@@ -739,11 +739,11 @@ def square_lattice(bg, radius, side=0.5, n=4):
     ``radius``, and the diagonal length that a flip of the diagonal
     keeps (bisection).  Every diagonal has weight 0 up to rounding, so
     the tessellation's cells are the ``n * n`` squares."""
-    flip = lambda d: trig.diagonal_length(bg, (d, side, side, side, side), (radius, radius))  # noqa: E731
     lo, hi = 1.1 * side, 1.9 * side
     for _ in range(60):
         mid = (lo + hi) / 2.0
-        lo, hi = (mid, hi) if flip(mid) > mid else (lo, mid)
+        flipped = trig.diagonal_length(bg, (mid, side, side, side, side), (radius, radius))
+        lo, hi = (mid, hi) if flipped > mid else (lo, mid)
     tri = grid_torus(n)
     lengths = np.full(tri.edge_count, side)
     for k in range(n * n):  # faces 2k and 2k + 1 split square k along its diagonal
@@ -752,7 +752,9 @@ def square_lattice(bg, radius, side=0.5, n=4):
     return DecoratedMetric(tri, bg, lengths, np.full(tri.vertex_count, radius))
 
 
-SURFACES = {"octahedron": octahedron, "torus4": lambda: grid_torus(4), "genus2": Triangulation.genus_two_octagon}
+SURFACES = {
+    "octahedron": octahedron, "torus4": lambda: grid_torus(4), "genus2": Triangulation.genus_two_octagon,
+}
 
 
 def test_tessellation_is_unique_across_random_flips():
@@ -770,7 +772,8 @@ def test_tessellation_is_unique_across_random_flips():
         if surface == "lattice":  # cocircular squares: face groups of two
             m = square_lattice(bg, 0.0 if ideal else 0.1)
         else:
-            m = random_metric(SURFACES[surface](), bg, np.random.default_rng(seed), ideal_fraction=0.4 * ideal)
+            rng = np.random.default_rng(seed)
+            m = random_metric(SURFACES[surface](), bg, rng, ideal_fraction=0.4 * ideal)
         try:
             m, _ = dl.flip_to_delaunay(m)
             scrambled = m
@@ -784,7 +787,8 @@ def test_tessellation_is_unique_across_random_flips():
                     continue
             again, _ = dl.flip_to_delaunay(scrambled)
         except FlipGeometryInvalid as ex:
-            # ROADMAP item 3: a new diagonal that joins intersecting circles
+            # the one refusal skipped, and counted: a new diagonal whose
+            # vertex circles intersect, which the model does not admit yet
             assert "new diagonal: vertex circles intersect" in str(ex), str(ex)
             refused.append(bg)
             return
