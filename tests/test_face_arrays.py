@@ -375,8 +375,8 @@ def test_transition_rows_share_one_pass_with_their_own_floats(rng, monkeypatch):
 
 
 def reference_transition_rows(m, ts):
-    """``build_transition``'s rows one row at a time, each read off its
-    own metric's faces, as before the rows shared one pass."""
+    """``build_transition``'s rows evaluated one row at a time, each off
+    its own metric's faces: the reference for the pass they share."""
     m_del, _ = dl.flip_to_delaunay(m, track_support=False)
     tri, h1, inv = m_del.triangulation, me.heights_from_decoration(m_del), me.lambda_lengths(m_del)
     w_euc = dl.edge_weights(tr.euclidean_limit(tri, inv, h1)[0])
