@@ -34,6 +34,12 @@ The maps between heights and decoration weights (``omega_map`` /
 
     tau_y(x) = (exp(x) + y exp(-x)) / 2,   y in {-1, 0, 1}.
 
+A ``Heights`` is one chart: it owns the background, the gauge radius
+and the ideal/hyperideal flags of its heights, and the maps that read
+it take them from there; an ``Invariant`` owns its triangulation.
+Where two of them meet (``lambda_lengths``, ``decoration_from_heights``)
+data that disagree raise NotComparable.
+
 The height maps (``decoration_from_heights``, ``omega_map``,
 ``omega_inverse``) evaluate a whole surface per call: numpy or plain
 float arithmetic with every transcendental a scalar ``math`` call, so
@@ -48,7 +54,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -154,10 +160,12 @@ class DecoratedMetric:
 
     @cached_property
     def faces(self) -> trig.FaceArrays:
-        """The face geometry of every face, computed on first read behind
-        ``check_valid``: the array kernel ``trig.face_circles``, or, on a
-        metric that ``delaunay.flip_to_delaunay`` returned, the per-face
-        list its flip pass held, stacked.  A third way fills it ahead of
+        """The face geometry that whole-surface arithmetic reads: the
+        angles, section radii and face-circle tangents of every face (the
+        lengths and radii are the metric's own).  Computed on first read
+        behind ``check_valid``: the array kernel ``trig.face_circles``,
+        or, on a metric that ``delaunay.flip_to_delaunay`` returned, the
+        per-face list its flip pass held, stacked.  A third way fills it ahead of
         the first read: ``fill_faces`` evaluates the metrics of a
         transition's rows in one ``face_circles`` call.  All of them give
         the floats of ``delaunay.face_geometries`` bit for bit.  Where the
@@ -175,7 +183,7 @@ class DecoratedMetric:
                 )
             except OverflowError:  # the scalar kernel overflows too, and names where
                 held = scalar_face_geometries(self)
-        return trig.FaceArrays.stack(self.background, held)
+        return trig.FaceArrays.stack(held)
 
     @property
     def eps(self) -> np.ndarray:
@@ -200,18 +208,28 @@ class Invariant:
 
 @dataclass(frozen=True, eq=False)
 class Heights:
-    """Apex heights per vertex, with the background and gauge radius R of
-    the apex sphere they refer to."""
+    """Apex heights per vertex: one chart of the height space, with the
+    background and gauge radius R of the apex sphere they refer to and
+    the ideal/hyperideal flags of their vertices.  The maps that read
+    heights take these from here (``omega_map``,
+    ``decoration_from_heights``, ``transition.cusp_heights``), or check
+    them against the metric they meet (``lambda_lengths``)."""
 
     h: np.ndarray
     background: Background
     reference_radius: float
-    eps: np.ndarray = field(default=None)
+    eps: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "h", np.asarray(self.h, dtype=float))
-        if self.eps is not None:
-            object.__setattr__(self, "eps", np.asarray(self.eps, dtype=int))
+        object.__setattr__(self, "eps", np.asarray(self.eps, dtype=int))
+
+
+def _same_ids(tri: Triangulation, other: Triangulation) -> bool:
+    """Whether two triangulations have the same edges and vertices under
+    the same ids (equal ``edges`` and ``face_vertex_ids``), so that data
+    keyed by id on one hold for the other; the same object first."""
+    return other is tri or (other.edges, other.face_vertex_ids) == (tri.edges, tri.face_vertex_ids)
 
 
 # -- validation ----------------------------------------------------------------
@@ -346,9 +364,9 @@ def fill_faces(metrics: list) -> None:
         faces = trig.face_circles(bg, lengths, radii, *tables)
     except (DDCEError, ArithmeticError):
         return
-    names = ("lengths", "radii", "angles", "r_section", "x_section", "d_tangent")
-    for m, *arrays in zip(metrics, *(getattr(faces, name).reshape(k, -1, 3) for name in names)):
-        vars(m)["faces"] = trig.FaceArrays(bg, *arrays)
+    blocks = (x.reshape(k, -1, 3) for x in (faces.angles, faces.r_section, faces.d_tangent))
+    for m, *arrays in zip(metrics, *blocks):
+        vars(m)["faces"] = trig.FaceArrays(*arrays)
 
 
 # -- conformal change ----------------------------------------------------------
@@ -375,7 +393,7 @@ def conformal_change(m: DecoratedMetric, u) -> DecoratedMetric:
     try:
         inv = lambda_lengths(m)
         moved = decoration_from_heights(
-            tri, inv, Heights(_scaled_heights(m, u.tolist()), m.background, 0.0)
+            tri, inv, Heights(_scaled_heights(m, u.tolist()), m.background, 0.0, inv.eps)
         )
     except (HeightsOutOfDomain, OverflowError) as ex:
         raise ResultInvalid("conformal change leaves the metric space", [str(ex)]) from None
@@ -472,7 +490,7 @@ def lambda_lengths(m: DecoratedMetric, heights: Heights | None = None) -> Invari
         raise BadParameters("height array does not match vertex orbits")
     if heights.background is not bg:
         raise NotComparable(f"{heights.background.name_lower} heights for a {bg.name_lower} metric")
-    if heights.eps is not None and not np.array_equal(heights.eps, m.eps):
+    if not np.array_equal(heights.eps, m.eps):
         raise NotComparable("heights carry other ideal/hyperideal flags than the metric")
     eps = m.eps.tolist()
     h = heights.h.tolist()
@@ -525,8 +543,12 @@ def decoration_from_heights(
     with an ideal end) is never taken.  Tangent vertex circles (two
     hyperideal ends, lambda exactly 0) get length ``r_i + r_j``.
 
-    Raises HeightsOutOfDomain in two places only: at the first
-    hyperideal vertex with height <= 0, and at the closing ``validate``
+    Raises NotComparable when the invariant lives on a triangulation
+    with other edges or vertices under the same ids (equal ``edges``
+    and ``face_vertex_ids``), or when the heights carry other
+    ideal/hyperideal flags than the invariant.  Raises
+    HeightsOutOfDomain in two places only: at the first hyperideal
+    vertex with height <= 0, and at the closing ``validate``
     of the result, which names every failing vertex, edge and face.  An
     edge whose inversion leaves the domain (spherical ``|cos l| < 1``
     and ``lambda < h_i + h_j``, hyperbolic ``cosh l > 1``, Euclidean
@@ -537,10 +559,14 @@ def decoration_from_heights(
     bg = heights.background
     tri = triangulation
     h, lam = heights.h, invariant.lam
+    if not _same_ids(tri, invariant.triangulation):
+        raise NotComparable("the invariant lives on another triangulation")
     if h.shape != (tri.vertex_count,):
         raise BadParameters("height array does not match vertex orbits")
     if lam.shape != (tri.edge_count,):
         raise BadParameters("lambda array does not match edge orbits")
+    if heights.eps is not invariant.eps and not np.array_equal(heights.eps, invariant.eps):
+        raise NotComparable("heights carry other ideal/hyperideal flags than the invariant")
     hyper = invariant.eps == 1
     curved = bg is not Background.EUCLIDEAN
     if curved and np.count_nonzero(hyper & (h <= 0)):
@@ -602,19 +628,22 @@ def decoration_from_heights(
 
 # -- heights <-> weights --------------------------------------------------------
 
-def omega_map(background: Background, reference_radius: float, heights: Heights) -> np.ndarray:
+def omega_map(heights: Heights) -> np.ndarray:
     """Decoration weights of the invariant surface induced by apex
-    heights, for an apex sphere of radius R: ``tau(+-eps_v, h_v) / n``
-    with ``n = sinh R`` (hyperbolic, sign +) or ``cosh R`` (spherical,
-    sign -).  The whole surface is one pass of scalar ``math``
-    arithmetic over plain floats, vertex by vertex, so an exponential
-    that overflows raises OverflowError at the first such vertex."""
-    if heights.eps is None:
-        raise BadParameters("heights carry no eps flags")
-    if background is Background.HYPERBOLIC:
-        norm, sign = math.sinh(reference_radius), 1
+    heights, for the background and apex sphere radius R of the
+    heights: ``tau(+-eps_v, h_v) / n`` with ``n = sinh R`` (hyperbolic,
+    sign +) or ``cosh R`` (spherical, sign -).  The whole surface is one
+    pass of scalar ``math`` arithmetic over plain floats, vertex by
+    vertex, so an exponential that overflows raises OverflowError at
+    the first such vertex.  Euclidean heights raise BadParameters, as
+    in ``omega_inverse``."""
+    bg, radius = heights.background, heights.reference_radius
+    if bg is Background.HYPERBOLIC:
+        norm, sign = math.sinh(radius), 1
+    elif bg is Background.SPHERICAL:
+        norm, sign = math.cosh(radius), -1
     else:
-        norm, sign = math.cosh(reference_radius), -1
+        raise BadParameters("omega maps are defined for curved backgrounds only")
     return np.array(
         [tau(sign * e, hv) / norm for e, hv in zip(heights.eps.tolist(), heights.h.tolist())],
         dtype=float,
@@ -685,8 +714,8 @@ def scale_factors(m: DecoratedMetric, m_new: DecoratedMetric) -> np.ndarray:
     id, and ResultInvalid naming the vertex when a hyperbolic radius is
     too large for ``sinh``.
     """
-    tri, other = m.triangulation, m_new.triangulation
-    if other is not tri and (other.edges, other.face_vertex_ids) != (tri.edges, tri.face_vertex_ids):
+    tri = m.triangulation
+    if not _same_ids(tri, m_new.triangulation):
         raise NotComparable("metrics live on different triangulations")
     if m.background is not m_new.background:
         raise NotComparable("metrics have different backgrounds")

@@ -366,9 +366,8 @@ def newton_solve(
             inverse = np.argsort(flog.vertex_map)
             h, theta_cur = h[inverse], theta_cur[inverse]
             vmap = [flog.vertex_map[x] for x in vmap]
-            eps = m.eps
-            inv = lambda_lengths(m, heights=Heights(h, bg, ref_r, eps))
-            chart = (m.triangulation, inv, bg, ref_r, eps)
+            inv = lambda_lengths(m, heights=Heights(h, bg, ref_r, m.eps))
+            chart = (m.triangulation, inv, bg, ref_r, inv.eps)
             pin = vmap[0] if bg is Background.EUCLIDEAN else None
 
         # m holds the flip pass's geometries: cone_angles(m) would sum

@@ -52,14 +52,16 @@ def scale_family(h1: Heights, t: float) -> Heights:
     if h1.background is Background.EUCLIDEAN:
         raise BadParameters("scale families start from a curved background")
     with np.errstate(over="ignore"):  # omega_inverse refuses an infinite weight by vertex
-        omega = t * omega_map(h1.background, h1.reference_radius, h1)
+        omega = t * omega_map(h1)
     return omega_inverse(h1.background, h1.reference_radius, omega, h1.eps)
 
 
 def cusp_heights(h1: Heights) -> np.ndarray:
-    """Euclidean-limit cusp heights, gauged to zero at vertex 0."""
-    if h1.eps is None:
-        raise BadParameters("heights carry no eps flags")
+    """Euclidean-limit cusp heights, gauged to zero at vertex 0, with the
+    tau-sign of the background of ``h1``.  Euclidean heights raise
+    BadParameters: a scale family starts from a curved background."""
+    if h1.background is Background.EUCLIDEAN:
+        raise BadParameters("cusp heights start from a curved background")
     sign = 1 if h1.background is Background.HYPERBOLIC else -1
     logs = np.array(
         [math.log(tau(sign * e, hv)) for e, hv in zip(h1.eps.tolist(), h1.h.tolist())]
@@ -67,14 +69,12 @@ def cusp_heights(h1: Heights) -> np.ndarray:
     return logs - logs[0]
 
 
-def euclidean_limit(
-    triangulation, invariant: Invariant, h1: Heights
-) -> tuple[DecoratedMetric, np.ndarray]:
-    """Limit decorated Euclidean metric of the scale family, together
-    with its cusp heights."""
+def euclidean_limit(invariant: Invariant, h1: Heights) -> tuple[DecoratedMetric, np.ndarray]:
+    """Limit decorated Euclidean metric of the scale family, on the
+    triangulation of ``invariant``, together with its cusp heights."""
     hh = cusp_heights(h1)
     metric = decoration_from_heights(
-        triangulation, invariant, Heights(hh, Background.EUCLIDEAN, 0.0, invariant.eps)
+        invariant.triangulation, invariant, Heights(hh, Background.EUCLIDEAN, 0.0, invariant.eps)
     )
     return metric, hh
 
@@ -137,7 +137,7 @@ def build_transition(m: DecoratedMetric, ts) -> TransitionPath:
     h1 = heights_from_decoration(m_del)
     inv = lambda_lengths(m_del)
     path = TransitionPath(invariant=inv, background=bg)
-    m_euc, hh = euclidean_limit(tri, inv, h1)
+    m_euc, hh = euclidean_limit(inv, h1)
     path.cusp_heights = hh
     path.euclidean_metric = m_euc
     w_euc = delaunay.edge_weights(m_euc)

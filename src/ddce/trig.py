@@ -79,7 +79,10 @@ edge's two faces, or one face, at a time; it rebuilds the two faces of
 each flip with ``face_circle``.  ``FaceArrays`` serve whole-surface
 arithmetic (``delaunay.edge_weights``, ``solver.angle_jacobian``, the
 rows of ``transition.build_transition``), which reads them off the
-metric (``DecoratedMetric.faces``) and is passed no geometry.  A metric
+metric (``DecoratedMetric.faces``) and is passed no geometry.  They
+hold only the three arrays that arithmetic reads (``angles``,
+``r_section``, ``d_tangent``): the lengths and radii are the metric's
+own, and the section feet are read by the flip pass alone.  A metric
 computes its ``FaceArrays`` once, on first read: with ``face_circles``
 at every surface size, or, for the output of a flip pass, by stacking
 the pass's per-face list (``FaceArrays.stack``).  The rows of
@@ -130,16 +133,11 @@ class Background(enum.Enum):
 
 # -- evaluators ---------------------------------------------------------------
 
-def each(fn, a, *more) -> np.ndarray:
-    """The scalar ``fn`` mapped over the values of equal-shape arrays, in
-    array order: ``fn(a[k], more[0][k], ...)`` for every ``k``.  On 1-D
-    arrays the result is a new array that owns its data; otherwise it is
-    that array reshaped."""
-    if more:  # unpacking a generator costs more than mapping a few values
-        flat = map(fn, a.ravel().tolist(), *[b.ravel().tolist() for b in more])
-    else:
-        flat = map(fn, a.ravel().tolist())
-    out = np.fromiter(flat, float, a.size)
+def each(fn, a) -> np.ndarray:
+    """The scalar ``fn`` mapped over the values of an array, in array
+    order.  On a 1-D array the result is a new array that owns its data;
+    otherwise it is that array reshaped."""
+    out = np.fromiter(map(fn, a.ravel().tolist()), float, a.size)
     return out if a.ndim == 1 else out.reshape(a.shape)
 
 
@@ -217,20 +215,21 @@ def _evaluators(background: Background) -> tuple:
     take their own branch; ``S4`` and ``atan3`` are ``S`` of four
     values and ``atan`` of three, and ``fsum4`` is ``math.fsum`` of four
     triples, which the array evaluator maps in one call each;
+    ``atan2`` maps two per-edge arrays pairwise (``each`` maps one);
     ``largest`` is ``max`` where a NaN may win."""
     curved = {
         Background.SPHERICAL: (math.sin, math.cos, math.tan),
         Background.HYPERBOLIC: (math.sinh, math.cosh, math.tanh),
     }.get(background)
     S, C, T = curved or (None, None, None)
-    named = ("atan2", "asin", "atanh", "asinh", "exp", "cos", "sin")
-    atan, fsum = math.atan, math.fsum
+    named = ("asin", "atanh", "asinh", "exp", "cos", "sin")
+    atan, atan2, fsum = math.atan, math.atan2, math.fsum
     floats = _Ops(
         spherical=background is Background.SPHERICAL, S=S, C=C, T=T,
         S4=curved and (lambda w, x, y, z: (S(w), S(x), S(y), S(z))),
         atan3=lambda x, y, z: (atan(x), atan(y), atan(z)),
         fsum4=lambda p, q, r, s: (fsum(p), fsum(q), fsum(r), fsum(s)),
-        sqrt=math.sqrt, max=max, min=min, largest=max, pow=pow,
+        sqrt=math.sqrt, max=max, min=min, largest=max, pow=pow, atan2=atan2,
         **{name: getattr(math, name) for name in named},
     )
     mapped = lambda fn: fn and partial(each, fn)  # noqa: E731
@@ -240,7 +239,8 @@ def _evaluators(background: Background) -> tuple:
         atan3=lambda *xs: each(atan, np.array(xs)),
         fsum4=lambda *rows: _sum3(*np.array(rows).transpose(1, 0, 2)),
         sqrt=np.sqrt, max=_max, min=_min, largest=lambda *xs: reduce(np.maximum, xs),
-        pow=lambda x, n: each(pow, x, np.full(x.shape, n)),
+        pow=lambda x, n: each(lambda v: pow(v, n), x),  # not partial(pow, exp=n): 3x slower per value
+        atan2=lambda y, x: np.fromiter(map(atan2, y.tolist(), x.tolist()), float, y.size),
         **{name: mapped(getattr(math, name)) for name in named},
     )
     return floats, arrays
@@ -488,23 +488,23 @@ class TriangleGeometry:
 
 @dataclass(frozen=True, eq=False)
 class FaceArrays:
-    """The fields of ``TriangleGeometry`` for every face of a surface, as
-    ``F x 3`` float arrays (row ``f`` holds face ``f`` in slot order)."""
+    """The fields of ``TriangleGeometry`` that whole-surface arithmetic
+    reads, for every face of a surface, as ``F x 3`` float arrays (row
+    ``f`` holds face ``f`` in slot order): ``angles`` for the cone-angle
+    sums and the transition rows, ``d_tangent`` for the weights and the
+    angle Jacobian, ``r_section`` for the weight denominators.  The
+    lengths, radii and background are the metric's own."""
 
-    background: Background
-    lengths: np.ndarray
-    radii: np.ndarray
     angles: np.ndarray
     r_section: np.ndarray
-    x_section: np.ndarray
     d_tangent: np.ndarray
 
     @classmethod
-    def stack(cls, background: Background, geoms) -> "FaceArrays":
+    def stack(cls, geoms) -> "FaceArrays":
         """The arrays of a list of per-face geometries."""
-        return cls(background, *(
+        return cls(*(
             np.array([getattr(g, name) for g in geoms], dtype=float).reshape(-1, 3)
-            for name in ("lengths", "radii", "angles", "r_section", "x_section", "d_tangent")
+            for name in ("angles", "r_section", "d_tangent")
         ))
 
 
@@ -583,7 +583,8 @@ def face_circles(
     every float equals the per-face kernel's.  Only degenerate faces
     are checked, before anything else is evaluated: the first raises
     ``interior_angles``' DegenerateTriangle.  Other data should pass
-    ``metric.validate``.
+    ``metric.validate``.  Of the per-face fields it returns the three
+    that ``FaceArrays`` holds.
     """
     L = lengths[face_edges]
     angles = angle_array(background, L)
@@ -597,7 +598,7 @@ def face_circles(
     foot = x[face_edges]
     X = np.where(R <= R[:, _NEXT], foot, L - foot)  # as in face_circle
     d = _tangent(ops, X, (L - X)[:, _PREV], angles)
-    return FaceArrays(background, L, R, angles, rho[face_edges], X, d)
+    return FaceArrays(angles, rho[face_edges], d)
 
 
 # -- diagonal swap ------------------------------------------------------------

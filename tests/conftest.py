@@ -434,11 +434,22 @@ def lift_support_max(geom):
     return best
 
 
+FACE_ARRAY_FIELDS = tuple(f.name for f in dataclasses.fields(trig.FaceArrays))
+
+
 def face_rows(faces):
-    """The rows of a ``trig.FaceArrays``, one TriangleGeometry per face."""
-    names = [f.name for f in dataclasses.fields(faces) if f.name != "background"]
-    rows = [{n: tuple(getattr(faces, n)[f].tolist()) for n in names} for f in range(len(faces.lengths))]
-    return [trig.TriangleGeometry(faces.background, **row) for row in rows]
+    """The rows of a ``trig.FaceArrays``, one per face, as
+    ``face_array_fields`` gives them for a TriangleGeometry."""
+    return [
+        {n: repr(getattr(faces, n)[f].tolist()) for n in FACE_ARRAY_FIELDS}
+        for f in range(len(faces.angles))
+    ]
+
+
+def face_array_fields(geom):
+    """The fields of a TriangleGeometry that ``trig.FaceArrays`` holds,
+    as text that tells floats apart bit for bit."""
+    return {n: repr(np.asarray(getattr(geom, n), dtype=float).tolist()) for n in FACE_ARRAY_FIELDS}
 
 
 def with_stacked_faces(m):

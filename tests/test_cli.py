@@ -446,7 +446,7 @@ def test_invariant_shared_across_backgrounds(tmp_path, rng, capsys):
     m_del, _ = dl.flip_to_delaunay(m)
     inv = me.lambda_lengths(m_del)
     h1 = me.heights_from_decoration(m_del)
-    m_euc, _ = tr.euclidean_limit(m_del.triangulation, inv, h1)
+    m_euc, _ = tr.euclidean_limit(inv, h1)
     p1 = write(tmp_path, "hyp.json", m_del)
     p2 = write(tmp_path, "euc.json", m_euc)
     assert run("invariant", p1) == 0

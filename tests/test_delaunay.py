@@ -23,10 +23,10 @@ from ddce.errors import (
 
 from conftest import (
     ALL_BACKGROUNDS,
+    face_array_fields,
     face_circle_lift,
     face_rows,
     face_triangle,
-    geometry_fields,
     grid_torus,
     isosceles_sphere,
     lift_support_max,
@@ -389,8 +389,7 @@ def test_flip_output_faces_match_recomputation(rng):
         got = face_rows(out.faces)
         want = dl.face_geometries(out)
         assert len(got) == len(want) == out.triangulation.face_count
-        for got_g, want_g in zip(got, want):
-            assert geometry_fields(got_g) == geometry_fields(want_g)
+        assert got == [face_array_fields(g) for g in want]
     assert flips.count(0) >= 9 and max(flips) >= 10 and tangents >= 4
 
 
@@ -471,13 +470,20 @@ def flipped_with_faces(m):
     return out, log, face_rows(out.faces)
 
 
-def flip_outcome(m, log, geoms, vertex_map=True):
+def reference_with_faces(m):
+    """``reference_flip_to_delaunay``'s metric and FlipLog, and the
+    ``trig.FaceArrays`` fields of its face geometries, row by row."""
+    out, log, geoms = reference_flip_to_delaunay(m)
+    return out, log, [face_array_fields(g) for g in geoms]
+
+
+def flip_outcome(m, log, rows, vertex_map=True):
     """The output metric, everything its FlipLog holds and its face
-    geometries, as values that tell floats apart bit for bit."""
+    rows, as values that tell floats apart bit for bit."""
     return (
         surface_fields(m.triangulation), m.background, repr(m.lengths.tolist()),
         repr(m.radii.tolist()), repr(log.records), log.sweeps, repr(log.initial_support_min),
-        [geometry_fields(g) for g in geoms], log.vertex_map if vertex_map else None,
+        rows, log.vertex_map if vertex_map else None,
     )
 
 
@@ -493,7 +499,7 @@ def test_flip_to_delaunay_matches_rebuild_reference(rng):
     for m in cases:
         got = flipped_with_faces(m)
         flips.append(got[1].flip_count)
-        assert flip_outcome(*got) == flip_outcome(*reference_flip_to_delaunay(m))
+        assert flip_outcome(*got) == flip_outcome(*reference_with_faces(m))
     assert flips.count(0) >= 3 and max(flips) >= 20
     # an input numbered by flip history: the same flips as on its
     # canonical relabeling, and a vertex map that composes with it
@@ -512,7 +518,7 @@ def test_flip_to_delaunay_matches_rebuild_reference(rng):
         canon, canon_map = dl._canonical_metric(kept)
         if canon.triangulation.edges == kept.triangulation.edges:
             continue
-        got, want = flipped_with_faces(kept), reference_flip_to_delaunay(canon)
+        got, want = flipped_with_faces(kept), reference_with_faces(canon)
         assert got[1].flip_count > 0
         assert flip_outcome(*got, vertex_map=False) == flip_outcome(*want, vertex_map=False)
         assert got[1].vertex_map == [want[1].vertex_map[w] for w in canon_map]
@@ -701,6 +707,17 @@ def test_perturbed_square_keeps_all_edges():
     tess = dl.extract_tessellation(m, tol=1e-9)
     assert len(tess.kept_edges) == 3
     assert tess.face_groups == ((0,), (1,))
+
+
+def test_union_find_compresses_the_path_it_walks():
+    # union(1, 2) hangs 2 under 1 and union(0, 1) hangs 1 under 0, so
+    # find(2) walks 2 -> 1 -> 0 and then points 2 at the root
+    uf = dl._UnionFind(3)
+    uf.union(1, 2)
+    uf.union(0, 1)
+    assert uf.parent == [0, 0, 1]
+    assert uf.find(2) == 0
+    assert uf.parent == [0, 0, 0]
 
 
 def test_tessellation_unique_across_flip():

@@ -24,6 +24,7 @@ from ddce.errors import DegenerateTriangle
 
 from conftest import (
     ALL_BACKGROUNDS,
+    FACE_ARRAY_FIELDS as FIELDS,
     cfac,
     from_face_vertices,
     geometry_fields,
@@ -36,7 +37,6 @@ from conftest import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-FIELDS = ("lengths", "radii", "angles", "r_section", "x_section", "d_tangent")
 
 
 def bipyramid(n):
@@ -379,7 +379,7 @@ def reference_transition_rows(m, ts):
     its own metric's faces: the reference for the pass they share."""
     m_del, _ = dl.flip_to_delaunay(m, track_support=False)
     tri, h1, inv = m_del.triangulation, me.heights_from_decoration(m_del), me.lambda_lengths(m_del)
-    w_euc = dl.edge_weights(tr.euclidean_limit(tri, inv, h1)[0])
+    w_euc = dl.edge_weights(tr.euclidean_limit(inv, h1)[0])
     rows = []
     for t in ts:
         mt = me.decoration_from_heights(tri, inv, tr.scale_family(h1, t))

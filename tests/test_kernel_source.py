@@ -112,6 +112,6 @@ def test_whole_surface_entries_call_no_per_face_entry(monkeypatch, rng):
     for m, before in zip(metrics, want):
         got = trig.face_circles(*surface_arguments(m))
         angles = trig.angle_array(m.background, m.lengths[m.triangulation.face_edge_array])
-        for field in ("angles", "r_section", "x_section", "d_tangent"):
+        for field in ("angles", "r_section", "d_tangent"):
             assert np.array_equal(getattr(got, field), getattr(before, field))
         assert np.array_equal(angles, before.angles)

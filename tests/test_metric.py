@@ -412,7 +412,7 @@ def reference_conformal_change(m, u):
         for v in hyper:
             h[v] = me.stable_acosh(h[v])
     try:
-        moved = reference_decoration_from_heights(tri, inv, me.Heights(np.array(h), bg, 0.0))
+        moved = reference_decoration_from_heights(tri, inv, me.Heights(np.array(h), bg, 0.0, inv.eps))
     except HeightsOutOfDomain as ex:
         raise ResultInvalid("conformal change leaves the metric space", [str(ex)]) from None
     radii = [r[v] if u[v] == 0.0 else float(moved.radii[v]) for v in range(tri.vertex_count)]
@@ -488,7 +488,7 @@ def test_radius_too_large_for_sinh_names_the_vertex(length, radius):
         np.full(9, length), np.array([radius]),
     )
     assert me.validate(m) == []
-    heights = me.Heights(np.zeros(1), Background.HYPERBOLIC, 0.0)
+    heights = me.Heights(np.zeros(1), Background.HYPERBOLIC, 0.0, m.eps)
     for call in (
         lambda: me.heights_from_decoration(m),
         lambda: me.lambda_lengths(m),
@@ -1029,11 +1029,12 @@ def test_overflow_limits_are_the_last_finite_arguments(fn, limit):
 # -- omega maps -----------------------------------------------------------------------
 
 
-def reference_omega_map(background, reference_radius, heights):
+def reference_omega_map(heights):
     """The per-vertex loop over numpy scalars that ``omega_map``
     replaced: the bit-for-bit reference."""
-    if heights.eps is None:
-        raise BadParameters("heights carry no eps flags")
+    background, reference_radius = heights.background, heights.reference_radius
+    if background is Background.EUCLIDEAN:
+        raise BadParameters("omega maps are defined for curved backgrounds only")
     norm = (
         math.sinh(reference_radius)
         if background is Background.HYPERBOLIC
@@ -1099,8 +1100,8 @@ def test_omega_maps_match_the_per_vertex_reference(rng):
             if k % 7 == 0:
                 h[rng.integers(n)] = rng.choice([800.0, -800.0])
             hts = me.Heights(h, bg, R, eps)
-            want = outcome(reference_omega_map, bg, R, hts)
-            got = outcome(me.omega_map, bg, R, hts)
+            want = outcome(reference_omega_map, hts)
+            got = outcome(me.omega_map, hts)
             if isinstance(want, tuple):
                 assert got == want, (bg, k)
                 failures.add(want[0])
@@ -1126,11 +1127,11 @@ def test_omega_examples():
     R = me.default_reference_radius(Background.HYPERBOLIC)  # sinh R = 1
     eps = np.array([1])
     h = me.Heights(np.array([math.asinh(1.0)]), Background.HYPERBOLIC, R, eps)
-    omega = me.omega_map(Background.HYPERBOLIC, R, h)
+    omega = me.omega_map(h)
     assert omega[0] == pytest.approx(math.sqrt(2.0), abs=1e-14)
     # ideal case, spherical, cosh R = 2: e^h - 0 = 2 e^rho, h = 0 -> omega = 1/4
     h0 = me.Heights(np.array([0.0]), Background.SPHERICAL, math.acosh(2.0), np.array([0]))
-    omega0 = me.omega_map(Background.SPHERICAL, math.acosh(2.0), h0)
+    omega0 = me.omega_map(h0)
     assert omega0[0] == pytest.approx(0.25, abs=1e-15)
 
 
@@ -1143,7 +1144,7 @@ def test_omega_round_trip(rng):
             if bg is Background.HYPERBOLIC:
                 h = np.where(eps == 1, h, rng.uniform(-1.0, 1.0, size=5))
             hts = me.Heights(h, bg, R, eps)
-            omega = me.omega_map(bg, R, hts)
+            omega = me.omega_map(hts)
             back = me.omega_inverse(bg, R, omega, eps)
             assert np.max(np.abs(back.h - h)) < 1e-12
 
@@ -1154,7 +1155,7 @@ def test_omega_monotone(rng):
         for eps_v in (0, 1):
             hs = np.linspace(0.2, 2.5, 40)
             omegas = [
-                me.omega_map(bg, R, me.Heights(np.array([hv]), bg, R, np.array([eps_v])))[0]
+                me.omega_map(me.Heights(np.array([hv]), bg, R, np.array([eps_v])))[0]
                 for hv in hs
             ]
             assert all(b > a for a, b in zip(omegas, omegas[1:]))

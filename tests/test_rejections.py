@@ -30,11 +30,6 @@ def genus2():
     return fixture("genus2_hyperbolic")
 
 
-def heights(m, eps=True):
-    h = me.heights_from_decoration(m)
-    return h if eps else me.Heights(h.h, h.background, h.reference_radius)
-
-
 def chart(m, **changes):
     """The heights of ``m`` with some of their fields replaced."""
     return dataclasses.replace(me.heights_from_decoration(m), **changes)
@@ -45,6 +40,7 @@ def solve(theta=2 * math.pi, **kw):
 
 
 HYP = Background.HYPERBOLIC
+EUCLIDEAN_HEIGHTS = me.Heights(np.array([1.0, 2.0]), Background.EUCLIDEAN, 0.0, np.array([1, 0]))
 
 CASES = {
     "metric lengths": (
@@ -61,7 +57,9 @@ CASES = {
     ),
     "decoration_from_heights heights": (
         lambda: me.decoration_from_heights(
-            genus2().triangulation, me.lambda_lengths(genus2()), me.Heights(np.ones(2), HYP, 0.0)
+            genus2().triangulation,
+            me.lambda_lengths(genus2()),
+            me.Heights(np.ones(2), HYP, 0.0, np.ones(2)),
         ),
         BadParameters, "height array does not match vertex orbits",
     ),
@@ -69,18 +67,18 @@ CASES = {
         lambda: me.decoration_from_heights(
             genus2().triangulation,
             me.Invariant(genus2().triangulation, np.ones(8), np.ones(1)),
-            heights(genus2()),
+            me.heights_from_decoration(genus2()),
         ),
         BadParameters, "lambda array does not match edge orbits",
     ),
     "lambda_lengths no heights": (
         lambda: me.lambda_lengths(
-            fixture("genus2_undecorated"), me.Heights(np.zeros(0), HYP, 0.0)
+            fixture("genus2_undecorated"), me.Heights(np.zeros(0), HYP, 0.0, np.zeros(0))
         ),
         BadParameters, "height array does not match vertex orbits",
     ),
     "lambda_lengths extra heights": (
-        lambda: me.lambda_lengths(genus2(), me.Heights(np.ones(3), HYP, 0.0)),
+        lambda: me.lambda_lengths(genus2(), me.Heights(np.ones(3), HYP, 0.0, np.ones(3))),
         BadParameters, "height array does not match vertex orbits",
     ),
     "newton_solve targets shape": (
@@ -144,13 +142,27 @@ CASES = {
         lambda: me.lambda_lengths(genus2(), chart(genus2(), eps=np.zeros(1))),
         NotComparable, "heights carry other ideal/hyperideal flags than the metric",
     ),
-    "omega_map no eps": (
-        lambda: me.omega_map(HYP, me.default_reference_radius(HYP), heights(genus2(), eps=False)),
-        BadParameters, "heights carry no eps flags",
+    "decoration_from_heights heights with other eps": (
+        lambda: me.decoration_from_heights(
+            genus2().triangulation, me.lambda_lengths(genus2()), chart(genus2(), eps=np.zeros(1, int))
+        ),
+        NotComparable, "heights carry other ideal/hyperideal flags than the invariant",
     ),
-    "cusp_heights no eps": (
-        lambda: tr.cusp_heights(heights(genus2(), eps=False)),
-        BadParameters, "heights carry no eps flags",
+    "decoration_from_heights invariant of another triangulation": (
+        lambda: me.decoration_from_heights(
+            dl.flip_edge(genus2(), 0)[0].triangulation,
+            me.lambda_lengths(genus2()),
+            me.heights_from_decoration(genus2()),
+        ),
+        NotComparable, "the invariant lives on another triangulation",
+    ),
+    "omega_map euclidean heights": (
+        lambda: me.omega_map(EUCLIDEAN_HEIGHTS),
+        BadParameters, "omega maps are defined for curved backgrounds only",
+    ),
+    "cusp_heights euclidean heights": (
+        lambda: tr.cusp_heights(EUCLIDEAN_HEIGHTS),
+        BadParameters, "cusp heights start from a curved background",
     ),
     "scale_factors triangulations": (
         lambda: me.scale_factors(genus2(), fixture("double_tangent_hyperbolic")),
@@ -162,8 +174,14 @@ CASES = {
         ),
         NotComparable, "metrics have different backgrounds",
     ),
+    "scale_factors flags": (
+        lambda: me.scale_factors(
+            genus2(), DecoratedMetric(genus2().triangulation, HYP, genus2().lengths, [0.0])
+        ),
+        NotComparable, "ideal/hyperideal flags differ",
+    ),
     "scale_family t below 1": (
-        lambda: tr.scale_family(heights(genus2()), 0.5),
+        lambda: tr.scale_family(me.heights_from_decoration(genus2()), 0.5),
         BadParameters, "scale parameter must be >= 1",
     ),
     "default_reference_radius euclidean": (
@@ -228,7 +246,7 @@ def test_lambda_lengths_take_heights_of_their_own_chart():
     for name in ("genus2_hyperbolic", "genus2_undecorated", "octahedron_spherical"):
         m = fixture(name)
         h = me.heights_from_decoration(m)
-        for given in (h, me.Heights(h.h, h.background, h.reference_radius)):
+        for given in (h, me.Heights(h.h, h.background, h.reference_radius, m.eps)):
             assert repr(me.lambda_lengths(m, given).lam.tolist()) == repr(
                 me.lambda_lengths(m).lam.tolist()
             )

@@ -269,7 +269,7 @@ def test_functional_path_whose_exponential_overflows_leaves_domain():
         Triangulation.genus_two_octagon(), Background.EUCLIDEAN, np.full(9, 2.5), np.array([0.3])
     )
     assert me.validate(m) == []
-    toward = me.Heights(np.array([-400.0]), Background.EUCLIDEAN, 0.0)
+    toward = me.Heights(np.array([-400.0]), Background.EUCLIDEAN, 0.0, m.eps)
     with pytest.raises(PathLeavesDomain, match="length nan not finite"):
         so.functional_value(m, toward, [2.0 * math.pi])
 

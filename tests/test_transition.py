@@ -28,7 +28,7 @@ def test_scale_family_identity_and_linearity(rng):
             else:
                 assert ht.h[v] > h[v]
         # round trip through the omega maps
-        omega = me.omega_map(bg, hts.reference_radius, hts)
+        omega = me.omega_map(hts)
         back = me.omega_inverse(bg, hts.reference_radius, 37.0 * omega, eps)
         assert np.max(np.abs(back.h - ht.h)) < 1e-12
 
@@ -56,7 +56,7 @@ def test_euclidean_limit_reproduces_lambda(double_triangle):
     m = DecoratedMetric(double_triangle, Background.HYPERBOLIC, np.full(3, 2.0), np.full(3, 0.4))
     inv = me.lambda_lengths(m)
     h1 = me.heights_from_decoration(m)
-    m_euc, hh = tr.euclidean_limit(double_triangle, inv, h1)
+    m_euc, hh = tr.euclidean_limit(inv, h1)
     assert m_euc.background is Background.EUCLIDEAN
     inv_euc = me.lambda_lengths(m_euc)
     assert np.max(np.abs(inv_euc.lam - inv.lam)) < 1e-10
