@@ -153,16 +153,8 @@ def load_surface_file(path):
         raise CliError(EXIT_PARSE_ERROR, f"{path}: faces must be a positive integer")
     if not isinstance(doc["gluing"], list):
         raise CliError(EXIT_PARSE_ERROR, f"{path}: gluing must be a list")
-    # checked before the builder sizes its tables by the face count
-    faces, pairs = doc["faces"], len(doc["gluing"])
-    if 3 * faces != 2 * pairs:
-        raise CliError(
-            EXIT_PARSE_ERROR,
-            f"{path}: {faces} faces have {3 * faces} half-edges, "
-            f"but {pairs} gluing pairs cover {2 * pairs}",
-        )
     try:
-        tri = Triangulation.build_from_gluing(faces, doc["gluing"])
+        tri = Triangulation.build_from_gluing(doc["faces"], doc["gluing"])
     except (NonInvolution, DisconnectedSurface) as ex:
         raise CliError(EXIT_PARSE_ERROR, f"{path}: bad gluing ({ex})")
 

@@ -180,19 +180,20 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
     flipped quad keep their ids and slots, so only the two rebuilt
     faces get a new geometry and a new support value per flip, and
     ``trig.diagonal_length`` checked what each flip created.  A flip
-    step reads floats by id from two lists, the metric's lengths and
-    radii, of which it sets ``lengths[e]`` after each flip: the quad's
+    step reads data by id from three lists, the metric's lengths, radii
+    and edge sections (``DecoratedMetric.sections``), of which it sets
+    ``lengths[e]`` and ``sections[e]`` after each flip: the quad's
     through the one ``Triangulation.quad`` read of ``_flip`` (as
     ``flip_edge``), which also gives the four quad sides, and the two
     rebuilt faces' from the new triangulation's rows, through the
     per-face helper of ``face_geometries`` (``metric.face_geometry``).
     Of their five edges only the new diagonal gets its section
     evaluated (``trig.edge_section``, at the quad's apex radii): each
-    quad side keeps its length and endpoint radii, and its section is
-    read off the face geometries it had before the flip
-    (``_held_section``).  So no flipped triangulation derives its
-    endpoint table, and a call evaluates ``E + flip_count`` sections
-    and ``F + 2 flip_count`` face circles.
+    quad side keeps its length and endpoint radii, so its entry stands.
+    So no flipped triangulation derives its endpoint table, and a call
+    evaluates ``flip_count`` sections, ``E`` more on an input whose
+    ``sections`` were not read yet, and ``F + 2 flip_count`` face
+    circles.
 
     Flips keep every edge and vertex id and the queue visits edges in
     canonical order; after flips the output is relabeled canonically
@@ -211,7 +212,8 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
     if track_support is None:
         track_support = m.background is Background.SPHERICAL
     tri = m.triangulation
-    lengths, radii = m.lengths.tolist(), m.radii.tolist()  # lengths[e] follows each flip
+    # lengths[e] and sections[e] follow each flip
+    lengths, radii, sections = m.lengths.tolist(), m.radii.tolist(), list(m.sections)
     log = FlipLog(sweeps=1, vertex_map=list(range(tri.vertex_count)))
     supports = []  # per-face support minima, refreshed on rebuilt faces
     if track_support:
@@ -229,11 +231,9 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
             raise FlipBoundExceeded(
                 "flip algorithm exceeded the safety bound; geometry inconsistent"
             )
-        before = m.triangulation
-        label = before.edge_label(e)
+        label = m.triangulation.edge_label(e)
         m, new_len, (sides, (_, _, c, d)) = _flip(m, e, lengths, radii)
         lengths[e] = new_len
-        sections = {b: _held_section(before, geoms, b) for b in sides}
         sections[e] = trig.edge_section(m.background, new_len, radii[c], radii[d])
         after = m.triangulation
         (f, _), (g, _) = after.edges[e]  # the two rebuilt faces
@@ -248,8 +248,8 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
             queued.add(e)
         support = None
         if track_support:
-            supports[f] = 1.0 / _face_support_max(geoms[f])
-            supports[g] = 1.0 / _face_support_max(geoms[g])
+            supports[f] = 1.0 / _face_support_max(geoms[f], radii, after.face_vertex_ids[f])
+            supports[g] = 1.0 / _face_support_max(geoms[g], radii, after.face_vertex_ids[g])
             support = min(supports)
         log.records.append(FlipRecord(label, new_len, support))
     if log.records:
@@ -257,18 +257,6 @@ def flip_to_delaunay(m: DecoratedMetric, track_support: bool | None = None):
     if "faces" not in vars(m):
         vars(m)["_flip_geometries"] = geoms  # stacked by m.faces on first read
     return m, log
-
-
-def _held_section(tri, geoms, b: int) -> tuple:
-    """The ``trig.edge_section`` of edge ``b`` as a face side holds it:
-    ``trig.face_circle`` keeps the section's foot as it is on the side
-    that starts at the endpoint with the smaller radius (on both on a
-    tie), so ``geoms``, current on ``tri``, hold it bit for bit."""
-    (f, s), (g, t) = tri.edges[b]
-    held = geoms[f]
-    if held.radii[s] > held.radii[(s + 1) % 3]:
-        held, s = geoms[g], t
-    return held.x_section[s], held.r_section[s]
 
 
 def _canonical_metric(m: DecoratedMetric):
@@ -294,28 +282,6 @@ class Tessellation:
     face_groups: tuple
 
 
-class _UnionFind:
-    """Union-find over ``0 .. n - 1``; the root of a set is its least
-    member."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            ra, rb = min(ra, rb), max(ra, rb)
-            self.parent[rb] = ra
-
-
 def extract_tessellation(m: DecoratedMetric, tol: float = 1e-9) -> Tessellation:
     """Drop all edges with |weight| <= tol and group faces across them.
     Raises NotDelaunay if any weight is below -tol, and BadParameters
@@ -330,20 +296,30 @@ def extract_tessellation(m: DecoratedMetric, tol: float = 1e-9) -> Tessellation:
         raise NotDelaunay(f"negative edge weights at {offending}")
     kept = tuple(e for e in range(tri.edge_count) if weights[e] > tol)
     removed = tuple(e for e in range(tri.edge_count) if weights[e] <= tol)
-    uf = _UnionFind(tri.face_count)
-    for e in removed:
-        (f, _), (g, _) = tri.edges[e]
-        uf.union(f, g)
-    groups: dict = {}
-    for f in range(tri.face_count):
-        groups.setdefault(uf.find(f), []).append(f)
-    face_groups = tuple(tuple(sorted(g)) for g in sorted(groups.values()))
-    return Tessellation(tri, kept, removed, face_groups)
+    # each group is a walk across removed edges from its least face, so
+    # the groups come out in the order of their least faces
+    across = set(removed)
+    reached = [False] * tri.face_count
+    groups = []
+    for start in range(tri.face_count):
+        if reached[start]:
+            continue
+        reached[start] = True
+        group = [start]
+        for f in group:  # the walk appends to the list it runs over
+            for e in tri.face_edge_ids[f]:
+                if e in across:
+                    for g, _ in tri.edges[e]:
+                        if not reached[g]:
+                            reached[g] = True
+                            group.append(g)
+        groups.append(tuple(sorted(group)))
+    return Tessellation(tri, kept, removed, tuple(groups))
 
 
 # -- spherical support function -------------------------------------------------
 
-def _face_support_max(geom) -> float:
+def _face_support_max(geom, radii, corners) -> float:
     """Maximum of <x, C> over the face, where C = c / cos R_f is the
     affine representative of the face-circle with center c and radius
     R_f <= pi/2, so that <x, C> = cos |x c| / cos R_f.  1/max is the
@@ -352,8 +328,10 @@ def _face_support_max(geom) -> float:
     Closed form in the face kernel's data.  For side s let d_s be the
     signed distance from c to the side (``d_tangent[s]`` is tan d_s)
     and x_s the distance from corner s to the foot of c, which is the
-    center of the side's orthogonal section (``x_section[s]``).  Two
-    right-angled triangles have their hypotenuse from c to corner P_s:
+    center of the side's orthogonal section (``x_section[s]``); r_s is
+    the radius of corner s, read off the metric's ``radii`` at the
+    face's vertex ids ``corners``.  Two right-angled triangles have
+    their hypotenuse from c to corner P_s:
     one with legs d_s and x_s, through the foot, and one with legs R_f
     and r_s, through a point where the face-circle crosses vertex
     circle s at right angles.  So cos |c P_s| = cos x_s cos d_s =
@@ -369,7 +347,8 @@ def _face_support_max(geom) -> float:
     foot on a side that separates c from the face, and the maximum is
     the largest of the three foot values.  A great-circle face-circle
     (cos R_f about 0) gives inf."""
-    x, r, t = geom.x_section, geom.radii, geom.d_tangent
+    x, t = geom.x_section, geom.d_tangent
+    r = [radii[v] for v in corners]
     cos_rf = math.cos(x[0]) / (math.cos(r[0]) * math.hypot(1.0, t[0]))
     if cos_rf < 1e-14:
         return math.inf  # support minimum 0
@@ -388,7 +367,11 @@ def support_minimum(m: DecoratedMetric, geoms=None, per_face=None) -> float:
         raise BadParameters("the support function is defined for spherical metrics")
     if geoms is None:
         geoms = face_geometries(m)
-    values = [1.0 / _face_support_max(g) for g in geoms]
+    radii = m.radii.tolist()
+    values = [
+        1.0 / _face_support_max(g, radii, corners)
+        for g, corners in zip(geoms, m.triangulation.face_vertex_ids)
+    ]
     if per_face is not None:
         per_face[:] = values
     return min(values)

@@ -131,7 +131,10 @@ class DecoratedMetric:
     An array that is already read-only, float64 and owns its data is
     kept as it is, so flips share their parent's radii; anything else
     is copied.  Equality and hashing are by identity, as for
-    ``Triangulation``; ``Invariant`` and ``Heights`` likewise."""
+    ``Triangulation``; ``Invariant`` and ``Heights`` likewise.  What the
+    kernel derives from them is kept on the metric, each datum in one
+    place, on first read: the orthogonal section of every edge
+    (``sections``) and the face geometry of every face (``faces``)."""
 
     triangulation: Triangulation
     background: Background
@@ -184,6 +187,22 @@ class DecoratedMetric:
             except OverflowError:  # the scalar kernel overflows too, and names where
                 held = scalar_face_geometries(self)
         return trig.FaceArrays.stack(held)
+
+    @cached_property
+    def sections(self) -> tuple:
+        """The orthogonal section ``(x, rho)`` of every edge, by edge id:
+        ``trig.edge_section`` at its length and endpoint radii, computed
+        on first read and unchecked, as ``scalar_face_geometries`` reads
+        it.  An edge on which the kernel overflows or divides by zero
+        raises ResultInvalid naming the first such edge."""
+        bg, tri, radii = self.background, self.triangulation, self.radii.tolist()
+        sections = []
+        try:
+            for length, (i, j) in zip(self.lengths.tolist(), tri.edge_endpoint_ids):
+                sections.append(trig.edge_section(bg, length, radii[i], radii[j]))
+        except (OverflowError, ZeroDivisionError) as ex:
+            raise _kernel_failure(f"edge {tri.edge_label(len(sections))}", ex) from None
+        return tuple(sections)
 
     @property
     def eps(self) -> np.ndarray:
@@ -310,33 +329,35 @@ def face_geometry(bg: Background, tri, f: int, lengths, radii, sections):
 
 
 def scalar_face_geometries(m: DecoratedMetric) -> list:
-    """TriangleGeometry per face of ``m``, unchecked: each edge's
-    orthogonal section is evaluated once (``trig.edge_section``) and
-    read by both faces at the edge (``face_geometry``).
+    """TriangleGeometry per face of ``m``, unchecked: each face reads
+    its sides' orthogonal sections off ``m.sections``
+    (``face_geometry``), so both faces at an edge read the same one.
 
     This is the one rule for a face kernel that fails on a metric: a
     call that overflows or divides by zero raises ResultInvalid naming
-    the first such edge, else face.  A hyperbolic length above about
-    710 overflows, and so do Euclidean sides above about 1e154, whose
-    corner angle is not a number (``trig.interior_angles``); hyperbolic
-    sides of 356 or more make a corner angle round to 0, and
-    ``trig.face_circle`` divides by its sine.  ``DecoratedMetric.faces``
-    and ``solver.cone_angles`` fall back to it where the array kernel
-    overflows, so they name the same edge or face."""
-    bg, tri = m.background, m.triangulation
+    the first such edge (``m.sections``), else face.  A hyperbolic
+    length above about 710 overflows, and so do Euclidean sides above
+    about 1e154, whose corner angle is not a number
+    (``trig.interior_angles``); hyperbolic sides of 356 or more make a
+    corner angle round to 0, and ``trig.face_circle`` divides by its
+    sine.  ``DecoratedMetric.faces`` and ``solver.cone_angles`` fall
+    back to it where the array kernel overflows, so they name the same
+    edge or face."""
+    bg, tri, sections = m.background, m.triangulation, m.sections
     lengths, radii = m.lengths.tolist(), m.radii.tolist()
-    sections, geoms = [], []
+    geoms = []
     try:
-        for length, (i, j) in zip(lengths, tri.edge_endpoint_ids):
-            sections.append(trig.edge_section(bg, length, radii[i], radii[j]))
         for f in range(tri.face_count):
             geoms.append(face_geometry(bg, tri, f, lengths, radii, sections))
-    except (OverflowError, ZeroDivisionError, ResultInvalid) as ex:  # name the first edge, else face
-        e = len(sections)
-        at = f"edge {tri.edge_label(e)}" if e < tri.edge_count else f"face {len(geoms)}"
-        fails = "divides by zero" if isinstance(ex, ZeroDivisionError) else "overflows"
-        raise ResultInvalid(f"{at}: the face kernel {fails} ({ex})", [str(ex)]) from None
+    except (OverflowError, ZeroDivisionError, ResultInvalid) as ex:
+        raise _kernel_failure(f"face {len(geoms)}", ex) from None
     return geoms
+
+
+def _kernel_failure(at: str, ex: Exception) -> ResultInvalid:
+    """The ResultInvalid of a face kernel call at ``at`` that raised ``ex``."""
+    fails = "divides by zero" if isinstance(ex, ZeroDivisionError) else "overflows"
+    return ResultInvalid(f"{at}: the face kernel {fails} ({ex})", [str(ex)])
 
 
 def fill_faces(metrics: list) -> None:
@@ -603,7 +624,8 @@ def decoration_from_heights(
                 out = ~(x > 1.0)
         else:
             radii = np.where(hyper, e_mh, 0.0)
-            rho_sq = _each_or_nan(partial(pow, exp=2), e_mh)
+            # not partial(pow, exp=2), 3x slower per value
+            rho_sq = _each_or_nan(lambda v: pow(v, 2), e_mh)
             eps_rho_sq, two_rho = hyper.astype(float) * rho_sq, 2.0 * e_mh
             x = eps_rho_sq[i] + eps_rho_sq[j] + two_rho[i] * e_mh[j] * tau_lam
             out = ~(x > 0.0)

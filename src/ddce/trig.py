@@ -76,21 +76,27 @@ The two forms of face geometry have one use each.  Per-face lists of
 ``TriangleGeometry`` serve the flip pass, whose readers
 (``delaunay.is_local_delaunay``, ``delaunay.support_minimum``) take one
 edge's two faces, or one face, at a time; it rebuilds the two faces of
-each flip with ``face_circle``.  ``FaceArrays`` serve whole-surface
+each flip with ``face_circle``.  A ``TriangleGeometry`` holds only
+what its face owns (``angles``, ``r_section``, ``x_section``,
+``d_tangent``): the lengths, radii and background are the metric's,
+and so is each edge's section (``DecoratedMetric.sections``, by edge
+id), which the pass keeps in one per-edge list and evaluates anew only
+for a flip's new diagonal.  ``FaceArrays`` serve whole-surface
 arithmetic (``delaunay.edge_weights``, ``solver.angle_jacobian``, the
 rows of ``transition.build_transition``), which reads them off the
 metric (``DecoratedMetric.faces``) and is passed no geometry.  They
 hold only the three arrays that arithmetic reads (``angles``,
-``r_section``, ``d_tangent``): the lengths and radii are the metric's
-own, and the section feet are read by the flip pass alone.  A metric
-computes its ``FaceArrays`` once, on first read: with ``face_circles``
-at every surface size, or, for the output of a flip pass, by stacking
-the pass's per-face list (``FaceArrays.stack``).  The rows of
-``transition.build_transition`` share one triangulation, and one
-``face_circles`` call over their disjoint union fills all of their
-``FaceArrays`` at once (``metric.fill_faces``).  On a surface where
-``face_circles`` overflows, ``metric.scalar_face_geometries`` runs the
-per-face entries and names the first failing edge or face.
+``r_section``, ``d_tangent``): the section feet are read by the flip
+pass alone.  A metric computes its ``FaceArrays`` once, on first
+read: with ``face_circles`` at every surface size, or, for the output
+of a flip pass, by stacking the pass's per-face list
+(``FaceArrays.stack``).  The rows of ``transition.build_transition``
+share one triangulation, and one ``face_circles`` call over their
+disjoint union fills all of their ``FaceArrays`` at once
+(``metric.fill_faces``).  On a surface where ``face_circles``
+overflows, ``metric.scalar_face_geometries`` runs the per-face entries
+on the metric's ``sections``; the first failing edge is named by
+``sections``, the first failing face by ``scalar_face_geometries``.
 """
 
 from __future__ import annotations
@@ -460,7 +466,9 @@ def sfac(background: Background, t: float) -> float:
 @dataclass(frozen=True)
 class TriangleGeometry:
     """Derived per-face cache: interior angles and, for each edge slot,
-    the quantities feeding cotan weights and Delaunay predicates.
+    the quantities feeding cotan weights and Delaunay predicates.  It
+    holds only what the face owns: the side lengths, the corner radii
+    and the background are its metric's, read there by id.
 
     ``r_section[s]`` is the radius of the circle centered on edge ``s``
     that meets both of its vertex circles orthogonally (zero when they
@@ -477,9 +485,6 @@ class TriangleGeometry:
     most pi/2.
     """
 
-    background: Background
-    lengths: tuple
-    radii: tuple
     angles: tuple
     r_section: tuple
     x_section: tuple
@@ -555,9 +560,7 @@ def face_circle(background: Background, lengths, radii, sections) -> TriangleGeo
     # slot s - 1 runs from k to i: x_ik of slot s is l_{s-1} - x_{s-1}
     ops = background.floats
     d = _tangent(ops, x0, l2 - x2, a0), _tangent(ops, x1, l0 - x0, a1), _tangent(ops, x2, l1 - x1, a2)
-    return TriangleGeometry(
-        background, (l0, l1, l2), (r0, r1, r2), angles, (rho0, rho1, rho2), (x0, x1, x2), d
-    )
+    return TriangleGeometry(angles, (rho0, rho1, rho2), (x0, x1, x2), d)
 
 
 _PREV = np.array([2, 0, 1])  # slot s - 1 of slots 0, 1, 2

@@ -303,9 +303,6 @@ def reference_face_circle(background, lengths, radii, sections):
             C(x[s]) * (T(x_ik) - T(x[s]) * math.cos(angles[s])) / math.sin(angles[s])
         )
     return trig.TriangleGeometry(
-        background=background,
-        lengths=tuple(lengths),
-        radii=tuple(radii),
         angles=angles,
         r_section=(sections[0][1], sections[1][1], sections[2][1]),
         x_section=x,
@@ -397,22 +394,23 @@ def face_circle_lift(background, positions, radii):
     return lift / math.sqrt(norm2)
 
 
-def lift_support_max(geom):
-    """Maximum of <x, C> over the realized spherical face, where C is
-    the affine representative of the lifted face-circle: the oracle for
+def lift_support_max(tri, geom):
+    """Maximum of <x, C> over the realized spherical face ``tri`` (a
+    DecoratedTriangle) of face geometry ``geom``, where C is the affine
+    representative of the lifted face-circle: the oracle for
     ``delaunay._face_support_max``.  Candidates: the vertices, critical
     points on the edge arcs, and the direction of C itself when it lies
     inside the face (there 1/<x, C> equals the face-circle radius
     cosine)."""
-    positions = realize_triangle(geom.background, geom.lengths, geom.angles[0])
-    lift = face_circle_lift(geom.background, positions, geom.radii)
+    positions = realize_triangle(tri.background, tri.lengths, geom.angles[0])
+    lift = face_circle_lift(tri.background, positions, tri.radii)
     if abs(lift[3]) < 1e-14:
         return math.inf  # great-circle face circle: support minimum 0
     c_aff = lift[:3] / lift[3]
     best = max(float(np.dot(p, c_aff)) for p in positions)
     for s in range(3):
         a, b = positions[s], positions[(s + 1) % 3]
-        l = geom.lengths[s]
+        l = tri.lengths[s]
         fa, fb = float(np.dot(a, c_aff)), float(np.dot(b, c_aff))
         t = math.atan2(fb - fa * math.cos(l), fa * math.sin(l)) / l
         if 0.0 < t < 1.0:
@@ -464,13 +462,10 @@ def with_stacked_faces(m):
 def geometry_fields(geom):
     """Every field of a TriangleGeometry as text that tells floats apart
     bit for bit (-0.0 and NaN included)."""
-    out = {}
-    for f in dataclasses.fields(geom):
-        value = getattr(geom, f.name)
-        if f.name != "background":
-            value = np.asarray(value, dtype=float).tolist()
-        out[f.name] = repr(value)
-    return out
+    return {
+        f.name: repr(np.asarray(getattr(geom, f.name), dtype=float).tolist())
+        for f in dataclasses.fields(geom)
+    }
 
 
 def reference_flip(tri, e):

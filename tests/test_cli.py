@@ -162,11 +162,13 @@ def test_gluing_that_is_not_a_list_is_parse_error(tmp_path, genus2_file, capsys,
         # the face count alone once sized the builder's tables
         pytest.param(
             lambda doc: {**doc, "faces": 10**30},
-            f"{10**30} faces have {3 * 10**30} half-edges, but 9 gluing pairs cover 18",
+            f"bad gluing ({10**30} faces have {3 * 10**30} half-edges, "
+            "but 9 gluing pairs cover 18)",
             id="faces-1e30",
         ),
         pytest.param(
-            lambda doc: {**doc, "faces": 7}, "7 faces have 21 half-edges, but 9 gluing pairs cover 18",
+            lambda doc: {**doc, "faces": 7},
+            "bad gluing (7 faces have 21 half-edges, but 9 gluing pairs cover 18)",
             id="faces-plus-one",
         ),
     ],
@@ -312,7 +314,7 @@ def test_invariant_and_transition_skip_the_support_function(tmp_path, capsys, mo
     want_out = capsys.readouterr().out
     want_path = tr.build_transition(m, [1.0, 10.0, 100.0])
 
-    def refuse(geom):
+    def refuse(geom, radii, corners):
         raise AssertionError("support function evaluated")
 
     monkeypatch.setattr(delaunay, "_face_support_max", refuse)
@@ -338,7 +340,7 @@ def test_spherical_solve_skips_the_support_function(capsys, monkeypatch):
     assert run("solve", fixture, "--theta", "2pi") == 3
     want = capsys.readouterr()
 
-    def refuse(geom):
+    def refuse(geom, radii, corners):
         raise AssertionError("support function evaluated")
 
     monkeypatch.setattr(delaunay, "_face_support_max", refuse)

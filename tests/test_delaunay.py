@@ -23,6 +23,7 @@ from ddce.errors import (
 
 from conftest import (
     ALL_BACKGROUNDS,
+    DecoratedTriangle,
     face_array_fields,
     face_circle_lift,
     face_rows,
@@ -278,9 +279,10 @@ def test_support_minimum_against_sampling(rng):
     geoms = dl.face_geometries(m)
     fast = dl.support_minimum(m, geoms)
     worst = math.inf
-    for geom in geoms:
-        a, b, c = realize_triangle(geom.background, geom.lengths, geom.angles[0])
-        lift = face_circle_lift(geom.background, (a, b, c), geom.radii)
+    for f, geom in enumerate(geoms):
+        tri = face_triangle(m, f)
+        a, b, c = realize_triangle(tri.background, tri.lengths, geom.angles[0])
+        lift = face_circle_lift(tri.background, (a, b, c), tri.radii)
         c_aff = lift[:3] / lift[3]
         for _ in range(4000):
             wts = rng.dirichlet((1.0, 1.0, 1.0))
@@ -320,27 +322,29 @@ def test_face_support_closed_form_matches_lift_oracle(rng):
     metrics.append(random_metric(grid_torus(4), Background.SPHERICAL, rng))
     cases = {"inside": 0, "outside": 0}
     for m in metrics:
-        for g in dl.face_geometries(m):
+        radii = m.radii.tolist()
+        for f, g in enumerate(dl.face_geometries(m)):
+            tri = face_triangle(m, f)
             # every foot lies on its side, so the face point nearest an
             # outside center is a foot, never a corner alone
-            assert all(0.0 <= g.x_section[s] <= g.lengths[s] for s in range(3))
+            assert all(0.0 <= g.x_section[s] <= tri.lengths[s] for s in range(3))
             cases["inside" if min(g.d_tangent) >= 0.0 else "outside"] += 1
-            want = lift_support_max(g)
-            assert dl._face_support_max(g) == pytest.approx(want, rel=1e-14, abs=0.0)
+            want = lift_support_max(tri, g)
+            got = dl._face_support_max(g, radii, m.triangulation.face_vertex_ids[f])
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
     assert min(cases.values()) >= 100, cases
     # the limit of a great-circle face-circle: three point corners evenly
     # spread on the equator (a hemisphere, which the kernel refuses)
     third = 2.0 * math.pi / 3.0
+    points = DecoratedTriangle(Background.SPHERICAL, (third,) * 3, (0.0,) * 3)
     hemisphere = trig.TriangleGeometry(
-        background=Background.SPHERICAL,
-        lengths=(third,) * 3,
-        radii=(0.0,) * 3,
         angles=(math.pi,) * 3,
         r_section=(third / 2.0,) * 3,
         x_section=(third / 2.0,) * 3,
         d_tangent=(math.tan(math.pi / 2.0),) * 3,
     )
-    assert lift_support_max(hemisphere) == dl._face_support_max(hemisphere) == math.inf
+    got = dl._face_support_max(hemisphere, points.radii, (0, 1, 2))
+    assert lift_support_max(points, hemisphere) == got == math.inf
 
 
 def with_tangent_edge(m):
@@ -394,8 +398,10 @@ def test_flip_output_faces_match_recomputation(rng):
 
 
 def test_flip_to_delaunay_evaluates_one_section_per_flip(rng, monkeypatch):
-    # every edge once for the input, then the new diagonal of each flip:
-    # the four quad sides keep their length and endpoint radii
+    # every edge once for a fresh input, then the new diagonal of each
+    # flip: the four quad sides keep their length and endpoint radii.
+    # The input keeps its sections (m.sections), so a second pass on it
+    # evaluates the new diagonals alone, and flips alike.
     real = trig.edge_section
     calls = []
     monkeypatch.setattr(trig, "edge_section", lambda *args: calls.append(args) or real(*args))
@@ -403,9 +409,14 @@ def test_flip_to_delaunay_evaluates_one_section_per_flip(rng, monkeypatch):
     for bg in ALL_BACKGROUNDS:
         for tri in (octahedron(), grid_torus(5), Triangulation.genus_two_octagon()):
             m = scrambled_metric(tri, bg, rng, flips=8)
+            m = DecoratedMetric(m.triangulation, bg, m.lengths, m.radii)  # nothing read yet
             calls.clear()
             out, log = dl.flip_to_delaunay(m)
             assert len(calls) == tri.edge_count + log.flip_count
+            calls.clear()
+            again, log_again = dl.flip_to_delaunay(m)
+            assert len(calls) == log_again.flip_count == log.flip_count
+            assert repr(again.lengths.tolist()) == repr(out.lengths.tolist())
             flips.append(log.flip_count)
     assert max(flips) >= 5
 
@@ -709,15 +720,25 @@ def test_perturbed_square_keeps_all_edges():
     assert tess.face_groups == ((0,), (1,))
 
 
-def test_union_find_compresses_the_path_it_walks():
-    # union(1, 2) hangs 2 under 1 and union(0, 1) hangs 1 under 0, so
-    # find(2) walks 2 -> 1 -> 0 and then points 2 at the root
-    uf = dl._UnionFind(3)
-    uf.union(1, 2)
-    uf.union(0, 1)
-    assert uf.parent == [0, 0, 1]
-    assert uf.find(2) == 0
-    assert uf.parent == [0, 0, 0]
+def test_square_lattice_tessellation_groups_each_square():
+    # the n x n grid torus of unit squares, each split by a diagonal that
+    # joins four cocircular corners of equal radii: every diagonal has
+    # weight 0, and each square's two faces make one group
+    n = 4
+    tri = grid_torus(n)
+    lengths = np.ones(tri.edge_count)
+    # faces 2k and 2k + 1 split square k; its diagonal is slot 2 of the first
+    diagonals = [tri.edge_index[(f, 2)] for f in range(0, tri.face_count, 2)]
+    assert diagonals == [tri.edge_index[(f, 0)] for f in range(1, tri.face_count, 2)]
+    diagonals.sort()
+    lengths[diagonals] = math.sqrt(2.0)
+    m = DecoratedMetric(tri, Background.EUCLIDEAN, lengths, np.full(tri.vertex_count, 0.2))
+    tess = dl.extract_tessellation(m, tol=1e-9)
+    assert tess.removed_edges == tuple(diagonals)
+    assert tess.face_groups == tuple((2 * k, 2 * k + 1) for k in range(n * n))
+    # every side has weight 1: above that tolerance all edges go, and the
+    # walk reaches every face out of order, as one sorted group
+    assert dl.extract_tessellation(m, tol=2.0).face_groups == (tuple(range(2 * n * n)),)
 
 
 def test_tessellation_unique_across_flip():

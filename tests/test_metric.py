@@ -27,7 +27,15 @@ from ddce.errors import (
     WeightOutOfRange,
 )
 
-from conftest import ALL_BACKGROUNDS, grid_torus, octahedron, oracle_corpus, outcome, random_metric
+from conftest import (
+    ALL_BACKGROUNDS,
+    grid_torus,
+    octahedron,
+    oracle_corpus,
+    outcome,
+    random_metric,
+    scrambled_metric,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -255,6 +263,40 @@ def test_validity_is_computed_at_most_once_per_metric(rng, monkeypatch):
         assert cli.main(argv) == 0
     assert len(seen) >= 20
     assert len({id(x) for x in seen}) == len(seen)
+
+
+def edge_sections(m):
+    """``trig.edge_section`` of every edge of ``m``, edge by edge."""
+    radii = m.radii.tolist()
+    return tuple(
+        trig.edge_section(m.background, length, radii[i], radii[j])
+        for length, (i, j) in zip(m.lengths.tolist(), m.triangulation.edge_endpoint_ids)
+    )
+
+
+def test_sections_are_the_edge_sections_bit_for_bit(rng):
+    # on every fixture, and on flip outputs whose diagonals moved; repr
+    # tells floats apart bit for bit
+    metrics = [cli.load_surface_file(str(path))[0] for path in sorted(FIXTURES.glob("*.json"))]
+    assert len(metrics) == 7
+    flips = 0
+    for m in metrics + [scrambled_metric(grid_torus(4), bg, rng) for bg in ALL_BACKGROUNDS]:
+        flipped, log = delaunay.flip_to_delaunay(m)
+        flips += log.flip_count
+        for x in (m, flipped):
+            assert repr(x.sections) == repr(edge_sections(x))
+            assert x.sections is x.sections  # computed once, on first read
+    assert flips >= 3
+
+
+def test_sections_name_the_first_edge_that_overflows():
+    # sinh of every genus-2 fixture length times 1000 overflows
+    g2, _ = cli.load_surface_file(str(FIXTURES / "genus2_hyperbolic.json"))
+    m = DecoratedMetric(g2.triangulation, g2.background, g2.lengths * 1000, g2.radii)
+    with pytest.raises(ResultInvalid) as raised:
+        m.sections
+    assert str(raised.value) == "edge 0:0: the face kernel overflows (math range error)"
+    assert raised.value.diagnostics == ["math range error"]
 
 
 # -- conformal change -----------------------------------------------------------

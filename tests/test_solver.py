@@ -91,11 +91,12 @@ def reference_angle_jacobian(m, geoms):
     bg = m.background
     n = tri.vertex_count
     jac = np.zeros((n, n))
-    for geom, verts in zip(geoms, tri.face_vertex_ids):
+    for geom, verts, edges in zip(geoms, tri.face_vertex_ids, tri.face_edge_ids):
         # per slot: this face's half q of the edge weight, in the product
         # form of delaunay.edge_weights (finite at tangency), and K(l)
         q, k = [], []
-        for d, rho, length in zip(geom.d_tangent, geom.r_section, geom.lengths):
+        lengths = [float(m.lengths[e]) for e in edges]
+        for d, rho, length in zip(geom.d_tangent, geom.r_section, lengths):
             q.append(d / (cfac(bg, rho) * trig.sfac(bg, length)))
             k.append(cfac(bg, length))
         for s in range(3):

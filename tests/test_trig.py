@@ -1,5 +1,6 @@
 """Per-triangle kernel tests against independent geometric oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -279,18 +280,26 @@ def test_hyperideal_inputs_give_inversive_above_one(rng):
 # -- face circle ----------------------------------------------------------------
 
 
-def alpha(geom, s):
-    """Angle at which the face-circle meets edge ``s``: its cotangent
-    times sin/identity/sinh of the section radius is ``d_tangent``."""
-    return math.atan2(trig.sfac(geom.background, geom.r_section[s]), geom.d_tangent[s])
+def alpha(bg, geom, s):
+    """Angle at which the face-circle meets edge ``s`` of a face on
+    background ``bg``: its cotangent times sin/identity/sinh of the
+    section radius is ``d_tangent``."""
+    return math.atan2(trig.sfac(bg, geom.r_section[s]), geom.d_tangent[s])
 
 
-def center_distance(geom, s):
-    """Signed distance from the face-circle center to edge ``s``
-    (spherical and Euclidean faces)."""
-    if geom.background is Background.SPHERICAL:
+def center_distance(bg, geom, s):
+    """Signed distance from the face-circle center to edge ``s`` of a
+    face on background ``bg`` (spherical and Euclidean faces)."""
+    if bg is Background.SPHERICAL:
         return math.atan(geom.d_tangent[s])
     return geom.d_tangent[s]
+
+
+def test_triangle_geometry_holds_only_face_data():
+    # the side lengths, corner radii and background are the metric's,
+    # read there by id; each edge's section is the metric's too
+    fields = [f.name for f in dataclasses.fields(trig.TriangleGeometry)]
+    assert fields == ["angles", "r_section", "x_section", "d_tangent"]
 
 
 def test_euclidean_equilateral_face_circle():
@@ -298,7 +307,8 @@ def test_euclidean_equilateral_face_circle():
     geom = lone_face_circle(tri)
     for s in range(3):
         assert geom.r_section[s] == pytest.approx(math.sqrt(0.75), abs=1e-12)
-        assert center_distance(geom, s) == pytest.approx(2.0 / (2.0 * math.sqrt(3.0)), abs=1e-12)
+        want = 2.0 / (2.0 * math.sqrt(3.0))
+        assert center_distance(tri.background, geom, s) == pytest.approx(want, abs=1e-12)
     # radical-center brute-force oracle: equal power to all three circles
     centers = np.array(realize_triangle(Background.EUCLIDEAN, tri.lengths, geom.angles[0]))
     mat = 2.0 * (centers[1:] - centers[0])
@@ -333,10 +343,10 @@ def test_spherical_octant_circumcircle():
     for p in positions:
         assert float(np.dot(center, p)) == pytest.approx(cos_rf, abs=1e-12)
     for s in range(3):
-        d = center_distance(geom, s)
+        d = center_distance(tri.background, geom, s)
         # face-circle radius from the right triangle at the foot on edge s
         assert math.cos(d) * math.cos(geom.r_section[s]) == pytest.approx(cos_rf, abs=1e-12)
-        assert alpha(geom, s) == pytest.approx(math.pi / 4, abs=1e-12)
+        assert alpha(tri.background, geom, s) == pytest.approx(math.pi / 4, abs=1e-12)
         assert geom.r_section[s] == pytest.approx(math.pi / 4, abs=1e-12)
         assert d == pytest.approx(math.acos(math.sqrt(2.0 / 3.0)), abs=1e-12)
 
@@ -365,7 +375,7 @@ def test_face_circle_orthogonality_lift_oracle(rng):
                 n = np.cross(a, b)
                 n = math.copysign(1.0, float(np.dot(n, apex))) * n / np.linalg.norm(n)
                 assert math.asin(float(np.dot(center, n))) == pytest.approx(
-                    center_distance(geom, s), abs=1e-10
+                    center_distance(tri.background, geom, s), abs=1e-10
                 )
 
 
@@ -396,7 +406,7 @@ def test_face_circle_identities(rng):
                     assert foot**2 == pytest.approx(r_i**2 + rho**2, abs=1e-10)
                     # squared radius: d^2 + rho^2
                     radius_terms.append(t * t + rho * rho)
-                assert 0.0 < alpha(geom, s) < math.pi
+                assert 0.0 < alpha(tri.background, geom, s) < math.pi
             assert radius_terms == pytest.approx([radius_terms[0]] * 3, rel=1e-10, abs=1e-10)
 
 
@@ -490,7 +500,7 @@ def test_hyperbolic_hypercycle_face_circle():
     geom = lone_face_circle(tri)
     for s in range(3):
         assert 1.0 < abs(geom.d_tangent[s]) < math.inf
-        assert 0.0 < alpha(geom, s) < math.pi
+        assert 0.0 < alpha(tri.background, geom, s) < math.pi
 
 
 # -- diagonal length ---------------------------------------------------------------

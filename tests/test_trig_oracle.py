@@ -25,6 +25,7 @@ from conftest import (
     ALL_BACKGROUNDS,
     DecoratedTriangle,
     cfac,
+    face_triangle,
     geometry_fields,
     lone_face_circle,
     random_triangle,
@@ -200,9 +201,10 @@ def support_oracle(tri: DecoratedTriangle):
         return best
 
 
-def kernel_errors(geom) -> list:
-    """Errors of every ``d_tangent`` and ``r_section`` of a face geometry."""
-    want_d, want_r = oracle(DecoratedTriangle(geom.background, geom.lengths, geom.radii))
+def kernel_errors(tri: DecoratedTriangle, geom) -> list:
+    """Errors of every ``d_tangent`` and ``r_section`` of the face
+    geometry ``geom`` of a decorated triangle ``tri``."""
+    want_d, want_r = oracle(tri)
     return [_error(*pair) for pair in zip(geom.d_tangent + geom.r_section, want_d + want_r)]
 
 
@@ -317,13 +319,13 @@ def test_face_circle_matches_oracle(case, rng):
     assert triangles
     for tri in triangles:
         geom = lone_face_circle(tri)
-        assert all(err <= TOL for err in kernel_errors(geom)), tri
+        assert all(err <= TOL for err in kernel_errors(tri, geom)), tri
         # on a surface: face 0 is the lone triangle, and its mirror reads
         # the complemented foot on every side the lone one reads as is
         m = doubled(tri)
         geoms = delaunay.face_geometries(m)
         assert geometry_fields(geoms[0]) == geometry_fields(geom)
-        assert all(err <= TOL for err in kernel_errors(geoms[1])), tri
+        assert all(err <= TOL for err in kernel_errors(face_triangle(m, 1), geoms[1])), tri
         for (f, s), (g, t) in m.triangulation.edges:
             assert geoms[f].r_section[s] == geoms[g].r_section[t], tri
         canon, _ = delaunay._canonical_metric(m)
@@ -362,8 +364,8 @@ def test_near_concave_quad_weights_match_oracle(rng):
         corner = trig.interior_angles(bg, t1.lengths)[0] + trig.interior_angles(bg, t2.lengths)[1]
         assert math.pi - 2e-3 < corner < math.pi
         g1, g2 = lone_face_circle(t1), lone_face_circle(t2)
-        for geom in (g1, g2):
-            assert all(err <= TOL for err in kernel_errors(geom)), geom
+        for t, geom in ((t1, g1), (t2, g2)):
+            assert all(err <= TOL for err in kernel_errors(t, geom)), geom
         # the shared edge's weight, in the product form of edge_weight
         got = (g1.d_tangent[0] + g2.d_tangent[0]) / (
             cfac(bg, g1.r_section[0]) * trig.sfac(bg, t1.lengths[0])
@@ -406,6 +408,7 @@ def test_face_support_matches_oracle(rng):
     for tri in triangles:
         geom = lone_face_circle(tri)
         inside += min(geom.d_tangent) >= 0
-        assert _error(delaunay._face_support_max(geom) / support_oracle(tri), mpf(1)) <= 1e-14, tri
+        got = delaunay._face_support_max(geom, tri.radii, (0, 1, 2))
+        assert _error(got / support_oracle(tri), mpf(1)) <= 1e-14, tri
     # both branches: the center in the face, and outside it
     assert inside >= 10 and len(triangles) - inside >= 30
