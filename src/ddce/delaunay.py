@@ -24,6 +24,7 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -83,15 +84,23 @@ def is_local_delaunay(m: DecoratedMetric, e: int, geoms=None) -> bool:
     """d-sum form of the local Delaunay test, with the isosceles,
     concave-quad, and self-glued-quad short circuits: the d-sum may
     fall below zero by ``FLIP_TOL`` relative to its terms.  An edge id
-    that ``Triangulation.check_edge`` refuses raises BadParameters."""
+    that ``Triangulation.check_edge`` refuses raises BadParameters.
+
+    The flip pass passes its per-face geometries as ``geoms``; without
+    them the test reads the edge's two rows of ``m.faces``, which hold
+    the same floats and are computed once per metric, behind its
+    ``check_valid`` gate."""
     tri = m.triangulation
     e = tri.check_edge(e)
     if tri.is_self_glued_quad(e):
         return True
-    if geoms is None:
-        geoms = face_geometries(m)
     (f, s), (g, t) = tri.edges[e]
-    gf, gg = geoms[f], geoms[g]
+    if geoms is None:  # the two faces' rows, as Python floats
+        faces = m.faces
+        rows = zip(faces.angles[[f, g]].tolist(), faces.d_tangent[[f, g]].tolist())
+        gf, gg = (SimpleNamespace(angles=a, d_tangent=d) for a, d in rows)
+    else:
+        gf, gg = geoms[f], geoms[g]
     # angle sums at the two edge endpoints within the quad
     if gf.angles[s] + gg.angles[(t + 1) % 3] >= math.pi:
         return True

@@ -124,17 +124,31 @@ def default_reference_radius(background: Background) -> float:
     raise BadParameters("reference radius is defined for curved backgrounds only")
 
 
+def _held(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype`` that its holder owns.
+    An array that is already read-only, of that dtype and owns its data
+    is kept as it is; anything else (a list, a writable array, a view
+    that borrows another array's data) is copied, so a caller's array
+    stays writable and no later write to it reaches the holder."""
+    if not (
+        type(values) is np.ndarray and values.dtype == dtype
+        and values.flags.owndata and not values.flags.writeable
+    ):
+        values = np.array(values, dtype=dtype)
+        values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class DecoratedMetric:
     """Per-edge lengths and per-vertex radii on a triangulation, held as
-    read-only float arrays, so that ``validate`` need look only once.
-    An array that is already read-only, float64 and owns its data is
-    kept as it is, so flips share their parent's radii; anything else
-    is copied.  Equality and hashing are by identity, as for
-    ``Triangulation``; ``Invariant`` and ``Heights`` likewise.  What the
-    kernel derives from them is kept on the metric, each datum in one
-    place, on first read: the orthogonal section of every edge
-    (``sections``) and the face geometry of every face (``faces``)."""
+    read-only float arrays (``_held``), so that ``validate`` need look
+    only once; flips share their parent's radii.  Equality and hashing
+    are by identity, as for ``Triangulation``; ``Invariant`` and
+    ``Heights`` likewise.  What the kernel derives from them is kept on
+    the metric, each datum in one place, on first read: the orthogonal
+    section of every edge (``sections``), the face geometry of every
+    face (``faces``) and the ideal/hyperideal flags (``eps``)."""
 
     triangulation: Triangulation
     background: Background
@@ -142,15 +156,8 @@ class DecoratedMetric:
     radii: np.ndarray
 
     def __post_init__(self):
-        for name in ("lengths", "radii"):
-            values = getattr(self, name)
-            if not (
-                type(values) is np.ndarray and values.dtype == np.float64
-                and values.flags.owndata and not values.flags.writeable
-            ):
-                values = np.array(values, dtype=float)
-                values.flags.writeable = False
-                object.__setattr__(self, name, values)
+        object.__setattr__(self, "lengths", _held(self.lengths, float))
+        object.__setattr__(self, "radii", _held(self.radii, float))
         if self.lengths.shape != (self.triangulation.edge_count,):
             raise BadParameters("length array does not match edge orbits")
         if self.radii.shape != (self.triangulation.vertex_count,):
@@ -204,17 +211,24 @@ class DecoratedMetric:
             raise _kernel_failure(f"edge {tri.edge_label(len(sections))}", ex) from None
         return tuple(sections)
 
-    @property
+    @cached_property
     def eps(self) -> np.ndarray:
-        """1 for hyperideal vertices (r > 0), 0 for ideal ones."""
-        return (self.radii > 0).astype(int)
+        """1 for hyperideal vertices (r > 0), 0 for ideal ones, as one
+        read-only array computed on first read, so the ``Heights`` and
+        ``Invariant`` built from a metric keep the same object."""
+        eps = (self.radii > 0).astype(int)
+        eps.flags.writeable = False
+        return eps
 
 
 @dataclass(frozen=True, eq=False)
 class Invariant:
     """Fundamental discrete conformal invariant data: lambda-lengths per
     edge plus ideal/hyperideal flags.  Carries no background tag; the
-    same invariant is shared by metrics in all three geometries."""
+    same invariant is shared by metrics in all three geometries.  The
+    flags are held read-only (``_held``), so a chart that passes
+    ``inv.eps`` on keeps the same object, and
+    ``decoration_from_heights`` sees at once that the flags agree."""
 
     triangulation: Triangulation
     lam: np.ndarray
@@ -222,7 +236,7 @@ class Invariant:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float))
-        object.__setattr__(self, "eps", np.asarray(self.eps, dtype=int))
+        object.__setattr__(self, "eps", _held(self.eps, int))
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,7 +246,12 @@ class Heights:
     the ideal/hyperideal flags of their vertices.  The maps that read
     heights take these from here (``omega_map``,
     ``decoration_from_heights``, ``transition.cusp_heights``), or check
-    them against the metric they meet (``lambda_lengths``)."""
+    them against the metric they meet (``lambda_lengths``).
+
+    The heights and flags are held as read-only arrays (``_held``, as
+    ``DecoratedMetric`` holds its lengths and radii), so what is derived
+    from them cannot go stale: the decoration weights (``weights``) are
+    computed once, on first read."""
 
     h: np.ndarray
     background: Background
@@ -240,8 +259,18 @@ class Heights:
     eps: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "h", np.asarray(self.h, dtype=float))
-        object.__setattr__(self, "eps", np.asarray(self.eps, dtype=int))
+        object.__setattr__(self, "h", _held(self.h, float))
+        object.__setattr__(self, "eps", _held(self.eps, int))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """``omega_map`` of these heights, read-only, computed on first
+        read: a scale family reads them once for all of its rows
+        (``transition.scale_family``).  A read that raises caches
+        nothing, so the next read raises again."""
+        weights = omega_map(self)
+        weights.flags.writeable = False
+        return weights
 
 
 def _same_ids(tri: Triangulation, other: Triangulation) -> bool:
@@ -516,16 +545,18 @@ def lambda_lengths(m: DecoratedMetric, heights: Heights | None = None) -> Invari
     eps = m.eps.tolist()
     h = heights.h.tolist()
     radii = m.radii.tolist()
+    # the branch of an edge with an ideal end, picked once per call
+    spherical, hyperbolic = bg is Background.SPHERICAL, bg is Background.HYPERBOLIC
     lam = np.zeros(tri.edge_count)
     for e, ((i, j), l) in enumerate(zip(tri.edge_endpoint_ids, m.lengths.tolist())):
         hyperideal = eps[i] == 1 and eps[j] == 1
         try:
             if hyperideal:
                 t = trig.inversive_distance(bg, l, radii[i], radii[j])
-            elif bg is Background.SPHERICAL:
+            elif spherical:
                 t = tau(-eps[i], h[i]) * tau(-eps[j], h[j])
                 t -= math.cos(l) * tau(eps[i], h[i]) * tau(eps[j], h[j])
-            elif bg is Background.HYPERBOLIC:
+            elif hyperbolic:
                 t = math.cosh(l) * tau(-eps[i], h[i]) * tau(-eps[j], h[j])
                 t -= tau(eps[i], h[i]) * tau(eps[j], h[j])
             else:

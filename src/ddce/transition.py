@@ -2,12 +2,14 @@
 metric toward a Euclidean one along its fundamental invariant.
 
 Scaling the decoration weights of the invariant surface by ``t >= 1``
-traces a family of heights ``h^t = omega_inverse(t * omega_map(h^1))``
-whose induced metrics all share the same lambda-lengths and the same
-weighted Delaunay combinatorics.  As ``t`` grows every height diverges,
-edge lengths shrink, face angle sums approach pi, and the decorated
-cotan weights converge to their Euclidean values: the family limits to
-a decorated piecewise Euclidean metric.
+traces a family of heights ``h^t = omega_inverse(t * w)``, where ``w``
+are the weights of ``h^1`` (``metric.omega_map``, held on the heights
+as ``Heights.weights``), whose induced metrics all share the same
+lambda-lengths and the same weighted Delaunay combinatorics.  As ``t``
+grows every height diverges, edge lengths shrink, face angle sums
+approach pi, and the decorated cotan weights converge to their
+Euclidean values: the family limits to a decorated piecewise Euclidean
+metric.
 
 The limit is parametrized by cusp heights ``hh_i``, the heights of the
 convex polyhedral cusp over the invariant surface, defined up to a
@@ -38,7 +40,6 @@ from .metric import (
     heights_from_decoration,
     lambda_lengths,
     omega_inverse,
-    omega_map,
     tau,
 )
 from .trig import Background
@@ -46,13 +47,15 @@ from .trig import Background
 
 def scale_family(h1: Heights, t: float) -> Heights:
     """Heights of the weight-scaled decoration, ``t >= 1``.  Increasing
-    componentwise in ``t``; the gauge radius cancels."""
+    componentwise in ``t``; the gauge radius cancels.  The weights of
+    ``h1`` are its ``Heights.weights``, evaluated once however many
+    parameters a family takes."""
     if t < 1.0:
         raise BadParameters("scale parameter must be >= 1")
     if h1.background is Background.EUCLIDEAN:
         raise BadParameters("scale families start from a curved background")
     with np.errstate(over="ignore"):  # omega_inverse refuses an infinite weight by vertex
-        omega = t * omega_map(h1)
+        omega = t * h1.weights
     return omega_inverse(h1.background, h1.reference_radius, omega, h1.eps)
 
 

@@ -50,9 +50,10 @@ table that its entry picks once per call: ``background.floats``, the
 (``_evaluators``).  There numpy does only gathers, comparisons,
 ``+ - * /`` and ``sqrt``, which IEEE 754 rounds exactly as Python's
 float operations do; every transcendental, ``**`` and clamp is the
-same ``math`` or builtin call mapped over the values (``each``), the
-clamps keep the NaN behaviour of the builtin ``min`` and ``max``, and
-the three-term ``math.fsum`` of a section gap is ``_sum3``: error-free
+same ``math`` or builtin call mapped over the values (``each``, which
+reads them through a ``memoryview`` of the array), the clamps keep
+the NaN behaviour of the builtin ``min`` and ``max``, and the
+three-term ``math.fsum`` of a section gap is ``_sum3``: error-free
 transformations that IEEE arithmetic makes exact, and one add rounded
 to odd, which round the sum as ``fsum`` does.  So both evaluators
 give the same floats bit for bit, and a fix to a formula is made
@@ -105,6 +106,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import partial, reduce
+from itertools import repeat
 
 import numpy as np
 
@@ -137,13 +139,21 @@ class Background(enum.Enum):
         return self.name.lower()
 
 
+#: module aliases of the curved members, for per-edge tests: a lookup
+#: through the enum class costs several times a global read
+_SPHERICAL, _HYPERBOLIC = Background.SPHERICAL, Background.HYPERBOLIC
+
+
 # -- evaluators ---------------------------------------------------------------
 
-def each(fn, a) -> np.ndarray:
+def each(fn, a, *more) -> np.ndarray:
     """The scalar ``fn`` mapped over the values of an array, in array
-    order.  On a 1-D array the result is a new array that owns its data;
-    otherwise it is that array reshaped."""
-    out = np.fromiter(map(fn, a.ravel().tolist()), float, a.size)
+    order, with one value of each iterable of ``more`` as a further
+    argument per call.  The values are read through a ``memoryview``,
+    which hands ``fn`` the same Python floats as ``tolist`` without
+    building the list.  On a 1-D array the result is a new array that
+    owns its data; otherwise it is that array reshaped."""
+    out = np.fromiter(map(fn, memoryview(a.ravel()), *more), float, a.size)
     return out if a.ndim == 1 else out.reshape(a.shape)
 
 
@@ -221,8 +231,10 @@ def _evaluators(background: Background) -> tuple:
     take their own branch; ``S4`` and ``atan3`` are ``S`` of four
     values and ``atan`` of three, and ``fsum4`` is ``math.fsum`` of four
     triples, which the array evaluator maps in one call each;
-    ``atan2`` maps two per-edge arrays pairwise (``each`` maps one);
-    ``largest`` is ``max`` where a NaN may win."""
+    ``atan2`` maps two equal-shape arrays pairwise, and ``pow`` maps
+    the builtin itself with its exponent repeated, so no Python
+    function runs between a value and its call (``each``); ``largest``
+    is ``max`` where a NaN may win."""
     curved = {
         Background.SPHERICAL: (math.sin, math.cos, math.tan),
         Background.HYPERBOLIC: (math.sinh, math.cosh, math.tanh),
@@ -245,8 +257,8 @@ def _evaluators(background: Background) -> tuple:
         atan3=lambda *xs: each(atan, np.array(xs)),
         fsum4=lambda *rows: _sum3(*np.array(rows).transpose(1, 0, 2)),
         sqrt=np.sqrt, max=_max, min=_min, largest=lambda *xs: reduce(np.maximum, xs),
-        pow=lambda x, n: each(lambda v: pow(v, n), x),  # not partial(pow, exp=n): 3x slower per value
-        atan2=lambda y, x: np.fromiter(map(atan2, y.tolist(), x.tolist()), float, y.size),
+        pow=lambda x, n: each(pow, x, repeat(n)),  # not partial(pow, exp=n): 3x slower per value
+        atan2=lambda y, x: each(atan2, y, memoryview(x.ravel())),
         **{name: mapped(getattr(math, name)) for name in named},
     )
     return floats, arrays
@@ -374,9 +386,9 @@ def inversive_distance(background: Background, length: float, r_i: float, r_j: f
     disjoint circles, = 1 at tangency."""
     if r_i <= 0 or r_j <= 0:
         raise ZeroRadius("inversive distance needs both radii positive")
-    if background is Background.SPHERICAL:
+    if background is _SPHERICAL:
         return (math.cos(r_i) * math.cos(r_j) - math.cos(length)) / (math.sin(r_i) * math.sin(r_j))
-    if background is Background.HYPERBOLIC:
+    if background is _HYPERBOLIC:
         return (math.cosh(length) - math.cosh(r_i) * math.cosh(r_j)) / (
             math.sinh(r_i) * math.sinh(r_j)
         )

@@ -75,6 +75,32 @@ def test_self_glued_isosceles_edge_nonnegative():
         assert dl.is_local_delaunay(m, e)
 
 
+def test_local_delaunay_without_geometries_runs_no_per_face_kernel(rng, monkeypatch):
+    # it reads the metric's faces, evaluated once by the array kernel
+    calls = []
+    real = trig.face_circle
+    monkeypatch.setattr(trig, "face_circle", lambda *a: calls.append(a) or real(*a))
+    m = random_metric(grid_torus(12), Background.HYPERBOLIC, rng)
+    verdicts = [dl.is_local_delaunay(m, e) for e in range(m.triangulation.edge_count)]
+    assert calls == [] and {type(v) for v in verdicts} == {bool}
+
+
+def test_local_delaunay_verdicts_are_those_with_geometries(rng):
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    metrics = [cli.load_surface_file(str(path))[0] for path in sorted(fixtures.glob("*.json"))]
+    assert len(metrics) == 7
+    metrics += [scrambled_metric(grid_torus(6), bg, rng, flips=8) for bg in ALL_BACKGROUNDS]
+    failing = 0
+    for m in metrics:
+        geoms = dl.face_geometries(m)
+        for e in range(m.triangulation.edge_count):
+            want = dl.is_local_delaunay(m, e, geoms=geoms)
+            got = dl.is_local_delaunay(m, e)
+            assert type(got) is bool and got == want, e
+            failing += not got
+    assert failing  # the scrambled tori have edges that fail
+
+
 @pytest.mark.parametrize(
     "background, lengths, radii, diagnostic",
     [

@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ddce import Background, DecoratedMetric, Triangulation, cli
 from ddce import delaunay as dl
@@ -175,6 +176,62 @@ def test_sum3_takes_fsum_values_and_errors_where_a_sum_is_not_finite():
             # a partial sum of fsum overflows where the exact sum does not
             want = float(sum(map(Fraction, triple)))
         assert repr(got) == repr(want), triple
+
+
+def mapped_operands(rng):
+    """Arrays for the mapped operations: 1-D, 2-D, transposed and
+    strided (neither contiguous) and empty, with NaN, infinities and
+    both signed zeros among random values."""
+    special = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1.5, 0.5]
+    values = np.concatenate([special, rng.uniform(-3.0, 3.0, 27)])
+    rng.shuffle(values)
+    square = values.reshape(6, 6)
+    yield "1-D", values
+    yield "2-D", square
+    yield "transposed", square.T
+    yield "strided", square[:, 1]
+    yield "empty", np.empty(0)
+    yield "empty 2-D", np.empty((0, 3))
+
+
+def per_value(fn, *arrays):
+    """``fn`` of each index's values, read one by one, in C order."""
+    return [fn(*(float(a[i]) for a in arrays)) for i in np.ndindex(arrays[0].shape)]
+
+
+def test_mapped_operations_match_a_per_value_loop_bit_for_bit(rng):
+    ops = Background.SPHERICAL.arrays  # every background holds the same mapped ops
+    for name, a in mapped_operands(rng):
+        b = rng.permutation(a.ravel()).reshape(a.shape)  # a second operand, C-contiguous
+        cases = [
+            ("each atan", trig.each(math.atan, a), per_value(math.atan, a)),
+            ("each tanh", trig.each(math.tanh, a), per_value(math.tanh, a)),
+            ("pow 2", ops.pow(a, 2), per_value(lambda v: pow(v, 2), a)),
+            ("pow 3", ops.pow(a, 3), per_value(lambda v: pow(v, 3), a)),
+            ("atan2", ops.atan2(a, b), per_value(math.atan2, a, b)),
+            ("atan2 swapped", ops.atan2(b, a), per_value(math.atan2, b, a)),
+        ]
+        for what, got, want in cases:
+            assert got.shape == a.shape, (name, what)
+            assert [repr(x) for x in got.ravel().tolist()] == [repr(x) for x in want], (name, what)
+            if a.ndim == 1:  # a 1-D result is a new array of its own
+                assert got.flags.owndata and not np.shares_memory(got, a), (name, what)
+
+
+def test_mapped_operations_raise_the_first_overflow():
+    seen = []
+
+    def exp(v):
+        seen.append(v)
+        return math.exp(v)
+
+    with pytest.raises(OverflowError):
+        trig.each(exp, np.array([1.0, 710.0, 800.0, 2.0]))
+    assert seen == [1.0, 710.0]  # the map ends at the first call that fails
+    with pytest.raises(OverflowError):
+        Background.HYPERBOLIC.arrays.pow(np.array([[1.0, 1e200], [2.0, 3.0]]), 2)
+    got = me._each_or_nan(math.exp, np.array([1.0, 710.0, -math.inf]))
+    assert got[0] == math.e and math.isnan(got[1]) and got[2] == 0.0
 
 
 def test_face_arrays_match_the_scalar_kernel(rng):

@@ -723,6 +723,38 @@ def test_decoration_from_heights_keeps_its_fresh_arrays(rng, monkeypatch):
         assert got.lengths is passed[0][0] and got.radii is passed[0][1], bg
 
 
+def test_heights_hold_read_only_arrays_and_leave_the_callers_alone():
+    bg = Background.HYPERBOLIC
+    h, eps = np.array([1.0, 0.2, 1.3]), np.array([1, 0, 1])
+    hts = me.Heights(h, bg, me.default_reference_radius(bg), eps)
+    for held in (hts.h, hts.eps):
+        with pytest.raises(ValueError):
+            held[0] = 0
+    # the caller's arrays are copied and stay writable, so writing to
+    # them leaves the heights and their weights as they were
+    weights = hts.weights
+    h[0], eps[1] = 5.0, 1
+    assert h.flags.writeable and eps.flags.writeable
+    assert hts.h.tolist() == [1.0, 0.2, 1.3] and hts.eps.tolist() == [1, 0, 1]
+    assert hts.weights is weights and not weights.flags.writeable
+    assert weights.tolist() == me.omega_map(hts).tolist()
+    # held arrays are kept as they are; a view that borrows them is copied
+    again = me.Heights(hts.h, bg, hts.reference_radius, hts.eps)
+    assert again.h is hts.h and again.eps is hts.eps
+    assert me.Heights(hts.h[1:], bg, 0.0, hts.eps[1:]).h.flags.owndata
+
+
+def test_a_metrics_charts_share_its_read_only_flags(rng):
+    for bg in ALL_BACKGROUNDS:
+        m = random_metric(octahedron(), bg, rng, ideal_fraction=0.3)
+        inv, hts = me.lambda_lengths(m), me.heights_from_decoration(m)
+        assert inv.eps is m.eps and hts.eps is m.eps
+        with pytest.raises(ValueError):
+            inv.eps[0] = 1
+        chart = me.Heights(hts.h + 0.1, bg, hts.reference_radius, inv.eps)
+        assert chart.eps is inv.eps  # decoration_from_heights compares them by identity first
+
+
 def test_spherical_tangency_formula(double_triangle):
     # lambda = 0 at every edge, h = 1 everywhere, all hyperideal
     eps = np.ones(3, dtype=int)

@@ -33,6 +33,17 @@ def test_scale_family_identity_and_linearity(rng):
         assert np.max(np.abs(back.h - ht.h)) < 1e-12
 
 
+def test_a_transition_family_maps_its_weights_once(rng, monkeypatch):
+    calls = []
+    real = me.omega_map
+    monkeypatch.setattr(me, "omega_map", lambda h: calls.append(h) or real(h))
+    for bg in (Background.HYPERBOLIC, Background.SPHERICAL):
+        calls.clear()
+        m = random_metric(octahedron(), bg, rng, ideal_fraction=0.3)
+        path = tr.build_transition(m, [1.0 + 3.0 * k for k in range(10)])
+        assert len(path.rows) == 10 and len(calls) == 1, bg
+
+
 def test_scale_family_monotone(rng):
     eps = np.array([1, 0, 1])
     h = np.array([1.0, 0.2, 1.3])
